@@ -1,7 +1,7 @@
 //! Matching-engine benchmark: MultiBlock candidate generation versus the
 //! full cross product, with results emitted to `BENCH_matching.json`.
 //!
-//! Three workloads exercise the candidate pipeline end-to-end:
+//! Four workloads exercise the candidate pipeline end-to-end:
 //!
 //! 1. **cora** — a Cora-style bibliographic workload matched by a fuzzy
 //!    Levenshtein rule over lower-cased titles (typos: no exact string
@@ -11,9 +11,8 @@
 //!    intersection),
 //! 3. **restaurant-phone** — phone numbers compared through a `digitsOnly`
 //!    transform: a quarter of the true matches share *no* exact token
-//!    between their raw values, which the legacy token index provably
-//!    misses (reported as `token_index_missed_links`), while MultiBlock
-//!    keeps every one of them,
+//!    between their raw values, so only an index over the *transformed*
+//!    values keeps every one of them,
 //! 4. **restaurant-learned** — the rule is not hand-written but *learned*
 //!    by the GP learner on the restaurant reference links (fixed seed), so
 //!    reduction ratio and recall are tracked on the rules the system
@@ -33,11 +32,11 @@
 //! Environment: `GENLINK_BENCH_MATCH_OUT` (output path, default
 //! `BENCH_matching.json`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use linkdisc_datasets::{Dataset, DatasetKind};
-use linkdisc_matching::{BlockingIndex, MatchingEngine, MatchingOptions};
+use linkdisc_matching::{MatchingEngine, MatchingOptions};
 use linkdisc_rule::{
     aggregation, compare, property, transform, AggregationFunction, DistanceFunction, LinkageRule,
     TransformFunction,
@@ -52,7 +51,6 @@ struct WorkloadResult {
     evaluated_fraction: f64,
     links: usize,
     recall: f64,
-    token_index_missed_links: usize,
     full_ms: f64,
     blocked_ms: f64,
     /// Whether the < 30% evaluated-fraction gate applies (hand-written
@@ -105,43 +103,6 @@ fn run_workload(name: &'static str, dataset: &Dataset, rule: LinkageRule) -> Wor
         blocked.evaluated_pairs as f64 / blocked.cross_product as f64
     };
 
-    // how many true links the legacy token index would have pruned: a pair
-    // is missed when the target entity is not among the token candidates of
-    // the source entity on the rule's raw properties
-    let (source_properties, _) = rule
-        .root()
-        .map(|root| {
-            let (s, t) = root.properties();
-            (
-                s.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-                t.iter().map(|p| p.to_string()).collect::<Vec<_>>(),
-            )
-        })
-        .unwrap_or_default();
-    let token_index = BlockingIndex::build(&dataset.target, &[]);
-    let position_of: HashMap<&str, usize> = dataset
-        .target
-        .entities()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.id(), i))
-        .collect();
-    let token_index_missed_links = full
-        .links
-        .iter()
-        .filter(|link| {
-            let Some(source_entity) = dataset.source.get(&link.source) else {
-                return false;
-            };
-            let Some(&target_position) = position_of.get(link.target.as_str()) else {
-                return false;
-            };
-            !token_index
-                .candidates(source_entity, &source_properties)
-                .contains(&target_position)
-        })
-        .count();
-
     println!(
         "full:    {:>8} pairs evaluated, {:>5} links, {full_ms:>9.1} ms",
         full.evaluated_pairs,
@@ -154,7 +115,6 @@ fn run_workload(name: &'static str, dataset: &Dataset, rule: LinkageRule) -> Wor
         blocked.links.len()
     );
     println!("recall vs full: {recall:.4} ({spurious} spurious links)");
-    println!("legacy token index would miss {token_index_missed_links} of the true links");
     for stats in &blocked.comparison_stats {
         println!(
             "  block [{}]: {} blocks, {} postings, {}/{} entities indexed, {} candidates",
@@ -175,7 +135,6 @@ fn run_workload(name: &'static str, dataset: &Dataset, rule: LinkageRule) -> Wor
         evaluated_fraction,
         links: blocked.links.len(),
         recall,
-        token_index_missed_links,
         full_ms,
         blocked_ms,
         gate_reduction: true,
@@ -225,8 +184,8 @@ fn restaurant_workload() -> (Dataset, LinkageRule) {
 fn restaurant_phone_workload() -> (Dataset, LinkageRule) {
     let dataset = DatasetKind::Restaurant.generate(1.0, 7);
     // phone numbers only, compared through digitsOnly: "310-246-1501" and
-    // "3102461501" share no exact token, so the legacy token index pruned
-    // these true matches — MultiBlock blocks on the *transformed* values
+    // "3102461501" share no exact token — MultiBlock blocks on the
+    // *transformed* values
     let rule: LinkageRule = compare(
         transform(TransformFunction::DigitsOnly, vec![property("phone")]),
         transform(TransformFunction::DigitsOnly, vec![property("phone")]),
@@ -287,23 +246,11 @@ fn main() {
             ));
         }
     }
-    // the phone workload exists to prove the old index was lossy; if the
-    // generator stops producing token-free matches the demonstration is dead
-    if let Some(phone) = results.iter().find(|r| r.name == "restaurant-phone") {
-        if phone.token_index_missed_links == 0 {
-            failures.push(
-                "restaurant-phone: token index missed 0 links — workload no longer demonstrates \
-                 token-blocking loss"
-                    .to_string(),
-            );
-        }
-    }
-
     let workloads_json: Vec<String> = results
         .iter()
         .map(|r| {
             format!(
-                "    {{\n      \"name\": \"{}\",\n      \"cross_product\": {},\n      \"evaluated_pairs\": {},\n      \"evaluated_fraction\": {:.4},\n      \"reduction_ratio\": {:.4},\n      \"links\": {},\n      \"recall_vs_full\": {:.4},\n      \"token_index_missed_links\": {},\n      \"full_ms\": {:.1},\n      \"blocked_ms\": {:.1},\n      \"gate_reduction\": {}\n    }}",
+                "    {{\n      \"name\": \"{}\",\n      \"cross_product\": {},\n      \"evaluated_pairs\": {},\n      \"evaluated_fraction\": {:.4},\n      \"reduction_ratio\": {:.4},\n      \"links\": {},\n      \"recall_vs_full\": {:.4},\n      \"full_ms\": {:.1},\n      \"blocked_ms\": {:.1},\n      \"gate_reduction\": {}\n    }}",
                 r.name,
                 r.cross_product,
                 r.evaluated_pairs,
@@ -311,7 +258,6 @@ fn main() {
                 1.0 - r.evaluated_fraction,
                 r.links,
                 r.recall,
-                r.token_index_missed_links,
                 r.full_ms,
                 r.blocked_ms,
                 r.gate_reduction

@@ -36,12 +36,8 @@
 //! * [`persist`] — versioned binary snapshots of the served state (entity
 //!   store + leaf maps), restoring bit-identically in O(read),
 //! * [`MatchingReport`] — links plus counters and per-comparison block
-//!   statistics so pruning effectiveness can be inspected,
-//! * [`BlockingIndex`] — the legacy token-based index, kept as a standalone
-//!   utility (it is *lossy* for fuzzy, numeric, date and geographic
-//!   comparisons, which is why the engine no longer uses it).
+//!   statistics so pruning effectiveness can be inspected.
 
-pub mod blocking;
 pub mod durable;
 pub mod engine;
 pub mod multiblock;
@@ -51,7 +47,6 @@ pub mod service;
 pub mod sharded;
 mod wal;
 
-pub use blocking::{BlockingIndex, BlockingScratch};
 pub use durable::{
     DurabilityOptions, DurableError, DurableService, RecoveryError, RecoveryReport,
     ShardedDurableService,

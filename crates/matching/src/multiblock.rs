@@ -22,10 +22,12 @@
 //!
 //! The index is a *serving* structure, not a one-shot artifact:
 //!
-//! * [`MultiBlockIndex::build_slice`] builds the per-leaf indexes **sharded**
-//!   across worker threads (contiguous entity ranges whose per-key posting
-//!   lists merge by concatenation in range order, so the sharded result is
-//!   bit-identical to the sequential one),
+//! * [`MultiBlockIndex::build_slice`] builds the per-leaf indexes in **bulk**
+//!   (gather every `(key, position)` pair of a leaf, sort once, fill
+//!   exact-capacity posting lists) and **sharded** across worker threads
+//!   (contiguous entity ranges whose per-key posting lists merge by
+//!   concatenation in range order, so the sharded result is bit-identical to
+//!   the sequential one),
 //! * [`MultiBlockIndex::insert`] and [`MultiBlockIndex::remove`] maintain it
 //!   **incrementally** per entity: posting lists stay sorted, emptied blocks
 //!   are dropped, and [`LeafBuildStats`] stay exact — an index reached
@@ -43,7 +45,7 @@ use std::sync::{Arc, Mutex};
 
 use linkdisc_entity::{DataSource, Entity};
 use linkdisc_rule::{IndexedComparison, IndexingPlan, PlanNode, ValueCache};
-use linkdisc_similarity::{BlockKey, DistanceFunction};
+use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, KeySide};
 use linkdisc_util::resolve_threads;
 
 use crate::scratch::EpochMarks;
@@ -63,11 +65,13 @@ pub struct LeafBuildStats {
 }
 
 /// One comparison's inverted index: block key → positions in the target
-/// source, in ascending order.  `postings` and `postings_sq` (Σ len and
-/// Σ len² over posting lists) are maintained incrementally; they drive the
-/// selectivity estimates that order intersection children.
+/// source, in ascending order.  The keys are the targets'
+/// [`KeySide::Index`] keys; queries look up their [`KeySide::Probe`] keys.
+/// `postings` and `postings_sq` (Σ len and Σ len² over posting lists) are
+/// maintained incrementally; they drive the selectivity estimates that order
+/// intersection children.
 ///
-/// `position_keys` is the transposed sidecar — position → its (sorted) block
+/// `position_keys` is the transposed sidecar — position → its (sorted) index
 /// keys — powering the probe-only intersection tails: once an intersection's
 /// running candidate set is small, a remaining leaf child answers "does this
 /// position share a key with the query?" per candidate instead of
@@ -77,7 +81,7 @@ pub struct LeafBuildStats {
 /// owning plan, and every *shared* leaf (any plan may reuse those).
 #[derive(Debug, Clone)]
 pub(crate) struct LeafIndex {
-    pub(crate) by_key: HashMap<BlockKey, Vec<u32>>,
+    pub(crate) by_key: BlockKeyMap<Vec<u32>>,
     pub(crate) position_keys: HashMap<u32, Vec<BlockKey>>,
     pub(crate) sidecar: bool,
     pub(crate) indexed_entities: usize,
@@ -89,7 +93,7 @@ impl LeafIndex {
     /// Creates an empty leaf, with or without the probe sidecar.
     pub(crate) fn with_sidecar(sidecar: bool) -> Self {
         LeafIndex {
-            by_key: HashMap::new(),
+            by_key: BlockKeyMap::default(),
             position_keys: HashMap::new(),
             sidecar,
             indexed_entities: 0,
@@ -98,7 +102,60 @@ impl LeafIndex {
         }
     }
 
-    /// Adds `position` to the posting list of `key`, keeping it sorted.
+    /// Builds one comparison's leaf over `(position, entity)` pairs in one
+    /// pass — the bulk path behind every batch build: engine slices and the
+    /// serving store's first rule (sharded by [`MultiBlockIndex::build_refs`]),
+    /// a learning generation's [`SharedLeafIndexes`], and a [`LeafPool`]
+    /// registration over a store with tombstone holes.
+    ///
+    /// All `(key, position)` pairs are gathered and sorted once, then each
+    /// run of equal keys becomes one exact-capacity posting list; an entity's
+    /// sidecar entry is its (already sorted) key buffer, stored once.  The
+    /// result is structurally identical to [`LeafIndex::add`]ing the same
+    /// postings one by one in any order — maps, statistics and sidecar —
+    /// without that path's two map probes, two binary searches and
+    /// mid-vector insert per posting.  Positions must be distinct.
+    pub(crate) fn bulk<'e>(
+        sidecar: bool,
+        comparison: &IndexedComparison,
+        entries: impl Iterator<Item = (u32, &'e Entity)>,
+        cache: &ValueCache<'e>,
+    ) -> LeafIndex {
+        let mut leaf = LeafIndex::with_sidecar(sidecar);
+        let mut keys: Vec<BlockKey> = Vec::new();
+        let mut pairs: Vec<(BlockKey, u32)> = Vec::new();
+        for (position, entity) in entries {
+            entity_keys(comparison, entity, cache, &mut keys);
+            if keys.is_empty() {
+                continue;
+            }
+            leaf.indexed_entities += 1;
+            pairs.extend(keys.iter().map(|&key| (key, position)));
+            if sidecar {
+                leaf.position_keys.insert(position, keys.clone());
+            }
+        }
+        pairs.sort_unstable();
+        let same_key = |a: &(BlockKey, u32), b: &(BlockKey, u32)| a.0 == b.0;
+        leaf.by_key.reserve(pairs.chunk_by(same_key).count());
+        for block in pairs.chunk_by(same_key) {
+            debug_assert!(
+                block.windows(2).all(|pair| pair[0].1 < pair[1].1),
+                "a position was indexed twice"
+            );
+            leaf.postings_sq += (block.len() * block.len()) as f64;
+            leaf.by_key.insert(
+                block[0].0,
+                block.iter().map(|&(_, position)| position).collect(),
+            );
+        }
+        leaf.postings = pairs.len();
+        leaf
+    }
+
+    /// Adds `position` to the posting list of `key`, keeping it sorted — the
+    /// incremental path ([`MultiBlockIndex::insert`], [`LeafPool`]
+    /// maintenance).
     fn add(&mut self, key: BlockKey, position: u32) {
         let list = self.by_key.entry(key).or_default();
         match list.binary_search(&position) {
@@ -151,8 +208,8 @@ impl LeafIndex {
     /// leaf's materialised candidate set for those keys.
     fn shares_key(&self, position: u32, sorted_query_keys: &[BlockKey]) -> bool {
         self.position_keys.get(&position).is_some_and(|keys| {
-            // iterate the (typically short) per-position list and binary
-            // search the query side, which is sorted by `block_keys_into`
+            // iterate the (short: index-side) per-position list and binary
+            // search the (probe-side) query keys, sorted by `block_keys_into`
             keys.iter()
                 .any(|key| sorted_query_keys.binary_search(key).is_ok())
         })
@@ -217,18 +274,20 @@ pub struct MultiBlockIndex {
 /// Measured cost ratio between **probing** one running candidate through a
 /// leaf's per-position key sidecar and **scanning** one posting while
 /// materialising the leaf's candidate set.  A probe is a hash lookup plus
-/// binary searches over short key lists (~100 ns); a posting scan is a
-/// sequential read plus an epoch-mark store (~1.6 ns) — the
-/// `probe_cost_calibration` microbench (run `cargo test -p
-/// linkdisc-matching --release -- --ignored probe_cost`) measures the ratio
-/// at ≈60 on a q-gram-shaped leaf; the constant sits slightly below because
-/// probes early-exit on their first shared key while the measurement's
-/// candidates are miss-dominated.  The probe-only intersection tail
-/// therefore engages once `|running| · RATIO < estimated candidates`, not
-/// at the implicit 1:1 break-even the previous cutoff assumed (which made
-/// probing engage ~50x too eagerly).  The cutoff is a pure performance
-/// decision: both paths compute the identical candidate set (pinned by
-/// `probe_and_materialise_paths_agree`).
+/// one binary search per stored (index-side) key of the position over the
+/// query's probe-side keys (~120 ns); a posting scan is a sequential read
+/// plus an epoch-mark store (~1.6 ns) — the `probe_cost_calibration`
+/// microbench (run `cargo test -p linkdisc-matching --release -- --ignored
+/// probe_cost`) measures the ratio at ≈75 on a q-gram-shaped leaf (8 stored
+/// keys per position against the 24 keys a ±1-neighbour query carries).  The
+/// constant sits below the measurement because probes early-exit on their
+/// first shared key while the measurement's candidates are miss-dominated (a
+/// real tail probes survivors of a selective leaf, mostly true matches);
+/// linkbench's `serve_read`, whose rules reach the name leaf only through
+/// this tail, reads the same at 50 and 75.  The probe-only intersection tail
+/// engages once `|running| · RATIO < estimated candidates`.  The cutoff is a
+/// pure performance decision: both paths compute the identical candidate set
+/// (pinned by `probe_and_materialise_paths_agree`).
 pub(crate) const PROBE_COST_RATIO: f64 = 50.0;
 
 impl MultiBlockIndex {
@@ -276,12 +335,12 @@ impl MultiBlockIndex {
     /// common core behind [`MultiBlockIndex::build_slice`] and owners that
     /// keep entities behind `Arc` slots (the serving `EntityStore`).
     ///
-    /// Each worker indexes one contiguous entity range into private per-leaf
-    /// maps; the per-key posting lists of consecutive ranges concatenate
-    /// into ascending order, so the merged index is **identical** to a
-    /// sequential build — same blocks, same posting lists, same
-    /// [`LeafBuildStats`] — and to inserting the entities one by one at
-    /// their positions.
+    /// Each worker bulk-builds ([`LeafIndex::bulk`]) one contiguous entity
+    /// range into private per-leaf maps; the per-key posting lists of
+    /// consecutive ranges concatenate into ascending order, so the merged
+    /// index is **identical** to a sequential build — same blocks, same
+    /// posting lists, same [`LeafBuildStats`] — and to inserting the entities
+    /// one by one at their positions.
     pub fn build_refs<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         targets: &[&'e Entity],
@@ -305,15 +364,19 @@ impl MultiBlockIndex {
             .iter()
             .map(|&slot| &plan.comparisons()[slot])
             .collect();
-        let fresh_leaves = || -> Vec<LeafIndex> {
-            sidecars
+        // one leaf per distinct comparison over the range starting at `base`
+        let build_range = |range: &[&'e Entity], base: u32| -> Vec<LeafIndex> {
+            let entries = || (base..).zip(range.iter().copied());
+            comparisons
                 .iter()
-                .map(|&eligible| LeafIndex::with_sidecar(eligible))
+                .zip(&sidecars)
+                .map(|(comparison, &sidecar)| {
+                    LeafIndex::bulk(sidecar, comparison, entries(), cache)
+                })
                 .collect()
         };
-        let mut leaves = fresh_leaves();
-        if threads <= 1 {
-            build_ref_range(&comparisons, targets, 0, &mut leaves, cache);
+        let leaves = if threads <= 1 {
+            build_range(targets, 0)
         } else {
             let shard_size = targets.len().div_ceil(threads);
             let mut shards: Vec<Vec<LeafIndex>> = Vec::with_capacity(threads);
@@ -322,22 +385,16 @@ impl MultiBlockIndex {
                     .chunks(shard_size)
                     .enumerate()
                     .map(|(shard, chunk)| {
-                        let comparisons = &comparisons;
-                        let fresh_leaves = &fresh_leaves;
-                        scope.spawn(move || {
-                            let mut leaves = fresh_leaves();
-                            let base = (shard * shard_size) as u32;
-                            build_ref_range(comparisons, chunk, base, &mut leaves, cache);
-                            leaves
-                        })
+                        let build_range = &build_range;
+                        scope.spawn(move || build_range(chunk, (shard * shard_size) as u32))
                     })
                     .collect();
                 for handle in handles {
                     shards.push(handle.join().expect("index build thread panicked"));
                 }
             });
-            merge_shards(&mut leaves, shards);
-        }
+            merge_shards(shards)
+        };
         let distinct: Vec<Arc<LeafIndex>> = leaves.into_iter().map(Arc::new).collect();
         MultiBlockIndex {
             plan,
@@ -575,9 +632,12 @@ impl MultiBlockIndex {
                 // the key buffer is taken out of the scratch (not borrowed)
                 // so the mark table stays mutable below
                 let mut keys = std::mem::take(&mut scratch.keys);
-                comparison
-                    .function
-                    .block_keys_into(values.as_slice(), comparison.bound, &mut keys);
+                comparison.function.block_keys_into(
+                    values.as_slice(),
+                    comparison.bound,
+                    KeySide::Probe,
+                    &mut keys,
+                );
                 let mut out = scratch.take_buf();
                 let epoch = scratch.marks.next_epoch();
                 let index = &self.leaves[*leaf];
@@ -681,20 +741,27 @@ impl MultiBlockIndex {
         let comparison = &self.plan.comparisons()[leaf];
         let values = comparison.source.values(entity, cache);
         let mut keys = std::mem::take(&mut scratch.keys);
-        comparison
-            .function
-            .block_keys_into(values.as_slice(), comparison.bound, &mut keys);
+        comparison.function.block_keys_into(
+            values.as_slice(),
+            comparison.bound,
+            KeySide::Probe,
+            &mut keys,
+        );
         let index = &self.leaves[leaf];
         running.retain(|&position| index.shares_key(position, &keys));
         scratch.keys = keys;
     }
 }
 
-/// Merges per-shard partial leaves into `leaves` **in range order**: per-key
-/// posting lists are ascending within a shard and shard position ranges are
-/// disjoint and increasing, so concatenation keeps every posting list sorted
-/// (and the per-position key sidecars are disjoint outright).
-fn merge_shards(leaves: &mut [LeafIndex], shards: Vec<Vec<LeafIndex>>) {
+/// Merges per-shard partial leaves into the first shard's **in range order**:
+/// per-key posting lists are ascending within a shard and shard position
+/// ranges are disjoint and increasing, so concatenation keeps every posting
+/// list sorted (and the per-position key sidecars are disjoint outright).
+fn merge_shards(shards: Vec<Vec<LeafIndex>>) -> Vec<LeafIndex> {
+    let mut shards = shards.into_iter();
+    let mut leaves = shards
+        .next()
+        .expect("a sharded build has at least one shard");
     for shard in shards {
         for (merged, partial) in leaves.iter_mut().zip(shard) {
             merged.indexed_entities += partial.indexed_entities;
@@ -704,34 +771,10 @@ fn merge_shards(leaves: &mut [LeafIndex], shards: Vec<Vec<LeafIndex>>) {
             merged.position_keys.extend(partial.position_keys);
         }
     }
-    for leaf in leaves {
+    for leaf in &mut leaves {
         leaf.refresh_estimates();
     }
-}
-
-/// Indexes one contiguous range of entity references into per-leaf maps —
-/// one leaf per *distinct* comparison (see [`distinct_comparisons`]);
-/// `base` is the global position of the first entity.
-fn build_ref_range<'e>(
-    comparisons: &[&IndexedComparison],
-    targets: &[&'e Entity],
-    base: u32,
-    leaves: &mut [LeafIndex],
-    cache: &ValueCache<'e>,
-) {
-    let mut keys: Vec<BlockKey> = Vec::new();
-    for (offset, &entity) in targets.iter().enumerate() {
-        let position = base + offset as u32;
-        for (&comparison, index) in comparisons.iter().zip(leaves.iter_mut()) {
-            entity_keys(comparison, entity, cache, &mut keys);
-            if !keys.is_empty() {
-                index.indexed_entities += 1;
-            }
-            for &key in &keys {
-                index.add(key, position);
-            }
-        }
-    }
+    leaves
 }
 
 /// Groups a plan's comparison slots by [`IndexedComparison::leaf_reuse_key`]:
@@ -1046,7 +1089,7 @@ impl SharedLeafIndexes {
             return;
         }
         let built = linkdisc_util::parallel_ordered_map(&pending, threads, |comparison| {
-            Arc::new(build_leaf(comparison, targets, cache))
+            Arc::new(pool_leaf(comparison, targets, cache))
         });
         let mut cached = self.leaves.lock().expect("shared leaf cache poisoned");
         for (comparison, leaf) in pending.iter().zip(built) {
@@ -1088,7 +1131,7 @@ impl SharedLeafIndexes {
             return entry.leaf.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let leaf = Arc::new(build_leaf(comparison, targets, cache));
+        let leaf = Arc::new(pool_leaf(comparison, targets, cache));
         self.leaves
             .lock()
             .expect("shared leaf cache poisoned")
@@ -1121,7 +1164,7 @@ impl SharedLeafIndexes {
         {
             return entry.leaf.clone();
         }
-        let leaf = Arc::new(build_leaf(comparison, targets, cache));
+        let leaf = Arc::new(pool_leaf(comparison, targets, cache));
         self.leaves
             .lock()
             .expect("shared leaf cache poisoned")
@@ -1164,50 +1207,16 @@ pub(crate) fn probe_eligible_leaves(plan: &IndexingPlan) -> Vec<bool> {
     eligible
 }
 
-/// Builds one comparison's leaf index over a borrowed target pool.  Shared
-/// leaves always carry the probe sidecar: the cache cannot know whether a
-/// later plan will reach the leaf through an intersection.
-fn build_leaf<'e>(
+/// Builds one comparison's leaf index over a borrowed target pool (positions
+/// are pool indices).  Leaves shared between plans — here and in the serving
+/// [`LeafPool`] — always carry the probe sidecar: the cache cannot know
+/// whether a later plan will reach the leaf through an intersection.
+fn pool_leaf<'e>(
     comparison: &IndexedComparison,
     targets: &[&'e Entity],
     cache: &ValueCache<'e>,
 ) -> LeafIndex {
-    let mut leaf = LeafIndex::with_sidecar(true);
-    let mut keys: Vec<BlockKey> = Vec::new();
-    for (position, entity) in targets.iter().enumerate() {
-        entity_keys(comparison, entity, cache, &mut keys);
-        if !keys.is_empty() {
-            leaf.indexed_entities += 1;
-        }
-        for &key in &keys {
-            leaf.add(key, position as u32);
-        }
-    }
-    leaf
-}
-
-/// Builds one comparison's leaf index over live `(position, entity)` pairs —
-/// the serving-side analogue of [`build_leaf`] for entity stores whose slot
-/// space has tombstone holes.  Pool leaves always carry the probe sidecar,
-/// for the same reason shared learning leaves do: a rule registered later
-/// may reach the leaf through an intersection.
-fn build_leaf_entries<'e>(
-    comparison: &IndexedComparison,
-    entries: &[(u32, &'e Entity)],
-    cache: &ValueCache<'e>,
-) -> LeafIndex {
-    let mut leaf = LeafIndex::with_sidecar(true);
-    let mut keys: Vec<BlockKey> = Vec::new();
-    for &(position, entity) in entries {
-        entity_keys(comparison, entity, cache, &mut keys);
-        if !keys.is_empty() {
-            leaf.indexed_entities += 1;
-        }
-        for &key in &keys {
-            leaf.add(key, position);
-        }
-    }
-    leaf
+    LeafIndex::bulk(true, comparison, (0..).zip(targets.iter().copied()), cache)
 }
 
 /// Aggregate statistics of a serving [`LeafPool`].
@@ -1302,7 +1311,12 @@ impl LeafPool {
         }
         if !pending.is_empty() {
             let built = linkdisc_util::parallel_ordered_map(&pending, threads, |comparison| {
-                Arc::new(build_leaf_entries(comparison, entries, cache))
+                Arc::new(LeafIndex::bulk(
+                    true,
+                    comparison,
+                    entries.iter().copied(),
+                    cache,
+                ))
             });
             for (&comparison, leaf) in pending.iter().zip(built) {
                 self.entries.insert(
@@ -1495,7 +1509,8 @@ impl LeafPool {
     }
 }
 
-/// The block keys of one entity under one indexed comparison (target side).
+/// The block keys one target entity is stored under for one indexed
+/// comparison ([`KeySide::Index`]).
 fn entity_keys<'e>(
     comparison: &IndexedComparison,
     entity: &'e Entity,
@@ -1505,7 +1520,7 @@ fn entity_keys<'e>(
     let values = comparison.target.values(entity, cache);
     comparison
         .function
-        .block_keys_into(values.as_slice(), comparison.bound, keys);
+        .block_keys_into(values.as_slice(), comparison.bound, KeySide::Index, keys);
 }
 
 /// Reusable per-worker state for candidate generation: key buffers, an
@@ -1721,14 +1736,98 @@ mod tests {
     }
 
     /// Structural equality of two indexes: same plan shape is assumed, the
-    /// leaf maps and statistics must match entry for entry.
+    /// leaf maps, probe sidecars and statistics must match entry for entry.
     fn assert_same_index(a: &MultiBlockIndex, b: &MultiBlockIndex) {
         assert_eq!(a.target_len(), b.target_len());
         assert_eq!(a.build_stats(), b.build_stats());
         for (la, lb) in a.leaves.iter().zip(&b.leaves) {
             assert_eq!(la.by_key, lb.by_key);
+            assert_eq!(la.sidecar, lb.sidecar);
+            assert_eq!(la.position_keys, lb.position_keys);
             assert_eq!(la.postings, lb.postings);
             assert_eq!(la.postings_sq, lb.postings_sq);
+        }
+    }
+
+    /// 300 targets with overlapping name q-grams, shared and distinct year
+    /// buckets, and a year-less (key-less on that leaf) entity every 11th.
+    fn varied_target() -> DataSource {
+        const STEMS: [&str; 7] = [
+            "berlin", "berlim", "bern", "paris", "parma", "potsdam", "rom",
+        ];
+        let mut builder = DataSourceBuilder::new("B", ["name", "year"]);
+        for i in 0..300usize {
+            let name = format!("{} {}", STEMS[i % STEMS.len()], i % 13);
+            let year = format!("{}", 1900 + (i * 7) % 50);
+            let mut values = vec![("name", name.as_str())];
+            if i % 11 != 0 {
+                values.push(("year", year.as_str()));
+            }
+            builder = builder.entity(format!("b{i}"), values).unwrap();
+        }
+        builder.build()
+    }
+
+    /// The bulk constructor at all three batch call sites — engine slices,
+    /// the learning-time [`SharedLeafIndexes`], and a serving [`LeafPool`]
+    /// over a store with tombstone holes — sharded at 1/2/4 threads, against
+    /// inserting the same entities one by one: maps, [`LeafBuildStats`],
+    /// `postings_sq` and sidecars.  Both plan leaves sit under the
+    /// intersection, so the incremental index carries sidecars like the
+    /// always-sidecar shared and pooled leaves do.
+    #[test]
+    fn bulk_builds_are_structurally_identical_to_one_by_one_inserts() {
+        let (source, target) = (source(), varied_target());
+        let p = Arc::new(plan(&name_year_rule(), &source, &target));
+        let cache = ValueCache::new();
+        let mut one_by_one = MultiBlockIndex::empty(p.clone());
+        // descending, so every posting takes the mid-vector insert path
+        for (position, entity) in target.entities().iter().enumerate().rev() {
+            one_by_one.insert(position as u32, entity, &cache);
+        }
+        assert!(one_by_one.leaves.iter().all(|leaf| leaf.sidecar));
+        assert!(one_by_one.build_stats()[1].indexed_entities < target.len());
+
+        let targets: Vec<&Entity> = target.entities().iter().collect();
+        for threads in [1, 2, 4] {
+            let sliced =
+                MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
+            assert_same_index(&sliced, &one_by_one);
+
+            let shared = SharedLeafIndexes::new();
+            shared.ensure_plans(&[p.as_ref()], &targets, &cache, threads);
+            let learned =
+                MultiBlockIndex::build_shared_prepared(p.clone(), &targets, &cache, &shared);
+            assert_same_index(&learned, &one_by_one);
+        }
+        let on_demand =
+            MultiBlockIndex::build_shared(p.clone(), &targets, &cache, &SharedLeafIndexes::new());
+        assert_same_index(&on_demand, &one_by_one);
+
+        // serving: every third slot (but not the last) is a tombstone hole
+        let mut store = linkdisc_entity::EntityStore::new(target.schema().clone());
+        for entity in target.entities() {
+            store.insert(entity).unwrap();
+        }
+        for entity in target.entities().iter().step_by(3) {
+            store.remove(entity.id()).unwrap();
+        }
+        let entries: Vec<(u32, &Entity)> = store
+            .iter()
+            .map(|(position, entity)| (position, entity.as_ref()))
+            .collect();
+        assert_eq!(entries.len(), 200);
+        let store_cache = ValueCache::new();
+        let mut holes = MultiBlockIndex::empty(p.clone());
+        for &(position, entity) in entries.iter().rev() {
+            holes.insert(position, entity, &store_cache);
+        }
+        for threads in [1, 2, 4] {
+            let (leaves, _, misses) =
+                LeafPool::new().acquire_plan(&p, &entries, &store_cache, threads);
+            assert_eq!(misses, 2);
+            let pooled = MultiBlockIndex::from_parts(p.clone(), leaves, store.slot_len());
+            assert_same_index(&pooled, &holes);
         }
     }
 
@@ -2149,22 +2248,27 @@ mod tests {
     fn probe_cost_calibration() {
         use std::time::Instant;
         // a synthetic leaf shaped like a q-gram name leaf: 50k positions,
-        // ~8 keys per position, block sizes in the hundreds
+        // ~8 index-side keys per position, block sizes in the hundreds; a
+        // query probes three neighbour buckets per gram
         let positions = 50_000u32;
         let keys_per_position = 8u64;
         let blocks = 1_000u64;
+        // block ids spread over the 64-bit space like mixed keys are (the
+        // leaf map uses the key as its own hash)
+        let key = |block: u64| BlockKey::from_raw(block.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut leaf = LeafIndex::with_sidecar(true);
         for position in 0..positions {
             for i in 0..keys_per_position {
-                // deterministic pseudo-spread over the key space
-                let raw = (position as u64)
+                // deterministic pseudo-spread over the blocks
+                let block = (position as u64)
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add(i * 0x517c_c1b7_2722_0a95)
                     % blocks;
-                leaf.add(BlockKey::from_raw(raw), position);
+                leaf.add(key(block), position);
             }
         }
-        let query_keys: Vec<BlockKey> = (0..keys_per_position).map(BlockKey::from_raw).collect();
+        let mut query_keys: Vec<BlockKey> = (0..3 * keys_per_position).map(key).collect();
+        query_keys.sort_unstable();
         let mut marks = EpochMarks::default();
         marks.ensure_capacity(positions as usize);
         let rounds = 200;

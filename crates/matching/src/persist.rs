@@ -3,7 +3,7 @@
 //! stream and restore them without re-deriving a single block key — restart
 //! becomes O(read) instead of O(build).
 //!
-//! # Format (version 2, little-endian)
+//! # Format (version 3, little-endian)
 //!
 //! ```text
 //! magic    "LINKDSNP"            8 bytes
@@ -25,6 +25,14 @@
 //!                                written ONCE no matter how many rules share it
 //! checksum  u64                  FNV-1a over the payload
 //! ```
+//!
+//! Version 3 keeps the version-2 layout; what changed is the **meaning of
+//! the raw block keys**: they are the targets' index-side keys
+//! (`linkdisc_similarity::KeySide::Index` — a Levenshtein q-gram is stored
+//! under its own position bucket only, queries carry the ±1 neighbours) and
+//! their 64-bit values come from a different mixer.  A version-2 file read
+//! as version 3 would parse cleanly and then serve wrong candidates, so it
+//! is refused with [`SnapshotError::Mismatch`] — rebuild from the entities.
 //!
 //! The **string table** interns values on disk the way the
 //! [`linkdisc_entity::EntityStore`] interns them in memory: a column value
@@ -58,7 +66,11 @@
 //! keys are 64-bit hashes produced by the in-process key derivation; a
 //! snapshot is portable across runs of the same build but not across
 //! versions that change the key schemes — which is exactly what the format
-//! version guards.
+//! version guards.  Restored keys enter the leaf maps under their own value
+//! as the hash (`linkdisc_similarity::BlockKeyMap`): the checksum catches
+//! accidents, not forgery, and a forged file whose keys share their low bits
+//! restores slowly — still within the memory its length fields allow, and
+//! still to a typed error or a service that answers from what the file said.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -74,7 +86,7 @@ use crate::service::{
 };
 
 /// Current snapshot format version (see the module docs).
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"LINKDSNP";
 
@@ -812,6 +824,25 @@ mod tests {
         .into();
         let err = LinkService::restore(other, source.schema(), &bytes[..]).unwrap_err();
         assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
+    }
+
+    /// The key schemes changed under version 2 files (one-sided Levenshtein
+    /// buckets, a new mixer): their layout still parses, so only the version
+    /// field stands between a stale file and silently wrong candidates.
+    #[test]
+    fn restore_refuses_a_version_2_snapshot() {
+        let (source, target) = (source(), target());
+        let service =
+            LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
+                .unwrap();
+        let mut bytes = snapshot_of(&service);
+        assert_eq!(bytes[8..12], SNAPSHOT_VERSION.to_le_bytes());
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let err = LinkService::restore(rule(), source.schema(), &bytes[..]).unwrap_err();
+        assert!(
+            matches!(&err, SnapshotError::Mismatch(why) if why.contains("version 2")),
+            "{err}"
+        );
     }
 
     #[test]

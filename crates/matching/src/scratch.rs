@@ -1,10 +1,9 @@
-//! Epoch-stamped mark table shared by the candidate generators.
+//! Epoch-stamped mark table of the candidate generator.
 //!
 //! A hash-set replacement for dedup/membership over dense position ranges:
 //! instead of clearing a table per query, each query takes a fresh epoch and
 //! a position counts as "present" only when its mark equals the current
-//! epoch.  Used by both [`crate::CandidateScratch`] (MultiBlock) and
-//! [`crate::BlockingScratch`] (legacy token index).
+//! epoch.  Owned by [`crate::CandidateScratch`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EpochMarks {
     epoch: u32,

@@ -8,13 +8,26 @@
 //! [`BlockKey`]s at a given distance bound with the contract
 //!
 //! > **Overlap guarantee.** If `distance(A, B) ≤ bound` (finite), then
-//! > `block_keys(A, bound) ∩ block_keys(B, bound) ≠ ∅`.
+//! > `block_keys(A, bound, Probe) ∩ block_keys(B, bound, Index) ≠ ∅` — and,
+//! > the distance being symmetric, likewise with the roles of A and B swapped.
+//!
+//! Keys come in two [`KeySide`]s: the **index** side is what an inverted
+//! index stores per target entity, the **probe** side is what a source
+//! entity looks up.  A scheme that needs neighbour overlap (two values within
+//! the bound can sit one position bucket apart) pays for it on the probe side
+//! only: the probe emits `bucket − 1 ..= bucket + 1`, the index stores the
+//! value's own bucket once.  Emitting neighbours on *both* sides would also
+//! match pairs two buckets apart, which the guarantee never needs, and store
+//! every posting three times.
+//! Every scheme keeps `keys(v, Index) ⊆ keys(v, Probe)`; schemes without
+//! neighbour emission ignore the side altogether.
 //!
 //! Candidate generation that only considers pairs sharing a key is therefore
 //! *lossless by construction*: it can only add false candidates (which the
 //! rule evaluation then rejects), never lose a true link.  Keys are 64-bit
-//! hashes, so a hash collision merges two blocks — more candidates, never
-//! fewer, which preserves the guarantee.
+//! mixes of a per-scheme tag and the key's parts (see [`Mixer`]), so a
+//! collision merges two blocks — more candidates, never fewer, which
+//! preserves the guarantee.
 //!
 //! Per-measure schemes (the lossless-by-construction arguments are spelled
 //! out in DESIGN.md, "Candidate generation"):
@@ -22,8 +35,9 @@
 //! * **Levenshtein** — an exact whole-value key when the edit budget
 //!   `d = ⌊bound⌋` is 0 (integer distances below 1 require equality);
 //!   otherwise positional padded q-grams (q shrinks as the budget grows)
-//!   with position buckets of width `d + 1` emitted with ±1 neighbour
-//!   overlap, plus a shared short-string key for values short enough that
+//!   with position buckets of width `d + 1` — the probe side emits them with
+//!   ±1 neighbour overlap, the index side emits the gram's own bucket only —
+//!   plus a shared short-string key for values short enough that
 //!   `d` edits could destroy every gram (pigeonhole: `d` edits destroy at
 //!   most `q·d` of the `|s| + q − 1` padded grams).
 //! * **Jaro / Jaro-Winkler** — a match-window-aware scheme for tight bounds
@@ -39,14 +53,16 @@
 //! * **Jaccard / Dice / Equality** — one key per distinct value (set
 //!   element); a distance below 1 requires a shared element.
 //! * **Numeric / Date** — interval buckets of width `bound` with ±1
-//!   neighbour overlap (two values within `bound` sit at most one bucket
-//!   apart; the extra neighbour absorbs floating-point rounding).
+//!   neighbour overlap on *both* sides (two values within `bound` sit at most
+//!   one bucket apart; the second neighbour absorbs floating-point rounding
+//!   of `x / bound`, which is why these schemes stay symmetric).
 //! * **Geographic** — the point is embedded on the sphere in 3-D (chord
 //!   length ≤ arc length, so a haversine bound is also a chord bound) and
-//!   bucketed per axis with width `bound`, emitting the 3³ neighbour cells.
+//!   bucketed per axis with width `bound`, emitting the 3³ neighbour cells
+//!   (symmetric, for the same rounding slack).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::date::parse_date;
 use crate::geo::parse_point;
@@ -72,14 +88,112 @@ impl BlockKey {
     }
 }
 
-/// Builds a key from hashable parts, namespaced by a per-scheme tag so e.g.
-/// a Levenshtein bigram never collides with an equality value key by
-/// construction (only by 64-bit hash collision, which merely merges blocks).
-fn key<H: Hash>(tag: u8, parts: H) -> BlockKey {
-    let mut hasher = DefaultHasher::new();
-    tag.hash(&mut hasher);
-    parts.hash(&mut hasher);
-    BlockKey(hasher.finish())
+/// Which end of a candidate lookup a key set is derived for (see the module
+/// docs): what an index stores, or what a query looks up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeySide {
+    /// The stored (target) side: each key once, no neighbour emission.
+    Index,
+    /// The querying (source) side: carries the neighbour overlap, so
+    /// `keys(v, Index) ⊆ keys(v, Probe)` for every value set.
+    Probe,
+}
+
+/// A map keyed by [`BlockKey`] that uses the key itself as the hash: keys
+/// leave [`Mixer::finish`] uniformly mixed, so hashing them again (SipHash, by
+/// default) only costs time.  The price is the default hasher's protection
+/// against *crafted* colliding keys — raw keys restored from a snapshot land
+/// here unrehashed, so a forged snapshot can make its own restore slow (never
+/// wrong, and never beyond the memory its length fields already bound).
+pub type BlockKeyMap<V> = HashMap<BlockKey, V, BuildHasherDefault<BlockKeyHasher>>;
+
+/// The pass-through hasher behind [`BlockKeyMap`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockKeyHasher(u64);
+
+impl Hasher for BlockKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, raw: u64) {
+        self.0 = raw;
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a BlockKey hashes as exactly one u64");
+    }
+}
+
+/// Builds a key from its parts, one 64-bit word per multiply–xorshift round,
+/// namespaced by a per-scheme tag (the first round) so e.g. a Levenshtein
+/// bigram never collides with an equality value key by construction — only
+/// by 64-bit collision, which merely merges blocks.
+///
+/// Each round is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so two part sequences of equal length differing in one
+/// word never collide; everything else collides with probability ≈ 2⁻⁶⁴
+/// (pinned on the Cora and Restaurant key sets against a SipHash reference,
+/// `mixer_merges_no_blocks_on_cora_and_restaurant`).
+#[derive(Debug, Clone, Copy)]
+struct Mixer(u64);
+
+impl KeyMix for Mixer {
+    /// The tag takes a full round of its own: absorbed raw, `(tag, word)`
+    /// and `(tag', word ^ tag ^ tag')` would start from one state.
+    #[inline]
+    fn new(tag: u8) -> Self {
+        Mixer(0).word(tag as u64)
+    }
+
+    #[inline]
+    fn word(self, word: u64) -> Self {
+        let x = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Mixer(x ^ (x >> 29))
+    }
+
+    /// One more round with a different multiplier: a difference confined to
+    /// the top bits of the last word reaches the low bits (the bucket index
+    /// of a [`BlockKeyMap`]) and vice versa (its 7-bit control tag).
+    #[inline]
+    fn finish(self) -> BlockKey {
+        let x = self.0.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        BlockKey(x ^ (x >> 32))
+    }
+}
+
+/// What the key schemes need from a mixer.  [`Mixer`] is the only production
+/// implementation; the tests substitute a SipHash reference to count the
+/// blocks a collision-free mixer would produce.
+trait KeyMix: Copy {
+    fn new(tag: u8) -> Self;
+    fn word(self, word: u64) -> Self;
+    fn finish(self) -> BlockKey;
+
+    /// A string, eight bytes per word; the final word carries the up to
+    /// seven remaining bytes and their count, so `"ab"` and `"ab\0"` differ.
+    #[inline]
+    fn str(mut self, value: &str) -> Self {
+        let mut chunks = value.as_bytes().chunks_exact(8);
+        for chunk in &mut chunks {
+            self = self.word(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        last[7] = rest.len() as u8;
+        self.word(u64::from_le_bytes(last))
+    }
+
+    /// A q-gram, three characters (21 bits each) per word.
+    #[inline]
+    fn gram(mut self, gram: &[char]) -> Self {
+        for triple in gram.chunks(3) {
+            let packed = triple.iter().fold(0u64, |w, &c| (w << 21) | c as u64);
+            self = self.word(packed);
+        }
+        self
+    }
 }
 
 const TAG_LEVENSHTEIN: u8 = 1;
@@ -129,8 +243,8 @@ impl DistanceFunction {
         }
     }
 
-    /// Computes the block keys of a value set at a distance bound, appending
-    /// them (sorted, deduplicated) to `keys`.
+    /// Computes the block keys of a value set at a distance bound for one
+    /// [`KeySide`], replacing the contents of `keys` (sorted, deduplicated).
     ///
     /// Must only be called when [`DistanceFunction::can_prune`] holds for the
     /// bound.  An empty result means no value of the set can be within the
@@ -138,37 +252,54 @@ impl DistanceFunction {
     /// numeric/date/geographic measures) — such entities are never candidates
     /// through this comparison, which is exactly the evaluation semantics
     /// (an empty value set yields similarity 0).
-    pub fn block_keys_into(&self, values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+    pub fn block_keys_into(
+        &self,
+        values: &[String],
+        bound: f64,
+        side: KeySide,
+        keys: &mut Vec<BlockKey>,
+    ) {
         keys.clear();
-        // Distances at exactly the bound must share a key; inflate the bound
-        // by one part in 10⁹ so bucket arithmetic on the boundary cannot be
-        // tipped over by floating-point rounding.
-        let bound = inflate(bound.max(0.0));
-        match self {
-            DistanceFunction::Levenshtein => levenshtein_keys(values, bound, keys),
-            DistanceFunction::Jaro => jaro_keys(values, bound, 1.0 - 3.0 * bound, keys),
-            // Winkler only boosts: sim_w ≤ sim_j + 0.4·(1 − sim_j), so a
-            // required sim_w ≥ s implies sim_j ≥ (s − 0.4)/0.6 and the Jaro
-            // matched fraction becomes f = 3·sim_j − 2 = 5s − 4 = 1 − 5·bound
-            DistanceFunction::JaroWinkler => jaro_keys(values, bound, 1.0 - 5.0 * bound, keys),
-            DistanceFunction::Jaccard | DistanceFunction::Dice => {
-                element_keys(TAG_ELEMENT, values, keys)
-            }
-            DistanceFunction::Equality => element_keys(TAG_EQUALITY, values, keys),
-            DistanceFunction::Numeric => numeric_keys(values, bound, keys),
-            DistanceFunction::Date => date_keys(values, bound, keys),
-            DistanceFunction::Geographic => geographic_keys(values, bound, keys),
-        }
+        self.push_keys::<Mixer>(values, bound, side, keys);
         keys.sort_unstable();
         keys.dedup();
     }
 
     /// Allocating convenience wrapper around
     /// [`DistanceFunction::block_keys_into`].
-    pub fn block_keys(&self, values: &[String], bound: f64) -> Vec<BlockKey> {
+    pub fn block_keys(&self, values: &[String], bound: f64, side: KeySide) -> Vec<BlockKey> {
         let mut keys = Vec::new();
-        self.block_keys_into(values, bound, &mut keys);
+        self.block_keys_into(values, bound, side, &mut keys);
         keys
+    }
+
+    /// Appends this measure's keys (unsorted, with duplicates) under mixer `M`.
+    fn push_keys<M: KeyMix>(
+        &self,
+        values: &[String],
+        bound: f64,
+        side: KeySide,
+        keys: &mut Vec<BlockKey>,
+    ) {
+        // Distances at exactly the bound must share a key; inflate the bound
+        // by one part in 10⁹ so bucket arithmetic on the boundary cannot be
+        // tipped over by floating-point rounding.
+        let bound = inflate(bound.max(0.0));
+        match self {
+            DistanceFunction::Levenshtein => levenshtein_keys::<M>(values, bound, side, keys),
+            DistanceFunction::Jaro => jaro_keys::<M>(values, bound, 1.0 - 3.0 * bound, keys),
+            // Winkler only boosts: sim_w ≤ sim_j + 0.4·(1 − sim_j), so a
+            // required sim_w ≥ s implies sim_j ≥ (s − 0.4)/0.6 and the Jaro
+            // matched fraction becomes f = 3·sim_j − 2 = 5s − 4 = 1 − 5·bound
+            DistanceFunction::JaroWinkler => jaro_keys::<M>(values, bound, 1.0 - 5.0 * bound, keys),
+            DistanceFunction::Jaccard | DistanceFunction::Dice => {
+                element_keys::<M>(TAG_ELEMENT, values, keys)
+            }
+            DistanceFunction::Equality => element_keys::<M>(TAG_EQUALITY, values, keys),
+            DistanceFunction::Numeric => numeric_keys::<M>(values, bound, keys),
+            DistanceFunction::Date => date_keys::<M>(values, bound, keys),
+            DistanceFunction::Geographic => geographic_keys::<M>(values, bound, keys),
+        }
     }
 
     /// The canonical *bound bucket* of this measure at a distance bound: two
@@ -253,19 +384,27 @@ fn inflate(bound: f64) -> f64 {
 ///   `|s| + q − 1` positional q-grams.  Each of the `e ≤ d` edits destroys
 ///   at most `q` grams and shifts survivors by at most `e ≤ d` positions, so
 ///   whenever `|s| + q − 1 > q·d` for either value, a shared gram survives
-///   within one bucket (width `d + 1`) of its original position and the ±1
-///   neighbour emission yields a common `(gram, bucket)` key.  Values short
-///   enough that every gram could be destroyed (`|s| ≤ q·(d − 1) + 1`)
-///   additionally emit a shared short-value key.
+///   at positions `p` and `p'` with `|p − p'| ≤ d`.  With buckets of width
+///   `d + 1`, `⌊p/(d+1)⌋` and `⌊p'/(d+1)⌋` differ by at most 1, so the
+///   **probe** side's `bucket − 1 ..= bucket + 1` always contains the one
+///   `(gram, bucket)` key the **index** side stores — whichever of the two
+///   values probes.  Values short enough that every gram could be destroyed
+///   (`|s| ≤ q·(d − 1) + 1`) additionally emit a shared short-value key on
+///   both sides.
 ///
 /// Small budgets use longer grams (q = 6 at d = 1, q = 3 at d = 2, q = 2
 /// beyond): the guarantee only needs `|s| > q·(d − 1) + 1`, and longer grams
 /// are exponentially more selective against unrelated values.
-fn levenshtein_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+fn levenshtein_keys<M: KeyMix>(
+    values: &[String],
+    bound: f64,
+    side: KeySide,
+    keys: &mut Vec<BlockKey>,
+) {
     let budget = bound.min(1e9).floor() as usize;
     if budget == 0 {
         for value in values {
-            keys.push(key(TAG_LEVENSHTEIN_EXACT, value.as_str()));
+            keys.push(M::new(TAG_LEVENSHTEIN_EXACT).str(value).finish());
         }
         return;
     }
@@ -282,13 +421,18 @@ fn levenshtein_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         padded.extend(std::iter::repeat_n(PAD_START, q - 1));
         padded.extend(value.chars());
         if padded.len() - (q - 1) <= short_cutoff {
-            keys.push(key(TAG_LEVENSHTEIN_SHORT, budget));
+            keys.push(M::new(TAG_LEVENSHTEIN_SHORT).word(budget as u64).finish());
         }
         padded.extend(std::iter::repeat_n(PAD_END, q - 1));
         for (position, gram) in padded.windows(q).enumerate() {
             let bucket = position as i64 / bucket_width;
-            for neighbour in bucket - 1..=bucket + 1 {
-                keys.push(key(TAG_LEVENSHTEIN, (gram, neighbour)));
+            let gram = M::new(TAG_LEVENSHTEIN).gram(gram);
+            let neighbours = match side {
+                KeySide::Index => bucket..=bucket,
+                KeySide::Probe => bucket - 1..=bucket + 1,
+            };
+            for neighbour in neighbours {
+                keys.push(gram.word(neighbour as u64).finish());
             }
         }
     }
@@ -328,15 +472,15 @@ fn levenshtein_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
 /// all characters matched in order), keyed exactly.  Two empty values have
 /// distance 0 and share the empty-value key; an empty value is never within
 /// a bound `< 1` of a non-empty one.
-fn jaro_keys(values: &[String], bound: f64, fraction: f64, keys: &mut Vec<BlockKey>) {
+fn jaro_keys<M: KeyMix>(values: &[String], bound: f64, fraction: f64, keys: &mut Vec<BlockKey>) {
     if bound == 0.0 {
         for value in values {
-            keys.push(key(TAG_JARO_EXACT, value.as_str()));
+            keys.push(M::new(TAG_JARO_EXACT).str(value).finish());
         }
         return;
     }
     if fraction <= 0.0 {
-        character_keys(values, keys);
+        character_keys::<M>(values, keys);
         return;
     }
     // cap so the class base stays away from 1 (bound → 0 drives f → 1); a
@@ -349,14 +493,15 @@ fn jaro_keys(values: &[String], bound: f64, fraction: f64, keys: &mut Vec<BlockK
     for value in values {
         let length = value.chars().count();
         if length == 0 {
-            keys.push(key(TAG_CHARACTER, u32::MAX));
+            keys.push(empty_value_key::<M>());
             continue;
         }
         let class = ((length as f64).ln() / class_base).floor() as i64;
         let cutoff = (((cutoff_ratio * length as f64) + 1e-6).floor() as usize + 1).min(length);
         for c in value.chars().take(cutoff) {
-            keys.push(key(TAG_JARO_WINDOW, (c as u32, class)));
-            keys.push(key(TAG_JARO_WINDOW, (c as u32, class + 1)));
+            let character = M::new(TAG_JARO_WINDOW).word(c as u64);
+            keys.push(character.word(class as u64).finish());
+            keys.push(character.word((class + 1) as u64).finish());
         }
     }
 }
@@ -370,16 +515,22 @@ fn jaro_keys(values: &[String], bound: f64, fraction: f64, keys: &mut Vec<BlockK
 /// similarity is zero (a common prefix character would have been a Jaro
 /// match), so the same argument applies.  Two empty values have distance 0
 /// and share the empty-value key.
-fn character_keys(values: &[String], keys: &mut Vec<BlockKey>) {
+fn character_keys<M: KeyMix>(values: &[String], keys: &mut Vec<BlockKey>) {
     for value in values {
         if value.is_empty() {
-            keys.push(key(TAG_CHARACTER, u32::MAX));
+            keys.push(empty_value_key::<M>());
             continue;
         }
         for c in value.chars() {
-            keys.push(key(TAG_CHARACTER, c as u32));
+            keys.push(M::new(TAG_CHARACTER).word(c as u64).finish());
         }
     }
+}
+
+/// The key two empty values share under the Jaro family (`u32::MAX` is not a
+/// `char`, so no character key can equal it).
+fn empty_value_key<M: KeyMix>() -> BlockKey {
+    M::new(TAG_CHARACTER).word(u32::MAX as u64).finish()
 }
 
 /// Jaccard / Dice / Equality: one key per distinct value-set element.
@@ -387,30 +538,31 @@ fn character_keys(values: &[String], keys: &mut Vec<BlockKey>) {
 /// Guarantee (`bound < 1`): a Jaccard or Dice distance below 1 requires a
 /// non-empty intersection of the two value sets; an equality distance of 0
 /// requires a shared value outright.
-fn element_keys(tag: u8, values: &[String], keys: &mut Vec<BlockKey>) {
+fn element_keys<M: KeyMix>(tag: u8, values: &[String], keys: &mut Vec<BlockKey>) {
     for value in values {
-        keys.push(key(tag, value.as_str()));
+        keys.push(M::new(tag).str(value).finish());
     }
 }
 
 /// Shared interval-bucket scheme for one-dimensional measures: buckets of
-/// width `bound` emitted with ±1 neighbour overlap.
+/// width `bound` emitted with ±1 neighbour overlap on both [`KeySide`]s.
 ///
 /// Guarantee: `|x − y| ≤ bound` puts the two values at most one bucket
 /// apart, so the ±1 emission always leaves a shared `(tag, bucket)` key —
-/// with one bucket of slack for floating-point rounding of `x / bound`.
-fn bucket_keys(tag: u8, x: f64, width: f64, keys: &mut Vec<BlockKey>) {
+/// with one bucket of slack for floating-point rounding of `x / bound`,
+/// which one-sided emission would give up.
+fn bucket_keys<M: KeyMix>(tag: u8, x: f64, width: f64, keys: &mut Vec<BlockKey>) {
     // clamp to the exactly-representable integer range; saturated cells at
     // the extremes merge blocks, which is harmless
     let bucket = (x / width).floor().clamp(-9.0e15, 9.0e15) as i64;
     for neighbour in bucket - 1..=bucket + 1 {
-        keys.push(key(tag, neighbour));
+        keys.push(M::new(tag).word(neighbour as u64).finish());
     }
 }
 
 /// Numeric: interval buckets over the parsed value (exact-value keys when
 /// the bound is 0, i.e. only `|x − y| = 0` passes).
-fn numeric_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+fn numeric_keys<M: KeyMix>(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
     for value in values {
         let Some(x) = parse_number(value) else {
             continue;
@@ -420,25 +572,25 @@ fn numeric_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         }
         if bound == 0.0 {
             let canonical = if x == 0.0 { 0.0 } else { x };
-            keys.push(key(TAG_NUMERIC_EXACT, canonical.to_bits()));
+            keys.push(M::new(TAG_NUMERIC_EXACT).word(canonical.to_bits()).finish());
         } else {
-            bucket_keys(TAG_NUMERIC, x, bound, keys);
+            bucket_keys::<M>(TAG_NUMERIC, x, bound, keys);
         }
     }
 }
 
 /// Date: interval buckets over the day number (the date distance is measured
 /// in days).
-fn date_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+fn date_keys<M: KeyMix>(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
     for value in values {
         let Some(date) = parse_date(value) else {
             continue;
         };
         let days = date.days_from_epoch();
         if bound == 0.0 {
-            keys.push(key(TAG_DATE_EXACT, days));
+            keys.push(M::new(TAG_DATE_EXACT).word(days as u64).finish());
         } else {
-            bucket_keys(TAG_DATE, days as f64, bound, keys);
+            bucket_keys::<M>(TAG_DATE, days as f64, bound, keys);
         }
     }
 }
@@ -452,7 +604,7 @@ fn date_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
 /// axis, and emitting the 3³ neighbour cells guarantees a shared
 /// `(cx, cy, cz)` cell.  The embedding also handles the antimeridian and the
 /// poles natively (longitude ±180° maps to the same 3-D point).
-fn geographic_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+fn geographic_keys<M: KeyMix>(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
     for value in values {
         let Some((lat, lon)) = parse_point(value) else {
             continue;
@@ -462,7 +614,11 @@ fn geographic_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         let y = EARTH_RADIUS_KM * lat.cos() * lon.sin();
         let z = EARTH_RADIUS_KM * lat.sin();
         if bound == 0.0 {
-            keys.push(key(TAG_GEO_EXACT, (x.to_bits(), y.to_bits(), z.to_bits())));
+            let cell = M::new(TAG_GEO_EXACT)
+                .word(x.to_bits())
+                .word(y.to_bits())
+                .word(z.to_bits());
+            keys.push(cell.finish());
             continue;
         }
         let cell = |coordinate: f64| (coordinate / bound).floor().clamp(-9.0e15, 9.0e15) as i64;
@@ -470,7 +626,11 @@ fn geographic_keys(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         for nx in cx - 1..=cx + 1 {
             for ny in cy - 1..=cy + 1 {
                 for nz in cz - 1..=cz + 1 {
-                    keys.push(key(TAG_GEO, (nx, ny, nz)));
+                    let cell = M::new(TAG_GEO)
+                        .word(nx as u64)
+                        .word(ny as u64)
+                        .word(nz as u64);
+                    keys.push(cell.finish());
                 }
             }
         }
@@ -486,23 +646,52 @@ mod tests {
         values.iter().map(|s| s.to_string()).collect()
     }
 
+    /// `true` if `a`, probing, finds `b` in an index.
     fn overlap(f: DistanceFunction, a: &[String], b: &[String], bound: f64) -> bool {
-        let ka = f.block_keys(a, bound);
-        let kb = f.block_keys(b, bound);
-        ka.iter().any(|k| kb.binary_search(k).is_ok())
+        let probe = f.block_keys(a, bound, KeySide::Probe);
+        let index = f.block_keys(b, bound, KeySide::Index);
+        probe.iter().any(|k| index.binary_search(k).is_ok())
     }
 
     /// The shared contract: whenever the distance is within the bound, the
-    /// key sets overlap.
+    /// probe keys of either value set overlap the index keys of the other.
     fn assert_guarantee(f: DistanceFunction, a: &[String], b: &[String], bound: f64) {
         let distance = f.evaluate(a, b);
         if distance.is_finite() && distance <= bound {
-            assert!(
-                overlap(f, a, b, bound),
-                "{f} keys of {a:?} and {b:?} do not overlap at bound {bound} (distance {distance})"
-            );
+            for (probing, indexed) in [(a, b), (b, a)] {
+                assert!(
+                    overlap(f, probing, indexed, bound),
+                    "{f} probe keys of {probing:?} miss the index keys of {indexed:?} \
+                     at bound {bound} (distance {distance})"
+                );
+            }
         }
     }
+
+    /// The same tag and word sequence chained through SipHash, one
+    /// `(state, word)` digest per round: what the schemes produce under a
+    /// mixer that (for these purposes) never collides.
+    #[derive(Clone, Copy)]
+    struct SipReference(u64);
+
+    impl KeyMix for SipReference {
+        fn new(tag: u8) -> Self {
+            SipReference(tag as u64)
+        }
+
+        fn word(self, word: u64) -> Self {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            hasher.write_u64(self.0);
+            hasher.write_u64(word);
+            SipReference(hasher.finish())
+        }
+
+        fn finish(self) -> BlockKey {
+            BlockKey(self.0)
+        }
+    }
+
+    const SIDES: [KeySide; 2] = [KeySide::Index, KeySide::Probe];
 
     #[test]
     fn bound_buckets_are_as_coarse_as_the_schemes_allow() {
@@ -543,7 +732,9 @@ mod tests {
     #[test]
     fn empty_value_sets_produce_no_keys() {
         for f in DistanceFunction::ALL {
-            assert!(f.block_keys(&[], 1.0).is_empty(), "{f}");
+            for side in SIDES {
+                assert!(f.block_keys(&[], 1.0, side).is_empty(), "{f}");
+            }
         }
     }
 
@@ -554,7 +745,9 @@ mod tests {
             DistanceFunction::Date,
             DistanceFunction::Geographic,
         ] {
-            assert!(f.block_keys(&vs(&["not parseable"]), 5.0).is_empty());
+            for side in SIDES {
+                assert!(f.block_keys(&vs(&["not parseable"]), 5.0, side).is_empty());
+            }
         }
     }
 
@@ -735,7 +928,162 @@ mod tests {
         );
     }
 
+    #[test]
+    fn levenshtein_index_side_stores_each_positional_gram_once() {
+        // "berlin" at budget 1: q = 6, 11 padded grams in buckets of width 2
+        let value = vs(&["berlin"]);
+        let lev = DistanceFunction::Levenshtein;
+        let index = lev.block_keys(&value, 1.0, KeySide::Index);
+        let probe = lev.block_keys(&value, 1.0, KeySide::Probe);
+        assert_eq!(index.len(), 11);
+        assert_eq!(probe.len(), 33);
+        // two buckets apart is beyond any admissible shift; emitting ±1 on
+        // both sides would still make such pairs candidates
+        let shifted = vs(&["xxxxberlin"]);
+        assert!(lev.evaluate(&value, &shifted) > 1.0);
+        assert!(!overlap(lev, &value, &shifted, 1.0));
+        assert!(!overlap(lev, &shifted, &value, 1.0));
+    }
+
+    #[test]
+    fn string_words_keep_length_and_tail_apart() {
+        let mixed = |value: &str| Mixer::new(TAG_ELEMENT).str(value).finish();
+        let distinct = ["", "\0", "ab", "ab\0", "abcdefg", "abcdefgh", "abcdefgh\0"];
+        for (at, a) in distinct.iter().enumerate() {
+            for b in &distinct[at + 1..] {
+                assert_ne!(mixed(a), mixed(b), "{a:?} vs {b:?}");
+            }
+        }
+        // the tag is part of the key
+        assert_ne!(
+            Mixer::new(TAG_ELEMENT).str("x").finish(),
+            Mixer::new(TAG_EQUALITY).str("x").finish()
+        );
+    }
+
+    /// The mixer must not merge blocks a collision-free hash keeps apart:
+    /// over every property value of Cora and Restaurant, every measure and
+    /// one bound per scheme regime, it yields exactly as many distinct keys
+    /// as the SipHash reference.
+    #[test]
+    fn mixer_merges_no_blocks_on_cora_and_restaurant() {
+        use linkdisc_datasets::DatasetKind;
+        use std::collections::HashSet;
+        for kind in [DatasetKind::Cora, DatasetKind::Restaurant] {
+            let dataset = kind.generate(1.0, 7);
+            let mut mixed: HashSet<BlockKey> = HashSet::new();
+            let mut reference: HashSet<BlockKey> = HashSet::new();
+            let mut keys = Vec::new();
+            for source in [&dataset.source, &dataset.target] {
+                for entity in source.entities() {
+                    for property in 0..source.schema().len() {
+                        let values = entity.values_at(property);
+                        for f in DistanceFunction::ALL {
+                            for bound in [0.0, 0.1, 0.5, 1.0, 2.0, 3.0] {
+                                if !f.can_prune(bound) {
+                                    continue;
+                                }
+                                // the probe side is a superset of the index side
+                                keys.clear();
+                                f.push_keys::<Mixer>(values, bound, KeySide::Probe, &mut keys);
+                                mixed.extend(keys.iter().copied());
+                                keys.clear();
+                                f.push_keys::<SipReference>(
+                                    values,
+                                    bound,
+                                    KeySide::Probe,
+                                    &mut keys,
+                                );
+                                reference.extend(keys.iter().copied());
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(
+                reference.len() > 10_000,
+                "{kind}: {} blocks",
+                reference.len()
+            );
+            assert_eq!(
+                mixed.len(),
+                reference.len(),
+                "{kind}: the mixer merged blocks"
+            );
+        }
+    }
+
+    /// Values for the asymmetric Levenshtein property: short enough to hit
+    /// the short-value key, with multi-byte characters (2-, 3- and 4-byte
+    /// UTF-8) among the ASCII.
+    const LEVENSHTEIN_VALUE: &str = "[abcéß世🦀]{0,9}";
+
     proptest! {
+        /// The asymmetric guarantee, both ways round (A probes B's index, B
+        /// probes A's), at every edit budget 0–4 over short values,
+        /// multi-byte characters and multi-valued sets.
+        #[test]
+        fn levenshtein_probe_keys_find_index_keys_in_both_directions(
+            a in proptest::collection::vec(LEVENSHTEIN_VALUE, 0..3),
+            b in proptest::collection::vec(LEVENSHTEIN_VALUE, 0..3),
+            budget in 0usize..5,
+            fraction in 0.0f64..1.0,
+        ) {
+            assert_guarantee(DistanceFunction::Levenshtein, &a, &b, budget as f64 + fraction);
+        }
+
+        /// Close multi-byte pairs specifically: one value of `b` is a value
+        /// of `a` after up to `budget` edits, so the within-bound region is
+        /// densely sampled in every q-gram regime.
+        #[test]
+        fn levenshtein_probe_keys_find_edited_multibyte_values(
+            a in proptest::collection::vec("[abcéß世🦀]{1,12}", 1..3),
+            other in LEVENSHTEIN_VALUE,
+            edits in proptest::collection::vec((0usize..12, "[aé世🦀]"), 0..5),
+            budget in 0usize..5,
+        ) {
+            let mut edited: Vec<char> = a[0].chars().collect();
+            for (position, replacement) in edits.iter().take(budget) {
+                let c = replacement.chars().next().expect("one char");
+                match position % 3 {
+                    0 if !edited.is_empty() => {
+                        edited.remove(position % edited.len());
+                    }
+                    1 => edited.insert(position % (edited.len() + 1), c),
+                    _ if !edited.is_empty() => {
+                        let at = position % edited.len();
+                        edited[at] = c;
+                    }
+                    _ => {}
+                }
+            }
+            let b = vec![other, edited.into_iter().collect()];
+            prop_assert!(DistanceFunction::Levenshtein.evaluate(&a, &b) <= budget as f64);
+            assert_guarantee(DistanceFunction::Levenshtein, &a, &b, budget as f64);
+        }
+
+        /// `keys(v, Index) ⊆ keys(v, Probe)` for every scheme: a position's
+        /// stored keys (the probe sidecar of `linkdisc-matching`) intersect a
+        /// query's probe keys exactly when the position is in a posting list
+        /// the query scans, and an entity always finds itself.
+        #[test]
+        fn index_keys_are_a_subset_of_probe_keys(
+            values in proptest::collection::vec("[a-e0-9 .é世-]{0,10}", 0..4),
+            bound in 0.0f64..6.0,
+        ) {
+            for f in DistanceFunction::ALL {
+                if !f.can_prune(bound) {
+                    continue;
+                }
+                let index = f.block_keys(&values, bound, KeySide::Index);
+                let probe = f.block_keys(&values, bound, KeySide::Probe);
+                prop_assert!(
+                    index.iter().all(|key| probe.binary_search(key).is_ok()),
+                    "{} index keys of {:?} at bound {} are not all probe keys", f, values, bound
+                );
+            }
+        }
+
         /// Levenshtein guarantee over random pairs, including pairs generated
         /// by applying few edits (so close pairs are actually sampled).
         #[test]
@@ -884,11 +1232,13 @@ mod tests {
                     continue;
                 }
                 if f.key_bound_bucket(a) == f.key_bound_bucket(b) {
-                    prop_assert_eq!(
-                        f.block_keys(&values, a),
-                        f.block_keys(&values, b),
-                        "{} buckets {} and {} collide but keys differ", f, a, b
-                    );
+                    for side in SIDES {
+                        prop_assert_eq!(
+                            f.block_keys(&values, a, side),
+                            f.block_keys(&values, b, side),
+                            "{} buckets {} and {} collide but keys differ", f, a, b
+                        );
+                    }
                 }
             }
         }
@@ -901,13 +1251,15 @@ mod tests {
                 if !f.can_prune(bound) {
                     continue;
                 }
-                let first = f.block_keys(&values, bound);
-                let second = f.block_keys(&values, bound);
-                prop_assert_eq!(&first, &second);
-                let mut sorted = first.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                prop_assert_eq!(first, sorted);
+                for side in SIDES {
+                    let first = f.block_keys(&values, bound, side);
+                    let second = f.block_keys(&values, bound, side);
+                    prop_assert_eq!(&first, &second);
+                    let mut sorted = first.clone();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    prop_assert_eq!(first, sorted);
+                }
             }
         }
     }

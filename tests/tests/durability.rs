@@ -490,3 +490,45 @@ fn recovering_with_the_wrong_rule_is_a_mismatch() {
     assert!(matches!(outcome, Err(RecoveryError::Mismatch(_))));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A checkpoint written before the block-key scheme changed (snapshot format
+/// version 2) must stop recovery with a typed error: falling back to an older
+/// generation cannot help, and replaying the log onto stale keys would serve
+/// wrong candidates.
+#[test]
+fn recovering_a_version_2_checkpoint_is_a_mismatch() {
+    let dataset = DatasetKind::Restaurant.generate(0.1, 8);
+    let dir = fresh_dir("stale-version");
+    {
+        let mut service = DurableService::create(
+            &dir,
+            restaurant_rule(),
+            dataset.source.schema(),
+            &dataset.target,
+            options(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        assert!(service.remove(dataset.target.entities()[0].id()).unwrap());
+    }
+    let checkpoint = newest_checkpoint(&dir);
+    let mut bytes = std::fs::read(&checkpoint).unwrap();
+    assert_eq!(
+        bytes[8..12],
+        linkdisc_matching::SNAPSHOT_VERSION.to_le_bytes()
+    );
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&checkpoint, &bytes).unwrap();
+    let outcome = DurableService::recover(
+        &dir,
+        restaurant_rule(),
+        dataset.source.schema(),
+        DurabilityOptions::default(),
+    );
+    match outcome {
+        Err(RecoveryError::Mismatch(why)) => assert!(why.contains("version 2"), "{why}"),
+        Err(other) => panic!("expected a format mismatch, got {other}"),
+        Ok(_) => panic!("a service was built on a version-2 checkpoint"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -152,7 +152,12 @@ proptest! {
         let huge: u32 = [u32::MAX, i32::MAX as u32, 1 << 24, 0xdead_beef][huge_index];
         let mut hostile = bytes.clone();
         hostile[at..at + 4].copy_from_slice(&huge.to_le_bytes());
-        assert_rejected(&hostile, &format!("u32 {huge:#x} written at {at}"));
+        // key bytes are arbitrary: where the four bytes already read `huge`
+        // the overwrite changes nothing, and the pristine snapshot is
+        // (rightly) accepted
+        if hostile != *bytes {
+            assert_rejected(&hostile, &format!("u32 {huge:#x} written at {at}"));
+        }
     }
 
     /// Truncation and inflation combined: a huge length prefix right at
