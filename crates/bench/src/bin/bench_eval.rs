@@ -325,9 +325,7 @@ fn main() {
     // short-circuit rate over *learned* Restaurant rules: run a GP learning
     // session and read the fitness path's cumulative short-circuit counters
     // — every rule the learner scored (initial random population, crossover
-    // offspring, converged elites) counts.  Indexing is disabled so the
-    // numbers measure the bounded evaluator alone, with every reference
-    // pair evaluated rather than pre-pruned by the candidate index, and the
+    // offspring, converged elites) counts, over every reference pair.  The
     // initial population may draw up to 4 comparisons so the rule mix
     // reflects the multi-comparison rules of the paper's Figure 7.  The
     // whole run is seeded, so the gate value is deterministic.
@@ -336,7 +334,6 @@ fn main() {
     learn_config.gp.population_size = 200;
     learn_config.gp.max_iterations = 6;
     learn_config.gp.threads = 1;
-    learn_config.indexed_fitness = false;
     learn_config.max_initial_comparisons = 4;
     let learner = GenLink::new(learn_config);
     let outcome = learner.learn(

@@ -1,10 +1,10 @@
-//! Learning-subsystem benchmark: parallel GP learning with shared leaf
-//! indexes, with results emitted to `BENCH_learning.json`.
+//! Learning-subsystem benchmark: parallel GP learning, with results emitted
+//! to `BENCH_learning.json`.
 //!
 //! The paper's headline numbers (Tables 7–12) are *learning-time* numbers,
 //! so this benchmark gates the learning path the way `bench_serving` gates
-//! the serving path.  Three measurements over a multi-comparison workload
-//! (the restaurant dataset, whose learned rules conjoin name/phone/address
+//! the serving path.  Measurements over a multi-comparison workload (the
+//! restaurant dataset, whose learned rules conjoin name/phone/address
 //! comparisons):
 //!
 //! 1. **Parallel speedup** — one full learning run at 1 thread versus 4
@@ -14,19 +14,11 @@
 //! 2. **Determinism** — the 1-thread and 4-thread runs must learn the
 //!    *same rule* with the *same iteration history* (always enforced; this
 //!    is the bit-identical-parallelism contract of the evolution loop).
-//! 3. **Leaf-index reuse** — the generation-scoped `SharedLeafIndexes`
-//!    cache must answer a positive fraction of leaf-index requests (always
-//!    enforced): a population's rules share comparison chains, so whole
-//!    per-comparison index builds are saved every generation.
-//! 4. **Cross-generation retention** — leaves whose chains recur across
-//!    generation boundaries (elites survive every generation) are retained
-//!    instead of rebuilt.  Gates (always enforced): reuse across
-//!    generations *rises* — it is zero in the first generation by
-//!    definition and must be positive both overall and in the final
-//!    generation (recurring elite chains are still being answered from
-//!    retained leaves when learning stops, where the old
-//!    clear-per-generation cache rebuilt every one of them).
-//! 5. **Steady-state pipeline** — the asynchronous pipeline spends the same
+//! 3. **Fitness cost** — `fitness_us_per_rule`: busy microseconds (compile +
+//!    bind + score) per distinct rule the 1-thread run evaluated.  Reported,
+//!    not gated: it is the number to watch when the evaluator or the
+//!    binding of rules to the reference pool changes.
+//! 4. **Steady-state pipeline** — the asynchronous pipeline spends the same
 //!    evaluation budget as the generational loop.  Gates: the pipeline is
 //!    deterministic across evaluator counts (always enforced); its training
 //!    F1 lands within 0.05 of the generational run's (always enforced —
@@ -34,7 +26,7 @@
 //!    the generational loop's (enforced only on hosts with ≥ 4 cores,
 //!    where the barrier-free schedule can actually overlap work).
 //!    Reported either way: evaluations/s, worker utilization and the
-//!    per-phase (compile / index / score / idle) seconds.
+//!    per-phase (compile / bind / score / idle) seconds.
 //!
 //! Also reported: wall-clock per generation at each thread count and the
 //! fitness-cache hit rate, for the learning-curve context.
@@ -173,62 +165,21 @@ fn main() {
     }
     println!();
 
-    // 3. leaf-index reuse ---------------------------------------------------
-    let cache = sequential
-        .outcome
-        .history
-        .last()
-        .and_then(|s| s.cache)
-        .unwrap_or_default();
-    let leaf_total = cache.leaf_reuse_hits + cache.leaf_reuse_misses;
-    let leaf_rate = cache.leaf_reuse_hit_rate();
-    println!("--- generation-scoped leaf-index reuse ---");
+    // 3. fitness cost per distinct rule ---------------------------------------
+    let last = sequential.outcome.history.last();
+    let cache = last.and_then(|s| s.cache).unwrap_or_default();
+    let fitness_busy_s = last.and_then(|s| s.phases).unwrap_or_default().busy_s();
+    let fitness_us_per_rule = fitness_busy_s * 1e6 / cache.fitness_misses.max(1) as f64;
+    println!("--- fitness cost ---");
     println!(
-        "{} leaf requests: {} hits, {} builds ({:.0}% reused); fitness cache {:.0}% hit rate",
-        leaf_total,
-        cache.leaf_reuse_hits,
-        cache.leaf_reuse_misses,
-        leaf_rate * 100.0,
+        "{} distinct rules evaluated in {fitness_busy_s:.3} s busy: {fitness_us_per_rule:.1} µs/rule; \
+         fitness cache {:.0}% hit rate",
+        cache.fitness_misses,
         cache.fitness_hit_rate() * 100.0
     );
-    if cache.leaf_reuse_hits == 0 {
-        failures.push("no leaf index was ever reused on a multi-comparison workload".to_string());
-    }
     println!();
 
-    // 4. cross-generation retention -----------------------------------------
-    // per-generation cross-generation hits from the cumulative counters:
-    // generation 1 cannot reuse across a boundary; every later generation
-    // should, because elite chains recur
-    let cumulative_cross: Vec<u64> = sequential
-        .outcome
-        .history
-        .iter()
-        .filter_map(|s| s.cache)
-        .map(|c| c.leaf_cross_generation_hits)
-        .collect();
-    let per_generation_cross: Vec<u64> = cumulative_cross.windows(2).map(|w| w[1] - w[0]).collect();
-    let first_cross = per_generation_cross.first().copied().unwrap_or(0);
-    let last_cross = per_generation_cross.last().copied().unwrap_or(0);
-    let cross_hits = cache.leaf_cross_generation_hits;
-    println!("--- cross-generation leaf retention ---");
-    println!(
-        "{cross_hits} cross-generation hits total; per generation: {per_generation_cross:?} \
-         (first full generation {first_cross}, final {last_cross})"
-    );
-    if cross_hits == 0 {
-        failures.push("no leaf survived a generation boundary (retention inactive)".to_string());
-    }
-    if last_cross == 0 {
-        failures.push(
-            "the final generation answered no request from a retained leaf — elite-driven \
-             reuse should persist across every boundary"
-                .to_string(),
-        );
-    }
-    println!();
-
-    // 5. steady-state pipeline ----------------------------------------------
+    // 4. steady-state pipeline ----------------------------------------------
     let steady_seq = learn(&dataset, config(1).steady_state());
     let steady_par = learn(&dataset, config(PARALLEL_THREADS).steady_state());
     let steady_identical = fingerprint(&steady_seq.outcome) == fingerprint(&steady_par.outcome);
@@ -258,11 +209,11 @@ fn main() {
     );
     println!(
         "pipeline: {:.0} evals/s, {:.0}% worker utilization; phases: \
-         compile {:.2}s, index {:.2}s, score {:.2}s, idle {:.2}s",
+         compile {:.2}s, bind {:.2}s, score {:.2}s, idle {:.2}s",
         report.evaluations_per_second(),
         report.utilization() * 100.0,
         phases.compile_s,
-        phases.index_s,
+        phases.bind_s,
         phases.score_s,
         phases.idle_s
     );
@@ -298,7 +249,7 @@ fn main() {
     println!();
 
     let json = format!(
-        "{{\n  \"host_cores\": {cores},\n  \"workload\": {{\n    \"dataset\": \"restaurant\",\n    \"source_entities\": {},\n    \"target_entities\": {},\n    \"positive_links\": {},\n    \"negative_links\": {},\n    \"population\": {},\n    \"iterations\": {ITERATIONS}\n  }},\n  \"parallel_learning\": {{\n    \"learn_t1_s\": {:.3},\n    \"learn_t{PARALLEL_THREADS}_s\": {:.3},\n    \"per_generation_t1_ms\": {:.1},\n    \"per_generation_t{PARALLEL_THREADS}_ms\": {:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_gate\": {SPEEDUP_GATE},\n    \"gate_enforced\": {speedup_enforced},\n    \"bit_identical\": {identical}\n  }},\n  \"leaf_reuse\": {{\n    \"requests\": {leaf_total},\n    \"hits\": {},\n    \"builds\": {},\n    \"hit_rate\": {leaf_rate:.4},\n    \"cross_generation_hits\": {cross_hits},\n    \"first_generation_cross_hits\": {first_cross},\n    \"final_generation_cross_hits\": {last_cross}\n  }},\n  \"fitness_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.4}\n  }},\n  \"steady_state\": {{\n    \"budget_evaluations\": {budget},\n    \"learn_t1_s\": {:.3},\n    \"learn_t{PARALLEL_THREADS}_s\": {:.3},\n    \"evaluations_per_second\": {:.1},\n    \"worker_utilization\": {:.4},\n    \"phase_compile_s\": {:.3},\n    \"phase_index_s\": {:.3},\n    \"phase_score_s\": {:.3},\n    \"phase_idle_s\": {:.3},\n    \"deterministic\": {steady_identical},\n    \"throughput_vs_generational\": {throughput_ratio:.2},\n    \"throughput_gate\": {PIPELINE_THROUGHPUT_GATE},\n    \"throughput_gate_enforced\": {throughput_enforced},\n    \"generational_f1\": {generational_f1:.4},\n    \"steady_state_f1\": {steady_f1:.4},\n    \"quality_gap\": {quality_gap:.4},\n    \"quality_tolerance\": {QUALITY_TOLERANCE}\n  }}\n}}\n",
+        "{{\n  \"host_cores\": {cores},\n  \"workload\": {{\n    \"dataset\": \"restaurant\",\n    \"source_entities\": {},\n    \"target_entities\": {},\n    \"positive_links\": {},\n    \"negative_links\": {},\n    \"population\": {},\n    \"iterations\": {ITERATIONS}\n  }},\n  \"parallel_learning\": {{\n    \"learn_t1_s\": {:.3},\n    \"learn_t{PARALLEL_THREADS}_s\": {:.3},\n    \"per_generation_t1_ms\": {:.1},\n    \"per_generation_t{PARALLEL_THREADS}_ms\": {:.1},\n    \"speedup\": {speedup:.2},\n    \"speedup_gate\": {SPEEDUP_GATE},\n    \"gate_enforced\": {speedup_enforced},\n    \"bit_identical\": {identical}\n  }},\n  \"fitness_us_per_rule\": {fitness_us_per_rule:.1},\n  \"fitness_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"hit_rate\": {:.4}\n  }},\n  \"steady_state\": {{\n    \"budget_evaluations\": {budget},\n    \"learn_t1_s\": {:.3},\n    \"learn_t{PARALLEL_THREADS}_s\": {:.3},\n    \"evaluations_per_second\": {:.1},\n    \"worker_utilization\": {:.4},\n    \"phase_compile_s\": {:.3},\n    \"phase_bind_s\": {:.3},\n    \"phase_score_s\": {:.3},\n    \"phase_idle_s\": {:.3},\n    \"deterministic\": {steady_identical},\n    \"throughput_vs_generational\": {throughput_ratio:.2},\n    \"throughput_gate\": {PIPELINE_THROUGHPUT_GATE},\n    \"throughput_gate_enforced\": {throughput_enforced},\n    \"generational_f1\": {generational_f1:.4},\n    \"steady_state_f1\": {steady_f1:.4},\n    \"quality_gap\": {quality_gap:.4},\n    \"quality_tolerance\": {QUALITY_TOLERANCE}\n  }}\n}}\n",
         stats.source_entities,
         stats.target_entities,
         stats.positive_links,
@@ -308,8 +259,6 @@ fn main() {
         parallel.total_s,
         sequential.per_generation_ms,
         parallel.per_generation_ms,
-        cache.leaf_reuse_hits,
-        cache.leaf_reuse_misses,
         cache.fitness_hits,
         cache.fitness_misses,
         cache.fitness_hit_rate(),
@@ -318,7 +267,7 @@ fn main() {
         report.evaluations_per_second(),
         report.utilization(),
         phases.compile_s,
-        phases.index_s,
+        phases.bind_s,
         phases.score_s,
         phases.idle_s,
     );

@@ -156,13 +156,10 @@ pub struct CurveRow {
     pub evaluations_saved: Summary,
     /// Cumulative fitness-cache hit rate up to this iteration.
     pub cache_hit_rate: Summary,
-    /// Cumulative shared-leaf-index reuse rate up to this iteration (the
-    /// second caching layer: whole per-comparison index builds saved).
-    pub leaf_reuse_rate: Summary,
-    /// Cumulative seconds spent compiling rules (plan + instruction list).
+    /// Cumulative seconds spent compiling rules.
     pub compile_s: Summary,
-    /// Cumulative seconds spent building candidate leaf indexes.
-    pub index_s: Summary,
+    /// Cumulative seconds spent binding rules to the reference pool.
+    pub bind_s: Summary,
     /// Cumulative seconds spent scoring prepared rules.
     pub score_s: Summary,
     /// Cumulative fraction of comparisons the score-bounded evaluator
@@ -200,9 +197,8 @@ pub fn learning_curve(
         validation: Vec<f64>,
         saved: Vec<f64>,
         hit_rate: Vec<f64>,
-        leaf_reuse: Vec<f64>,
         compile: Vec<f64>,
-        index: Vec<f64>,
+        bind: Vec<f64>,
         score: Vec<f64>,
         skipped: Vec<f64>,
     }
@@ -246,10 +242,9 @@ pub fn learning_curve(
                     let cache = stats.cache.unwrap_or_default();
                     entry.saved.push(cache.fitness_hits as f64);
                     entry.hit_rate.push(cache.fitness_hit_rate());
-                    entry.leaf_reuse.push(cache.leaf_reuse_hit_rate());
                     let phases = stats.phases.unwrap_or_default();
                     entry.compile.push(phases.compile_s);
-                    entry.index.push(phases.index_s);
+                    entry.bind.push(phases.bind_s);
                     entry.score.push(phases.score_s);
                     entry
                         .skipped
@@ -290,9 +285,8 @@ pub fn learning_curve(
                 entry.validation.push(final_val.f_measure());
                 entry.saved.push(last_cache.fitness_hits as f64);
                 entry.hit_rate.push(last_cache.fitness_hit_rate());
-                entry.leaf_reuse.push(last_cache.leaf_reuse_hit_rate());
                 entry.compile.push(last_phases.compile_s);
-                entry.index.push(last_phases.index_s);
+                entry.bind.push(last_phases.bind_s);
                 entry.score.push(last_phases.score_s);
                 entry.skipped.push(last_skip);
             }
@@ -315,9 +309,8 @@ pub fn learning_curve(
             validation_f1: Summary::of(acc.validation),
             evaluations_saved: Summary::of(acc.saved),
             cache_hit_rate: Summary::of(acc.hit_rate),
-            leaf_reuse_rate: Summary::of(acc.leaf_reuse),
             compile_s: Summary::of(acc.compile),
-            index_s: Summary::of(acc.index),
+            bind_s: Summary::of(acc.bind),
             score_s: Summary::of(acc.score),
             skip_rate: Summary::of(acc.skipped),
         })
@@ -371,35 +364,33 @@ pub fn run_carvalho_baseline(
 }
 
 /// Prints a learning-curve table in the shape of Tables 7–12, extended with
-/// the cumulative per-phase cost split (compile / index / score seconds).
+/// the cumulative per-phase cost split (compile / bind / score seconds).
 pub fn print_curve_table(title: &str, result: &CurveResult) {
     println!("{title}");
     println!(
-        "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>11} {:>8} {:>8} {:>8} {:>8}",
+        "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8}",
         "Iter.",
         "Time in s (σ)",
         "Train. F1 (σ)",
         "Val. F1 (σ)",
         "Evals saved",
         "Hit rate",
-        "Leaf reuse",
         "Compile",
-        "Index",
+        "Bind",
         "Score",
         "Skipped"
     );
     for row in &result.rows {
         println!(
-            "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>11} {:>8} {:>8} {:>8} {:>8}",
+            "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8}",
             row.iteration,
             format!("{:.1} ({:.1})", row.seconds.mean, row.seconds.std_dev),
             row.training_f1.paper_format(),
             row.validation_f1.paper_format(),
             format!("{:.0}", row.evaluations_saved.mean),
             format!("{:.0}%", row.cache_hit_rate.mean * 100.0),
-            format!("{:.0}%", row.leaf_reuse_rate.mean * 100.0),
             format!("{:.2}s", row.compile_s.mean),
-            format!("{:.2}s", row.index_s.mean),
+            format!("{:.2}s", row.bind_s.mean),
             format!("{:.2}s", row.score_s.mean),
             format!("{:.0}%", row.skip_rate.mean * 100.0)
         );

@@ -128,11 +128,6 @@ pub struct GenLinkConfig {
     pub distance_functions: Vec<DistanceFunction>,
     /// Transformation functions available to the learner (Table 1).
     pub transform_functions: Vec<TransformFunction>,
-    /// Score rules through MultiBlock candidate indexes over the reference
-    /// pool, sharing leaf indexes across the rules of a generation (results
-    /// are identical either way; `false` forces every reference pair
-    /// through the evaluator).
-    pub indexed_fitness: bool,
     /// How breeding and evaluation are scheduled: the paper's generational
     /// loop (the default) or the asynchronous steady-state pipeline.  Both
     /// are deterministic; the generational loop is the bit-exact reference.
@@ -152,7 +147,6 @@ impl Default for GenLinkConfig {
             max_initial_comparisons: 2,
             distance_functions: DistanceFunction::PAPER.to_vec(),
             transform_functions: TransformFunction::PAPER.to_vec(),
-            indexed_fitness: true,
             mode: LearningMode::default(),
         }
     }

@@ -12,18 +12,17 @@
 //! growing indefinitely (bloat).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use linkdisc_entity::{Entity, ResolvedReferenceLinks, Schema};
-use linkdisc_evaluation::{evaluate_compiled_stats, evaluate_rule, ConfusionMatrix};
+use linkdisc_evaluation::{evaluate_rule, ConfusionMatrix};
 use linkdisc_gp::{Evaluated, PhaseAccumulator, PhaseTimers};
-use linkdisc_matching::{CandidateScratch, LeafReuseStats, MultiBlockIndex, SharedLeafIndexes};
 use linkdisc_rule::{
-    CompiledRule, EvalStats, IndexingPlan, LinkageRule, ValueCache, LINK_THRESHOLD,
+    BoundSide, ColumnMemo, CompiledRule, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD,
 };
 use linkdisc_similarity::KernelCounters;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the size of a rule is penalised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,115 +65,107 @@ impl ParsimonyModel {
     }
 }
 
-/// The reference-link pool arranged for index-accelerated scoring: the
-/// distinct target entities (the fixed "data source" every rule's candidate
-/// index is built over), the pairs grouped by source entity, and the
-/// generation-scoped [`SharedLeafIndexes`] cache the per-rule indexes draw
-/// their leaves from.
+/// The reference-link pool arranged for scoring by position: the distinct
+/// entities of each side (the lists every rule's two sides are bound to) and
+/// the pairs as positions into them.
 #[derive(Debug)]
-struct IndexedPool<'a> {
-    /// Distinct target entities of the pool, in first-seen order; leaf
-    /// indexes map block keys to positions in this vector.
+struct ReferencePool<'a> {
+    source_schema: Arc<Schema>,
+    target_schema: Arc<Schema>,
+    /// Distinct source entities of the pool, in first-seen order.
+    sources: Vec<&'a Entity>,
+    /// Distinct target entities of the pool, in first-seen order.
     targets: Vec<&'a Entity>,
-    /// Pairs grouped by distinct source entity (one candidate query serves
-    /// every pair of a group).
-    groups: Vec<SourceGroup<'a>>,
-    /// Leaf indexes shared across the rules of one generation.
-    shared: SharedLeafIndexes,
+    /// `(position into sources, position into targets, is a positive
+    /// reference pair)` per pair.
+    pairs: Vec<(u32, u32, bool)>,
+    /// Bound columns shared across rules, one memo per entity list.
+    source_columns: ColumnMemo,
+    target_columns: ColumnMemo,
 }
 
-#[derive(Debug)]
-struct SourceGroup<'a> {
-    source: &'a Entity,
-    /// `(position into targets, is a positive reference pair)` per pair.
-    pairs: Vec<(u32, bool)>,
-}
-
-impl<'a> IndexedPool<'a> {
-    fn build(links: &'a ResolvedReferenceLinks<'a>) -> Self {
-        let mut targets: Vec<&'a Entity> = Vec::new();
-        let mut target_positions: HashMap<usize, u32> = HashMap::new();
-        let mut groups: Vec<SourceGroup<'a>> = Vec::new();
-        let mut group_of: HashMap<usize, usize> = HashMap::new();
-        let mut add = |pair: &'a linkdisc_entity::EntityPair<'a>, positive: bool| {
-            let target_key = pair.target as *const Entity as usize;
-            let position = *target_positions.entry(target_key).or_insert_with(|| {
-                targets.push(pair.target);
-                (targets.len() - 1) as u32
-            });
-            let source_key = pair.source as *const Entity as usize;
-            let group = *group_of.entry(source_key).or_insert_with(|| {
-                groups.push(SourceGroup {
-                    source: pair.source,
-                    pairs: Vec::new(),
-                });
-                groups.len() - 1
-            });
-            groups[group].pairs.push((position, positive));
+impl<'a> ReferencePool<'a> {
+    /// `None` for an empty link set (no entity to take the schemas from).
+    fn build(links: &'a ResolvedReferenceLinks<'a>) -> Option<Self> {
+        let first = links.positive().first().or(links.negative().first())?;
+        /// Position of `entity` in `list`, appended on first sight.
+        fn position<'a>(
+            entity: &'a Entity,
+            list: &mut Vec<&'a Entity>,
+            positions: &mut HashMap<usize, u32>,
+        ) -> u32 {
+            *positions
+                .entry(entity as *const Entity as usize)
+                .or_insert_with(|| {
+                    list.push(entity);
+                    (list.len() - 1) as u32
+                })
+        }
+        let mut pool = ReferencePool {
+            source_schema: first.source.schema().clone(),
+            target_schema: first.target.schema().clone(),
+            sources: Vec::new(),
+            targets: Vec::new(),
+            pairs: Vec::with_capacity(links.len()),
+            source_columns: ColumnMemo::new(),
+            target_columns: ColumnMemo::new(),
         };
-        for pair in links.positive() {
-            add(pair, true);
+        let mut source_positions = HashMap::new();
+        let mut target_positions = HashMap::new();
+        let labelled = links
+            .positive()
+            .iter()
+            .map(|pair| (pair, true))
+            .chain(links.negative().iter().map(|pair| (pair, false)));
+        for (pair, positive) in labelled {
+            let source = position(pair.source, &mut pool.sources, &mut source_positions);
+            let target = position(pair.target, &mut pool.targets, &mut target_positions);
+            pool.pairs.push((source, target, positive));
         }
-        for pair in links.negative() {
-            add(pair, false);
-        }
-        IndexedPool {
-            targets,
-            groups,
-            shared: SharedLeafIndexes::new(),
-        }
+        Some(pool)
     }
 }
 
-/// A rule lowered and indexed for scoring against the reference pool: built
-/// once (on one thread, so shared-leaf counters stay deterministic), then
-/// scored from any worker.
+/// A rule compiled and bound to the reference pool, ready to be scored from
+/// any worker.
 #[derive(Debug)]
 pub struct PreparedRule {
-    /// The compiled evaluation plan; `None` only when no schema is known
-    /// (empty link set), where scoring falls back to the tree walk.
-    compiled: Option<CompiledRule>,
-    /// The candidate index over the pool's target entities, `None` when the
-    /// rule's plan cannot prune (evaluate every pair) — the index-free
-    /// fallback.
-    index: Option<MultiBlockIndex>,
-    /// `true` when the plan proves no pair can reach the link threshold:
-    /// skip evaluation entirely, every pair classifies negative.
-    nothing_links: bool,
+    /// `None` only when no schema is known (empty link set), where scoring
+    /// falls back to the tree walk.
+    bound: Option<BoundRule>,
+}
+
+#[derive(Debug)]
+struct BoundRule {
+    compiled: CompiledRule,
+    /// The rule's two sides over the pool's `sources` / `targets`.
+    source: BoundSide,
+    target: BoundSide,
 }
 
 /// The GenLink fitness function: MCC with parsimony pressure, plus the
 /// training F-measure used by the stop condition.
 ///
-/// Rules are scored through the compiled evaluation plan: the rule is
-/// lowered once per evaluation ([`CompiledRule::compile`] is linear in the
-/// rule size) and every reference pair then runs the flat instruction list
-/// against a [`ValueCache`] shared across the whole learning run — so a
+/// Every reference pair is scored through the bounded evaluator and nothing
+/// else (DESIGN.md, "Why fitness does not index"): the rule is compiled once
+/// per evaluation ([`CompiledRule::compile`] is linear in the rule size), its
+/// two sides are bound to the pool's distinct entities — dense per-slot
+/// columns filled from a [`ValueCache`] shared across the whole learning
+/// run, and themselves shared across rules by chain hash, so a
 /// transformation chain appearing anywhere in the population is computed at
-/// most once per entity per run.
-///
-/// On top of the compiled path sits **index-accelerated scoring**: the
-/// rule's [`IndexingPlan`] (the same lossless candidate algebra the matching
-/// engine executes) is run over the pool's distinct target entities, and
-/// only pairs inside the candidate set are evaluated — every other pair is
-/// classified "no link" outright, which the overlap guarantee makes exact
-/// (a pair scoring ≥ the link threshold is always a candidate).  The
-/// per-comparison leaf indexes are drawn from a generation-scoped
-/// [`SharedLeafIndexes`] cache keyed by `(chain hash, measure, bound
-/// bucket)`, so the rules of a population stop re-deriving identical leaf
-/// indexes rule by rule.
+/// most once per entity per run and looked up at most once per rule — and
+/// each pair is then a handful of kernel calls on plain slices.
 #[derive(Debug, Clone)]
 pub struct FitnessFunction<'a> {
     links: &'a ResolvedReferenceLinks<'a>,
     parsimony: ParsimonyModel,
-    schemas: Option<(Arc<Schema>, Arc<Schema>)>,
+    /// `None` for an empty link set: no schema to compile against, scoring
+    /// falls back to the tree walk.
+    pool: Option<Arc<ReferencePool<'a>>>,
     value_cache: Arc<ValueCache<'a>>,
-    /// The indexed pool arrangement; `None` disables index acceleration
-    /// (every pair is evaluated, the pre-PR-4 behaviour).
-    pool: Option<Arc<IndexedPool<'a>>>,
-    /// Per-phase busy time: compile (rule compilation + plan lowering),
-    /// index (leaf resolution and index assembly), score (confusion-matrix
-    /// evaluation).  Thread-safe — workers add durations concurrently.
+    /// Per-phase busy time: compile (rule compilation), bind (filling or
+    /// looking up the slot columns), score (confusion-matrix evaluation).
+    /// Thread-safe — workers add durations concurrently.
     timers: Arc<PhaseAccumulator>,
     /// Cumulative short-circuit counters of the bounded evaluator across
     /// every scored pair of the run.  Thread-safe — workers flush one
@@ -219,37 +210,17 @@ impl SharedEvalStats {
 }
 
 impl<'a> FitnessFunction<'a> {
-    /// Creates a fitness function over resolved training links, with
-    /// index-accelerated scoring enabled.
+    /// Creates a fitness function over resolved training links.
     pub fn new(links: &'a ResolvedReferenceLinks<'a>, parsimony: ParsimonyModel) -> Self {
-        let schemas = links
-            .positive()
-            .first()
-            .or_else(|| links.negative().first())
-            .map(|pair| (pair.source.schema().clone(), pair.target.schema().clone()));
-        let pool = (!links.is_empty()).then(|| Arc::new(IndexedPool::build(links)));
         FitnessFunction {
             links,
             parsimony,
-            schemas,
+            pool: ReferencePool::build(links).map(Arc::new),
             value_cache: Arc::new(ValueCache::new()),
-            pool,
             timers: Arc::new(PhaseAccumulator::new()),
             eval_stats: Arc::new(SharedEvalStats::default()),
             kernels_baseline: KernelCounters::snapshot(),
         }
-    }
-
-    /// Enables or disables index-accelerated scoring (the results are
-    /// identical either way; disabling only forces every pair through the
-    /// evaluator).
-    pub fn with_indexing(mut self, enabled: bool) -> Self {
-        if !enabled {
-            self.pool = None;
-        } else if self.pool.is_none() && !self.links.is_empty() {
-            self.pool = Some(Arc::new(IndexedPool::build(self.links)));
-        }
-        self
     }
 
     /// The value cache backing compiled evaluation (exposed so the problem
@@ -258,13 +229,7 @@ impl<'a> FitnessFunction<'a> {
         &self.value_cache
     }
 
-    /// Cumulative hit/miss statistics of the shared leaf-index cache
-    /// (`None` when index acceleration is off).
-    pub fn leaf_reuse_stats(&self) -> Option<LeafReuseStats> {
-        self.pool.as_ref().map(|pool| pool.shared.stats())
-    }
-
-    /// Cumulative per-phase busy time of compilation, indexing and scoring
+    /// Cumulative per-phase busy time of compilation, binding and scoring
     /// (summed across every thread that worked in the phase).
     pub fn phase_timers(&self) -> PhaseTimers {
         self.timers.snapshot()
@@ -284,247 +249,83 @@ impl<'a> FitnessFunction<'a> {
         KernelCounters::snapshot().since(&self.kernels_baseline)
     }
 
-    /// Enables request-count-based retirement of the shared leaf cache:
-    /// after every `requests` leaf lookups, unused leaves are dropped — the
-    /// steady-state substitute for the per-generation
-    /// [`FitnessFunction::begin_generation`] boundary, bounding cache growth
-    /// without a breeding barrier (0 disables; no-op when index acceleration
-    /// is off).  See
-    /// [`linkdisc_matching::SharedLeafIndexes::auto_retire_after`].
-    pub fn auto_retire_leaves(&self, requests: u64) {
-        if let Some(pool) = &self.pool {
-            pool.shared.auto_retire_after(requests);
-        }
-    }
-
-    /// Marks a generation boundary: retires the shared leaf cache.  Leaves
-    /// whose chains were requested in the generation just ended are
-    /// **retained** (elitism and selection make the best rules — and their
-    /// comparison chains — recur every generation, so those leaves would
-    /// otherwise be rebuilt each time), under the cache's capacity bound;
-    /// chains that died out of the population are dropped so mutation churn
-    /// cannot accumulate memory.  Sound because the reference pool is fixed
-    /// for the life of the learner (enforced by the cache's pool stamp).
-    /// Counters survive.
-    pub fn begin_generation(&self) {
-        if let Some(pool) = &self.pool {
-            pool.shared.retire();
-        }
-    }
-
-    /// Lowers, compiles and indexes one rule against the pool.  Runs the
-    /// whole shared-leaf interaction, so calling it for a generation's rules
-    /// from a single thread makes the reuse counters deterministic; the
-    /// returned [`PreparedRule`] is then scored from any worker.
+    /// Compiles one rule and binds its two sides to the pool.  Pure per-rule
+    /// work (the column memo and the value cache are memos), so it runs on
+    /// any thread; the returned [`PreparedRule`] is scored from any worker.
     pub fn prepare(&self, rule: &LinkageRule) -> PreparedRule {
-        let Some((source_schema, target_schema)) = &self.schemas else {
-            return PreparedRule {
-                compiled: None,
-                index: None,
-                nothing_links: false,
-            };
+        let Some(pool) = &self.pool else {
+            return PreparedRule { bound: None };
         };
         let compile_timer = Instant::now();
-        let compiled = Some(CompiledRule::compile(rule, source_schema, target_schema));
-        let Some(pool) = &self.pool else {
-            self.timers.add_compile(compile_timer.elapsed());
-            return PreparedRule {
-                compiled,
-                index: None,
-                nothing_links: false,
-            };
-        };
-        let plan =
-            IndexingPlan::lower(rule, source_schema, target_schema, LINK_THRESHOLD).canonicalized();
+        let compiled = CompiledRule::compile(rule, &pool.source_schema, &pool.target_schema);
         self.timers.add_compile(compile_timer.elapsed());
-        if plan.is_empty_result() {
-            return PreparedRule {
-                compiled,
-                index: None,
-                nothing_links: true,
-            };
-        }
-        if plan.is_exhaustive() {
-            // the plan cannot prune anything: indexing would only add cost
-            return PreparedRule {
-                compiled,
-                index: None,
-                nothing_links: false,
-            };
-        }
-        let index_timer = Instant::now();
-        let index =
-            MultiBlockIndex::build_shared(plan, &pool.targets, &self.value_cache, &pool.shared);
-        self.timers.add_index(index_timer.elapsed());
+        let bind_timer = Instant::now();
+        let source = compiled.bind_source(
+            pool.sources.iter().copied(),
+            &self.value_cache,
+            Some(&pool.source_columns),
+        );
+        let target = compiled.bind_target(
+            pool.targets.iter().copied(),
+            &self.value_cache,
+            Some(&pool.target_columns),
+        );
+        self.timers.add_bind(bind_timer.elapsed());
         PreparedRule {
-            compiled,
-            index: Some(index),
-            nothing_links: false,
+            bound: Some(BoundRule {
+                compiled,
+                source,
+                target,
+            }),
         }
     }
 
-    /// Prepares a whole generation's distinct rules:
-    ///
-    /// * plan lowering and rule compilation fan out over `threads` workers
-    ///   (pure per-rule work, ordered reduction),
-    /// * the shared-leaf cache resolves every leaf request **on the calling
-    ///   thread, in rule order** — so hit/miss counters are deterministic —
-    ///   while the missing leaf indexes themselves are built in parallel
-    ///   (see [`SharedLeafIndexes::ensure_plans`]),
-    /// * indexes are then assembled by pure lookup.
+    /// Prepares a whole generation's distinct rules on `threads` workers
+    /// (ordered reduction; phase times sum busy seconds across workers).
     pub fn prepare_batch(&self, rules: &[&LinkageRule], threads: usize) -> Vec<PreparedRule> {
-        let Some((source_schema, target_schema)) = &self.schemas else {
-            return rules
-                .iter()
-                .map(|_| PreparedRule {
-                    compiled: None,
-                    index: None,
-                    nothing_links: false,
-                })
-                .collect();
-        };
-        let indexing = self.pool.is_some();
-        let lowered: Vec<(CompiledRule, Option<IndexingPlan>)> =
-            linkdisc_util::parallel_ordered_map(rules, threads, |rule| {
-                // timed inside the fan-out so compile time sums busy
-                // seconds across workers
-                let compile_timer = Instant::now();
-                let compiled = CompiledRule::compile(rule, source_schema, target_schema);
-                let plan = indexing.then(|| {
-                    IndexingPlan::lower(rule, source_schema, target_schema, LINK_THRESHOLD)
-                        .canonicalized()
-                });
-                self.timers.add_compile(compile_timer.elapsed());
-                (compiled, plan)
-            });
-        let Some(pool) = &self.pool else {
-            return lowered
-                .into_iter()
-                .map(|(compiled, _)| PreparedRule {
-                    compiled: Some(compiled),
-                    index: None,
-                    nothing_links: false,
-                })
-                .collect();
-        };
-        let index_timer = Instant::now();
-        let plans: Vec<&IndexingPlan> = lowered
-            .iter()
-            .filter_map(|(_, plan)| plan.as_ref())
-            .filter(|plan| !plan.is_empty_result() && !plan.is_exhaustive())
-            .collect();
-        pool.shared
-            .ensure_plans(&plans, &pool.targets, &self.value_cache, threads);
-        self.timers.add_index(index_timer.elapsed());
-        lowered
-            .into_iter()
-            .map(|(compiled, plan)| {
-                let plan = plan.expect("indexing enabled");
-                if plan.is_empty_result() {
-                    return PreparedRule {
-                        compiled: Some(compiled),
-                        index: None,
-                        nothing_links: true,
-                    };
-                }
-                if plan.is_exhaustive() {
-                    return PreparedRule {
-                        compiled: Some(compiled),
-                        index: None,
-                        nothing_links: false,
-                    };
-                }
-                let index = MultiBlockIndex::build_shared_prepared(
-                    plan,
-                    &pool.targets,
-                    &self.value_cache,
-                    &pool.shared,
-                );
-                PreparedRule {
-                    compiled: Some(compiled),
-                    index: Some(index),
-                    nothing_links: false,
-                }
-            })
-            .collect()
+        linkdisc_util::parallel_ordered_map(rules, threads, |rule| self.prepare(rule))
     }
 
-    /// The confusion matrix of a rule on the training links, via the
-    /// compiled fast path (falls back to the tree walk when the link set is
-    /// empty and no schema is known).
+    /// The confusion matrix of a rule on the training links (the tree walk
+    /// when the link set is empty and no schema is known).
     pub fn confusion(&self, rule: &LinkageRule) -> ConfusionMatrix {
-        if self.schemas.is_none() {
-            return evaluate_rule(rule, self.links);
-        }
-        let prepared = self.prepare(rule);
-        self.confusion_prepared(&prepared)
+        self.confusion_prepared(rule, &self.prepare(rule))
     }
 
-    /// The confusion matrix of an already-prepared rule.  Exact: candidate
-    /// generation is lossless at the link threshold, so a pair outside the
-    /// candidate set can never classify as a link.
-    fn confusion_prepared(&self, prepared: &PreparedRule) -> ConfusionMatrix {
-        if prepared.nothing_links {
-            let mut matrix = ConfusionMatrix::default();
-            for _ in self.links.positive() {
-                matrix.record_positive(false);
-            }
-            for _ in self.links.negative() {
-                matrix.record_negative(false);
-            }
-            return matrix;
-        }
-        let compiled = prepared
-            .compiled
-            .as_ref()
-            .expect("prepared with a schema whenever links exist");
-        let (Some(index), Some(pool)) = (&prepared.index, &self.pool) else {
-            let mut eval = EvalStats::default();
-            let matrix =
-                evaluate_compiled_stats(compiled, self.links, &self.value_cache, &mut eval);
-            self.eval_stats.record(&eval);
-            return matrix;
+    /// The confusion matrix of an already-prepared rule: every reference
+    /// pair through the bounded evaluator at the link threshold, by
+    /// position.
+    fn confusion_prepared(&self, rule: &LinkageRule, prepared: &PreparedRule) -> ConfusionMatrix {
+        let (Some(bound), Some(pool)) = (&prepared.bound, &self.pool) else {
+            return evaluate_rule(rule, self.links);
         };
         let mut matrix = ConfusionMatrix::default();
         let mut eval = EvalStats::default();
-        let mut scratch = CandidateScratch::new();
-        let mut candidate_marks = vec![false; pool.targets.len()];
-        for group in &pool.groups {
-            let candidates =
-                index.candidates(group.source, &self.value_cache, &mut scratch, &mut []);
-            for &position in &candidates {
-                candidate_marks[position as usize] = true;
+        for &(source, target, positive) in &pool.pairs {
+            let score = bound.compiled.evaluate_bound_stats(
+                &bound.source,
+                source as usize,
+                &bound.target,
+                target as usize,
+                LINK_THRESHOLD,
+                &mut eval,
+            );
+            if positive {
+                matrix.record_positive(score >= LINK_THRESHOLD);
+            } else {
+                matrix.record_negative(score >= LINK_THRESHOLD);
             }
-            for &(position, positive) in &group.pairs {
-                let is_link = candidate_marks[position as usize] && {
-                    let target = pool.targets[position as usize];
-                    let score = compiled.evaluate_bounded_two_stats(
-                        group.source,
-                        target,
-                        &self.value_cache,
-                        &self.value_cache,
-                        LINK_THRESHOLD,
-                        &mut eval,
-                    );
-                    score >= LINK_THRESHOLD
-                };
-                if positive {
-                    matrix.record_positive(is_link);
-                } else {
-                    matrix.record_negative(is_link);
-                }
-            }
-            for &position in &candidates {
-                candidate_marks[position as usize] = false;
-            }
-            scratch.recycle(candidates);
         }
         self.eval_stats.record(&eval);
         matrix
     }
 
     /// Evaluates a prepared rule (parallel-safe; see
-    /// [`FitnessFunction::prepare`]).
+    /// [`FitnessFunction::prepare`]): `fitness = MCC − penalty`,
+    /// `f_measure` = training F1.
+    ///
+    /// The empty rule is assigned a fitness below every reachable value so it
+    /// never survives selection.
     pub fn evaluate_prepared(&self, rule: &LinkageRule, prepared: &PreparedRule) -> Evaluated {
         if rule.is_empty() {
             return Evaluated {
@@ -533,11 +334,7 @@ impl<'a> FitnessFunction<'a> {
             };
         }
         let score_timer = Instant::now();
-        let matrix = if self.schemas.is_some() {
-            self.confusion_prepared(prepared)
-        } else {
-            evaluate_rule(rule, self.links)
-        };
+        let matrix = self.confusion_prepared(rule, prepared);
         self.timers.add_score(score_timer.elapsed());
         Evaluated {
             fitness: matrix.mcc() - self.parsimony.penalty_for(rule),
@@ -551,30 +348,10 @@ impl<'a> FitnessFunction<'a> {
         evaluate_rule(rule, self.links)
     }
 
-    /// Evaluates a rule: `fitness = MCC − penalty`, `f_measure` = training F1.
-    ///
-    /// The empty rule is assigned a fitness below every reachable value so it
-    /// never survives selection.
+    /// Prepares and evaluates one rule — the path the steady-state evaluator
+    /// workers take per genome.
     pub fn evaluate(&self, rule: &LinkageRule) -> Evaluated {
-        if rule.is_empty() {
-            return Evaluated {
-                fitness: -2.0,
-                f_measure: 0.0,
-            };
-        }
-        if self.schemas.is_some() {
-            // prepare + score so each phase lands in its timer — the path
-            // the steady-state evaluator workers take per genome
-            let prepared = self.prepare(rule);
-            return self.evaluate_prepared(rule, &prepared);
-        }
-        let score_timer = Instant::now();
-        let matrix = self.confusion(rule);
-        self.timers.add_score(score_timer.elapsed());
-        Evaluated {
-            fitness: matrix.mcc() - self.parsimony.penalty_for(rule),
-            f_measure: matrix.f_measure(),
-        }
+        self.evaluate_prepared(rule, &self.prepare(rule))
     }
 }
 

@@ -120,8 +120,7 @@ impl GenLink {
         self.config.validate();
         let compatible_pairs = self.property_pairs(source, target, training);
         let resolved = ResolvedReferenceLinks::resolve(training, source, target);
-        let fitness = FitnessFunction::new(&resolved, self.config.parsimony)
-            .with_indexing(self.config.indexed_fitness);
+        let fitness = FitnessFunction::new(&resolved, self.config.parsimony);
 
         let mut generator =
             RandomRuleGenerator::new(compatible_pairs.clone(), self.config.representation);
@@ -389,22 +388,12 @@ mod tests {
         assert!(last.fitness_misses > 0);
         assert!(last.fitness_entries as u64 <= last.fitness_misses);
         assert!(last.value_cache_entries > 0, "transform memo never filled");
-        assert!(
-            last.leaf_reuse_hits > 0,
-            "a population's rules share comparison chains, so leaf indexes \
-             must be reused within generations: {last:?}"
-        );
-        assert!(last.leaf_reuse_misses > 0);
-        assert!(last.leaf_reuse_hit_rate() > 0.0);
         // cumulative counters grow monotonically over the run
         let mut previous_hits = 0;
-        let mut previous_leaf_hits = 0;
         for stats in &outcome.history {
             let cache = stats.cache.expect("every iteration carries stats");
             assert!(cache.fitness_hits >= previous_hits);
-            assert!(cache.leaf_reuse_hits >= previous_leaf_hits);
             previous_hits = cache.fitness_hits;
-            previous_leaf_hits = cache.leaf_reuse_hits;
         }
     }
 
@@ -475,30 +464,5 @@ mod tests {
         for record in &first.migrations {
             assert_eq!(record.to, (record.from + 1) % 4);
         }
-    }
-
-    #[test]
-    fn indexed_and_exhaustive_fitness_learn_identically() {
-        let (source, target, links) = noisy_sources(20);
-        let mut indexed = fast_config();
-        indexed.gp.max_iterations = 6;
-        let mut exhaustive = indexed.clone();
-        exhaustive.indexed_fitness = false;
-        let a = GenLink::new(indexed).learn(&source, &target, &links, 21);
-        let b = GenLink::new(exhaustive).learn(&source, &target, &links, 21);
-        // candidate generation is lossless, so pruned scoring is *exact*:
-        // the whole learning trajectory matches the evaluate-everything run
-        assert_eq!(a.rule, b.rule);
-        assert_eq!(a.history.len(), b.history.len());
-        for (x, y) in a.history.iter().zip(&b.history) {
-            assert_eq!(x.best_fitness, y.best_fitness);
-            assert_eq!(x.mean_fitness, y.mean_fitness);
-            assert_eq!(x.best_f_measure, y.best_f_measure);
-            assert_eq!(x.mean_f_measure, y.mean_f_measure);
-        }
-        let cache = a.history.last().and_then(|s| s.cache).unwrap();
-        assert!(cache.leaf_reuse_hits + cache.leaf_reuse_misses > 0);
-        let cache = b.history.last().and_then(|s| s.cache).unwrap();
-        assert_eq!(cache.leaf_reuse_hits + cache.leaf_reuse_misses, 0);
     }
 }

@@ -94,15 +94,13 @@ impl Problem for GenLinkProblem<'_> {
 
     /// Batched, generation-at-a-time evaluation:
     ///
-    /// 1. **sequential** — the generation starts with a fresh shared-leaf
-    ///    scope; every genome is resolved against the cross-generation
-    ///    fitness cache and deduplicated, so each *distinct new* rule is
-    ///    prepared (compiled + plan lowered + leaf indexes drawn from the
-    ///    generation's [`linkdisc_matching::SharedLeafIndexes`]) exactly
-    ///    once, on one thread — which keeps every cache counter
-    ///    deterministic across thread counts;
-    /// 2. **parallel** — the prepared rules are scored against the
-    ///    reference pool on `threads` workers with an ordered reduction;
+    /// 1. **sequential** — every genome is resolved against the
+    ///    cross-generation fitness cache and deduplicated, so each
+    ///    *distinct new* rule is evaluated exactly once and the fitness-cache
+    ///    counters are deterministic across thread counts;
+    /// 2. **parallel** — the distinct rules are prepared (compiled and bound
+    ///    to the reference pool) and scored on `threads` workers with an
+    ///    ordered reduction;
     /// 3. **sequential** — results are memoized and fanned back out to the
     ///    input order (duplicates count as fitness-cache hits, exactly as
     ///    they would scoring one by one).
@@ -110,7 +108,6 @@ impl Problem for GenLinkProblem<'_> {
     /// Evaluation is a pure function of the genome, so the returned vector
     /// is bit-identical at every thread count.
     fn evaluate_batch(&self, genomes: &[LinkageRule], threads: usize) -> Vec<Evaluated> {
-        self.fitness.begin_generation();
         /// Where genome `i` gets its evaluation from.
         enum Source {
             Cached(Evaluated),
@@ -146,8 +143,6 @@ impl Problem for GenLinkProblem<'_> {
                 }
             }
         }
-        // batch prepare: leaf-reuse accounting stays on this thread (in
-        // rule order), missing leaf builds and rule compilation fan out
         let rules: Vec<&LinkageRule> = distinct.iter().map(|&(_, genome)| genome).collect();
         let prepared = self.fitness.prepare_batch(&rules, threads);
         // parallel scoring with ordered reduction
@@ -186,16 +181,12 @@ impl Problem for GenLinkProblem<'_> {
 
     fn cache_stats(&self) -> Option<CacheStats> {
         let value_cache = self.fitness.value_cache();
-        let leaf_reuse = self.fitness.leaf_reuse_stats().unwrap_or_default();
         Some(CacheStats {
             fitness_hits: self.cache.hits(),
             fitness_misses: self.cache.misses(),
             fitness_entries: self.cache.len(),
             value_cache_entries: value_cache.len(),
             value_cache_hits: value_cache.hits(),
-            leaf_reuse_hits: leaf_reuse.hits,
-            leaf_reuse_misses: leaf_reuse.misses,
-            leaf_cross_generation_hits: leaf_reuse.cross_generation_hits,
         })
     }
 
@@ -214,14 +205,6 @@ impl Problem for GenLinkProblem<'_> {
             kernel_fast_path: kernels.fast_path_hits(),
             kernel_fallback: kernels.fallback_hits(),
         })
-    }
-
-    /// Steady-state window boundary: retire the shared leaf cache exactly as
-    /// a generation boundary would.  Window boundaries fall at deterministic
-    /// fold counts, so the retirement schedule — like everything else in the
-    /// pipeline — is a pure function of the seed.
-    fn on_window(&self) {
-        self.fitness.begin_generation();
     }
 }
 
@@ -304,9 +287,8 @@ mod tests {
         }
     }
 
-    /// A small two-source fixture with enough entities that leaf indexes
-    /// are worth building, plus rules sharing one comparison chain.
-    fn leaf_fixture() -> (
+    /// A small two-source fixture plus rules sharing one comparison chain.
+    fn shared_chain_fixture() -> (
         linkdisc_entity::DataSource,
         linkdisc_entity::DataSource,
         Vec<LinkageRule>,
@@ -330,76 +312,12 @@ mod tests {
             )
             .into()
         };
-        // thresholds 2.0 and 3.0 derive bounds 1.0 and 1.5 — one Levenshtein
-        // budget bucket — while 6.0 (bound 3.0) needs its own leaf
         (a.build(), b.build(), vec![lev(2.0), lev(3.0), lev(6.0)])
     }
 
     #[test]
-    fn batches_share_leaf_indexes_within_and_across_generations() {
-        let (source, target, rules) = leaf_fixture();
-        let links = ReferenceLinks::new(
-            vec![Link::new("a0", "b0"), Link::new("a1", "b1")],
-            vec![Link::new("a0", "b2"), Link::new("a1", "b3")],
-        );
-        let resolved = ResolvedReferenceLinks::resolve(&links, &source, &target);
-        let fitness = FitnessFunction::new(&resolved, ParsimonyModel::default());
-        let generator = RandomRuleGenerator::new(pairs(), RepresentationMode::Full);
-        let problem = GenLinkProblem::new(
-            fitness,
-            generator,
-            CrossoverOperator::SPECIALIZED.to_vec(),
-            RepresentationMode::Full,
-        );
-
-        // generation 1: three rules, two sharing a leaf bucket
-        let batch: Vec<LinkageRule> = rules.clone();
-        let first = problem.evaluate_batch(&batch, 1);
-        let stats = problem.cache_stats().unwrap();
-        assert_eq!(stats.leaf_reuse_hits, 1, "θ 2.0 and θ 3.0 share one leaf");
-        assert_eq!(stats.leaf_reuse_misses, 2);
-
-        // generation 2: a *new* rule in the shared bucket hits the leaf
-        // *retained* across the generation boundary (its chain recurred in
-        // generation 1), while the repeated rules never reach leaf
-        // resolution at all (fitness-cache hits)
-        let mut next = rules.clone();
-        next.push(
-            linkdisc_rule::compare(
-                linkdisc_rule::property("label"),
-                linkdisc_rule::property("label"),
-                DistanceFunction::Levenshtein,
-                2.5, // bound 1.25: same bucket as θ 2.0/3.0
-            )
-            .into(),
-        );
-        let second = problem.evaluate_batch(&next, 1);
-        let stats = problem.cache_stats().unwrap();
-        assert_eq!(
-            stats.leaf_reuse_misses, 2,
-            "the retained leaf is not rebuilt for the new rule"
-        );
-        assert_eq!(stats.leaf_reuse_hits, 2);
-        assert_eq!(
-            stats.leaf_cross_generation_hits, 1,
-            "the new rule's hit crossed the generation boundary"
-        );
-        assert!(
-            stats.fitness_hits >= 3,
-            "repeated rules hit the fitness cache"
-        );
-
-        // batched evaluation equals one-by-one evaluation, and repeated
-        // genomes repeat their scores
-        for (rule, evaluation) in rules.iter().zip(&first) {
-            assert_eq!(problem.evaluate(rule), *evaluation);
-        }
-        assert_eq!(&second[..3], &first[..]);
-    }
-
-    #[test]
     fn batch_results_are_thread_count_invariant_and_order_preserving() {
-        let (source, target, rules) = leaf_fixture();
+        let (source, target, rules) = shared_chain_fixture();
         let links = ReferenceLinks::new(
             vec![Link::new("a0", "b0")],
             vec![Link::new("a0", "b5"), Link::new("a2", "b7")],
@@ -421,6 +339,10 @@ mod tests {
             let result = problem.evaluate_batch(&batch, threads);
             assert_eq!(result[0], result[3], "duplicates score identically");
             assert_eq!(result[2], result[4]);
+            // batched evaluation equals one-by-one evaluation
+            for (rule, evaluation) in batch.iter().zip(&result) {
+                assert_eq!(problem.evaluate(rule), *evaluation);
+            }
             match &reference {
                 None => reference = Some(result),
                 Some(expected) => assert_eq!(expected, &result, "threads={threads}"),

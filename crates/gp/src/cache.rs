@@ -44,15 +44,6 @@ pub struct CacheStats {
     pub value_cache_entries: usize,
     /// Value-cache hits, when the problem reports them.
     pub value_cache_hits: u64,
-    /// Leaf-index builds answered by the generation-scoped shared-leaf
-    /// cache, when the problem evaluates through candidate indexes.
-    pub leaf_reuse_hits: u64,
-    /// Leaf indexes actually built.
-    pub leaf_reuse_misses: u64,
-    /// The subset of `leaf_reuse_hits` answered by a leaf retained from an
-    /// *earlier* generation (recurring elite chains; 0 when retention is
-    /// off or no chain survived a generation boundary).
-    pub leaf_cross_generation_hits: u64,
 }
 
 impl CacheStats {
@@ -67,15 +58,13 @@ impl CacheStats {
         }
     }
 
-    /// Fraction of leaf-index requests served from the shared-leaf cache
-    /// (`0.0` when the problem does not use leaf indexes).
+    /// Always `0.0`: no problem evaluates through candidate leaf indexes any
+    /// more (GenLink's fitness scores every reference pair directly).  Kept
+    /// because `benchmark/src/adapter.rs` names it and a PR that claims a
+    /// gain may not edit the benchmark; delete it together with the
+    /// benchmark's `core.leaf_reuse_hit_ratio` metric.
     pub fn leaf_reuse_hit_rate(&self) -> f64 {
-        let total = self.leaf_reuse_hits + self.leaf_reuse_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.leaf_reuse_hits as f64 / total as f64
-        }
+        0.0
     }
 }
 

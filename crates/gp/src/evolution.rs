@@ -26,7 +26,7 @@ use crate::{parallel_ordered_map, GpConfig, Problem};
 
 /// Cumulative per-phase wall time of the evaluation pipeline, in seconds.
 ///
-/// Compile / index / score are **busy** seconds summed across every thread
+/// Compile / bind / score are **busy** seconds summed across every thread
 /// that worked in the phase (they can exceed the run's wall clock on
 /// multi-core); idle is the time evaluator workers spent blocked waiting for
 /// work (always `0.0` in generational mode, whose workers live only for the
@@ -35,10 +35,11 @@ use crate::{parallel_ordered_map, GpConfig, Problem};
 /// single opaque speedup number into per-stage evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTimers {
-    /// Seconds spent lowering and compiling rules (plan + instruction list).
+    /// Seconds spent compiling rules into evaluation plans.
     pub compile_s: f64,
-    /// Seconds spent resolving and building candidate leaf indexes.
-    pub index_s: f64,
+    /// Seconds spent binding compiled rules to the reference pool (filling
+    /// or looking up the per-slot value columns).
+    pub bind_s: f64,
     /// Seconds spent scoring prepared genomes against the reference pool.
     pub score_s: f64,
     /// Seconds evaluator workers spent blocked waiting for work (steady-state
@@ -49,7 +50,7 @@ pub struct PhaseTimers {
 impl PhaseTimers {
     /// Total accounted busy seconds (idle excluded).
     pub fn busy_s(&self) -> f64 {
-        self.compile_s + self.index_s + self.score_s
+        self.compile_s + self.bind_s + self.score_s
     }
 }
 
@@ -59,7 +60,7 @@ impl PhaseTimers {
 #[derive(Debug, Default)]
 pub struct PhaseAccumulator {
     compile_ns: AtomicU64,
-    index_ns: AtomicU64,
+    bind_ns: AtomicU64,
     score_ns: AtomicU64,
     idle_ns: AtomicU64,
 }
@@ -70,15 +71,15 @@ impl PhaseAccumulator {
         Self::default()
     }
 
-    /// Adds time spent compiling/lowering rules.
+    /// Adds time spent compiling rules.
     pub fn add_compile(&self, elapsed: Duration) {
         self.compile_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Adds time spent building/resolving leaf indexes.
-    pub fn add_index(&self, elapsed: Duration) {
-        self.index_ns
+    /// Adds time spent binding rules to the reference pool.
+    pub fn add_bind(&self, elapsed: Duration) {
+        self.bind_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
@@ -98,7 +99,7 @@ impl PhaseAccumulator {
     pub fn snapshot(&self) -> PhaseTimers {
         PhaseTimers {
             compile_s: self.compile_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            index_s: self.index_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+            bind_s: self.bind_ns.load(Ordering::Relaxed) as f64 * 1e-9,
             score_s: self.score_ns.load(Ordering::Relaxed) as f64 * 1e-9,
             idle_s: self.idle_ns.load(Ordering::Relaxed) as f64 * 1e-9,
         }

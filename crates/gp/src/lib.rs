@@ -111,9 +111,9 @@ pub trait Problem: Sync {
 
     /// Steady-state window boundary hook: the pipeline calls this after every
     /// window of folds (a deterministic count, the steady-state analogue of a
-    /// generation boundary).  Problems that scope resources to generations —
-    /// GenLink retires unused shared leaf indexes here — get their boundary
-    /// back without a breeding barrier.  The default does nothing.
+    /// generation boundary).  Problems that scope resources to generations
+    /// get their boundary back without a breeding barrier.  The default does
+    /// nothing.
     fn on_window(&self) {}
 }
 

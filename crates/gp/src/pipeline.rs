@@ -43,9 +43,8 @@
 //!
 //! Without generations there are no natural reporting or resource-scoping
 //! boundaries, so the pipeline manufactures them: every
-//! [`PipelineConfig::window`] folds it calls [`Problem::on_window`] (GenLink
-//! retires unused shared leaf indexes there), snapshots an
-//! [`IterationStats`] and checks the stop condition.  With the default
+//! [`PipelineConfig::window`] folds it calls [`Problem::on_window`], snapshots
+//! an [`IterationStats`] and checks the stop condition.  With the default
 //! window of one population size, a window is the moral equivalent of a
 //! generation and the learning-curve history stays comparable.
 

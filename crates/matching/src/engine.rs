@@ -24,10 +24,15 @@
 //! source as borrowed chunks.
 //!
 //! Caches are split by lifetime: one [`ValueCache`] for the source side
-//! lives for the whole run (a source chain is computed once, not once per
-//! chunk), and one per chunk memoizes the target side between index build
-//! and scoring — a transform chain computed while indexing a target entity
-//! is reused when the rule scores that entity's candidate pairs.
+//! lives for one source chunk (a source chain is computed once, not once per
+//! target chunk), and one per target chunk memoizes the target side between
+//! index build and scoring — a transform chain computed while indexing a
+//! target entity is reused when the rule scores that entity's candidate
+//! pairs.  Neither cache is read per pair: the compiled rule **binds** each
+//! side once — the target chunk right after its index build, shared by all
+//! workers; each worker's source span on its first target chunk — into dense
+//! per-slot columns (see [`CompiledRule::bind_target`]), and pairs are
+//! scored by position.
 
 use linkdisc_entity::{
     DataSource, Entity, MaterializedStream, RestreamableSource, StreamingSource,
@@ -36,7 +41,7 @@ use std::sync::Arc;
 
 use linkdisc_entity::Schema;
 use linkdisc_rule::{
-    CompiledRule, EvalStats, IndexingPlan, LinkageRule, ValueCache, LINK_THRESHOLD,
+    BoundSide, CompiledRule, EvalStats, IndexingPlan, LinkageRule, ValueCache, LINK_THRESHOLD,
 };
 use linkdisc_similarity::KernelCounters;
 use linkdisc_util::resolve_threads;
@@ -414,6 +419,11 @@ impl MatchingEngine {
             } else {
                 Vec::new()
             };
+            // every target chunk cuts the source chunk into the same worker
+            // spans; a span is bound by the worker that first scores it
+            let worker_span = source_chunk.len().div_ceil(threads).max(1);
+            let mut bound_spans: Vec<Option<BoundSide>> =
+                vec![None; source_chunk.len().div_ceil(worker_span)];
             // a fresh sizer per pass reproduces identical chunk boundaries
             // on every target pass (same slow-start, same divisors)
             let mut sizer = ChunkSizer::new(self.options.chunk_size, self.options.chunk_bytes);
@@ -447,20 +457,27 @@ impl MatchingEngine {
                     }
                 }
 
-                let worker_span = source_chunk.len().div_ceil(threads).max(1);
+                // mostly cache hits: the index build has just computed the
+                // chains the plan's comparisons read
+                let bound_chunk = compiled.bind_target(chunk.iter(), &chunk_cache, None);
+
                 let mut per_worker: Vec<ChunkOutcome> = Vec::with_capacity(threads);
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = source_chunk
                         .chunks(worker_span)
+                        .zip(&mut bound_spans)
                         .enumerate()
-                        .map(|(worker, span)| {
+                        .map(|(worker, (span, bound_span))| {
                             let base = worker * worker_span;
                             let index = index.as_ref();
                             let compiled = &compiled;
                             let source_cache = &source_cache;
-                            let chunk_cache = &chunk_cache;
+                            let bound_chunk = &bound_chunk;
                             let options = self.options;
                             scope.spawn(move || {
+                                let bound_span = bound_span.get_or_insert_with(|| {
+                                    compiled.bind_source(span.iter(), source_cache, None)
+                                });
                                 score_span(
                                     span,
                                     base,
@@ -468,7 +485,8 @@ impl MatchingEngine {
                                     index,
                                     compiled,
                                     source_cache,
-                                    chunk_cache,
+                                    bound_span,
+                                    bound_chunk,
                                     &options,
                                     leaf_count,
                                 )
@@ -656,16 +674,20 @@ struct ChunkOutcome {
     leaf_candidates: Vec<usize>,
 }
 
-/// Scores one span of source entities against one target chunk.
+/// Scores one span of source entities against one target chunk.  Candidate
+/// generation reads the source entities through `source_cache`; pairs are
+/// evaluated by position in the two bound sides (`bound_span` over `span`,
+/// `bound_chunk` over `chunk`).
 #[allow(clippy::too_many_arguments)]
-fn score_span<'s, 't>(
+fn score_span<'s>(
     span: &'s [Entity],
     base: usize,
-    chunk: &'t [Entity],
+    chunk: &[Entity],
     index: Option<&MultiBlockIndex>,
     compiled: &CompiledRule,
     source_cache: &ValueCache<'s>,
-    chunk_cache: &ValueCache<'t>,
+    bound_span: &BoundSide,
+    bound_chunk: &BoundSide,
     options: &MatchingOptions,
     leaf_count: usize,
 ) -> ChunkOutcome {
@@ -679,7 +701,6 @@ fn score_span<'s, 't>(
     let mut scratch = CandidateScratch::new();
     let mut candidate_buf: Vec<u32> = Vec::new();
     for (offset, source_entity) in span.iter().enumerate() {
-        let candidates: &[Entity] = chunk;
         let positions: Option<&[u32]> = match index {
             Some(index) => {
                 candidate_buf = index.candidates(
@@ -693,17 +714,17 @@ fn score_span<'s, 't>(
             None => None,
         };
         let mut best: Option<ScoredLink> = None;
-        let mut score_target = |target_entity: &'t Entity, outcome: &mut ChunkOutcome| {
+        let mut score_target = |position: usize, outcome: &mut ChunkOutcome| {
             outcome.evaluated += 1;
             // bounded evaluation: a score below the threshold is an upper
             // bound (the pair provably cannot link — dropped right here);
             // a score at or above it is bit-identical to the exhaustive
             // evaluator, so emitted links are unchanged
-            let score = compiled.evaluate_bounded_two_stats(
-                source_entity,
-                target_entity,
-                source_cache,
-                chunk_cache,
+            let score = compiled.evaluate_bound_stats(
+                bound_span,
+                offset,
+                bound_chunk,
+                position,
                 options.link_threshold,
                 &mut outcome.eval,
             );
@@ -712,7 +733,7 @@ fn score_span<'s, 't>(
             }
             let link = ScoredLink {
                 source: source_entity.id().to_string(),
-                target: target_entity.id().to_string(),
+                target: chunk[position].id().to_string(),
                 score,
             };
             if options.best_match_only {
@@ -726,12 +747,12 @@ fn score_span<'s, 't>(
         match positions {
             Some(positions) => {
                 for &position in positions {
-                    score_target(&candidates[position as usize], &mut outcome);
+                    score_target(position as usize, &mut outcome);
                 }
             }
             None => {
-                for target_entity in candidates {
-                    score_target(target_entity, &mut outcome);
+                for position in 0..chunk.len() {
+                    score_target(position, &mut outcome);
                 }
             }
         }
@@ -1196,21 +1217,24 @@ mod tests {
 
     #[test]
     fn single_threaded_and_parallel_runs_agree() {
+        // every worker binds its own source span (1, 2 and 3 entities wide
+        // here) and shares the bound target chunk
         let (source, target) = sources();
-        let sequential = MatchingEngine::new(rule())
-            .with_options(MatchingOptions {
-                threads: 1,
-                ..MatchingOptions::default()
-            })
-            .run(&source, &target);
-        let parallel = MatchingEngine::new(rule())
-            .with_options(MatchingOptions {
-                threads: 4,
-                ..MatchingOptions::default()
-            })
-            .run(&source, &target);
-        assert_eq!(sequential.links, parallel.links);
-        assert_eq!(sequential.evaluated_pairs, parallel.evaluated_pairs);
-        assert_eq!(sequential.comparison_stats, parallel.comparison_stats);
+        let run = |threads| {
+            MatchingEngine::new(rule())
+                .with_options(MatchingOptions {
+                    threads,
+                    ..MatchingOptions::default()
+                })
+                .run(&source, &target)
+        };
+        let sequential = run(1);
+        for threads in [2, 4] {
+            let parallel = run(threads);
+            assert_eq!(sequential.links, parallel.links);
+            assert_eq!(sequential.evaluated_pairs, parallel.evaluated_pairs);
+            assert_eq!(sequential.eval_stats, parallel.eval_stats);
+            assert_eq!(sequential.comparison_stats, parallel.comparison_stats);
+        }
     }
 }

@@ -105,7 +105,7 @@ impl LeafIndex {
     /// Builds one comparison's leaf over `(position, entity)` pairs in one
     /// pass — the bulk path behind every batch build: engine slices and the
     /// serving store's first rule (sharded by [`MultiBlockIndex::build_refs`]),
-    /// a learning generation's [`SharedLeafIndexes`], and a [`LeafPool`]
+    /// an active-learning committee's [`SharedLeafIndexes`], and a [`LeafPool`]
     /// registration over a store with tombstone holes.
     ///
     /// All `(key, position)` pairs are gathered and sorted once, then each
@@ -445,9 +445,9 @@ impl MultiBlockIndex {
     /// [`SharedLeafIndexes`] cache: each comparison's leaf is looked up by
     /// its `(chain hash, measure, bound bucket)` reuse key and only built —
     /// once, then shared by every later rule hitting the same key — on a
-    /// miss.  This is the learning-time entry point: the rules of a GP
-    /// generation are evaluated against one fixed entity pool, and their
-    /// plans overwhelmingly share comparisons.
+    /// miss.  This is active learning's entry point: the rules of a query
+    /// committee index one fixed target pool, and — having evolved from one
+    /// population — their plans overwhelmingly share comparisons.
     pub fn build_shared<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         targets: &[&'e Entity],
@@ -460,30 +460,6 @@ impl MultiBlockIndex {
             .comparisons()
             .iter()
             .map(|comparison| shared.leaf_for(comparison, targets, cache))
-            .collect();
-        MultiBlockIndex {
-            plan,
-            leaves,
-            target_len: targets.len(),
-        }
-    }
-
-    /// Like [`MultiBlockIndex::build_shared`], but without hit/miss
-    /// accounting: assembles the index from leaves already resolved (and
-    /// counted) by [`SharedLeafIndexes::ensure_plans`].  Safe to call from
-    /// any worker thread.
-    pub fn build_shared_prepared<'e>(
-        plan: impl Into<Arc<IndexingPlan>>,
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-        shared: &SharedLeafIndexes,
-    ) -> MultiBlockIndex {
-        shared.guard_pool(targets);
-        let plan = plan.into();
-        let leaves = plan
-            .comparisons()
-            .iter()
-            .map(|comparison| shared.leaf_uncounted(comparison, targets, cache))
             .collect();
         MultiBlockIndex {
             plan,
@@ -804,10 +780,6 @@ pub struct LeafReuseStats {
     pub hits: u64,
     /// Leaf indexes actually built.
     pub misses: u64,
-    /// The subset of `hits` answered by a leaf *retained from an earlier
-    /// generation* (see [`SharedLeafIndexes::retire`]): recurring elite
-    /// chains hitting across generation boundaries.
-    pub cross_generation_hits: u64,
     /// Leaf indexes currently cached.
     pub entries: usize,
 }
@@ -827,45 +799,20 @@ impl LeafReuseStats {
 /// The cache key: [`IndexedComparison::leaf_reuse_key`].
 pub(crate) type LeafKey = (u64, DistanceFunction, u64);
 
-/// One cached leaf with its retention bookkeeping.
-#[derive(Debug)]
-struct CachedLeaf {
-    leaf: Arc<LeafIndex>,
-    /// Generation the leaf was built in (never updated — a hit on a leaf
-    /// with `built_generation < current` is a cross-generation hit).
-    built_generation: u64,
-    /// Generation of the most recent request; [`SharedLeafIndexes::retire`]
-    /// drops entries that were not requested in the generation just ended.
-    last_used_generation: u64,
-    /// Total requests answered by this entry (the retention priority).
-    uses: u64,
-}
-
 /// A cache of per-comparison leaf indexes over **one fixed target entity
-/// pool**, shared across the rules of a GP generation — and, for keys that
-/// recur, **across generations**.
+/// pool**, shared across the rules indexed over it.
 ///
 /// Keyed by [`IndexedComparison::leaf_reuse_key`] — `(target chain hash,
 /// measure, bound bucket)` — under which two comparisons are guaranteed to
-/// index the pool identically, so every rule of a population whose plan
-/// contains e.g. `levenshtein(lowerCase(name)) d≤1` reuses one inverted
-/// index instead of rebuilding it per rule.  The cache is *scoped to one
-/// entity pool*: callers must [`SharedLeafIndexes::clear`] it (or use a
-/// fresh one) whenever the pool changes.
-///
-/// Generation boundaries go through [`SharedLeafIndexes::retire`]: leaves
-/// whose key was requested in the ending generation **survive** (elitism
-/// and fitness-proportional selection make the best rules — and their
-/// comparison chains — recur every generation, so their leaves would
-/// otherwise be rebuilt each time), bounded by a retention capacity; dead
-/// chains are dropped so mutation churn cannot accumulate memory.  Hit/miss
-/// counters are cumulative across retirements and clears and feed the
-/// `leaf_reuse` columns of the learning statistics;
-/// [`LeafReuseStats::cross_generation_hits`] isolates the hits retention
-/// added.
-#[derive(Debug)]
+/// index the pool identically, so every rule whose plan contains e.g.
+/// `levenshtein(lowerCase(name)) d≤1` reuses one inverted index instead of
+/// rebuilding it per rule.  The cache is *scoped to one entity pool*:
+/// callers must [`SharedLeafIndexes::clear`] it (or use a fresh one)
+/// whenever the pool changes.  Hit/miss counters are cumulative across
+/// clears.
+#[derive(Debug, Default)]
 pub struct SharedLeafIndexes {
-    leaves: Mutex<HashMap<LeafKey, CachedLeaf>>,
+    leaves: Mutex<HashMap<LeafKey, Arc<LeafIndex>>>,
     /// Identity of the target pool the cached leaves index — `(length,
     /// hash of every entity address in order)`, recorded on first use.
     /// Leaf keys carry no pool identity (positions are relative to one
@@ -873,87 +820,14 @@ pub struct SharedLeafIndexes {
     /// reordered — pool would silently produce wrong candidates; the stamp
     /// turns that misuse into a panic.
     pool_stamp: Mutex<Option<(usize, u64)>>,
-    /// Current generation number; bumped by [`SharedLeafIndexes::retire`].
-    generation: AtomicU64,
-    /// Maximum entries surviving a [`SharedLeafIndexes::retire`].
-    retain_capacity: usize,
-    /// Counted requests between self-triggered retirements (0 = off); see
-    /// [`SharedLeafIndexes::auto_retire_after`].
-    auto_retire_every: AtomicU64,
-    /// Counted requests since construction, driving the auto-retire
-    /// schedule.
-    request_count: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    cross_generation_hits: AtomicU64,
-}
-
-/// Default retention bound: generously above the distinct comparison chains
-/// of a paper-sized population (a few dozen), small against the pool index
-/// memory a learning run already holds.
-const DEFAULT_RETAIN_CAPACITY: usize = 256;
-
-impl Default for SharedLeafIndexes {
-    fn default() -> Self {
-        SharedLeafIndexes::new()
-    }
 }
 
 impl SharedLeafIndexes {
-    /// Creates an empty cache with the default retention capacity.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        SharedLeafIndexes::with_retention(DEFAULT_RETAIN_CAPACITY)
-    }
-
-    /// Creates an empty cache retaining at most `capacity` leaves across a
-    /// [`SharedLeafIndexes::retire`] boundary (0 restores the old
-    /// clear-every-generation behaviour).
-    pub fn with_retention(capacity: usize) -> Self {
-        SharedLeafIndexes {
-            leaves: Mutex::new(HashMap::new()),
-            pool_stamp: Mutex::new(None),
-            generation: AtomicU64::new(0),
-            retain_capacity: capacity,
-            auto_retire_every: AtomicU64::new(0),
-            request_count: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cross_generation_hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Enables **request-count-based retirement**: after every `requests`
-    /// counted leaf requests, the cache [`SharedLeafIndexes::retire`]s
-    /// itself (`0` disables, the default).
-    ///
-    /// Generational evolution has a natural place to call `retire()` — the
-    /// generation barrier.  Steady-state evolution has no barrier, so
-    /// without this the "used since the last boundary" liveness signal
-    /// never fires and dead chains accumulate until the capacity eviction.
-    /// A request window restores the bound: the window is the moral
-    /// equivalent of a generation's worth of lookups.  Retiring is safe at
-    /// any moment — in-flight indexes hold `Arc` clones of their leaves, so
-    /// a retired leaf stays alive until its last user drops it; a dropped
-    /// entry is rebuilt on next use.  With concurrent evaluators the
-    /// *timing* of the self-retire depends on request interleaving, which
-    /// can only affect which leaves are rebuilt (hit/miss counters), never
-    /// any candidate result.
-    pub fn auto_retire_after(&self, requests: u64) {
-        self.auto_retire_every.store(requests, Ordering::Relaxed);
-        self.request_count.store(0, Ordering::Relaxed);
-    }
-
-    /// Advances the auto-retire schedule by `count` counted requests,
-    /// retiring when the window boundary is crossed.
-    fn note_requests(&self, count: u64) {
-        let every = self.auto_retire_every.load(Ordering::Relaxed);
-        if every == 0 || count == 0 {
-            return;
-        }
-        let before = self.request_count.fetch_add(count, Ordering::Relaxed);
-        if before / every != (before + count) / every {
-            self.retire();
-        }
+        SharedLeafIndexes::default()
     }
 
     /// Drops every cached leaf index (a pool change — the pool identity is
@@ -965,31 +839,6 @@ impl SharedLeafIndexes {
             .expect("shared leaf cache poisoned")
             .clear();
         *self.pool_stamp.lock().expect("pool stamp poisoned") = None;
-    }
-
-    /// Marks a generation boundary.  Leaves requested in the generation just
-    /// ended are retained (their chains recurred, or were just built for a
-    /// live rule); all others are dropped.  If more survive than the
-    /// retention capacity, the most-used entries win (ties break on the key,
-    /// so retirement is deterministic).  Counters are cumulative and
-    /// survive; the pool identity is kept — retained leaves stay valid
-    /// because retention is only sound against the *same* pool, which the
-    /// pool stamp continues to enforce.
-    pub fn retire(&self) {
-        let ending = self.generation.fetch_add(1, Ordering::Relaxed);
-        let mut cached = self.leaves.lock().expect("shared leaf cache poisoned");
-        cached.retain(|_, entry| entry.last_used_generation == ending);
-        if cached.len() > self.retain_capacity {
-            let mut order: Vec<(u64, LeafKey)> =
-                cached.iter().map(|(key, e)| (e.uses, *key)).collect();
-            order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            let keep: HashSet<LeafKey> = order
-                .into_iter()
-                .take(self.retain_capacity)
-                .map(|(_, key)| key)
-                .collect();
-            cached.retain(|key, _| keep.contains(key));
-        }
     }
 
     /// Records the pool on first use and rejects any later use against a
@@ -1019,7 +868,6 @@ impl SharedLeafIndexes {
         LeafReuseStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            cross_generation_hits: self.cross_generation_hits.load(Ordering::Relaxed),
             entries: self
                 .leaves
                 .lock()
@@ -1028,87 +876,9 @@ impl SharedLeafIndexes {
         }
     }
 
-    /// Records one answered request on an entry (hit bookkeeping shared by
-    /// the lookup paths).  Returns whether the hit crossed a generation
-    /// boundary.
-    fn touch(entry: &mut CachedLeaf, generation: u64) -> bool {
-        entry.last_used_generation = generation;
-        entry.uses += 1;
-        entry.built_generation < generation
-    }
-
-    /// Resolves the leaves of a whole generation's plans in one pass:
-    /// every `(plan, comparison)` request is counted — in plan order, on
-    /// the calling thread, so the counters are deterministic — and the
-    /// missing leaves are then **built in parallel** on `threads` workers
-    /// (each distinct key exactly once) and cached.  Afterwards,
-    /// [`MultiBlockIndex::build_shared_prepared`] assembles any of the
-    /// plans' indexes by pure lookup, from any thread, without touching the
-    /// counters.
-    pub fn ensure_plans<'e>(
-        &self,
-        plans: &[&IndexingPlan],
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-        threads: usize,
-    ) {
-        self.guard_pool(targets);
-        let generation = self.generation.load(Ordering::Relaxed);
-        let mut pending: Vec<&IndexedComparison> = Vec::new();
-        let mut scheduled: HashMap<LeafKey, u64> = HashMap::new();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut cross = 0u64;
-        {
-            let mut cached = self.leaves.lock().expect("shared leaf cache poisoned");
-            for plan in plans {
-                for comparison in plan.comparisons() {
-                    let key = comparison.leaf_reuse_key();
-                    if let Some(entry) = cached.get_mut(&key) {
-                        hits += 1;
-                        if SharedLeafIndexes::touch(entry, generation) {
-                            cross += 1;
-                        }
-                    } else if let Some(uses) = scheduled.get_mut(&key) {
-                        hits += 1;
-                        *uses += 1;
-                    } else {
-                        misses += 1;
-                        scheduled.insert(key, 1);
-                        pending.push(comparison);
-                    }
-                }
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        self.cross_generation_hits
-            .fetch_add(cross, Ordering::Relaxed);
-        self.note_requests(hits + misses);
-        if pending.is_empty() {
-            return;
-        }
-        let built = linkdisc_util::parallel_ordered_map(&pending, threads, |comparison| {
-            Arc::new(pool_leaf(comparison, targets, cache))
-        });
-        let mut cached = self.leaves.lock().expect("shared leaf cache poisoned");
-        for (comparison, leaf) in pending.iter().zip(built) {
-            let key = comparison.leaf_reuse_key();
-            let uses = scheduled.get(&key).copied().unwrap_or(1);
-            cached.entry(key).or_insert(CachedLeaf {
-                leaf,
-                built_generation: generation,
-                last_used_generation: generation,
-                uses,
-            });
-        }
-    }
-
     /// The leaf index of one comparison over the pool, built on first use.
     /// The build runs outside the lock, so concurrent misses on one key may
-    /// both build (either result is identical); callers that need
-    /// deterministic counters resolve all leaves from a single thread first
-    /// (or batch through [`SharedLeafIndexes::ensure_plans`]).
+    /// both build (either result is identical).
     fn leaf_for<'e>(
         &self,
         comparison: &IndexedComparison,
@@ -1116,19 +886,14 @@ impl SharedLeafIndexes {
         cache: &ValueCache<'e>,
     ) -> Arc<LeafIndex> {
         let key = comparison.leaf_reuse_key();
-        self.note_requests(1);
-        let generation = self.generation.load(Ordering::Relaxed);
-        if let Some(entry) = self
+        if let Some(leaf) = self
             .leaves
             .lock()
             .expect("shared leaf cache poisoned")
-            .get_mut(&key)
+            .get(&key)
         {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if SharedLeafIndexes::touch(entry, generation) {
-                self.cross_generation_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return entry.leaf.clone();
+            return leaf.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let leaf = Arc::new(pool_leaf(comparison, targets, cache));
@@ -1136,46 +901,7 @@ impl SharedLeafIndexes {
             .lock()
             .expect("shared leaf cache poisoned")
             .entry(key)
-            .or_insert_with(|| CachedLeaf {
-                leaf: leaf.clone(),
-                built_generation: generation,
-                last_used_generation: generation,
-                uses: 1,
-            })
-            .leaf
-            .clone()
-    }
-
-    /// Uncounted lookup-or-build, for assembling indexes of plans already
-    /// accounted for by [`SharedLeafIndexes::ensure_plans`].
-    fn leaf_uncounted<'e>(
-        &self,
-        comparison: &IndexedComparison,
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-    ) -> Arc<LeafIndex> {
-        let key = comparison.leaf_reuse_key();
-        let generation = self.generation.load(Ordering::Relaxed);
-        if let Some(entry) = self
-            .leaves
-            .lock()
-            .expect("shared leaf cache poisoned")
-            .get(&key)
-        {
-            return entry.leaf.clone();
-        }
-        let leaf = Arc::new(pool_leaf(comparison, targets, cache));
-        self.leaves
-            .lock()
-            .expect("shared leaf cache poisoned")
-            .entry(key)
-            .or_insert_with(|| CachedLeaf {
-                leaf: leaf.clone(),
-                built_generation: generation,
-                last_used_generation: generation,
-                uses: 1,
-            })
-            .leaf
+            .or_insert(leaf)
             .clone()
     }
 }
@@ -1265,7 +991,7 @@ struct PooledLeaf {
 /// Arc-shared by every registered rule's [`MultiBlockIndex`], maintained
 /// **once** per entity insert/remove instead of once per rule slot.
 ///
-/// Unlike the learning-time [`SharedLeafIndexes`] — which is scoped to one
+/// Unlike active learning's [`SharedLeafIndexes`] — which is scoped to one
 /// immutable target pool and panics when the pool changes — the serving
 /// pool owns maintenance: [`LeafPool::insert_entity`] and
 /// [`LeafPool::remove_entity`] mutate each distinct leaf exactly once
@@ -1769,7 +1495,7 @@ mod tests {
     }
 
     /// The bulk constructor at all three batch call sites — engine slices,
-    /// the learning-time [`SharedLeafIndexes`], and a serving [`LeafPool`]
+    /// active learning's [`SharedLeafIndexes`], and a serving [`LeafPool`]
     /// over a store with tombstone holes — sharded at 1/2/4 threads, against
     /// inserting the same entities one by one: maps, [`LeafBuildStats`],
     /// `postings_sq` and sidecars.  Both plan leaves sit under the
@@ -1793,16 +1519,10 @@ mod tests {
             let sliced =
                 MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
             assert_same_index(&sliced, &one_by_one);
-
-            let shared = SharedLeafIndexes::new();
-            shared.ensure_plans(&[p.as_ref()], &targets, &cache, threads);
-            let learned =
-                MultiBlockIndex::build_shared_prepared(p.clone(), &targets, &cache, &shared);
-            assert_same_index(&learned, &one_by_one);
         }
-        let on_demand =
+        let shared =
             MultiBlockIndex::build_shared(p.clone(), &targets, &cache, &SharedLeafIndexes::new());
-        assert_same_index(&on_demand, &one_by_one);
+        assert_same_index(&shared, &one_by_one);
 
         // serving: every third slot (but not the last) is a tombstone hole
         let mut store = linkdisc_entity::EntityStore::new(target.schema().clone());
@@ -1984,7 +1704,7 @@ mod tests {
             &shared,
         );
         assert_eq!(shared.stats().hits, 2);
-        // clear() invalidates: the next generation rebuilds its leaves
+        // clear() invalidates: the next build over the pool rebuilds its leaves
         shared.clear();
         assert_eq!(shared.stats().entries, 0);
         MultiBlockIndex::build_shared(
@@ -2009,123 +1729,6 @@ mod tests {
                 reference.candidate_positions(entity, &cache)
             );
         }
-    }
-
-    #[test]
-    fn retire_keeps_recurring_leaves_and_drops_dead_ones() {
-        let (source, target) = (source(), target());
-        let cache = ValueCache::new();
-        let shared = SharedLeafIndexes::new();
-        let targets: Vec<&linkdisc_entity::Entity> = target.entities().iter().collect();
-        let name_rule: LinkageRule = compare(
-            property("name"),
-            property("name"),
-            DistanceFunction::Levenshtein,
-            2.0,
-        )
-        .into();
-        let year_rule: LinkageRule = compare(
-            property("year"),
-            property("year"),
-            DistanceFunction::Numeric,
-            2.0,
-        )
-        .into();
-        // generation 1 uses both chains
-        let name_plan = Arc::new(plan(&name_rule, &source, &target));
-        let year_plan = Arc::new(plan(&year_rule, &source, &target));
-        let first = MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        MultiBlockIndex::build_shared(year_plan, &targets, &cache, &shared);
-        assert_eq!(shared.stats().entries, 2);
-        assert_eq!(shared.stats().cross_generation_hits, 0);
-
-        // generation 2 only recurs the name chain: the year leaf dies at
-        // the next boundary, the name leaf is answered without a rebuild
-        shared.retire();
-        let second = MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        let stats = shared.stats();
-        assert_eq!(stats.misses, 2, "no rebuild after retirement");
-        assert_eq!(stats.cross_generation_hits, 1);
-        assert!(
-            Arc::ptr_eq(&first.leaves[0], &second.leaves[0]),
-            "the retained leaf is literally the same allocation"
-        );
-        shared.retire();
-        assert_eq!(
-            shared.stats().entries,
-            1,
-            "the unused year leaf is dropped at the boundary"
-        );
-
-        // a zero-capacity cache degenerates to the old clear-per-generation
-        // behaviour
-        let unretained = SharedLeafIndexes::with_retention(0);
-        MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &unretained);
-        unretained.retire();
-        assert_eq!(unretained.stats().entries, 0);
-        MultiBlockIndex::build_shared(name_plan, &targets, &cache, &unretained);
-        let stats = unretained.stats();
-        assert_eq!(stats.misses, 2, "every generation rebuilds at capacity 0");
-        assert_eq!(stats.cross_generation_hits, 0);
-    }
-
-    /// Steady-state evolution has no generation barrier to call `retire()`
-    /// from; a request window must bound the cache instead.  Every two
-    /// counted requests here cross an auto-retire boundary: leaves whose
-    /// chains keep recurring survive the self-retires, a chain that stops
-    /// being requested is dropped at the next boundary after its last use,
-    /// and retained leaves are still served without a rebuild.
-    #[test]
-    fn auto_retire_bounds_steady_state_growth() {
-        let (source, target) = (source(), target());
-        let cache = ValueCache::new();
-        let shared = SharedLeafIndexes::new();
-        shared.auto_retire_after(2);
-        let targets: Vec<&linkdisc_entity::Entity> = target.entities().iter().collect();
-        let name_rule: LinkageRule = compare(
-            property("name"),
-            property("name"),
-            DistanceFunction::Levenshtein,
-            2.0,
-        )
-        .into();
-        let year_rule: LinkageRule = compare(
-            property("year"),
-            property("year"),
-            DistanceFunction::Numeric,
-            2.0,
-        )
-        .into();
-        let name_plan = Arc::new(plan(&name_rule, &source, &target));
-        let year_plan = Arc::new(plan(&year_rule, &source, &target));
-        // a steady stream of single-leaf builds: name, year, name, year
-        let first = MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        MultiBlockIndex::build_shared(year_plan.clone(), &targets, &cache, &shared);
-        MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        MultiBlockIndex::build_shared(year_plan, &targets, &cache, &shared);
-        // both chains recur across every self-retire, so neither is rebuilt
-        assert_eq!(shared.stats().entries, 2);
-        assert_eq!(
-            shared.stats().misses,
-            2,
-            "recurring chains are never rebuilt"
-        );
-        // the year chain stops being requested: only name requests from now
-        // on.  The year leaf was touched in the current window, so it
-        // survives one boundary and is dropped at the one after (two full
-        // name-only windows = four requests).
-        let last = MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        for _ in 0..3 {
-            MultiBlockIndex::build_shared(name_plan.clone(), &targets, &cache, &shared);
-        }
-        assert_eq!(
-            shared.stats().entries,
-            1,
-            "the dead year chain is dropped without any retire() call"
-        );
-        assert_eq!(shared.stats().misses, 2, "the live name chain survived");
-        // retained leaves are literally the same allocation throughout
-        assert!(Arc::ptr_eq(&first.leaves[0], &last.leaves[0]));
     }
 
     #[test]

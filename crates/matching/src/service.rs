@@ -40,8 +40,8 @@
 //! The registry serves many rules from **one** store, one interner and one
 //! epoch stream.  Per-comparison leaf indexes live in a serving-side
 //! [`crate::multiblock::LeafPool`] keyed by `(target chain hash, measure,
-//! bound bucket)` — the same reuse key learning's
-//! [`crate::SharedLeafIndexes`] proved sound — so a leaf is built once,
+//! bound bucket)` — the same reuse key active learning's
+//! [`crate::SharedLeafIndexes`] uses — so a leaf is built once,
 //! `Arc`-shared by every rule whose plan contains the key, and maintained
 //! **once** per entity mutation instead of once per rule.
 //! [`ServiceWriter::register_rule`] on a warm store builds only the

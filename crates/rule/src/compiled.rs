@@ -7,7 +7,7 @@
 //! resolved reference pair, and GP populations are dominated by repeated
 //! subexpressions, so almost all of that work is redundant.
 //!
-//! A [`CompiledRule`] lowers the tree into a flat instruction list once:
+//! A [`CompiledRule`] lowers the tree into a schema-resolved node tree once:
 //!
 //! * property accesses are resolved to integer column indices against the
 //!   source/target schemas up front (with a by-name fallback for entities
@@ -21,21 +21,28 @@
 //!   Jaccard/Dice run a linear merge over sorted token-id slices cached next
 //!   to the values (tokens are interned process-wide, see [`crate::tokens`]).
 //!
-//! The tree-walking evaluator stays as the reference oracle: for every rule
-//! and pair, `CompiledRule::evaluate` returns **bit-identical** scores to
-//! `LinkageRule::evaluate` (enforced by the property-based parity test in
-//! `tests/tests/compiled_parity.rs`).
+//! There is **one evaluator**: every entry point runs the node tree under a
+//! requirement `lo`.  Each aggregation's children are ordered cheapest-first
+//! by a static cost model, and the requirement is threaded down the tree so
+//! a pair stops at the earliest comparison that decides it cannot reach
+//! `lo`.  The contract (documented in DESIGN.md and enforced by
+//! `tests/tests/bounded_parity.rs`): the returned score `s` always satisfies
+//! `exact ≤ s`, and `s ≥ lo` implies `s == exact` bit-for-bit —
+//! classification and the scores of *linked* pairs are identical to
+//! exhaustive evaluation; only pairs already decided "no link" may carry a
+//! different (still sub-threshold) score.  [`CompiledRule::evaluate`] is the
+//! same walk at `lo = −∞`, where nothing can be decided early and the score
+//! is exact everywhere: **bit-identical** to the tree-walking reference
+//! oracle `LinkageRule::evaluate` (enforced by the property-based parity test
+//! in `tests/tests/compiled_parity.rs`).
 //!
-//! On top of the exact plan, [`CompiledRule::evaluate_bounded`] runs a
-//! **score-bounded** evaluation: each aggregation's children are ordered
-//! cheapest-first by a static cost model, and a running requirement is
-//! threaded down the tree so a pair stops at the earliest comparison that
-//! decides it cannot reach the link threshold.  The contract (documented in
-//! DESIGN.md and enforced by `tests/tests/bounded_parity.rs`): the returned
-//! score `s` always satisfies `exact ≤ s`, and `s ≥ threshold` implies
-//! `s == exact` bit-for-bit — classification and the scores of *linked*
-//! pairs are identical to exhaustive evaluation; only pairs already decided
-//! "no link" may carry a different (still sub-threshold) score.
+//! The evaluator is generic over **where a side's slot values come from**:
+//! `(entity, &ValueCache)` — one memo lookup per slot read, for callers that
+//! meet each entity a handful of times (the serving path, one-off pairs) — or
+//! `(`[`BoundSide`]`, position)` — dense per-slot columns filled from the
+//! [`ValueCache`] once per job, for callers that score the same entities many
+//! times (the matching engine, the learner's fitness).  One evaluator body,
+//! two providers.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -73,27 +80,7 @@ pub(crate) enum Slot {
     },
 }
 
-/// One instruction of the flattened similarity tree (postorder).
-#[derive(Debug, Clone)]
-enum Instruction {
-    /// Score two value slots with a distance function.
-    Compare {
-        source: SlotId,
-        target: SlotId,
-        function: DistanceFunction,
-        threshold: f64,
-        weight: u32,
-    },
-    /// Pop `arity` child scores off the stack and combine them.
-    Aggregate {
-        function: AggregationFunction,
-        weight: u32,
-        arity: usize,
-    },
-}
-
-/// One node of the bounded-evaluation tree (the same similarity tree as the
-/// instruction list, in node form so evaluation can stop mid-aggregation).
+/// One node of the evaluation tree.
 #[derive(Debug, Clone)]
 enum EvalNode {
     /// Score two value slots with a distance function.
@@ -106,8 +93,8 @@ enum EvalNode {
     /// Combine child scores, visiting children cheapest-first.
     Aggregate {
         function: AggregationFunction,
-        /// Child node ids in the rule's original order (the order the
-        /// exhaustive evaluator accumulates in).
+        /// Child node ids in the rule's original order (the order
+        /// `WeightedMean` accumulates in).
         children: Vec<usize>,
         /// Raw child weights, original order (`WeightedMean` applies its own
         /// `max(1)` clamp, exactly like [`AggregationFunction::evaluate`]).
@@ -229,6 +216,22 @@ pub(crate) struct SlotProgram {
 }
 
 impl SlotProgram {
+    /// The column a property slot reads on `entity`: the index resolved at
+    /// compile time for entities of the plan's schema, by-name resolution
+    /// for an entity following a different one.
+    fn property_index(
+        &self,
+        name: &str,
+        index: Option<PropertyIndex>,
+        entity: &Entity,
+    ) -> Option<PropertyIndex> {
+        if Arc::ptr_eq(entity.schema(), &self.schema) {
+            index
+        } else {
+            entity.schema().index_of(name)
+        }
+    }
+
     /// The values of a slot for one entity: a borrowed slice for property
     /// slots, a memoized interned slice for transformation slots.
     fn values<'e>(
@@ -239,23 +242,40 @@ impl SlotProgram {
     ) -> ValuesRef<'e> {
         match &self.slots[slot] {
             Slot::Property { name, index } => {
-                let values = if Arc::ptr_eq(entity.schema(), &self.schema) {
-                    match index {
-                        Some(index) => entity.values_at(*index),
-                        None => &[],
-                    }
-                } else {
-                    // the entity follows a different schema than the plan was
-                    // compiled for; fall back to by-name resolution
-                    entity.values(name)
-                };
-                ValuesRef::Borrowed(values)
+                ValuesRef::Borrowed(match self.property_index(name, *index, entity) {
+                    Some(index) => entity.values_at(index),
+                    None => &[],
+                })
             }
             Slot::Transform { .. } => {
                 ValuesRef::Interned(cache.values(entity, self.hashes[slot], || {
                     self.compute_transform(slot, entity, cache)
                 }))
             }
+        }
+    }
+
+    /// [`SlotProgram::values`] as a shared slice that outlives the borrow of
+    /// the entity — what a [`BoundSide`] column holds.  A clone of the
+    /// entity's own slice or of the cache entry, never a copy of the strings.
+    fn shared_values<'e>(
+        &self,
+        slot: SlotId,
+        entity: &'e Entity,
+        cache: &ValueCache<'e>,
+    ) -> Arc<[String]> {
+        match &self.slots[slot] {
+            Slot::Property { name, index } => self
+                .property_index(name, *index, entity)
+                .and_then(|index| entity.shared_values_at(index))
+                .cloned()
+                .unwrap_or_else(|| {
+                    static EMPTY: std::sync::OnceLock<Arc<[String]>> = std::sync::OnceLock::new();
+                    EMPTY.get_or_init(|| Arc::from(Vec::new())).clone()
+                }),
+            Slot::Transform { .. } => cache.values(entity, self.hashes[slot], || {
+                self.compute_transform(slot, entity, cache)
+            }),
         }
     }
 
@@ -360,14 +380,13 @@ impl std::ops::Deref for ChainValues<'_> {
     }
 }
 
-/// A linkage rule lowered into a flat, schema-resolved evaluation plan.
+/// A linkage rule lowered into a schema-resolved evaluation plan.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
     source: SlotProgram,
     target: SlotProgram,
-    instructions: Vec<Instruction>,
-    /// The same tree in node form for bounded evaluation, children ordered
-    /// cheapest-first; shares the slot tables with `instructions`.
+    /// The similarity tree in node form, aggregation children ordered
+    /// cheapest-first.
     nodes: Vec<EvalNode>,
     root_node: Option<usize>,
     total_comparisons: u32,
@@ -384,21 +403,10 @@ impl CompiledRule {
     ) -> Self {
         let mut source_table = SlotTable::default();
         let mut target_table = SlotTable::default();
-        let mut instructions = Vec::new();
         let mut nodes = Vec::new();
         let mut root_node = None;
         let mut total_comparisons = 0;
         if let Some(root) = rule.root() {
-            lower_similarity(
-                root,
-                source_schema,
-                target_schema,
-                &mut source_table,
-                &mut target_table,
-                &mut instructions,
-            );
-            // second lowering for the bounded tree; slot interning is
-            // hash-deduplicated, so both plans share the same slot ids
             let lowered = lower_node(
                 root,
                 source_schema,
@@ -421,7 +429,6 @@ impl CompiledRule {
                 slots: target_table.slots,
                 hashes: target_table.hashes,
             },
-            instructions,
             nodes,
             root_node,
             total_comparisons,
@@ -435,9 +442,10 @@ impl CompiledRule {
         self.rule_hash
     }
 
-    /// Number of instructions in the plan (0 for the empty rule).
+    /// Number of nodes (comparisons and aggregations) in the plan (0 for the
+    /// empty rule).
     pub fn instruction_count(&self) -> usize {
-        self.instructions.len()
+        self.nodes.len()
     }
 
     /// The structural hashes of every *target-side* value slot of the plan —
@@ -483,19 +491,14 @@ impl CompiledRule {
         source_cache: &ValueCache<'s>,
         target_cache: &ValueCache<'t>,
     ) -> f64 {
-        if self.instructions.is_empty() {
-            return 0.0;
-        }
-        EVAL_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            self.run_instructions(
-                source_entity,
-                target_entity,
-                source_cache,
-                target_cache,
-                &mut scratch,
-            )
-        })
+        // no requirement: nothing can be decided early, the score is exact
+        self.evaluate_bounded_two(
+            source_entity,
+            target_entity,
+            source_cache,
+            target_cache,
+            f64::NEG_INFINITY,
+        )
     }
 
     /// Number of comparison operators in the plan.
@@ -517,15 +520,7 @@ impl CompiledRule {
         cache: &ValueCache<'e>,
         threshold: f64,
     ) -> f64 {
-        let mut stats = EvalStats::default();
-        self.evaluate_bounded_two_stats(
-            pair.source,
-            pair.target,
-            cache,
-            cache,
-            threshold,
-            &mut stats,
-        )
+        self.evaluate_bounded_two(pair.source, pair.target, cache, cache, threshold)
     }
 
     /// [`CompiledRule::evaluate_bounded`] over a pair with per-side caches
@@ -560,28 +555,128 @@ impl CompiledRule {
         threshold: f64,
         stats: &mut EvalStats,
     ) -> f64 {
+        self.evaluate_from(
+            Memoized {
+                entity: source_entity,
+                cache: source_cache,
+            },
+            Memoized {
+                entity: target_entity,
+                cache: target_cache,
+            },
+            threshold,
+            stats,
+        )
+    }
+
+    /// Binds the plan's source side to a list of entities: one dense column
+    /// per slot a comparison reads, holding the slot's values (or sorted
+    /// token ids, for Jaccard/Dice) of every entity by list position.
+    ///
+    /// Binding is the once-per-job half of evaluation: every column cell is
+    /// filled through `cache` — which stays the one memo of transformation
+    /// outputs; cells are `Arc` clones of its entries, not copies — so
+    /// [`CompiledRule::evaluate_bound_stats`] reads plain slices per pair: no
+    /// hash, no lock, no reference count.  The result owns its columns and
+    /// borrows nothing; it stays valid (and its scores identical) whatever
+    /// happens to `cache` or the entities afterwards.  Memory: one fat
+    /// pointer per (read slot, entity).
+    ///
+    /// `memo` lets rules over **the same entity list** share columns by
+    /// chain hash (see [`ColumnMemo`]); pass `None` for a one-rule job.
+    pub fn bind_source<'e, I>(
+        &self,
+        entities: I,
+        cache: &ValueCache<'e>,
+        memo: Option<&ColumnMemo>,
+    ) -> BoundSide
+    where
+        I: Iterator<Item = &'e Entity> + Clone,
+    {
+        self.source
+            .bind(self.reads(|source, _| source), entities, cache, memo)
+    }
+
+    /// [`CompiledRule::bind_source`] for the target side.
+    pub fn bind_target<'e, I>(
+        &self,
+        entities: I,
+        cache: &ValueCache<'e>,
+        memo: Option<&ColumnMemo>,
+    ) -> BoundSide
+    where
+        I: Iterator<Item = &'e Entity> + Clone,
+    {
+        self.target
+            .bind(self.reads(|_, target| target), entities, cache, memo)
+    }
+
+    /// The slots one side's comparisons read — `side` picks it from a
+    /// comparison's `(source, target)` slots — each with whether it is read
+    /// as token ids.  Repeats are possible.
+    fn reads(
+        &self,
+        side: fn(SlotId, SlotId) -> SlotId,
+    ) -> impl Iterator<Item = (SlotId, bool)> + '_ {
+        self.nodes.iter().filter_map(move |node| match node {
+            EvalNode::Compare {
+                source,
+                target,
+                function,
+                ..
+            } => Some((side(*source, *target), reads_token_ids(*function))),
+            EvalNode::Aggregate { .. } => None,
+        })
+    }
+
+    /// [`CompiledRule::evaluate_bounded_two_stats`] over two bound sides, by
+    /// position: same evaluator, same score bits, same counters — only the
+    /// slot values come from the columns instead of the cache.  The sides
+    /// must have been bound by this plan (or one compiled from an equal
+    /// rule against the same schemas).
+    pub fn evaluate_bound_stats(
+        &self,
+        source: &BoundSide,
+        source_position: usize,
+        target: &BoundSide,
+        target_position: usize,
+        threshold: f64,
+        stats: &mut EvalStats,
+    ) -> f64 {
+        self.evaluate_from(
+            Positioned {
+                side: source,
+                position: source_position,
+            },
+            Positioned {
+                side: target,
+                position: target_position,
+            },
+            threshold,
+            stats,
+        )
+    }
+
+    /// The one evaluator entry: runs the node tree under `threshold` with the
+    /// two sides' slot values drawn from `source` and `target`.
+    fn evaluate_from<S: SlotValues, T: SlotValues>(
+        &self,
+        source: S,
+        target: T,
+        threshold: f64,
+        stats: &mut EvalStats,
+    ) -> f64 {
         let Some(root) = self.root_node else {
             return 0.0;
         };
         let mut evaluated = 0u32;
         // the arena is borrowed out of the per-thread scratch for the whole
-        // recursion (comparison kernels never touch the scratch); it returns
-        // empty but with its capacity intact, so warm evaluation allocates
-        // nothing
-        let mut arena =
-            EVAL_SCRATCH.with(|scratch| std::mem::take(&mut scratch.borrow_mut().arena));
-        let score = self.eval_node(
-            root,
-            threshold,
-            source_entity,
-            target_entity,
-            source_cache,
-            target_cache,
-            &mut arena,
-            &mut evaluated,
-        );
+        // recursion (comparison kernels never touch it); it returns empty
+        // but with its capacity intact, so warm evaluation allocates nothing
+        let mut arena = WMEAN_ARENA.with(|arena| std::mem::take(&mut *arena.borrow_mut()));
+        let score = self.eval_node(root, threshold, source, target, &mut arena, &mut evaluated);
         debug_assert!(arena.is_empty(), "every weighted mean truncates its frame");
-        EVAL_SCRATCH.with(|scratch| scratch.borrow_mut().arena = arena);
+        WMEAN_ARENA.with(|slot| *slot.borrow_mut() = arena);
         stats.pairs += 1;
         stats.comparisons_evaluated += u64::from(evaluated);
         let skipped = self.total_comparisons - evaluated;
@@ -600,37 +695,32 @@ impl CompiledRule {
     ///   bit-for-bit (`WeightedMean` replays its accumulation in the
     ///   original child order to guarantee this).
     ///
-    /// Passing `lo = f64::NEG_INFINITY` disables pruning entirely and
+    /// Passing `lo = f64::NEG_INFINITY` leaves nothing to decide early and
     /// reproduces the exhaustive result everywhere.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_node<'s, 't>(
+    fn eval_node<S: SlotValues, T: SlotValues>(
         &self,
         node: usize,
         lo: f64,
-        source_entity: &'s Entity,
-        target_entity: &'t Entity,
-        source_cache: &ValueCache<'s>,
-        target_cache: &ValueCache<'t>,
+        source: S,
+        target: T,
         arena: &mut Vec<f64>,
         evaluated: &mut u32,
     ) -> f64 {
         match &self.nodes[node] {
             EvalNode::Compare {
-                source,
-                target,
+                source: source_slot,
+                target: target_slot,
                 function,
                 threshold,
             } => {
                 *evaluated += 1;
                 self.comparison_score(
-                    *source,
-                    *target,
+                    *source_slot,
+                    *target_slot,
                     *function,
                     *threshold,
-                    source_entity,
-                    target_entity,
-                    source_cache,
-                    target_cache,
+                    source,
+                    target,
                 )
             }
             EvalNode::Aggregate {
@@ -647,16 +737,8 @@ impl CompiledRule {
                     AggregationFunction::Min => {
                         let mut worst = f64::MAX;
                         for &pos in visit {
-                            let child = self.eval_node(
-                                children[pos],
-                                lo,
-                                source_entity,
-                                target_entity,
-                                source_cache,
-                                target_cache,
-                                arena,
-                                evaluated,
-                            );
+                            let child =
+                                self.eval_node(children[pos], lo, source, target, arena, evaluated);
                             if child < lo {
                                 // the child's value is an upper bound of its
                                 // exact score, so the min is provably < lo
@@ -679,10 +761,8 @@ impl CompiledRule {
                             let child = self.eval_node(
                                 children[pos],
                                 requirement,
-                                source_entity,
-                                target_entity,
-                                source_cache,
-                                target_cache,
+                                source,
+                                target,
                                 arena,
                                 evaluated,
                             );
@@ -702,10 +782,8 @@ impl CompiledRule {
                         visit,
                         *weight_sum,
                         lo,
-                        source_entity,
-                        target_entity,
-                        source_cache,
-                        target_cache,
+                        source,
+                        target,
                         arena,
                         evaluated,
                     ),
@@ -721,17 +799,15 @@ impl CompiledRule {
     /// evaluation would link; if the slack check itself is inconclusive, the
     /// child is re-evaluated exactly and the loop continues.
     #[allow(clippy::too_many_arguments)]
-    fn eval_weighted_mean<'s, 't>(
+    fn eval_weighted_mean<S: SlotValues, T: SlotValues>(
         &self,
         children: &[usize],
         weights: &[u32],
         visit: &[usize],
         weight_sum: f64,
         lo: f64,
-        source_entity: &'s Entity,
-        target_entity: &'t Entity,
-        source_cache: &ValueCache<'s>,
-        target_cache: &ValueCache<'t>,
+        source: S,
+        target: T,
         arena: &mut Vec<f64>,
         evaluated: &mut u32,
     ) -> f64 {
@@ -758,16 +834,7 @@ impl CompiledRule {
                 // and let the guard below confirm the bound
                 1.0
             } else {
-                self.eval_node(
-                    children[pos],
-                    requirement,
-                    source_entity,
-                    target_entity,
-                    source_cache,
-                    target_cache,
-                    arena,
-                    evaluated,
-                )
+                self.eval_node(children[pos], requirement, source, target, arena, evaluated)
             };
             if requirement > 1.0 || child < requirement {
                 // child below requirement ⇒ the mean is below lo − SLACK even
@@ -781,10 +848,8 @@ impl CompiledRule {
                 child = self.eval_node(
                     children[pos],
                     f64::NEG_INFINITY,
-                    source_entity,
-                    target_entity,
-                    source_cache,
-                    target_cache,
+                    source,
+                    target,
                     arena,
                     evaluated,
                 );
@@ -799,153 +864,251 @@ impl CompiledRule {
         result
     }
 
-    fn run_instructions<'s, 't>(
+    fn comparison_score<S: SlotValues, T: SlotValues>(
         &self,
-        source_entity: &'s Entity,
-        target_entity: &'t Entity,
-        source_cache: &ValueCache<'s>,
-        target_cache: &ValueCache<'t>,
-        scratch: &mut EvalScratch,
-    ) -> f64 {
-        let EvalScratch {
-            stack,
-            scores,
-            weights,
-            ..
-        } = scratch;
-        stack.clear();
-        for instruction in &self.instructions {
-            match instruction {
-                Instruction::Compare {
-                    source,
-                    target,
-                    function,
-                    threshold,
-                    weight,
-                } => {
-                    let score = self.comparison_score(
-                        *source,
-                        *target,
-                        *function,
-                        *threshold,
-                        source_entity,
-                        target_entity,
-                        source_cache,
-                        target_cache,
-                    );
-                    stack.push((score, *weight));
-                }
-                Instruction::Aggregate {
-                    function,
-                    weight,
-                    arity,
-                } => {
-                    // children are copied out in their original order, so
-                    // WeightedMean accumulates in exactly the tree-walk
-                    // order (bit-identical floating-point result)
-                    let at = stack.len() - arity;
-                    scores.clear();
-                    weights.clear();
-                    scores.extend(stack[at..].iter().map(|c| c.0));
-                    weights.extend(stack[at..].iter().map(|c| c.1));
-                    stack.truncate(at);
-                    stack.push((function.evaluate(scores, weights), *weight));
-                }
-            }
-        }
-        debug_assert_eq!(stack.len(), 1, "plan must reduce to a single score");
-        stack
-            .pop()
-            .map(|(score, _)| score)
-            .unwrap_or(0.0)
-            .clamp(0.0, 1.0)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn comparison_score<'s, 't>(
-        &self,
-        source: SlotId,
-        target: SlotId,
+        source_slot: SlotId,
+        target_slot: SlotId,
         function: DistanceFunction,
         threshold: f64,
-        source_entity: &'s Entity,
-        target_entity: &'t Entity,
-        source_cache: &ValueCache<'s>,
-        target_cache: &ValueCache<'t>,
+        source: S,
+        target: T,
     ) -> f64 {
+        if reads_token_ids(function) {
+            let a = source.ids(&self.source, source_slot);
+            let b = target.ids(&self.target, target_slot);
+            // the tree walk reports "unmeasurable" before ever reaching
+            // the set measure when either side is empty
+            if a.is_empty() || b.is_empty() {
+                return 0.0;
+            }
+            // size bound: the intersection is at most the smaller set and
+            // the union at least the larger, so the distance is at least
+            // this — if even that is past the threshold, the similarity
+            // is exactly 0 and the merge can be skipped (division is
+            // correctly rounded and monotone, so the bound never
+            // overshoots the true distance)
+            let (small, large) = if a.len() <= b.len() {
+                (a.len(), b.len())
+            } else {
+                (b.len(), a.len())
+            };
+            let best_distance = match function {
+                DistanceFunction::Jaccard => 1.0 - small as f64 / large as f64,
+                _ => 1.0 - 2.0 * small as f64 / (a.len() + b.len()) as f64,
+            };
+            if threshold_similarity(best_distance, threshold) == 0.0 {
+                return 0.0;
+            }
+            let distance = match function {
+                DistanceFunction::Jaccard => jaccard_ids(&a, &b),
+                _ => dice_ids(&a, &b),
+            };
+            return threshold_similarity(distance, threshold);
+        }
+        let a = source.values(&self.source, source_slot);
+        let b = target.values(&self.target, target_slot);
         match function {
-            DistanceFunction::Jaccard | DistanceFunction::Dice => {
-                let a = self.source.ids(source, source_entity, source_cache);
-                let b = self.target.ids(target, target_entity, target_cache);
-                // the tree walk reports "unmeasurable" before ever reaching
-                // the set measure when either side is empty
-                if a.is_empty() || b.is_empty() {
-                    return 0.0;
-                }
-                // size bound: the intersection is at most the smaller set and
-                // the union at least the larger, so the distance is at least
-                // this — if even that is past the threshold, the similarity
-                // is exactly 0 and the merge can be skipped (division is
-                // correctly rounded and monotone, so the bound never
-                // overshoots the true distance)
-                let (small, large) = if a.len() <= b.len() {
-                    (a.len(), b.len())
-                } else {
-                    (b.len(), a.len())
-                };
-                let best_distance = match function {
-                    DistanceFunction::Jaccard => 1.0 - small as f64 / large as f64,
-                    _ => 1.0 - 2.0 * small as f64 / (a.len() + b.len()) as f64,
-                };
-                if threshold_similarity(best_distance, threshold) == 0.0 {
-                    return 0.0;
-                }
-                let distance = match function {
-                    DistanceFunction::Jaccard => jaccard_ids(&a, &b),
-                    _ => dice_ids(&a, &b),
-                };
-                threshold_similarity(distance, threshold)
-            }
-            DistanceFunction::Levenshtein => {
-                let a = self.source.values(source, source_entity, source_cache);
-                let b = self.target.values(target, target_entity, target_cache);
-                levenshtein_similarity(&a, &b, threshold)
-            }
-            _ => {
-                let a = self.source.values(source, source_entity, source_cache);
-                let b = self.target.values(target, target_entity, target_cache);
-                function.similarity(&a, &b, threshold)
-            }
+            DistanceFunction::Levenshtein => levenshtein_similarity(&a, &b, threshold),
+            _ => function.similarity(&a, &b, threshold),
         }
     }
 }
 
-/// Reusable per-thread evaluation state: the instruction score stack and
-/// aggregation score/weight buffers of [`CompiledRule::evaluate_two`], plus
-/// the weighted-mean score arena of the bounded evaluator.
-struct EvalScratch {
-    stack: Vec<(f64, u32)>,
-    scores: Vec<f64>,
-    weights: Vec<u32>,
-    arena: Vec<f64>,
+/// Whether a comparison reads its slots as sorted token ids (the set
+/// measures) rather than as value slices.
+fn reads_token_ids(function: DistanceFunction) -> bool {
+    matches!(function, DistanceFunction::Jaccard | DistanceFunction::Dice)
 }
 
-impl EvalScratch {
-    const fn new() -> Self {
-        EvalScratch {
-            stack: Vec::new(),
-            scores: Vec::new(),
-            weights: Vec::new(),
-            arena: Vec::new(),
-        }
+/// Where one side of a pair gets its slot values from — the one thing the
+/// evaluator is generic over.
+trait SlotValues: Copy {
+    type Values: std::ops::Deref<Target = [String]>;
+    type Ids: std::ops::Deref<Target = [u32]>;
+
+    /// The values of a slot.
+    fn values(self, program: &SlotProgram, slot: SlotId) -> Self::Values;
+
+    /// The sorted token ids of a slot's value set.
+    fn ids(self, program: &SlotProgram, slot: SlotId) -> Self::Ids;
+}
+
+/// An entity read through its [`ValueCache`]: one memo lookup per slot read.
+#[derive(Clone, Copy)]
+struct Memoized<'c, 'e> {
+    entity: &'e Entity,
+    cache: &'c ValueCache<'e>,
+}
+
+impl<'e> SlotValues for Memoized<'_, 'e> {
+    type Values = ValuesRef<'e>;
+    type Ids = Arc<[u32]>;
+
+    fn values(self, program: &SlotProgram, slot: SlotId) -> ValuesRef<'e> {
+        program.values(slot, self.entity, self.cache)
+    }
+
+    fn ids(self, program: &SlotProgram, slot: SlotId) -> Arc<[u32]> {
+        program.ids(slot, self.entity, self.cache)
     }
 }
 
-// evaluation scratch is reused across calls — evaluation never recurses into
-// itself — so the per-pair hot path performs no allocation once warm
+/// One position of a [`BoundSide`]: a slot read is two indexings.
+#[derive(Clone, Copy)]
+struct Positioned<'b> {
+    side: &'b BoundSide,
+    position: usize,
+}
+
+impl<'b> SlotValues for Positioned<'b> {
+    type Values = &'b [String];
+    type Ids = &'b [u32];
+
+    fn values(self, _program: &SlotProgram, slot: SlotId) -> &'b [String] {
+        let column = self.side.values[slot]
+            .as_ref()
+            .expect("side bound by the plan that evaluates it");
+        &column[self.position]
+    }
+
+    fn ids(self, _program: &SlotProgram, slot: SlotId) -> &'b [u32] {
+        let column = self.side.ids[slot]
+            .as_ref()
+            .expect("side bound by the plan that evaluates it");
+        &column[self.position]
+    }
+}
+
+/// One slot's values (`C = String`) or sorted token ids (`C = u32`) for
+/// every entity of a bound list, by position.
+type Column<C> = Arc<[Arc<[C]>]>;
+/// Columns of one entity list by chain hash.
+type ColumnMap<C> = Mutex<HashMap<u64, Column<C>>>;
+
+/// One side of a [`CompiledRule`] bound to a list of entities (see
+/// [`CompiledRule::bind_source`]): per slot a comparison reads, a dense
+/// column of that slot's values — or sorted token ids — by list position.
+#[derive(Debug, Clone)]
+pub struct BoundSide {
+    /// By slot; `Some` for the slots a non-set comparison reads.
+    values: Vec<Option<Column<String>>>,
+    /// By slot; `Some` for the slots a Jaccard/Dice comparison reads.
+    ids: Vec<Option<Column<u32>>>,
+}
+
+/// Cells a [`ColumnMemo`] may hold before it is dropped wholesale — the
+/// entry capacity of a whole [`ValueCache`], whose entries the cells point
+/// at (16 MiB of fat pointers).
+const COLUMN_MEMO_CELLS: usize = VALUE_CACHE_SHARD_CAPACITY * VALUE_CACHE_SHARDS;
+
+/// Columns of **one fixed entity list**, shared by chain hash across the
+/// rules bound to it.
+///
+/// A learner binds every rule of a population to the same reference
+/// entities, and populations are dominated by repeated chains, so most
+/// binds are a handful of `Arc` clones.  Like the [`ValueCache`] it is a
+/// pure memo — a column is a function of (entity list, chain hash) — and it
+/// is bounded the same way: past [`COLUMN_MEMO_CELLS`] cells it is dropped
+/// wholesale and refills from the cache.  Passing one memo to binds over
+/// different lists is a caller bug (columns are positional); a length
+/// mismatch is caught by assertion.
+#[derive(Debug, Default)]
+pub struct ColumnMemo {
+    values: ColumnMap<String>,
+    ids: ColumnMap<u32>,
+}
+
+impl ColumnMemo {
+    /// Creates an empty memo (allocation-free).
+    pub fn new() -> Self {
+        ColumnMemo::default()
+    }
+
+    /// Number of columns currently memoized.
+    pub fn len(&self) -> usize {
+        self.values.lock().expect("column memo poisoned").len()
+            + self.ids.lock().expect("column memo poisoned").len()
+    }
+
+    /// Returns `true` if no column is memoized.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Looks a column up by chain hash, building (outside the lock — concurrent
+/// misses on one hash build equal columns) and memoizing it on a miss.
+fn memoized_column<C>(
+    memo: Option<&ColumnMap<C>>,
+    chain_hash: u64,
+    len: usize,
+    build: impl FnOnce() -> Column<C>,
+) -> Column<C> {
+    let Some(memo) = memo else {
+        return build();
+    };
+    if let Some(column) = memo.lock().expect("column memo poisoned").get(&chain_hash) {
+        assert_eq!(column.len(), len, "ColumnMemo reused across entity lists");
+        return column.clone();
+    }
+    let column = build();
+    let mut columns = memo.lock().expect("column memo poisoned");
+    if (columns.len() + 1) * len > COLUMN_MEMO_CELLS {
+        columns.clear();
+    }
+    columns.entry(chain_hash).or_insert(column).clone()
+}
+
+impl SlotProgram {
+    /// Fills the columns of the slots in `reads` (`(slot, as token ids)`,
+    /// repeats allowed) for `entities`.
+    fn bind<'e, I>(
+        &self,
+        reads: impl Iterator<Item = (SlotId, bool)>,
+        entities: I,
+        cache: &ValueCache<'e>,
+        memo: Option<&ColumnMemo>,
+    ) -> BoundSide
+    where
+        I: Iterator<Item = &'e Entity> + Clone,
+    {
+        let len = entities.clone().count();
+        let mut bound = BoundSide {
+            values: vec![None; self.slots.len()],
+            ids: vec![None; self.slots.len()],
+        };
+        for (slot, token_ids) in reads {
+            let hash = self.hashes[slot];
+            if token_ids {
+                bound.ids[slot].get_or_insert_with(|| {
+                    memoized_column(memo.map(|memo| &memo.ids), hash, len, || {
+                        entities
+                            .clone()
+                            .map(|entity| self.ids(slot, entity, cache))
+                            .collect()
+                    })
+                });
+            } else {
+                bound.values[slot].get_or_insert_with(|| {
+                    memoized_column(memo.map(|memo| &memo.values), hash, len, || {
+                        entities
+                            .clone()
+                            .map(|entity| self.shared_values(slot, entity, cache))
+                            .collect()
+                    })
+                });
+            }
+        }
+        bound
+    }
+}
+
+// the weighted-mean score arena is reused across calls — evaluation never
+// recurses into itself — so the per-pair hot path performs no allocation once
+// warm
 thread_local! {
-    static EVAL_SCRATCH: std::cell::RefCell<EvalScratch> =
-        const { std::cell::RefCell::new(EvalScratch::new()) };
+    static WMEAN_ARENA: std::cell::RefCell<Vec<f64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Borrowed-or-interned values of a slot.
@@ -1005,48 +1168,7 @@ fn levenshtein_similarity(a: &[String], b: &[String], threshold: f64) -> f64 {
     }
 }
 
-fn lower_similarity(
-    operator: &SimilarityOperator,
-    source_schema: &Schema,
-    target_schema: &Schema,
-    source_table: &mut SlotTable,
-    target_table: &mut SlotTable,
-    instructions: &mut Vec<Instruction>,
-) {
-    match operator {
-        SimilarityOperator::Comparison(c) => {
-            let source = source_table.intern(&c.source, source_schema);
-            let target = target_table.intern(&c.target, target_schema);
-            instructions.push(Instruction::Compare {
-                source,
-                target,
-                function: c.function,
-                threshold: c.threshold,
-                weight: c.weight,
-            });
-        }
-        SimilarityOperator::Aggregation(a) => {
-            for child in &a.operators {
-                lower_similarity(
-                    child,
-                    source_schema,
-                    target_schema,
-                    source_table,
-                    target_table,
-                    instructions,
-                );
-            }
-            instructions.push(Instruction::Aggregate {
-                function: a.function,
-                weight: a.weight,
-                arity: a.operators.len(),
-            });
-        }
-    }
-}
-
-/// Result of lowering one similarity operator into the bounded-evaluation
-/// tree: its node id plus the estimated cost and comparison count of the
+/// Result of lowering one similarity operator into the evaluation tree: its node id plus the estimated cost and comparison count of the
 /// whole subtree.
 struct LoweredNode {
     node: usize,
@@ -1866,6 +1988,76 @@ mod tests {
         let bounded = compiled.evaluate_bounded(&pair, &cache, crate::rule::LINK_THRESHOLD);
         assert!(exact >= crate::rule::LINK_THRESHOLD);
         assert_eq!(bounded.to_bits(), exact.to_bits());
+    }
+
+    #[test]
+    fn bound_evaluation_reads_no_cache_and_shares_columns_across_rules() {
+        let schema = city_schema();
+        let entities = [
+            berlin(&schema),
+            EntityBuilder::new("b:paris")
+                .value("label", "PARIS")
+                .build(schema.clone()),
+            // a foreign schema without "point": resolved by name, empty set
+            EntityBuilder::new("odd")
+                .value("label", "berlin")
+                .build_with_own_schema(),
+        ];
+        let cache = ValueCache::new();
+        let (sources, targets) = (ColumnMemo::new(), ColumnMemo::new());
+        let rule = figure2_rule();
+        let compiled = CompiledRule::compile(&rule, &schema, &schema);
+        let source = compiled.bind_source(entities.iter(), &cache, Some(&sources));
+        let target = compiled.bind_target(entities.iter(), &cache, Some(&targets));
+        // bound evaluation never touches the cache...
+        let counters = (cache.hits(), cache.misses());
+        let mut bound = Vec::new();
+        for s in 0..entities.len() {
+            for t in 0..entities.len() {
+                let mut stats = EvalStats::default();
+                let score = compiled.evaluate_bound_stats(
+                    &source,
+                    s,
+                    &target,
+                    t,
+                    crate::rule::LINK_THRESHOLD,
+                    &mut stats,
+                );
+                bound.push((score.to_bits(), stats));
+            }
+        }
+        assert_eq!((cache.hits(), cache.misses()), counters);
+        // ...and is the cached evaluation, bit for bit and counter for counter
+        let mut cached = Vec::new();
+        for a in &entities {
+            for b in &entities {
+                let mut stats = EvalStats::default();
+                let score = compiled.evaluate_bounded_two_stats(
+                    a,
+                    b,
+                    &cache,
+                    &cache,
+                    crate::rule::LINK_THRESHOLD,
+                    &mut stats,
+                );
+                cached.push((score.to_bits(), stats));
+            }
+        }
+        assert_eq!(bound, cached);
+        // a second rule reading lowerCase(label) gets the memoized column
+        let other: LinkageRule = compare(
+            transform(TransformFunction::LowerCase, vec![property("label")]),
+            property("label"),
+            DistanceFunction::Equality,
+            0.5,
+        )
+        .into();
+        let other = CompiledRule::compile(&other, &schema, &schema);
+        let other_source = other.bind_source(entities.iter(), &cache, Some(&sources));
+        let shared = |side: &BoundSide| side.values.iter().flatten().next().cloned().unwrap();
+        assert!(Arc::ptr_eq(&shared(&source), &shared(&other_source)));
+        assert_eq!(sources.len(), 2, "lowerCase(label) and point");
+        assert_eq!(targets.len(), 2);
     }
 
     #[test]

@@ -26,7 +26,8 @@ use crate::stats;
 /// else falls back to [`levenshtein_reference`].
 pub fn levenshtein(a: &str, b: &str) -> usize {
     if a.is_ascii() && b.is_ascii() {
-        levenshtein_bytes(a.as_bytes(), b.as_bytes())
+        levenshtein_bytes(a.as_bytes(), b.as_bytes(), usize::MAX)
+            .expect("every distance is within an unlimited bound")
     } else {
         stats::count_levenshtein_fallback();
         levenshtein_reference(a, b)
@@ -39,9 +40,10 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// Comparison operators discard any distance above their threshold `θ`
 /// (Definition 7 turns it into similarity `0`), so the evaluator only ever
 /// needs distances within `⌊θ⌋`.  ASCII inputs short-circuit on the length
-/// difference and otherwise run the bit-parallel kernel (which beats the
-/// banded DP at every realistic bound: it processes 64 pattern rows per
-/// instruction); non-ASCII inputs use the banded reference DP.
+/// difference, drop the common prefix and suffix (an optimal alignment
+/// matches them, so the distance is that of the differing middles) and run
+/// the bit-parallel kernel on what is left, which gives up as soon as the
+/// bound is out of reach; non-ASCII inputs use the banded reference DP.
 pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
     if a.is_ascii() && b.is_ascii() {
         let x = a.as_bytes();
@@ -49,8 +51,15 @@ pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
         if x.len().abs_diff(y.len()) > bound {
             return None;
         }
-        let distance = levenshtein_bytes(x, y);
-        (distance <= bound).then_some(distance)
+        let prefix = x.iter().zip(y).take_while(|(p, q)| p == q).count();
+        let (x, y) = (&x[prefix..], &y[prefix..]);
+        let suffix = x
+            .iter()
+            .rev()
+            .zip(y.iter().rev())
+            .take_while(|(p, q)| p == q)
+            .count();
+        levenshtein_bytes(&x[..x.len() - suffix], &y[..y.len() - suffix], bound)
     } else {
         stats::count_levenshtein_fallback();
         levenshtein_bounded_reference(a, b, bound)
@@ -67,18 +76,19 @@ pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
 }
 
 /// ASCII dispatch: pick the shorter side as the Myers pattern (fewer words)
-/// and run the single-word or blocked kernel.
-fn levenshtein_bytes(a: &[u8], b: &[u8]) -> usize {
+/// and run the single-word or blocked kernel.  `Some(d)` iff `d ≤ bound`.
+fn levenshtein_bytes(a: &[u8], b: &[u8], bound: usize) -> Option<usize> {
     let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if pattern.is_empty() {
-        return text.len();
+        return (text.len() <= bound).then_some(text.len());
     }
     stats::count_levenshtein_bit_parallel();
     with_scratch(|scratch| {
         if pattern.len() <= 64 {
-            myers_64(pattern, text, &mut scratch.peq)
+            myers_64(pattern, text, bound, &mut scratch.peq)
         } else {
-            myers_blocked(pattern, text, scratch)
+            let distance = myers_blocked(pattern, text, scratch);
+            (distance <= bound).then_some(distance)
         }
     })
 }
@@ -89,9 +99,14 @@ fn levenshtein_bytes(a: &[u8], b: &[u8]) -> usize {
 /// column in O(1) word operations.  The `| 1` on the `Ph` shift feeds the
 /// `D[0][j] = j` boundary (the top row grows by one every column).
 ///
+/// Returns `Some(d)` iff `d ≤ bound`.  `score` is the bottom-row cell of the
+/// current column and falls by at most one per remaining column, so the loop
+/// stops once `score − remaining columns` is past the bound.
+///
 /// `peq` must be all-zero on entry; the touched bytes are cleared before
-/// returning so the table can live in the shared scratch.
-fn myers_64(pattern: &[u8], text: &[u8], peq: &mut [u64; 256]) -> usize {
+/// returning — also after an early exit — so the table can live in the
+/// shared scratch.
+fn myers_64(pattern: &[u8], text: &[u8], bound: usize, peq: &mut [u64; 256]) -> Option<usize> {
     debug_assert!((1..=64).contains(&pattern.len()));
     for (i, &c) in pattern.iter().enumerate() {
         peq[c as usize] |= 1u64 << i;
@@ -100,6 +115,7 @@ fn myers_64(pattern: &[u8], text: &[u8], peq: &mut [u64; 256]) -> usize {
     let mut mv = 0u64;
     let mut score = pattern.len();
     let high = 1u64 << (pattern.len() - 1);
+    let mut remaining = text.len();
     for &c in text {
         let eq = peq[c as usize];
         let xv = eq | mv;
@@ -115,11 +131,17 @@ fn myers_64(pattern: &[u8], text: &[u8], peq: &mut [u64; 256]) -> usize {
         let ph = (ph << 1) | 1;
         pv = (mh << 1) | !(xv | ph);
         mv = ph & xv;
+        remaining -= 1;
+        if score.saturating_sub(remaining) > bound {
+            break;
+        }
     }
     for &c in pattern {
         peq[c as usize] = 0;
     }
-    score
+    // an early exit leaves `score − remaining > bound`; a full pass leaves
+    // `remaining == 0` and the exact distance in `score`
+    (score.saturating_sub(remaining) <= bound).then_some(score)
 }
 
 /// One column step of one 64-row block (Hyyrö 2003).  `hin` is the
@@ -527,6 +549,40 @@ mod tests {
                 prop_assert_eq!(banded, Some(naive), "a={:?} b={:?} bound={}", a, b, bound);
             } else {
                 prop_assert_eq!(banded, None, "a={:?} b={:?} bound={} naive={}", a, b, bound, naive);
+            }
+        }
+
+        /// The bounded ASCII path — prefix/suffix strip, early-exit
+        /// single-word kernel up to 64 bytes, blocked kernel above — agrees
+        /// with the banded DP oracle on near-duplicates (a few edits apart,
+        /// so the length filter lets them through) and on unrelated strings,
+        /// and an early exit leaves the shared `peq` table all-zero.
+        #[test]
+        fn bounded_ascii_matches_reference(
+            a in "[abc]{0,70}",
+            edits in proptest::collection::vec((0usize..3, 0usize..70, 0usize..3), 0..8),
+            unrelated in "[abc]{0,70}",
+            bound in 0usize..11,
+        ) {
+            let mut edited = a.clone().into_bytes();
+            for (kind, at, letter) in edits {
+                let at = at % (edited.len() + 1);
+                let letter = b"abc"[letter];
+                match kind {
+                    0 => edited.insert(at, letter),
+                    1 if at < edited.len() => edited[at] = letter,
+                    _ if at < edited.len() => { edited.remove(at); }
+                    _ => {}
+                }
+            }
+            let edited = String::from_utf8(edited).expect("ascii");
+            for b in [&edited, &unrelated] {
+                prop_assert_eq!(
+                    levenshtein_bounded(&a, b, bound),
+                    levenshtein_bounded_reference(&a, b, bound),
+                    "a={:?} b={:?} bound={}", a, b, bound
+                );
+                with_scratch(|scratch| prop_assert!(scratch.peq.iter().all(|&word| word == 0)));
             }
         }
 

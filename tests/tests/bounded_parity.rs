@@ -8,17 +8,25 @@
 //! are therefore allowed to differ only for pairs both sides classify as
 //! "no link" — which is precisely what these tests pin down over random
 //! GP-shaped rules on the Cora and Restaurant datasets.
+//!
+//! The compiled plan has one evaluator, so the exhaustive side of every
+//! comparison here is the independent reference: the tree walk
+//! `LinkageRule::evaluate`.  The last property pins the evaluator's second
+//! value provider — bound sides read by position — to its first, the
+//! `(entity, ValueCache)` path, bit for bit and counter for counter.
 
 use genlink::random::RandomRuleGenerator;
 use genlink::{CompatiblePair, CrossoverOperator, RepresentationMode};
 use linkdisc_datasets::DatasetKind;
-use linkdisc_entity::EntityPair;
+use linkdisc_entity::{Entity, EntityBuilder, EntityPair, Schema};
 use linkdisc_evaluation::{evaluate_compiled, evaluate_compiled_stats, evaluate_rule};
 use linkdisc_rule::{
-    CompiledRule, DistanceFunction, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD,
+    ColumnMemo, CompiledRule, DistanceFunction, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD,
 };
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Compatible pairs over the Cora schema, mirroring `compiled_parity.rs` so
 /// the rule sample exercises every distance function the generator offers.
@@ -90,7 +98,7 @@ fn bounded_classification_matches_exhaustive_on_1000_cora_combinations() {
                     &target_entities[rng.gen_range(0..target_entities.len())],
                 )
             };
-            let exhaustive = compiled.evaluate(&pair, &cache);
+            let exhaustive = rule.evaluate(&pair);
             let bounded = compiled.evaluate_bounded_two_stats(
                 pair.source,
                 pair.target,
@@ -141,8 +149,9 @@ fn bounded_classification_matches_exhaustive_on_1000_cora_combinations() {
 
 #[test]
 fn disabled_bound_reproduces_exhaustive_bit_for_bit() {
-    // θ = -∞ disables every prune, so the bounded evaluator must *be* the
-    // exhaustive evaluator, not merely agree with it at the threshold
+    // θ = -∞ leaves nothing to decide early, so the bounded evaluator must
+    // reproduce the tree walk everywhere, not merely agree with it at the
+    // threshold — this is what makes `CompiledRule::evaluate` exact
     let dataset = DatasetKind::Restaurant.generate(0.2, 5);
     let source_entities = dataset.source.entities();
     let target_entities = dataset.target.entities();
@@ -159,12 +168,17 @@ fn disabled_bound_reproduces_exhaustive_bit_for_bit() {
                 &source_entities[rng.gen_range(0..source_entities.len())],
                 &target_entities[rng.gen_range(0..target_entities.len())],
             );
-            let exhaustive = compiled.evaluate(&pair, &cache);
+            let exhaustive = rule.evaluate(&pair);
             let bounded = compiled.evaluate_bounded(&pair, &cache, f64::NEG_INFINITY);
             assert_eq!(
                 exhaustive.to_bits(),
                 bounded.to_bits(),
                 "θ=-∞ diverged for {rule:?}"
+            );
+            assert_eq!(
+                exhaustive.to_bits(),
+                compiled.evaluate(&pair, &cache).to_bits(),
+                "evaluate is the bounded walk at θ=-∞"
             );
         }
     }
@@ -247,7 +261,7 @@ fn learned_restaurant_rule_short_circuits_without_changing_links() {
     for source in dataset.source.entities() {
         for target in dataset.target.entities() {
             let pair = EntityPair::new(source, target);
-            let exhaustive = compiled.evaluate(&pair, &cache);
+            let exhaustive = rule.evaluate(&pair);
             let bounded = compiled.evaluate_bounded_two_stats(
                 source,
                 target,
@@ -272,5 +286,130 @@ fn learned_restaurant_rule_short_circuits_without_changing_links() {
             stats.comparisons_skipped > 0,
             "no comparison skipped across the whole cross product"
         );
+    }
+}
+
+/// One side's entities for the bound-evaluation property: `values[i]` holds
+/// the `name` / `tags` / `year` value sets of entity `i` (any of them may be
+/// empty), and the last entity follows a schema of its own — other property
+/// order, one property missing — so the plan resolves it by name.
+fn side(prefix: &str, schema: &Arc<Schema>, values: &[Vec<Vec<String>>]) -> Vec<Entity> {
+    let mut entities: Vec<Entity> = values
+        .iter()
+        .enumerate()
+        .map(|(i, sets)| {
+            EntityBuilder::new(format!("{prefix}{i}"))
+                .values("name", sets[0].clone())
+                .values("tags", sets[1].clone())
+                .values("year", sets[2].clone())
+                .build(schema.clone())
+        })
+        .collect();
+    entities.push(
+        EntityBuilder::new(format!("{prefix}-foreign"))
+            .value("year", "1999")
+            .value("extra", "x")
+            .values("name", ["Ab c", "b"])
+            .build_with_own_schema(),
+    );
+    entities
+}
+
+proptest! {
+    /// Bound evaluation *is* `evaluate_bounded_two_stats`: same score bits
+    /// and same `EvalStats` for every pair, at the link threshold and at
+    /// θ = -∞, over random rules whose comparisons share chains within and
+    /// across sides (few properties, up to four comparisons, Jaccard/Dice
+    /// slots next to value slots), entities with empty value sets and a
+    /// foreign-schema entity per side — with and without a column memo
+    /// shared by all of a case's rules.
+    #[test]
+    fn bound_evaluation_equals_cached_evaluation(
+        sources in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec("[a-cA-C ]{0,5}", 0..3), 3..4),
+            1..5,
+        ),
+        targets in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec("[a-cA-C ]{0,5}", 0..3), 3..4),
+            1..5,
+        ),
+        seed in 0u64..1_000_000,
+    ) {
+        let schema = Arc::new(Schema::new(["name", "tags", "year"]));
+        let sources = side("s", &schema, &sources);
+        let targets = side("t", &schema, &targets);
+        let functions = [
+            DistanceFunction::Levenshtein,
+            DistanceFunction::Jaccard,
+            DistanceFunction::Dice,
+            DistanceFunction::Equality,
+            DistanceFunction::Jaccard,
+            DistanceFunction::Numeric,
+        ];
+        // same-property and cross-property pairs, so a chain such as
+        // lowerCase(name) is read by several comparisons, as values and as ids
+        let pairs: Vec<CompatiblePair> = [
+            ("name", "name"),
+            ("name", "tags"),
+            ("tags", "tags"),
+            ("tags", "name"),
+            ("name", "name"),
+            ("year", "year"),
+        ]
+        .iter()
+        .zip(functions)
+        .map(|(&(source, target), function)| CompatiblePair {
+            source_property: source.to_string(),
+            target_property: target.to_string(),
+            function,
+            support: 0.5,
+        })
+        .collect();
+        let mut generator = RandomRuleGenerator::new(pairs, RepresentationMode::Full);
+        generator.transformation_probability = 0.6;
+        generator.max_comparisons = 4;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cache = ValueCache::new();
+        let (source_memo, target_memo) = (ColumnMemo::new(), ColumnMemo::new());
+        for round in 0..4 {
+            let rule = if round % 2 == 1 {
+                let (a, b) = (generator.generate(&mut rng), generator.generate(&mut rng));
+                CrossoverOperator::SPECIALIZED[round].apply(&a, &b, &mut rng)
+            } else {
+                generator.generate(&mut rng)
+            };
+            let compiled = CompiledRule::compile(&rule, &schema, &schema);
+            for memo in [None, Some((&source_memo, &target_memo))] {
+                let bound_sources =
+                    compiled.bind_source(sources.iter(), &cache, memo.map(|memo| memo.0));
+                let bound_targets =
+                    compiled.bind_target(targets.iter(), &cache, memo.map(|memo| memo.1));
+                for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
+                    for (s, source) in sources.iter().enumerate() {
+                        for (t, target) in targets.iter().enumerate() {
+                            let (mut cached_stats, mut bound_stats) =
+                                (EvalStats::default(), EvalStats::default());
+                            let cached = compiled.evaluate_bounded_two_stats(
+                                source, target, &cache, &cache, threshold, &mut cached_stats,
+                            );
+                            let bound = compiled.evaluate_bound_stats(
+                                &bound_sources, s, &bound_targets, t, threshold, &mut bound_stats,
+                            );
+                            prop_assert_eq!(
+                                cached.to_bits(),
+                                bound.to_bits(),
+                                "{:?} on ({}, {}) at {}", rule, source.id(), target.id(), threshold
+                            );
+                            prop_assert_eq!(cached_stats, bound_stats);
+                            if threshold == f64::NEG_INFINITY {
+                                let pair = EntityPair::new(source, target);
+                                prop_assert_eq!(bound.to_bits(), rule.evaluate(&pair).to_bits());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        prop_assert!(!source_memo.is_empty() && !target_memo.is_empty());
     }
 }

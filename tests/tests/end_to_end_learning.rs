@@ -140,3 +140,62 @@ fn specialized_operators_are_not_worse_than_subtree_crossover() {
         "specialized {specialized_f1} should not be clearly worse than subtree {subtree_f1}"
     );
 }
+
+/// Learned rules recorded at commit 455c986 (the last one whose fitness
+/// scored through candidate indexes): `GenLinkConfig::paper()` at population
+/// 100 × 5 generations, early stop off, 1 thread, learner seed 7, datasets
+/// generated with seed 42, trained on all reference links.  Any change to
+/// how a pair is scored, a rule is bred or a random number is drawn moves at
+/// least one of these hashes; a pure evaluation-path change must move none.
+/// To re-record on purpose, print `outcome.rule.canonical_hash()` for the
+/// same eight runs at the commit whose behaviour is being pinned.
+#[test]
+fn learned_rules_match_the_recorded_goldens() {
+    let cases = [
+        (
+            DatasetKind::Cora,
+            1.0,
+            0xc0fb3b0c27c075f5u64,
+            0x805da8d4e65b4bd9u64,
+        ),
+        (
+            DatasetKind::Restaurant,
+            1.0,
+            0x6c2eaf9c934bff44,
+            0x0affcf413955efe6,
+        ),
+        (
+            DatasetKind::Restaurant,
+            10.0,
+            0x6c2eaf9c934bff44,
+            0x0affcf413955efe6,
+        ),
+        (
+            DatasetKind::SiderDrugBank,
+            1.0,
+            0x22c8c1624e05f0c5,
+            0xd3d8de5d4c25dd44,
+        ),
+    ];
+    for (kind, scale, generational, steady_state) in cases {
+        let dataset = kind.generate(scale, 42);
+        let mut config = GenLinkConfig::paper();
+        config.gp.population_size = 100;
+        config.gp.max_iterations = 5;
+        config.gp.stop_f_measure = 2.0;
+        config.gp.threads = 1;
+        for (config, golden) in [
+            (config.clone(), generational),
+            (config.steady_state(), steady_state),
+        ] {
+            let outcome =
+                GenLink::new(config).learn(&dataset.source, &dataset.target, &dataset.links, 7);
+            assert_eq!(
+                outcome.rule.canonical_hash(),
+                golden,
+                "{kind} x{scale} learned {:?}",
+                outcome.rule
+            );
+        }
+    }
+}
