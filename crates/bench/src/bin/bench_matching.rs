@@ -1,7 +1,7 @@
 //! Matching-engine benchmark: MultiBlock candidate generation versus the
 //! full cross product, with results emitted to `BENCH_matching.json`.
 //!
-//! Four workloads exercise the candidate pipeline end-to-end:
+//! Five workloads exercise the candidate pipeline end-to-end:
 //!
 //! 1. **cora** — a Cora-style bibliographic workload matched by a fuzzy
 //!    Levenshtein rule over lower-cased titles (typos: no exact string
@@ -9,11 +9,15 @@
 //! 2. **restaurant** — a restaurant workload matched by a conjunction of
 //!    fuzzy name and normalised phone comparisons (exercises plan
 //!    intersection),
-//! 3. **restaurant-phone** — phone numbers compared through a `digitsOnly`
+//! 3. **restaurant-x10** — the same conjunction over Restaurant ×10
+//!    (4,256 × 4,256): large enough that the engine's staged build shows —
+//!    the row prints the leaves it built and the leaves it left out next to
+//!    blocked-vs-full milliseconds,
+//! 4. **restaurant-phone** — phone numbers compared through a `digitsOnly`
 //!    transform: a quarter of the true matches share *no* exact token
 //!    between their raw values, so only an index over the *transformed*
 //!    values keeps every one of them,
-//! 4. **restaurant-learned** — the rule is not hand-written but *learned*
+//! 5. **restaurant-learned** — the rule is not hand-written but *learned*
 //!    by the GP learner on the restaurant reference links (fixed seed), so
 //!    reduction ratio and recall are tracked on the rules the system
 //!    actually produces.
@@ -53,6 +57,10 @@ struct WorkloadResult {
     recall: f64,
     full_ms: f64,
     blocked_ms: f64,
+    /// Leaf indexes the engine built / left out (the staged build stops
+    /// under a conjunction once the built leaves prune enough).
+    leaves_built: usize,
+    leaves_skipped: usize,
     /// Whether the < 30% evaluated-fraction gate applies (hand-written
     /// workloads only; learned rules are tracked, not gated).
     gate_reduction: bool,
@@ -115,10 +123,21 @@ fn run_workload(name: &'static str, dataset: &Dataset, rule: LinkageRule) -> Wor
         blocked.links.len()
     );
     println!("recall vs full: {recall:.4} ({spurious} spurious links)");
+    let leaves_built = blocked
+        .comparison_stats
+        .iter()
+        .filter(|stats| stats.built)
+        .count();
+    let leaves_skipped = blocked.comparison_stats.len() - leaves_built;
+    println!(
+        "leaves: {leaves_built} built, {leaves_skipped} skipped; blocked {blocked_ms:.1} ms vs full \
+         {full_ms:.1} ms"
+    );
     for stats in &blocked.comparison_stats {
         println!(
-            "  block [{}]: {} blocks, {} postings, {}/{} entities indexed, {} candidates",
+            "  block [{}]: {}, {} blocks, {} postings, {}/{} entities indexed, {} candidates",
             stats.label,
+            if stats.built { "built" } else { "skipped" },
             stats.blocks,
             stats.postings,
             stats.indexed_entities,
@@ -137,6 +156,8 @@ fn run_workload(name: &'static str, dataset: &Dataset, rule: LinkageRule) -> Wor
         recall,
         full_ms,
         blocked_ms,
+        leaves_built,
+        leaves_skipped,
         gate_reduction: true,
     }
 }
@@ -156,8 +177,8 @@ fn cora_workload() -> (Dataset, LinkageRule) {
     (dataset, rule)
 }
 
-fn restaurant_workload() -> (Dataset, LinkageRule) {
-    let dataset = DatasetKind::Restaurant.generate(1.0, 42);
+fn restaurant_workload(scale: f64) -> (Dataset, LinkageRule) {
+    let dataset = DatasetKind::Restaurant.generate(scale, 42);
     // conjunction of a fuzzy name comparison and a normalised phone
     // comparison: the plan intersects both candidate sets
     let rule: LinkageRule = aggregation(
@@ -220,8 +241,10 @@ fn main() {
     let mut results = Vec::new();
     let (dataset, rule) = cora_workload();
     results.push(run_workload("cora", &dataset, rule));
-    let (dataset, rule) = restaurant_workload();
+    let (dataset, rule) = restaurant_workload(1.0);
     results.push(run_workload("restaurant", &dataset, rule));
+    let (dataset, rule) = restaurant_workload(10.0);
+    results.push(run_workload("restaurant-x10", &dataset, rule));
     let (dataset, rule) = restaurant_phone_workload();
     results.push(run_workload("restaurant-phone", &dataset, rule));
     let (dataset, rule) = learned_restaurant_workload();
@@ -250,7 +273,7 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\n      \"name\": \"{}\",\n      \"cross_product\": {},\n      \"evaluated_pairs\": {},\n      \"evaluated_fraction\": {:.4},\n      \"reduction_ratio\": {:.4},\n      \"links\": {},\n      \"recall_vs_full\": {:.4},\n      \"full_ms\": {:.1},\n      \"blocked_ms\": {:.1},\n      \"gate_reduction\": {}\n    }}",
+                "    {{\n      \"name\": \"{}\",\n      \"cross_product\": {},\n      \"evaluated_pairs\": {},\n      \"evaluated_fraction\": {:.4},\n      \"reduction_ratio\": {:.4},\n      \"links\": {},\n      \"recall_vs_full\": {:.4},\n      \"full_ms\": {:.1},\n      \"blocked_ms\": {:.1},\n      \"leaves_built\": {},\n      \"leaves_skipped\": {},\n      \"gate_reduction\": {}\n    }}",
                 r.name,
                 r.cross_product,
                 r.evaluated_pairs,
@@ -260,6 +283,8 @@ fn main() {
                 r.recall,
                 r.full_ms,
                 r.blocked_ms,
+                r.leaves_built,
+                r.leaves_skipped,
                 r.gate_reduction
             )
         })

@@ -316,6 +316,73 @@ mod tests {
     }
 
     #[test]
+    fn indexed_pool_keeps_every_link_of_a_conjunction_that_stops_early() {
+        // 150 targets share every label block but each has a code of its
+        // own: the conjunction's code leaf leaves one survivor per probe, so
+        // candidate generation stops before the (expensive) label leaf — the
+        // pool may only grow by that, never lose a pair a rule links
+        let mut target = DataSourceBuilder::new("B", ["label", "code"]);
+        for i in 0..150 {
+            let label = if i % 50 == 0 { "alphx" } else { "alpha" };
+            target = target
+                .entity(
+                    format!("b{i}"),
+                    [("label", label), ("code", &format!("c{i}"))],
+                )
+                .unwrap();
+        }
+        let target = target.build();
+        let source = DataSourceBuilder::new("A", ["label", "code"])
+            .entity("a1", [("label", "alpha"), ("code", "c7")])
+            .unwrap()
+            .entity("a2", [("label", "alpha"), ("code", "c50")])
+            .unwrap()
+            .entity("a3", [("label", "gamma"), ("code", "c9")])
+            .unwrap()
+            .build();
+        let label = |threshold| {
+            compare(
+                property("label"),
+                property("label"),
+                DistanceFunction::Levenshtein,
+                threshold,
+            )
+        };
+        let rules: Vec<LinkageRule> = vec![
+            linkdisc_rule::aggregation(
+                linkdisc_rule::AggregationFunction::Min,
+                vec![
+                    label(2.0),
+                    compare(
+                        property("code"),
+                        property("code"),
+                        DistanceFunction::Equality,
+                        0.5,
+                    ),
+                ],
+            )
+            .into(),
+            label(0.5).into(),
+        ];
+        let labelled = ReferenceLinksBuilder::new().build();
+        let shared = SharedLeafIndexes::new();
+        let pool = indexed_candidate_pool(&rules, &source, &target, &labelled, &shared);
+        let pool: HashSet<&Link> = pool.iter().collect();
+        let mut linked = 0;
+        for link in &candidate_pool(&source, &target, &labelled) {
+            let pair = EntityPair::resolve(link, &source, &target).unwrap();
+            if rules.iter().any(|rule| rule.is_link(&pair)) {
+                linked += 1;
+                assert!(pool.contains(link), "lossless pool must keep {link:?}");
+            }
+        }
+        // a1 and a2 link every "alpha" target exactly, a2 its "alphx" twin
+        assert_eq!(linked, 2 * 147 + 1);
+        // the stop admitted a3's code twin, which no rule links
+        assert!(pool.contains(&Link::new("a3", "b9")));
+    }
+
+    #[test]
     fn candidate_pool_excludes_labelled_pairs() {
         let (source, target) = sources();
         let labelled = ReferenceLinksBuilder::new()

@@ -19,9 +19,7 @@ use std::time::Instant;
 use linkdisc_entity::{Entity, ResolvedReferenceLinks, Schema};
 use linkdisc_evaluation::{evaluate_rule, ConfusionMatrix};
 use linkdisc_gp::{Evaluated, PhaseAccumulator, PhaseTimers};
-use linkdisc_rule::{
-    BoundSide, ColumnMemo, CompiledRule, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD,
-};
+use linkdisc_rule::{BoundSide, ColumnMemo, CompiledRule, EvalStats, LinkageRule, LINK_THRESHOLD};
 use linkdisc_similarity::KernelCounters;
 
 /// How the size of a rule is penalised.
@@ -150,11 +148,11 @@ struct BoundRule {
 /// else (DESIGN.md, "Why fitness does not index"): the rule is compiled once
 /// per evaluation ([`CompiledRule::compile`] is linear in the rule size), its
 /// two sides are bound to the pool's distinct entities — dense per-slot
-/// columns filled from a [`ValueCache`] shared across the whole learning
-/// run, and themselves shared across rules by chain hash, so a
-/// transformation chain appearing anywhere in the population is computed at
-/// most once per entity per run and looked up at most once per rule — and
-/// each pair is then a handful of kernel calls on plain slices.
+/// columns, computed whole and shared across rules by chain hash in the
+/// pool's [`ColumnMemo`]s, so a transformation chain appearing anywhere in
+/// the population is computed at most once per entity per run and looked up
+/// at most once per rule — and each pair is then a handful of kernel calls
+/// on plain slices.
 #[derive(Debug, Clone)]
 pub struct FitnessFunction<'a> {
     links: &'a ResolvedReferenceLinks<'a>,
@@ -162,7 +160,6 @@ pub struct FitnessFunction<'a> {
     /// `None` for an empty link set: no schema to compile against, scoring
     /// falls back to the tree walk.
     pool: Option<Arc<ReferencePool<'a>>>,
-    value_cache: Arc<ValueCache<'a>>,
     /// Per-phase busy time: compile (rule compilation), bind (filling or
     /// looking up the slot columns), score (confusion-matrix evaluation).
     /// Thread-safe — workers add durations concurrently.
@@ -216,17 +213,25 @@ impl<'a> FitnessFunction<'a> {
             links,
             parsimony,
             pool: ReferencePool::build(links).map(Arc::new),
-            value_cache: Arc::new(ValueCache::new()),
             timers: Arc::new(PhaseAccumulator::new()),
             eval_stats: Arc::new(SharedEvalStats::default()),
             kernels_baseline: KernelCounters::snapshot(),
         }
     }
 
-    /// The value cache backing compiled evaluation (exposed so the problem
-    /// can report cache statistics per iteration).
-    pub fn value_cache(&self) -> &ValueCache<'a> {
-        &self.value_cache
+    /// `(columns held, requests answered from the memo, columns computed)`
+    /// of the pool's two column memos, summed (exposed so the problem can
+    /// report cache statistics per iteration).
+    pub fn column_memo_stats(&self) -> (usize, u64, u64) {
+        let Some(pool) = &self.pool else {
+            return (0, 0, 0);
+        };
+        let (sources, targets) = (&pool.source_columns, &pool.target_columns);
+        (
+            sources.len() + targets.len(),
+            sources.hits() + targets.hits(),
+            sources.misses() + targets.misses(),
+        )
     }
 
     /// Cumulative per-phase busy time of compilation, binding and scoring
@@ -250,8 +255,8 @@ impl<'a> FitnessFunction<'a> {
     }
 
     /// Compiles one rule and binds its two sides to the pool.  Pure per-rule
-    /// work (the column memo and the value cache are memos), so it runs on
-    /// any thread; the returned [`PreparedRule`] is scored from any worker.
+    /// work (the column memos are pure memos), so it runs on any thread; the
+    /// returned [`PreparedRule`] is scored from any worker.
     pub fn prepare(&self, rule: &LinkageRule) -> PreparedRule {
         let Some(pool) = &self.pool else {
             return PreparedRule { bound: None };
@@ -260,16 +265,8 @@ impl<'a> FitnessFunction<'a> {
         let compiled = CompiledRule::compile(rule, &pool.source_schema, &pool.target_schema);
         self.timers.add_compile(compile_timer.elapsed());
         let bind_timer = Instant::now();
-        let source = compiled.bind_source(
-            pool.sources.iter().copied(),
-            &self.value_cache,
-            Some(&pool.source_columns),
-        );
-        let target = compiled.bind_target(
-            pool.targets.iter().copied(),
-            &self.value_cache,
-            Some(&pool.target_columns),
-        );
+        let source = compiled.bind_source(pool.sources.iter().copied(), Some(&pool.source_columns));
+        let target = compiled.bind_target(pool.targets.iter().copied(), Some(&pool.target_columns));
         self.timers.add_bind(bind_timer.elapsed());
         PreparedRule {
             bound: Some(BoundRule {

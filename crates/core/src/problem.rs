@@ -180,13 +180,14 @@ impl Problem for GenLinkProblem<'_> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        let value_cache = self.fitness.value_cache();
+        let (columns, hits, misses) = self.fitness.column_memo_stats();
         Some(CacheStats {
             fitness_hits: self.cache.hits(),
             fitness_misses: self.cache.misses(),
             fitness_entries: self.cache.len(),
-            value_cache_entries: value_cache.len(),
-            value_cache_hits: value_cache.hits(),
+            value_cache_entries: columns,
+            value_cache_hits: hits,
+            value_cache_misses: misses,
         })
     }
 

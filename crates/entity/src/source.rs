@@ -1,12 +1,16 @@
 //! Data sources: named collections of entities sharing a schema.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::entity::{Entity, EntityId};
 use crate::error::EntityError;
 use crate::schema::Schema;
 use crate::value::ValueSet;
+
+/// Distinct value sets tracked per property before the property counts as
+/// high-cardinality and [`DataSource::add`] stops looking for repeats.
+const SHARED_VALUE_SETS: usize = 1024;
 
 /// A data source `A` or `B`: a set of entities adhering to one [`Schema`].
 #[derive(Debug, Clone)]
@@ -15,6 +19,12 @@ pub struct DataSource {
     schema: Arc<Schema>,
     entities: Vec<Entity>,
     by_id: HashMap<EntityId, usize>,
+    /// Per property, the distinct value sets added so far, while they are
+    /// few: entities repeating a low-cardinality value set (a city, a
+    /// cuisine, a year) share one allocation of it.  `None` once a property
+    /// has shown more than [`SHARED_VALUE_SETS`] distinct sets — tracking a
+    /// mostly-unique property would cost more than it saves.
+    shared: Vec<Option<HashSet<Arc<[String]>>>>,
 }
 
 impl DataSource {
@@ -22,6 +32,7 @@ impl DataSource {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         DataSource {
             name: name.into(),
+            shared: vec![Some(HashSet::new()); schema.len()],
             schema: Arc::new(schema),
             entities: Vec::new(),
             by_id: HashMap::new(),
@@ -63,36 +74,62 @@ impl DataSource {
         self.entities.get(index)
     }
 
-    /// Adds an entity built from aligned value sets.  Fails if the identifier
-    /// is already present.
+    /// Adds an entity built from aligned value sets (padded or truncated to
+    /// the schema).  Fails if the identifier is already present.
     pub fn add(
         &mut self,
         id: impl Into<EntityId>,
-        values: Vec<ValueSet>,
+        mut values: Vec<ValueSet>,
     ) -> Result<(), EntityError> {
-        let id = id.into();
+        values.resize(self.schema.len(), ValueSet::new());
+        let values = values
+            .into_iter()
+            .enumerate()
+            .map(|(property, set)| self.share(property, set))
+            .collect();
+        self.push(id.into(), values)
+    }
+
+    /// The shared slice of one property's value set: the allocation an
+    /// earlier entity already holds for an equal set of a low-cardinality
+    /// property, a fresh one otherwise.
+    fn share(&mut self, property: usize, set: ValueSet) -> Arc<[String]> {
+        let Some(seen) = &mut self.shared[property] else {
+            return Arc::from(set);
+        };
+        if let Some(existing) = seen.get(&set[..]) {
+            return existing.clone();
+        }
+        let slice: Arc<[String]> = Arc::from(set);
+        if seen.len() < SHARED_VALUE_SETS {
+            seen.insert(slice.clone());
+        } else {
+            self.shared[property] = None;
+        }
+        slice
+    }
+
+    fn push(&mut self, id: EntityId, values: Vec<Arc<[String]>>) -> Result<(), EntityError> {
         if self.by_id.contains_key(&id) {
             return Err(EntityError::DuplicateEntity(id));
         }
-        let entity = Entity::new(id.clone(), self.schema.clone(), values);
-        self.by_id.insert(id, self.entities.len());
-        self.entities.push(entity);
+        self.by_id.insert(id.clone(), self.entities.len());
+        self.entities
+            .push(Entity::from_shared(id, self.schema.clone(), values));
         Ok(())
     }
 
-    /// Adds an already-built entity, re-aligning it to this source's schema if
-    /// it was built against a different one.
+    /// Adds an already-built entity: one following this source's schema keeps
+    /// its shared value slices (no string is copied), any other is re-aligned
+    /// by property name.
     pub fn add_entity(&mut self, entity: Entity) -> Result<(), EntityError> {
         if Arc::ptr_eq(entity.schema(), &self.schema)
             || entity.schema().as_ref() == self.schema.as_ref()
         {
-            let values = self
-                .schema
-                .properties()
-                .iter()
-                .map(|p| entity.values(p).to_vec())
+            let values = (0..self.schema.len())
+                .filter_map(|property| entity.shared_values_at(property).cloned())
                 .collect();
-            self.add(entity.id().to_string(), values)
+            self.push(entity.id().to_string(), values)
         } else {
             let values = self
                 .schema
@@ -244,6 +281,48 @@ mod tests {
         let source = DataSource::new("empty", Schema::new(["a"]));
         assert!(source.is_empty());
         assert_eq!(source.property_coverage(), 0.0);
+    }
+
+    #[test]
+    fn repeated_value_sets_and_same_schema_entities_share_their_slices() {
+        let mut source = DataSource::new("s", Schema::new(["name", "city"]));
+        for (id, name) in [("r1", "Chez Anna"), ("r2", "Chez Bert")] {
+            let values = vec![vec![name.to_string()], vec!["Paris".to_string()]];
+            source.add(id, values).unwrap();
+        }
+        let slice = |source: &DataSource, id: &str, property: usize| {
+            source
+                .get(id)
+                .unwrap()
+                .shared_values_at(property)
+                .unwrap()
+                .clone()
+        };
+        assert!(Arc::ptr_eq(
+            &slice(&source, "r1", 1),
+            &slice(&source, "r2", 1)
+        ));
+        assert!(!Arc::ptr_eq(
+            &slice(&source, "r1", 0),
+            &slice(&source, "r2", 0)
+        ));
+        // a copy into a source with an equal schema copies no string
+        let mut copy = DataSource::new("copy", Schema::clone(source.schema()));
+        copy.add_entity(source.get("r1").unwrap().clone()).unwrap();
+        assert!(Arc::ptr_eq(
+            &slice(&copy, "r1", 0),
+            &slice(&source, "r1", 0)
+        ));
+        assert_eq!(copy.get("r1").unwrap().first_value("city"), Some("Paris"));
+        // a property with many distinct sets stops being tracked, and its
+        // values stay intact
+        let mut wide = DataSource::new("w", Schema::new(["n"]));
+        for i in 0..SHARED_VALUE_SETS + 2 {
+            wide.add(format!("e{i}"), vec![vec![i.to_string()]])
+                .unwrap();
+        }
+        assert!(wide.shared[0].is_none());
+        assert_eq!(wide.get("e7").unwrap().first_value("n"), Some("7"));
     }
 
     #[test]

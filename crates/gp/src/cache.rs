@@ -39,11 +39,13 @@ pub struct CacheStats {
     pub fitness_misses: u64,
     /// Distinct genomes memoized.
     pub fitness_entries: usize,
-    /// `(entity, value-chain)` entries memoized by the value cache, when the
-    /// problem reports one.
+    /// Entries of the problem's transformed-value memo, when it reports one
+    /// (GenLink: value-chain columns over the reference pool's entities).
     pub value_cache_entries: usize,
-    /// Value-cache hits, when the problem reports them.
+    /// Value-memo requests answered without computing, when reported.
     pub value_cache_hits: u64,
+    /// Value-memo entries computed, when reported.
+    pub value_cache_misses: u64,
 }
 
 impl CacheStats {

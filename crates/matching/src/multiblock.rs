@@ -10,9 +10,11 @@
 //! * a **leaf** looks up the source entity's block keys and unions the
 //!   posting lists,
 //! * an **intersection** keeps positions present in every child set,
-//!   evaluating its children in ascending order of *estimated* candidate
-//!   count (derived from the live posting-list statistics) so the
-//!   short-circuit on an empty running set prunes as early as possible,
+//!   consulting its children in ascending order of *estimated* candidate
+//!   count (derived from the live posting-list statistics) — and **stops**
+//!   as soon as evaluating the survivors is cheaper than consulting the next
+//!   child (see [`PAIR_COST_IN_SCANS`]): any subset of the children yields a
+//!   superset of the candidates, and the rule itself rejects the extras,
 //! * a **union** merges child sets.
 //!
 //! All per-query state lives in a [`CandidateScratch`] owned by the calling
@@ -34,17 +36,27 @@
 //!   through any interleaving of builds, inserts and removes is structurally
 //!   identical to one built from the final entity set in one shot.
 //!
-//! Transform chains are evaluated through the same [`ValueCache`] (and the
-//! same structural hashes) as rule evaluation, so a value normalised for
-//! indexing is computed once and reused when the rule scores the surviving
-//! candidates.
+//! Building and probing are generic over **where a comparison's values come
+//! from**: `(entity, &ValueCache)` — the public API, service queries,
+//! `insert`/`remove` — or a [`BoundSide`]'s columns by position — the batch
+//! engine, which binds each side once and then indexes, probes and scores
+//! from the same columns.  One body each, two providers.
+//!
+//! The public builders and the serving [`LeafPool`] build **every** leaf of a
+//! plan (their indexes are mutable or shared; another plan may need the
+//! leaf); the one-shot engine builds a chunk's index in **stages**
+//! ([`MultiBlockIndex::build_staged`]): under a conjunction, cheapest leaf
+//! first, and no further once those leave a handful of candidates per probe.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use linkdisc_entity::{DataSource, Entity};
-use linkdisc_rule::{IndexedComparison, IndexingPlan, PlanNode, ValueCache};
+use linkdisc_rule::{
+    BoundSide, ChainValues, CompiledChain, IndexedComparison, IndexingPlan, PlanNode, ValueCache,
+};
 use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, KeySide};
 use linkdisc_util::resolve_threads;
 
@@ -55,6 +67,10 @@ use crate::scratch::EpochMarks;
 pub struct LeafBuildStats {
     /// Human-readable comparison description (from the plan).
     pub label: String,
+    /// Whether the leaf was built.  Always `true` for the public builders;
+    /// the engine's staged build leaves a conjunction's costlier siblings out
+    /// (all counts below are 0 then).
+    pub built: bool,
     /// Number of distinct block keys.
     pub blocks: usize,
     /// Total posting-list entries (sum of block sizes).
@@ -69,71 +85,42 @@ pub struct LeafBuildStats {
 /// [`KeySide::Index`] keys; queries look up their [`KeySide::Probe`] keys.
 /// `postings` and `postings_sq` (Σ len and Σ len² over posting lists) are
 /// maintained incrementally; they drive the selectivity estimates that order
-/// intersection children.
-///
-/// `position_keys` is the transposed sidecar — position → its (sorted) index
-/// keys — powering the probe-only intersection tails: once an intersection's
-/// running candidate set is small, a remaining leaf child answers "does this
-/// position share a key with the query?" per candidate instead of
-/// materialising its full candidate set.  The sidecar roughly doubles a
-/// leaf's postings storage, so it is only maintained (`sidecar` flag) for
-/// leaves a probe can actually reach: direct `Intersect` children in the
-/// owning plan, and every *shared* leaf (any plan may reuse those).
-#[derive(Debug, Clone)]
+/// intersection children and decide where a conjunction stops.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LeafIndex {
     pub(crate) by_key: BlockKeyMap<Vec<u32>>,
-    pub(crate) position_keys: HashMap<u32, Vec<BlockKey>>,
-    pub(crate) sidecar: bool,
     pub(crate) indexed_entities: usize,
     pub(crate) postings: usize,
     pub(crate) postings_sq: f64,
 }
 
 impl LeafIndex {
-    /// Creates an empty leaf, with or without the probe sidecar.
-    pub(crate) fn with_sidecar(sidecar: bool) -> Self {
-        LeafIndex {
-            by_key: BlockKeyMap::default(),
-            position_keys: HashMap::new(),
-            sidecar,
-            indexed_entities: 0,
-            postings: 0,
-            postings_sq: 0.0,
-        }
-    }
-
-    /// Builds one comparison's leaf over `(position, entity)` pairs in one
-    /// pass — the bulk path behind every batch build: engine slices and the
-    /// serving store's first rule (sharded by [`MultiBlockIndex::build_refs`]),
-    /// an active-learning committee's [`SharedLeafIndexes`], and a [`LeafPool`]
+    /// Builds one comparison's leaf over `(position, target-chain values)`
+    /// pairs in one pass — the bulk path behind every batch build: the
+    /// engine's staged chunks (values from a bound side's column) and, with
+    /// values read [`through_cache`], [`MultiBlockIndex::build_refs`], an
+    /// active-learning committee's [`SharedLeafIndexes`] and a [`LeafPool`]
     /// registration over a store with tombstone holes.
     ///
     /// All `(key, position)` pairs are gathered and sorted once, then each
-    /// run of equal keys becomes one exact-capacity posting list; an entity's
-    /// sidecar entry is its (already sorted) key buffer, stored once.  The
-    /// result is structurally identical to [`LeafIndex::add`]ing the same
-    /// postings one by one in any order — maps, statistics and sidecar —
-    /// without that path's two map probes, two binary searches and
-    /// mid-vector insert per posting.  Positions must be distinct.
-    pub(crate) fn bulk<'e>(
-        sidecar: bool,
+    /// run of equal keys becomes one exact-capacity posting list: structurally
+    /// identical to [`LeafIndex::add`]ing the same postings one by one in any
+    /// order, without that path's map probe, binary search and mid-vector
+    /// insert per posting.  Positions must be distinct.
+    pub(crate) fn bulk<V: Deref<Target = [String]>>(
         comparison: &IndexedComparison,
-        entries: impl Iterator<Item = (u32, &'e Entity)>,
-        cache: &ValueCache<'e>,
+        entries: impl Iterator<Item = (u32, V)>,
     ) -> LeafIndex {
-        let mut leaf = LeafIndex::with_sidecar(sidecar);
+        let mut leaf = LeafIndex::default();
         let mut keys: Vec<BlockKey> = Vec::new();
         let mut pairs: Vec<(BlockKey, u32)> = Vec::new();
-        for (position, entity) in entries {
-            entity_keys(comparison, entity, cache, &mut keys);
+        for (position, values) in entries {
+            comparison.block_keys_into(&values, KeySide::Index, &mut keys);
             if keys.is_empty() {
                 continue;
             }
             leaf.indexed_entities += 1;
             pairs.extend(keys.iter().map(|&key| (key, position)));
-            if sidecar {
-                leaf.position_keys.insert(position, keys.clone());
-            }
         }
         pairs.sort_unstable();
         let same_key = |a: &(BlockKey, u32), b: &(BlockKey, u32)| a.0 == b.0;
@@ -153,9 +140,26 @@ impl LeafIndex {
         leaf
     }
 
-    /// Adds `position` to the posting list of `key`, keeping it sorted — the
+    /// Indexes one entity, given its index-side keys, at `position` — the
     /// incremental path ([`MultiBlockIndex::insert`], [`LeafPool`]
     /// maintenance).
+    fn add_entity(&mut self, keys: &[BlockKey], position: u32) {
+        self.indexed_entities += usize::from(!keys.is_empty());
+        for &key in keys {
+            self.add(key, position);
+        }
+    }
+
+    /// Un-indexes the entity [`LeafIndex::add_entity`] indexed at `position`
+    /// under the same keys.
+    fn drop_entity(&mut self, keys: &[BlockKey], position: u32) {
+        self.indexed_entities -= usize::from(!keys.is_empty());
+        for &key in keys {
+            self.drop_posting(key, position);
+        }
+    }
+
+    /// Adds `position` to the posting list of `key`, keeping it sorted.
     fn add(&mut self, key: BlockKey, position: u32) {
         let list = self.by_key.entry(key).or_default();
         match list.binary_search(&position) {
@@ -163,12 +167,6 @@ impl LeafIndex {
                 self.postings += 1;
                 self.postings_sq += 2.0 * list.len() as f64 + 1.0;
                 list.insert(at, position);
-                if self.sidecar {
-                    let keys = self.position_keys.entry(position).or_default();
-                    if let Err(slot) = keys.binary_search(&key) {
-                        keys.insert(slot, key);
-                    }
-                }
             }
             Ok(_) => debug_assert!(false, "position {position} indexed twice"),
         }
@@ -191,28 +189,6 @@ impl LeafIndex {
         if list.is_empty() {
             self.by_key.remove(&key);
         }
-        if self.sidecar {
-            if let Some(keys) = self.position_keys.get_mut(&position) {
-                if let Ok(slot) = keys.binary_search(&key) {
-                    keys.remove(slot);
-                }
-                if keys.is_empty() {
-                    self.position_keys.remove(&position);
-                }
-            }
-        }
-    }
-
-    /// `true` if the position shares at least one block key with the
-    /// (sorted) query key set — i.e. the position would appear in this
-    /// leaf's materialised candidate set for those keys.
-    fn shares_key(&self, position: u32, sorted_query_keys: &[BlockKey]) -> bool {
-        self.position_keys.get(&position).is_some_and(|keys| {
-            // iterate the (short: index-side) per-position list and binary
-            // search the (probe-side) query keys, sorted by `block_keys_into`
-            keys.iter()
-                .any(|key| sorted_query_keys.binary_search(key).is_ok())
-        })
     }
 
     /// Expected posting-list length seen by a random probe: `Σ len² / Σ len`.
@@ -236,24 +212,6 @@ impl LeafIndex {
             .map(|list| (list.len() * list.len()) as f64)
             .sum();
     }
-
-    /// Rebuilds the per-position key sidecar from the posting lists (the
-    /// snapshot-restore path).  Produces exactly the sidecar an incremental
-    /// build maintains: each position's key list, sorted.
-    pub(crate) fn rebuild_sidecar(&mut self) {
-        self.position_keys.clear();
-        if !self.sidecar {
-            return;
-        }
-        for (&key, positions) in &self.by_key {
-            for &position in positions {
-                self.position_keys.entry(position).or_default().push(key);
-            }
-        }
-        for keys in self.position_keys.values_mut() {
-            keys.sort_unstable();
-        }
-    }
 }
 
 /// A rule-derived multidimensional blocking index over a target data source.
@@ -267,48 +225,61 @@ pub struct MultiBlockIndex {
     /// Shared, immutable plan: chunked runs build one index per chunk from
     /// the same plan, so cloning it per chunk would be pure overhead.
     plan: Arc<IndexingPlan>,
+    /// The set algebra this index executes: the plan's root, minus the
+    /// conjunction siblings a staged build left out.
+    root: PlanNode,
     pub(crate) leaves: Vec<Arc<LeafIndex>>,
     target_len: usize,
 }
 
-/// Measured cost ratio between **probing** one running candidate through a
-/// leaf's per-position key sidecar and **scanning** one posting while
-/// materialising the leaf's candidate set.  A probe is a hash lookup plus
-/// one binary search per stored (index-side) key of the position over the
-/// query's probe-side keys (~120 ns); a posting scan is a sequential read
-/// plus an epoch-mark store (~1.6 ns) — the `probe_cost_calibration`
-/// microbench (run `cargo test -p linkdisc-matching --release -- --ignored
-/// probe_cost`) measures the ratio at ≈75 on a q-gram-shaped leaf (8 stored
-/// keys per position against the 24 keys a ±1-neighbour query carries).  The
-/// constant sits below the measurement because probes early-exit on their
-/// first shared key while the measurement's candidates are miss-dominated (a
-/// real tail probes survivors of a selective leaf, mostly true matches);
-/// linkbench's `serve_read`, whose rules reach the name leaf only through
-/// this tail, reads the same at 50 and 75.  The probe-only intersection tail
-/// engages once `|running| · RATIO < estimated candidates`.  The cutoff is a
-/// pure performance decision: both paths compute the identical candidate set
-/// (pinned by `probe_and_materialise_paths_agree`).
-pub(crate) const PROBE_COST_RATIO: f64 = 50.0;
+/// Measured cost of **evaluating one surviving pair**, in posting scans — the
+/// price of not consulting a conjunction's next child.  The
+/// `planner_cost_calibration` test (`cargo test -p linkdisc-matching --release
+/// -- --ignored planner_cost --nocapture`) reads `evaluate_bound_stats` at
+/// 67–152 ns per pair (Restaurant name ∧ phone 99–152, Cora titles 67–90) and
+/// a posting scan (sequential read plus epoch-mark store) at 1.5–2.0 ns where
+/// lists are long (Restaurant names: 100 keys, 28 k postings per probe; 8–11
+/// ns on Cora titles' short lists, where the map lookup dominates): a pair is
+/// worth 50–75 scans of the long lists a stop is about.
+///
+/// A conjunction stops once `|running| · RATIO < estimate(next child)`.  The
+/// estimate is the expected length of *one* posting list and a consult scans
+/// one per probe key (1–144 here), so the rule only stops where scoring every
+/// survivor is cheaper than even a single expected list — a lower bound of the
+/// consult's cost; later children are costlier still.  A performance decision
+/// only (a stopped conjunction yields a superset, the rule rejects the
+/// extras); linkbench reads the same at 32, 64 and 128 (DESIGN.md).
+pub(crate) const PAIR_COST_IN_SCANS: f64 = 64.0;
+
+/// Expected candidates per probe (`Σ len² / Σ len`, min over the built
+/// prefix) at or below which a staged build leaves a conjunction's remaining
+/// siblings unbuilt.  `planner_cost_calibration` reads the per-entity cost of
+/// bulk-building a leaf plus consulting it once, in pair evaluations: 200–455
+/// for a q-gram leaf (Cora titles 13.5–18 µs, Restaurant ×20 names 45–60 µs,
+/// against 67–152 ns per pair), 2–3 for a single-key leaf (0.2–0.3 µs).  The
+/// siblings still unbuilt are the costlier ones, so the floor sits well below
+/// the q-gram break-even — building one to cut 16 candidates costs ten times
+/// what scoring them does — and a few evaluations above the single-key one,
+/// where a wrong call costs about a microsecond per entity either way.
+/// linkbench reads the same at 8, 16 and 32 (DESIGN.md).
+pub(crate) const STAGE_FLOOR: f64 = 16.0;
 
 impl MultiBlockIndex {
     /// Creates an empty index for a plan; entities arrive through
     /// [`MultiBlockIndex::insert`] (the streaming-ingestion entry point).
     pub fn empty(plan: impl Into<Arc<IndexingPlan>>) -> MultiBlockIndex {
         let plan = plan.into();
-        let leaves = probe_eligible_leaves(&plan)
-            .into_iter()
-            .map(|eligible| Arc::new(LeafIndex::with_sidecar(eligible)))
+        let leaves = plan
+            .comparisons()
+            .iter()
+            .map(|_| Arc::new(LeafIndex::default()))
             .collect();
-        MultiBlockIndex {
-            plan,
-            leaves,
-            target_len: 0,
-        }
+        MultiBlockIndex::from_parts(plan, leaves, 0)
     }
 
     /// Builds the per-comparison inverted indexes over the target source,
     /// sharded across all available cores.  Transform outputs computed here
-    /// are memoized in `cache` and reused by subsequent rule evaluation.
+    /// are memoized in `cache`.
     pub fn build<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         target: &'e DataSource,
@@ -331,103 +302,124 @@ impl MultiBlockIndex {
     }
 
     /// Builds the index over borrowed entity *references* (positions are
-    /// indices into `targets`), sharded across `threads` workers — the
-    /// common core behind [`MultiBlockIndex::build_slice`] and owners that
-    /// keep entities behind `Arc` slots (the serving `EntityStore`).
-    ///
-    /// Each worker bulk-builds ([`LeafIndex::bulk`]) one contiguous entity
-    /// range into private per-leaf maps; the per-key posting lists of
-    /// consecutive ranges concatenate into ascending order, so the merged
-    /// index is **identical** to a sequential build — same blocks, same
-    /// posting lists, same [`LeafBuildStats`] — and to inserting the entities
-    /// one by one at their positions.
+    /// indices into `targets`), every leaf sharded across `threads` workers
+    /// ([`sharded_leaf`]) — the common core behind
+    /// [`MultiBlockIndex::build_slice`] and owners that keep entities behind
+    /// `Arc` slots (the serving `EntityStore`).  The result is **identical**
+    /// to a sequential build — same blocks, same posting lists, same
+    /// [`LeafBuildStats`] — and to inserting the entities one by one at their
+    /// positions.
     pub fn build_refs<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         targets: &[&'e Entity],
         cache: &ValueCache<'e>,
         threads: usize,
     ) -> MultiBlockIndex {
-        let threads = resolve_threads(threads).min(targets.len()).max(1);
         let plan = plan.into();
         // Comparisons sharing a leaf reuse key index the targets
         // identically, so each distinct key is built once and the result is
         // Arc-shared by every slot that maps to it.  Duplicate slots stay
         // safe under later insert/remove: `Arc::make_mut` un-shares the leaf
         // on first mutation and each *distinct* leaf is mutated exactly once.
-        let (representatives, slot_of) = distinct_comparisons(&plan);
-        let eligible = probe_eligible_leaves(&plan);
-        let mut sidecars = vec![false; representatives.len()];
-        for (slot, &at) in slot_of.iter().enumerate() {
-            sidecars[at] |= eligible[slot];
-        }
-        let comparisons: Vec<&IndexedComparison> = representatives
+        let mut built: HashMap<LeafKey, Arc<LeafIndex>> = HashMap::new();
+        let leaves = plan
+            .comparisons()
             .iter()
-            .map(|&slot| &plan.comparisons()[slot])
-            .collect();
-        // one leaf per distinct comparison over the range starting at `base`
-        let build_range = |range: &[&'e Entity], base: u32| -> Vec<LeafIndex> {
-            let entries = || (base..).zip(range.iter().copied());
-            comparisons
-                .iter()
-                .zip(&sidecars)
-                .map(|(comparison, &sidecar)| {
-                    LeafIndex::bulk(sidecar, comparison, entries(), cache)
-                })
-                .collect()
-        };
-        let leaves = if threads <= 1 {
-            build_range(targets, 0)
-        } else {
-            let shard_size = targets.len().div_ceil(threads);
-            let mut shards: Vec<Vec<LeafIndex>> = Vec::with_capacity(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = targets
-                    .chunks(shard_size)
-                    .enumerate()
-                    .map(|(shard, chunk)| {
-                        let build_range = &build_range;
-                        scope.spawn(move || build_range(chunk, (shard * shard_size) as u32))
-                    })
-                    .collect();
-                for handle in handles {
-                    shards.push(handle.join().expect("index build thread panicked"));
-                }
-            });
-            merge_shards(shards)
-        };
-        let distinct: Vec<Arc<LeafIndex>> = leaves.into_iter().map(Arc::new).collect();
-        MultiBlockIndex {
-            plan,
-            leaves: slot_of.iter().map(|&at| distinct[at].clone()).collect(),
-            target_len: targets.len(),
-        }
-    }
-
-    /// A clone with every probe sidecar stripped, so the probe-only
-    /// intersection tail can never engage — the reference for pinning that
-    /// the cutoff decision does not affect candidate sets.
-    #[cfg(test)]
-    pub(crate) fn without_sidecars(&self) -> MultiBlockIndex {
-        let leaves = self
-            .leaves
-            .iter()
-            .map(|leaf| {
-                let mut leaf = (**leaf).clone();
-                leaf.sidecar = false;
-                leaf.position_keys.clear();
-                Arc::new(leaf)
+            .map(|comparison| {
+                let build = || {
+                    Arc::new(sharded_leaf(targets.len(), threads, |range| {
+                        let entries = (range.start as u32..).zip(targets[range].iter().copied());
+                        LeafIndex::bulk(comparison, through_cache(comparison, entries, cache))
+                    }))
+                };
+                built
+                    .entry(comparison.leaf_reuse_key())
+                    .or_insert_with(build)
+                    .clone()
             })
             .collect();
-        MultiBlockIndex {
-            plan: self.plan.clone(),
-            leaves,
-            target_len: self.target_len,
+        MultiBlockIndex::from_parts(plan, leaves, targets.len())
+    }
+
+    /// The one-shot engine's builder: the index of one bound target chunk
+    /// (positions are `targets`' list positions, `len` of them), built **in
+    /// stages**.  Under an `Intersect`, children are built in ascending order
+    /// of index-side keys per entity (mean over the chunk's first ≤ 64
+    /// entities — what a stage costs to build and to consult), each stage the
+    /// sharded [`LeafIndex::bulk`]; once the built prefix leaves at most
+    /// `floor` ([`STAGE_FLOOR`]; negative builds every leaf) expected
+    /// candidates per probe, the remaining siblings are not built and are
+    /// absent from the executed plan.  `Union` children are always all built.
+    /// Lossless for the same reason a query-time stop is: dropping a conjunct
+    /// only admits extra candidates.  The decision is a pure function of
+    /// (plan, chunk posting statistics) — identical at any thread count, but
+    /// free to differ between chunks.
+    pub(crate) fn build_staged(
+        plan: Arc<IndexingPlan>,
+        targets: &BoundSide,
+        len: usize,
+        threads: usize,
+        floor: f64,
+    ) -> MultiBlockIndex {
+        let mut index = MultiBlockIndex::empty(plan.clone());
+        index.target_len = len;
+        let mut staging = Staging {
+            plan: &plan,
+            columns: chain_columns(&plan, targets, |comparison| &comparison.target),
+            len,
+            threads,
+            floor,
+            built: HashMap::new(),
+        };
+        index.root = index.stage(plan.root(), &mut staging);
+        index
+    }
+
+    /// Builds the leaves under `node` — all of them, except that an
+    /// `Intersect` stops at the staging floor — and returns the node as
+    /// executed.
+    fn stage(&mut self, node: &PlanNode, staging: &mut Staging<'_>) -> PlanNode {
+        match node {
+            PlanNode::All | PlanNode::Nothing => node.clone(),
+            PlanNode::Leaf(leaf) => {
+                self.leaves[*leaf] = staging.leaf(*leaf);
+                node.clone()
+            }
+            PlanNode::Union(children) => PlanNode::Union(
+                children
+                    .iter()
+                    .map(|child| self.stage(child, staging))
+                    .collect(),
+            ),
+            PlanNode::Intersect(children) => {
+                let mut order: Vec<(f64, usize)> = children
+                    .iter()
+                    .enumerate()
+                    .map(|(at, child)| (staging.keys_per_entity(child), at))
+                    .collect();
+                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut kept = Vec::with_capacity(children.len());
+                let mut expected = f64::INFINITY;
+                for (_, at) in order {
+                    let child = self.stage(&children[at], staging);
+                    expected = expected.min(self.estimate(&child));
+                    kept.push(child);
+                    if expected <= staging.floor {
+                        break;
+                    }
+                }
+                if kept.len() == 1 {
+                    kept.pop().expect("one child")
+                } else {
+                    PlanNode::Intersect(kept)
+                }
+            }
         }
     }
 
-    /// Reassembles an index from restored parts (the snapshot codec).  The
-    /// caller guarantees the leaves match the plan's comparisons one for
-    /// one.
+    /// Reassembles an index from parts (the snapshot codec, the serving
+    /// pool's per-rule views).  The caller guarantees the leaves match the
+    /// plan's comparisons one for one.
     pub(crate) fn from_parts(
         plan: Arc<IndexingPlan>,
         leaves: Vec<Arc<LeafIndex>>,
@@ -435,6 +427,7 @@ impl MultiBlockIndex {
     ) -> MultiBlockIndex {
         debug_assert_eq!(plan.comparisons().len(), leaves.len());
         MultiBlockIndex {
+            root: plan.root().clone(),
             plan,
             leaves,
             target_len,
@@ -461,11 +454,7 @@ impl MultiBlockIndex {
             .iter()
             .map(|comparison| shared.leaf_for(comparison, targets, cache))
             .collect();
-        MultiBlockIndex {
-            plan,
-            leaves,
-            target_len: targets.len(),
-        }
+        MultiBlockIndex::from_parts(plan, leaves, targets.len())
     }
 
     /// Adds one entity at a target position.  The position must be fresh (or
@@ -473,15 +462,9 @@ impl MultiBlockIndex {
     pub fn insert<'e>(&mut self, position: u32, entity: &'e Entity, cache: &ValueCache<'e>) {
         self.target_len = self.target_len.max(position as usize + 1);
         let mut keys: Vec<BlockKey> = Vec::new();
-        for (comparison, index) in self.plan.comparisons().iter().zip(&mut self.leaves) {
+        for (comparison, leaf) in self.plan.comparisons().iter().zip(&mut self.leaves) {
             entity_keys(comparison, entity, cache, &mut keys);
-            let index = Arc::make_mut(index);
-            if !keys.is_empty() {
-                index.indexed_entities += 1;
-            }
-            for &key in &keys {
-                index.add(key, position);
-            }
+            Arc::make_mut(leaf).add_entity(&keys, position);
         }
     }
 
@@ -490,19 +473,13 @@ impl MultiBlockIndex {
     /// the shared cache, so usually memoized) to locate its postings.
     pub fn remove<'e>(&mut self, position: u32, entity: &'e Entity, cache: &ValueCache<'e>) {
         let mut keys: Vec<BlockKey> = Vec::new();
-        for (comparison, index) in self.plan.comparisons().iter().zip(&mut self.leaves) {
+        for (comparison, leaf) in self.plan.comparisons().iter().zip(&mut self.leaves) {
             entity_keys(comparison, entity, cache, &mut keys);
-            let index = Arc::make_mut(index);
-            if !keys.is_empty() {
-                index.indexed_entities -= 1;
-            }
-            for &key in &keys {
-                index.drop_posting(key, position);
-            }
+            Arc::make_mut(leaf).drop_entity(&keys, position);
         }
     }
 
-    /// The plan this index executes.
+    /// The plan this index was built for.
     pub fn plan(&self) -> &IndexingPlan {
         &self.plan
     }
@@ -516,26 +493,31 @@ impl MultiBlockIndex {
 
     /// Build statistics, one entry per indexed comparison.
     pub fn build_stats(&self) -> Vec<LeafBuildStats> {
+        let mut built = vec![false; self.leaves.len()];
+        mark_leaves(&self.root, &mut built);
         self.plan
             .comparisons()
             .iter()
             .zip(&self.leaves)
-            .map(|(leaf, index)| LeafBuildStats {
+            .zip(built)
+            .map(|((leaf, index), built)| LeafBuildStats {
                 label: leaf.label.clone(),
+                built,
                 blocks: index.by_key.len(),
-                postings: index.by_key.values().map(Vec::len).sum(),
+                postings: index.postings,
                 indexed_entities: index.indexed_entities,
             })
             .collect()
     }
 
     /// Candidate target positions for one source entity, as a pooled buffer
-    /// (unsorted, duplicate-free).  Return it via
-    /// [`CandidateScratch::recycle`] when done.  `leaf_candidates` (one slot
-    /// per indexed comparison) accumulates how many candidates each leaf
-    /// contributed (for a leaf answered by the probe-only tail: how many
-    /// running candidates survived its probe); pass an empty slice to skip
-    /// accounting.
+    /// (unsorted, duplicate-free): a superset of the positions the rule can
+    /// link, and of the plan's full set algebra — a conjunction stops
+    /// consulting children once scoring the survivors is cheaper.  Return the
+    /// buffer via [`CandidateScratch::recycle`] when done.  `leaf_candidates`
+    /// (one slot per indexed comparison) accumulates how many candidates
+    /// survived each leaf when it was consulted (nothing for a leaf a
+    /// conjunction stopped before); pass an empty slice to skip accounting.
     pub fn candidates<'e>(
         &self,
         source_entity: &'e Entity,
@@ -543,16 +525,23 @@ impl MultiBlockIndex {
         scratch: &mut CandidateScratch,
         leaf_candidates: &mut [usize],
     ) -> Vec<u32> {
+        let probe = CachedProbe {
+            entity: source_entity,
+            cache,
+        };
+        self.candidates_from(probe, scratch, leaf_candidates)
+    }
+
+    /// [`MultiBlockIndex::candidates`] over any provider of the probing
+    /// entity's chain values.
+    pub(crate) fn candidates_from<P: ProbeValues>(
+        &self,
+        probe: P,
+        scratch: &mut CandidateScratch,
+        leaf_candidates: &mut [usize],
+    ) -> Vec<u32> {
         scratch.ensure_capacity(self.target_len);
-        match self.plan.root() {
-            PlanNode::All => {
-                let mut out = scratch.take_buf();
-                out.extend(0..self.target_len as u32);
-                out
-            }
-            PlanNode::Nothing => scratch.take_buf(),
-            node => self.eval(node, source_entity, cache, scratch, leaf_candidates),
-        }
+        self.eval(&self.root, probe, scratch, leaf_candidates)
     }
 
     /// Allocating convenience wrapper for tests and diagnostics: the sorted
@@ -585,17 +574,14 @@ impl MultiBlockIndex {
         }
     }
 
-    fn eval<'e>(
+    fn eval<P: ProbeValues>(
         &self,
         node: &PlanNode,
-        entity: &'e Entity,
-        cache: &ValueCache<'e>,
+        probe: P,
         scratch: &mut CandidateScratch,
         leaf_candidates: &mut [usize],
     ) -> Vec<u32> {
         match node {
-            // All/Nothing are confined to the root by plan simplification;
-            // handle them anyway so eval is total
             PlanNode::All => {
                 let mut out = scratch.take_buf();
                 out.extend(0..self.target_len as u32);
@@ -604,16 +590,11 @@ impl MultiBlockIndex {
             PlanNode::Nothing => scratch.take_buf(),
             PlanNode::Leaf(leaf) => {
                 let comparison = &self.plan.comparisons()[*leaf];
-                let values = comparison.source.values(entity, cache);
+                let values = probe.values(*leaf, comparison);
                 // the key buffer is taken out of the scratch (not borrowed)
                 // so the mark table stays mutable below
                 let mut keys = std::mem::take(&mut scratch.keys);
-                comparison.function.block_keys_into(
-                    values.as_slice(),
-                    comparison.bound,
-                    KeySide::Probe,
-                    &mut keys,
-                );
+                comparison.block_keys_into(&values, KeySide::Probe, &mut keys);
                 let mut out = scratch.take_buf();
                 let epoch = scratch.marks.next_epoch();
                 let index = &self.leaves[*leaf];
@@ -638,7 +619,7 @@ impl MultiBlockIndex {
                 // evals would be clobbered
                 let mut out = scratch.take_buf();
                 for child in children {
-                    let buf = self.eval(child, entity, cache, scratch, leaf_candidates);
+                    let buf = self.eval(child, probe, scratch, leaf_candidates);
                     out.extend_from_slice(&buf);
                     scratch.recycle(buf);
                 }
@@ -647,7 +628,7 @@ impl MultiBlockIndex {
                 out
             }
             PlanNode::Intersect(children) => {
-                // evaluate the cheapest (estimated) child first: the running
+                // consult the cheapest (estimated) child first: the running
                 // set can only shrink, and an early empty set short-circuits
                 // every remaining child
                 let mut order = scratch.take_order();
@@ -658,118 +639,224 @@ impl MultiBlockIndex {
                         .map(|(at, child)| (self.estimate(child), at as u32)),
                 );
                 order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                let mut ordered = order.iter().map(|&(_, at)| &children[at as usize]);
-                let first = ordered.next().expect("intersections have children");
-                let mut out = self.eval(first, entity, cache, scratch, leaf_candidates);
-                for child in ordered {
-                    if out.is_empty() {
-                        // the conjunction is already unsatisfiable; skip the
-                        // remaining children entirely
+                let mut ordered = order
+                    .iter()
+                    .map(|&(estimate, at)| (estimate, &children[at as usize]));
+                let (_, first) = ordered.next().expect("intersections have children");
+                let mut out = self.eval(first, probe, scratch, leaf_candidates);
+                for (estimate, child) in ordered {
+                    // stop when the conjunction is already unsatisfiable, or
+                    // when scanning this child's postings (≈ its estimate)
+                    // would cost more than the rule evaluating every survivor
+                    // — e.g. a name leaf emitting ~150k candidates the phone
+                    // leaf already cut to one.  Later children are costlier
+                    // still, and the rule rejects whatever they would have.
+                    if (out.len() as f64) * PAIR_COST_IN_SCANS < estimate {
                         break;
                     }
-                    // probe-only tail: once probing every survivor ("does
-                    // this position share a key?") through the per-position
-                    // key sidecar is cheaper than materialising the leaf's
-                    // full candidate set — per-item probe cost is
-                    // PROBE_COST_RATIO posting scans — e.g. a name leaf
-                    // emitting ~150k candidates the phone leaf already cut
-                    // to a few hundred
-                    if let PlanNode::Leaf(leaf) = child {
-                        if self.leaves[*leaf].sidecar
-                            && (out.len() as f64) * PROBE_COST_RATIO < self.estimate(child)
-                        {
-                            self.probe_leaf(*leaf, entity, cache, scratch, &mut out);
-                            if let Some(count) = leaf_candidates.get_mut(*leaf) {
-                                *count += out.len();
-                            }
-                            continue;
-                        }
-                    }
-                    let buf = self.eval(child, entity, cache, scratch, leaf_candidates);
+                    // a directly consulted leaf reports its survivors, not
+                    // the candidate set it contributed to the intersection
+                    let direct_leaf = match child {
+                        PlanNode::Leaf(leaf) if *leaf < leaf_candidates.len() => Some(*leaf),
+                        _ => None,
+                    };
+                    let buf = match direct_leaf {
+                        Some(_) => self.eval(child, probe, scratch, &mut []),
+                        None => self.eval(child, probe, scratch, leaf_candidates),
+                    };
                     let epoch = scratch.marks.next_epoch();
                     for &position in &buf {
                         scratch.marks.mark(position as usize, epoch);
                     }
                     out.retain(|&position| scratch.marks.is_marked(position as usize, epoch));
                     scratch.recycle(buf);
+                    if let Some(leaf) = direct_leaf {
+                        leaf_candidates[leaf] += out.len();
+                    }
                 }
                 scratch.recycle_order(order);
                 out
             }
         }
     }
-    /// Filters the running intersection set against one leaf **by probing**:
-    /// a position survives iff it shares a block key with the source
-    /// entity's keys for that comparison.  Exactly equivalent to
-    /// intersecting with the leaf's materialised candidate set (a position
-    /// is in that set iff some source key's posting list contains it, iff
-    /// the position's own key list intersects the source keys), but costs
-    /// `O(|running| · |keys per position| · log |source keys|)` instead of
-    /// scanning every posting list.
-    fn probe_leaf<'e>(
-        &self,
-        leaf: usize,
-        entity: &'e Entity,
-        cache: &ValueCache<'e>,
-        scratch: &mut CandidateScratch,
-        running: &mut Vec<u32>,
-    ) {
-        let comparison = &self.plan.comparisons()[leaf];
-        let values = comparison.source.values(entity, cache);
-        let mut keys = std::mem::take(&mut scratch.keys);
-        comparison.function.block_keys_into(
-            values.as_slice(),
-            comparison.bound,
-            KeySide::Probe,
-            &mut keys,
-        );
-        let index = &self.leaves[leaf];
-        running.retain(|&position| index.shares_key(position, &keys));
-        scratch.keys = keys;
-    }
 }
 
-/// Merges per-shard partial leaves into the first shard's **in range order**:
-/// per-key posting lists are ascending within a shard and shard position
-/// ranges are disjoint and increasing, so concatenation keeps every posting
-/// list sorted (and the per-position key sidecars are disjoint outright).
-fn merge_shards(shards: Vec<Vec<LeafIndex>>) -> Vec<LeafIndex> {
-    let mut shards = shards.into_iter();
-    let mut leaves = shards
-        .next()
-        .expect("a sharded build has at least one shard");
-    for shard in shards {
-        for (merged, partial) in leaves.iter_mut().zip(shard) {
-            merged.indexed_entities += partial.indexed_entities;
-            for (key, list) in partial.by_key {
-                merged.by_key.entry(key).or_default().extend(list);
+/// Marks the leaves a plan node references.
+fn mark_leaves(node: &PlanNode, marked: &mut [bool]) {
+    match node {
+        PlanNode::All | PlanNode::Nothing => {}
+        PlanNode::Leaf(leaf) => marked[*leaf] = true,
+        PlanNode::Intersect(children) | PlanNode::Union(children) => {
+            for child in children {
+                mark_leaves(child, marked);
             }
-            merged.position_keys.extend(partial.position_keys);
         }
     }
-    for leaf in &mut leaves {
-        leaf.refresh_estimates();
-    }
-    leaves
 }
 
-/// Groups a plan's comparison slots by [`IndexedComparison::leaf_reuse_key`]:
-/// returns the first slot of each distinct key (in slot order) and, per
-/// slot, the index of its distinct representative.
-pub(crate) fn distinct_comparisons(plan: &IndexingPlan) -> (Vec<usize>, Vec<usize>) {
-    let mut representatives: Vec<usize> = Vec::new();
-    let mut slot_of = Vec::with_capacity(plan.comparisons().len());
-    let mut by_key: HashMap<LeafKey, usize> = HashMap::new();
-    for (slot, comparison) in plan.comparisons().iter().enumerate() {
-        let at = *by_key
+/// Where the probing entity's chain values come from — the one thing
+/// candidate generation is generic over.
+pub(crate) trait ProbeValues: Copy {
+    type Values: Deref<Target = [String]>;
+
+    /// The source-chain values of plan comparison `leaf`.
+    fn values(self, leaf: usize, comparison: &IndexedComparison) -> Self::Values;
+}
+
+/// An entity read through its [`ValueCache`]: the public API, service
+/// queries.
+#[derive(Clone, Copy)]
+struct CachedProbe<'c, 'e> {
+    entity: &'e Entity,
+    cache: &'c ValueCache<'e>,
+}
+
+impl<'e> ProbeValues for CachedProbe<'_, 'e> {
+    type Values = ChainValues<'e>;
+
+    fn values(self, _leaf: usize, comparison: &IndexedComparison) -> ChainValues<'e> {
+        comparison.source.values(self.entity, self.cache)
+    }
+}
+
+/// One position of a bound source side: the batch engine.
+#[derive(Clone, Copy)]
+pub(crate) struct BoundProbe<'b> {
+    pub(crate) columns: &'b ChainColumns<'b>,
+    pub(crate) position: usize,
+}
+
+impl<'b> ProbeValues for BoundProbe<'b> {
+    type Values = &'b [String];
+
+    fn values(self, leaf: usize, _comparison: &IndexedComparison) -> &'b [String] {
+        &self.columns[leaf][self.position]
+    }
+}
+
+/// The values columns of a plan's comparison chains on one bound side, by
+/// leaf slot.
+pub(crate) type ChainColumns<'b> = Vec<&'b [Arc<[String]>]>;
+
+/// Resolves the chains `chain` picks from each comparison — the source chains
+/// a bound source side probes with, or the target chains a bound target chunk
+/// is indexed from — to `side`'s columns, by structural hash: once per (job,
+/// side) instead of once per entity.
+pub(crate) fn chain_columns<'b>(
+    plan: &IndexingPlan,
+    side: &'b BoundSide,
+    chain: fn(&IndexedComparison) -> &CompiledChain,
+) -> ChainColumns<'b> {
+    plan.comparisons()
+        .iter()
+        .map(|comparison| {
+            side.values_of(chain(comparison).structural_hash())
+                .expect("side bound by the rule the plan was lowered from")
+        })
+        .collect()
+}
+
+/// The state of one staged build (see [`MultiBlockIndex::build_staged`]).
+struct Staging<'a> {
+    plan: &'a IndexingPlan,
+    columns: ChainColumns<'a>,
+    len: usize,
+    threads: usize,
+    floor: f64,
+    /// Leaves built so far, by reuse key: comparisons sharing a key index the
+    /// chunk identically, whichever stage asks first.
+    built: HashMap<LeafKey, Arc<LeafIndex>>,
+}
+
+impl Staging<'_> {
+    /// The leaf of plan comparison `slot`, bulk-built (sharded) on first use.
+    fn leaf(&mut self, slot: usize) -> Arc<LeafIndex> {
+        let plan = self.plan;
+        let comparison = &plan.comparisons()[slot];
+        let (column, len, threads) = (self.columns[slot], self.len, self.threads);
+        self.built
             .entry(comparison.leaf_reuse_key())
             .or_insert_with(|| {
-                representatives.push(slot);
-                representatives.len() - 1
-            });
-        slot_of.push(at);
+                Arc::new(sharded_leaf(len, threads, |range| {
+                    let values = column[range.clone()].iter().map(|values| &**values);
+                    LeafIndex::bulk(comparison, (range.start as u32..).zip(values))
+                }))
+            })
+            .clone()
     }
-    (representatives, slot_of)
+
+    /// Index-side keys per entity of the leaves under `node`, as the mean
+    /// over the chunk's first ≤ 64 entities: what building (and later
+    /// consulting) the node costs, observed rather than tabulated.
+    fn keys_per_entity(&self, node: &PlanNode) -> f64 {
+        match node {
+            PlanNode::All | PlanNode::Nothing => 0.0,
+            PlanNode::Leaf(leaf) => {
+                let comparison = &self.plan.comparisons()[*leaf];
+                let sample = &self.columns[*leaf][..self.len.min(64)];
+                let mut keys: Vec<BlockKey> = Vec::new();
+                let mut total = 0usize;
+                for values in sample {
+                    comparison.block_keys_into(values, KeySide::Index, &mut keys);
+                    total += keys.len();
+                }
+                total as f64 / sample.len().max(1) as f64
+            }
+            PlanNode::Intersect(children) | PlanNode::Union(children) => {
+                children.iter().map(|c| self.keys_per_entity(c)).sum()
+            }
+        }
+    }
+}
+
+/// Pairs each entity with its target-chain values read through `cache` — the
+/// per-entity provider of [`LeafIndex::bulk`].
+fn through_cache<'a, 'e: 'a>(
+    comparison: &'a IndexedComparison,
+    entries: impl Iterator<Item = (u32, &'e Entity)> + 'a,
+    cache: &'a ValueCache<'e>,
+) -> impl Iterator<Item = (u32, ChainValues<'e>)> + 'a {
+    entries.map(move |(position, entity)| (position, comparison.target.values(entity, cache)))
+}
+
+/// Builds one leaf over positions `0..len`, sharded across `threads` workers
+/// (0 = all cores): `over` bulk-builds one contiguous position range into a
+/// private leaf, and the per-key posting lists of consecutive ranges
+/// concatenate into ascending order — so the merged leaf is **identical** to
+/// `over(0..len)`, maps and statistics, at any thread count.
+fn sharded_leaf(
+    len: usize,
+    threads: usize,
+    over: impl Fn(Range<usize>) -> LeafIndex + Sync,
+) -> LeafIndex {
+    let threads = resolve_threads(threads).min(len).max(1);
+    if threads <= 1 {
+        return over(0..len);
+    }
+    let shard_size = len.div_ceil(threads);
+    let shards: Vec<LeafIndex> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..len)
+            .step_by(shard_size)
+            .map(|start| {
+                let over = &over;
+                scope.spawn(move || over(start..(start + shard_size).min(len)))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("index build thread panicked"))
+            .collect()
+    });
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().expect("at least one shard");
+    for partial in shards {
+        merged.indexed_entities += partial.indexed_entities;
+        for (key, list) in partial.by_key {
+            merged.by_key.entry(key).or_default().extend(list);
+        }
+    }
+    merged.refresh_estimates();
+    merged
 }
 
 /// Aggregate statistics of a [`SharedLeafIndexes`] cache.
@@ -787,12 +874,7 @@ pub struct LeafReuseStats {
 impl LeafReuseStats {
     /// Fraction of leaf-index requests served from the cache.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
@@ -896,7 +978,11 @@ impl SharedLeafIndexes {
             return leaf.clone();
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let leaf = Arc::new(pool_leaf(comparison, targets, cache));
+        let entries = (0..).zip(targets.iter().copied());
+        let leaf = Arc::new(LeafIndex::bulk(
+            comparison,
+            through_cache(comparison, entries, cache),
+        ));
         self.leaves
             .lock()
             .expect("shared leaf cache poisoned")
@@ -904,45 +990,6 @@ impl SharedLeafIndexes {
             .or_insert(leaf)
             .clone()
     }
-}
-
-/// Leaf indices the probe-only intersection tail can reach: the direct
-/// `Leaf` children of every `Intersect` node.  Only these leaves need the
-/// per-position key sidecar; all others skip its build and memory cost.
-pub(crate) fn probe_eligible_leaves(plan: &IndexingPlan) -> Vec<bool> {
-    fn walk(node: &PlanNode, eligible: &mut [bool]) {
-        match node {
-            PlanNode::Intersect(children) => {
-                for child in children {
-                    if let PlanNode::Leaf(leaf) = child {
-                        eligible[*leaf] = true;
-                    }
-                    walk(child, eligible);
-                }
-            }
-            PlanNode::Union(children) => {
-                for child in children {
-                    walk(child, eligible);
-                }
-            }
-            PlanNode::All | PlanNode::Nothing | PlanNode::Leaf(_) => {}
-        }
-    }
-    let mut eligible = vec![false; plan.comparisons().len()];
-    walk(plan.root(), &mut eligible);
-    eligible
-}
-
-/// Builds one comparison's leaf index over a borrowed target pool (positions
-/// are pool indices).  Leaves shared between plans — here and in the serving
-/// [`LeafPool`] — always carry the probe sidecar: the cache cannot know
-/// whether a later plan will reach the leaf through an intersection.
-fn pool_leaf<'e>(
-    comparison: &IndexedComparison,
-    targets: &[&'e Entity],
-    cache: &ValueCache<'e>,
-) -> LeafIndex {
-    LeafIndex::bulk(true, comparison, (0..).zip(targets.iter().copied()), cache)
 }
 
 /// Aggregate statistics of a serving [`LeafPool`].
@@ -965,12 +1012,7 @@ impl LeafPoolStats {
     /// Fraction of leaf acquisitions answered without building a leaf —
     /// the serving leaf-share ratio.
     pub fn share_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
@@ -1038,43 +1080,26 @@ impl LeafPool {
         if !pending.is_empty() {
             let built = linkdisc_util::parallel_ordered_map(&pending, threads, |comparison| {
                 Arc::new(LeafIndex::bulk(
-                    true,
                     comparison,
-                    entries.iter().copied(),
-                    cache,
+                    through_cache(comparison, entries.iter().copied(), cache),
                 ))
             });
             for (&comparison, leaf) in pending.iter().zip(built) {
-                self.entries.insert(
-                    comparison.leaf_reuse_key(),
-                    PooledLeaf {
-                        leaf,
-                        refs: 0,
-                        comparison: comparison.clone(),
-                    },
-                );
+                self.adopt(comparison, leaf);
             }
         }
-        let leaves = plan
-            .comparisons()
-            .iter()
-            .map(|comparison| {
-                let entry = self
-                    .entries
-                    .get_mut(&comparison.leaf_reuse_key())
-                    .expect("every key was pooled or scheduled above");
-                entry.refs += 1;
-                entry.leaf.clone()
-            })
-            .collect();
+        let leaves = self
+            .attach_plan(plan)
+            .expect("every key was pooled or scheduled above");
         self.hits += hits;
         self.misses += misses;
         (leaves, hits, misses)
     }
 
-    /// Adopts an already-restored leaf (the snapshot codec) under the
-    /// comparison's key with a refcount of zero; the [`LeafPool::attach_plan`]
-    /// calls that follow establish the counts.
+    /// Adopts an already-built leaf (a registration's, or a restored one from
+    /// the snapshot codec) under the comparison's key with a refcount of
+    /// zero; the [`LeafPool::attach_plan`] calls that follow establish the
+    /// counts.
     pub(crate) fn adopt(&mut self, comparison: &IndexedComparison, leaf: Arc<LeafIndex>) {
         self.entries
             .entry(comparison.leaf_reuse_key())
@@ -1168,13 +1193,7 @@ impl LeafPool {
         let mut keys: Vec<BlockKey> = Vec::new();
         for entry in self.entries.values_mut() {
             entity_keys(&entry.comparison, entity, cache, &mut keys);
-            let leaf = Arc::make_mut(&mut entry.leaf);
-            if !keys.is_empty() {
-                leaf.indexed_entities += 1;
-            }
-            for &key in &keys {
-                leaf.add(key, position);
-            }
+            Arc::make_mut(&mut entry.leaf).add_entity(&keys, position);
         }
     }
 
@@ -1188,13 +1207,7 @@ impl LeafPool {
         let mut keys: Vec<BlockKey> = Vec::new();
         for entry in self.entries.values_mut() {
             entity_keys(&entry.comparison, entity, cache, &mut keys);
-            let leaf = Arc::make_mut(&mut entry.leaf);
-            if !keys.is_empty() {
-                leaf.indexed_entities -= 1;
-            }
-            for &key in &keys {
-                leaf.drop_posting(key, position);
-            }
+            Arc::make_mut(&mut entry.leaf).drop_entity(&keys, position);
         }
     }
 
@@ -1244,9 +1257,7 @@ fn entity_keys<'e>(
     keys: &mut Vec<BlockKey>,
 ) {
     let values = comparison.target.values(entity, cache);
-    comparison
-        .function
-        .block_keys_into(values.as_slice(), comparison.bound, KeySide::Index, keys);
+    comparison.block_keys_into(&values, KeySide::Index, keys);
 }
 
 /// Reusable per-worker state for candidate generation: key buffers, an
@@ -1462,14 +1473,12 @@ mod tests {
     }
 
     /// Structural equality of two indexes: same plan shape is assumed, the
-    /// leaf maps, probe sidecars and statistics must match entry for entry.
+    /// leaf maps and statistics must match entry for entry.
     fn assert_same_index(a: &MultiBlockIndex, b: &MultiBlockIndex) {
         assert_eq!(a.target_len(), b.target_len());
         assert_eq!(a.build_stats(), b.build_stats());
         for (la, lb) in a.leaves.iter().zip(&b.leaves) {
             assert_eq!(la.by_key, lb.by_key);
-            assert_eq!(la.sidecar, lb.sidecar);
-            assert_eq!(la.position_keys, lb.position_keys);
             assert_eq!(la.postings, lb.postings);
             assert_eq!(la.postings_sq, lb.postings_sq);
         }
@@ -1494,24 +1503,23 @@ mod tests {
         builder.build()
     }
 
-    /// The bulk constructor at all three batch call sites — engine slices,
-    /// active learning's [`SharedLeafIndexes`], and a serving [`LeafPool`]
-    /// over a store with tombstone holes — sharded at 1/2/4 threads, against
-    /// inserting the same entities one by one: maps, [`LeafBuildStats`],
-    /// `postings_sq` and sidecars.  Both plan leaves sit under the
-    /// intersection, so the incremental index carries sidecars like the
-    /// always-sidecar shared and pooled leaves do.
+    /// The bulk constructor at every batch call site — public slices, the
+    /// engine's bound columns, active learning's [`SharedLeafIndexes`], and a
+    /// serving [`LeafPool`] over a store with tombstone holes — sharded at
+    /// 1/2/4 threads, against inserting the same entities one by one: maps,
+    /// [`LeafBuildStats`] and `postings_sq`, whichever provider the values
+    /// came from.
     #[test]
     fn bulk_builds_are_structurally_identical_to_one_by_one_inserts() {
         let (source, target) = (source(), varied_target());
-        let p = Arc::new(plan(&name_year_rule(), &source, &target));
+        let rule = name_year_rule();
+        let p = Arc::new(plan(&rule, &source, &target));
         let cache = ValueCache::new();
         let mut one_by_one = MultiBlockIndex::empty(p.clone());
         // descending, so every posting takes the mid-vector insert path
         for (position, entity) in target.entities().iter().enumerate().rev() {
             one_by_one.insert(position as u32, entity, &cache);
         }
-        assert!(one_by_one.leaves.iter().all(|leaf| leaf.sidecar));
         assert!(one_by_one.build_stats()[1].indexed_entities < target.len());
 
         let targets: Vec<&Entity> = target.entities().iter().collect();
@@ -1519,6 +1527,15 @@ mod tests {
             let sliced =
                 MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
             assert_same_index(&sliced, &one_by_one);
+        }
+        // the column provider: every leaf (negative floor) from a bound side
+        let compiled =
+            linkdisc_rule::CompiledRule::compile(&rule, source.schema(), target.schema());
+        let bound = compiled.bind_target(target.entities().iter(), None);
+        for threads in [1, 2, 4] {
+            let columnar =
+                MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), threads, -1.0);
+            assert_same_index(&columnar, &one_by_one);
         }
         let shared =
             MultiBlockIndex::build_shared(p.clone(), &targets, &cache, &SharedLeafIndexes::new());
@@ -1766,13 +1783,12 @@ mod tests {
         );
     }
 
-    /// A fixture whose conjunction engages the probe tail: hundreds of
-    /// targets share the name-leaf blocks (estimate ≫ running set ×
-    /// [`PROBE_COST_RATIO`]) while only three share the query's year
-    /// bucket.
-    fn probe_fixture() -> DataSource {
+    /// A conjunction over a selective year leaf and an unselective name
+    /// leaf: 1,200 targets share every name block, three share the query's
+    /// year bucket.
+    fn stop_fixture() -> DataSource {
         let mut builder = DataSourceBuilder::new("B", ["name", "year"]);
-        for i in 0..400 {
+        for i in 0..1200 {
             let year = if i < 3 { "1237" } else { "1900" };
             builder = builder
                 .entity(format!("b{i}"), [("name", "berlin"), ("year", year)])
@@ -1782,141 +1798,360 @@ mod tests {
     }
 
     #[test]
-    fn probe_only_tail_matches_materialised_intersection() {
-        // many targets share the name-leaf blocks, but only a few share the
-        // year bucket: after the (selective) year leaf runs, the running set
-        // is far below the name leaf's estimate over the calibrated cost
-        // ratio and the probe tail engages
-        let target = probe_fixture();
+    fn conjunction_stops_when_scoring_the_survivors_is_cheaper() {
+        let target = stop_fixture();
         let rule = name_year_rule();
-        let source = source();
+        let source = DataSourceBuilder::new("A", ["name", "year"])
+            .entity("a0", [("name", "Berlin"), ("year", "1237")])
+            .unwrap()
+            .entity("a9", [("name", "zzzzzz"), ("year", "1900")])
+            .unwrap()
+            .build();
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
-        let a0 = &source.entities()[0];
+        let mut index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
         assert!(
-            3.0 * PROBE_COST_RATIO < index.estimate(&PlanNode::Leaf(0)),
-            "fixture must actually reach the probe branch"
+            3.0 * PAIR_COST_IN_SCANS < index.estimate(&PlanNode::Leaf(0)),
+            "fixture must actually reach the stop"
         );
-        let candidates = index.candidate_positions(a0, &cache);
-        assert_eq!(candidates, vec![0, 1, 2], "only the 1237 entities survive");
-        // removing a probed entity updates the sidecar consistently
-        let mut index = index;
+        // three survivors of the year leaf: scanning 1,200-entry name blocks
+        // costs more than scoring three pairs, so the name leaf is never
+        // consulted — the candidates are the year leaf's
+        let mut scratch = CandidateScratch::new();
+        let mut leaf_counts = vec![0usize; 2];
+        let a0 = &source.entities()[0];
+        let buf = index.candidates(a0, &cache, &mut scratch, &mut leaf_counts);
+        scratch.recycle(buf);
+        assert_eq!(leaf_counts, vec![0, 3]);
+        assert_eq!(index.candidate_positions(a0, &cache), vec![0, 1, 2]);
+        // 1,197 survivors are worth pruning: the name leaf is consulted, and
+        // reports what survived it (nothing is named "zzzzzz")
+        let a9 = &source.entities()[1];
+        leaf_counts.fill(0);
+        let buf = index.candidates(a9, &cache, &mut scratch, &mut leaf_counts);
+        assert!(buf.is_empty());
+        scratch.recycle(buf);
+        assert_eq!(leaf_counts, vec![0, 1197]);
+        // maintenance keeps the stopped answer consistent
         index.remove(1, &target.entities()[1], &cache);
         assert_eq!(index.candidate_positions(a0, &cache), vec![0, 2]);
         index.insert(1, &target.entities()[1], &cache);
         assert_eq!(index.candidate_positions(a0, &cache), vec![0, 1, 2]);
     }
 
-    #[test]
-    fn probe_and_materialise_paths_agree() {
-        // the cutoff is a pure performance decision: whatever
-        // PROBE_COST_RATIO decides, both paths must produce the identical
-        // candidate set.  Force the materialise path by stripping the
-        // sidecars (the probe branch requires one) and compare.
-        let target = probe_fixture();
-        let rule = name_year_rule();
-        let source = source();
-        let cache = ValueCache::new();
-        let probing = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
-        let materialising = probing.without_sidecars();
-        for entity in source.entities() {
-            assert_eq!(
-                probing.candidate_positions(entity, &cache),
-                materialising.candidate_positions(entity, &cache)
-            );
+    /// The plan's set algebra over a fully built index with **no** stop: the
+    /// reference a stopped or staged index must cover.
+    fn full_algebra(
+        index: &MultiBlockIndex,
+        node: &PlanNode,
+        probe: CachedProbe<'_, '_>,
+        scratch: &mut CandidateScratch,
+    ) -> std::collections::BTreeSet<u32> {
+        match node {
+            PlanNode::All => (0..index.target_len as u32).collect(),
+            PlanNode::Nothing => Default::default(),
+            PlanNode::Leaf(_) => {
+                let buf = index.eval(node, probe, scratch, &mut []);
+                let set = buf.iter().copied().collect();
+                scratch.recycle(buf);
+                set
+            }
+            PlanNode::Intersect(children) => children
+                .iter()
+                .map(|child| full_algebra(index, child, probe, scratch))
+                .reduce(|a, b| &a & &b)
+                .expect("intersections have children"),
+            PlanNode::Union(children) => children
+                .iter()
+                .flat_map(|child| full_algebra(index, child, probe, scratch))
+                .collect(),
         }
-        // also at the cutoff boundary itself: a query whose running set
-        // size sits exactly at estimate / RATIO must agree too (year 1900
-        // matches 397 targets, far beyond the probe cutoff)
-        let boundary = DataSourceBuilder::new("A", ["name", "year"])
-            .entity("a9", [("name", "berlin"), ("year", "1900")])
-            .unwrap()
-            .build();
-        let wide = &boundary.entities()[0];
-        assert_eq!(
-            probing.candidate_positions(wide, &cache),
-            materialising.candidate_positions(wide, &cache)
-        );
     }
 
-    /// One-off calibration behind [`PROBE_COST_RATIO`]: measures the
-    /// per-item cost of the two ways an `Intersect` can apply a leaf —
-    /// scanning its posting lists into the mark table (materialise) versus
-    /// probing each running candidate through the key sidecar.  Run with
-    /// `cargo test -p linkdisc-matching --release -- --ignored probe_cost`
-    /// and transplant the printed ratio into the constant when key schemes
-    /// or data structures change materially.
-    #[test]
-    #[ignore = "one-off calibration; run explicitly in release mode"]
-    fn probe_cost_calibration() {
-        use std::time::Instant;
-        // a synthetic leaf shaped like a q-gram name leaf: 50k positions,
-        // ~8 index-side keys per position, block sizes in the hundreds; a
-        // query probes three neighbour buckets per gram
-        let positions = 50_000u32;
-        let keys_per_position = 8u64;
-        let blocks = 1_000u64;
-        // block ids spread over the 64-bit space like mixed keys are (the
-        // leaf map uses the key as its own hash)
-        let key = |block: u64| BlockKey::from_raw(block.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let mut leaf = LeafIndex::with_sidecar(true);
-        for position in 0..positions {
-            for i in 0..keys_per_position {
-                // deterministic pseudo-spread over the blocks
-                let block = (position as u64)
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(i * 0x517c_c1b7_2722_0a95)
-                    % blocks;
-                leaf.add(key(block), position);
-            }
-        }
-        let mut query_keys: Vec<BlockKey> = (0..3 * keys_per_position).map(key).collect();
-        query_keys.sort_unstable();
-        let mut marks = EpochMarks::default();
-        marks.ensure_capacity(positions as usize);
-        let rounds = 200;
+    /// Rule shapes over a dataset's comparisons: flat and nested
+    /// conjunctions, disjunctions of conjunctions, weighted means.
+    fn shapes(c: &[linkdisc_rule::SimilarityOperator]) -> Vec<LinkageRule> {
+        use AggregationFunction::{Max, Min, WeightedMean};
+        let agg = |function, children: Vec<&linkdisc_rule::SimilarityOperator>| {
+            aggregation(function, children.into_iter().cloned().collect())
+        };
+        vec![
+            agg(Min, vec![&c[0], &c[1]]).into(),
+            agg(Min, vec![&c[0], &c[2]]).into(),
+            agg(Min, vec![&c[0], &c[1], &c[2], &c[3]]).into(),
+            agg(Min, vec![&agg(Min, vec![&c[0], &c[2]]), &c[1]]).into(),
+            agg(Min, vec![&agg(Max, vec![&c[0], &c[1]]), &c[2]]).into(),
+            agg(
+                Max,
+                vec![&agg(Min, vec![&c[0], &c[1]]), &agg(Min, vec![&c[3], &c[2]])],
+            )
+            .into(),
+            agg(WeightedMean, vec![&c[0], &c[1]]).into(),
+            agg(Min, vec![&c[3], &c[2]]).into(),
+        ]
+    }
 
-        // materialise: scan every posting list of the query keys
-        let mut scanned = 0u64;
-        let mut out: Vec<u32> = Vec::new();
-        let scan_start = Instant::now();
-        for _ in 0..rounds {
-            out.clear();
-            let epoch = marks.next_epoch();
-            for key in &query_keys {
-                if let Some(list) = leaf.by_key.get(key) {
-                    for &position in list {
-                        scanned += 1;
-                        if marks.mark_first(position as usize, epoch) {
-                            out.push(position);
+    /// Candidates of a query-time-stopped index (every leaf built) and of the
+    /// engine's staged index (bound columns, leaves left out) are supersets
+    /// of the full, unstopped set algebra — per source entity, over rule
+    /// shapes × Restaurant and Cora — and the staged build decides the same
+    /// at every thread count.
+    #[test]
+    fn stopped_and_staged_candidates_cover_the_full_intersection() {
+        use linkdisc_datasets::DatasetKind;
+        let fuzzy = |name: &str, function, measure, threshold| {
+            compare(
+                transform(function, vec![property(name)]),
+                transform(function, vec![property(name)]),
+                measure,
+                threshold,
+            )
+        };
+        use DistanceFunction::{Equality, Jaccard, Levenshtein};
+        use TransformFunction::{DigitsOnly, LowerCase, Tokenize};
+        let restaurant = [
+            fuzzy("name", LowerCase, Levenshtein, 2.0),
+            fuzzy("phone", DigitsOnly, Levenshtein, 1.0),
+            fuzzy("city", LowerCase, Equality, 0.5),
+            fuzzy("address", Tokenize, Jaccard, 0.8),
+        ];
+        let cora = [
+            fuzzy("title", LowerCase, Levenshtein, 3.0),
+            fuzzy("author", Tokenize, Jaccard, 0.7),
+            fuzzy("date", LowerCase, Equality, 0.5),
+            fuzzy("venue", LowerCase, Levenshtein, 2.0),
+        ];
+        let (mut skipped_leaves, mut extra_candidates) = (0usize, 0usize);
+        for (kind, scale, comparisons) in [
+            (DatasetKind::Restaurant, 1.5, &restaurant),
+            (DatasetKind::Cora, 0.15, &cora),
+        ] {
+            let data = kind.generate(scale, 5);
+            let (source, target) = (&data.source, &data.target);
+            for rule in shapes(comparisons) {
+                for link_threshold in [0.5, 0.75] {
+                    let p = Arc::new(IndexingPlan::lower(
+                        &rule,
+                        source.schema(),
+                        target.schema(),
+                        link_threshold,
+                    ));
+                    let cache = ValueCache::new();
+                    let full =
+                        MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, 1);
+                    let compiled = linkdisc_rule::CompiledRule::compile(
+                        &rule,
+                        source.schema(),
+                        target.schema(),
+                    );
+                    let bound_target = compiled.bind_target(target.entities().iter(), None);
+                    let bound_source = compiled.bind_source(source.entities().iter(), None);
+                    let staged = MultiBlockIndex::build_staged(
+                        p.clone(),
+                        &bound_target,
+                        target.len(),
+                        1,
+                        STAGE_FLOOR,
+                    );
+                    for threads in [2, 4] {
+                        let again = MultiBlockIndex::build_staged(
+                            p.clone(),
+                            &bound_target,
+                            target.len(),
+                            threads,
+                            STAGE_FLOOR,
+                        );
+                        assert_eq!(again.root, staged.root);
+                        assert_same_index(&again, &staged);
+                    }
+                    skipped_leaves += staged.build_stats().iter().filter(|s| !s.built).count();
+                    let columns = chain_columns(&p, &bound_source, |c| &c.source);
+                    let mut scratch = CandidateScratch::new();
+                    scratch.ensure_capacity(target.len());
+                    for (position, entity) in source.entities().iter().enumerate() {
+                        let probe = CachedProbe {
+                            entity,
+                            cache: &cache,
+                        };
+                        let reference = full_algebra(&full, p.root(), probe, &mut scratch);
+                        let stopped = full.candidates(entity, &cache, &mut scratch, &mut []);
+                        let bound = BoundProbe {
+                            columns: &columns,
+                            position,
+                        };
+                        let from_staged = staged.candidates_from(bound, &mut scratch, &mut []);
+                        for (label, buf) in [("stopped", stopped), ("staged", from_staged)] {
+                            let found: std::collections::BTreeSet<u32> =
+                                buf.iter().copied().collect();
+                            assert_eq!(found.len(), buf.len(), "{label}: duplicates");
+                            assert!(
+                                found.is_superset(&reference),
+                                "{label} candidates of {} lost {:?} under {}",
+                                entity.id(),
+                                reference.difference(&found).collect::<Vec<_>>(),
+                                linkdisc_rule::print_rule(&rule),
+                            );
+                            extra_candidates += found.len() - reference.len();
+                            scratch.recycle(buf);
                         }
                     }
                 }
             }
         }
-        let scan_ns = scan_start.elapsed().as_nanos() as f64 / scanned as f64;
+        // not vacuous: stages were cut short and conjunctions did stop
+        assert!(skipped_leaves > 0, "no staged build left a leaf out");
+        assert!(extra_candidates > 0, "no conjunction ever stopped early");
+    }
 
-        // probe: ask every candidate whether it shares a key
-        let candidates: Vec<u32> = (0..positions).step_by(7).collect();
-        let mut probed = 0u64;
-        let mut survivors = 0usize;
-        let probe_start = Instant::now();
-        for _ in 0..rounds {
-            for &position in &candidates {
-                probed += 1;
-                if leaf.shares_key(position, &query_keys) {
-                    survivors += 1;
+    /// Calibration behind [`PAIR_COST_IN_SCANS`] and [`STAGE_FLOOR`]: on
+    /// Restaurant names/phones and Cora titles, (a) ns per
+    /// `evaluate_bound_stats` pair (over the pairs that survive candidate
+    /// generation — what a stop leaves to the rule) against ns per posting
+    /// scanned, and (b) the per-entity cost of bulk-building plus consulting
+    /// the q-gram leaf, expressed in pair evaluations.  Run with `cargo test
+    /// -p linkdisc-matching --release -- --ignored planner_cost --nocapture`
+    /// and transplant the printed ranges into the two constants' docs when
+    /// key schemes, kernels or data structures change materially.
+    #[test]
+    #[ignore = "one-off calibration; run explicitly in release mode"]
+    fn planner_cost_calibration() {
+        use linkdisc_datasets::DatasetKind;
+        use std::time::Instant;
+        let fuzzy = |name: &str, function, threshold| {
+            compare(
+                transform(function, vec![property(name)]),
+                transform(function, vec![property(name)]),
+                DistanceFunction::Levenshtein,
+                threshold,
+            )
+        };
+        let restaurant: LinkageRule = aggregation(
+            AggregationFunction::Min,
+            vec![
+                fuzzy("name", TransformFunction::LowerCase, 2.0),
+                fuzzy("phone", TransformFunction::DigitsOnly, 1.0),
+            ],
+        )
+        .into();
+        let cora: LinkageRule = fuzzy("title", TransformFunction::LowerCase, 3.0).into();
+        for (kind, scale, rule) in [
+            (DatasetKind::Restaurant, 20.0, restaurant),
+            (DatasetKind::Cora, 1.0, cora),
+        ] {
+            let data = kind.generate(scale, 42);
+            let (source, target) = (&data.source, &data.target);
+            let p = Arc::new(IndexingPlan::lower(
+                &rule,
+                source.schema(),
+                target.schema(),
+                0.5,
+            ));
+            let compiled =
+                linkdisc_rule::CompiledRule::compile(&rule, source.schema(), target.schema());
+            let bound_target = compiled.bind_target(target.entities().iter(), None);
+            let bound_source = compiled.bind_source(source.entities().iter(), None);
+            let build_start = Instant::now();
+            let index =
+                MultiBlockIndex::build_staged(p.clone(), &bound_target, target.len(), 1, -1.0);
+            println!(
+                "{}: {} x {} entities, all {} leaves built in {:.1} ms",
+                kind.name(),
+                source.len(),
+                target.len(),
+                index.leaves.len(),
+                build_start.elapsed().as_secs_f64() * 1e3
+            );
+            let columns = chain_columns(&p, &bound_source, |c| &c.source);
+            let targets = chain_columns(&p, &bound_target, |c| &c.target);
+            let mut scratch = CandidateScratch::new();
+            scratch.ensure_capacity(target.len());
+            // (a) one pair evaluation, over the pairs candidate generation
+            // leaves to the rule
+            let mut stats = linkdisc_rule::EvalStats::default();
+            let mut pairs: Vec<(usize, u32)> = Vec::new();
+            for position in 0..source.len() {
+                let probe = BoundProbe {
+                    columns: &columns,
+                    position,
+                };
+                let buf = index.candidates_from(probe, &mut scratch, &mut []);
+                pairs.extend(buf.iter().map(|&target| (position, target)));
+                scratch.recycle(buf);
+            }
+            let eval_start = Instant::now();
+            let mut links = 0usize;
+            for &(s, t) in &pairs {
+                let score = compiled.evaluate_bound_stats(
+                    &bound_source,
+                    s,
+                    &bound_target,
+                    t as usize,
+                    0.5,
+                    &mut stats,
+                );
+                links += usize::from(score >= 0.5);
+            }
+            let pair_ns = eval_start.elapsed().as_nanos() as f64 / pairs.len().max(1) as f64;
+            println!(
+                "  evaluate_bound_stats: {pair_ns:.1} ns/pair over {} candidate pairs ({links} links)",
+                pairs.len()
+            );
+            for (leaf, comparison) in p.comparisons().iter().enumerate() {
+                // one posting scan: consult the leaf alone for every source
+                let node = PlanNode::Leaf(leaf);
+                let (mut scanned, mut probed) = (0usize, 0usize);
+                let mut keys: Vec<BlockKey> = Vec::new();
+                for values in columns[leaf] {
+                    comparison.function.block_keys_into(
+                        values,
+                        comparison.bound,
+                        KeySide::Probe,
+                        &mut keys,
+                    );
+                    probed += keys.len();
+                    scanned += keys
+                        .iter()
+                        .filter_map(|key| index.leaves[leaf].by_key.get(key))
+                        .map(Vec::len)
+                        .sum::<usize>();
                 }
+                let consult_start = Instant::now();
+                for position in 0..source.len() {
+                    let probe = BoundProbe {
+                        columns: &columns,
+                        position,
+                    };
+                    let buf = index.eval(&node, probe, &mut scratch, &mut []);
+                    scratch.recycle(buf);
+                }
+                let consult = consult_start.elapsed().as_nanos() as f64;
+                // (b) bulk-building the leaf from the column
+                let bulk_start = Instant::now();
+                let rebuilt = LeafIndex::bulk(
+                    comparison,
+                    (0u32..).zip(targets[leaf].iter().map(|values| &**values)),
+                );
+                let bulk = bulk_start.elapsed().as_nanos() as f64;
+                let scan_ns = consult / scanned.max(1) as f64;
+                let per_entity = bulk / target.len() as f64 + consult / source.len() as f64;
+                println!(
+                    "  {}: {:.1} index keys/entity, estimate {:.1}; a probe looks up {:.0} keys and \
+                     scans {:.0} postings in {:.2} us = {scan_ns:.2} ns/posting -> one pair = {:.0} \
+                     scans (PAIR_COST_IN_SCANS = {PAIR_COST_IN_SCANS}); bulk build {:.2} \
+                     us/entity; build + consult = {:.2} us/entity = {:.0} pair evaluations \
+                     (STAGE_FLOOR = {STAGE_FLOOR})",
+                    comparison.label,
+                    rebuilt.postings as f64 / target.len() as f64,
+                    rebuilt.estimated_candidates(),
+                    probed as f64 / source.len() as f64,
+                    scanned as f64 / source.len() as f64,
+                    consult / source.len() as f64 / 1e3,
+                    pair_ns / scan_ns,
+                    bulk / target.len() as f64 / 1e3,
+                    per_entity / 1e3,
+                    per_entity / pair_ns,
+                );
             }
         }
-        let probe_ns = probe_start.elapsed().as_nanos() as f64 / probed as f64;
-
-        println!(
-            "posting scan: {scan_ns:.2} ns/item ({scanned} scans), probe: {probe_ns:.2} ns/item \
-             ({probed} probes, {survivors} survivors) -> measured ratio {:.2} \
-             (PROBE_COST_RATIO = {PROBE_COST_RATIO})",
-            probe_ns / scan_ns
-        );
     }
 
     #[test]

@@ -47,8 +47,8 @@
 //!
 //! A restored service is **bit-identical to a fresh build** over the same
 //! entity set and registrations: same leaf maps (block keys, posting lists,
-//! statistics — the probe sidecar and the `Σlen`/`Σlen²` selectivity sums
-//! are recomputed deterministically from the posting lists), same slot
+//! statistics — the `Σlen`/`Σlen²` selectivity sums are recomputed
+//! deterministically from the posting lists), same slot
 //! positions and free list (so subsequent inserts recycle the same slots),
 //! same registry order, and therefore bit-identical query results for every
 //! registered rule (property-tested over random rules × datasets).  The
@@ -508,11 +508,7 @@ impl ServiceWriter {
         }
         store.set_free_slots(free);
 
-        // the leaf pool: each shared leaf once, under its reuse key.  Pool
-        // leaves always carry the probe sidecar (sound for any leaf —
-        // probing is results-equivalent to materialising; only the memory
-        // trade-off differs, and a shared leaf cannot know which plans will
-        // probe it).
+        // the leaf pool: each shared leaf once, under its reuse key
         let pooled_count = tap.count()?;
         let mut pooled: HashMap<LeafKey, Arc<LeafIndex>> = HashMap::new();
         for _ in 0..pooled_count {
@@ -522,8 +518,10 @@ impl ServiceWriter {
                 SnapshotError::Corrupt(format!("unknown distance function {function_name:?}"))
             })?;
             let bucket = tap.u64()?;
-            let mut leaf = LeafIndex::with_sidecar(true);
-            leaf.indexed_entities = tap.count()?;
+            let mut leaf = LeafIndex {
+                indexed_entities: tap.count()?,
+                ..LeafIndex::default()
+            };
             let blocks = tap.count()?;
             for _ in 0..blocks {
                 let key = BlockKey::from_raw(tap.u64()?);
@@ -543,7 +541,6 @@ impl ServiceWriter {
                 leaf.by_key.insert(key, postings);
             }
             leaf.refresh_estimates();
-            leaf.rebuild_sidecar();
             if pooled
                 .insert((chain_hash, function, bucket), Arc::new(leaf))
                 .is_some()

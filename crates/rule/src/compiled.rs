@@ -39,10 +39,10 @@
 //! The evaluator is generic over **where a side's slot values come from**:
 //! `(entity, &ValueCache)` — one memo lookup per slot read, for callers that
 //! meet each entity a handful of times (the serving path, one-off pairs) — or
-//! `(`[`BoundSide`]`, position)` — dense per-slot columns filled from the
-//! [`ValueCache`] once per job, for callers that score the same entities many
-//! times (the matching engine, the learner's fitness).  One evaluator body,
-//! two providers.
+//! `(`[`BoundSide`]`, position)` — dense per-slot columns computed once per
+//! job, column by column, with no cache in between, for callers that score
+//! the same entities many times (the matching engine, the learner's fitness).
+//! One evaluator body, two providers.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -144,10 +144,9 @@ impl EvalStats {
 }
 
 /// Static relative cost of one comparison, used to order aggregation
-/// children cheapest-first.  The constants follow the spirit of the
-/// `PROBE_COST_RATIO` calibration in the matching crate (one full probe ≈ 50
-/// candidate-set operations): equality and numeric parses cost a few
-/// nanoseconds, sorted-id token merges tens, the string kernels hundreds —
+/// children cheapest-first.  The constants are coarse measured buckets:
+/// equality and numeric parses cost a few nanoseconds, sorted-id token
+/// merges tens, the string kernels hundreds —
 /// Levenshtein grows with its threshold because the distance must be chased
 /// across a wider band of the cross product before the comparison can give
 /// up.  Only the *ordering* matters, so coarse buckets are enough.
@@ -212,7 +211,9 @@ impl SlotTable {
 pub(crate) struct SlotProgram {
     pub(crate) schema: Arc<Schema>,
     pub(crate) slots: Vec<Slot>,
-    pub(crate) hashes: Vec<u64>,
+    /// Structural hash per slot; shared with every [`BoundSide`] the program
+    /// binds.
+    pub(crate) hashes: Arc<[u64]>,
 }
 
 impl SlotProgram {
@@ -252,30 +253,6 @@ impl SlotProgram {
                     self.compute_transform(slot, entity, cache)
                 }))
             }
-        }
-    }
-
-    /// [`SlotProgram::values`] as a shared slice that outlives the borrow of
-    /// the entity — what a [`BoundSide`] column holds.  A clone of the
-    /// entity's own slice or of the cache entry, never a copy of the strings.
-    fn shared_values<'e>(
-        &self,
-        slot: SlotId,
-        entity: &'e Entity,
-        cache: &ValueCache<'e>,
-    ) -> Arc<[String]> {
-        match &self.slots[slot] {
-            Slot::Property { name, index } => self
-                .property_index(name, *index, entity)
-                .and_then(|index| entity.shared_values_at(index))
-                .cloned()
-                .unwrap_or_else(|| {
-                    static EMPTY: std::sync::OnceLock<Arc<[String]>> = std::sync::OnceLock::new();
-                    EMPTY.get_or_init(|| Arc::from(Vec::new())).clone()
-                }),
-            Slot::Transform { .. } => cache.values(entity, self.hashes[slot], || {
-                self.compute_transform(slot, entity, cache)
-            }),
         }
     }
 
@@ -333,7 +310,7 @@ impl CompiledChain {
             program: SlotProgram {
                 schema: schema.clone(),
                 slots: table.slots,
-                hashes: table.hashes,
+                hashes: table.hashes.into(),
             },
             root,
         }
@@ -422,12 +399,12 @@ impl CompiledRule {
             source: SlotProgram {
                 schema: source_schema.clone(),
                 slots: source_table.slots,
-                hashes: source_table.hashes,
+                hashes: source_table.hashes.into(),
             },
             target: SlotProgram {
                 schema: target_schema.clone(),
                 slots: target_table.slots,
-                hashes: target_table.hashes,
+                hashes: target_table.hashes.into(),
             },
             nodes,
             root_node,
@@ -570,45 +547,36 @@ impl CompiledRule {
     }
 
     /// Binds the plan's source side to a list of entities: one dense column
-    /// per slot a comparison reads, holding the slot's values (or sorted
+    /// per slot a comparison reads, holding the slot's values (and sorted
     /// token ids, for Jaccard/Dice) of every entity by list position.
     ///
-    /// Binding is the once-per-job half of evaluation: every column cell is
-    /// filled through `cache` — which stays the one memo of transformation
-    /// outputs; cells are `Arc` clones of its entries, not copies — so
-    /// [`CompiledRule::evaluate_bound_stats`] reads plain slices per pair: no
-    /// hash, no lock, no reference count.  The result owns its columns and
-    /// borrows nothing; it stays valid (and its scores identical) whatever
-    /// happens to `cache` or the entities afterwards.  Memory: one fat
-    /// pointer per (read slot, entity).
+    /// Binding is the once-per-job half of evaluation, and it is **columnar**:
+    /// a column is computed whole, its inputs' columns first — a property
+    /// cell is a clone of the entity's own shared slice, a transformation
+    /// cell one `apply_slices` over its input columns' cells at the same
+    /// position — so an `(entity, slot)` costs its transformation and nothing
+    /// else: no hash, no lock, no interner.
+    /// [`CompiledRule::evaluate_bound_stats`] then reads plain slices per
+    /// pair.  The result owns its columns and borrows nothing.  Memory: one
+    /// fat pointer per (read slot, entity) plus the transformed strings.
     ///
     /// `memo` lets rules over **the same entity list** share columns by
     /// chain hash (see [`ColumnMemo`]); pass `None` for a one-rule job.
-    pub fn bind_source<'e, I>(
-        &self,
-        entities: I,
-        cache: &ValueCache<'e>,
-        memo: Option<&ColumnMemo>,
-    ) -> BoundSide
+    pub fn bind_source<'e, I>(&self, entities: I, memo: Option<&ColumnMemo>) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
     {
         self.source
-            .bind(self.reads(|source, _| source), entities, cache, memo)
+            .bind(self.reads(|source, _| source), entities, memo)
     }
 
     /// [`CompiledRule::bind_source`] for the target side.
-    pub fn bind_target<'e, I>(
-        &self,
-        entities: I,
-        cache: &ValueCache<'e>,
-        memo: Option<&ColumnMemo>,
-    ) -> BoundSide
+    pub fn bind_target<'e, I>(&self, entities: I, memo: Option<&ColumnMemo>) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
     {
         self.target
-            .bind(self.reads(|_, target| target), entities, cache, memo)
+            .bind(self.reads(|_, target| target), entities, memo)
     }
 
     /// The slots one side's comparisons read — `side` picks it from a
@@ -987,35 +955,51 @@ type ColumnMap<C> = Mutex<HashMap<u64, Column<C>>>;
 
 /// One side of a [`CompiledRule`] bound to a list of entities (see
 /// [`CompiledRule::bind_source`]): per slot a comparison reads, a dense
-/// column of that slot's values — or sorted token ids — by list position.
+/// column of that slot's values by list position — and, beside it, of their
+/// sorted token ids where a Jaccard/Dice comparison reads the slot.
 #[derive(Debug, Clone)]
 pub struct BoundSide {
-    /// By slot; `Some` for the slots a non-set comparison reads.
+    /// The binding program's structural hash per slot.
+    hashes: Arc<[u64]>,
+    /// By slot; `Some` for the slots a comparison reads.
     values: Vec<Option<Column<String>>>,
     /// By slot; `Some` for the slots a Jaccard/Dice comparison reads.
     ids: Vec<Option<Column<u32>>>,
 }
 
-/// Cells a [`ColumnMemo`] may hold before it is dropped wholesale — the
-/// entry capacity of a whole [`ValueCache`], whose entries the cells point
-/// at (16 MiB of fat pointers).
-const COLUMN_MEMO_CELLS: usize = VALUE_CACHE_SHARD_CAPACITY * VALUE_CACHE_SHARDS;
+impl BoundSide {
+    /// The values column of the chain with this structural hash (see
+    /// [`CompiledChain::structural_hash`]), by list position — `Some` for
+    /// every chain a comparison of the binding rule reads on this side, which
+    /// is how candidate generation indexes and probes from the very values
+    /// the rule will score.
+    pub fn values_of(&self, chain_hash: u64) -> Option<&[Arc<[String]>]> {
+        let slot = self.hashes.iter().position(|&hash| hash == chain_hash)?;
+        self.values[slot].as_deref()
+    }
+}
+
+/// Cells a [`ColumnMemo`] map may hold before it is dropped wholesale
+/// (16 MiB of fat pointers).
+const COLUMN_MEMO_CELLS: usize = 1 << 20;
 
 /// Columns of **one fixed entity list**, shared by chain hash across the
-/// rules bound to it.
+/// rules bound to it — intermediate chains included.
 ///
 /// A learner binds every rule of a population to the same reference
 /// entities, and populations are dominated by repeated chains, so most
-/// binds are a handful of `Arc` clones.  Like the [`ValueCache`] it is a
-/// pure memo — a column is a function of (entity list, chain hash) — and it
-/// is bounded the same way: past [`COLUMN_MEMO_CELLS`] cells it is dropped
-/// wholesale and refills from the cache.  Passing one memo to binds over
-/// different lists is a caller bug (columns are positional); a length
-/// mismatch is caught by assertion.
+/// binds are a handful of `Arc` clones and a transformation chain appearing
+/// anywhere in the population is computed once per entity.  It is a pure
+/// memo — a column is a function of (entity list, chain hash) — and bounded:
+/// past [`COLUMN_MEMO_CELLS`] cells a map is dropped wholesale and refills.
+/// Passing one memo to binds over different lists is a caller bug (columns
+/// are positional); a length mismatch is caught by assertion.
 #[derive(Debug, Default)]
 pub struct ColumnMemo {
     values: ColumnMap<String>,
     ids: ColumnMap<u32>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl ColumnMemo {
@@ -1034,12 +1018,24 @@ impl ColumnMemo {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Column requests answered from the memo so far.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Columns computed so far.
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
 }
 
-/// Looks a column up by chain hash, building (outside the lock — concurrent
-/// misses on one hash build equal columns) and memoizing it on a miss.
+/// Looks a column up by chain hash in `map(memo)`, building (outside the
+/// lock — concurrent misses on one hash build equal columns) and memoizing it
+/// on a miss.
 fn memoized_column<C>(
-    memo: Option<&ColumnMap<C>>,
+    memo: Option<&ColumnMemo>,
+    map: fn(&ColumnMemo) -> &ColumnMap<C>,
     chain_hash: u64,
     len: usize,
     build: impl FnOnce() -> Column<C>,
@@ -1047,12 +1043,19 @@ fn memoized_column<C>(
     let Some(memo) = memo else {
         return build();
     };
-    if let Some(column) = memo.lock().expect("column memo poisoned").get(&chain_hash) {
+    let columns = map(memo);
+    if let Some(column) = columns
+        .lock()
+        .expect("column memo poisoned")
+        .get(&chain_hash)
+    {
         assert_eq!(column.len(), len, "ColumnMemo reused across entity lists");
+        memo.hits.fetch_add(1, Ordering::Relaxed);
         return column.clone();
     }
+    memo.misses.fetch_add(1, Ordering::Relaxed);
     let column = build();
-    let mut columns = memo.lock().expect("column memo poisoned");
+    let mut columns = columns.lock().expect("column memo poisoned");
     if (columns.len() + 1) * len > COLUMN_MEMO_CELLS {
         columns.clear();
     }
@@ -1060,13 +1063,12 @@ fn memoized_column<C>(
 }
 
 impl SlotProgram {
-    /// Fills the columns of the slots in `reads` (`(slot, as token ids)`,
-    /// repeats allowed) for `entities`.
+    /// Fills the columns of the slots in `reads` (`(slot, also as token
+    /// ids)`, repeats allowed) for `entities`.
     fn bind<'e, I>(
         &self,
         reads: impl Iterator<Item = (SlotId, bool)>,
         entities: I,
-        cache: &ValueCache<'e>,
         memo: Option<&ColumnMemo>,
     ) -> BoundSide
     where
@@ -1074,32 +1076,91 @@ impl SlotProgram {
     {
         let len = entities.clone().count();
         let mut bound = BoundSide {
+            hashes: self.hashes.clone(),
             values: vec![None; self.slots.len()],
             ids: vec![None; self.slots.len()],
         };
+        let mut read = vec![false; self.slots.len()];
         for (slot, token_ids) in reads {
-            let hash = self.hashes[slot];
-            if token_ids {
-                bound.ids[slot].get_or_insert_with(|| {
-                    memoized_column(memo.map(|memo| &memo.ids), hash, len, || {
-                        entities
-                            .clone()
-                            .map(|entity| self.ids(slot, entity, cache))
+            read[slot] = true;
+            let values = self.values_column(slot, &entities, len, memo, &mut bound.values);
+            if token_ids && bound.ids[slot].is_none() {
+                bound.ids[slot] = Some(memoized_column(
+                    memo,
+                    |memo| &memo.ids,
+                    self.hashes[slot],
+                    len,
+                    || {
+                        values
+                            .iter()
+                            .map(|values| crate::tokens::sorted_token_ids(values).into())
                             .collect()
-                    })
-                });
-            } else {
-                bound.values[slot].get_or_insert_with(|| {
-                    memoized_column(memo.map(|memo| &memo.values), hash, len, || {
-                        entities
-                            .clone()
-                            .map(|entity| self.shared_values(slot, entity, cache))
-                            .collect()
-                    })
-                });
+                    },
+                ));
+            }
+        }
+        // intermediate columns have served their outputs
+        for (column, read) in bound.values.iter_mut().zip(read) {
+            if !read {
+                *column = None;
             }
         }
         bound
+    }
+
+    /// The values column of `slot`, from `built` or the memo, or computed
+    /// whole from the columns of its inputs (which are computed first, the
+    /// same way, and parked in `built`).
+    fn values_column<'e, I>(
+        &self,
+        slot: SlotId,
+        entities: &I,
+        len: usize,
+        memo: Option<&ColumnMemo>,
+        built: &mut [Option<Column<String>>],
+    ) -> Column<String>
+    where
+        I: Iterator<Item = &'e Entity> + Clone,
+    {
+        if let Some(column) = &built[slot] {
+            return column.clone();
+        }
+        let column = memoized_column(
+            memo,
+            |memo| &memo.values,
+            self.hashes[slot],
+            len,
+            || match &self.slots[slot] {
+                Slot::Property { name, index } => {
+                    let empty: Arc<[String]> = Arc::from(Vec::new());
+                    entities
+                        .clone()
+                        .map(|entity| {
+                            self.property_index(name, *index, entity)
+                                .and_then(|index| entity.shared_values_at(index))
+                                .unwrap_or(&empty)
+                                .clone()
+                        })
+                        .collect()
+                }
+                Slot::Transform { function, inputs } => {
+                    let inputs: Vec<Column<String>> = inputs
+                        .iter()
+                        .map(|&input| self.values_column(input, entities, len, memo, built))
+                        .collect();
+                    let mut cells: Vec<&[String]> = Vec::with_capacity(inputs.len());
+                    (0..len)
+                        .map(|position| {
+                            cells.clear();
+                            cells.extend(inputs.iter().map(|column| &*column[position]));
+                            function.apply_slices(&cells).into()
+                        })
+                        .collect()
+                }
+            },
+        );
+        built[slot] = Some(column.clone());
+        column
     }
 }
 
@@ -2003,14 +2064,11 @@ mod tests {
                 .value("label", "berlin")
                 .build_with_own_schema(),
         ];
-        let cache = ValueCache::new();
         let (sources, targets) = (ColumnMemo::new(), ColumnMemo::new());
         let rule = figure2_rule();
         let compiled = CompiledRule::compile(&rule, &schema, &schema);
-        let source = compiled.bind_source(entities.iter(), &cache, Some(&sources));
-        let target = compiled.bind_target(entities.iter(), &cache, Some(&targets));
-        // bound evaluation never touches the cache...
-        let counters = (cache.hits(), cache.misses());
+        let source = compiled.bind_source(entities.iter(), Some(&sources));
+        let target = compiled.bind_target(entities.iter(), Some(&targets));
         let mut bound = Vec::new();
         for s in 0..entities.len() {
             for t in 0..entities.len() {
@@ -2026,8 +2084,9 @@ mod tests {
                 bound.push((score.to_bits(), stats));
             }
         }
-        assert_eq!((cache.hits(), cache.misses()), counters);
-        // ...and is the cached evaluation, bit for bit and counter for counter
+        // bound evaluation is the cached evaluation, bit for bit and counter
+        // for counter
+        let cache = ValueCache::new();
         let mut cached = Vec::new();
         for a in &entities {
             for b in &entities {
@@ -2044,20 +2103,27 @@ mod tests {
             }
         }
         assert_eq!(bound, cached);
+        // the memo holds the intermediate column too: label, lowerCase(label)
+        // and point, each computed once
+        assert_eq!(sources.len(), 3);
+        assert_eq!((sources.hits(), sources.misses()), (0, 3));
+        assert_eq!(targets.len(), 3);
+        // the bound side keeps only what comparisons read, findable by chain
+        let lower = transform(TransformFunction::LowerCase, vec![property("label")]);
+        let lowered = source.values_of(value_operator_hash(&lower)).unwrap();
+        assert_eq!(&*lowered[1], ["paris".to_string()]);
+        assert!(lowered[2].len() == 1 && target.values_of(7).is_none());
+        assert!(source
+            .values_of(value_operator_hash(&property("label")))
+            .is_none());
         // a second rule reading lowerCase(label) gets the memoized column
-        let other: LinkageRule = compare(
-            transform(TransformFunction::LowerCase, vec![property("label")]),
-            property("label"),
-            DistanceFunction::Equality,
-            0.5,
-        )
-        .into();
+        let other: LinkageRule =
+            compare(lower, property("label"), DistanceFunction::Equality, 0.5).into();
         let other = CompiledRule::compile(&other, &schema, &schema);
-        let other_source = other.bind_source(entities.iter(), &cache, Some(&sources));
+        let other_source = other.bind_source(entities.iter(), Some(&sources));
         let shared = |side: &BoundSide| side.values.iter().flatten().next().cloned().unwrap();
         assert!(Arc::ptr_eq(&shared(&source), &shared(&other_source)));
-        assert_eq!(sources.len(), 2, "lowerCase(label) and point");
-        assert_eq!(targets.len(), 2);
+        assert_eq!((sources.len(), sources.hits()), (3, 1));
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use linkdisc_entity::Schema;
-use linkdisc_similarity::DistanceFunction;
+use linkdisc_similarity::{BlockKey, DistanceFunction, KeySide};
 
 use crate::compiled::CompiledChain;
 use crate::operators::{Aggregation, Comparison, SimilarityOperator, ValueOperator};
@@ -65,6 +65,14 @@ pub struct IndexedComparison {
 }
 
 impl IndexedComparison {
+    /// The block keys of one (transformed) value set under this comparison's
+    /// measure and bound: what a target is stored under ([`KeySide::Index`])
+    /// or what a source looks up ([`KeySide::Probe`]).
+    pub fn block_keys_into(&self, values: &[String], side: KeySide, keys: &mut Vec<BlockKey>) {
+        self.function
+            .block_keys_into(values, self.bound, side, keys);
+    }
+
     /// The identity of the *target-side leaf index* this comparison needs:
     /// `(target chain hash, measure, bound bucket)`.  Two comparisons with
     /// equal keys index any fixed target entity set identically — same

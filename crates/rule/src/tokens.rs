@@ -16,9 +16,10 @@
 //! concurrent interning — the id assigned to a token is stable for the
 //! lifetime of the process.
 //!
-//! The interner is only consulted on a value-cache **miss** (ids are cached
-//! per `(entity, chain)` next to the values); the per-pair hot path never
-//! takes this lock.
+//! The interner is only consulted when a value set is first lowered — a
+//! value-cache **miss**, or a bound side's ids column being filled (ids are
+//! kept per `(entity, chain)` next to the values); the per-pair hot path
+//! never takes this lock.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

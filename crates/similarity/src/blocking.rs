@@ -1063,9 +1063,9 @@ mod tests {
         }
 
         /// `keys(v, Index) ⊆ keys(v, Probe)` for every scheme: a position's
-        /// stored keys (the probe sidecar of `linkdisc-matching`) intersect a
-        /// query's probe keys exactly when the position is in a posting list
-        /// the query scans, and an entity always finds itself.
+        /// stored keys intersect a query's probe keys exactly when the
+        /// position is in a posting list the query scans, and an entity
+        /// always finds itself.
         #[test]
         fn index_keys_are_a_subset_of_probe_keys(
             values in proptest::collection::vec("[a-e0-9 .é世-]{0,10}", 0..4),

@@ -12,8 +12,9 @@
 //! The compiled plan has one evaluator, so the exhaustive side of every
 //! comparison here is the independent reference: the tree walk
 //! `LinkageRule::evaluate`.  The last property pins the evaluator's second
-//! value provider — bound sides read by position — to its first, the
-//! `(entity, ValueCache)` path, bit for bit and counter for counter.
+//! value provider — bound sides, filled column by column with no cache and
+//! read by position — to its first, the `(entity, ValueCache)` path, bit for
+//! bit and counter for counter.
 
 use genlink::random::RandomRuleGenerator;
 use genlink::{CompatiblePair, CrossoverOperator, RepresentationMode};
@@ -21,7 +22,8 @@ use linkdisc_datasets::DatasetKind;
 use linkdisc_entity::{Entity, EntityBuilder, EntityPair, Schema};
 use linkdisc_evaluation::{evaluate_compiled, evaluate_compiled_stats, evaluate_rule};
 use linkdisc_rule::{
-    ColumnMemo, CompiledRule, DistanceFunction, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD,
+    aggregation, compare, property, transform, AggregationFunction, ColumnMemo, CompiledRule,
+    DistanceFunction, EvalStats, LinkageRule, TransformFunction, ValueCache, LINK_THRESHOLD,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -315,14 +317,51 @@ fn side(prefix: &str, schema: &Arc<Schema>, values: &[Vec<Vec<String>>]) -> Vec<
     entities
 }
 
+/// Nested chains sharing one intermediate slot: `lowerCase(name)` is read as
+/// values, tokenized into a Jaccard slot (ids beside values), punctuation-
+/// stripped, and concatenated with `year` — so the columnar bind computes the
+/// intermediate column once and feeds four outputs from it, on both sides.
+fn nested_chain_rule() -> LinkageRule {
+    let lower = || transform(TransformFunction::LowerCase, vec![property("name")]);
+    let tokens = || transform(TransformFunction::Tokenize, vec![lower()]);
+    aggregation(
+        AggregationFunction::WeightedMean,
+        vec![
+            compare(lower(), lower(), DistanceFunction::Levenshtein, 2.0),
+            compare(tokens(), tokens(), DistanceFunction::Jaccard, 0.8),
+            compare(
+                transform(TransformFunction::StripPunctuation, vec![lower()]),
+                tokens(),
+                DistanceFunction::Equality,
+                0.5,
+            ),
+            compare(
+                transform(
+                    TransformFunction::Concatenate,
+                    vec![lower(), property("year")],
+                ),
+                transform(
+                    TransformFunction::Concatenate,
+                    vec![tokens(), property("year")],
+                ),
+                DistanceFunction::Dice,
+                0.9,
+            ),
+        ],
+    )
+    .into()
+}
+
 proptest! {
     /// Bound evaluation *is* `evaluate_bounded_two_stats`: same score bits
     /// and same `EvalStats` for every pair, at the link threshold and at
     /// θ = -∞, over random rules whose comparisons share chains within and
     /// across sides (few properties, up to four comparisons, Jaccard/Dice
-    /// slots next to value slots), entities with empty value sets and a
+    /// slots next to value slots) plus one rule of nested chains over a
+    /// shared intermediate slot, entities with empty value sets and a
     /// foreign-schema entity per side — with and without a column memo
-    /// shared by all of a case's rules.
+    /// shared by all of a case's rules.  The bound sides are filled
+    /// columnwise and never see the cache the reference side reads.
     #[test]
     fn bound_evaluation_equals_cached_evaluation(
         sources in proptest::collection::vec(
@@ -371,8 +410,10 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cache = ValueCache::new();
         let (source_memo, target_memo) = (ColumnMemo::new(), ColumnMemo::new());
-        for round in 0..4 {
-            let rule = if round % 2 == 1 {
+        for round in 0..5 {
+            let rule = if round == 4 {
+                nested_chain_rule()
+            } else if round % 2 == 1 {
                 let (a, b) = (generator.generate(&mut rng), generator.generate(&mut rng));
                 CrossoverOperator::SPECIALIZED[round].apply(&a, &b, &mut rng)
             } else {
@@ -381,9 +422,9 @@ proptest! {
             let compiled = CompiledRule::compile(&rule, &schema, &schema);
             for memo in [None, Some((&source_memo, &target_memo))] {
                 let bound_sources =
-                    compiled.bind_source(sources.iter(), &cache, memo.map(|memo| memo.0));
+                    compiled.bind_source(sources.iter(), memo.map(|memo| memo.0));
                 let bound_targets =
-                    compiled.bind_target(targets.iter(), &cache, memo.map(|memo| memo.1));
+                    compiled.bind_target(targets.iter(), memo.map(|memo| memo.1));
                 for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
                     for (s, source) in sources.iter().enumerate() {
                         for (t, target) in targets.iter().enumerate() {
@@ -411,5 +452,8 @@ proptest! {
             }
         }
         prop_assert!(!source_memo.is_empty() && !target_memo.is_empty());
+        // every column was computed once, however many rules and slots read it
+        prop_assert_eq!(source_memo.misses() as usize, source_memo.len());
+        prop_assert_eq!(target_memo.misses() as usize, target_memo.len());
     }
 }

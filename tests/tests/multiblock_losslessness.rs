@@ -8,19 +8,41 @@
 //!    matches** under the rule (pairs the full cross product links are never
 //!    pruned), and
 //! 2. the engine's indexed run produces **exactly** the links of the
-//!    exhaustive run.
+//!    exhaustive run,
+//! 3. a conjunction that **stops** consulting children (at query time) or
+//!    never **builds** them (the engine's staged build) only ever admits
+//!    extra candidates: the index's candidates cover the plan's full set
+//!    algebra, and the engine's links — ids and score bits — equal the
+//!    exhaustive run's at every thread count and chunk size, with the
+//!    built/skipped leaves and the evaluation counters identical across
+//!    thread counts.
 
 use genlink::random::RandomRuleGenerator;
 use genlink::seeding::SeedingConfig;
 use genlink::{find_compatible_properties, RepresentationMode};
 use linkdisc_datasets::DatasetKind;
+use linkdisc_entity::Entity;
 use linkdisc_entity::EntityPair;
-use linkdisc_matching::{MatchingEngine, MatchingOptions, MultiBlockIndex};
-use linkdisc_rule::{IndexingPlan, LinkageRule, ValueCache};
+use linkdisc_matching::{MatchingEngine, MatchingOptions, MatchingReport, MultiBlockIndex};
+use linkdisc_rule::{IndexingPlan, LinkageRule, PlanNode, ValueCache};
+use linkdisc_similarity::KeySide;
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
 
 fn random_rules(kind: DatasetKind, scale: f64, seed: u64, count: usize) -> RuleWorkload {
+    // the paper's initial rules: at most two comparisons
+    random_rules_up_to(kind, scale, seed, count, 2)
+}
+
+fn random_rules_up_to(
+    kind: DatasetKind,
+    scale: f64,
+    seed: u64,
+    count: usize,
+    max_comparisons: usize,
+) -> RuleWorkload {
     let dataset = kind.generate(scale, seed);
     let pairs = find_compatible_properties(
         &dataset.source,
@@ -29,7 +51,8 @@ fn random_rules(kind: DatasetKind, scale: f64, seed: u64, count: usize) -> RuleW
         &SeedingConfig::default(),
     );
     assert!(!pairs.is_empty(), "seeding found no compatible properties");
-    let generator = RandomRuleGenerator::new(pairs, RepresentationMode::Full);
+    let mut generator = RandomRuleGenerator::new(pairs, RepresentationMode::Full);
+    generator.max_comparisons = max_comparisons;
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(991));
     let rules = (0..count).map(|_| generator.generate(&mut rng)).collect();
     RuleWorkload { dataset, rules }
@@ -130,5 +153,128 @@ fn losslessness_holds_for_non_default_link_thresholds() {
     for link_threshold in [0.3, 0.7, 0.9] {
         assert_candidates_cover_links(&workload, link_threshold);
         assert_engine_paths_agree(&workload, link_threshold);
+    }
+}
+
+/// The plan's set algebra, evaluated in full and independently of the index:
+/// a target is a leaf candidate iff its index-side keys meet the source's
+/// probe-side keys; intersections intersect, unions unite, nothing stops.
+fn full_algebra<'e>(
+    plan: &IndexingPlan,
+    node: &PlanNode,
+    source: &'e Entity,
+    targets: &'e [Entity],
+    cache: &ValueCache<'e>,
+) -> BTreeSet<usize> {
+    match node {
+        PlanNode::All => (0..targets.len()).collect(),
+        PlanNode::Nothing => BTreeSet::new(),
+        PlanNode::Leaf(leaf) => {
+            let comparison = &plan.comparisons()[*leaf];
+            let keys_of = |values: &[String], side| {
+                comparison
+                    .function
+                    .block_keys(values, comparison.bound, side)
+            };
+            let probe = keys_of(&comparison.source.values(source, cache), KeySide::Probe);
+            (0..targets.len())
+                .filter(|&position| {
+                    let values = comparison.target.values(&targets[position], cache);
+                    keys_of(&values, KeySide::Index)
+                        .iter()
+                        .any(|key| probe.binary_search(key).is_ok())
+                })
+                .collect()
+        }
+        PlanNode::Intersect(children) => children
+            .iter()
+            .map(|child| full_algebra(plan, child, source, targets, cache))
+            .reduce(|a, b| &a & &b)
+            .expect("intersections have children"),
+        PlanNode::Union(children) => children
+            .iter()
+            .flat_map(|child| full_algebra(plan, child, source, targets, cache))
+            .collect(),
+    }
+}
+
+/// `(source, target, score bits)` of every link, in report order.
+fn link_bits(report: &MatchingReport) -> Vec<(&str, &str, u64)> {
+    report
+        .links
+        .iter()
+        .map(|link| {
+            (
+                link.source.as_str(),
+                link.target.as_str(),
+                link.score.to_bits(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Property 3 of the module docs, over random GP rules (up to four
+    /// comparisons, so conjunctions have siblings to leave out) × Cora and
+    /// Restaurant.
+    #[test]
+    fn stopping_and_staging_only_ever_admit_extra_candidates(
+        seed in 0u64..1_000_000,
+        cora in 0u8..2,
+    ) {
+        let workload = if cora == 1 {
+            random_rules_up_to(DatasetKind::Cora, 0.04, seed, 3, 4)
+        } else {
+            random_rules_up_to(DatasetKind::Restaurant, 0.08, seed, 3, 4)
+        };
+        let (source, target) = (&workload.dataset.source, &workload.dataset.target);
+        for rule in &workload.rules {
+            // a stopped (fully built) index covers the full set algebra
+            let plan = IndexingPlan::lower(rule, source.schema(), target.schema(), 0.5);
+            let cache = ValueCache::new();
+            let index = MultiBlockIndex::build(plan.clone(), target, &cache);
+            for entity in source.entities() {
+                let reference = full_algebra(&plan, plan.root(), entity, target.entities(), &cache);
+                let stopped: BTreeSet<usize> =
+                    index.candidate_positions(entity, &cache).into_iter().collect();
+                prop_assert!(
+                    stopped.is_superset(&reference),
+                    "{} lost candidates under {}", entity.id(), linkdisc_rule::print_rule(rule)
+                );
+            }
+            // the engine (staged build + stop) links exactly what the
+            // exhaustive run links, however the job is cut
+            let run = |use_blocking, threads, chunk_size| {
+                MatchingEngine::new(rule.clone())
+                    .with_options(MatchingOptions {
+                        use_blocking,
+                        threads,
+                        chunk_size,
+                        ..MatchingOptions::default()
+                    })
+                    .run(source, target)
+            };
+            let full = run(false, 2, 0);
+            for chunk_size in [1, 7, 64] {
+                let sequential = run(true, 1, chunk_size);
+                prop_assert_eq!(
+                    link_bits(&sequential), link_bits(&full),
+                    "chunk size {} under {}", chunk_size, linkdisc_rule::print_rule(rule)
+                );
+                prop_assert!(sequential.links.len() <= sequential.evaluated_pairs);
+                prop_assert!(sequential.evaluated_pairs <= full.evaluated_pairs);
+                for threads in [2, 4] {
+                    let parallel = run(true, threads, chunk_size);
+                    prop_assert_eq!(link_bits(&parallel), link_bits(&full));
+                    // what was built, what was consulted and what was
+                    // evaluated do not depend on the thread count
+                    prop_assert_eq!(&parallel.comparison_stats, &sequential.comparison_stats);
+                    prop_assert_eq!(parallel.eval_stats, sequential.eval_stats);
+                    prop_assert_eq!(parallel.evaluated_pairs, sequential.evaluated_pairs);
+                }
+            }
+        }
     }
 }

@@ -4,8 +4,11 @@
 //! over noisy datasets, three layers of equivalence must hold:
 //!
 //! 1. **Chunked streaming == batch** — the engine's streamed runs produce
-//!    exactly the batch links and evaluated-pair counts at every chunk size
-//!    (the candidate-set algebra distributes over a target partition),
+//!    exactly the batch links (ids and score bits) at every chunk size:
+//!    candidate generation is lossless on every partition of the target and
+//!    the rule is the final filter.  `evaluated_pairs` is a cost, not a
+//!    result — a conjunction stops where its chunk's posting statistics say
+//!    scoring is cheaper than pruning — so it is only bounded, not equal,
 //! 2. **Incremental == batch build** — a `LinkService` populated by any
 //!    interleaving of chunked ingestion, removes and re-inserts answers
 //!    every query exactly like a service batch-built from the same final
@@ -53,8 +56,12 @@ fn sort_links(mut links: Vec<ScoredLink>) -> Vec<ScoredLink> {
     links
 }
 
-/// Streamed (chunked) engine runs must be indistinguishable from the batch
-/// run: same links, same number of rule evaluations.
+/// Streamed (chunked) engine runs must link exactly what the batch run
+/// links.  The contract: links and scores are chunking- and thread-invariant;
+/// `evaluated_pairs` is a cost and is only thread-invariant (posting
+/// statistics, and with them the point where a conjunction stops pruning,
+/// are per chunk) — across chunkings it stays within `links ≤ evaluated
+/// pairs ≤ cross product`.
 fn assert_streaming_matches_batch(workload: &RuleWorkload) {
     for rule in &workload.rules {
         let batch = MatchingEngine::new(rule.clone())
@@ -77,10 +84,10 @@ fn assert_streaming_matches_batch(workload: &RuleWorkload) {
                 "links diverge at chunk size {chunk_size} for rule {}",
                 linkdisc_rule::print_rule(rule),
             );
-            assert_eq!(
-                chunked.evaluated_pairs,
-                batch.evaluated_pairs,
-                "evaluated pairs diverge at chunk size {chunk_size} for rule {}",
+            assert!(
+                chunked.links.len() <= chunked.evaluated_pairs
+                    && chunked.evaluated_pairs <= chunked.cross_product,
+                "evaluated pairs out of bounds at chunk size {chunk_size} for rule {}",
                 linkdisc_rule::print_rule(rule),
             );
             assert!(chunked.peak_chunk_entities <= chunk_size);
