@@ -27,8 +27,10 @@
 //! * **recall == 1.0** — the indexed run must produce the identical link set
 //!   as the exhaustive run (losslessness) — on *every* workload, including
 //!   the learned one,
-//! * **evaluated fraction < 0.30** — the indexed run must evaluate fewer
-//!   than 30% of the cross-product pairs (reduction ratio > 0.70).  Learned
+//! * **evaluated fraction < 0.05** — the indexed run must evaluate fewer
+//!   than 5% of the cross-product pairs (reduction ratio > 0.95; a count, so
+//!   the gate cannot flap — `blocked_ms` / `full_ms` are printed, not gated:
+//!   at Cora's 471 × 471 the index build dominates the blocked run).  Learned
 //!   rules carry no reduction gate (their prunability depends on what the
 //!   learner converged to); their evaluated fraction is reported for
 //!   tracking.
@@ -46,7 +48,7 @@ use linkdisc_rule::{
     TransformFunction,
 };
 
-const MAX_EVALUATED_FRACTION: f64 = 0.30;
+const MAX_EVALUATED_FRACTION: f64 = 0.05;
 
 struct WorkloadResult {
     name: &'static str,
@@ -61,7 +63,7 @@ struct WorkloadResult {
     /// under a conjunction once the built leaves prune enough).
     leaves_built: usize,
     leaves_skipped: usize,
-    /// Whether the < 30% evaluated-fraction gate applies (hand-written
+    /// Whether the < 5% evaluated-fraction gate applies (hand-written
     /// workloads only; learned rules are tracked, not gated).
     gate_reduction: bool,
 }
@@ -302,5 +304,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("all gates passed: recall == 1.0 and < 30% of the cross product evaluated");
+    println!("all gates passed: recall == 1.0 and < 5% of the cross product evaluated");
 }

@@ -110,10 +110,12 @@ pub fn candidate_pool(
 /// at least one committee rule's (lossless) MultiBlock candidate set admits
 /// it — any pair outside every rule's candidate set is linked by *no* rule,
 /// so the committee votes on it unanimously "no" with zero disagreement and
-/// it can never be worth a query.  Leaf indexes are drawn from `shared`, so
-/// committees sharing comparisons (they evolved from one population) index
-/// the target once per distinct `(chain, measure, bound bucket)` rather
-/// than once per rule.
+/// it can never be worth a query.  That is all a candidate set promises: a
+/// superset of the pairs its rule can link; which non-links ride along is
+/// the index's cost decision (a probe scans only the postings a match cannot
+/// avoid).  Leaf indexes are drawn from `shared`, so committees sharing
+/// comparisons (they evolved from one population) index the target once per
+/// distinct `(chain, measure, bound bucket)` rather than once per rule.
 ///
 /// Rules whose plan cannot prune make the whole pool degrade to
 /// [`candidate_pool`] — never worse, never lossy.  Memory is `O(|target|)`

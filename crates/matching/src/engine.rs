@@ -440,6 +440,8 @@ impl MatchingEngine {
                 }
 
                 let mut per_worker: Vec<ChunkOutcome> = Vec::with_capacity(threads);
+                #[cfg(test)]
+                let costliest_units = crate::multiblock::COSTLIEST_UNITS.get();
                 std::thread::scope(|scope| {
                     let handles: Vec<_> = source_chunk
                         .chunks(worker_span)
@@ -452,6 +454,8 @@ impl MatchingEngine {
                             let bound_chunk = &bound_chunk;
                             let options = self.options;
                             scope.spawn(move || {
+                                #[cfg(test)]
+                                crate::multiblock::COSTLIEST_UNITS.set(costliest_units);
                                 let bound_span = bound_span
                                     .get_or_insert_with(|| compiled.bind_source(span.iter(), None));
                                 score_span(
@@ -1303,6 +1307,55 @@ mod tests {
             report.links,
             exhaustive(&name_and_city(), &source, &target).links
         );
+    }
+
+    /// Losslessness must not depend on the cost heuristic: with the leaf
+    /// executor scanning the *costliest* `may_miss + 1` units of every probe
+    /// group instead of the cheapest, the engine still links exactly what the
+    /// exhaustive run links — over random GP rules × Cora and Restaurant.
+    #[test]
+    fn the_costliest_units_find_every_link_too() {
+        use genlink::random::RandomRuleGenerator;
+        use genlink::seeding::SeedingConfig;
+        use genlink::{find_compatible_properties, RepresentationMode};
+        use linkdisc_datasets::DatasetKind;
+        use rand::SeedableRng;
+        let mut costlier_runs = 0usize;
+        for (kind, scale) in [(DatasetKind::Cora, 0.06), (DatasetKind::Restaurant, 0.15)] {
+            for seed in 0..3u64 {
+                let data = kind.generate(scale, seed);
+                let pairs = find_compatible_properties(
+                    &data.source,
+                    &data.target,
+                    &data.links,
+                    &SeedingConfig::default(),
+                );
+                let mut generator = RandomRuleGenerator::new(pairs, RepresentationMode::Full);
+                generator.max_comparisons = 4;
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 17);
+                for _ in 0..6 {
+                    let rule = generator.generate(&mut rng);
+                    let cheapest =
+                        MatchingEngine::new(rule.clone()).run(&data.source, &data.target);
+                    crate::multiblock::COSTLIEST_UNITS.set(true);
+                    let costliest = MatchingEngine::new(rule.clone())
+                        .with_options(MatchingOptions {
+                            threads: 2,
+                            ..MatchingOptions::default()
+                        })
+                        .run(&data.source, &data.target);
+                    crate::multiblock::COSTLIEST_UNITS.set(false);
+                    let full = exhaustive(&rule, &data.source, &data.target);
+                    let printed = linkdisc_rule::print_rule(&rule);
+                    assert_eq!(costliest.links, full.links, "{printed}");
+                    assert_eq!(cheapest.links, full.links, "{printed}");
+                    costlier_runs +=
+                        usize::from(costliest.evaluated_pairs > cheapest.evaluated_pairs);
+                }
+            }
+        }
+        // not vacuous: the other choice of units was a different one
+        assert!(costlier_runs > 0, "no run ever had units to choose from");
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! → target positions — and evaluates the plan's set algebra per source
 //! entity:
 //!
-//! * a **leaf** looks up the source entity's block keys and unions the
-//!   posting lists,
+//! * a **leaf** looks up the source entity's probe — groups of key units, a
+//!   match hitting all but `may_miss` units of its group — and unions the
+//!   posting lists of the `may_miss + 1` units of each group that hold the
+//!   fewest postings (any `may_miss + 1` contain one the match hits),
 //! * an **intersection** keeps positions present in every child set,
 //!   consulting its children in ascending order of *estimated* candidate
 //!   count (derived from the live posting-list statistics) — and **stops**
@@ -18,9 +20,9 @@
 //! * a **union** merges child sets.
 //!
 //! All per-query state lives in a [`CandidateScratch`] owned by the calling
-//! worker: block-key buffers, an epoch-stamped mark table replacing per-query
-//! hash sets, and a pool of position buffers — candidate generation performs
-//! no per-entity allocation once the scratch is warm.
+//! worker: probe and unit-cost buffers, an epoch-stamped mark table replacing
+//! per-query hash sets, and a pool of position buffers — candidate generation
+//! performs no per-entity allocation once the scratch is warm.
 //!
 //! The index is a *serving* structure, not a one-shot artifact:
 //!
@@ -57,7 +59,7 @@ use linkdisc_entity::{DataSource, Entity};
 use linkdisc_rule::{
     BoundSide, ChainValues, CompiledChain, IndexedComparison, IndexingPlan, PlanNode, ValueCache,
 };
-use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, KeySide};
+use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, ProbeGroup, ProbeKeys};
 use linkdisc_util::resolve_threads;
 
 use crate::scratch::EpochMarks;
@@ -81,8 +83,9 @@ pub struct LeafBuildStats {
 }
 
 /// One comparison's inverted index: block key → positions in the target
-/// source, in ascending order.  The keys are the targets'
-/// [`KeySide::Index`] keys; queries look up their [`KeySide::Probe`] keys.
+/// source, in ascending order.  The keys are the targets' index-side keys
+/// ([`IndexedComparison::index_keys_into`]); queries look up their probe
+/// ([`IndexedComparison::probe_keys_into`]).
 /// `postings` and `postings_sq` (Σ len and Σ len² over posting lists) are
 /// maintained incrementally; they drive the selectivity estimates that order
 /// intersection children and decide where a conjunction stops.
@@ -115,7 +118,7 @@ impl LeafIndex {
         let mut keys: Vec<BlockKey> = Vec::new();
         let mut pairs: Vec<(BlockKey, u32)> = Vec::new();
         for (position, values) in entries {
-            comparison.block_keys_into(&values, KeySide::Index, &mut keys);
+            comparison.index_keys_into(&values, &mut keys);
             if keys.is_empty() {
                 continue;
             }
@@ -236,32 +239,44 @@ pub struct MultiBlockIndex {
 /// price of not consulting a conjunction's next child.  The
 /// `planner_cost_calibration` test (`cargo test -p linkdisc-matching --release
 /// -- --ignored planner_cost --nocapture`) reads `evaluate_bound_stats` at
-/// 67–152 ns per pair (Restaurant name ∧ phone 99–152, Cora titles 67–90) and
-/// a posting scan (sequential read plus epoch-mark store) at 1.5–2.0 ns where
-/// lists are long (Restaurant names: 100 keys, 28 k postings per probe; 8–11
-/// ns on Cora titles' short lists, where the map lookup dominates): a pair is
-/// worth 50–75 scans of the long lists a stop is about.
+/// 113–177 ns per pair (Restaurant name ∧ phone 113–170, Cora titles 114–177)
+/// and a posting scan (sequential read plus epoch-mark store) at 2.6–3.5 ns
+/// where lists are long (the 28 k postings under a Restaurant name probe's
+/// keys; 7–9 ns over Cora titles' short lists, where the map lookup
+/// dominates): a pair is worth 44–49 scans of the long lists a stop is about
+/// (50–75 when the constant was set).
 ///
 /// A conjunction stops once `|running| · RATIO < estimate(next child)`.  The
-/// estimate is the expected length of *one* posting list and a consult scans
-/// one per probe key (1–144 here), so the rule only stops where scoring every
-/// survivor is cheaper than even a single expected list — a lower bound of the
-/// consult's cost; later children are costlier still.  A performance decision
-/// only (a stopped conjunction yields a superset, the rule rejects the
-/// extras); linkbench reads the same at 32, 64 and 128 (DESIGN.md).
+/// estimate is the expected length of *one* posting list.  A consult looks up
+/// every probe key for its list length (1 key on Restaurant phones, 119 on
+/// names, 163 on Cora titles — the 19–21 of the chosen units twice) and scans
+/// every list of a group without a miss budget, but only the `may_miss + 1`
+/// rarest units of one with: 213 of the 28,391 postings under a name probe's
+/// keys, 14 of the 1,114 under a title's.  That is 0.13–0.17 µs for the exact
+/// phone key and a flat 2.2–3.6 µs (19–23 pair evaluations, nearly all hash
+/// lookups) for a q-gram leaf.  So the rule stops where scoring every survivor
+/// is cheaper than scanning a single expected list: a lower bound of a
+/// consult that scans them all; for a q-gram leaf it is off by at most the
+/// flat lookup cost either way — it may consult at 6–23 survivors where
+/// scoring them was a microsecond cheaper, and where it stops the survivors
+/// number under `estimate / RATIO`.  A performance decision only (a stopped
+/// conjunction yields a superset, the rule rejects the extras); linkbench's
+/// evaluated pairs, built leaves and candidates per source are identical at
+/// 32, 64 and 128 (DESIGN.md).
 pub(crate) const PAIR_COST_IN_SCANS: f64 = 64.0;
 
 /// Expected candidates per probe (`Σ len² / Σ len`, min over the built
 /// prefix) at or below which a staged build leaves a conjunction's remaining
 /// siblings unbuilt.  `planner_cost_calibration` reads the per-entity cost of
-/// bulk-building a leaf plus consulting it once, in pair evaluations: 200–455
-/// for a q-gram leaf (Cora titles 13.5–18 µs, Restaurant ×20 names 45–60 µs,
-/// against 67–152 ns per pair), 2–3 for a single-key leaf (0.2–0.3 µs).  The
-/// siblings still unbuilt are the costlier ones, so the floor sits well below
-/// the q-gram break-even — building one to cut 16 candidates costs ten times
-/// what scoring them does — and a few evaluations above the single-key one,
-/// where a wrong call costs about a microsecond per entity either way.
-/// linkbench reads the same at 8, 16 and 32 (DESIGN.md).
+/// bulk-building a leaf plus consulting it once, in pair evaluations: 37–75
+/// for a q-gram leaf (Restaurant ×20 names 5.6–8.4 µs, Cora titles 7.3–11.6
+/// µs, of which the consult is 2.2–3.6 µs, against 113–177 ns per pair), 1–3
+/// for a single-key leaf (0.23–0.31 µs).  The siblings still unbuilt are the
+/// costlier ones, so the floor sits below the q-gram break-even — building
+/// one to cut 16 candidates costs two to five times what scoring them does —
+/// and a few evaluations above the single-key one, where a wrong call costs
+/// about a microsecond per entity either way.  linkbench's evaluated pairs
+/// and built leaves are identical at 8, 16 and 32 (DESIGN.md).
 pub(crate) const STAGE_FLOOR: f64 = 16.0;
 
 impl MultiBlockIndex {
@@ -512,12 +527,14 @@ impl MultiBlockIndex {
 
     /// Candidate target positions for one source entity, as a pooled buffer
     /// (unsorted, duplicate-free): a superset of the positions the rule can
-    /// link, and of the plan's full set algebra — a conjunction stops
-    /// consulting children once scoring the survivors is cheaper.  Return the
-    /// buffer via [`CandidateScratch::recycle`] when done.  `leaf_candidates`
-    /// (one slot per indexed comparison) accumulates how many candidates
-    /// survived each leaf when it was consulted (nothing for a leaf a
-    /// conjunction stopped before); pass an empty slice to skip accounting.
+    /// link — and no more is promised.  A leaf scans only the posting lists a
+    /// match cannot avoid, and a conjunction stops consulting children once
+    /// scoring the survivors is cheaper, so which non-links ride along is a
+    /// cost decision.  Return the buffer via [`CandidateScratch::recycle`]
+    /// when done.  `leaf_candidates` (one slot per indexed comparison)
+    /// accumulates how many candidates survived each leaf when it was
+    /// consulted (nothing for a leaf a conjunction stopped before); pass an
+    /// empty slice to skip accounting.
     pub fn candidates<'e>(
         &self,
         source_entity: &'e Entity,
@@ -591,23 +608,40 @@ impl MultiBlockIndex {
             PlanNode::Leaf(leaf) => {
                 let comparison = &self.plan.comparisons()[*leaf];
                 let values = probe.values(*leaf, comparison);
-                // the key buffer is taken out of the scratch (not borrowed)
-                // so the mark table stays mutable below
-                let mut keys = std::mem::take(&mut scratch.keys);
-                comparison.block_keys_into(&values, KeySide::Probe, &mut keys);
                 let mut out = scratch.take_buf();
                 let epoch = scratch.marks.next_epoch();
+                // borrowed field by field: the probe is read while the mark
+                // table and the unit ranking are written
+                let CandidateScratch {
+                    probe: keys,
+                    unit_costs,
+                    marks,
+                    ..
+                } = scratch;
+                comparison.probe_keys_into(&values, keys);
                 let index = &self.leaves[*leaf];
-                for key in &keys {
-                    if let Some(positions) = index.by_key.get(key) {
-                        for &position in positions {
-                            if scratch.marks.mark_first(position as usize, epoch) {
-                                out.push(position);
+                let mut scan = |keys: &[BlockKey]| {
+                    for key in keys {
+                        if let Some(positions) = index.by_key.get(key) {
+                            for &position in positions {
+                                if marks.mark_first(position as usize, epoch) {
+                                    out.push(position);
+                                }
                             }
                         }
                     }
+                };
+                for group in keys.groups() {
+                    if group.may_miss() + 1 < group.units() {
+                        // a match hits all but `may_miss` units: whichever
+                        // `may_miss + 1` are scanned, one of them is hit
+                        for &(_, unit) in cheapest_units(index, &group, unit_costs) {
+                            scan(group.unit(unit as usize));
+                        }
+                    } else {
+                        scan(group.keys());
+                    }
                 }
-                scratch.keys = keys;
                 if let Some(count) = leaf_candidates.get_mut(*leaf) {
                     *count += out.len();
                 }
@@ -679,6 +713,45 @@ impl MultiBlockIndex {
             }
         }
     }
+}
+
+/// The `may_miss + 1` units of a probe group that hold the fewest postings
+/// in `index`, as `(postings, unit)`: every unit's posting-list lengths are
+/// looked up (nothing is scanned) and ranked under the total order
+/// `(postings, unit)`.  Which units are picked is a cost decision only — a
+/// match hits at least one of *any* `may_miss + 1` — and a pure function of
+/// the index contents, so it is the same at every thread count.
+fn cheapest_units<'c>(
+    index: &LeafIndex,
+    group: &ProbeGroup<'_>,
+    costs: &'c mut Vec<(usize, u32)>,
+) -> &'c [(usize, u32)] {
+    costs.clear();
+    costs.extend((0..group.units()).map(|unit| {
+        let postings = group
+            .unit(unit)
+            .iter()
+            .filter_map(|key| index.by_key.get(key))
+            .map(Vec::len)
+            .sum::<usize>();
+        (postings, unit as u32)
+    }));
+    #[cfg(test)]
+    if COSTLIEST_UNITS.get() {
+        for (postings, _) in costs.iter_mut() {
+            *postings = usize::MAX - *postings;
+        }
+    }
+    let (cheapest, _, _) = costs.select_nth_unstable(group.may_miss() + 1);
+    cheapest
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes [`cheapest_units`] pick the *costliest* units on this thread
+    /// (and on the engine workers it spawns): losslessness must not depend
+    /// on the cost heuristic.
+    pub(crate) static COSTLIEST_UNITS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Marks the leaves a plan node references.
@@ -797,7 +870,7 @@ impl Staging<'_> {
                 let mut keys: Vec<BlockKey> = Vec::new();
                 let mut total = 0usize;
                 for values in sample {
-                    comparison.block_keys_into(values, KeySide::Index, &mut keys);
+                    comparison.index_keys_into(values, &mut keys);
                     total += keys.len();
                 }
                 total as f64 / sample.len().max(1) as f64
@@ -1249,7 +1322,7 @@ impl LeafPool {
 }
 
 /// The block keys one target entity is stored under for one indexed
-/// comparison ([`KeySide::Index`]).
+/// comparison.
 fn entity_keys<'e>(
     comparison: &IndexedComparison,
     entity: &'e Entity,
@@ -1257,15 +1330,17 @@ fn entity_keys<'e>(
     keys: &mut Vec<BlockKey>,
 ) {
     let values = comparison.target.values(entity, cache);
-    comparison.block_keys_into(&values, KeySide::Index, keys);
+    comparison.index_keys_into(&values, keys);
 }
 
-/// Reusable per-worker state for candidate generation: key buffers, an
-/// epoch-stamped mark table (a hash-set replacement that needs no clearing),
-/// and pools of position and child-ordering buffers.
+/// Reusable per-worker state for candidate generation: the probe and its
+/// unit ranking, an epoch-stamped mark table (a hash-set replacement that
+/// needs no clearing), and pools of position and child-ordering buffers.
 #[derive(Debug, Default)]
 pub struct CandidateScratch {
-    keys: Vec<BlockKey>,
+    probe: ProbeKeys,
+    /// `(postings, unit)` of the probe group being ranked.
+    unit_costs: Vec<(usize, u32)>,
     marks: EpochMarks,
     pool: Vec<Vec<u32>>,
     order_pool: Vec<Vec<(f64, u32)>>,
@@ -2005,12 +2080,14 @@ mod tests {
     /// Calibration behind [`PAIR_COST_IN_SCANS`] and [`STAGE_FLOOR`]: on
     /// Restaurant names/phones and Cora titles, (a) ns per
     /// `evaluate_bound_stats` pair (over the pairs that survive candidate
-    /// generation — what a stop leaves to the rule) against ns per posting
-    /// scanned, and (b) the per-entity cost of bulk-building plus consulting
-    /// the q-gram leaf, expressed in pair evaluations.  Run with `cargo test
-    /// -p linkdisc-matching --release -- --ignored planner_cost --nocapture`
-    /// and transplant the printed ranges into the two constants' docs when
-    /// key schemes, kernels or data structures change materially.
+    /// generation — what a stop leaves to the rule) against what a consult
+    /// costs (keys looked up, postings scanned, µs) and what scanning one
+    /// posting costs (over every list under the probe's keys), and (b) the
+    /// per-entity cost of bulk-building plus consulting the q-gram leaf,
+    /// expressed in pair evaluations.  Run with `cargo test -p
+    /// linkdisc-matching --release -- --ignored planner_cost --nocapture` and
+    /// transplant the printed ranges into the two constants' docs when key
+    /// schemes, kernels or data structures change materially.
     #[test]
     #[ignore = "one-off calibration; run explicitly in release mode"]
     fn planner_cost_calibration() {
@@ -2096,23 +2173,35 @@ mod tests {
                 pairs.len()
             );
             for (leaf, comparison) in p.comparisons().iter().enumerate() {
-                // one posting scan: consult the leaf alone for every source
+                // one consult: the leaf alone for every source — every key
+                // of a ranked group is looked up for its list length, the
+                // chosen units' keys once more to scan them
                 let node = PlanNode::Leaf(leaf);
-                let (mut scanned, mut probed) = (0usize, 0usize);
-                let mut keys: Vec<BlockKey> = Vec::new();
-                for values in columns[leaf] {
-                    comparison.function.block_keys_into(
-                        values,
-                        comparison.bound,
-                        KeySide::Probe,
-                        &mut keys,
-                    );
-                    probed += keys.len();
-                    scanned += keys
+                let (mut scanned, mut looked_up, mut any_key) = (0usize, 0usize, 0usize);
+                let postings = |keys: &[BlockKey]| {
+                    let lists = keys
                         .iter()
-                        .filter_map(|key| index.leaves[leaf].by_key.get(key))
-                        .map(Vec::len)
-                        .sum::<usize>();
+                        .filter_map(|key| index.leaves[leaf].by_key.get(key));
+                    lists.map(Vec::len).sum::<usize>()
+                };
+                let mut keys = ProbeKeys::new();
+                let mut costs = Vec::new();
+                for values in columns[leaf] {
+                    comparison.probe_keys_into(values, &mut keys);
+                    looked_up += keys.keys().len();
+                    any_key += postings(keys.keys());
+                    for group in keys.groups() {
+                        if group.may_miss() + 1 < group.units() {
+                            for &(cost, unit) in
+                                cheapest_units(&index.leaves[leaf], &group, &mut costs)
+                            {
+                                looked_up += group.unit(unit as usize).len();
+                                scanned += cost;
+                            }
+                        } else {
+                            scanned += postings(group.keys());
+                        }
+                    }
                 }
                 let consult_start = Instant::now();
                 for position in 0..source.len() {
@@ -2124,6 +2213,23 @@ mod tests {
                     scratch.recycle(buf);
                 }
                 let consult = consult_start.elapsed().as_nanos() as f64;
+                // one posting scan: every list under the probe's keys, which
+                // is long enough for the scan to dominate the lookups
+                let scan_start = Instant::now();
+                let mut marked = 0usize;
+                for values in columns[leaf] {
+                    comparison.probe_keys_into(values, &mut keys);
+                    let epoch = scratch.marks.next_epoch();
+                    let lists = keys.keys().iter();
+                    for &position in lists
+                        .filter_map(|key| index.leaves[leaf].by_key.get(key))
+                        .flatten()
+                    {
+                        marked += usize::from(scratch.marks.mark_first(position as usize, epoch));
+                    }
+                }
+                let scan_ns = scan_start.elapsed().as_nanos() as f64 / any_key.max(1) as f64;
+                assert!(marked <= any_key);
                 // (b) bulk-building the leaf from the column
                 let bulk_start = Instant::now();
                 let rebuilt = LeafIndex::bulk(
@@ -2131,20 +2237,22 @@ mod tests {
                     (0u32..).zip(targets[leaf].iter().map(|values| &**values)),
                 );
                 let bulk = bulk_start.elapsed().as_nanos() as f64;
-                let scan_ns = consult / scanned.max(1) as f64;
                 let per_entity = bulk / target.len() as f64 + consult / source.len() as f64;
                 println!(
-                    "  {}: {:.1} index keys/entity, estimate {:.1}; a probe looks up {:.0} keys and \
-                     scans {:.0} postings in {:.2} us = {scan_ns:.2} ns/posting -> one pair = {:.0} \
-                     scans (PAIR_COST_IN_SCANS = {PAIR_COST_IN_SCANS}); bulk build {:.2} \
-                     us/entity; build + consult = {:.2} us/entity = {:.0} pair evaluations \
-                     (STAGE_FLOOR = {STAGE_FLOOR})",
+                    "  {}: {:.1} index keys/entity, estimate {:.1}; a consult looks up {:.0} keys \
+                     and scans {:.0} postings in {:.2} us = {:.0} pair evaluations; every list \
+                     under its keys holds {:.0} postings, scanned at {scan_ns:.2} ns/posting -> \
+                     one pair = {:.0} scans (PAIR_COST_IN_SCANS = {PAIR_COST_IN_SCANS}); bulk \
+                     build {:.2} us/entity; build + consult = {:.2} us/entity = {:.0} pair \
+                     evaluations (STAGE_FLOOR = {STAGE_FLOOR})",
                     comparison.label,
                     rebuilt.postings as f64 / target.len() as f64,
                     rebuilt.estimated_candidates(),
-                    probed as f64 / source.len() as f64,
+                    looked_up as f64 / source.len() as f64,
                     scanned as f64 / source.len() as f64,
                     consult / source.len() as f64 / 1e3,
+                    consult / source.len() as f64 / pair_ns,
+                    any_key as f64 / source.len() as f64,
                     pair_ns / scan_ns,
                     bulk / target.len() as f64 / 1e3,
                     per_entity / 1e3,

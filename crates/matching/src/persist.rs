@@ -28,7 +28,7 @@
 //!
 //! Version 3 keeps the version-2 layout; what changed is the **meaning of
 //! the raw block keys**: they are the targets' index-side keys
-//! (`linkdisc_similarity::KeySide::Index` — a Levenshtein q-gram is stored
+//! (`DistanceFunction::index_keys_into` — a Levenshtein q-gram is stored
 //! under its own position bucket only, queries carry the ±1 neighbours) and
 //! their 64-bit values come from a different mixer.  A version-2 file read
 //! as version 3 would parse cleanly and then serve wrong candidates, so it

@@ -7,8 +7,8 @@
 //!
 //! * a **comparison** scores `1 − d/θ`, so a required similarity `s` becomes
 //!   a *distance bound* `d ≤ θ·(1 − s)` on its (transformed) value chains —
-//!   exactly the bound [`DistanceFunction::block_keys`] guarantees overlap
-//!   for,
+//!   exactly the bound the measure's block keys
+//!   ([`DistanceFunction::probe_keys_into`]) guarantee overlap for,
 //! * a **`min` aggregation** (conjunction) passes only if *every* child
 //!   passes, so its candidates are the **intersection** of the children's
 //!   candidate sets,
@@ -34,7 +34,7 @@
 use std::sync::Arc;
 
 use linkdisc_entity::Schema;
-use linkdisc_similarity::{BlockKey, DistanceFunction, KeySide};
+use linkdisc_similarity::{BlockKey, DistanceFunction, ProbeKeys};
 
 use crate::compiled::CompiledChain;
 use crate::operators::{Aggregation, Comparison, SimilarityOperator, ValueOperator};
@@ -65,12 +65,17 @@ pub struct IndexedComparison {
 }
 
 impl IndexedComparison {
-    /// The block keys of one (transformed) value set under this comparison's
-    /// measure and bound: what a target is stored under ([`KeySide::Index`])
-    /// or what a source looks up ([`KeySide::Probe`]).
-    pub fn block_keys_into(&self, values: &[String], side: KeySide, keys: &mut Vec<BlockKey>) {
-        self.function
-            .block_keys_into(values, self.bound, side, keys);
+    /// The block keys a target with these (transformed) values is stored
+    /// under, at this comparison's measure and bound.
+    pub fn index_keys_into(&self, values: &[String], keys: &mut Vec<BlockKey>) {
+        self.function.index_keys_into(values, self.bound, keys);
+    }
+
+    /// What a source with these (transformed) values looks up: groups of
+    /// key units, each with the number of units a target within the bound
+    /// may miss.
+    pub fn probe_keys_into(&self, values: &[String], probe: &mut ProbeKeys) {
+        self.function.probe_keys_into(values, self.bound, probe);
     }
 
     /// The identity of the *target-side leaf index* this comparison needs:
@@ -102,8 +107,8 @@ pub enum PlanNode {
     All,
     /// No pair can reach the link threshold (e.g. an empty aggregation).
     Nothing,
-    /// Candidates sharing a block key of one comparison (index into
-    /// [`IndexingPlan::comparisons`]).
+    /// Candidates whose block keys satisfy the probe of one comparison
+    /// (index into [`IndexingPlan::comparisons`]).
     Leaf(usize),
     /// Pairs that are candidates of *every* child (`min` / weighted mean).
     Intersect(Vec<PlanNode>),

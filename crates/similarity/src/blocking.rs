@@ -7,26 +7,38 @@
 //! *measure*: every [`DistanceFunction`] maps a value set to a set of
 //! [`BlockKey`]s at a given distance bound with the contract
 //!
-//! > **Overlap guarantee.** If `distance(A, B) ≤ bound` (finite), then
-//! > `block_keys(A, bound, Probe) ∩ block_keys(B, bound, Index) ≠ ∅` — and,
-//! > the distance being symmetric, likewise with the roles of A and B swapped.
+//! > **Overlap guarantee.** If `distance(A, B) ≤ bound` (finite), then some
+//! > group of `probe_keys(A, bound)` is *satisfied* by `index_keys(B, bound)`:
+//! > at least one of its units **hits** (shares a key with B's index keys)
+//! > and at most `may_miss` of its units miss — and, the distance being
+//! > symmetric, likewise with the roles of A and B swapped.
 //!
-//! Keys come in two [`KeySide`]s: the **index** side is what an inverted
-//! index stores per target entity, the **probe** side is what a source
-//! entity looks up.  A scheme that needs neighbour overlap (two values within
-//! the bound can sit one position bucket apart) pays for it on the probe side
-//! only: the probe emits `bucket − 1 ..= bucket + 1`, the index stores the
+//! Keys come in two sides.  The **index** side
+//! ([`DistanceFunction::index_keys_into`]) is what an inverted index stores
+//! per target entity: a flat key set.  The **probe** side ([`ProbeKeys`]) is
+//! what a source entity looks up: **groups of units**, a unit being the 1–3
+//! keys that stand for one part of the value (one positional q-gram, one
+//! token), each group with a **miss budget** `may_miss`.  The guarantee is
+//! counted, not just existential: a match hits *all but* `may_miss` units of
+//! its group, so by pigeonhole **any** `may_miss + 1` units of a group
+//! contain one the match hits — a prober may scan just those (whichever are
+//! cheapest) and skip the rest.  Schemes that can only promise *one* shared
+//! key put each key in a unit of its own and let all but one miss, which is
+//! plain any-shared-key blocking.
+//!
+//! A scheme that needs neighbour overlap (two values within the bound can
+//! sit one position bucket apart) pays for it on the probe side only: a
+//! probe unit holds `bucket − 1 ..= bucket + 1`, the index stores the
 //! value's own bucket once.  Emitting neighbours on *both* sides would also
 //! match pairs two buckets apart, which the guarantee never needs, and store
 //! every posting three times.
-//! Every scheme keeps `keys(v, Index) ⊆ keys(v, Probe)`; schemes without
-//! neighbour emission ignore the side altogether.
+//! Every scheme keeps `index_keys(v) ⊆ probe_keys(v).keys()`.
 //!
-//! Candidate generation that only considers pairs sharing a key is therefore
-//! *lossless by construction*: it can only add false candidates (which the
-//! rule evaluation then rejects), never lose a true link.  Keys are 64-bit
-//! mixes of a per-scheme tag and the key's parts (see [`Mixer`]), so a
-//! collision merges two blocks — more candidates, never fewer, which
+//! Candidate generation that only considers pairs satisfying a group is
+//! therefore *lossless by construction*: it can only add false candidates
+//! (which the rule evaluation then rejects), never lose a true link.  Keys
+//! are 64-bit mixes of a per-scheme tag and the key's parts (see [`Mixer`]),
+//! so a collision merges two blocks — more hits, never fewer, which
 //! preserves the guarantee.
 //!
 //! Per-measure schemes (the lossless-by-construction arguments are spelled
@@ -35,11 +47,12 @@
 //! * **Levenshtein** — an exact whole-value key when the edit budget
 //!   `d = ⌊bound⌋` is 0 (integer distances below 1 require equality);
 //!   otherwise positional padded q-grams (q shrinks as the budget grows)
-//!   with position buckets of width `d + 1` — the probe side emits them with
-//!   ±1 neighbour overlap, the index side emits the gram's own bucket only —
-//!   plus a shared short-string key for values short enough that
-//!   `d` edits could destroy every gram (pigeonhole: `d` edits destroy at
-//!   most `q·d` of the `|s| + q − 1` padded grams).
+//!   with position buckets of width `d + 1` — one probe unit per gram with
+//!   ±1 neighbour overlap, one group per value with `may_miss = q·d`; the
+//!   index side emits the gram's own bucket only — plus a shared
+//!   short-string key for values short enough that `d` edits could destroy
+//!   every gram (`d` edits destroy at most `q·d` of the `|s| + q − 1` padded
+//!   grams).
 //! * **Jaro / Jaro-Winkler** — a match-window-aware scheme for tight bounds
 //!   (see [`jaro_keys`]): a Jaro distance `d` forces the matched fraction of
 //!   *each* string to be at least `f = 1 − 3d` (each of the three Jaro terms
@@ -50,8 +63,11 @@
 //!   Looser bounds fall back to plain per-character keys (a similarity above
 //!   zero requires at least one common character); `bound ≥ 1` admits every
 //!   pair (not prunable).
-//! * **Jaccard / Dice / Equality** — one key per distinct value (set
-//!   element); a distance below 1 requires a shared element.
+//! * **Jaccard / Dice** — one key (and probe unit) per distinct value (set
+//!   element); at most `⌊bound·n⌋` (Dice: `⌊2·bound·n/(1 + bound)⌋`) of a
+//!   set's `n` elements can be absent from a set within the bound.
+//! * **Equality** — one key per distinct value; distance 0 requires a
+//!   shared value.
 //! * **Numeric / Date** — interval buckets of width `bound` with ±1
 //!   neighbour overlap on *both* sides (two values within `bound` sit at most
 //!   one bucket apart; the second neighbour absorbs floating-point rounding
@@ -88,15 +104,107 @@ impl BlockKey {
     }
 }
 
-/// Which end of a candidate lookup a key set is derived for (see the module
-/// docs): what an index stores, or what a query looks up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySide {
-    /// The stored (target) side: each key once, no neighbour emission.
-    Index,
-    /// The querying (source) side: carries the neighbour overlap, so
-    /// `keys(v, Index) ⊆ keys(v, Probe)` for every value set.
-    Probe,
+/// The probe side of a key scheme: what a querying value set looks up, as
+/// **groups of units** with a **miss budget** per group (see the module docs
+/// for the contract).  A reusable buffer: [`DistanceFunction::probe_keys_into`]
+/// refills it without allocating once it has grown.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeKeys {
+    /// Every key of every unit, units and groups back to back.
+    keys: Vec<BlockKey>,
+    /// Unit `u` (counted across groups) is `keys[unit_bounds[u]..unit_bounds[u + 1]]`.
+    unit_bounds: Vec<usize>,
+    groups: Vec<GroupSpan>,
+    /// The padded characters of the value being keyed (q-gram schemes).
+    padded: Vec<char>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct GroupSpan {
+    /// Exclusive end of the group's units (counted across groups).
+    unit_end: usize,
+    may_miss: usize,
+}
+
+impl ProbeKeys {
+    /// Creates an empty buffer; it grows on first use.
+    pub fn new() -> Self {
+        ProbeKeys::default()
+    }
+
+    /// The groups, in emission order.
+    pub fn groups(&self) -> impl Iterator<Item = ProbeGroup<'_>> {
+        let mut first_unit = 0usize;
+        self.groups.iter().map(move |span| {
+            let unit_bounds = &self.unit_bounds[first_unit..=span.unit_end];
+            first_unit = span.unit_end;
+            ProbeGroup {
+                keys: &self.keys,
+                unit_bounds,
+                may_miss: span.may_miss,
+            }
+        })
+    }
+
+    /// Every key of every unit, flattened (in emission order; a key shared
+    /// by two units appears twice): what any-shared-key blocking looks up.
+    pub fn keys(&self) -> &[BlockKey] {
+        &self.keys
+    }
+
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.unit_bounds.clear();
+        self.unit_bounds.push(0);
+        self.groups.clear();
+    }
+
+    /// Closes the keys pushed since the last unit as one unit.
+    fn end_unit(&mut self) {
+        self.unit_bounds.push(self.keys.len());
+    }
+
+    /// Closes the units ended since the last group as one group.
+    fn end_group(&mut self, may_miss: usize) {
+        self.groups.push(GroupSpan {
+            unit_end: self.unit_bounds.len() - 1,
+            may_miss,
+        });
+    }
+}
+
+/// One group of a [`ProbeKeys`]: a match hits at least one of its units and
+/// misses at most [`ProbeGroup::may_miss`] of them, so any `may_miss + 1`
+/// units contain one it hits.
+#[derive(Debug, Clone, Copy)]
+pub struct ProbeGroup<'a> {
+    /// The whole probe's keys; `unit_bounds` (one more than units) index it.
+    keys: &'a [BlockKey],
+    unit_bounds: &'a [usize],
+    may_miss: usize,
+}
+
+impl<'a> ProbeGroup<'a> {
+    /// Number of units in the group (at least one).
+    pub fn units(&self) -> usize {
+        self.unit_bounds.len() - 1
+    }
+
+    /// How many of the group's units a match may fail to hit.  A budget of
+    /// `units − 1` or more promises only that *some* unit hits.
+    pub fn may_miss(&self) -> usize {
+        self.may_miss
+    }
+
+    /// The keys of unit `at` (`at < units()`).
+    pub fn unit(&self, at: usize) -> &'a [BlockKey] {
+        &self.keys[self.unit_bounds[at]..self.unit_bounds[at + 1]]
+    }
+
+    /// The keys of all the group's units, flattened.
+    pub fn keys(&self) -> &'a [BlockKey] {
+        &self.keys[self.unit_bounds[0]..self.unit_bounds[self.units()]]
+    }
 }
 
 /// A map keyed by [`BlockKey`] that uses the key itself as the hash: keys
@@ -243,8 +351,9 @@ impl DistanceFunction {
         }
     }
 
-    /// Computes the block keys of a value set at a distance bound for one
-    /// [`KeySide`], replacing the contents of `keys` (sorted, deduplicated).
+    /// Computes the **index-side** block keys of a value set at a distance
+    /// bound — what an inverted index stores the entity under — replacing
+    /// the contents of `keys` (sorted, deduplicated).
     ///
     /// Must only be called when [`DistanceFunction::can_prune`] holds for the
     /// bound.  An empty result means no value of the set can be within the
@@ -252,41 +361,44 @@ impl DistanceFunction {
     /// numeric/date/geographic measures) — such entities are never candidates
     /// through this comparison, which is exactly the evaluation semantics
     /// (an empty value set yields similarity 0).
-    pub fn block_keys_into(
-        &self,
-        values: &[String],
-        bound: f64,
-        side: KeySide,
-        keys: &mut Vec<BlockKey>,
-    ) {
+    pub fn index_keys_into(&self, values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         keys.clear();
-        self.push_keys::<Mixer>(values, bound, side, keys);
+        self.push_keys::<Mixer>(values, bound, keys);
         keys.sort_unstable();
         keys.dedup();
     }
 
     /// Allocating convenience wrapper around
-    /// [`DistanceFunction::block_keys_into`].
-    pub fn block_keys(&self, values: &[String], bound: f64, side: KeySide) -> Vec<BlockKey> {
+    /// [`DistanceFunction::index_keys_into`].
+    pub fn index_keys(&self, values: &[String], bound: f64) -> Vec<BlockKey> {
         let mut keys = Vec::new();
-        self.block_keys_into(values, bound, side, &mut keys);
+        self.index_keys_into(values, bound, &mut keys);
         keys
     }
 
-    /// Appends this measure's keys (unsorted, with duplicates) under mixer `M`.
-    fn push_keys<M: KeyMix>(
-        &self,
-        values: &[String],
-        bound: f64,
-        side: KeySide,
-        keys: &mut Vec<BlockKey>,
-    ) {
-        // Distances at exactly the bound must share a key; inflate the bound
-        // by one part in 10⁹ so bucket arithmetic on the boundary cannot be
-        // tipped over by floating-point rounding.
-        let bound = inflate(bound.max(0.0));
+    /// Computes the **probe side** of a value set at a distance bound — what
+    /// a querying entity looks up — replacing the contents of `probe`.  Same
+    /// precondition as [`DistanceFunction::index_keys_into`]; no groups means
+    /// the entity has no candidates through this comparison.
+    pub fn probe_keys_into(&self, values: &[String], bound: f64, probe: &mut ProbeKeys) {
+        probe.clear();
+        self.push_probe::<Mixer>(values, bound, probe);
+    }
+
+    /// Allocating convenience wrapper around
+    /// [`DistanceFunction::probe_keys_into`].
+    pub fn probe_keys(&self, values: &[String], bound: f64) -> ProbeKeys {
+        let mut probe = ProbeKeys::new();
+        self.probe_keys_into(values, bound, &mut probe);
+        probe
+    }
+
+    /// Appends this measure's index-side keys (unsorted, with duplicates)
+    /// under mixer `M`.
+    fn push_keys<M: KeyMix>(&self, values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+        let bound = inflate(bound);
         match self {
-            DistanceFunction::Levenshtein => levenshtein_keys::<M>(values, bound, side, keys),
+            DistanceFunction::Levenshtein => levenshtein_keys::<M>(values, bound, keys),
             DistanceFunction::Jaro => jaro_keys::<M>(values, bound, 1.0 - 3.0 * bound, keys),
             // Winkler only boosts: sim_w ≤ sim_j + 0.4·(1 − sim_j), so a
             // required sim_w ≥ s implies sim_j ≥ (s − 0.4)/0.6 and the Jaro
@@ -302,9 +414,44 @@ impl DistanceFunction {
         }
     }
 
+    /// Appends this measure's probe groups to a cleared `probe` under mixer
+    /// `M`.  Levenshtein q-grams group per value with neighbour overlap;
+    /// every other scheme probes its index-side keys, one unit each, in one
+    /// group — Jaccard and Dice with the number of elements a set within the
+    /// bound can lack, the rest with "all but one".
+    fn push_probe<M: KeyMix>(&self, values: &[String], bound: f64, probe: &mut ProbeKeys) {
+        let inflated = inflate(bound);
+        let budget = edit_budget(inflated);
+        if *self == DistanceFunction::Levenshtein && budget > 0 {
+            levenshtein_probe::<M>(values, budget, probe);
+            return;
+        }
+        self.push_keys::<M>(values, bound, &mut probe.keys);
+        probe.keys.sort_unstable();
+        probe.keys.dedup();
+        let units = probe.keys.len();
+        if units == 0 {
+            return;
+        }
+        // `|A ∖ B| ≤ share·|A|` for a set B within the bound of A (see
+        // `element_keys`); counted over the undeduplicated slice and the
+        // inflated bound, so neither a duplicate value, a key collision nor
+        // `0.2 × 5 = 0.999…` can shrink the budget below the true count
+        let elements = values.len() as f64;
+        let may_miss = match self {
+            DistanceFunction::Jaccard => (inflated * elements).floor() as usize,
+            DistanceFunction::Dice => {
+                (2.0 * inflated * elements / (1.0 + inflated)).floor() as usize
+            }
+            _ => units - 1,
+        };
+        probe.unit_bounds.extend(1..=units);
+        probe.end_group(may_miss);
+    }
+
     /// The canonical *bound bucket* of this measure at a distance bound: two
     /// bounds in the same bucket are **guaranteed** to produce identical
-    /// [`DistanceFunction::block_keys_into`] output for every value set, so a
+    /// [`DistanceFunction::index_keys_into`] output for every value set, so a
     /// leaf index built at one bound can be shared by any comparison whose
     /// bound falls into the same bucket (the key of
     /// `SharedLeafIndexes` in `linkdisc-matching`).
@@ -326,10 +473,10 @@ impl DistanceFunction {
     /// Callers must only consult the bucket for bounds where
     /// [`DistanceFunction::can_prune`] holds.
     pub fn key_bound_bucket(&self, bound: f64) -> u64 {
-        // mirror the bound normalisation of `block_keys_into` exactly
-        let bound = inflate(bound.max(0.0));
+        // mirror the bound normalisation of `index_keys_into` exactly
+        let bound = inflate(bound);
         match self {
-            DistanceFunction::Levenshtein => bound.min(1e9).floor() as u64,
+            DistanceFunction::Levenshtein => edit_budget(bound) as u64,
             DistanceFunction::Jaccard | DistanceFunction::Dice | DistanceFunction::Equality => {
                 BUCKET_UNIFORM
             }
@@ -368,73 +515,131 @@ fn jaro_bucket(bound: f64, fraction: f64) -> u64 {
     }
 }
 
-/// Inflates a bound by a relative epsilon (and keeps 0 exact: non-negative
-/// distances at bound 0 mean "exactly equal", where bucket arithmetic is
-/// already exact).
+/// Distances at exactly the bound must share a key: clamps a bound to ≥ 0
+/// and inflates it by one part in 10⁹ so bucket arithmetic on the boundary
+/// cannot be tipped over by floating-point rounding (0 stays exact:
+/// non-negative distances at bound 0 mean "exactly equal", where bucket
+/// arithmetic is already exact).
 fn inflate(bound: f64) -> f64 {
-    bound * (1.0 + 1e-9)
+    bound.max(0.0) * (1.0 + 1e-9)
+}
+
+/// The Levenshtein edit budget `d = ⌊bound⌋` of an (inflated) bound: the
+/// distance is an integer, so that is all of the bound the keys depend on.
+fn edit_budget(bound: f64) -> usize {
+    bound.min(1e9).floor() as usize
 }
 
 /// Levenshtein: positional padded q-grams + short-value fallback key, with
-/// the q-gram length adapted to the edit budget `d = ⌊bound⌋`.
+/// the q-gram length adapted to the edit budget `d = ⌊bound⌋` — the index
+/// side ([`levenshtein_probe`] is the probe side at `d ≥ 1`).
 ///
 /// * `d = 0` — the distance is an integer, so a bound below 1 admits only
 ///   *identical* strings: one exact whole-value key (maximally selective).
 /// * `d ≥ 1` — values are padded with `q − 1` sentinels on each side, giving
 ///   `|s| + q − 1` positional q-grams.  Each of the `e ≤ d` edits destroys
 ///   at most `q` grams and shifts survivors by at most `e ≤ d` positions, so
-///   whenever `|s| + q − 1 > q·d` for either value, a shared gram survives
-///   at positions `p` and `p'` with `|p − p'| ≤ d`.  With buckets of width
-///   `d + 1`, `⌊p/(d+1)⌋` and `⌊p'/(d+1)⌋` differ by at most 1, so the
-///   **probe** side's `bucket − 1 ..= bucket + 1` always contains the one
-///   `(gram, bucket)` key the **index** side stores — whichever of the two
-///   values probes.  Values short enough that every gram could be destroyed
-///   (`|s| ≤ q·(d − 1) + 1`) additionally emit a shared short-value key on
-///   both sides.
+///   all but at most `q·d` grams of either value survive into the other, at
+///   positions `p` and `p'` with `|p − p'| ≤ d`.  With buckets of width
+///   `d + 1`, `⌊p/(d+1)⌋` and `⌊p'/(d+1)⌋` differ by at most 1, so a
+///   survivor's **probe** unit `bucket − 1 ..= bucket + 1` always contains
+///   the one `(gram, bucket)` key the **index** side stores — whichever of
+///   the two values probes.  Values short enough that every gram could be
+///   destroyed (`|s| + q − 1 ≤ q·d`, i.e. `|s| ≤ q·(d − 1) + 1`)
+///   additionally emit a shared short-value key on both sides.
 ///
 /// Small budgets use longer grams (q = 6 at d = 1, q = 3 at d = 2, q = 2
 /// beyond): the guarantee only needs `|s| > q·(d − 1) + 1`, and longer grams
 /// are exponentially more selective against unrelated values.
-fn levenshtein_keys<M: KeyMix>(
-    values: &[String],
-    bound: f64,
-    side: KeySide,
-    keys: &mut Vec<BlockKey>,
-) {
-    let budget = bound.min(1e9).floor() as usize;
+fn levenshtein_keys<M: KeyMix>(values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
+    let budget = edit_budget(bound);
     if budget == 0 {
         for value in values {
             keys.push(M::new(TAG_LEVENSHTEIN_EXACT).str(value).finish());
         }
         return;
     }
-    let q = match budget {
-        1 => 6,
-        2 => 3,
-        _ => 2,
-    };
-    let short_cutoff = q * (budget - 1) + 1;
-    let bucket_width = (budget + 1) as i64;
+    let grams = QGrams::for_budget(budget);
     let mut padded: Vec<char> = Vec::new();
     for value in values {
-        padded.clear();
-        padded.extend(std::iter::repeat_n(PAD_START, q - 1));
-        padded.extend(value.chars());
-        if padded.len() - (q - 1) <= short_cutoff {
-            keys.push(M::new(TAG_LEVENSHTEIN_SHORT).word(budget as u64).finish());
+        if grams.pad(value, &mut padded) {
+            keys.push(grams.short_key::<M>());
         }
-        padded.extend(std::iter::repeat_n(PAD_END, q - 1));
-        for (position, gram) in padded.windows(q).enumerate() {
-            let bucket = position as i64 / bucket_width;
+        for (position, gram) in padded.windows(grams.q).enumerate() {
+            let bucket = grams.bucket(position) as u64;
+            keys.push(M::new(TAG_LEVENSHTEIN).gram(gram).word(bucket).finish());
+        }
+    }
+}
+
+/// The probe side of [`levenshtein_keys`] at an edit budget `d ≥ 1`: one
+/// group per value, one unit per positional q-gram — the gram under its own
+/// bucket and the two neighbours (no index stores bucket −1, so a gram in
+/// bucket 0 has two keys) — of which a value within `d` edits misses at most
+/// `q·d` (the destroyed ones; every survivor's unit hits).  The short-value
+/// key is a group of its own that may not be missed, i.e. is always probed:
+/// a value that emits it has at most `q·d` grams, so its gram group promises
+/// nothing.
+fn levenshtein_probe<M: KeyMix>(values: &[String], budget: usize, probe: &mut ProbeKeys) {
+    let grams = QGrams::for_budget(budget);
+    let mut padded = std::mem::take(&mut probe.padded);
+    for value in values {
+        if grams.pad(value, &mut padded) {
+            probe.keys.push(grams.short_key::<M>());
+            probe.end_unit();
+            probe.end_group(0);
+        }
+        for (position, gram) in padded.windows(grams.q).enumerate() {
+            let bucket = grams.bucket(position);
             let gram = M::new(TAG_LEVENSHTEIN).gram(gram);
-            let neighbours = match side {
-                KeySide::Index => bucket..=bucket,
-                KeySide::Probe => bucket - 1..=bucket + 1,
-            };
-            for neighbour in neighbours {
-                keys.push(gram.word(neighbour as u64).finish());
+            for neighbour in bucket.saturating_sub(1)..=bucket + 1 {
+                probe.keys.push(gram.word(neighbour as u64).finish());
             }
+            probe.end_unit();
         }
+        probe.end_group(grams.q * budget);
+    }
+    probe.padded = padded;
+}
+
+/// The positional q-gram scheme of one Levenshtein edit budget `d ≥ 1`.
+struct QGrams {
+    budget: usize,
+    q: usize,
+}
+
+impl QGrams {
+    fn for_budget(budget: usize) -> QGrams {
+        let q = match budget {
+            1 => 6,
+            2 => 3,
+            _ => 2,
+        };
+        QGrams { budget, q }
+    }
+
+    /// The position bucket (`d + 1` wide) of the gram at `position`.
+    fn bucket(&self, position: usize) -> usize {
+        position / (self.budget + 1)
+    }
+
+    /// Replaces `padded` by `value` between `q − 1` sentinels a side (at
+    /// least one q-gram, also for the empty string); `true` when the value
+    /// is short enough for `d` edits to destroy every gram.
+    fn pad(&self, value: &str, padded: &mut Vec<char>) -> bool {
+        padded.clear();
+        padded.extend(std::iter::repeat_n(PAD_START, self.q - 1));
+        padded.extend(value.chars());
+        let length = padded.len() - (self.q - 1);
+        padded.extend(std::iter::repeat_n(PAD_END, self.q - 1));
+        length <= self.q * (self.budget - 1) + 1
+    }
+
+    /// The key all short values of this budget share.
+    fn short_key<M: KeyMix>(&self) -> BlockKey {
+        M::new(TAG_LEVENSHTEIN_SHORT)
+            .word(self.budget as u64)
+            .finish()
     }
 }
 
@@ -535,9 +740,13 @@ fn empty_value_key<M: KeyMix>() -> BlockKey {
 
 /// Jaccard / Dice / Equality: one key per distinct value-set element.
 ///
-/// Guarantee (`bound < 1`): a Jaccard or Dice distance below 1 requires a
-/// non-empty intersection of the two value sets; an equality distance of 0
-/// requires a shared value outright.
+/// Guarantee (`bound < 1`): an equality distance of 0 requires a shared
+/// value outright.  A Jaccard distance `1 − |A∩B|/|A∪B| ≤ bound` gives
+/// `|A∩B| ≥ (1 − bound)·|A∪B| ≥ (1 − bound)·|A|`, so at most `bound·|A|`
+/// elements of A are missing from B; a Dice distance `1 − 2|A∩B|/(|A|+|B|) ≤
+/// bound` with `|B| ≥ |A∩B|` gives `|A∩B| ≥ (1 − bound)·|A|/(1 + bound)`, so
+/// at most `2·bound·|A|/(1 + bound)` are.  Either count is below `|A|`, so
+/// some element is shared.
 fn element_keys<M: KeyMix>(tag: u8, values: &[String], keys: &mut Vec<BlockKey>) {
     for value in values {
         keys.push(M::new(tag).str(value).finish());
@@ -545,7 +754,7 @@ fn element_keys<M: KeyMix>(tag: u8, values: &[String], keys: &mut Vec<BlockKey>)
 }
 
 /// Shared interval-bucket scheme for one-dimensional measures: buckets of
-/// width `bound` emitted with ±1 neighbour overlap on both [`KeySide`]s.
+/// width `bound` emitted with ±1 neighbour overlap on both sides.
 ///
 /// Guarantee: `|x − y| ≤ bound` puts the two values at most one bucket
 /// apart, so the ±1 emission always leaves a shared `(tag, bucket)` key —
@@ -646,23 +855,47 @@ mod tests {
         values.iter().map(|s| s.to_string()).collect()
     }
 
-    /// `true` if `a`, probing, finds `b` in an index.
+    /// `true` if `a`'s probe keys, flattened, share a key with `b`'s index
+    /// keys: what any-shared-key blocking would admit.
     fn overlap(f: DistanceFunction, a: &[String], b: &[String], bound: f64) -> bool {
-        let probe = f.block_keys(a, bound, KeySide::Probe);
-        let index = f.block_keys(b, bound, KeySide::Index);
-        probe.iter().any(|k| index.binary_search(k).is_ok())
+        let index = f.index_keys(b, bound);
+        let probe = f.probe_keys(a, bound);
+        probe.keys().iter().any(|k| index.binary_search(k).is_ok())
+    }
+
+    /// `(hits, misses)` of a group's units against sorted index keys.
+    fn hits_and_misses(group: &ProbeGroup<'_>, index: &[BlockKey]) -> (usize, usize) {
+        let hits = (0..group.units())
+            .filter(|&unit| {
+                let mut keys = group.unit(unit).iter();
+                keys.any(|key| index.binary_search(key).is_ok())
+            })
+            .count();
+        (hits, group.units() - hits)
+    }
+
+    /// `true` if `a`, probing, finds `b` in an index **whichever** `may_miss
+    /// + 1` units of each group the prober scans: some group has a unit that
+    /// hits `b`'s index keys and at most `may_miss` that miss.
+    fn satisfied(f: DistanceFunction, a: &[String], b: &[String], bound: f64) -> bool {
+        let index = f.index_keys(b, bound);
+        f.probe_keys(a, bound).groups().any(|group| {
+            let (hits, misses) = hits_and_misses(&group, &index);
+            hits > 0 && misses <= group.may_miss()
+        })
     }
 
     /// The shared contract: whenever the distance is within the bound, the
-    /// probe keys of either value set overlap the index keys of the other.
+    /// probe of either value set has a group the index keys of the other
+    /// satisfy.
     fn assert_guarantee(f: DistanceFunction, a: &[String], b: &[String], bound: f64) {
         let distance = f.evaluate(a, b);
         if distance.is_finite() && distance <= bound {
             for (probing, indexed) in [(a, b), (b, a)] {
                 assert!(
-                    overlap(f, probing, indexed, bound),
-                    "{f} probe keys of {probing:?} miss the index keys of {indexed:?} \
-                     at bound {bound} (distance {distance})"
+                    satisfied(f, probing, indexed, bound),
+                    "{f}: no probe group of {probing:?} is satisfied by the index keys of \
+                     {indexed:?} at bound {bound} (distance {distance})"
                 );
             }
         }
@@ -690,8 +923,6 @@ mod tests {
             BlockKey(self.0)
         }
     }
-
-    const SIDES: [KeySide; 2] = [KeySide::Index, KeySide::Probe];
 
     #[test]
     fn bound_buckets_are_as_coarse_as_the_schemes_allow() {
@@ -732,9 +963,8 @@ mod tests {
     #[test]
     fn empty_value_sets_produce_no_keys() {
         for f in DistanceFunction::ALL {
-            for side in SIDES {
-                assert!(f.block_keys(&[], 1.0, side).is_empty(), "{f}");
-            }
+            assert!(f.index_keys(&[], 1.0).is_empty(), "{f}");
+            assert_eq!(f.probe_keys(&[], 1.0).groups().count(), 0, "{f}");
         }
     }
 
@@ -745,9 +975,8 @@ mod tests {
             DistanceFunction::Date,
             DistanceFunction::Geographic,
         ] {
-            for side in SIDES {
-                assert!(f.block_keys(&vs(&["not parseable"]), 5.0, side).is_empty());
-            }
+            assert!(f.index_keys(&vs(&["not parseable"]), 5.0).is_empty());
+            assert!(f.probe_keys(&vs(&["not parseable"]), 5.0).keys().is_empty());
         }
     }
 
@@ -933,10 +1162,17 @@ mod tests {
         // "berlin" at budget 1: q = 6, 11 padded grams in buckets of width 2
         let value = vs(&["berlin"]);
         let lev = DistanceFunction::Levenshtein;
-        let index = lev.block_keys(&value, 1.0, KeySide::Index);
-        let probe = lev.block_keys(&value, 1.0, KeySide::Probe);
+        let index = lev.index_keys(&value, 1.0);
+        let probe = lev.probe_keys(&value, 1.0);
         assert_eq!(index.len(), 11);
-        assert_eq!(probe.len(), 33);
+        // one unit per gram: own bucket ± 1, and no index stores bucket −1
+        let groups: Vec<ProbeGroup<'_>> = probe.groups().collect();
+        assert_eq!(groups.len(), 1);
+        assert_eq!((groups[0].units(), groups[0].may_miss()), (11, 6));
+        assert_eq!(groups[0].unit(1).len(), 2);
+        assert_eq!(groups[0].unit(2).len(), 3);
+        assert_eq!(probe.keys().len(), 2 * 2 + 9 * 3);
+        assert_eq!(groups[0].keys(), probe.keys());
         // two buckets apart is beyond any admissible shift; emitting ±1 on
         // both sides would still make such pairs candidates
         let shifted = vs(&["xxxxberlin"]);
@@ -973,7 +1209,7 @@ mod tests {
             let dataset = kind.generate(1.0, 7);
             let mut mixed: HashSet<BlockKey> = HashSet::new();
             let mut reference: HashSet<BlockKey> = HashSet::new();
-            let mut keys = Vec::new();
+            let mut probe = ProbeKeys::new();
             for source in [&dataset.source, &dataset.target] {
                 for entity in source.entities() {
                     for property in 0..source.schema().len() {
@@ -984,17 +1220,12 @@ mod tests {
                                     continue;
                                 }
                                 // the probe side is a superset of the index side
-                                keys.clear();
-                                f.push_keys::<Mixer>(values, bound, KeySide::Probe, &mut keys);
-                                mixed.extend(keys.iter().copied());
-                                keys.clear();
-                                f.push_keys::<SipReference>(
-                                    values,
-                                    bound,
-                                    KeySide::Probe,
-                                    &mut keys,
-                                );
-                                reference.extend(keys.iter().copied());
+                                probe.clear();
+                                f.push_probe::<Mixer>(values, bound, &mut probe);
+                                mixed.extend(probe.keys().iter().copied());
+                                probe.clear();
+                                f.push_probe::<SipReference>(values, bound, &mut probe);
+                                reference.extend(probe.keys().iter().copied());
                             }
                         }
                     }
@@ -1011,6 +1242,159 @@ mod tests {
                 "{kind}: the mixer merged blocks"
             );
         }
+    }
+
+    /// Applies up to `budget` of the `(position, character)` edits —
+    /// deletion, insertion or substitution by `position % 3`.
+    fn edit(value: &str, edits: &[(usize, String)], budget: usize) -> String {
+        let mut edited: Vec<char> = value.chars().collect();
+        for (position, replacement) in edits.iter().take(budget) {
+            let c = replacement.chars().next().expect("one char");
+            match position % 3 {
+                0 if !edited.is_empty() => {
+                    edited.remove(position % edited.len());
+                }
+                1 => edited.insert(position % (edited.len() + 1), c),
+                _ if !edited.is_empty() => {
+                    let at = position % edited.len();
+                    edited[at] = c;
+                }
+                _ => {}
+            }
+        }
+        edited.into_iter().collect()
+    }
+
+    /// The counted Levenshtein guarantee: a value within the edit budget of
+    /// the probing value misses at most `q·d` of its gram units (so any
+    /// `q·d + 1` of them contain a hit), or the always-probed short-value
+    /// key hits.  Pairs come from random edit scripts over a small alphabet
+    /// heavy in repeated characters, with multi-byte letters, lengths from
+    /// empty across every short-value cutoff, duplicate and multi-valued
+    /// sets, at budgets 1, 2 and ≥ 3 through integral and fractional bounds.
+    #[test]
+    fn levenshtein_matches_miss_at_most_q_grams_per_edit() {
+        let lev = DistanceFunction::Levenshtein;
+        let mut rng = TestRng::for_test("levenshtein_pigeonhole");
+        let value = "[aaabé世]{0,21}";
+        let edits = proptest::collection::vec((0usize..64, "[abé🦀]"), 0..6);
+        // prefix probing must actually be exercised: groups with units to
+        // spare, and matches that do miss some of them
+        let (mut prunable, mut with_misses) = (0usize, 0usize);
+        for case in 0..proptest::cases() * 8 {
+            let bound = [1.0, 1.5, 2.0, 2.9, 3.0, 4.0, 5.5][case % 7];
+            let budget = bound as usize;
+            let base = value.sample(&mut rng);
+            let edited = edit(&base, &edits.sample(&mut rng), budget);
+            let (a, b) = match case % 4 {
+                0 | 1 => (vec![base], vec![edited]),
+                // multi-valued, the close pair not in first place
+                2 => (
+                    vec![value.sample(&mut rng), base],
+                    vec![edited, value.sample(&mut rng)],
+                ),
+                // a duplicate value in the slice
+                _ => (vec![base.clone(), base], vec![edited]),
+            };
+            assert!(lev.evaluate(&a, &b) <= bound);
+            assert_guarantee(lev, &a, &b, bound);
+            for (probing, indexed) in [(&a, &b), (&b, &a)] {
+                let index = lev.index_keys(indexed, bound);
+                for group in lev.probe_keys(probing, bound).groups() {
+                    prunable += usize::from(group.may_miss() + 1 < group.units());
+                    let (hits, misses) = hits_and_misses(&group, &index);
+                    with_misses += usize::from(hits > 0 && misses > 0);
+                }
+            }
+            // single values: the one gram group itself keeps the count
+            if a.len() == 1 {
+                let q = [6, 3, 2][budget.min(3) - 1];
+                let index = lev.index_keys(&b, bound);
+                let probe = lev.probe_keys(&a, bound);
+                let grams = probe.groups().last().expect("the gram group");
+                assert_eq!(grams.may_miss(), q * budget);
+                assert_eq!(grams.units(), a[0].chars().count() + q - 1);
+                let (_, misses) = hits_and_misses(&grams, &index);
+                assert!(
+                    grams.units() <= grams.may_miss() || misses <= grams.may_miss(),
+                    "{a:?} misses {misses} gram units of {b:?} at bound {bound}"
+                );
+            }
+        }
+        assert!(
+            prunable > 100 && with_misses > 100,
+            "{prunable} {with_misses}"
+        );
+        // repeated characters: every gram of the one value is a gram of the
+        // other, at shifted positions
+        for budget in 1..=4usize {
+            for length in 0..=3 * budget + 8 {
+                let a = vec!["a".repeat(length)];
+                for shift in 0..=budget {
+                    let b = vec!["a".repeat(length + shift)];
+                    assert_guarantee(lev, &a, &b, budget as f64);
+                }
+            }
+        }
+    }
+
+    /// The counted Jaccard / Dice guarantee: of the `n` elements of the
+    /// probing set, one within the bound lacks at most `⌊bound·n⌋` (Dice:
+    /// `⌊2·bound·n/(1 + bound)⌋`) — with the pair sitting exactly on the
+    /// bound, just inside it, and duplicate values in the slices.
+    #[test]
+    fn set_measure_matches_miss_at_most_their_share_of_the_elements() {
+        let mut rng = TestRng::for_test("set_measure_pigeonhole");
+        let tokens = proptest::collection::vec("[a-f]{1,2}", 1..9);
+        let (mut prunable, mut with_misses) = (0usize, 0usize);
+        for case in 0..proptest::cases() * 8 {
+            let a = tokens.sample(&mut rng);
+            // b: a with some elements dropped, some added, some repeated
+            let mut b: Vec<String> = a
+                .iter()
+                .filter(|_| (0usize..5).sample(&mut rng) > 0)
+                .cloned()
+                .collect();
+            b.extend(tokens.sample(&mut rng).into_iter().take(case % 3));
+            b.extend(b.first().cloned());
+            for f in [DistanceFunction::Jaccard, DistanceFunction::Dice] {
+                let distance = f.evaluate(&a, &b);
+                if !f.can_prune(distance) {
+                    continue;
+                }
+                // on the bound, and just inside it
+                for bound in [distance, distance + (1.0 - distance) * 0.01] {
+                    assert_guarantee(f, &a, &b, bound);
+                    let index = f.index_keys(&b, bound);
+                    for group in f.probe_keys(&a, bound).groups() {
+                        prunable += usize::from(group.may_miss() + 1 < group.units());
+                        let (_, misses) = hits_and_misses(&group, &index);
+                        assert!(misses <= group.may_miss());
+                        with_misses += usize::from(misses > 0);
+                    }
+                }
+            }
+        }
+        assert!(
+            prunable > 100 && with_misses > 100,
+            "{prunable} {with_misses}"
+        );
+        // four of five elements shared: a Jaccard distance of 1 − 4/5 =
+        // 0.19999999999999996, and `0.19999999999999996 × 5 < 1` must still
+        // allow the one miss — as must a duplicate in the probing slice
+        let five = vs(&["a", "b", "c", "d", "e"]);
+        let four = vs(&["a", "b", "c", "d"]);
+        let jaccard = DistanceFunction::Jaccard;
+        for bound in [jaccard.evaluate(&five, &four), 0.2, 0.4 * 0.5] {
+            assert_guarantee(jaccard, &five, &four, bound);
+            let probe = jaccard.probe_keys(&five, bound);
+            let group = probe.groups().next().expect("one group");
+            assert_eq!((group.units(), group.may_miss()), (5, 1));
+        }
+        let doubled = vs(&["a", "a", "b", "c", "d", "e"]);
+        assert_guarantee(jaccard, &doubled, &four, 0.2);
+        let dice = DistanceFunction::Dice;
+        assert_guarantee(dice, &five, &four, dice.evaluate(&five, &four));
     }
 
     /// Values for the asymmetric Levenshtein property: short enough to hit
@@ -1042,30 +1426,14 @@ mod tests {
             edits in proptest::collection::vec((0usize..12, "[aé世🦀]"), 0..5),
             budget in 0usize..5,
         ) {
-            let mut edited: Vec<char> = a[0].chars().collect();
-            for (position, replacement) in edits.iter().take(budget) {
-                let c = replacement.chars().next().expect("one char");
-                match position % 3 {
-                    0 if !edited.is_empty() => {
-                        edited.remove(position % edited.len());
-                    }
-                    1 => edited.insert(position % (edited.len() + 1), c),
-                    _ if !edited.is_empty() => {
-                        let at = position % edited.len();
-                        edited[at] = c;
-                    }
-                    _ => {}
-                }
-            }
-            let b = vec![other, edited.into_iter().collect()];
+            let b = vec![other, edit(&a[0], &edits, budget)];
             prop_assert!(DistanceFunction::Levenshtein.evaluate(&a, &b) <= budget as f64);
             assert_guarantee(DistanceFunction::Levenshtein, &a, &b, budget as f64);
         }
 
-        /// `keys(v, Index) ⊆ keys(v, Probe)` for every scheme: a position's
-        /// stored keys intersect a query's probe keys exactly when the
-        /// position is in a posting list the query scans, and an entity
-        /// always finds itself.
+        /// `index_keys(v) ⊆ probe_keys(v).keys()` for every scheme — and a
+        /// value set satisfies its own probe, so an entity always finds
+        /// itself.
         #[test]
         fn index_keys_are_a_subset_of_probe_keys(
             values in proptest::collection::vec("[a-e0-9 .é世-]{0,10}", 0..4),
@@ -1075,12 +1443,13 @@ mod tests {
                 if !f.can_prune(bound) {
                     continue;
                 }
-                let index = f.block_keys(&values, bound, KeySide::Index);
-                let probe = f.block_keys(&values, bound, KeySide::Probe);
+                let index = f.index_keys(&values, bound);
+                let probe = f.probe_keys(&values, bound);
                 prop_assert!(
-                    index.iter().all(|key| probe.binary_search(key).is_ok()),
+                    index.iter().all(|key| probe.keys().contains(key)),
                     "{} index keys of {:?} at bound {} are not all probe keys", f, values, bound
                 );
+                prop_assert!(index.is_empty() || satisfied(f, &values, &values, bound));
             }
         }
 
@@ -1232,13 +1601,17 @@ mod tests {
                     continue;
                 }
                 if f.key_bound_bucket(a) == f.key_bound_bucket(b) {
-                    for side in SIDES {
-                        prop_assert_eq!(
-                            f.block_keys(&values, a, side),
-                            f.block_keys(&values, b, side),
-                            "{} buckets {} and {} collide but keys differ", f, a, b
-                        );
-                    }
+                    prop_assert_eq!(
+                        f.index_keys(&values, a),
+                        f.index_keys(&values, b),
+                        "{} buckets {} and {} collide but keys differ", f, a, b
+                    );
+                    // the probe looks up the same keys; only a miss budget
+                    // (Jaccard, Dice) may follow the bound within a bucket
+                    prop_assert_eq!(
+                        f.probe_keys(&values, a).keys(),
+                        f.probe_keys(&values, b).keys()
+                    );
                 }
             }
         }
@@ -1251,15 +1624,17 @@ mod tests {
                 if !f.can_prune(bound) {
                     continue;
                 }
-                for side in SIDES {
-                    let first = f.block_keys(&values, bound, side);
-                    let second = f.block_keys(&values, bound, side);
-                    prop_assert_eq!(&first, &second);
-                    let mut sorted = first.clone();
-                    sorted.sort_unstable();
-                    sorted.dedup();
-                    prop_assert_eq!(first, sorted);
-                }
+                let first = f.index_keys(&values, bound);
+                prop_assert_eq!(&first, &f.index_keys(&values, bound));
+                let mut sorted = first.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                prop_assert_eq!(first, sorted);
+                // a reused probe buffer is refilled, not appended to
+                let mut probe = f.probe_keys(&values, bound);
+                let fresh = probe.keys().to_vec();
+                f.probe_keys_into(&values, bound, &mut probe);
+                prop_assert_eq!(probe.keys(), &fresh[..]);
             }
         }
     }

@@ -23,7 +23,7 @@ pub mod stats;
 pub mod string;
 pub mod token;
 
-pub use blocking::{BlockKey, BlockKeyHasher, BlockKeyMap, KeySide};
+pub use blocking::{BlockKey, BlockKeyHasher, BlockKeyMap, ProbeGroup, ProbeKeys};
 pub use date::date_distance;
 pub use geo::{geographic_distance, parse_point};
 pub use numeric::numeric_distance;

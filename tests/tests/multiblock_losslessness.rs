@@ -9,13 +9,15 @@
 //!    pruned), and
 //! 2. the engine's indexed run produces **exactly** the links of the
 //!    exhaustive run,
-//! 3. a conjunction that **stops** consulting children (at query time) or
-//!    never **builds** them (the engine's staged build) only ever admits
-//!    extra candidates: the index's candidates cover the plan's full set
-//!    algebra, and the engine's links — ids and score bits — equal the
-//!    exhaustive run's at every thread count and chunk size, with the
-//!    built/skipped leaves and the evaluation counters identical across
-//!    thread counts.
+//! 3. whatever the index leaves out — posting lists a leaf's probe does not
+//!    scan, children a conjunction **stops** before (at query time) or never
+//!    **builds** (the engine's staged build) — it only ever admits extra
+//!    candidates: the index's candidates cover the plan's set algebra over
+//!    *the targets within each comparison's distance bound* (the contract;
+//!    which block keys a probe looks up is mechanism), and the engine's
+//!    links — ids and score bits — equal the exhaustive run's at every
+//!    thread count and chunk size, with the built/skipped leaves and the
+//!    evaluation counters identical across thread counts.
 
 use genlink::random::RandomRuleGenerator;
 use genlink::seeding::SeedingConfig;
@@ -25,7 +27,6 @@ use linkdisc_entity::Entity;
 use linkdisc_entity::EntityPair;
 use linkdisc_matching::{MatchingEngine, MatchingOptions, MatchingReport, MultiBlockIndex};
 use linkdisc_rule::{IndexingPlan, LinkageRule, PlanNode, ValueCache};
-use linkdisc_similarity::KeySide;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -157,8 +158,9 @@ fn losslessness_holds_for_non_default_link_thresholds() {
 }
 
 /// The plan's set algebra, evaluated in full and independently of the index:
-/// a target is a leaf candidate iff its index-side keys meet the source's
-/// probe-side keys; intersections intersect, unions unite, nothing stops.
+/// a target is a leaf candidate iff its chain values are within the
+/// comparison's distance bound of the source's under the measure itself;
+/// intersections intersect, unions unite, nothing stops.
 fn full_algebra<'e>(
     plan: &IndexingPlan,
     node: &PlanNode,
@@ -171,18 +173,11 @@ fn full_algebra<'e>(
         PlanNode::Nothing => BTreeSet::new(),
         PlanNode::Leaf(leaf) => {
             let comparison = &plan.comparisons()[*leaf];
-            let keys_of = |values: &[String], side| {
-                comparison
-                    .function
-                    .block_keys(values, comparison.bound, side)
-            };
-            let probe = keys_of(&comparison.source.values(source, cache), KeySide::Probe);
+            let probing = comparison.source.values(source, cache);
             (0..targets.len())
                 .filter(|&position| {
                     let values = comparison.target.values(&targets[position], cache);
-                    keys_of(&values, KeySide::Index)
-                        .iter()
-                        .any(|key| probe.binary_search(key).is_ok())
+                    comparison.function.evaluate(&probing, &values) <= comparison.bound
                 })
                 .collect()
         }
@@ -231,7 +226,8 @@ proptest! {
         };
         let (source, target) = (&workload.dataset.source, &workload.dataset.target);
         for rule in &workload.rules {
-            // a stopped (fully built) index covers the full set algebra
+            // a stopped (fully built) index covers the set algebra over the
+            // targets within each comparison's bound
             let plan = IndexingPlan::lower(rule, source.schema(), target.schema(), 0.5);
             let cache = ValueCache::new();
             let index = MultiBlockIndex::build(plan.clone(), target, &cache);
