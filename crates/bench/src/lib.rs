@@ -156,9 +156,13 @@ pub struct CurveRow {
     pub evaluations_saved: Summary,
     /// Cumulative fitness-cache hit rate up to this iteration.
     pub cache_hit_rate: Summary,
+    /// Cumulative share of the evaluated rules' comparisons scored from a
+    /// distance column an earlier rule measured.
+    pub distance_hit_rate: Summary,
     /// Cumulative seconds spent compiling rules.
     pub compile_s: Summary,
-    /// Cumulative seconds spent binding rules to the reference pool.
+    /// Cumulative seconds spent getting compiled rules ready to be scored:
+    /// value columns for missing distance columns, and measuring those.
     pub bind_s: Summary,
     /// Cumulative seconds spent scoring prepared rules.
     pub score_s: Summary,
@@ -197,6 +201,7 @@ pub fn learning_curve(
         validation: Vec<f64>,
         saved: Vec<f64>,
         hit_rate: Vec<f64>,
+        distance_hit_rate: Vec<f64>,
         compile: Vec<f64>,
         bind: Vec<f64>,
         score: Vec<f64>,
@@ -242,6 +247,7 @@ pub fn learning_curve(
                     let cache = stats.cache.unwrap_or_default();
                     entry.saved.push(cache.fitness_hits as f64);
                     entry.hit_rate.push(cache.fitness_hit_rate());
+                    entry.distance_hit_rate.push(cache.distance_hit_rate());
                     let phases = stats.phases.unwrap_or_default();
                     entry.compile.push(phases.compile_s);
                     entry.bind.push(phases.bind_s);
@@ -285,6 +291,7 @@ pub fn learning_curve(
                 entry.validation.push(final_val.f_measure());
                 entry.saved.push(last_cache.fitness_hits as f64);
                 entry.hit_rate.push(last_cache.fitness_hit_rate());
+                entry.distance_hit_rate.push(last_cache.distance_hit_rate());
                 entry.compile.push(last_phases.compile_s);
                 entry.bind.push(last_phases.bind_s);
                 entry.score.push(last_phases.score_s);
@@ -309,6 +316,7 @@ pub fn learning_curve(
             validation_f1: Summary::of(acc.validation),
             evaluations_saved: Summary::of(acc.saved),
             cache_hit_rate: Summary::of(acc.hit_rate),
+            distance_hit_rate: Summary::of(acc.distance_hit_rate),
             compile_s: Summary::of(acc.compile),
             bind_s: Summary::of(acc.bind),
             score_s: Summary::of(acc.score),
@@ -368,13 +376,14 @@ pub fn run_carvalho_baseline(
 pub fn print_curve_table(title: &str, result: &CurveResult) {
     println!("{title}");
     println!(
-        "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>10} {:>8} {:>8} {:>8} {:>8}",
         "Iter.",
         "Time in s (σ)",
         "Train. F1 (σ)",
         "Val. F1 (σ)",
         "Evals saved",
         "Hit rate",
+        "Dist. hit",
         "Compile",
         "Bind",
         "Score",
@@ -382,13 +391,14 @@ pub fn print_curve_table(title: &str, result: &CurveResult) {
     );
     for row in &result.rows {
         println!(
-            "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>8} {:>8} {:>8} {:>8}",
+            "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>10} {:>8} {:>8} {:>8} {:>8}",
             row.iteration,
             format!("{:.1} ({:.1})", row.seconds.mean, row.seconds.std_dev),
             row.training_f1.paper_format(),
             row.validation_f1.paper_format(),
             format!("{:.0}", row.evaluations_saved.mean),
             format!("{:.0}%", row.cache_hit_rate.mean * 100.0),
+            format!("{:.0}%", row.distance_hit_rate.mean * 100.0),
             format!("{:.2}s", row.compile_s.mean),
             format!("{:.2}s", row.bind_s.mean),
             format!("{:.2}s", row.score_s.mean),

@@ -13,14 +13,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use linkdisc_entity::{Entity, ResolvedReferenceLinks, Schema};
 use linkdisc_evaluation::{evaluate_rule, ConfusionMatrix};
 use linkdisc_gp::{Evaluated, PhaseAccumulator, PhaseTimers};
-use linkdisc_rule::{BoundSide, ColumnMemo, CompiledRule, EvalStats, LinkageRule, LINK_THRESHOLD};
+use linkdisc_rule::{
+    ColumnMemo, CompiledRule, DistanceColumn, DistanceKey, EvalStats, LinkageRule, LINK_THRESHOLD,
+};
 use linkdisc_similarity::KernelCounters;
+use linkdisc_util::parallel_ordered_map;
 
 /// How the size of a rule is penalised.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +66,70 @@ impl ParsimonyModel {
     }
 }
 
+/// Cells a [`DistanceMemo`] may hold before it is dropped wholesale (16 MiB
+/// of distances).
+const DISTANCE_MEMO_CELLS: usize = 1 << 21;
+
+/// Distance columns over **one fixed pair list**, shared by [`DistanceKey`]
+/// across the rules scored on it.
+///
+/// GenLink's crossover operators are specialised — an offspring differs from
+/// a parent in one aspect — so almost every comparison of an offspring was
+/// already measured on every reference pair under its parents; only
+/// thresholds, weights and the aggregation tree around it changed.  Like
+/// [`ColumnMemo`] it is a pure memo — a column is a function of (pair list,
+/// key) — and bounded: past its cell cap it is dropped wholesale and refills
+/// (rules already prepared keep their columns).
+#[derive(Debug)]
+struct DistanceMemo {
+    columns: Mutex<HashMap<DistanceKey, DistanceColumn>>,
+    cell_cap: usize,
+    /// Column requests answered without measuring.
+    hits: AtomicU64,
+    /// Columns measured.
+    misses: AtomicU64,
+}
+
+impl DistanceMemo {
+    fn new(cell_cap: usize) -> Self {
+        DistanceMemo {
+            columns: Mutex::new(HashMap::new()),
+            cell_cap,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// The memoized column of `key`, counted as a hit when there is one (a
+    /// caller that goes on to measure the column counts the miss itself).
+    fn get(&self, key: &DistanceKey) -> Option<DistanceColumn> {
+        let column = self
+            .columns
+            .lock()
+            .expect("distance memo poisoned")
+            .get(key)
+            .cloned();
+        if column.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        column
+    }
+
+    /// Memoizes a freshly measured column; returns the memo's column for the
+    /// key (an equal one, had a concurrent miss got there first).
+    fn insert(&self, key: DistanceKey, column: DistanceColumn) -> DistanceColumn {
+        let mut columns = self.columns.lock().expect("distance memo poisoned");
+        if (columns.len() + 1) * column.len() > self.cell_cap {
+            columns.clear();
+        }
+        columns.entry(key).or_insert(column).clone()
+    }
+}
+
 /// The reference-link pool arranged for scoring by position: the distinct
-/// entities of each side (the lists every rule's two sides are bound to) and
-/// the pairs as positions into them.
+/// entities of each side (the lists every value column is bound to), the
+/// pairs as positions into them (the list every distance column is measured
+/// over), and the memos of both.
 #[derive(Debug)]
 struct ReferencePool<'a> {
     source_schema: Arc<Schema>,
@@ -80,11 +144,13 @@ struct ReferencePool<'a> {
     /// Bound columns shared across rules, one memo per entity list.
     source_columns: ColumnMemo,
     target_columns: ColumnMemo,
+    /// Distance columns over `pairs`, shared across rules.
+    distances: DistanceMemo,
 }
 
 impl<'a> ReferencePool<'a> {
     /// `None` for an empty link set (no entity to take the schemas from).
-    fn build(links: &'a ResolvedReferenceLinks<'a>) -> Option<Self> {
+    fn build(links: &'a ResolvedReferenceLinks<'a>, distance_cells: usize) -> Option<Self> {
         let first = links.positive().first().or(links.negative().first())?;
         /// Position of `entity` in `list`, appended on first sight.
         fn position<'a>(
@@ -107,6 +173,7 @@ impl<'a> ReferencePool<'a> {
             pairs: Vec::with_capacity(links.len()),
             source_columns: ColumnMemo::new(),
             target_columns: ColumnMemo::new(),
+            distances: DistanceMemo::new(distance_cells),
         };
         let mut source_positions = HashMap::new();
         let mut target_positions = HashMap::new();
@@ -122,37 +189,53 @@ impl<'a> ReferencePool<'a> {
         }
         Some(pool)
     }
+
+    /// Measures comparison number `comparison` of `compiled` on every pair:
+    /// binds the two value columns it reads (through the pool's memos) and
+    /// runs its kernel once per pair.
+    fn measure(&self, compiled: &CompiledRule, comparison: usize) -> DistanceColumn {
+        compiled.distance_column(
+            comparison,
+            self.sources.iter().copied(),
+            Some(&self.source_columns),
+            self.targets.iter().copied(),
+            Some(&self.target_columns),
+            self.pairs
+                .iter()
+                .map(|&(source, target, _)| (source as usize, target as usize)),
+        )
+    }
 }
 
-/// A rule compiled and bound to the reference pool, ready to be scored from
-/// any worker.
+/// A rule compiled and measured on the reference pool, ready to be scored
+/// from any worker.
 #[derive(Debug)]
 pub struct PreparedRule {
     /// `None` only when no schema is known (empty link set), where scoring
     /// falls back to the tree walk.
-    bound: Option<BoundRule>,
+    measured: Option<MeasuredRule>,
 }
 
 #[derive(Debug)]
-struct BoundRule {
+struct MeasuredRule {
     compiled: CompiledRule,
-    /// The rule's two sides over the pool's `sources` / `targets`.
-    source: BoundSide,
-    target: BoundSide,
+    /// Per comparison of `compiled`, its distances over the pool's pairs.
+    columns: Vec<DistanceColumn>,
 }
 
 /// The GenLink fitness function: MCC with parsimony pressure, plus the
 /// training F-measure used by the stop condition.
 ///
 /// Every reference pair is scored through the bounded evaluator and nothing
-/// else (DESIGN.md, "Why fitness does not index"): the rule is compiled once
-/// per evaluation ([`CompiledRule::compile`] is linear in the rule size), its
-/// two sides are bound to the pool's distinct entities — dense per-slot
-/// columns, computed whole and shared across rules by chain hash in the
-/// pool's [`ColumnMemo`]s, so a transformation chain appearing anywhere in
-/// the population is computed at most once per entity per run and looked up
-/// at most once per rule — and each pair is then a handful of kernel calls
-/// on plain slices.
+/// else (DESIGN.md, "Why fitness does not index"), and **each distinct
+/// comparison is measured once per run**: the rule is compiled once per
+/// evaluation ([`CompiledRule::compile`] is linear in the rule size), each of
+/// its comparisons looks its distance column over the pool's pairs up in the
+/// pool's [`DistanceMemo`] by `(source chain, target chain, measure, band)`,
+/// and only a column seen for the first time is measured — its two value
+/// columns bound to the pool's distinct entities through the pool's
+/// [`ColumnMemo`]s, then one kernel call per pair.  Scoring a pair is then
+/// the bounded walk with one division per comparison visited.
 #[derive(Debug, Clone)]
 pub struct FitnessFunction<'a> {
     links: &'a ResolvedReferenceLinks<'a>,
@@ -160,9 +243,10 @@ pub struct FitnessFunction<'a> {
     /// `None` for an empty link set: no schema to compile against, scoring
     /// falls back to the tree walk.
     pool: Option<Arc<ReferencePool<'a>>>,
-    /// Per-phase busy time: compile (rule compilation), bind (filling or
-    /// looking up the slot columns), score (confusion-matrix evaluation).
-    /// Thread-safe — workers add durations concurrently.
+    /// Per-phase busy time: compile (rule compilation), bind (everything a
+    /// rule needs before it can be scored: value columns for missing
+    /// distance columns, and those columns), score (confusion-matrix
+    /// evaluation).  Thread-safe — workers add durations concurrently.
     timers: Arc<PhaseAccumulator>,
     /// Cumulative short-circuit counters of the bounded evaluator across
     /// every scored pair of the run.  Thread-safe — workers flush one
@@ -209,10 +293,21 @@ impl SharedEvalStats {
 impl<'a> FitnessFunction<'a> {
     /// Creates a fitness function over resolved training links.
     pub fn new(links: &'a ResolvedReferenceLinks<'a>, parsimony: ParsimonyModel) -> Self {
+        Self::with_distance_memo_cells(links, parsimony, DISTANCE_MEMO_CELLS)
+    }
+
+    /// [`FitnessFunction::new`] with the distance memo's wholesale-drop bound
+    /// set by the caller — for tests that force the drop on a small pool.
+    #[doc(hidden)]
+    pub fn with_distance_memo_cells(
+        links: &'a ResolvedReferenceLinks<'a>,
+        parsimony: ParsimonyModel,
+        cells: usize,
+    ) -> Self {
         FitnessFunction {
             links,
             parsimony,
-            pool: ReferencePool::build(links).map(Arc::new),
+            pool: ReferencePool::build(links, cells).map(Arc::new),
             timers: Arc::new(PhaseAccumulator::new()),
             eval_stats: Arc::new(SharedEvalStats::default()),
             kernels_baseline: KernelCounters::snapshot(),
@@ -231,6 +326,20 @@ impl<'a> FitnessFunction<'a> {
             sources.len() + targets.len(),
             sources.hits() + targets.hits(),
             sources.misses() + targets.misses(),
+        )
+    }
+
+    /// `(distance columns requested and answered from the memo, distance
+    /// columns measured)` so far.  On the generational path
+    /// ([`FitnessFunction::prepare_batch`]) both are resolved on one thread
+    /// and repeat exactly at any thread count.
+    pub fn distance_memo_stats(&self) -> (u64, u64) {
+        let Some(pool) = &self.pool else {
+            return (0, 0);
+        };
+        (
+            pool.distances.hits.load(Ordering::Relaxed),
+            pool.distances.misses.load(Ordering::Relaxed),
         )
     }
 
@@ -254,33 +363,124 @@ impl<'a> FitnessFunction<'a> {
         KernelCounters::snapshot().since(&self.kernels_baseline)
     }
 
-    /// Compiles one rule and binds its two sides to the pool.  Pure per-rule
-    /// work (the column memos are pure memos), so it runs on any thread; the
-    /// returned [`PreparedRule`] is scored from any worker.
+    /// Compiles one rule against the pool's schemas (timed as *compile*).
+    fn compile(&self, pool: &ReferencePool<'a>, rule: &LinkageRule) -> CompiledRule {
+        let timer = Instant::now();
+        let compiled = CompiledRule::compile(rule, &pool.source_schema, &pool.target_schema);
+        self.timers.add_compile(timer.elapsed());
+        compiled
+    }
+
+    /// Compiles one rule and fetches the distance column of each of its
+    /// comparisons, measuring the ones the pool has not seen.  Pure per-rule
+    /// work (the memos are pure: concurrent misses on one key measure twice,
+    /// never differently), so it runs on any thread; the returned
+    /// [`PreparedRule`] is scored from any worker.
     pub fn prepare(&self, rule: &LinkageRule) -> PreparedRule {
         let Some(pool) = &self.pool else {
-            return PreparedRule { bound: None };
+            return PreparedRule { measured: None };
         };
-        let compile_timer = Instant::now();
-        let compiled = CompiledRule::compile(rule, &pool.source_schema, &pool.target_schema);
-        self.timers.add_compile(compile_timer.elapsed());
+        let compiled = self.compile(pool, rule);
         let bind_timer = Instant::now();
-        let source = compiled.bind_source(pool.sources.iter().copied(), Some(&pool.source_columns));
-        let target = compiled.bind_target(pool.targets.iter().copied(), Some(&pool.target_columns));
+        let columns = compiled
+            .distance_keys()
+            .enumerate()
+            .map(|(comparison, key)| {
+                pool.distances.get(&key).unwrap_or_else(|| {
+                    pool.distances.misses.fetch_add(1, Ordering::Relaxed);
+                    pool.distances
+                        .insert(key, pool.measure(&compiled, comparison))
+                })
+            })
+            .collect();
         self.timers.add_bind(bind_timer.elapsed());
         PreparedRule {
-            bound: Some(BoundRule {
-                compiled,
-                source,
-                target,
-            }),
+            measured: Some(MeasuredRule { compiled, columns }),
         }
     }
 
-    /// Prepares a whole generation's distinct rules on `threads` workers
-    /// (ordered reduction; phase times sum busy seconds across workers).
+    /// Prepares a whole generation's distinct rules:
+    ///
+    /// 1. **parallel** — the rules are compiled on `threads` workers;
+    /// 2. **sequential** — every comparison's key is resolved against the
+    ///    distance memo and the generation's missing keys are deduplicated,
+    ///    so hit and miss counts do not depend on the thread count;
+    /// 3. **parallel** — each distinct missing column is measured once, one
+    ///    column per work item (ordered reduction), and memoized in order.
+    ///
+    /// Phase times sum busy seconds across workers.
     pub fn prepare_batch(&self, rules: &[&LinkageRule], threads: usize) -> Vec<PreparedRule> {
-        linkdisc_util::parallel_ordered_map(rules, threads, |rule| self.prepare(rule))
+        let Some(pool) = &self.pool else {
+            return rules.iter().map(|rule| self.prepare(rule)).collect();
+        };
+        let compiled = parallel_ordered_map(rules, threads, |rule| self.compile(pool, rule));
+        /// Where a comparison's column comes from.
+        enum Column {
+            Known(DistanceColumn),
+            /// Index into `missing`.
+            Measured(usize),
+        }
+        let resolve_timer = Instant::now();
+        // (a rule with the comparison, its number there, the key)
+        let mut missing: Vec<(usize, usize, DistanceKey)> = Vec::new();
+        let mut missing_by_key: HashMap<DistanceKey, usize> = HashMap::new();
+        let resolved: Vec<Vec<Column>> = compiled
+            .iter()
+            .enumerate()
+            .map(|(rule, compiled)| {
+                compiled
+                    .distance_keys()
+                    .enumerate()
+                    .map(|(comparison, key)| {
+                        if let Some(column) = pool.distances.get(&key) {
+                            return Column::Known(column);
+                        }
+                        Column::Measured(match missing_by_key.get(&key) {
+                            // a column an earlier rule of the batch will
+                            // measure is a hit, as when preparing one by one
+                            Some(&at) => {
+                                pool.distances.hits.fetch_add(1, Ordering::Relaxed);
+                                at
+                            }
+                            None => {
+                                pool.distances.misses.fetch_add(1, Ordering::Relaxed);
+                                missing_by_key.insert(key, missing.len());
+                                missing.push((rule, comparison, key));
+                                missing.len() - 1
+                            }
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        self.timers.add_bind(resolve_timer.elapsed());
+        let measured = parallel_ordered_map(&missing, threads, |&(rule, comparison, _)| {
+            let timer = Instant::now();
+            let column = pool.measure(&compiled[rule], comparison);
+            self.timers.add_bind(timer.elapsed());
+            column
+        });
+        let measured: Vec<DistanceColumn> = missing
+            .iter()
+            .zip(measured)
+            .map(|(&(_, _, key), column)| pool.distances.insert(key, column))
+            .collect();
+        compiled
+            .into_iter()
+            .zip(resolved)
+            .map(|(compiled, columns)| {
+                let columns = columns
+                    .into_iter()
+                    .map(|column| match column {
+                        Column::Known(column) => column,
+                        Column::Measured(at) => measured[at].clone(),
+                    })
+                    .collect();
+                PreparedRule {
+                    measured: Some(MeasuredRule { compiled, columns }),
+                }
+            })
+            .collect()
     }
 
     /// The confusion matrix of a rule on the training links (the tree walk
@@ -290,20 +490,18 @@ impl<'a> FitnessFunction<'a> {
     }
 
     /// The confusion matrix of an already-prepared rule: every reference
-    /// pair through the bounded evaluator at the link threshold, by
-    /// position.
+    /// pair through the bounded evaluator at the link threshold, from the
+    /// rule's distance columns.
     fn confusion_prepared(&self, rule: &LinkageRule, prepared: &PreparedRule) -> ConfusionMatrix {
-        let (Some(bound), Some(pool)) = (&prepared.bound, &self.pool) else {
+        let (Some(measured), Some(pool)) = (&prepared.measured, &self.pool) else {
             return evaluate_rule(rule, self.links);
         };
         let mut matrix = ConfusionMatrix::default();
         let mut eval = EvalStats::default();
-        for &(source, target, positive) in &pool.pairs {
-            let score = bound.compiled.evaluate_bound_stats(
-                &bound.source,
-                source as usize,
-                &bound.target,
-                target as usize,
+        for (pair, &(_, _, positive)) in pool.pairs.iter().enumerate() {
+            let score = measured.compiled.evaluate_columns_stats(
+                &measured.columns,
+                pair,
                 LINK_THRESHOLD,
                 &mut eval,
             );

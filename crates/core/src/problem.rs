@@ -98,9 +98,10 @@ impl Problem for GenLinkProblem<'_> {
     ///    cross-generation fitness cache and deduplicated, so each
     ///    *distinct new* rule is evaluated exactly once and the fitness-cache
     ///    counters are deterministic across thread counts;
-    /// 2. **parallel** — the distinct rules are prepared (compiled and bound
-    ///    to the reference pool) and scored on `threads` workers with an
-    ///    ordered reduction;
+    /// 2. **parallel** — the distinct rules are prepared (compiled, and the
+    ///    distance columns the run has not measured yet filled over the
+    ///    reference pool — see [`FitnessFunction::prepare_batch`]) and scored
+    ///    on `threads` workers with an ordered reduction;
     /// 3. **sequential** — results are memoized and fanned back out to the
     ///    input order (duplicates count as fitness-cache hits, exactly as
     ///    they would scoring one by one).
@@ -181,6 +182,7 @@ impl Problem for GenLinkProblem<'_> {
 
     fn cache_stats(&self) -> Option<CacheStats> {
         let (columns, hits, misses) = self.fitness.column_memo_stats();
+        let (distance_hits, distance_misses) = self.fitness.distance_memo_stats();
         Some(CacheStats {
             fitness_hits: self.cache.hits(),
             fitness_misses: self.cache.misses(),
@@ -188,6 +190,8 @@ impl Problem for GenLinkProblem<'_> {
             value_cache_entries: columns,
             value_cache_hits: hits,
             value_cache_misses: misses,
+            distance_hits,
+            distance_misses,
         })
     }
 
@@ -344,6 +348,10 @@ mod tests {
             for (rule, evaluation) in batch.iter().zip(&result) {
                 assert_eq!(problem.evaluate(rule), *evaluation);
             }
+            // the three distinct rules share one comparison under three
+            // thresholds: measured once, at every thread count
+            let cache = problem.cache_stats().unwrap();
+            assert_eq!((cache.distance_hits, cache.distance_misses), (2, 1));
             match &reference {
                 None => reference = Some(result),
                 Some(expected) => assert_eq!(expected, &result, "threads={threads}"),

@@ -12,7 +12,7 @@
 
 use linkdisc_entity::normalized_tokens;
 use linkdisc_entity::{DataSource, EntityPair, ReferenceLinks};
-use linkdisc_similarity::DistanceFunction;
+use linkdisc_similarity::{levenshtein_bounded, DistanceFunction};
 
 /// A pair of properties that hold similar values, together with the distance
 /// measure under which they were found to be similar.
@@ -67,6 +67,38 @@ pub fn find_compatible_properties(
     links: &ReferenceLinks,
     config: &SeedingConfig,
 ) -> Vec<CompatiblePair> {
+    compatible_properties_by(source, target, links, config, |function, a, b| {
+        any_within(function, a, b, config.threshold)
+    })
+}
+
+/// Whether some value of `a` and some value of `b` are strictly within
+/// `threshold` of each other under `function`.  The algorithm asks "is there
+/// one", not "what is the minimum": Levenshtein stops at the first pair the
+/// banded kernel accepts and never looks beyond the band.
+fn any_within(function: DistanceFunction, a: &[String], b: &[String], threshold: f64) -> bool {
+    match function {
+        DistanceFunction::Levenshtein => {
+            // integer distances: d < θ ⟺ d ≤ ⌈θ⌉ − 1 (nothing is within a
+            // threshold that is ≤ 0 or NaN)
+            let bound = threshold.ceil() - 1.0;
+            let within = |va, vb| levenshtein_bounded(va, vb, bound.min(1e9) as usize).is_some();
+            bound >= 0.0 && a.iter().any(|va| b.iter().any(|vb| within(va, vb)))
+        }
+        _ => function.evaluate(a, b) < threshold,
+    }
+}
+
+/// Algorithm 2 with the similarity test left to the caller:
+/// `similar(function, values of p_i, values of p_j)` is asked once for the
+/// token view and, if that fails, once for the lower-cased full values.
+fn compatible_properties_by(
+    source: &DataSource,
+    target: &DataSource,
+    links: &ReferenceLinks,
+    config: &SeedingConfig,
+    similar: impl Fn(DistanceFunction, &[String], &[String]) -> bool,
+) -> Vec<CompatiblePair> {
     let source_properties = source.schema().properties();
     let target_properties = target.schema().properties();
     let mut match_counts = vec![
@@ -106,10 +138,10 @@ pub fn find_compatible_properties(
                 if tokens_b.is_empty() {
                     continue;
                 }
-                for (k, function) in config.functions.iter().enumerate() {
-                    let token_distance = function.evaluate(tokens_a, tokens_b);
-                    let value_distance = function.evaluate(values_a, values_b);
-                    if token_distance.min(value_distance) < config.threshold {
+                for (k, &function) in config.functions.iter().enumerate() {
+                    if similar(function, tokens_a, tokens_b)
+                        || similar(function, values_a, values_b)
+                    {
                         match_counts[i][j][k] += 1;
                     }
                 }
@@ -267,6 +299,45 @@ mod tests {
         let pairs = find_compatible_properties(&source, &target, &links, &SeedingConfig::default());
         assert_eq!(pairs.len(), 1);
         assert!((pairs[0].support - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn existence_test_finds_the_pairs_the_minimum_distance_found() {
+        // the reference is the seeding this one replaced: the unbanded
+        // minimum over the whole cross product, compared to the threshold
+        let functions = vec![DistanceFunction::Levenshtein, DistanceFunction::Numeric];
+        let mut pairs_seen = 0;
+        for kind in linkdisc_datasets::DatasetKind::ALL {
+            for seed in [1, 42, 977] {
+                let dataset = kind.generate(0.02, seed);
+                for threshold in [0.0, 0.5, 1.0, 1.5, 2.0, -1.0, f64::NAN, f64::INFINITY] {
+                    let config = SeedingConfig {
+                        functions: functions.clone(),
+                        threshold,
+                        max_links: 4,
+                    };
+                    let found = find_compatible_properties(
+                        &dataset.source,
+                        &dataset.target,
+                        &dataset.links,
+                        &config,
+                    );
+                    let expected = compatible_properties_by(
+                        &dataset.source,
+                        &dataset.target,
+                        &dataset.links,
+                        &config,
+                        |function, a, b| function.evaluate(a, b) < threshold,
+                    );
+                    assert_eq!(found, expected, "{kind} seed {seed} at θ = {threshold}");
+                    pairs_seen += found.len();
+                }
+            }
+        }
+        assert!(
+            pairs_seen > 100,
+            "only {pairs_seen} compatible pairs compared"
+        );
     }
 
     #[test]

@@ -46,18 +46,27 @@ pub struct CacheStats {
     pub value_cache_hits: u64,
     /// Value-memo entries computed, when reported.
     pub value_cache_misses: u64,
+    /// Requests to the problem's per-comparison memo answered without
+    /// measuring, when it reports one (GenLink: distance columns over the
+    /// reference pairs, one per distinct `(source chain, target chain,
+    /// measure)`).
+    pub distance_hits: u64,
+    /// Per-comparison memo entries measured, when reported.
+    pub distance_misses: u64,
 }
 
 impl CacheStats {
     /// Fraction of fitness evaluations served from the cache (`0.0` before
     /// any evaluation happened).
     pub fn fitness_hit_rate(&self) -> f64 {
-        let total = self.fitness_hits + self.fitness_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fitness_hits as f64 / total as f64
-        }
+        hit_rate(self.fitness_hits, self.fitness_misses)
+    }
+
+    /// Fraction of the comparisons of the rules evaluated so far that were
+    /// scored from an earlier rule's measurements (`0.0` before any
+    /// evaluation, and for a run that stops on its first generation's rules).
+    pub fn distance_hit_rate(&self) -> f64 {
+        hit_rate(self.distance_hits, self.distance_misses)
     }
 
     /// Always `0.0`: no problem evaluates through candidate leaf indexes any
@@ -67,6 +76,14 @@ impl CacheStats {
     /// benchmark's `core.leaf_reuse_hit_ratio` metric.
     pub fn leaf_reuse_hit_rate(&self) -> f64 {
         0.0
+    }
+}
+
+/// `hits / (hits + misses)`, `0.0` before any request.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    match hits + misses {
+        0 => 0.0,
+        total => hits as f64 / total as f64,
     }
 }
 

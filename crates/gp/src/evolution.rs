@@ -37,8 +37,10 @@ use crate::{parallel_ordered_map, GpConfig, Problem};
 pub struct PhaseTimers {
     /// Seconds spent compiling rules into evaluation plans.
     pub compile_s: f64,
-    /// Seconds spent binding compiled rules to the reference pool (filling
-    /// or looking up the per-slot value columns).
+    /// Seconds spent on everything a rule needs before it can be scored
+    /// (GenLink: value columns for missing distance columns, and those
+    /// columns — so this phase includes measuring, and the first
+    /// generation's share of it is the largest).
     pub bind_s: f64,
     /// Seconds spent scoring prepared genomes against the reference pool.
     pub score_s: f64,
@@ -77,7 +79,7 @@ impl PhaseAccumulator {
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Adds time spent binding rules to the reference pool.
+    /// Adds time spent getting compiled rules ready to be scored.
     pub fn add_bind(&self, elapsed: Duration) {
         self.bind_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);

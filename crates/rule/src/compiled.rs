@@ -36,13 +36,19 @@
 //! oracle `LinkageRule::evaluate` (enforced by the property-based parity test
 //! in `tests/tests/compiled_parity.rs`).
 //!
-//! The evaluator is generic over **where a side's slot values come from**:
-//! `(entity, &ValueCache)` — one memo lookup per slot read, for callers that
-//! meet each entity a handful of times (the serving path, one-off pairs) — or
-//! `(`[`BoundSide`]`, position)` — dense per-slot columns computed once per
+//! The evaluator is generic over **what scores a comparison node** of the
+//! pair under evaluation.  Either the comparison's kernel runs on the pair's
+//! slot values, which come — one level below — from one of two providers:
+//! `(entity, &ValueCache)`, one memo lookup per slot read, for callers that
+//! meet each entity a handful of times (the serving path, one-off pairs), or
+//! `(`[`BoundSide`]`, position)`, dense per-slot columns computed once per
 //! job, column by column, with no cache in between, for callers that score
-//! the same entities many times (the matching engine, the learner's fitness).
-//! One evaluator body, two providers.
+//! the same entities once per rule (the matching engine).  Or the distance
+//! was measured before: a caller that scores **the same pairs under many
+//! rules** (the learner's fitness) keeps one [`DistanceColumn`] per distinct
+//! comparison ([`DistanceKey`]) over its pair list, and a comparison's score
+//! is `threshold_similarity(column[pair], θ)` — one division.  One evaluator
+//! body either way: same bounded walk, same score bits, same [`EvalStats`].
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -80,16 +86,24 @@ pub(crate) enum Slot {
     },
 }
 
+/// One comparison of the plan: two value slots scored with a distance
+/// function under a threshold.
+#[derive(Debug, Clone)]
+struct CompareNode {
+    source: SlotId,
+    target: SlotId,
+    function: DistanceFunction,
+    threshold: f64,
+    /// Position among the plan's comparisons, in node order: where a caller
+    /// scoring from distance columns keeps this comparison's column.
+    ordinal: usize,
+}
+
 /// One node of the evaluation tree.
 #[derive(Debug, Clone)]
 enum EvalNode {
     /// Score two value slots with a distance function.
-    Compare {
-        source: SlotId,
-        target: SlotId,
-        function: DistanceFunction,
-        threshold: f64,
-    },
+    Compare(CompareNode),
     /// Combine child scores, visiting children cheapest-first.
     Aggregate {
         function: AggregationFunction,
@@ -391,9 +405,9 @@ impl CompiledRule {
                 &mut source_table,
                 &mut target_table,
                 &mut nodes,
+                &mut total_comparisons,
             );
             root_node = Some(lowered.node);
-            total_comparisons = lowered.comparisons;
         }
         CompiledRule {
             source: SlotProgram {
@@ -448,34 +462,8 @@ impl CompiledRule {
     /// Evaluates the plan on an entity pair, yielding the same similarity as
     /// [`LinkageRule::evaluate`] on the original rule.
     pub fn evaluate<'e>(&self, pair: &EntityPair<'e>, cache: &ValueCache<'e>) -> f64 {
-        self.evaluate_two(pair.source, pair.target, cache, cache)
-    }
-
-    /// Evaluates the plan on a `(source, target)` pair whose two sides are
-    /// memoized in *separate* caches with independent lifetimes.
-    ///
-    /// The streaming engine and the serving `LinkService` pair entities of
-    /// very different lifetimes: a long-lived source (or a long-lived target
-    /// index) against short-lived chunk or query entities.  A single
-    /// [`ValueCache`] would force both sides down to the shorter lifetime and
-    /// throw away the long side's memo; two caches keep each side memoized
-    /// for exactly as long as its entities live.  Scores are bit-identical
-    /// to [`CompiledRule::evaluate`] (the caches are pure memos).
-    pub fn evaluate_two<'s, 't>(
-        &self,
-        source_entity: &'s Entity,
-        target_entity: &'t Entity,
-        source_cache: &ValueCache<'s>,
-        target_cache: &ValueCache<'t>,
-    ) -> f64 {
         // no requirement: nothing can be decided early, the score is exact
-        self.evaluate_bounded_two(
-            source_entity,
-            target_entity,
-            source_cache,
-            target_cache,
-            f64::NEG_INFINITY,
-        )
+        self.evaluate_bounded(pair, cache, f64::NEG_INFINITY)
     }
 
     /// Number of comparison operators in the plan.
@@ -500,8 +488,16 @@ impl CompiledRule {
         self.evaluate_bounded_two(pair.source, pair.target, cache, cache, threshold)
     }
 
-    /// [`CompiledRule::evaluate_bounded`] over a pair with per-side caches
-    /// (see [`CompiledRule::evaluate_two`] for the lifetime rationale).
+    /// [`CompiledRule::evaluate_bounded`] over a pair whose two sides are
+    /// memoized in *separate* caches with independent lifetimes.
+    ///
+    /// The streaming engine and the serving `LinkService` pair entities of
+    /// very different lifetimes: a long-lived source (or a long-lived target
+    /// index) against short-lived chunk or query entities.  A single
+    /// [`ValueCache`] would force both sides down to the shorter lifetime and
+    /// throw away the long side's memo; two caches keep each side memoized
+    /// for exactly as long as its entities live.  Scores are bit-identical
+    /// to the one-cache call (the caches are pure memos).
     pub fn evaluate_bounded_two<'s, 't>(
         &self,
         source_entity: &'s Entity,
@@ -533,14 +529,16 @@ impl CompiledRule {
         stats: &mut EvalStats,
     ) -> f64 {
         self.evaluate_from(
-            Memoized {
-                entity: source_entity,
-                cache: source_cache,
-            },
-            Memoized {
-                entity: target_entity,
-                cache: target_cache,
-            },
+            (
+                Memoized {
+                    entity: source_entity,
+                    cache: source_cache,
+                },
+                Memoized {
+                    entity: target_entity,
+                    cache: target_cache,
+                },
+            ),
             threshold,
             stats,
         )
@@ -586,13 +584,14 @@ impl CompiledRule {
         &self,
         side: fn(SlotId, SlotId) -> SlotId,
     ) -> impl Iterator<Item = (SlotId, bool)> + '_ {
-        self.nodes.iter().filter_map(move |node| match node {
-            EvalNode::Compare {
-                source,
-                target,
-                function,
-                ..
-            } => Some((side(*source, *target), reads_token_ids(*function))),
+        self.comparisons()
+            .map(move |c| (side(c.source, c.target), reads_token_ids(c.function)))
+    }
+
+    /// The plan's comparisons, in [`CompareNode::ordinal`] order.
+    fn comparisons(&self) -> impl Iterator<Item = &CompareNode> + '_ {
+        self.nodes.iter().filter_map(|node| match node {
+            EvalNode::Compare(comparison) => Some(comparison),
             EvalNode::Aggregate { .. } => None,
         })
     }
@@ -612,25 +611,108 @@ impl CompiledRule {
         stats: &mut EvalStats,
     ) -> f64 {
         self.evaluate_from(
-            Positioned {
-                side: source,
-                position: source_position,
-            },
-            Positioned {
-                side: target,
-                position: target_position,
-            },
+            (
+                Positioned {
+                    side: source,
+                    position: source_position,
+                },
+                Positioned {
+                    side: target,
+                    position: target_position,
+                },
+            ),
             threshold,
             stats,
         )
     }
 
-    /// The one evaluator entry: runs the node tree under `threshold` with the
-    /// two sides' slot values drawn from `source` and `target`.
-    fn evaluate_from<S: SlotValues, T: SlotValues>(
+    /// What each comparison's distance column is a function of, in
+    /// comparison order — the order [`CompiledRule::distance_column`] and
+    /// [`CompiledRule::evaluate_columns_stats`] number comparisons in.
+    pub fn distance_keys(&self) -> impl Iterator<Item = DistanceKey> + '_ {
+        self.comparisons().map(|c| DistanceKey {
+            source_chain: self.source.hashes[c.source],
+            target_chain: self.target.hashes[c.target],
+            function: c.function,
+            band: column_band(c.function, c.threshold),
+        })
+    }
+
+    /// Measures comparison number `comparison` on every `(source position,
+    /// target position)` of `pairs` over the two entity lists: per pair,
+    /// exactly the distance the comparison's kernel path turns into its
+    /// score (`∞` where a side is empty or, for a banded Levenshtein column,
+    /// the distance is past the band) — so [`threshold_similarity`] of a
+    /// cell under the comparison's threshold **is** the comparison's score,
+    /// bit for bit, for every comparison sharing the column's
+    /// [`DistanceKey`], whatever its threshold and weight.
+    ///
+    /// Only the two slots this comparison reads are bound, through the
+    /// lists' memos when given (see [`CompiledRule::bind_source`]).
+    pub fn distance_column<'e, S, T>(
         &self,
-        source: S,
-        target: T,
+        comparison: usize,
+        sources: S,
+        source_memo: Option<&ColumnMemo>,
+        targets: T,
+        target_memo: Option<&ColumnMemo>,
+        pairs: impl Iterator<Item = (usize, usize)>,
+    ) -> DistanceColumn
+    where
+        S: Iterator<Item = &'e Entity> + Clone,
+        T: Iterator<Item = &'e Entity> + Clone,
+    {
+        let comparison = self
+            .comparisons()
+            .nth(comparison)
+            .expect("comparison number within the plan");
+        let band = column_band(comparison.function, comparison.threshold);
+        let token_ids = reads_token_ids(comparison.function);
+        let read = |slot| std::iter::once((slot, token_ids));
+        let source = self
+            .source
+            .bind(read(comparison.source), sources, source_memo);
+        let target = self
+            .target
+            .bind(read(comparison.target), targets, target_memo);
+        pairs
+            .map(|(source_position, target_position)| {
+                self.comparison_distance(
+                    comparison,
+                    band,
+                    Positioned {
+                        side: &source,
+                        position: source_position,
+                    },
+                    Positioned {
+                        side: &target,
+                        position: target_position,
+                    },
+                )
+            })
+            .collect()
+    }
+
+    /// [`CompiledRule::evaluate_bound_stats`] for pair number `pair` of the
+    /// list `columns` were measured over: same evaluator, same score bits,
+    /// same counters — a comparison's score is one division over its
+    /// column's cell instead of a kernel call.  `columns[n]` must be the
+    /// column of the plan's `n`-th [`CompiledRule::distance_keys`] entry.
+    pub fn evaluate_columns_stats(
+        &self,
+        columns: &[DistanceColumn],
+        pair: usize,
+        threshold: f64,
+        stats: &mut EvalStats,
+    ) -> f64 {
+        self.evaluate_from(Measured { columns, pair }, threshold, stats)
+    }
+
+    /// The one evaluator entry: runs the node tree under `threshold`, each
+    /// comparison node scored by `scores`.
+    fn evaluate_from<C: ComparisonScores>(
+        &self,
+        scores: C,
         threshold: f64,
         stats: &mut EvalStats,
     ) -> f64 {
@@ -642,7 +724,7 @@ impl CompiledRule {
         // recursion (comparison kernels never touch it); it returns empty
         // but with its capacity intact, so warm evaluation allocates nothing
         let mut arena = WMEAN_ARENA.with(|arena| std::mem::take(&mut *arena.borrow_mut()));
-        let score = self.eval_node(root, threshold, source, target, &mut arena, &mut evaluated);
+        let score = self.eval_node(root, threshold, scores, &mut arena, &mut evaluated);
         debug_assert!(arena.is_empty(), "every weighted mean truncates its frame");
         WMEAN_ARENA.with(|slot| *slot.borrow_mut() = arena);
         stats.pairs += 1;
@@ -665,31 +747,18 @@ impl CompiledRule {
     ///
     /// Passing `lo = f64::NEG_INFINITY` leaves nothing to decide early and
     /// reproduces the exhaustive result everywhere.
-    fn eval_node<S: SlotValues, T: SlotValues>(
+    fn eval_node<C: ComparisonScores>(
         &self,
         node: usize,
         lo: f64,
-        source: S,
-        target: T,
+        scores: C,
         arena: &mut Vec<f64>,
         evaluated: &mut u32,
     ) -> f64 {
         match &self.nodes[node] {
-            EvalNode::Compare {
-                source: source_slot,
-                target: target_slot,
-                function,
-                threshold,
-            } => {
+            EvalNode::Compare(comparison) => {
                 *evaluated += 1;
-                self.comparison_score(
-                    *source_slot,
-                    *target_slot,
-                    *function,
-                    *threshold,
-                    source,
-                    target,
-                )
+                scores.score(self, comparison)
             }
             EvalNode::Aggregate {
                 function,
@@ -705,8 +774,7 @@ impl CompiledRule {
                     AggregationFunction::Min => {
                         let mut worst = f64::MAX;
                         for &pos in visit {
-                            let child =
-                                self.eval_node(children[pos], lo, source, target, arena, evaluated);
+                            let child = self.eval_node(children[pos], lo, scores, arena, evaluated);
                             if child < lo {
                                 // the child's value is an upper bound of its
                                 // exact score, so the min is provably < lo
@@ -729,8 +797,7 @@ impl CompiledRule {
                             let child = self.eval_node(
                                 children[pos],
                                 requirement,
-                                source,
-                                target,
+                                scores,
                                 arena,
                                 evaluated,
                             );
@@ -750,8 +817,7 @@ impl CompiledRule {
                         visit,
                         *weight_sum,
                         lo,
-                        source,
-                        target,
+                        scores,
                         arena,
                         evaluated,
                     ),
@@ -767,15 +833,14 @@ impl CompiledRule {
     /// evaluation would link; if the slack check itself is inconclusive, the
     /// child is re-evaluated exactly and the loop continues.
     #[allow(clippy::too_many_arguments)]
-    fn eval_weighted_mean<S: SlotValues, T: SlotValues>(
+    fn eval_weighted_mean<C: ComparisonScores>(
         &self,
         children: &[usize],
         weights: &[u32],
         visit: &[usize],
         weight_sum: f64,
         lo: f64,
-        source: S,
-        target: T,
+        scores: C,
         arena: &mut Vec<f64>,
         evaluated: &mut u32,
     ) -> f64 {
@@ -802,7 +867,7 @@ impl CompiledRule {
                 // and let the guard below confirm the bound
                 1.0
             } else {
-                self.eval_node(children[pos], requirement, source, target, arena, evaluated)
+                self.eval_node(children[pos], requirement, scores, arena, evaluated)
             };
             if requirement > 1.0 || child < requirement {
                 // child below requirement ⇒ the mean is below lo − SLACK even
@@ -813,14 +878,7 @@ impl CompiledRule {
                     return upper_bound;
                 }
                 // inconclusive fp edge: fall back to the exact child value
-                child = self.eval_node(
-                    children[pos],
-                    f64::NEG_INFINITY,
-                    source,
-                    target,
-                    arena,
-                    evaluated,
-                );
+                child = self.eval_node(children[pos], f64::NEG_INFINITY, scores, arena, evaluated);
             }
             arena[base + pos] = child;
             accumulated += weight * child;
@@ -834,16 +892,18 @@ impl CompiledRule {
 
     fn comparison_score<S: SlotValues, T: SlotValues>(
         &self,
-        source_slot: SlotId,
-        target_slot: SlotId,
-        function: DistanceFunction,
-        threshold: f64,
+        comparison: &CompareNode,
         source: S,
         target: T,
     ) -> f64 {
+        let CompareNode {
+            function,
+            threshold,
+            ..
+        } = *comparison;
         if reads_token_ids(function) {
-            let a = source.ids(&self.source, source_slot);
-            let b = target.ids(&self.target, target_slot);
+            let a = source.ids(&self.source, comparison.source);
+            let b = target.ids(&self.target, comparison.target);
             // the tree walk reports "unmeasurable" before ever reaching
             // the set measure when either side is empty
             if a.is_empty() || b.is_empty() {
@@ -867,17 +927,45 @@ impl CompiledRule {
             if threshold_similarity(best_distance, threshold) == 0.0 {
                 return 0.0;
             }
-            let distance = match function {
-                DistanceFunction::Jaccard => jaccard_ids(&a, &b),
-                _ => dice_ids(&a, &b),
-            };
-            return threshold_similarity(distance, threshold);
+            return threshold_similarity(set_distance(function, &a, &b), threshold);
         }
-        let a = source.values(&self.source, source_slot);
-        let b = target.values(&self.target, target_slot);
+        let a = source.values(&self.source, comparison.source);
+        let b = target.values(&self.target, comparison.target);
         match function {
-            DistanceFunction::Levenshtein => levenshtein_similarity(&a, &b, threshold),
+            DistanceFunction::Levenshtein => threshold_similarity(
+                levenshtein_distance(&a, &b, levenshtein_band(threshold)),
+                threshold,
+            ),
             _ => function.similarity(&a, &b, threshold),
+        }
+    }
+
+    /// The distance [`CompiledRule::comparison_score`] would turn into a
+    /// score, for *every* threshold sharing `band` (the comparison's
+    /// [`column_band`]): no shortcut that depends on the threshold is taken —
+    /// each of them returns 0 only where [`threshold_similarity`] of the
+    /// distance returned here is 0 too.
+    fn comparison_distance<S: SlotValues, T: SlotValues>(
+        &self,
+        comparison: &CompareNode,
+        band: Option<usize>,
+        source: S,
+        target: T,
+    ) -> f64 {
+        let function = comparison.function;
+        if reads_token_ids(function) {
+            let a = source.ids(&self.source, comparison.source);
+            let b = target.ids(&self.target, comparison.target);
+            if a.is_empty() || b.is_empty() {
+                return f64::INFINITY;
+            }
+            return set_distance(function, &a, &b);
+        }
+        let a = source.values(&self.source, comparison.source);
+        let b = target.values(&self.target, comparison.target);
+        match band {
+            Some(band) => levenshtein_distance(&a, &b, band),
+            None => function.evaluate(&a, &b),
         }
     }
 }
@@ -888,8 +976,51 @@ fn reads_token_ids(function: DistanceFunction) -> bool {
     matches!(function, DistanceFunction::Jaccard | DistanceFunction::Dice)
 }
 
-/// Where one side of a pair gets its slot values from — the one thing the
-/// evaluator is generic over.
+/// The set measure `function` (see [`reads_token_ids`]) over two non-empty
+/// sorted token-id slices.
+fn set_distance(function: DistanceFunction, a: &[u32], b: &[u32]) -> f64 {
+    match function {
+        DistanceFunction::Jaccard => jaccard_ids(a, b),
+        _ => dice_ids(a, b),
+    }
+}
+
+/// What scores comparison node *n* of the pair under evaluation — the one
+/// thing the evaluator is generic over.
+trait ComparisonScores: Copy {
+    fn score(self, rule: &CompiledRule, comparison: &CompareNode) -> f64;
+}
+
+/// The pair's two sides as slot values: a comparison is measured by its
+/// kernel, [`CompiledRule::comparison_score`].
+impl<S: SlotValues, T: SlotValues> ComparisonScores for (S, T) {
+    #[inline(always)]
+    fn score(self, rule: &CompiledRule, comparison: &CompareNode) -> f64 {
+        rule.comparison_score(comparison, self.0, self.1)
+    }
+}
+
+/// Pair number `pair` of the list `columns` were measured over (see
+/// [`CompiledRule::distance_column`]): a comparison is one division over its
+/// column's cell.
+#[derive(Clone, Copy)]
+struct Measured<'c> {
+    columns: &'c [DistanceColumn],
+    pair: usize,
+}
+
+impl ComparisonScores for Measured<'_> {
+    #[inline]
+    fn score(self, _rule: &CompiledRule, comparison: &CompareNode) -> f64 {
+        threshold_similarity(
+            self.columns[comparison.ordinal][self.pair],
+            comparison.threshold,
+        )
+    }
+}
+
+/// Where one side of a pair gets its slot values from — what a comparison's
+/// kernel path is generic over, one level below [`ComparisonScores`].
 trait SlotValues: Copy {
     type Values: std::ops::Deref<Target = [String]>;
     type Ids: std::ops::Deref<Target = [u32]>;
@@ -977,6 +1108,23 @@ impl BoundSide {
         let slot = self.hashes.iter().position(|&hash| hash == chain_hash)?;
         self.values[slot].as_deref()
     }
+}
+
+/// One comparison's distances over a fixed list of pairs, by pair number (see
+/// [`CompiledRule::distance_column`]).
+pub type DistanceColumn = Arc<[f64]>;
+
+/// What a [`DistanceColumn`] over a fixed pair list is a function of: the two
+/// chains compared (by structural hash, like [`ColumnMemo`]), the measure,
+/// and — Levenshtein only — the band it was measured under (`None`:
+/// unbanded).  Not the threshold and not the weight: rules that differ only
+/// in those share the column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DistanceKey {
+    source_chain: u64,
+    target_chain: u64,
+    function: DistanceFunction,
+    band: Option<usize>,
 }
 
 /// Cells a [`ColumnMemo`] map may hold before it is dropped wholesale
@@ -1195,18 +1343,22 @@ impl std::ops::Deref for ValuesRef<'_> {
     }
 }
 
-/// Levenshtein similarity with the banded early-exit fast path: the minimum
-/// cross-product distance only matters within the comparison threshold, so
-/// every string pair is probed with a band of `min(⌊θ⌋, current minimum)`.
-fn levenshtein_similarity(a: &[String], b: &[String], threshold: f64) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
-    }
-    let max_band = if threshold >= 0.0 {
+/// The widest band a Levenshtein comparison under `threshold` has to look
+/// at: distances past `⌊θ⌋` map to similarity 0 either way.
+fn levenshtein_band(threshold: f64) -> usize {
+    if threshold >= 0.0 {
         threshold.min(1e9).floor() as usize
     } else {
         0
-    };
+    }
+}
+
+/// Minimum Levenshtein distance over the value cross product with the banded
+/// early-exit fast path: only distances within `max_band` matter to the
+/// caller, so every string pair is probed with a band of `min(max_band,
+/// current minimum)`.  `∞` when a side is empty or every pair is past the
+/// band.
+fn levenshtein_distance(a: &[String], b: &[String], max_band: usize) -> f64 {
     let mut min = usize::MAX;
     for va in a {
         for vb in b {
@@ -1216,27 +1368,43 @@ fn levenshtein_similarity(a: &[String], b: &[String], threshold: f64) -> f64 {
                     min = distance;
                 }
                 if min == 0 {
-                    return threshold_similarity(0.0, threshold);
+                    return 0.0;
                 }
             }
         }
     }
     if min == usize::MAX {
-        // every pair exceeded the threshold band: similarity is 0 either way
-        0.0
+        f64::INFINITY
     } else {
-        threshold_similarity(min as f64, threshold)
+        min as f64
     }
 }
 
-/// Result of lowering one similarity operator into the evaluation tree: its node id plus the estimated cost and comparison count of the
-/// whole subtree.
+/// The band a comparison's distance column is measured under.  Levenshtein
+/// columns are banded at the largest threshold the learner assigns the
+/// measure ([`DistanceFunction::max_threshold`]): every comparison whose own
+/// band fits reads one shared column — a cell within the comparison's band
+/// holds the exact distance, a cell past it maps to similarity 0 whether it
+/// holds the distance or `∞`.  A wider comparison (function crossover keeps
+/// the donor's threshold, so a Date's 100 can land on a Levenshtein) reads a
+/// second, unbanded column; every other measure has the one.
+fn column_band(function: DistanceFunction, threshold: f64) -> Option<usize> {
+    if function != DistanceFunction::Levenshtein {
+        return None;
+    }
+    let widest = function.max_threshold() as usize;
+    (levenshtein_band(threshold) <= widest).then_some(widest)
+}
+
+/// Result of lowering one similarity operator into the evaluation tree: its
+/// node id plus the estimated cost of the whole subtree.
 struct LoweredNode {
     node: usize,
     cost: f64,
-    comparisons: u32,
 }
 
+/// Lowers `operator` and its subtree onto `nodes`; `comparisons` counts the
+/// comparisons lowered so far, which numbers them in node order.
 fn lower_node(
     operator: &SimilarityOperator,
     source_schema: &Schema,
@@ -1244,29 +1412,30 @@ fn lower_node(
     source_table: &mut SlotTable,
     target_table: &mut SlotTable,
     nodes: &mut Vec<EvalNode>,
+    comparisons: &mut u32,
 ) -> LoweredNode {
     match operator {
         SimilarityOperator::Comparison(c) => {
             let source = source_table.intern(&c.source, source_schema);
             let target = target_table.intern(&c.target, target_schema);
             let node = nodes.len();
-            nodes.push(EvalNode::Compare {
+            nodes.push(EvalNode::Compare(CompareNode {
                 source,
                 target,
                 function: c.function,
                 threshold: c.threshold,
-            });
+                ordinal: *comparisons as usize,
+            }));
+            *comparisons += 1;
             LoweredNode {
                 node,
                 cost: comparison_cost(c.function, c.threshold),
-                comparisons: 1,
             }
         }
         SimilarityOperator::Aggregation(a) => {
             let mut children = Vec::with_capacity(a.operators.len());
             let mut weights = Vec::with_capacity(a.operators.len());
             let mut costs = Vec::with_capacity(a.operators.len());
-            let mut comparisons = 0u32;
             let mut cost = 1.0;
             for child in &a.operators {
                 let lowered = lower_node(
@@ -1276,11 +1445,11 @@ fn lower_node(
                     source_table,
                     target_table,
                     nodes,
+                    comparisons,
                 );
                 children.push(lowered.node);
                 weights.push(child.weight());
                 costs.push(lowered.cost);
-                comparisons += lowered.comparisons;
                 cost += lowered.cost;
             }
             // cheapest-first visit order; the sort is stable, so equal-cost
@@ -1301,11 +1470,7 @@ fn lower_node(
                 visit,
                 weight_sum,
             });
-            LoweredNode {
-                node,
-                cost,
-                comparisons,
-            }
+            LoweredNode { node, cost }
         }
     }
 }
@@ -2124,6 +2289,82 @@ mod tests {
         let shared = |side: &BoundSide| side.values.iter().flatten().next().cloned().unwrap();
         assert!(Arc::ptr_eq(&shared(&source), &shared(&other_source)));
         assert_eq!((sources.len(), sources.hits()), (3, 1));
+    }
+
+    #[test]
+    fn distance_columns_are_keyed_by_what_was_measured_not_by_threshold_or_weight() {
+        let schema = city_schema();
+        let lower = || transform(TransformFunction::LowerCase, vec![property("label")]);
+        let lev = |threshold: f64| {
+            compare(
+                lower(),
+                property("label"),
+                DistanceFunction::Levenshtein,
+                threshold,
+            )
+        };
+        let mut weighted = lev(10.9);
+        weighted.set_weight(3);
+        let rule: LinkageRule = aggregation(
+            AggregationFunction::WeightedMean,
+            vec![
+                lev(1.0),
+                weighted,
+                // past the band: the unbanded column
+                lev(11.0),
+                // other chains, other measure
+                compare(
+                    property("label"),
+                    lower(),
+                    DistanceFunction::Levenshtein,
+                    1.0,
+                ),
+                compare(lower(), property("label"), DistanceFunction::Jaro, 1.0),
+            ],
+        )
+        .into();
+        let compiled = CompiledRule::compile(&rule, &schema, &schema);
+        let keys: Vec<DistanceKey> = compiled.distance_keys().collect();
+        assert_eq!(keys.len(), 5);
+        assert_eq!(keys[0], keys[1]);
+        assert_eq!((keys[0].band, keys[2].band), (Some(10), None));
+        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 4);
+        // a column holds the distance the kernel path scores from: exact
+        // within the band, ∞ past it or where a side has no value
+        let entities = [
+            berlin(&schema),
+            EntityBuilder::new("b")
+                .value("label", "berlin, brandenburg")
+                .build(schema.clone()),
+            EntityBuilder::new("c").build(schema.clone()),
+        ];
+        let column = |comparison| {
+            compiled.distance_column(
+                comparison,
+                entities.iter(),
+                None,
+                entities.iter(),
+                None,
+                [(0, 0), (0, 1), (0, 2)].into_iter(),
+            )
+        };
+        let infinity = f64::INFINITY;
+        assert_eq!(*column(0), [1.0, infinity, infinity]);
+        assert_eq!(*column(2), [1.0, 13.0, infinity]);
+        let mut stats = EvalStats::default();
+        let columns: Vec<DistanceColumn> = (0..5).map(column).collect();
+        let cache = ValueCache::new();
+        for (pair, target) in entities.iter().enumerate() {
+            assert_eq!(
+                compiled
+                    .evaluate_columns_stats(&columns, pair, f64::NEG_INFINITY, &mut stats)
+                    .to_bits(),
+                compiled
+                    .evaluate(&EntityPair::new(&entities[0], target), &cache)
+                    .to_bits()
+            );
+        }
+        assert_eq!((stats.pairs, stats.comparisons_evaluated), (3, 15));
     }
 
     #[test]

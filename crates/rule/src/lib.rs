@@ -36,8 +36,8 @@ pub mod tokens;
 pub use aggregation::AggregationFunction;
 pub use builder::{aggregation, compare, property, transform, RuleBuilder};
 pub use compiled::{
-    BoundSide, ChainValues, ColumnMemo, CompiledChain, CompiledRule, EvalStats, PinnedValueCache,
-    ValueCache,
+    BoundSide, ChainValues, ColumnMemo, CompiledChain, CompiledRule, DistanceColumn, DistanceKey,
+    EvalStats, PinnedValueCache, ValueCache,
 };
 pub use dsl::{parse_rule, print_rule, DslError};
 pub use indexing::{IndexedComparison, IndexingPlan, PlanNode};

@@ -52,34 +52,26 @@ fn days_in_month(year: i32, month: u32) -> u32 {
 
 /// Parses a date from ISO-8601, `YYYY/MM/DD`, `YYYY-MM`, or a bare year.
 /// A bare year or year-month is completed to January respectively day 1.
+/// Allocation-free.
 pub fn parse_date(value: &str) -> Option<Date> {
     let trimmed = value.trim();
     // strip a time component, if any
     let date_part = trimmed.split(['T', ' ']).next().unwrap_or(trimmed);
-    let parts: Vec<&str> = date_part
-        .split(['-', '/'])
-        .filter(|s| !s.is_empty())
-        .collect();
-    let (year, month, day) = match parts.len() {
-        1 => {
-            let y = parts[0].parse::<i32>().ok()?;
-            if !(0..=9999).contains(&y) || parts[0].len() != 4 {
+    let mut parts = date_part.split(['-', '/']).filter(|s| !s.is_empty());
+    let (first, second, third) = (parts.next()?, parts.next(), parts.next());
+    if parts.next().is_some() {
+        return None;
+    }
+    let year = first.parse::<i32>().ok()?;
+    let (month, day) = match (second, third) {
+        (Some(month), Some(day)) => (month.parse::<u32>().ok()?, day.parse::<u32>().ok()?),
+        (Some(month), None) => (month.parse::<u32>().ok()?, 1),
+        _ => {
+            if !(0..=9999).contains(&year) || first.len() != 4 {
                 return None;
             }
-            (y, 1, 1)
+            (1, 1)
         }
-        2 => {
-            let y = parts[0].parse::<i32>().ok()?;
-            let m = parts[1].parse::<u32>().ok()?;
-            (y, m, 1)
-        }
-        3 => {
-            let y = parts[0].parse::<i32>().ok()?;
-            let m = parts[1].parse::<u32>().ok()?;
-            let d = parts[2].parse::<u32>().ok()?;
-            (y, m, d)
-        }
-        _ => return None,
     };
     if !(1..=12).contains(&month) || day < 1 || day > days_in_month(year, month) {
         return None;
@@ -90,16 +82,55 @@ pub fn parse_date(value: &str) -> Option<Date> {
 /// The distance between two dates in days (Table 2).  Unparseable values yield
 /// an infinite distance.
 pub fn date_distance(a: &str, b: &str) -> f64 {
-    match (parse_date(a), parse_date(b)) {
-        (Some(da), Some(db)) => (da.days_from_epoch() - db.days_from_epoch()).abs() as f64,
-        _ => f64::INFINITY,
-    }
+    let Some(da) = parse_date(a) else {
+        return f64::INFINITY;
+    };
+    let Some(db) = parse_date(b) else {
+        return f64::INFINITY;
+    };
+    (da.days_from_epoch() - db.days_from_epoch()).abs() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The allocating parser `parse_date` replaced, kept as the differential
+    /// reference.
+    fn parse_date_reference(value: &str) -> Option<Date> {
+        let trimmed = value.trim();
+        let date_part = trimmed.split(['T', ' ']).next().unwrap_or(trimmed);
+        let parts: Vec<&str> = date_part
+            .split(['-', '/'])
+            .filter(|s| !s.is_empty())
+            .collect();
+        let (year, month, day) = match parts.len() {
+            1 => {
+                let y = parts[0].parse::<i32>().ok()?;
+                if !(0..=9999).contains(&y) || parts[0].len() != 4 {
+                    return None;
+                }
+                (y, 1, 1)
+            }
+            2 => {
+                let y = parts[0].parse::<i32>().ok()?;
+                let m = parts[1].parse::<u32>().ok()?;
+                (y, m, 1)
+            }
+            3 => {
+                let y = parts[0].parse::<i32>().ok()?;
+                let m = parts[1].parse::<u32>().ok()?;
+                let d = parts[2].parse::<u32>().ok()?;
+                (y, m, d)
+            }
+            _ => return None,
+        };
+        if !(1..=12).contains(&month) || day < 1 || day > days_in_month(year, month) {
+            return None;
+        }
+        Some(Date { year, month, day })
+    }
 
     #[test]
     fn parses_iso_dates() {
@@ -207,6 +238,47 @@ mod tests {
             let a = format!("{y:04}-{m:02}-{d:02}");
             let b = format!("{y:04}-{m:02}-{:02}", d + 1);
             prop_assert_eq!(date_distance(&a, &b), 1.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The allocation-free parser answers every input like the parser it
+        /// replaced: full, partial and bare-year dates with either separator,
+        /// trailing time components, wrong arity, out-of-range fields, signs,
+        /// non-ASCII, empty.
+        #[test]
+        fn parse_date_equals_the_allocating_parser(
+            soup in "[0-9/T :+-]{0,12}",
+            noise in ".{0,6}",
+            shape in 0usize..10,
+            y in -50i32..10500,
+            m in 0u32..15,
+            d in 0u32..34,
+        ) {
+            let text = match shape {
+                0 => soup.clone(),
+                1 => format!("{y:04}-{m:02}-{d:02}"),
+                2 => format!("{y:04}/{m:02}/{d:02}T12:30:00"),
+                3 => format!(" {y:04}-{m:02}-{d:02} 12:30 "),
+                4 => format!("{y:04}-{m}"),
+                5 => format!("{y:04}"),
+                6 => format!("{y}-{m}-{d}-{m}"),
+                7 => format!("{y:04}-{m:02}-{d:02}{noise}"),
+                8 => format!("{noise}{y:04}-{m:02}"),
+                _ => format!("{y:04}--{m:02}/{soup}"),
+            };
+            prop_assert_eq!(parse_date(&text), parse_date_reference(&text), "{:?}", text);
+            // the distance parses `b` only where `a` parsed: same result
+            let other = if d % 3 == 0 { soup } else { format!("{:04}-{:02}-01", y / 2 + 1000, m % 12 + 1) };
+            for (a, b) in [(&text, &other), (&other, &text)] {
+                let expected = match (parse_date_reference(a), parse_date_reference(b)) {
+                    (Some(a), Some(b)) => (a.days_from_epoch() - b.days_from_epoch()).abs() as f64,
+                    _ => f64::INFINITY,
+                };
+                prop_assert_eq!(date_distance(a, b).to_bits(), expected.to_bits());
+            }
         }
     }
 }

@@ -9,31 +9,40 @@
 const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// Parses a coordinate value into `(latitude, longitude)` degrees.
+///
+/// Allocation-free: most values a geographic comparison meets on real data
+/// are not coordinates at all, so failing must be cheap.
 pub fn parse_point(value: &str) -> Option<(f64, f64)> {
     let trimmed = value.trim();
-    let upper = trimmed.to_uppercase();
-    if let Some(rest) = upper.strip_prefix("POINT") {
-        let inner = rest.trim().trim_start_matches('(').trim_end_matches(')');
-        let original_inner = &trimmed[trimmed.find('(')? + 1..trimmed.rfind(')')?];
-        let _ = inner;
-        let parts: Vec<&str> = original_inner.split_whitespace().collect();
-        if parts.len() == 2 {
-            let lon = parts[0].parse::<f64>().ok()?;
-            let lat = parts[1].parse::<f64>().ok()?;
-            return validate(lat, lon);
-        }
-        return None;
-    }
-    let parts: Vec<&str> = trimmed
-        .split(|c: char| c == ',' || c.is_whitespace())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if parts.len() == 2 {
-        let lat = parts[0].parse::<f64>().ok()?;
-        let lon = parts[1].parse::<f64>().ok()?;
+    let head = &trimmed.as_bytes()[..trimmed.len().min(5)];
+    let wkt = if head.is_ascii() {
+        head.eq_ignore_ascii_case(b"POINT")
+    } else {
+        // a non-ASCII letter can upper-case to an ASCII one ("poınt"), so
+        // only the allocating conversion knows
+        trimmed.to_uppercase().starts_with("POINT")
+    };
+    if wkt {
+        let inner = trimmed.get(trimmed.find('(')? + 1..trimmed.rfind(')')?)?;
+        let (lon, lat) = two_numbers(inner.split_whitespace())?;
         return validate(lat, lon);
     }
-    None
+    let (lat, lon) = two_numbers(
+        trimmed
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|s| !s.is_empty()),
+    )?;
+    validate(lat, lon)
+}
+
+/// The two numbers `parts` consists of; `None` unless there are exactly two
+/// parts and both parse.
+fn two_numbers<'a>(mut parts: impl Iterator<Item = &'a str>) -> Option<(f64, f64)> {
+    let (first, second) = (parts.next()?, parts.next()?);
+    if parts.next().is_some() {
+        return None;
+    }
+    Some((first.parse().ok()?, second.parse().ok()?))
 }
 
 fn validate(lat: f64, lon: f64) -> Option<(f64, f64)> {
@@ -57,16 +66,51 @@ pub fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// Geographic distance in kilometres between two coordinate strings.
 /// Unparseable values yield an infinite distance.
 pub fn geographic_distance(a: &str, b: &str) -> f64 {
-    match (parse_point(a), parse_point(b)) {
-        (Some(pa), Some(pb)) => haversine_km(pa, pb),
-        _ => f64::INFINITY,
-    }
+    let Some(pa) = parse_point(a) else {
+        return f64::INFINITY;
+    };
+    let Some(pb) = parse_point(b) else {
+        return f64::INFINITY;
+    };
+    haversine_km(pa, pb)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The allocating parser `parse_point` replaced, kept as the differential
+    /// reference.  One deliberate difference: it sliced `(`..`)` unchecked
+    /// and panicked on a `)` before the first `(`; the guard below is what
+    /// the new parser answers there.
+    fn parse_point_reference(value: &str) -> Option<(f64, f64)> {
+        let trimmed = value.trim();
+        let upper = trimmed.to_uppercase();
+        if upper.starts_with("POINT") {
+            let (open, close) = (trimmed.find('(')? + 1, trimmed.rfind(')')?);
+            if open > close {
+                return None;
+            }
+            let parts: Vec<&str> = trimmed[open..close].split_whitespace().collect();
+            if parts.len() == 2 {
+                let lon = parts[0].parse::<f64>().ok()?;
+                let lat = parts[1].parse::<f64>().ok()?;
+                return validate(lat, lon);
+            }
+            return None;
+        }
+        let parts: Vec<&str> = trimmed
+            .split(|c: char| c == ',' || c.is_whitespace())
+            .filter(|s| !s.is_empty())
+            .collect();
+        if parts.len() == 2 {
+            let lat = parts[0].parse::<f64>().ok()?;
+            let lon = parts[1].parse::<f64>().ok()?;
+            return validate(lat, lon);
+        }
+        None
+    }
 
     #[test]
     fn parses_space_and_comma_separated() {
@@ -87,6 +131,18 @@ mod tests {
         assert_eq!(parse_point("120.0 200.0"), None);
         assert_eq!(parse_point("1 2 3"), None);
         assert_eq!(parse_point(""), None);
+    }
+
+    #[test]
+    fn wkt_detection_survives_case_mapping_and_hostile_parentheses() {
+        // dotless ı upper-cases to an ASCII I: still a WKT point
+        assert_eq!(parse_point("poınt(13.4 52.5)"), Some((52.5, 13.4)));
+        assert_eq!(parse_point("ſ 1"), None);
+        // a WKT prefix never falls through to the plain-pair format
+        assert_eq!(parse_point("POINT 13.4 52.5"), None);
+        assert_eq!(parse_point("point)13.4 52.5("), None);
+        assert_eq!(parse_point("POINT()"), None);
+        assert_eq!(parse_point("POIN"), None);
     }
 
     #[test]
@@ -131,6 +187,48 @@ mod tests {
             let parsed = parse_point(&text).unwrap();
             prop_assert!((parsed.0 - lat).abs() < 1e-9);
             prop_assert!((parsed.1 - lon).abs() < 1e-9);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The allocation-free parser answers every input like the parser it
+        /// replaced: WKT in any case (and through non-ASCII case mapping),
+        /// comma / whitespace separators, wrong arity, out-of-range and
+        /// unparseable numbers, stray parentheses, non-ASCII, empty.
+        #[test]
+        fn parse_point_equals_the_allocating_parser(
+            soup in "[pPoOıiInNtTſ(), \t.0-9eE+-]{0,14}",
+            noise in ".{0,6}",
+            shape in 0usize..10,
+            x in -200.0f64..200.0,
+            y in -100.0f64..100.0,
+            third in 0u32..3,
+        ) {
+            let prefix = ["POINT", "point", "Point", "pOiNt", "poınt", "POINT ", " point  "];
+            let text = match shape {
+                0 => soup.clone(),
+                1 => format!("{}({x} {y})", prefix[third as usize % prefix.len()]),
+                2 => format!("{}({x}  {y}){noise}", prefix[(x.abs() as usize) % prefix.len()]),
+                3 => format!("{y} {x}"),
+                4 => format!(" {y},{x} "),
+                5 => format!("{y} , {x}\t"),
+                6 => format!("{y} {x} {third}"),
+                7 => format!("{noise}{y} {x}"),
+                8 => format!("{}{soup}", prefix[(y.abs() as usize) % prefix.len()]),
+                _ => format!("{noise}{soup}"),
+            };
+            prop_assert_eq!(parse_point(&text), parse_point_reference(&text), "{:?}", text);
+            // the distance parses `b` only where `a` parsed: same result
+            let other = if third == 0 { soup } else { format!("{} {}", y / 2.0, x / 2.0) };
+            for (a, b) in [(&text, &other), (&other, &text)] {
+                let expected = match (parse_point_reference(a), parse_point_reference(b)) {
+                    (Some(a), Some(b)) => haversine_km(a, b),
+                    _ => f64::INFINITY,
+                };
+                prop_assert_eq!(geographic_distance(a, b).to_bits(), expected.to_bits());
+            }
         }
     }
 }

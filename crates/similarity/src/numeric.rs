@@ -59,16 +59,43 @@ pub fn parse_number(value: &str) -> Option<f64> {
 /// The numeric difference `|a − b|` of Table 2.  Unparseable values yield an
 /// infinite distance (treated by the comparison operator as "no similarity").
 pub fn numeric_distance(a: &str, b: &str) -> f64 {
-    match (parse_number(a), parse_number(b)) {
-        (Some(x), Some(y)) => (x - y).abs(),
-        _ => f64::INFINITY,
-    }
+    let Some(x) = parse_number(a) else {
+        return f64::INFINITY;
+    };
+    let Some(y) = parse_number(b) else {
+        return f64::INFINITY;
+    };
+    (x - y).abs()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `parse_number` the allocating way — the first number-looking run
+    /// copied into a `String` without its thousands separators — kept as the
+    /// differential reference.
+    fn parse_number_reference(value: &str) -> Option<f64> {
+        let trimmed = value.trim();
+        if let Ok(v) = trimmed.parse::<f64>() {
+            return Some(v);
+        }
+        let start = trimmed.find(|c: char| c.is_ascii_digit() || c == '-' || c == '+')?;
+        let mut run = String::new();
+        let mut seen_dot = false;
+        for (i, c) in trimmed[start..].chars().enumerate() {
+            if c.is_ascii_digit() || (i == 0 && (c == '-' || c == '+')) {
+                run.push(c);
+            } else if c == '.' && !seen_dot {
+                seen_dot = true;
+                run.push(c);
+            } else if c != ',' {
+                break;
+            }
+        }
+        run.parse::<f64>().ok()
+    }
 
     #[test]
     fn parses_plain_numbers() {
@@ -112,6 +139,58 @@ mod tests {
         #[test]
         fn identical_numbers_have_zero_distance(a in -1e6f64..1e6) {
             prop_assert_eq!(numeric_distance(&a.to_string(), &a.to_string()), 0.0);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The stack-buffer parser answers every input like the allocating
+        /// one, and the distance — which parses `b` only where `a` parsed —
+        /// like the distance that parsed both: plain and embedded numbers,
+        /// signs, exponents, thousands separators (interior, leading,
+        /// trailing, beyond the 64-byte buffer), non-ASCII, empty.
+        #[test]
+        fn parse_number_equals_the_allocating_parser(
+            soup in "[0-9,.eE+ -]{0,12}",
+            noise in ".{0,6}",
+            shape in 0usize..9,
+            whole in 0u64..10_000_000_000,
+            fraction in 0u32..1000,
+        ) {
+            let grouped = |n: u64| {
+                let digits = n.to_string();
+                let mut out = String::new();
+                for (i, c) in digits.chars().enumerate() {
+                    if i > 0 && (digits.len() - i).is_multiple_of(3) {
+                        out.push(',');
+                    }
+                    out.push(c);
+                }
+                out
+            };
+            let text = match shape {
+                0 => soup.clone(),
+                1 => format!("{whole}.{fraction}"),
+                2 => format!("pop: {} people", grouped(whole)),
+                3 => format!("{noise}-{}.{fraction}{noise}", grouped(whole)),
+                4 => format!(" {whole} km"),
+                5 => format!("{},,{fraction},", grouped(whole)),
+                6 => format!("{noise}{soup}"),
+                7 => format!("x{}", "1,".repeat(whole as usize % 80)),
+                _ => format!("{whole}e{}", fraction % 12),
+            };
+            let parsed = parse_number(&text);
+            let expected = parse_number_reference(&text);
+            prop_assert_eq!(parsed.map(f64::to_bits), expected.map(f64::to_bits), "{:?}", text);
+            let other = if fraction % 3 == 0 { soup } else { grouped(whole / 7) };
+            for (a, b) in [(&text, &other), (&other, &text)] {
+                let expected = match (parse_number_reference(a), parse_number_reference(b)) {
+                    (Some(x), Some(y)) => (x - y).abs(),
+                    _ => f64::INFINITY,
+                };
+                prop_assert_eq!(numeric_distance(a, b).to_bits(), expected.to_bits());
+            }
         }
     }
 }

@@ -1,9 +1,15 @@
 //! End-to-end integration tests: dataset generation → learning → evaluation.
 
-use genlink::{CrossoverOperator, GenLink, GenLinkConfig, RepresentationMode, SeedingStrategy};
+use genlink::problem::GenLinkProblem;
+use genlink::random::RandomRuleGenerator;
+use genlink::{
+    find_compatible_properties, CrossoverOperator, FitnessFunction, GenLink, GenLinkConfig,
+    RepresentationMode, SeedingStrategy,
+};
 use linkdisc_datasets::DatasetKind;
-use linkdisc_entity::ReferenceLinks;
+use linkdisc_entity::{ReferenceLinks, ResolvedReferenceLinks};
 use linkdisc_evaluation::evaluate_rule_on_links;
+use linkdisc_gp::Evolution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -198,4 +204,66 @@ fn learned_rules_match_the_recorded_goldens() {
             );
         }
     }
+}
+
+/// A learning run at the paper's size measures each distinct comparison once
+/// and scores everything else from memory — without changing a fitness
+/// value.  Release only (`cargo test --release -p linkdisc-tests --test
+/// end_to_end_learning -- --ignored distance_columns`, about a second).
+/// The run is `GenLink::learn`'s generational path taken apart, because the
+/// learner does not hand out its final population.
+#[test]
+#[ignore = "paper-size run: release only, its own CI step"]
+fn distance_columns_carry_a_long_run() {
+    let dataset = DatasetKind::Cora.generate(1.0, 42);
+    let mut config = GenLinkConfig::paper();
+    config.gp.population_size = 100;
+    config.gp.max_iterations = 25;
+    config.gp.stop_f_measure = 2.0;
+    config.gp.threads = 1;
+    let resolved =
+        ResolvedReferenceLinks::resolve(&dataset.links, &dataset.source, &dataset.target);
+    let pairs = find_compatible_properties(
+        &dataset.source,
+        &dataset.target,
+        &dataset.links,
+        &config.seeding_config,
+    );
+    let mut generator = RandomRuleGenerator::new(pairs, config.representation);
+    generator.transformation_probability = config.transformation_probability;
+    generator.max_comparisons = config.max_initial_comparisons;
+    let problem = GenLinkProblem::new(
+        FitnessFunction::new(&resolved, config.parsimony),
+        generator,
+        config.crossover_operators.clone(),
+        config.representation,
+    );
+    let result = Evolution::new(&problem, config.gp).run(&mut StdRng::seed_from_u64(7));
+    assert_eq!(result.iterations, 25);
+    // counts, so they repeat exactly: 169 columns measured for 1,020
+    // requests (0.83) at the commit that introduced the memo
+    let cache = result.history.last().unwrap().cache.unwrap();
+    assert!(
+        cache.distance_hit_rate() >= 0.75,
+        "{} hits, {} misses",
+        cache.distance_hits,
+        cache.distance_misses
+    );
+    // the final population's fitness, scored cold: a fresh fitness function
+    // per rule measures every column for it and inherits none
+    assert_eq!(result.population.individuals().len(), 100);
+    for individual in result.population.individuals() {
+        let cold = FitnessFunction::new(&resolved, config.parsimony);
+        assert_eq!(
+            cold.evaluate(&individual.genome),
+            individual.evaluation,
+            "{:?}",
+            individual.genome
+        );
+    }
+    let fitness = FitnessFunction::new(&resolved, config.parsimony);
+    assert_eq!(
+        fitness.confusion(&result.best.genome),
+        fitness.confusion_tree_walk(&result.best.genome)
+    );
 }

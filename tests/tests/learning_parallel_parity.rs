@@ -174,27 +174,36 @@ fn island_migrant_sequence_is_identical_across_evaluator_counts() {
 
 #[test]
 fn deterministic_cache_counters_are_thread_count_invariant() {
-    // fitness-cache counters are resolved on one thread per generation by
-    // design, so unlike the value cache they must agree too
+    // fitness-cache and distance-memo counters are resolved on one thread per
+    // generation by design, so unlike the column memos' they must agree too
     let dataset = DatasetKind::Restaurant.generate(0.2, 3);
     let mut reference = None;
-    for threads in [1, 4] {
+    for threads in [1, 2, 4] {
         let outcome = GenLink::new(parity_config(threads)).learn(
             &dataset.source,
             &dataset.target,
             &dataset.links,
             5,
         );
-        let counters: Vec<(u64, u64)> = outcome
+        let counters: Vec<(u64, u64, u64, u64)> = outcome
             .history
             .iter()
             .map(|stats| {
                 let cache = stats.cache.expect("GenLink reports cache stats");
-                (cache.fitness_hits, cache.fitness_misses)
+                (
+                    cache.fitness_hits,
+                    cache.fitness_misses,
+                    cache.distance_hits,
+                    cache.distance_misses,
+                )
             })
             .collect();
         let last = counters.last().expect("non-empty history");
         assert!(last.0 > 0, "elites must hit the fitness cache: {last:?}");
+        assert!(
+            last.2 > last.3 && last.3 > 0,
+            "offspring must score from their parents' distance columns: {last:?}"
+        );
         match &reference {
             None => reference = Some(counters),
             Some(expected) => assert_eq!(expected, &counters, "threads={threads}"),
