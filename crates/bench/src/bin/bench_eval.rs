@@ -443,7 +443,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"workload\": \"cora-synthetic\",\n  \"rules\": {rule_count},\n  \"rounds\": {rounds},\n  \"resolved_pairs\": {pairs},\n  \"tree_walk_ns_per_round\": {tree_walk_ns:.0},\n  \"compiled_ns_per_round\": {compiled_ns:.0},\n  \"compiled_fitness_cache_ns_per_round\": {fully_cached_ns:.0},\n  \"compiled_speedup\": {compiled_speedup:.2},\n  \"compiled_fitness_cache_speedup\": {fully_cached_speedup:.2},\n  \"value_cache_entries\": {vc_entries},\n  \"value_cache_hits\": {vc_hits},\n  \"value_cache_misses\": {vc_misses},\n  \"fitness_cache_entries\": {fc_entries},\n  \"fitness_cache_hits\": {fc_hits},\n  \"kernels\": {{\n    \"levenshtein_reference_ns_per_round\": {lev_reference_ns:.0},\n    \"levenshtein_kernel_ns_per_round\": {lev_kernel_ns:.0},\n    \"levenshtein_speedup\": {lev_speedup:.2},\n    \"token_reference_ns_per_round\": {token_reference_ns:.0},\n    \"token_kernel_ns_per_round\": {token_kernel_ns:.0},\n    \"token_speedup\": {token_speedup:.2},\n    \"learned_rule_comparisons\": {learned_comparisons},\n    \"short_circuit_pairs\": {sc_pairs},\n    \"comparisons_evaluated\": {sc_evaluated},\n    \"comparisons_skipped\": {sc_skipped},\n    \"skip_rate\": {skip_rate:.3},\n    \"steady_state_allocations\": {steady_state_allocations}\n  }}\n}}\n",
+        "{{\n  \"workload\": \"cora-synthetic\",\n  \"rules\": {rule_count},\n  \"rounds\": {rounds},\n  \"resolved_pairs\": {pairs},\n  \"tree_walk_ns_per_round\": {tree_walk_ns:.0},\n  \"compiled_ns_per_round\": {compiled_ns:.0},\n  \"compiled_fitness_cache_ns_per_round\": {fully_cached_ns:.0},\n  \"compiled_speedup\": {compiled_speedup:.2},\n  \"compiled_fitness_cache_speedup\": {fully_cached_speedup:.2},\n  \"value_cache\": {{ \"entries\": {vc_entries}, \"hits\": {vc_hits}, \"misses\": {vc_misses} }},\n  \"fitness_cache_entries\": {fc_entries},\n  \"fitness_cache_hits\": {fc_hits},\n  \"kernels\": {{\n    \"levenshtein_reference_ns_per_round\": {lev_reference_ns:.0},\n    \"levenshtein_kernel_ns_per_round\": {lev_kernel_ns:.0},\n    \"levenshtein_speedup\": {lev_speedup:.2},\n    \"token_reference_ns_per_round\": {token_reference_ns:.0},\n    \"token_kernel_ns_per_round\": {token_kernel_ns:.0},\n    \"token_speedup\": {token_speedup:.2},\n    \"learned_rule_comparisons\": {learned_comparisons},\n    \"short_circuit_pairs\": {sc_pairs},\n    \"comparisons_evaluated\": {sc_evaluated},\n    \"comparisons_skipped\": {sc_skipped},\n    \"skip_rate\": {skip_rate:.3},\n    \"steady_state_allocations\": {steady_state_allocations}\n  }}\n}}\n",
         pairs = resolved.len(),
         vc_entries = value_cache.len(),
         vc_hits = value_cache.hits(),

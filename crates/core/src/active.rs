@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, EntityPair, Link};
-use linkdisc_matching::{CandidateScratch, MultiBlockIndex, SharedLeafIndexes};
+use linkdisc_matching::{CandidateScratch, MultiBlockIndex};
 use linkdisc_rule::{IndexingPlan, LinkageRule, ValueCache, LINK_THRESHOLD};
 
 /// An unlabelled candidate pair together with the committee's disagreement
@@ -113,9 +113,10 @@ pub fn candidate_pool(
 /// it can never be worth a query.  That is all a candidate set promises: a
 /// superset of the pairs its rule can link; which non-links ride along is
 /// the index's cost decision (a probe scans only the postings a match cannot
-/// avoid).  Leaf indexes are drawn from `shared`, so committees sharing
-/// comparisons (they evolved from one population) index the target once per
-/// distinct `(chain, measure, bound bucket)` rather than once per rule.
+/// avoid).  The committee's indexes are built together
+/// ([`MultiBlockIndex::build_all`]), so rules sharing comparisons (they
+/// evolved from one population) index the target once per distinct `(chain,
+/// measure, bound bucket)` rather than once per rule.
 ///
 /// Rules whose plan cannot prune make the whole pool degrade to
 /// [`candidate_pool`] — never worse, never lossy.  Memory is `O(|target|)`
@@ -127,12 +128,11 @@ pub fn indexed_candidate_pool(
     source: &DataSource,
     target: &DataSource,
     labelled: &linkdisc_entity::ReferenceLinks,
-    shared: &SharedLeafIndexes,
 ) -> Vec<Link> {
     // lower every rule before building anything: one unprunable rule
     // admits every pair, and no sibling index can shrink a union, so the
     // fallback must be decided before any index work is spent
-    let mut plans: Vec<IndexingPlan> = Vec::new();
+    let mut plans: Vec<Arc<IndexingPlan>> = Vec::new();
     for rule in committee {
         let plan = IndexingPlan::lower(rule, source.schema(), target.schema(), LINK_THRESHOLD)
             .canonicalized();
@@ -142,14 +142,11 @@ pub fn indexed_candidate_pool(
         if plan.is_exhaustive() {
             return candidate_pool(source, target, labelled);
         }
-        plans.push(plan);
+        plans.push(Arc::new(plan));
     }
     let targets: Vec<&linkdisc_entity::Entity> = target.entities().iter().collect();
     let cache = ValueCache::new();
-    let indexes: Vec<MultiBlockIndex> = plans
-        .into_iter()
-        .map(|plan| MultiBlockIndex::build_shared(Arc::new(plan), &targets, &cache, shared))
-        .collect();
+    let indexes = MultiBlockIndex::build_all(plans, &targets, &cache);
     let known = known_pairs(labelled);
     let mut pool = Vec::new();
     let mut scratch = CandidateScratch::new();
@@ -278,8 +275,8 @@ mod tests {
         let labelled = ReferenceLinksBuilder::new().positive("a1", "b1").build();
         // the strict + lenient pair, plus a third rule whose derived bound
         // falls into the lenient rule's Levenshtein budget bucket (θ 5.0 →
-        // bound 2.5, same ⌊bound⌋ = 2 as θ 4.0 → bound 2.0) so its leaf
-        // index is answered from the shared cache
+        // bound 2.5, same ⌊bound⌋ = 2 as θ 4.0 → bound 2.0) so the two share
+        // one leaf index
         let mut rules = committee();
         rules.push(
             compare(
@@ -290,8 +287,7 @@ mod tests {
             )
             .into(),
         );
-        let shared = SharedLeafIndexes::new();
-        let pool = indexed_candidate_pool(&rules, &source, &target, &labelled, &shared);
+        let pool = indexed_candidate_pool(&rules, &source, &target, &labelled);
         let full = candidate_pool(&source, &target, &labelled);
         // the indexed pool is a subset of the cross product...
         assert!(pool.iter().all(|link| full.contains(link)));
@@ -314,7 +310,6 @@ mod tests {
         // query selection over the indexed pool finds the same top query
         let queries = select_queries(&rules, &pool, &source, &target, 1);
         assert_eq!(queries[0].link, Link::new("a1", "b2"));
-        assert!(shared.stats().hits > 0, "{:?}", shared.stats());
     }
 
     #[test]
@@ -367,8 +362,7 @@ mod tests {
             label(0.5).into(),
         ];
         let labelled = ReferenceLinksBuilder::new().build();
-        let shared = SharedLeafIndexes::new();
-        let pool = indexed_candidate_pool(&rules, &source, &target, &labelled, &shared);
+        let pool = indexed_candidate_pool(&rules, &source, &target, &labelled);
         let pool: HashSet<&Link> = pool.iter().collect();
         let mut linked = 0;
         for link in &candidate_pool(&source, &target, &labelled) {

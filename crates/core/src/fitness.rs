@@ -13,14 +13,15 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use linkdisc_entity::{Entity, ResolvedReferenceLinks, Schema};
+use linkdisc_entity::{ResolvedReferenceLinks, Schema};
 use linkdisc_evaluation::{evaluate_rule, ConfusionMatrix};
 use linkdisc_gp::{Evaluated, PhaseAccumulator, PhaseTimers};
 use linkdisc_rule::{
-    ColumnMemo, CompiledRule, DistanceColumn, DistanceKey, EvalStats, LinkageRule, LINK_THRESHOLD,
+    ColumnStats, CompiledRule, DistanceColumn, DistanceKey, EvalStats, LinkageRule,
+    ReferenceColumns, LINK_THRESHOLD,
 };
 use linkdisc_similarity::KernelCounters;
 use linkdisc_util::parallel_ordered_map;
@@ -66,144 +67,30 @@ impl ParsimonyModel {
     }
 }
 
-/// Cells a [`DistanceMemo`] may hold before it is dropped wholesale (16 MiB
-/// of distances).
-const DISTANCE_MEMO_CELLS: usize = 1 << 21;
-
-/// Distance columns over **one fixed pair list**, shared by [`DistanceKey`]
-/// across the rules scored on it.
-///
-/// GenLink's crossover operators are specialised — an offspring differs from
-/// a parent in one aspect — so almost every comparison of an offspring was
-/// already measured on every reference pair under its parents; only
-/// thresholds, weights and the aggregation tree around it changed.  Like
-/// [`ColumnMemo`] it is a pure memo — a column is a function of (pair list,
-/// key) — and bounded: past its cell cap it is dropped wholesale and refills
-/// (rules already prepared keep their columns).
-#[derive(Debug)]
-struct DistanceMemo {
-    columns: Mutex<HashMap<DistanceKey, DistanceColumn>>,
-    cell_cap: usize,
-    /// Column requests answered without measuring.
-    hits: AtomicU64,
-    /// Columns measured.
-    misses: AtomicU64,
-}
-
-impl DistanceMemo {
-    fn new(cell_cap: usize) -> Self {
-        DistanceMemo {
-            columns: Mutex::new(HashMap::new()),
-            cell_cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The memoized column of `key`, counted as a hit when there is one (a
-    /// caller that goes on to measure the column counts the miss itself).
-    fn get(&self, key: &DistanceKey) -> Option<DistanceColumn> {
-        let column = self
-            .columns
-            .lock()
-            .expect("distance memo poisoned")
-            .get(key)
-            .cloned();
-        if column.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        column
-    }
-
-    /// Memoizes a freshly measured column; returns the memo's column for the
-    /// key (an equal one, had a concurrent miss got there first).
-    fn insert(&self, key: DistanceKey, column: DistanceColumn) -> DistanceColumn {
-        let mut columns = self.columns.lock().expect("distance memo poisoned");
-        if (columns.len() + 1) * column.len() > self.cell_cap {
-            columns.clear();
-        }
-        columns.entry(key).or_insert(column).clone()
-    }
-}
-
-/// The reference-link pool arranged for scoring by position: the distinct
-/// entities of each side (the lists every value column is bound to), the
-/// pairs as positions into them (the list every distance column is measured
-/// over), and the memos of both.
+/// The reference-link pool arranged for scoring by position: the pool's
+/// [`ReferenceColumns`] (its distinct entities, its pairs — positives first
+/// — and the memo of every column over them) and the schemas to compile
+/// against.
 #[derive(Debug)]
 struct ReferencePool<'a> {
     source_schema: Arc<Schema>,
     target_schema: Arc<Schema>,
-    /// Distinct source entities of the pool, in first-seen order.
-    sources: Vec<&'a Entity>,
-    /// Distinct target entities of the pool, in first-seen order.
-    targets: Vec<&'a Entity>,
-    /// `(position into sources, position into targets, is a positive
-    /// reference pair)` per pair.
-    pairs: Vec<(u32, u32, bool)>,
-    /// Bound columns shared across rules, one memo per entity list.
-    source_columns: ColumnMemo,
-    target_columns: ColumnMemo,
-    /// Distance columns over `pairs`, shared across rules.
-    distances: DistanceMemo,
+    columns: ReferenceColumns<'a>,
+    /// Pairs `0..positives` are the positive reference links.
+    positives: usize,
 }
 
 impl<'a> ReferencePool<'a> {
     /// `None` for an empty link set (no entity to take the schemas from).
-    fn build(links: &'a ResolvedReferenceLinks<'a>, distance_cells: usize) -> Option<Self> {
+    fn build(links: &'a ResolvedReferenceLinks<'a>, cells: usize) -> Option<Self> {
         let first = links.positive().first().or(links.negative().first())?;
-        /// Position of `entity` in `list`, appended on first sight.
-        fn position<'a>(
-            entity: &'a Entity,
-            list: &mut Vec<&'a Entity>,
-            positions: &mut HashMap<usize, u32>,
-        ) -> u32 {
-            *positions
-                .entry(entity as *const Entity as usize)
-                .or_insert_with(|| {
-                    list.push(entity);
-                    (list.len() - 1) as u32
-                })
-        }
-        let mut pool = ReferencePool {
+        let pairs = links.positive().iter().chain(links.negative());
+        Some(ReferencePool {
             source_schema: first.source.schema().clone(),
             target_schema: first.target.schema().clone(),
-            sources: Vec::new(),
-            targets: Vec::new(),
-            pairs: Vec::with_capacity(links.len()),
-            source_columns: ColumnMemo::new(),
-            target_columns: ColumnMemo::new(),
-            distances: DistanceMemo::new(distance_cells),
-        };
-        let mut source_positions = HashMap::new();
-        let mut target_positions = HashMap::new();
-        let labelled = links
-            .positive()
-            .iter()
-            .map(|pair| (pair, true))
-            .chain(links.negative().iter().map(|pair| (pair, false)));
-        for (pair, positive) in labelled {
-            let source = position(pair.source, &mut pool.sources, &mut source_positions);
-            let target = position(pair.target, &mut pool.targets, &mut target_positions);
-            pool.pairs.push((source, target, positive));
-        }
-        Some(pool)
-    }
-
-    /// Measures comparison number `comparison` of `compiled` on every pair:
-    /// binds the two value columns it reads (through the pool's memos) and
-    /// runs its kernel once per pair.
-    fn measure(&self, compiled: &CompiledRule, comparison: usize) -> DistanceColumn {
-        compiled.distance_column(
-            comparison,
-            self.sources.iter().copied(),
-            Some(&self.source_columns),
-            self.targets.iter().copied(),
-            Some(&self.target_columns),
-            self.pairs
-                .iter()
-                .map(|&(source, target, _)| (source as usize, target as usize)),
-        )
+            columns: ReferenceColumns::new(pairs.map(|pair| (pair.source, pair.target)), cells),
+            positives: links.positive().len(),
+        })
     }
 }
 
@@ -231,11 +118,11 @@ struct MeasuredRule {
 /// comparison is measured once per run**: the rule is compiled once per
 /// evaluation ([`CompiledRule::compile`] is linear in the rule size), each of
 /// its comparisons looks its distance column over the pool's pairs up in the
-/// pool's [`DistanceMemo`] by `(source chain, target chain, measure, band)`,
-/// and only a column seen for the first time is measured — its two value
-/// columns bound to the pool's distinct entities through the pool's
-/// [`ColumnMemo`]s, then one kernel call per pair.  Scoring a pair is then
-/// the bounded walk with one division per comparison visited.
+/// pool's [`ReferenceColumns`] by `(source chain, target chain, measure,
+/// band)`, and only a column seen for the first time is measured — its two
+/// value columns bound to the pool's distinct entities through the same
+/// memo, then one kernel call per pair.  Scoring a pair is then the bounded
+/// walk with one division per comparison visited.
 #[derive(Debug, Clone)]
 pub struct FitnessFunction<'a> {
     links: &'a ResolvedReferenceLinks<'a>,
@@ -293,13 +180,13 @@ impl SharedEvalStats {
 impl<'a> FitnessFunction<'a> {
     /// Creates a fitness function over resolved training links.
     pub fn new(links: &'a ResolvedReferenceLinks<'a>, parsimony: ParsimonyModel) -> Self {
-        Self::with_distance_memo_cells(links, parsimony, DISTANCE_MEMO_CELLS)
+        Self::with_memo_cells(links, parsimony, ReferenceColumns::CELLS)
     }
 
-    /// [`FitnessFunction::new`] with the distance memo's wholesale-drop bound
-    /// set by the caller — for tests that force the drop on a small pool.
+    /// [`FitnessFunction::new`] with the pool memo's cell cap set by the
+    /// caller — for tests that force wholesale drops on a small pool.
     #[doc(hidden)]
-    pub fn with_distance_memo_cells(
+    pub fn with_memo_cells(
         links: &'a ResolvedReferenceLinks<'a>,
         parsimony: ParsimonyModel,
         cells: usize,
@@ -314,33 +201,14 @@ impl<'a> FitnessFunction<'a> {
         }
     }
 
-    /// `(columns held, requests answered from the memo, columns computed)`
-    /// of the pool's two column memos, summed (exposed so the problem can
-    /// report cache statistics per iteration).
-    pub fn column_memo_stats(&self) -> (usize, u64, u64) {
-        let Some(pool) = &self.pool else {
-            return (0, 0, 0);
-        };
-        let (sources, targets) = (&pool.source_columns, &pool.target_columns);
-        (
-            sources.len() + targets.len(),
-            sources.hits() + targets.hits(),
-            sources.misses() + targets.misses(),
-        )
-    }
-
-    /// `(distance columns requested and answered from the memo, distance
-    /// columns measured)` so far.  On the generational path
-    /// ([`FitnessFunction::prepare_batch`]) both are resolved on one thread
-    /// and repeat exactly at any thread count.
-    pub fn distance_memo_stats(&self) -> (u64, u64) {
-        let Some(pool) = &self.pool else {
-            return (0, 0);
-        };
-        (
-            pool.distances.hits.load(Ordering::Relaxed),
-            pool.distances.misses.load(Ordering::Relaxed),
-        )
+    /// The counters of the pool's column memo (all zero for an empty link
+    /// set).  On the generational path ([`FitnessFunction::prepare_batch`])
+    /// the distance hits and misses are resolved on one thread and repeat
+    /// exactly at any thread count.
+    pub fn column_stats(&self) -> ColumnStats {
+        self.pool
+            .as_ref()
+            .map_or_else(ColumnStats::default, |pool| pool.columns.stats())
     }
 
     /// Cumulative per-phase busy time of compilation, binding and scoring
@@ -373,7 +241,7 @@ impl<'a> FitnessFunction<'a> {
 
     /// Compiles one rule and fetches the distance column of each of its
     /// comparisons, measuring the ones the pool has not seen.  Pure per-rule
-    /// work (the memos are pure: concurrent misses on one key measure twice,
+    /// work (the memo is pure: concurrent misses on one key measure twice,
     /// never differently), so it runs on any thread; the returned
     /// [`PreparedRule`] is scored from any worker.
     pub fn prepare(&self, rule: &LinkageRule) -> PreparedRule {
@@ -382,17 +250,7 @@ impl<'a> FitnessFunction<'a> {
         };
         let compiled = self.compile(pool, rule);
         let bind_timer = Instant::now();
-        let columns = compiled
-            .distance_keys()
-            .enumerate()
-            .map(|(comparison, key)| {
-                pool.distances.get(&key).unwrap_or_else(|| {
-                    pool.distances.misses.fetch_add(1, Ordering::Relaxed);
-                    pool.distances
-                        .insert(key, pool.measure(&compiled, comparison))
-                })
-            })
-            .collect();
+        let columns = pool.columns.distance_columns(&compiled);
         self.timers.add_bind(bind_timer.elapsed());
         PreparedRule {
             measured: Some(MeasuredRule { compiled, columns }),
@@ -403,7 +261,7 @@ impl<'a> FitnessFunction<'a> {
     ///
     /// 1. **parallel** — the rules are compiled on `threads` workers;
     /// 2. **sequential** — every comparison's key is resolved against the
-    ///    distance memo and the generation's missing keys are deduplicated,
+    ///    pool's memo and the generation's missing keys are deduplicated,
     ///    so hit and miss counts do not depend on the thread count;
     /// 3. **parallel** — each distinct missing column is measured once, one
     ///    column per work item (ordered reduction), and memoized in order.
@@ -431,24 +289,14 @@ impl<'a> FitnessFunction<'a> {
                 compiled
                     .distance_keys()
                     .enumerate()
-                    .map(|(comparison, key)| {
-                        if let Some(column) = pool.distances.get(&key) {
-                            return Column::Known(column);
-                        }
-                        Column::Measured(match missing_by_key.get(&key) {
-                            // a column an earlier rule of the batch will
-                            // measure is a hit, as when preparing one by one
-                            Some(&at) => {
-                                pool.distances.hits.fetch_add(1, Ordering::Relaxed);
-                                at
-                            }
-                            None => {
-                                pool.distances.misses.fetch_add(1, Ordering::Relaxed);
-                                missing_by_key.insert(key, missing.len());
-                                missing.push((rule, comparison, key));
-                                missing.len() - 1
-                            }
-                        })
+                    .map(|(comparison, key)| match pool.columns.memoized(&key) {
+                        Some(column) => Column::Known(column),
+                        // a column an earlier rule of the batch will measure
+                        // is a hit, as when preparing one by one
+                        None => Column::Measured(*missing_by_key.entry(key).or_insert_with(|| {
+                            missing.push((rule, comparison, key));
+                            missing.len() - 1
+                        })),
                     })
                     .collect()
             })
@@ -456,14 +304,14 @@ impl<'a> FitnessFunction<'a> {
         self.timers.add_bind(resolve_timer.elapsed());
         let measured = parallel_ordered_map(&missing, threads, |&(rule, comparison, _)| {
             let timer = Instant::now();
-            let column = pool.measure(&compiled[rule], comparison);
+            let column = pool.columns.measure(&compiled[rule], comparison);
             self.timers.add_bind(timer.elapsed());
             column
         });
         let measured: Vec<DistanceColumn> = missing
             .iter()
             .zip(measured)
-            .map(|(&(_, _, key), column)| pool.distances.insert(key, column))
+            .map(|(&(_, _, key), column)| pool.columns.memoize(key, column))
             .collect();
         compiled
             .into_iter()
@@ -498,14 +346,14 @@ impl<'a> FitnessFunction<'a> {
         };
         let mut matrix = ConfusionMatrix::default();
         let mut eval = EvalStats::default();
-        for (pair, &(_, _, positive)) in pool.pairs.iter().enumerate() {
+        for pair in 0..pool.columns.pairs().len() {
             let score = measured.compiled.evaluate_columns_stats(
                 &measured.columns,
                 pair,
                 LINK_THRESHOLD,
                 &mut eval,
             );
-            if positive {
+            if pair < pool.positives {
                 matrix.record_positive(score >= LINK_THRESHOLD);
             } else {
                 matrix.record_negative(score >= LINK_THRESHOLD);

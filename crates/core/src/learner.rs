@@ -344,7 +344,10 @@ mod tests {
         );
         assert!(last.fitness_misses > 0);
         assert!(last.fitness_entries as u64 <= last.fitness_misses);
-        assert!(last.value_cache_entries > 0, "transform memo never filled");
+        assert!(
+            last.distance_misses > 0 && last.distance_hits > 0,
+            "distance memo never filled or never reused: {last:?}"
+        );
         // cumulative counters grow monotonically over the run
         let mut previous_hits = 0;
         for stats in &outcome.history {

@@ -184,17 +184,13 @@ impl Problem for GenLinkProblem<'_> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        let (columns, hits, misses) = self.fitness.column_memo_stats();
-        let (distance_hits, distance_misses) = self.fitness.distance_memo_stats();
+        let columns = self.fitness.column_stats();
         Some(CacheStats {
             fitness_hits: self.cache.hits(),
             fitness_misses: self.cache.misses(),
             fitness_entries: self.cache.len(),
-            value_cache_entries: columns,
-            value_cache_hits: hits,
-            value_cache_misses: misses,
-            distance_hits,
-            distance_misses,
+            distance_hits: columns.distance_hits,
+            distance_misses: columns.distance_misses,
         })
     }
 

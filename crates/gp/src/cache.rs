@@ -42,17 +42,10 @@ pub struct CacheStats {
     pub fitness_misses: u64,
     /// Distinct genomes memoized.
     pub fitness_entries: usize,
-    /// Entries of the problem's transformed-value memo, when it reports one
-    /// (GenLink: value-chain columns over the reference pool's entities).
-    pub value_cache_entries: usize,
-    /// Value-memo requests answered without computing, when reported.
-    pub value_cache_hits: u64,
-    /// Value-memo entries computed, when reported.
-    pub value_cache_misses: u64,
     /// Requests to the problem's per-comparison memo answered without
     /// measuring, when it reports one (GenLink: distance columns over the
     /// reference pairs, one per distinct `(source chain, target chain,
-    /// measure)`).
+    /// measure, band)`).
     pub distance_hits: u64,
     /// Per-comparison memo entries measured, when reported.
     pub distance_misses: u64,

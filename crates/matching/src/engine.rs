@@ -420,7 +420,7 @@ impl MatchingEngine {
 
                 // bind first: the build, the probes and the scoring all
                 // read the chunk's transformed values from these columns
-                let bound_chunk = compiled.bind_target(chunk.iter(), None);
+                let bound_chunk = compiled.bind_target(chunk.iter());
                 let index = indexed_plan.as_ref().map(|plan| {
                     MultiBlockIndex::build_staged(
                         plan.clone(),
@@ -457,7 +457,7 @@ impl MatchingEngine {
                                 #[cfg(test)]
                                 crate::multiblock::COSTLIEST_UNITS.set(costliest_units);
                                 let bound_span = bound_span
-                                    .get_or_insert_with(|| compiled.bind_source(span.iter(), None));
+                                    .get_or_insert_with(|| compiled.bind_source(span.iter()));
                                 score_span(
                                     span,
                                     base,

@@ -54,10 +54,7 @@ pub use durable::{
 pub use engine::{
     ComparisonBlockStats, MatchingEngine, MatchingOptions, MatchingReport, ScoredLink,
 };
-pub use multiblock::{
-    CandidateScratch, LeafBuildStats, LeafPoolStats, LeafReuseStats, MultiBlockIndex,
-    SharedLeafIndexes,
-};
+pub use multiblock::{CandidateScratch, LeafBuildStats, LeafPoolStats, MultiBlockIndex};
 pub use persist::{SnapshotError, SNAPSHOT_VERSION};
 pub use service::{
     CommitteeLink, LinkService, RegistryError, RuleServingStats, ServiceOptions, ServiceReader,

@@ -52,8 +52,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, Entity};
 use linkdisc_rule::{
@@ -101,8 +100,8 @@ impl LeafIndex {
     /// Builds one comparison's leaf over `(position, target-chain values)`
     /// pairs in one pass — the bulk path behind every batch build: the
     /// engine's staged chunks (values from a bound side's column) and, with
-    /// values read [`through_cache`], [`MultiBlockIndex::build_refs`], an
-    /// active-learning committee's [`SharedLeafIndexes`] and a [`LeafPool`]
+    /// values read [`through_cache`], [`MultiBlockIndex::build_refs`] and a
+    /// [`LeafPool`] — an active-learning committee's, or a serving
     /// registration over a store with tombstone holes.
     ///
     /// All `(key, position)` pairs are gathered and sorted once, then each
@@ -221,7 +220,7 @@ impl LeafIndex {
 ///
 /// Leaves are held behind `Arc` so structurally identical leaf indexes can
 /// be **shared across the indexes of different rules** (see
-/// [`SharedLeafIndexes`]); mutation goes through copy-on-write
+/// [`MultiBlockIndex::build_all`]); mutation goes through copy-on-write
 /// (`Arc::make_mut`), which is free while a leaf is unshared.
 #[derive(Debug, Clone)]
 pub struct MultiBlockIndex {
@@ -449,27 +448,26 @@ impl MultiBlockIndex {
         }
     }
 
-    /// Builds the index over *borrowed* target entities through a
-    /// [`SharedLeafIndexes`] cache: each comparison's leaf is looked up by
-    /// its `(chain hash, measure, bound bucket)` reuse key and only built —
-    /// once, then shared by every later rule hitting the same key — on a
-    /// miss.  This is active learning's entry point: the rules of a query
-    /// committee index one fixed target pool, and — having evolved from one
-    /// population — their plans overwhelmingly share comparisons.
-    pub fn build_shared<'e>(
-        plan: impl Into<Arc<IndexingPlan>>,
+    /// Builds one index per plan over the same targets (positions are
+    /// indices into `targets`) through one leaf pool: each distinct leaf
+    /// reuse key is built once and `Arc`-shared by every plan that needs it.
+    /// This is active learning's entry point: the rules of a query committee
+    /// index one target pool and — having evolved from one population — their
+    /// plans overwhelmingly share comparisons.
+    pub fn build_all<'e>(
+        plans: impl IntoIterator<Item = Arc<IndexingPlan>>,
         targets: &[&'e Entity],
         cache: &ValueCache<'e>,
-        shared: &SharedLeafIndexes,
-    ) -> MultiBlockIndex {
-        shared.guard_pool(targets);
-        let plan = plan.into();
-        let leaves = plan
-            .comparisons()
-            .iter()
-            .map(|comparison| shared.leaf_for(comparison, targets, cache))
-            .collect();
-        MultiBlockIndex::from_parts(plan, leaves, targets.len())
+    ) -> Vec<MultiBlockIndex> {
+        let entries: Vec<(u32, &'e Entity)> = (0..).zip(targets.iter().copied()).collect();
+        let mut pool = LeafPool::new();
+        plans
+            .into_iter()
+            .map(|plan| {
+                let (leaves, _, _) = pool.acquire_plan(&plan, &entries, cache, 1);
+                MultiBlockIndex::from_parts(plan, leaves, targets.len())
+            })
+            .collect()
     }
 
     /// Adds one entity at a target position.  The position must be fresh (or
@@ -932,140 +930,10 @@ fn sharded_leaf(
     merged
 }
 
-/// Aggregate statistics of a [`SharedLeafIndexes`] cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LeafReuseStats {
-    /// Leaf indexes answered from the cache (a whole per-comparison index
-    /// build saved).
-    pub hits: u64,
-    /// Leaf indexes actually built.
-    pub misses: u64,
-    /// Leaf indexes currently cached.
-    pub entries: usize,
-}
-
-impl LeafReuseStats {
-    /// Fraction of leaf-index requests served from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-}
-
-/// The cache key: [`IndexedComparison::leaf_reuse_key`].
+/// The leaf sharing key: [`IndexedComparison::leaf_reuse_key`].
 pub(crate) type LeafKey = (u64, DistanceFunction, u64);
 
-/// A cache of per-comparison leaf indexes over **one fixed target entity
-/// pool**, shared across the rules indexed over it.
-///
-/// Keyed by [`IndexedComparison::leaf_reuse_key`] — `(target chain hash,
-/// measure, bound bucket)` — under which two comparisons are guaranteed to
-/// index the pool identically, so every rule whose plan contains e.g.
-/// `levenshtein(lowerCase(name)) d≤1` reuses one inverted index instead of
-/// rebuilding it per rule.  The cache is *scoped to one entity pool*:
-/// callers must [`SharedLeafIndexes::clear`] it (or use a fresh one)
-/// whenever the pool changes.  Hit/miss counters are cumulative across
-/// clears.
-#[derive(Debug, Default)]
-pub struct SharedLeafIndexes {
-    leaves: Mutex<HashMap<LeafKey, Arc<LeafIndex>>>,
-    /// Identity of the target pool the cached leaves index — `(length,
-    /// hash of every entity address in order)`, recorded on first use.
-    /// Leaf keys carry no pool identity (positions are relative to one
-    /// `targets` slice), so reuse against a different — or merely
-    /// reordered — pool would silently produce wrong candidates; the stamp
-    /// turns that misuse into a panic.
-    pool_stamp: Mutex<Option<(usize, u64)>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl SharedLeafIndexes {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        SharedLeafIndexes::default()
-    }
-
-    /// Drops every cached leaf index (a pool change — the pool identity is
-    /// forgotten together with the leaves).  Counters are cumulative and
-    /// survive.
-    pub fn clear(&self) {
-        self.leaves
-            .lock()
-            .expect("shared leaf cache poisoned")
-            .clear();
-        *self.pool_stamp.lock().expect("pool stamp poisoned") = None;
-    }
-
-    /// Records the pool on first use and rejects any later use against a
-    /// different pool (see `pool_stamp`).  Hashing every address keeps the
-    /// check exact for permutations and partial overlaps; the cost is one
-    /// pass over the pool per index assembly, dwarfed by the candidate
-    /// work that follows.
-    fn guard_pool(&self, targets: &[&Entity]) {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        for entity in targets {
-            std::hash::Hash::hash(&(*entity as *const Entity as usize), &mut hasher);
-        }
-        let stamp = (targets.len(), std::hash::Hasher::finish(&hasher));
-        let mut held = self.pool_stamp.lock().expect("pool stamp poisoned");
-        match *held {
-            None => *held = Some(stamp),
-            Some(existing) => assert_eq!(
-                existing, stamp,
-                "SharedLeafIndexes reused across different target pools; \
-                 clear() it (or use a fresh cache) when the pool changes"
-            ),
-        }
-    }
-
-    /// Cumulative hit/miss counters and the current entry count.
-    pub fn stats(&self) -> LeafReuseStats {
-        LeafReuseStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .leaves
-                .lock()
-                .expect("shared leaf cache poisoned")
-                .len(),
-        }
-    }
-
-    /// The leaf index of one comparison over the pool, built on first use.
-    /// The build runs outside the lock, so concurrent misses on one key may
-    /// both build (either result is identical).
-    fn leaf_for<'e>(
-        &self,
-        comparison: &IndexedComparison,
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-    ) -> Arc<LeafIndex> {
-        let key = comparison.leaf_reuse_key();
-        if let Some(leaf) = self
-            .leaves
-            .lock()
-            .expect("shared leaf cache poisoned")
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return leaf.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let entries = (0..).zip(targets.iter().copied());
-        let leaf = Arc::new(LeafIndex::bulk(
-            comparison,
-            through_cache(comparison, entries, cache),
-        ));
-        self.leaves
-            .lock()
-            .expect("shared leaf cache poisoned")
-            .entry(key)
-            .or_insert(leaf)
-            .clone()
-    }
-}
-
-/// Aggregate statistics of a serving [`LeafPool`].
+/// Aggregate statistics of a [`LeafPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LeafPoolStats {
     /// Plan slots whose leaf was already pooled when acquired (a whole
@@ -1102,13 +970,12 @@ struct PooledLeaf {
     comparison: IndexedComparison,
 }
 
-/// The serving-side leaf pool: one leaf index per distinct reuse key,
-/// Arc-shared by every registered rule's [`MultiBlockIndex`], maintained
-/// **once** per entity insert/remove instead of once per rule slot.
+/// The leaf pool: one leaf index per distinct reuse key, Arc-shared by every
+/// plan's [`MultiBlockIndex`] — a serving registry's rules, or an
+/// active-learning committee ([`MultiBlockIndex::build_all`]).
 ///
-/// Unlike active learning's [`SharedLeafIndexes`] — which is scoped to one
-/// immutable target pool and panics when the pool changes — the serving
-/// pool owns maintenance: [`LeafPool::insert_entity`] and
+/// A serving pool is maintained **once** per entity insert/remove instead
+/// of once per rule slot: [`LeafPool::insert_entity`] and
 /// [`LeafPool::remove_entity`] mutate each distinct leaf exactly once
 /// through `Arc::make_mut` (copy-on-write against pinned reader epochs),
 /// and the rules' per-slot views are reassembled from the pool's current
@@ -1579,8 +1446,9 @@ mod tests {
     }
 
     /// The bulk constructor at every batch call site — public slices, the
-    /// engine's bound columns, active learning's [`SharedLeafIndexes`], and a
-    /// serving [`LeafPool`] over a store with tombstone holes — sharded at
+    /// engine's bound columns, an active-learning committee's
+    /// [`MultiBlockIndex::build_all`], and a serving [`LeafPool`] over a
+    /// store with tombstone holes — sharded at
     /// 1/2/4 threads, against inserting the same entities one by one: maps,
     /// [`LeafBuildStats`] and `postings_sq`, whichever provider the values
     /// came from.
@@ -1606,15 +1474,15 @@ mod tests {
         // the column provider: every leaf (negative floor) from a bound side
         let compiled =
             linkdisc_rule::CompiledRule::compile(&rule, source.schema(), target.schema());
-        let bound = compiled.bind_target(target.entities().iter(), None);
+        let bound = compiled.bind_target(target.entities().iter());
         for threads in [1, 2, 4] {
             let columnar =
                 MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), threads, -1.0);
             assert_same_index(&columnar, &one_by_one);
         }
-        let shared =
-            MultiBlockIndex::build_shared(p.clone(), &targets, &cache, &SharedLeafIndexes::new());
-        assert_same_index(&shared, &one_by_one);
+        for committee in MultiBlockIndex::build_all([p.clone(), p.clone()], &targets, &cache) {
+            assert_same_index(&committee, &one_by_one);
+        }
 
         // serving: every third slot (but not the last) is a tombstone hole
         let mut store = linkdisc_entity::EntityStore::new(target.schema().clone());
@@ -1746,116 +1614,43 @@ mod tests {
     }
 
     #[test]
-    fn shared_leaves_are_reused_across_rules_and_dropped_on_clear() {
+    fn a_committee_shares_the_leaves_of_one_bound_bucket() {
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let shared = SharedLeafIndexes::new();
-        let targets: Vec<&linkdisc_entity::Entity> = target.entities().iter().collect();
-        // two different rules sharing the name comparison: the second build
-        // must hit the cached name leaf and only build the year leaf
-        let name_only: LinkageRule = compare(
-            property("name"),
-            property("name"),
-            DistanceFunction::Levenshtein,
-            2.0,
-        )
-        .into();
-        let first = MultiBlockIndex::build_shared(
-            Arc::new(plan(&name_only, &source, &target)),
-            &targets,
-            &cache,
-            &shared,
+        let targets: Vec<&Entity> = target.entities().iter().collect();
+        let name = |threshold: f64| -> LinkageRule {
+            compare(
+                property("name"),
+                property("name"),
+                DistanceFunction::Levenshtein,
+                threshold,
+            )
+            .into()
+        };
+        // θ 4 and θ 5 derive bounds 2 and 2.5, one ⌊bound⌋ bucket; θ 0.5
+        // derives bound 0.25, a bucket of its own
+        let plans: Vec<Arc<IndexingPlan>> = [name(4.0), name(5.0), name(0.5), name_year_rule()]
+            .iter()
+            .map(|rule| Arc::new(plan(rule, &source, &target)))
+            .collect();
+        let committee = MultiBlockIndex::build_all(plans.iter().cloned(), &targets, &cache);
+        let leaf = |index: usize| &committee[index].leaves[0];
+        assert!(Arc::ptr_eq(leaf(0), leaf(1)), "one bucket, one leaf");
+        assert!(
+            !Arc::ptr_eq(leaf(0), leaf(2)),
+            "θ 0.5 gets a leaf of its own"
         );
-        assert_eq!(shared.stats().hits, 0);
-        assert_eq!(shared.stats().misses, 1);
-        let second = MultiBlockIndex::build_shared(
-            Arc::new(plan(&name_year_rule(), &source, &target)),
-            &targets,
-            &cache,
-            &shared,
-        );
-        let stats = shared.stats();
-        assert_eq!(stats.hits, 1, "the name leaf is reused");
-        assert_eq!(stats.misses, 2, "only the year leaf is new");
-        assert_eq!(stats.entries, 2);
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        // the shared leaf is literally the same allocation
-        assert!(Arc::ptr_eq(&first.leaves[0], &second.leaves[0]));
-        // a bound in the same Levenshtein budget bucket also hits
-        let same_bucket: LinkageRule = compare(
-            property("name"),
-            property("name"),
-            DistanceFunction::Levenshtein,
-            3.0, // bound 1.5, same ⌊bound⌋ = 1 bucket as threshold 2.0
-        )
-        .into();
-        MultiBlockIndex::build_shared(
-            Arc::new(plan(&same_bucket, &source, &target)),
-            &targets,
-            &cache,
-            &shared,
-        );
-        assert_eq!(shared.stats().hits, 2);
-        // clear() invalidates: the next build over the pool rebuilds its leaves
-        shared.clear();
-        assert_eq!(shared.stats().entries, 0);
-        MultiBlockIndex::build_shared(
-            Arc::new(plan(&name_only, &source, &target)),
-            &targets,
-            &cache,
-            &shared,
-        );
-        let stats = shared.stats();
-        assert_eq!(stats.hits, 2, "cleared leaves cannot be hit");
-        assert_eq!(stats.misses, 3);
-        // a shared build produces exactly the slice build's candidates
-        let reference = MultiBlockIndex::build_slice(
-            plan(&name_year_rule(), &source, &target),
-            target.entities(),
-            &cache,
-            1,
-        );
-        for entity in source.entities() {
-            assert_eq!(
-                second.candidate_positions(entity, &cache),
-                reference.candidate_positions(entity, &cache)
-            );
+        // the same candidates as one build per plan
+        for (plan, index) in plans.iter().zip(&committee) {
+            let alone = MultiBlockIndex::build_slice(plan.clone(), target.entities(), &cache, 1);
+            assert_same_index(index, &alone);
+            for entity in source.entities() {
+                assert_eq!(
+                    index.candidate_positions(entity, &cache),
+                    alone.candidate_positions(entity, &cache)
+                );
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different target pools")]
-    fn shared_leaves_reject_a_different_target_pool() {
-        let (source, target) = (source(), target());
-        let other = DataSourceBuilder::new("C", ["name", "year"])
-            .entity("c0", [("name", "rome"), ("year", "0021")])
-            .unwrap()
-            .build();
-        let cache = ValueCache::new();
-        let shared = SharedLeafIndexes::new();
-        let rule: LinkageRule = compare(
-            property("name"),
-            property("name"),
-            DistanceFunction::Levenshtein,
-            2.0,
-        )
-        .into();
-        let targets: Vec<&linkdisc_entity::Entity> = target.entities().iter().collect();
-        MultiBlockIndex::build_shared(
-            Arc::new(plan(&rule, &source, &target)),
-            &targets,
-            &cache,
-            &shared,
-        );
-        // reusing the cache for another entity pool without clear() must
-        // panic instead of silently serving wrong positions
-        let other_targets: Vec<&linkdisc_entity::Entity> = other.entities().iter().collect();
-        MultiBlockIndex::build_shared(
-            Arc::new(plan(&rule, &source, &other)),
-            &other_targets,
-            &cache,
-            &shared,
-        );
     }
 
     /// A conjunction over a selective year leaf and an unselective name
@@ -2018,8 +1813,8 @@ mod tests {
                         source.schema(),
                         target.schema(),
                     );
-                    let bound_target = compiled.bind_target(target.entities().iter(), None);
-                    let bound_source = compiled.bind_source(source.entities().iter(), None);
+                    let bound_target = compiled.bind_target(target.entities().iter());
+                    let bound_source = compiled.bind_source(source.entities().iter());
                     let staged = MultiBlockIndex::build_staged(
                         p.clone(),
                         &bound_target,
@@ -2124,8 +1919,8 @@ mod tests {
             ));
             let compiled =
                 linkdisc_rule::CompiledRule::compile(&rule, source.schema(), target.schema());
-            let bound_target = compiled.bind_target(target.entities().iter(), None);
-            let bound_source = compiled.bind_source(source.entities().iter(), None);
+            let bound_target = compiled.bind_target(target.entities().iter());
+            let bound_source = compiled.bind_source(source.entities().iter());
             let build_start = Instant::now();
             let index =
                 MultiBlockIndex::build_staged(p.clone(), &bound_target, target.len(), 1, -1.0);

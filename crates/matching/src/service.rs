@@ -38,10 +38,10 @@
 //! # Multi-rule serving
 //!
 //! The registry serves many rules from **one** store, one interner and one
-//! epoch stream.  Per-comparison leaf indexes live in a serving-side
+//! epoch stream.  Per-comparison leaf indexes live in a
 //! [`crate::multiblock::LeafPool`] keyed by `(target chain hash, measure,
-//! bound bucket)` — the same reuse key active learning's
-//! [`crate::SharedLeafIndexes`] uses — so a leaf is built once,
+//! bound bucket)` — the pool active learning's committees build through
+//! ([`MultiBlockIndex::build_all`]) — so a leaf is built once,
 //! `Arc`-shared by every rule whose plan contains the key, and maintained
 //! **once** per entity mutation instead of once per rule.
 //! [`ServiceWriter::register_rule`] on a warm store builds only the

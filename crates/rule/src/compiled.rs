@@ -46,9 +46,10 @@
 //! the same entities once per rule (the matching engine).  Or the distance
 //! was measured before: a caller that scores **the same pairs under many
 //! rules** (the learner's fitness) keeps one [`DistanceColumn`] per distinct
-//! comparison ([`DistanceKey`]) over its pair list, and a comparison's score
-//! is `threshold_similarity(column[pair], θ)` — one division.  One evaluator
-//! body either way: same bounded walk, same score bits, same [`EvalStats`].
+//! comparison ([`DistanceKey`]) over its pair list in a [`ReferenceColumns`]
+//! memo, and a comparison's score is `threshold_similarity(column[pair], θ)`
+//! — one division.  One evaluator body either way: same bounded walk, same
+//! score bits, same [`EvalStats`].
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -557,24 +558,21 @@ impl CompiledRule {
     /// [`CompiledRule::evaluate_bound_stats`] then reads plain slices per
     /// pair.  The result owns its columns and borrows nothing.  Memory: one
     /// fat pointer per (read slot, entity) plus the transformed strings.
-    ///
-    /// `memo` lets rules over **the same entity list** share columns by
-    /// chain hash (see [`ColumnMemo`]); pass `None` for a one-rule job.
-    pub fn bind_source<'e, I>(&self, entities: I, memo: Option<&ColumnMemo>) -> BoundSide
+    pub fn bind_source<'e, I>(&self, entities: I) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
     {
         self.source
-            .bind(self.reads(|source, _| source), entities, memo)
+            .bind(self.reads(|source, _| source), entities, None)
     }
 
     /// [`CompiledRule::bind_source`] for the target side.
-    pub fn bind_target<'e, I>(&self, entities: I, memo: Option<&ColumnMemo>) -> BoundSide
+    pub fn bind_target<'e, I>(&self, entities: I) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
     {
         self.target
-            .bind(self.reads(|_, target| target), entities, memo)
+            .bind(self.reads(|_, target| target), entities, None)
     }
 
     /// The slots one side's comparisons read — `side` picks it from a
@@ -627,7 +625,7 @@ impl CompiledRule {
     }
 
     /// What each comparison's distance column is a function of, in
-    /// comparison order — the order [`CompiledRule::distance_column`] and
+    /// comparison order — the order [`ReferenceColumns::measure`] and
     /// [`CompiledRule::evaluate_columns_stats`] number comparisons in.
     pub fn distance_keys(&self) -> impl Iterator<Item = DistanceKey> + '_ {
         self.comparisons().map(|c| DistanceKey {
@@ -636,61 +634,6 @@ impl CompiledRule {
             function: c.function,
             band: column_band(c.function, c.threshold),
         })
-    }
-
-    /// Measures comparison number `comparison` on every `(source position,
-    /// target position)` of `pairs` over the two entity lists: per pair,
-    /// exactly the distance the comparison's kernel path turns into its
-    /// score (`∞` where a side is empty or, for a banded Levenshtein column,
-    /// the distance is past the band) — so [`threshold_similarity`] of a
-    /// cell under the comparison's threshold **is** the comparison's score,
-    /// bit for bit, for every comparison sharing the column's
-    /// [`DistanceKey`], whatever its threshold and weight.
-    ///
-    /// Only the two slots this comparison reads are bound, through the
-    /// lists' memos when given (see [`CompiledRule::bind_source`]).
-    pub fn distance_column<'e, S, T>(
-        &self,
-        comparison: usize,
-        sources: S,
-        source_memo: Option<&ColumnMemo>,
-        targets: T,
-        target_memo: Option<&ColumnMemo>,
-        pairs: impl Iterator<Item = (usize, usize)>,
-    ) -> DistanceColumn
-    where
-        S: Iterator<Item = &'e Entity> + Clone,
-        T: Iterator<Item = &'e Entity> + Clone,
-    {
-        let comparison = self
-            .comparisons()
-            .nth(comparison)
-            .expect("comparison number within the plan");
-        let band = column_band(comparison.function, comparison.threshold);
-        let token_ids = reads_token_ids(comparison.function);
-        let read = |slot| std::iter::once((slot, token_ids));
-        let source = self
-            .source
-            .bind(read(comparison.source), sources, source_memo);
-        let target = self
-            .target
-            .bind(read(comparison.target), targets, target_memo);
-        pairs
-            .map(|(source_position, target_position)| {
-                self.comparison_distance(
-                    comparison,
-                    band,
-                    Positioned {
-                        side: &source,
-                        position: source_position,
-                    },
-                    Positioned {
-                        side: &target,
-                        position: target_position,
-                    },
-                )
-            })
-            .collect()
     }
 
     /// [`CompiledRule::evaluate_bound_stats`] for pair number `pair` of the
@@ -1001,7 +944,7 @@ impl<S: SlotValues, T: SlotValues> ComparisonScores for (S, T) {
 }
 
 /// Pair number `pair` of the list `columns` were measured over (see
-/// [`CompiledRule::distance_column`]): a comparison is one division over its
+/// [`ReferenceColumns::measure`]): a comparison is one division over its
 /// column's cell.
 #[derive(Clone, Copy)]
 struct Measured<'c> {
@@ -1081,8 +1024,6 @@ impl<'b> SlotValues for Positioned<'b> {
 /// One slot's values (`C = String`) or sorted token ids (`C = u32`) for
 /// every entity of a bound list, by position.
 type Column<C> = Arc<[Arc<[C]>]>;
-/// Columns of one entity list by chain hash.
-type ColumnMap<C> = Mutex<HashMap<u64, Column<C>>>;
 
 /// One side of a [`CompiledRule`] bound to a list of entities (see
 /// [`CompiledRule::bind_source`]): per slot a comparison reads, a dense
@@ -1111,11 +1052,11 @@ impl BoundSide {
 }
 
 /// One comparison's distances over a fixed list of pairs, by pair number (see
-/// [`CompiledRule::distance_column`]).
+/// [`ReferenceColumns::measure`]).
 pub type DistanceColumn = Arc<[f64]>;
 
 /// What a [`DistanceColumn`] over a fixed pair list is a function of: the two
-/// chains compared (by structural hash, like [`ColumnMemo`]), the measure,
+/// chains compared (by structural hash), the measure,
 /// and — Levenshtein only — the band it was measured under (`None`:
 /// unbanded).  Not the threshold and not the weight: rules that differ only
 /// in those share the column.
@@ -1127,87 +1068,264 @@ pub struct DistanceKey {
     band: Option<usize>,
 }
 
-/// Cells a [`ColumnMemo`] map may hold before it is dropped wholesale
-/// (16 MiB of fat pointers).
-const COLUMN_MEMO_CELLS: usize = 1 << 20;
+/// Which side of a [`ReferenceColumns`] pool a value column belongs to:
+/// `SOURCE` or `TARGET`, the first half of a value column's memo key.
+type Side = usize;
+const SOURCE: Side = 0;
+const TARGET: Side = 1;
+/// Value or token-id columns of a pool by `(side, chain hash)`.
+type ColumnMap<C> = HashMap<(Side, u64), Column<C>>;
 
-/// Columns of **one fixed entity list**, shared by chain hash across the
-/// rules bound to it — intermediate chains included.
+/// Every column a learner computes over **one fixed reference pool**: the
+/// pool's distinct source and target entities, its pairs as positions into
+/// them, and one memo of three column kinds over those lists —
 ///
-/// A learner binds every rule of a population to the same reference
-/// entities, and populations are dominated by repeated chains, so most
-/// binds are a handful of `Arc` clones and a transformation chain appearing
-/// anywhere in the population is computed once per entity.  It is a pure
-/// memo — a column is a function of (entity list, chain hash) — and bounded:
-/// past [`COLUMN_MEMO_CELLS`] cells a map is dropped wholesale and refills.
-/// Passing one memo to binds over different lists is a caller bug (columns
-/// are positional); a length mismatch is caught by assertion.
+/// * **value columns** per side by chain hash, intermediate chains included,
+/// * **token-id columns** beside them, for the chains a Jaccard/Dice
+///   comparison reads,
+/// * **distance columns** over the pairs by [`DistanceKey`].
+///
+/// A learning run scores every rule of every generation on the same pairs,
+/// and GenLink's specialised crossover changes one aspect of a rule at a
+/// time, so almost every comparison of an offspring was measured under its
+/// parents, and a chain appearing anywhere in the population is transformed
+/// once per entity.  The memo is pure — a column is a function of the pool
+/// and its key, and the pool cannot change — and bounded: an insert that
+/// would take it past its cell cap drops every column of every kind first
+/// (rules already prepared keep theirs).  One lock guards all of it; columns
+/// are computed outside it, so concurrent misses on one key compute equal
+/// columns twice.
+#[derive(Debug)]
+pub struct ReferenceColumns<'e> {
+    sources: Vec<&'e Entity>,
+    targets: Vec<&'e Entity>,
+    pairs: Vec<(u32, u32)>,
+    cell_cap: usize,
+    memo: Mutex<Memo>,
+}
+
+/// What a [`ReferenceColumns`] holds, behind its one lock.
 #[derive(Debug, Default)]
-pub struct ColumnMemo {
+struct Memo {
     values: ColumnMap<String>,
     ids: ColumnMap<u32>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    distances: HashMap<DistanceKey, DistanceColumn>,
+    /// Cells held across the three maps.
+    cells: usize,
+    values_computed: u64,
+    /// Distance columns requested: hits are requests less misses.
+    distance_requests: u64,
+    distance_misses: u64,
+    drops: u64,
 }
 
-impl ColumnMemo {
-    /// Creates an empty memo (allocation-free).
-    pub fn new() -> Self {
-        ColumnMemo::default()
-    }
+/// Counters of a [`ReferenceColumns`] memo, cumulative across drops.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnStats {
+    /// Value and token-id columns computed — again after a drop.
+    pub values_computed: u64,
+    /// Value and token-id columns held now.
+    pub values_held: usize,
+    /// Distance-column requests answered from the memo.
+    pub distance_hits: u64,
+    /// Distance columns measured.
+    pub distance_misses: u64,
+    /// Times the memo was dropped wholesale.
+    pub drops: u64,
+}
 
-    /// Number of columns currently memoized.
-    pub fn len(&self) -> usize {
-        self.values.lock().expect("column memo poisoned").len()
-            + self.ids.lock().expect("column memo poisoned").len()
-    }
-
-    /// Returns `true` if no column is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Column requests answered from the memo so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Columns computed so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+impl Memo {
+    /// Memoizes `column` under `key` in `map`, dropping everything first if
+    /// the cap would be passed; returns the held column (an equal one, had a
+    /// concurrent miss got there first).
+    fn insert<K: Hash + Eq, T>(
+        &mut self,
+        map: fn(&mut Memo) -> &mut HashMap<K, Arc<[T]>>,
+        key: K,
+        column: Arc<[T]>,
+        cell_cap: usize,
+    ) -> Arc<[T]> {
+        if let Some(held) = map(self).get(&key) {
+            return held.clone();
+        }
+        if self.cells + column.len() > cell_cap {
+            self.values.clear();
+            self.ids.clear();
+            self.distances.clear();
+            self.cells = 0;
+            self.drops += 1;
+        }
+        self.cells += column.len();
+        map(self).insert(key, column.clone());
+        column
     }
 }
 
-/// Looks a column up by chain hash in `map(memo)`, building (outside the
-/// lock — concurrent misses on one hash build equal columns) and memoizing it
-/// on a miss.
+impl<'e> ReferenceColumns<'e> {
+    /// The default cell cap: value, token-id and distance cells together, at
+    /// most 16 bytes each before the transformed strings.
+    pub const CELLS: usize = 1 << 22;
+
+    /// A pool over `pairs` (in order; each side's entities are deduplicated
+    /// by address, in first-seen order) whose memo holds up to `cell_cap`
+    /// cells ([`ReferenceColumns::CELLS`] unless a test forces drops).
+    pub fn new(pairs: impl IntoIterator<Item = (&'e Entity, &'e Entity)>, cell_cap: usize) -> Self {
+        /// Position of `entity` in `list`, appended on first sight.
+        fn position<'e>(
+            entity: &'e Entity,
+            list: &mut Vec<&'e Entity>,
+            positions: &mut HashMap<usize, u32>,
+        ) -> u32 {
+            *positions
+                .entry(entity as *const Entity as usize)
+                .or_insert_with(|| {
+                    list.push(entity);
+                    (list.len() - 1) as u32
+                })
+        }
+        let (mut sources, mut targets) = (Vec::new(), Vec::new());
+        let (mut source_positions, mut target_positions) = (HashMap::new(), HashMap::new());
+        let pairs = pairs
+            .into_iter()
+            .map(|(source, target)| {
+                (
+                    position(source, &mut sources, &mut source_positions),
+                    position(target, &mut targets, &mut target_positions),
+                )
+            })
+            .collect();
+        ReferenceColumns {
+            sources,
+            targets,
+            pairs,
+            cell_cap,
+            memo: Mutex::default(),
+        }
+    }
+
+    /// The pool's distinct source entities, in first-seen order.
+    pub fn sources(&self) -> &[&'e Entity] {
+        &self.sources
+    }
+
+    /// The pool's distinct target entities, in first-seen order.
+    pub fn targets(&self) -> &[&'e Entity] {
+        &self.targets
+    }
+
+    /// The pairs, in the order given, as `(position into sources, position
+    /// into targets)` — what pair number `n` of a distance column means.
+    pub fn pairs(&self) -> &[(u32, u32)] {
+        &self.pairs
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+        self.memo.lock().expect("reference columns poisoned")
+    }
+
+    /// The distance column of every comparison of `rule`, in comparison
+    /// order: memoized, or measured and memoized.
+    pub fn distance_columns(&self, rule: &CompiledRule) -> Vec<DistanceColumn> {
+        rule.distance_keys()
+            .enumerate()
+            .map(|(comparison, key)| {
+                self.memoized(&key)
+                    .unwrap_or_else(|| self.memoize(key, self.measure(rule, comparison)))
+            })
+            .collect()
+    }
+
+    /// The memoized distance column of `key`, if any.  Every call counts as
+    /// one request; a caller that finds none measures the column and
+    /// [`ReferenceColumns::memoize`]s it, or waits for one that does.
+    pub fn memoized(&self, key: &DistanceKey) -> Option<DistanceColumn> {
+        let mut memo = self.lock();
+        memo.distance_requests += 1;
+        memo.distances.get(key).cloned()
+    }
+
+    /// Memoizes a column [`ReferenceColumns::measure`]d under `key`, counted
+    /// as a miss; returns the memo's column for the key.
+    pub fn memoize(&self, key: DistanceKey, column: DistanceColumn) -> DistanceColumn {
+        let mut memo = self.lock();
+        memo.distance_misses += 1;
+        memo.insert(|memo| &mut memo.distances, key, column, self.cell_cap)
+    }
+
+    /// Measures comparison number `comparison` of `rule` on every pair:
+    /// per pair, exactly the distance the comparison's kernel path turns
+    /// into its score (`∞` where a side is empty or, for a banded
+    /// Levenshtein column, the distance is past the band) — so
+    /// [`threshold_similarity`] of a cell under the comparison's threshold
+    /// **is** the comparison's score, bit for bit, for every comparison
+    /// sharing the column's [`DistanceKey`], whatever its threshold and
+    /// weight.  Only the two value columns the comparison reads are bound,
+    /// through the memo; the distance column itself is not memoized.
+    pub fn measure(&self, rule: &CompiledRule, comparison: usize) -> DistanceColumn {
+        let comparison = rule
+            .comparisons()
+            .nth(comparison)
+            .expect("comparison number within the plan");
+        let band = column_band(comparison.function, comparison.threshold);
+        let read = |slot| std::iter::once((slot, reads_token_ids(comparison.function)));
+        let source = rule.source.bind(
+            read(comparison.source),
+            self.sources.iter().copied(),
+            Some((self, SOURCE)),
+        );
+        let target = rule.target.bind(
+            read(comparison.target),
+            self.targets.iter().copied(),
+            Some((self, TARGET)),
+        );
+        let at = |side, position: u32| Positioned {
+            side,
+            position: position as usize,
+        };
+        self.pairs
+            .iter()
+            .map(|&(s, t)| {
+                rule.comparison_distance(comparison, band, at(&source, s), at(&target, t))
+            })
+            .collect()
+    }
+
+    /// The memo's counters.
+    pub fn stats(&self) -> ColumnStats {
+        let memo = self.lock();
+        ColumnStats {
+            values_computed: memo.values_computed,
+            values_held: memo.values.len() + memo.ids.len(),
+            distance_hits: memo.distance_requests.saturating_sub(memo.distance_misses),
+            distance_misses: memo.distance_misses,
+            drops: memo.drops,
+        }
+    }
+}
+
+/// A bind's memo, if any: the pool whose lists are bound and which side.
+type BindMemo<'m> = Option<(&'m ReferenceColumns<'m>, Side)>;
+
+/// The value or token-id column `map` holds under `(side, chain_hash)`,
+/// built (outside the lock) and memoized on a miss; just built without a
+/// memo.
 fn memoized_column<C>(
-    memo: Option<&ColumnMemo>,
-    map: fn(&ColumnMemo) -> &ColumnMap<C>,
+    memo: BindMemo<'_>,
+    map: fn(&mut Memo) -> &mut ColumnMap<C>,
     chain_hash: u64,
-    len: usize,
     build: impl FnOnce() -> Column<C>,
 ) -> Column<C> {
-    let Some(memo) = memo else {
+    let Some((pool, side)) = memo else {
         return build();
     };
-    let columns = map(memo);
-    if let Some(column) = columns
-        .lock()
-        .expect("column memo poisoned")
-        .get(&chain_hash)
-    {
-        assert_eq!(column.len(), len, "ColumnMemo reused across entity lists");
-        memo.hits.fetch_add(1, Ordering::Relaxed);
+    let key = (side, chain_hash);
+    if let Some(column) = map(&mut pool.lock()).get(&key) {
         return column.clone();
     }
-    memo.misses.fetch_add(1, Ordering::Relaxed);
     let column = build();
-    let mut columns = columns.lock().expect("column memo poisoned");
-    if (columns.len() + 1) * len > COLUMN_MEMO_CELLS {
-        columns.clear();
-    }
-    columns.entry(chain_hash).or_insert(column).clone()
+    let mut memo = pool.lock();
+    memo.values_computed += 1;
+    memo.insert(map, key, column, pool.cell_cap)
 }
 
 impl SlotProgram {
@@ -1217,7 +1335,7 @@ impl SlotProgram {
         &self,
         reads: impl Iterator<Item = (SlotId, bool)>,
         entities: I,
-        memo: Option<&ColumnMemo>,
+        memo: BindMemo<'_>,
     ) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
@@ -1235,9 +1353,8 @@ impl SlotProgram {
             if token_ids && bound.ids[slot].is_none() {
                 bound.ids[slot] = Some(memoized_column(
                     memo,
-                    |memo| &memo.ids,
+                    |memo| &mut memo.ids,
                     self.hashes[slot],
-                    len,
                     || {
                         values
                             .iter()
@@ -1264,7 +1381,7 @@ impl SlotProgram {
         slot: SlotId,
         entities: &I,
         len: usize,
-        memo: Option<&ColumnMemo>,
+        memo: BindMemo<'_>,
         built: &mut [Option<Column<String>>],
     ) -> Column<String>
     where
@@ -1275,9 +1392,8 @@ impl SlotProgram {
         }
         let column = memoized_column(
             memo,
-            |memo| &memo.values,
+            |memo| &mut memo.values,
             self.hashes[slot],
-            len,
             || match &self.slots[slot] {
                 Slot::Property { name, index } => {
                     let empty: Arc<[String]> = Arc::from(Vec::new());
@@ -2229,11 +2345,10 @@ mod tests {
                 .value("label", "berlin")
                 .build_with_own_schema(),
         ];
-        let (sources, targets) = (ColumnMemo::new(), ColumnMemo::new());
         let rule = figure2_rule();
         let compiled = CompiledRule::compile(&rule, &schema, &schema);
-        let source = compiled.bind_source(entities.iter(), Some(&sources));
-        let target = compiled.bind_target(entities.iter(), Some(&targets));
+        let source = compiled.bind_source(entities.iter());
+        let target = compiled.bind_target(entities.iter());
         let mut bound = Vec::new();
         for s in 0..entities.len() {
             for t in 0..entities.len() {
@@ -2268,11 +2383,6 @@ mod tests {
             }
         }
         assert_eq!(bound, cached);
-        // the memo holds the intermediate column too: label, lowerCase(label)
-        // and point, each computed once
-        assert_eq!(sources.len(), 3);
-        assert_eq!((sources.hits(), sources.misses()), (0, 3));
-        assert_eq!(targets.len(), 3);
         // the bound side keeps only what comparisons read, findable by chain
         let lower = transform(TransformFunction::LowerCase, vec![property("label")]);
         let lowered = source.values_of(value_operator_hash(&lower)).unwrap();
@@ -2281,14 +2391,39 @@ mod tests {
         assert!(source
             .values_of(value_operator_hash(&property("label")))
             .is_none());
-        // a second rule reading lowerCase(label) gets the memoized column
+        // a pool over the same cross product scores like the bound sides,
+        // and its memo holds the intermediate column too: label,
+        // lowerCase(label) and point, computed once per side
+        let pairs = entities
+            .iter()
+            .flat_map(|a| entities.iter().map(move |b| (a, b)));
+        let pool = ReferenceColumns::new(pairs, ReferenceColumns::CELLS);
+        assert_eq!((pool.sources().len(), pool.pairs().len()), (3, 9));
+        let columns = pool.distance_columns(&compiled);
+        let measured: Vec<_> = (0..9)
+            .map(|pair| {
+                let mut stats = EvalStats::default();
+                let score = compiled.evaluate_columns_stats(
+                    &columns,
+                    pair,
+                    crate::rule::LINK_THRESHOLD,
+                    &mut stats,
+                );
+                (score.to_bits(), stats)
+            })
+            .collect();
+        assert_eq!(measured, bound);
+        let stats = pool.stats();
+        assert_eq!((stats.values_held, stats.values_computed), (6, 6));
+        assert_eq!((stats.distance_hits, stats.distance_misses), (0, 2));
+        // a second rule over known chains computes no value column, only
+        // its new distance column
         let other: LinkageRule =
             compare(lower, property("label"), DistanceFunction::Equality, 0.5).into();
-        let other = CompiledRule::compile(&other, &schema, &schema);
-        let other_source = other.bind_source(entities.iter(), Some(&sources));
-        let shared = |side: &BoundSide| side.values.iter().flatten().next().cloned().unwrap();
-        assert!(Arc::ptr_eq(&shared(&source), &shared(&other_source)));
-        assert_eq!((sources.len(), sources.hits()), (3, 1));
+        pool.distance_columns(&CompiledRule::compile(&other, &schema, &schema));
+        let stats = pool.stats();
+        assert_eq!((stats.values_held, stats.values_computed), (6, 6));
+        assert_eq!((stats.distance_misses, stats.drops), (3, 0));
     }
 
     #[test]
@@ -2338,21 +2473,19 @@ mod tests {
                 .build(schema.clone()),
             EntityBuilder::new("c").build(schema.clone()),
         ];
-        let column = |comparison| {
-            compiled.distance_column(
-                comparison,
-                entities.iter(),
-                None,
-                entities.iter(),
-                None,
-                [(0, 0), (0, 1), (0, 2)].into_iter(),
-            )
-        };
+        let pool = ReferenceColumns::new(
+            entities.iter().map(|target| (&entities[0], target)),
+            ReferenceColumns::CELLS,
+        );
         let infinity = f64::INFINITY;
-        assert_eq!(*column(0), [1.0, infinity, infinity]);
-        assert_eq!(*column(2), [1.0, 13.0, infinity]);
+        assert_eq!(*pool.measure(&compiled, 0), [1.0, infinity, infinity]);
+        assert_eq!(*pool.measure(&compiled, 2), [1.0, 13.0, infinity]);
+        // the two comparisons sharing a key share one column
+        let columns = pool.distance_columns(&compiled);
+        assert!(Arc::ptr_eq(&columns[0], &columns[1]));
+        let counted = pool.stats();
+        assert_eq!((counted.distance_hits, counted.distance_misses), (1, 4));
         let mut stats = EvalStats::default();
-        let columns: Vec<DistanceColumn> = (0..5).map(column).collect();
         let cache = ValueCache::new();
         for (pair, target) in entities.iter().enumerate() {
             assert_eq!(

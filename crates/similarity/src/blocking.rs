@@ -453,8 +453,8 @@ impl DistanceFunction {
     /// bounds in the same bucket are **guaranteed** to produce identical
     /// [`DistanceFunction::index_keys_into`] output for every value set, so a
     /// leaf index built at one bound can be shared by any comparison whose
-    /// bound falls into the same bucket (the key of
-    /// `SharedLeafIndexes` in `linkdisc-matching`).
+    /// bound falls into the same bucket (part of the key of `LeafPool` in
+    /// `linkdisc-matching`).
     ///
     /// The bucket is as coarse as each key scheme allows:
     ///

@@ -16,8 +16,9 @@
 //! read by position — to its first, the `(entity, ValueCache)` path, bit for
 //! bit and counter for counter.  The tests after it pin the evaluator's
 //! other way of scoring a comparison — one division over a distance column
-//! measured once per distinct `(source chain, target chain, measure)` and
-//! shared by every rule of a learning run — to the kernel path, the same way.
+//! measured once per distinct `(source chain, target chain, measure, band)`
+//! and shared by every rule of a learning run through one
+//! `ReferenceColumns` memo — to the kernel path, the same way.
 
 use genlink::random::RandomRuleGenerator;
 use genlink::seeding::SeedingConfig;
@@ -32,9 +33,9 @@ use linkdisc_entity::{
 };
 use linkdisc_evaluation::{evaluate_compiled, evaluate_compiled_stats, evaluate_rule};
 use linkdisc_rule::{
-    aggregation, compare, property, transform, AggregationFunction, ColumnMemo, CompiledRule,
-    DistanceColumn, DistanceFunction, EvalStats, LinkageRule, TransformFunction, ValueCache,
-    LINK_THRESHOLD,
+    aggregation, compare, property, transform, AggregationFunction, ColumnStats, CompiledRule,
+    DistanceColumn, DistanceFunction, EvalStats, LinkageRule, ReferenceColumns, TransformFunction,
+    ValueCache, LINK_THRESHOLD,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -370,8 +371,7 @@ proptest! {
     /// across sides (few properties, up to four comparisons, Jaccard/Dice
     /// slots next to value slots) plus one rule of nested chains over a
     /// shared intermediate slot, entities with empty value sets and a
-    /// foreign-schema entity per side — with and without a column memo
-    /// shared by all of a case's rules.  The bound sides are filled
+    /// foreign-schema entity per side.  The bound sides are filled
     /// columnwise and never see the cache the reference side reads.
     #[test]
     fn bound_evaluation_equals_cached_evaluation(
@@ -420,7 +420,6 @@ proptest! {
         generator.max_comparisons = 4;
         let mut rng = StdRng::seed_from_u64(seed);
         let cache = ValueCache::new();
-        let (source_memo, target_memo) = (ColumnMemo::new(), ColumnMemo::new());
         for round in 0..5 {
             let rule = if round == 4 {
                 nested_chain_rule()
@@ -431,75 +430,55 @@ proptest! {
                 generator.generate(&mut rng)
             };
             let compiled = CompiledRule::compile(&rule, &schema, &schema);
-            for memo in [None, Some((&source_memo, &target_memo))] {
-                let bound_sources =
-                    compiled.bind_source(sources.iter(), memo.map(|memo| memo.0));
-                let bound_targets =
-                    compiled.bind_target(targets.iter(), memo.map(|memo| memo.1));
-                for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
-                    for (s, source) in sources.iter().enumerate() {
-                        for (t, target) in targets.iter().enumerate() {
-                            let (mut cached_stats, mut bound_stats) =
-                                (EvalStats::default(), EvalStats::default());
-                            let cached = compiled.evaluate_bounded_two_stats(
-                                source, target, &cache, &cache, threshold, &mut cached_stats,
-                            );
-                            let bound = compiled.evaluate_bound_stats(
-                                &bound_sources, s, &bound_targets, t, threshold, &mut bound_stats,
-                            );
-                            prop_assert_eq!(
-                                cached.to_bits(),
-                                bound.to_bits(),
-                                "{:?} on ({}, {}) at {}", rule, source.id(), target.id(), threshold
-                            );
-                            prop_assert_eq!(cached_stats, bound_stats);
-                            if threshold == f64::NEG_INFINITY {
-                                let pair = EntityPair::new(source, target);
-                                prop_assert_eq!(bound.to_bits(), rule.evaluate(&pair).to_bits());
-                            }
+            let bound_sources = compiled.bind_source(sources.iter());
+            let bound_targets = compiled.bind_target(targets.iter());
+            for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
+                for (s, source) in sources.iter().enumerate() {
+                    for (t, target) in targets.iter().enumerate() {
+                        let (mut cached_stats, mut bound_stats) =
+                            (EvalStats::default(), EvalStats::default());
+                        let cached = compiled.evaluate_bounded_two_stats(
+                            source, target, &cache, &cache, threshold, &mut cached_stats,
+                        );
+                        let bound = compiled.evaluate_bound_stats(
+                            &bound_sources, s, &bound_targets, t, threshold, &mut bound_stats,
+                        );
+                        prop_assert_eq!(
+                            cached.to_bits(),
+                            bound.to_bits(),
+                            "{:?} on ({}, {}) at {}", rule, source.id(), target.id(), threshold
+                        );
+                        prop_assert_eq!(cached_stats, bound_stats);
+                        if threshold == f64::NEG_INFINITY {
+                            let pair = EntityPair::new(source, target);
+                            prop_assert_eq!(bound.to_bits(), rule.evaluate(&pair).to_bits());
                         }
                     }
                 }
             }
         }
-        prop_assert!(!source_memo.is_empty() && !target_memo.is_empty());
-        // every column was computed once, however many rules and slots read it
-        prop_assert_eq!(source_memo.misses() as usize, source_memo.len());
-        prop_assert_eq!(target_memo.misses() as usize, target_memo.len());
     }
 }
 
-/// Asserts that scoring `rule` from distance columns *is*
-/// `evaluate_bound_stats` on every pair of `pairs` (positions into the two
-/// entity lists): score bits and `EvalStats` field for field, at the link
-/// threshold and at `lo = −∞`.  Returns the number of pairs scoring at or
-/// above the link threshold.
-fn assert_columns_score_like_bound_sides(
-    rule: &LinkageRule,
-    (sources, targets): (&[&Entity], &[&Entity]),
-    (source_memo, target_memo): (&ColumnMemo, &ColumnMemo),
-    pairs: &[(usize, usize)],
-) -> usize {
+/// Asserts that scoring `rule` from distance columns measured through
+/// `pool`'s memo *is* `evaluate_bound_stats` on every pair of the pool
+/// (sides bound without a memo): score bits and `EvalStats` field for field,
+/// at the link threshold and at `lo = −∞`.  Returns the number of pairs
+/// scoring at or above the link threshold.
+fn assert_columns_score_like_bound_sides(rule: &LinkageRule, pool: &ReferenceColumns) -> usize {
+    let (sources, targets) = (pool.sources(), pool.targets());
     let schema = |entities: &[&Entity]| entities[0].schema().clone();
     let compiled = CompiledRule::compile(rule, &schema(sources), &schema(targets));
-    let bound_sources = compiled.bind_source(sources.iter().copied(), None);
-    let bound_targets = compiled.bind_target(targets.iter().copied(), None);
+    let bound_sources = compiled.bind_source(sources.iter().copied());
+    let bound_targets = compiled.bind_target(targets.iter().copied());
     let columns: Vec<DistanceColumn> = (0..compiled.comparison_count() as usize)
-        .map(|comparison| {
-            compiled.distance_column(
-                comparison,
-                sources.iter().copied(),
-                Some(source_memo),
-                targets.iter().copied(),
-                Some(target_memo),
-                pairs.iter().copied(),
-            )
-        })
+        .map(|comparison| pool.measure(&compiled, comparison))
         .collect();
     assert_eq!(columns.len(), compiled.distance_keys().count());
     let mut links = 0;
     for lo in [LINK_THRESHOLD, f64::NEG_INFINITY] {
-        for (pair, &(s, t)) in pairs.iter().enumerate() {
+        for (pair, &(s, t)) in pool.pairs().iter().enumerate() {
+            let (s, t) = (s as usize, t as usize);
             let (mut bound_stats, mut column_stats) = (EvalStats::default(), EvalStats::default());
             let bound = compiled.evaluate_bound_stats(
                 &bound_sources,
@@ -526,29 +505,26 @@ fn assert_columns_score_like_bound_sides(
     links
 }
 
-/// The distinct entities of each side of a resolved link set, and its pairs
-/// as positions into them.
-fn pool<'a>(
-    resolved: &ResolvedReferenceLinks<'a>,
-    limit: usize,
-) -> (Vec<&'a Entity>, Vec<&'a Entity>, Vec<(usize, usize)>) {
-    fn position<'a>(entity: &'a Entity, list: &mut Vec<&'a Entity>) -> usize {
-        list.iter()
-            .position(|known| std::ptr::eq(*known, entity))
-            .unwrap_or_else(|| {
-                list.push(entity);
-                list.len() - 1
-            })
-    }
-    let (mut sources, mut targets, mut pairs) = (Vec::new(), Vec::new(), Vec::new());
+/// A pool over up to `limit` positive and `limit` negative pairs of a
+/// resolved link set.
+fn pool<'a>(resolved: &ResolvedReferenceLinks<'a>, limit: usize) -> ReferenceColumns<'a> {
     let positive = resolved.positive().iter().take(limit);
-    for pair in positive.chain(resolved.negative().iter().take(limit)) {
-        pairs.push((
-            position(pair.source, &mut sources),
-            position(pair.target, &mut targets),
-        ));
-    }
-    (sources, targets, pairs)
+    let pairs = positive.chain(resolved.negative().iter().take(limit));
+    ReferenceColumns::new(
+        pairs.map(|pair| (pair.source, pair.target)),
+        ReferenceColumns::CELLS,
+    )
+}
+
+/// Asserts that a memo transformed every chain once: no drop, and as many
+/// value columns computed as it holds.
+fn assert_each_chain_computed_once(stats: ColumnStats, what: &str) {
+    assert_eq!(stats.drops, 0, "{what}: {stats:?}");
+    assert!(stats.values_held > 0, "{what}: {stats:?}");
+    assert_eq!(
+        stats.values_computed, stats.values_held as u64,
+        "{what}: a chain was transformed twice: {stats:?}"
+    );
 }
 
 /// GP-shaped rules over `pairs` drawing on **every** measure: random rules
@@ -593,7 +569,7 @@ fn distance_columns_score_like_kernels_over_random_gp_rules() {
         let dataset = kind.generate(scale, 29);
         let resolved =
             ResolvedReferenceLinks::resolve(&dataset.links, &dataset.source, &dataset.target);
-        let (sources, targets, pairs) = pool(&resolved, 24);
+        let pool = pool(&resolved, 24);
         // seeded pairs cycle through every measure so each is the pair's own
         // function somewhere, beside the generator's uniform draw
         let mut compatible = find_compatible_properties(
@@ -607,14 +583,8 @@ fn distance_columns_score_like_kernels_over_random_gp_rules() {
             pair.function = DistanceFunction::ALL[i % DistanceFunction::ALL.len()];
         }
         let fitness = FitnessFunction::new(&resolved, ParsimonyModel::default());
-        let (source_memo, target_memo) = (ColumnMemo::new(), ColumnMemo::new());
         for rule in gp_rules(compatible, 110, 4711) {
-            links += assert_columns_score_like_bound_sides(
-                &rule,
-                (&sources, &targets),
-                (&source_memo, &target_memo),
-                &pairs,
-            );
+            links += assert_columns_score_like_bound_sides(&rule, &pool);
             // the learner's path end to end: memoized columns, shared
             // across the rules of this loop, against the tree walk
             assert_eq!(
@@ -626,11 +596,16 @@ fn distance_columns_score_like_kernels_over_random_gp_rules() {
             measures.extend(root.comparisons().iter().map(|c| c.function));
             rules_checked += 1;
         }
-        let (hits, misses) = fitness.distance_memo_stats();
+        let stats = fitness.column_stats();
         assert!(
-            hits > misses,
-            "{kind}: crossover offspring must reuse their parents' columns ({hits} hits, {misses} misses)"
+            stats.distance_hits > stats.distance_misses,
+            "{kind}: crossover offspring must reuse their parents' columns: {stats:?}"
         );
+        // a chain is transformed once per run, however many rules and
+        // comparisons read it — in the fitness function's memo and in this
+        // loop's own
+        assert_each_chain_computed_once(stats, &format!("{kind} fitness"));
+        assert_each_chain_computed_once(pool.stats(), &format!("{kind} pool"));
     }
     assert!(rules_checked >= 300, "only {rules_checked} rules");
     assert!(links > 300, "only {links} linked pairs exercised exactness");
@@ -685,10 +660,9 @@ fn adversarial_sources() -> (DataSource, DataSource, ReferenceLinks) {
 fn distance_columns_survive_adversarial_thresholds_and_values() {
     let (source, target, links) = adversarial_sources();
     let resolved = ResolvedReferenceLinks::resolve(&links, &source, &target);
-    let (sources, targets, pairs) = pool(&resolved, usize::MAX);
-    assert_eq!(pairs.len(), 16);
+    let pool = pool(&resolved, usize::MAX);
+    assert_eq!(pool.pairs().len(), 16);
     let fitness = FitnessFunction::new(&resolved, ParsimonyModel::default());
-    let (source_memo, target_memo) = (ColumnMemo::new(), ColumnMemo::new());
     // thresholds on both sides of the band switch at ⌊θ⌋ = 10, distances
     // exactly on a threshold (3 at θ = 3, 10 at θ = 10, 51 at θ = 51, 0 at
     // θ ≤ 0), and the degenerate ones
@@ -735,12 +709,7 @@ fn distance_columns_survive_adversarial_thresholds_and_values() {
                 )
                 .into();
                 for rule in [&single, &nested] {
-                    assert_columns_score_like_bound_sides(
-                        rule,
-                        (&sources, &targets),
-                        (&source_memo, &target_memo),
-                        &pairs,
-                    );
+                    assert_columns_score_like_bound_sides(rule, &pool);
                     assert_eq!(
                         fitness.confusion(rule),
                         fitness.confusion_tree_walk(rule),
@@ -752,12 +721,14 @@ fn distance_columns_survive_adversarial_thresholds_and_values() {
     }
     // the whole grid read: one column per measure and source chain, plus the
     // unbanded Levenshtein ones of the thresholds past the band
-    let (hits, misses) = fitness.distance_memo_stats();
+    let stats = fitness.column_stats();
     assert_eq!(
-        misses,
+        stats.distance_misses,
         DistanceFunction::ALL.len() as u64 + 3,
-        "{hits} hits"
+        "{stats:?}"
     );
+    assert_each_chain_computed_once(stats, "fitness");
+    assert_each_chain_computed_once(pool.stats(), "pool");
 }
 
 /// A pool of Cora links and a population's worth of rules over it.
@@ -773,39 +744,44 @@ fn memo_fixture() -> (linkdisc_datasets::Dataset, Vec<LinkageRule>) {
 }
 
 #[test]
-fn a_distance_memo_dropped_mid_run_changes_no_fitness() {
+fn a_memo_dropped_mid_run_changes_no_fitness() {
     let (dataset, rules) = memo_fixture();
     let resolved =
         ResolvedReferenceLinks::resolve(&dataset.links, &dataset.source, &dataset.target);
     let roomy = FitnessFunction::new(&resolved, ParsimonyModel::default());
-    // room for three columns: the memo is dropped wholesale again and again,
-    // in the middle of batches too
-    let tight = FitnessFunction::with_distance_memo_cells(
-        &resolved,
-        ParsimonyModel::default(),
-        3 * resolved.len(),
-    );
     let expected: Vec<_> = rules.iter().map(|rule| roomy.evaluate(rule)).collect();
-    // one by one (the steady-state path) ...
-    let one_by_one: Vec<_> = rules.iter().map(|rule| tight.evaluate(rule)).collect();
-    assert_eq!(expected, one_by_one);
-    // ... and a generation at a time, on one and on several threads
-    let batch: Vec<&LinkageRule> = rules.iter().collect();
-    for threads in [1, 3] {
-        for generation in batch.chunks(20) {
-            let prepared = tight.prepare_batch(generation, threads);
-            for (rule, prepared) in generation.iter().zip(&prepared) {
-                let at = rules.iter().position(|known| known == *rule).unwrap();
-                assert_eq!(tight.evaluate_prepared(rule, prepared), expected[at]);
+    let roomy = roomy.column_stats();
+    assert_eq!(roomy.drops, 0, "{roomy:?}");
+    // room for three distance columns, and for none: the memo is dropped
+    // wholesale again and again — in the middle of batches, and between the
+    // value columns of one bind
+    for cells in [3 * resolved.len(), 0] {
+        let tight = FitnessFunction::with_memo_cells(&resolved, ParsimonyModel::default(), cells);
+        // one by one (the steady-state path) ...
+        let one_by_one: Vec<_> = rules.iter().map(|rule| tight.evaluate(rule)).collect();
+        assert_eq!(expected, one_by_one, "{cells} cells");
+        // ... and a generation at a time, on one and on several threads
+        let batch: Vec<&LinkageRule> = rules.iter().collect();
+        for threads in [1, 3] {
+            for generation in batch.chunks(20) {
+                let prepared = tight.prepare_batch(generation, threads);
+                for (rule, prepared) in generation.iter().zip(&prepared) {
+                    let at = rules.iter().position(|known| known == *rule).unwrap();
+                    assert_eq!(
+                        tight.evaluate_prepared(rule, prepared),
+                        expected[at],
+                        "{cells} cells, {threads} threads"
+                    );
+                }
             }
         }
+        let stats = tight.column_stats();
+        assert!(
+            stats.values_computed > roomy.values_computed
+                && stats.distance_misses > 3 * roomy.distance_misses,
+            "{cells} cells never dropped: {stats:?} against {roomy:?}"
+        );
     }
-    let (_, roomy_misses) = roomy.distance_memo_stats();
-    let (_, tight_misses) = tight.distance_memo_stats();
-    assert!(
-        tight_misses > 3 * roomy_misses,
-        "the tight memo never dropped: {tight_misses} misses against {roomy_misses}"
-    );
 }
 
 #[test]
@@ -832,7 +808,8 @@ fn two_threads_missing_on_one_key_measure_twice_never_differently() {
             "{rule:?}"
         );
         // every request is a hit or a miss, and at least one thread measured
-        let (hits, misses) = fitness.distance_memo_stats();
+        let stats = fitness.column_stats();
+        let (hits, misses) = (stats.distance_hits, stats.distance_misses);
         assert_eq!(hits + misses, 3 * comparisons);
         assert!(misses >= 1 && misses <= 2 * comparisons, "{misses} misses");
     }

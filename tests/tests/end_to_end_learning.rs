@@ -206,8 +206,9 @@ fn learned_rules_match_the_recorded_goldens() {
     }
 }
 
-/// A learning run at the paper's size measures each distinct comparison once
-/// and scores everything else from memory — without changing a fitness
+/// A learning run at the paper's size measures each distinct comparison once,
+/// transforms each chain once — its pool memo never drops under the one cell
+/// cap — and scores everything else from memory, without changing a fitness
 /// value.  Release only (`cargo test --release -p linkdisc-tests --test
 /// end_to_end_learning -- --ignored distance_columns`, about a second).
 /// The run is `GenLink::learn`'s generational path taken apart, because the
@@ -232,8 +233,10 @@ fn distance_columns_carry_a_long_run() {
     let mut generator = RandomRuleGenerator::new(pairs, config.representation);
     generator.transformation_probability = config.transformation_probability;
     generator.max_comparisons = config.max_initial_comparisons;
+    // a clone shares the run's pool and its memo
+    let run_fitness = FitnessFunction::new(&resolved, config.parsimony);
     let problem = GenLinkProblem::new(
-        FitnessFunction::new(&resolved, config.parsimony),
+        run_fitness.clone(),
         generator,
         config.crossover_operators.clone(),
         config.representation,
@@ -248,6 +251,14 @@ fn distance_columns_carry_a_long_run() {
         "{} hits, {} misses",
         cache.distance_hits,
         cache.distance_misses
+    );
+    // the one cell cap fits the paper's protocol: the memo never dropped,
+    // so every chain was transformed once for the whole run
+    let columns = run_fitness.column_stats();
+    assert_eq!(columns.drops, 0, "{columns:?}");
+    assert_eq!(
+        columns.values_computed, columns.values_held as u64,
+        "{columns:?}"
     );
     // the final population's fitness, scored cold: a fresh fitness function
     // per rule measures every column for it and inherits none

@@ -137,8 +137,9 @@ fn steady_state_learning_is_bit_identical_across_evaluator_counts() {
 
 #[test]
 fn deterministic_cache_counters_are_thread_count_invariant() {
-    // fitness-cache and distance-memo counters are resolved on one thread per
-    // generation by design, so unlike the column memos' they must agree too
+    // fitness-cache and distance-column counters are resolved on one thread
+    // per generation by design, so unlike the value-column counts they must
+    // agree too
     let dataset = DatasetKind::Restaurant.generate(0.2, 3);
     let mut reference = None;
     for threads in [1, 2, 4] {
