@@ -27,10 +27,11 @@
 //!
 //! The engine owns **no value cache**.  The compiled rule **binds** each side
 //! once — the target chunk before its index build, shared by all workers;
-//! each worker's source span before its first probe — into dense per-slot
-//! columns (see [`CompiledRule::bind_target`]): a transformation runs once
-//! per (entity, chain), and the index build, candidate probes and pair
-//! scoring all read the same columns by position.
+//! each worker's source span before its first probe — in one pass over its
+//! entities into flat per-slot columns (see [`CompiledRule::bind_target`]):
+//! a transformation runs once per (entity, chain) at one allocation per
+//! output value, and the index build, candidate probes and pair scoring all
+//! read the same columns by position.
 
 use linkdisc_entity::{
     DataSource, Entity, MaterializedStream, RestreamableSource, StreamingSource,

@@ -57,6 +57,7 @@ use std::sync::Arc;
 use linkdisc_entity::{DataSource, Entity};
 use linkdisc_rule::{
     BoundSide, ChainValues, CompiledChain, IndexedComparison, IndexingPlan, PlanNode, ValueCache,
+    ValueColumn,
 };
 use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, ProbeGroup, ProbeKeys};
 use linkdisc_util::resolve_threads;
@@ -801,13 +802,13 @@ impl<'b> ProbeValues for BoundProbe<'b> {
     type Values = &'b [String];
 
     fn values(self, leaf: usize, _comparison: &IndexedComparison) -> &'b [String] {
-        &self.columns[leaf][self.position]
+        self.columns[leaf].cell(self.position)
     }
 }
 
 /// The values columns of a plan's comparison chains on one bound side, by
 /// leaf slot.
-pub(crate) type ChainColumns<'b> = Vec<&'b [Arc<[String]>]>;
+pub(crate) type ChainColumns<'b> = Vec<&'b ValueColumn<String>>;
 
 /// Resolves the chains `chain` picks from each comparison — the source chains
 /// a bound source side probes with, or the target chains a bound target chunk
@@ -849,8 +850,8 @@ impl Staging<'_> {
             .entry(comparison.leaf_reuse_key())
             .or_insert_with(|| {
                 Arc::new(sharded_leaf(len, threads, |range| {
-                    let values = column[range.clone()].iter().map(|values| &**values);
-                    LeafIndex::bulk(comparison, (range.start as u32..).zip(values))
+                    let cells = range.clone().map(|position| column.cell(position));
+                    LeafIndex::bulk(comparison, (range.start as u32..).zip(cells))
                 }))
             })
             .clone()
@@ -864,14 +865,14 @@ impl Staging<'_> {
             PlanNode::All | PlanNode::Nothing => 0.0,
             PlanNode::Leaf(leaf) => {
                 let comparison = &self.plan.comparisons()[*leaf];
-                let sample = &self.columns[*leaf][..self.len.min(64)];
+                let sample = self.len.min(64);
                 let mut keys: Vec<BlockKey> = Vec::new();
                 let mut total = 0usize;
-                for values in sample {
+                for values in self.columns[*leaf].iter().take(sample) {
                     comparison.index_keys_into(values, &mut keys);
                     total += keys.len();
                 }
-                total as f64 / sample.len().max(1) as f64
+                total as f64 / sample.max(1) as f64
             }
             PlanNode::Intersect(children) | PlanNode::Union(children) => {
                 children.iter().map(|c| self.keys_per_entity(c)).sum()
@@ -1981,7 +1982,7 @@ mod tests {
                 };
                 let mut keys = ProbeKeys::new();
                 let mut costs = Vec::new();
-                for values in columns[leaf] {
+                for values in columns[leaf].iter() {
                     comparison.probe_keys_into(values, &mut keys);
                     looked_up += keys.keys().len();
                     any_key += postings(keys.keys());
@@ -2012,7 +2013,7 @@ mod tests {
                 // is long enough for the scan to dominate the lookups
                 let scan_start = Instant::now();
                 let mut marked = 0usize;
-                for values in columns[leaf] {
+                for values in columns[leaf].iter() {
                     comparison.probe_keys_into(values, &mut keys);
                     let epoch = scratch.marks.next_epoch();
                     let lists = keys.keys().iter();
@@ -2027,10 +2028,7 @@ mod tests {
                 assert!(marked <= any_key);
                 // (b) bulk-building the leaf from the column
                 let bulk_start = Instant::now();
-                let rebuilt = LeafIndex::bulk(
-                    comparison,
-                    (0u32..).zip(targets[leaf].iter().map(|values| &**values)),
-                );
+                let rebuilt = LeafIndex::bulk(comparison, (0u32..).zip(targets[leaf].iter()));
                 let bulk = bulk_start.elapsed().as_nanos() as f64;
                 let per_entity = bulk / target.len() as f64 + consult / source.len() as f64;
                 println!(

@@ -41,9 +41,9 @@
 //! slot values, which come — one level below — from one of two providers:
 //! `(entity, &ValueCache)`, one memo lookup per slot read, for callers that
 //! meet each entity a handful of times (the serving path, one-off pairs), or
-//! `(`[`BoundSide`]`, position)`, dense per-slot columns computed once per
-//! job, column by column, with no cache in between, for callers that score
-//! the same entities once per rule (the matching engine).  Or the distance
+//! `(`[`BoundSide`]`, position)`, flat per-slot [`ValueColumn`]s filled
+//! once per job in one pass over the entities, with no cache in between, for
+//! callers that score the same entities once per rule (the matching engine).  Or the distance
 //! was measured before: a caller that scores **the same pairs under many
 //! rules** (the learner's fitness) keeps one [`DistanceColumn`] per distinct
 //! comparison ([`DistanceKey`]) over its pair list in a [`ReferenceColumns`]
@@ -55,7 +55,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use linkdisc_entity::{Entity, EntityPair, PropertyIndex, Schema};
 use linkdisc_similarity::{
@@ -248,6 +248,20 @@ impl SlotProgram {
         }
     }
 
+    /// The values a property slot reads on `entity`; none where the entity
+    /// lacks the property.
+    fn property_values<'e>(
+        &self,
+        name: &str,
+        index: Option<PropertyIndex>,
+        entity: &'e Entity,
+    ) -> &'e [String] {
+        match self.property_index(name, index, entity) {
+            Some(index) => entity.values_at(index),
+            None => &[],
+        }
+    }
+
     /// The values of a slot for one entity: a borrowed slice for property
     /// slots, a memoized interned slice for transformation slots.
     fn values<'e>(
@@ -258,10 +272,7 @@ impl SlotProgram {
     ) -> ValuesRef<'e> {
         match &self.slots[slot] {
             Slot::Property { name, index } => {
-                ValuesRef::Borrowed(match self.property_index(name, *index, entity) {
-                    Some(index) => entity.values_at(index),
-                    None => &[],
-                })
+                ValuesRef::Borrowed(self.property_values(name, *index, entity))
             }
             Slot::Transform { .. } => {
                 ValuesRef::Interned(cache.values(entity, self.hashes[slot], || {
@@ -545,19 +556,25 @@ impl CompiledRule {
         )
     }
 
-    /// Binds the plan's source side to a list of entities: one dense column
-    /// per slot a comparison reads, holding the slot's values (and sorted
-    /// token ids, for Jaccard/Dice) of every entity by list position.
+    /// Binds the plan's source side to a list of entities: one
+    /// [`ValueColumn`] per slot a comparison reads, holding the slot's values
+    /// (and sorted token ids, for Jaccard/Dice) of every entity by list
+    /// position.
     ///
-    /// Binding is the once-per-job half of evaluation, and it is **columnar**:
-    /// a column is computed whole, its inputs' columns first — a property
-    /// cell is a clone of the entity's own shared slice, a transformation
-    /// cell one `apply_slices` over its input columns' cells at the same
-    /// position — so an `(entity, slot)` costs its transformation and nothing
-    /// else: no hash, no lock, no interner.
-    /// [`CompiledRule::evaluate_bound_stats`] then reads plain slices per
-    /// pair.  The result owns its columns and borrows nothing.  Memory: one
-    /// fat pointer per (read slot, entity) plus the transformed strings.
+    /// Binding is the once-per-job half of evaluation, and it walks the list
+    /// **once**: per entity, every transformation cell the reads need is
+    /// computed in slot-table order — inputs before outputs — by one
+    /// [`TransformFunction::apply_into`] appending to its column's flat cell
+    /// buffer, and the token-id cells beside them under one interner lock
+    /// per cell.  A property only a transformation reads is read off the
+    /// entity and never materialised; a property a comparison reads keeps the
+    /// entity's own shared slice.  So an `(entity, slot)` costs its
+    /// transformation and one allocation per output value: no hash, no
+    /// memo lock.  [`CompiledRule::evaluate_bound_stats`] then reads plain
+    /// slices per pair.  The result owns its columns and borrows nothing.
+    /// Memory: one `u32` offset per (read slot, entity) plus the transformed
+    /// values — a property read directly costs a 16-byte shared pointer per
+    /// entity instead.
     pub fn bind_source<'e, I>(&self, entities: I) -> BoundSide
     where
         I: Iterator<Item = &'e Entity> + Clone,
@@ -995,7 +1012,8 @@ impl<'e> SlotValues for Memoized<'_, 'e> {
     }
 }
 
-/// One position of a [`BoundSide`]: a slot read is two indexings.
+/// One position of a [`BoundSide`]: a slot read is an indexing and a cell
+/// read.
 #[derive(Clone, Copy)]
 struct Positioned<'b> {
     side: &'b BoundSide,
@@ -1007,36 +1025,115 @@ impl<'b> SlotValues for Positioned<'b> {
     type Ids = &'b [u32];
 
     fn values(self, _program: &SlotProgram, slot: SlotId) -> &'b [String] {
-        let column = self.side.values[slot]
+        self.side.values[slot]
             .as_ref()
-            .expect("side bound by the plan that evaluates it");
-        &column[self.position]
+            .expect("side bound by the plan that evaluates it")
+            .cell(self.position)
     }
 
     fn ids(self, _program: &SlotProgram, slot: SlotId) -> &'b [u32] {
-        let column = self.side.ids[slot]
+        self.side.ids[slot]
             .as_ref()
-            .expect("side bound by the plan that evaluates it");
-        &column[self.position]
+            .expect("side bound by the plan that evaluates it")
+            .cell(self.position)
     }
 }
 
-/// One slot's values (`C = String`) or sorted token ids (`C = u32`) for
-/// every entity of a bound list, by position.
-type Column<C> = Arc<[Arc<[C]>]>;
+/// One slot's cells for every entity of a bound list, by list position: the
+/// slot's values (`C = String`) or their sorted token ids (`C = u32`).
+#[derive(Debug)]
+pub struct ValueColumn<C>(Cells<C>);
+
+/// How a [`ValueColumn`] holds its cells; both read through
+/// [`ValueColumn::cell`].
+#[derive(Debug)]
+enum Cells<C> {
+    /// Every cell back to back: cell `i` is `items[offsets[i]..offsets[i +
+    /// 1]]`.  A transformation's column, and every token-id column.
+    Flat {
+        items: Box<[C]>,
+        offsets: Box<[u32]>,
+    },
+    /// Each entity's own shared slice: a property column a comparison reads,
+    /// zero-copy.
+    Shared(Box<[Arc<[C]>]>),
+}
+
+impl<C> ValueColumn<C> {
+    /// Number of cells: the bound list's length.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Cells::Flat { offsets, .. } => offsets.len() - 1,
+            Cells::Shared(cells) => cells.len(),
+        }
+    }
+
+    /// Returns `true` for a column over no entities.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cell of the entity at list position `position`.
+    pub fn cell(&self, position: usize) -> &[C] {
+        match &self.0 {
+            Cells::Flat { items, offsets } => {
+                &items[offsets[position] as usize..offsets[position + 1] as usize]
+            }
+            Cells::Shared(cells) => &cells[position],
+        }
+    }
+
+    /// The cells in list order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[C]> + '_ {
+        (0..self.len()).map(|position| self.cell(position))
+    }
+}
+
+/// A flat [`ValueColumn`] being filled, one cell per entity in list order.
+struct FlatColumn<C> {
+    items: Vec<C>,
+    offsets: Vec<u32>,
+}
+
+impl<C> FlatColumn<C> {
+    /// Room for `len` cells of one item each.
+    fn with_capacity(len: usize) -> Self {
+        let mut offsets = Vec::with_capacity(len + 1);
+        offsets.push(0);
+        FlatColumn {
+            items: Vec::with_capacity(len),
+            offsets,
+        }
+    }
+
+    /// Closes the next cell over the items appended since the last one.
+    fn close_cell(&mut self) {
+        let end =
+            u32::try_from(self.items.len()).expect("a bound column exceeds the u32 cell space");
+        self.offsets.push(end);
+    }
+
+    /// The cell closed last.
+    fn last_cell(&self) -> &[C] {
+        let [.., start, end] = self.offsets[..] else {
+            unreachable!("read after its cell was closed")
+        };
+        &self.items[start as usize..end as usize]
+    }
+}
 
 /// One side of a [`CompiledRule`] bound to a list of entities (see
-/// [`CompiledRule::bind_source`]): per slot a comparison reads, a dense
-/// column of that slot's values by list position — and, beside it, of their
-/// sorted token ids where a Jaccard/Dice comparison reads the slot.
+/// [`CompiledRule::bind_source`]): per slot a comparison reads, a column of
+/// that slot's values by list position — and, beside it, of their sorted
+/// token ids where a Jaccard/Dice comparison reads the slot.
 #[derive(Debug, Clone)]
 pub struct BoundSide {
     /// The binding program's structural hash per slot.
     hashes: Arc<[u64]>,
     /// By slot; `Some` for the slots a comparison reads.
-    values: Vec<Option<Column<String>>>,
+    values: Vec<Option<Arc<ValueColumn<String>>>>,
     /// By slot; `Some` for the slots a Jaccard/Dice comparison reads.
-    ids: Vec<Option<Column<u32>>>,
+    ids: Vec<Option<Arc<ValueColumn<u32>>>>,
 }
 
 impl BoundSide {
@@ -1045,7 +1142,7 @@ impl BoundSide {
     /// every chain a comparison of the binding rule reads on this side, which
     /// is how candidate generation indexes and probes from the very values
     /// the rule will score.
-    pub fn values_of(&self, chain_hash: u64) -> Option<&[Arc<[String]>]> {
+    pub fn values_of(&self, chain_hash: u64) -> Option<&ValueColumn<String>> {
         let slot = self.hashes.iter().position(|&hash| hash == chain_hash)?;
         self.values[slot].as_deref()
     }
@@ -1074,13 +1171,14 @@ type Side = usize;
 const SOURCE: Side = 0;
 const TARGET: Side = 1;
 /// Value or token-id columns of a pool by `(side, chain hash)`.
-type ColumnMap<C> = HashMap<(Side, u64), Column<C>>;
+type ColumnMap<C> = HashMap<(Side, u64), Arc<ValueColumn<C>>>;
 
 /// Every column a learner computes over **one fixed reference pool**: the
 /// pool's distinct source and target entities, its pairs as positions into
 /// them, and one memo of three column kinds over those lists —
 ///
-/// * **value columns** per side by chain hash, intermediate chains included,
+/// * **value columns** per side by chain hash, intermediate transformations
+///   included — a property only a transformation reads is never held,
 /// * **token-id columns** beside them, for the chains a Jaccard/Dice
 ///   comparison reads,
 /// * **distance columns** over the pairs by [`DistanceKey`].
@@ -1135,35 +1233,37 @@ pub struct ColumnStats {
 }
 
 impl Memo {
-    /// Memoizes `column` under `key` in `map`, dropping everything first if
-    /// the cap would be passed; returns the held column (an equal one, had a
-    /// concurrent miss got there first).
-    fn insert<K: Hash + Eq, T>(
+    /// Memoizes `column` of `cells` cells under `key` in `map`, dropping
+    /// everything first if the cap would be passed; returns the held column
+    /// (an equal one, had a concurrent miss got there first).
+    fn insert<K: Hash + Eq, V: Clone>(
         &mut self,
-        map: fn(&mut Memo) -> &mut HashMap<K, Arc<[T]>>,
+        map: fn(&mut Memo) -> &mut HashMap<K, V>,
         key: K,
-        column: Arc<[T]>,
+        column: V,
+        cells: usize,
         cell_cap: usize,
-    ) -> Arc<[T]> {
+    ) -> V {
         if let Some(held) = map(self).get(&key) {
             return held.clone();
         }
-        if self.cells + column.len() > cell_cap {
+        if self.cells + cells > cell_cap {
             self.values.clear();
             self.ids.clear();
             self.distances.clear();
             self.cells = 0;
             self.drops += 1;
         }
-        self.cells += column.len();
+        self.cells += cells;
         map(self).insert(key, column.clone());
         column
     }
 }
 
 impl<'e> ReferenceColumns<'e> {
-    /// The default cell cap: value, token-id and distance cells together, at
-    /// most 16 bytes each before the transformed strings.
+    /// The default cell cap: value, token-id and distance cells together —
+    /// a `u32` offset, a property's 16-byte shared pointer or an `f64`, so
+    /// at most 16 bytes each before the transformed values and token ids.
     pub const CELLS: usize = 1 << 22;
 
     /// A pool over `pairs` (in order; each side's entities are deduplicated
@@ -1219,7 +1319,7 @@ impl<'e> ReferenceColumns<'e> {
         &self.pairs
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Memo> {
+    fn lock(&self) -> MutexGuard<'_, Memo> {
         self.memo.lock().expect("reference columns poisoned")
     }
 
@@ -1249,7 +1349,14 @@ impl<'e> ReferenceColumns<'e> {
     pub fn memoize(&self, key: DistanceKey, column: DistanceColumn) -> DistanceColumn {
         let mut memo = self.lock();
         memo.distance_misses += 1;
-        memo.insert(|memo| &mut memo.distances, key, column, self.cell_cap)
+        let cells = column.len();
+        memo.insert(
+            |memo| &mut memo.distances,
+            key,
+            column,
+            cells,
+            self.cell_cap,
+        )
     }
 
     /// Measures comparison number `comparison` of `rule` on every pair:
@@ -1306,31 +1413,79 @@ impl<'e> ReferenceColumns<'e> {
 /// A bind's memo, if any: the pool whose lists are bound and which side.
 type BindMemo<'m> = Option<(&'m ReferenceColumns<'m>, Side)>;
 
-/// The value or token-id column `map` holds under `(side, chain_hash)`,
-/// built (outside the lock) and memoized on a miss; just built without a
-/// memo.
-fn memoized_column<C>(
-    memo: BindMemo<'_>,
-    map: fn(&mut Memo) -> &mut ColumnMap<C>,
-    chain_hash: u64,
-    build: impl FnOnce() -> Column<C>,
-) -> Column<C> {
-    let Some((pool, side)) = memo else {
-        return build();
-    };
-    let key = (side, chain_hash);
-    if let Some(column) = map(&mut pool.lock()).get(&key) {
-        return column.clone();
+/// Where a bind reads one slot's cells from, per entity of its one pass.
+enum Fill<C> {
+    /// Nothing the bind reads.
+    Unused,
+    /// A property only a transformation reads: read off each entity, never
+    /// materialised.
+    OffEntity,
+    /// A column held already (a memo hit).
+    Held(Arc<ValueColumn<C>>),
+    /// A property column a comparison reads: the entities' shared slices,
+    /// collected in the pass.
+    Shared(Vec<Arc<[C]>>),
+    /// A column computed in the pass.
+    Flat(FlatColumn<C>),
+}
+
+/// A bind's memo once its pass is over: the pool's locked memo, the side
+/// bound and the pool's cell cap.
+type Parking<'g> = (MutexGuard<'g, Memo>, Side, usize);
+
+impl<C> Fill<C> {
+    /// The column once the pass is over.  One the bind computed is counted
+    /// and parked in `memo`, if any, under the chain `hash` in the map `map`
+    /// picks, and the memo's column is returned.
+    fn finish(
+        self,
+        memo: Option<&mut Parking<'_>>,
+        map: fn(&mut Memo) -> &mut ColumnMap<C>,
+        hash: u64,
+    ) -> Option<Arc<ValueColumn<C>>> {
+        let cells = match self {
+            Fill::Unused | Fill::OffEntity => return None,
+            Fill::Held(column) => return Some(column),
+            Fill::Shared(cells) => Cells::Shared(cells.into_boxed_slice()),
+            Fill::Flat(FlatColumn { items, offsets }) => Cells::Flat {
+                items: items.into_boxed_slice(),
+                offsets: offsets.into_boxed_slice(),
+            },
+        };
+        let column = Arc::new(ValueColumn(cells));
+        let Some((memo, side, cap)) = memo else {
+            return Some(column);
+        };
+        memo.values_computed += 1;
+        let cells = column.len();
+        Some(memo.insert(map, (*side, hash), column, cells, *cap))
     }
-    let column = build();
-    let mut memo = pool.lock();
-    memo.values_computed += 1;
-    memo.insert(map, key, column, pool.cell_cap)
+}
+
+/// An empty vector on `buffer`'s allocation, for borrows of another
+/// lifetime: the input cells of every transformation of a bind's pass are
+/// gathered in one buffer.
+fn reuse<'a>(mut buffer: Vec<&[String]>) -> Vec<&'a [String]> {
+    buffer.clear();
+    buffer
+        .into_iter()
+        .map(|_| -> &'a [String] { unreachable!("cleared") })
+        .collect()
 }
 
 impl SlotProgram {
-    /// Fills the columns of the slots in `reads` (`(slot, also as token
-    /// ids)`, repeats allowed) for `entities`.
+    /// Binds the slots in `reads` (`(slot, also as token ids)`, repeats
+    /// allowed) to `entities`, walking the list once.
+    ///
+    /// First the columns the reads need are resolved, from the outputs down
+    /// to the inputs (the slot table interns inputs before outputs): a column
+    /// `memo` holds is taken as it is and ends the descent there; a missing
+    /// transformation column needs its inputs; a property only a
+    /// transformation reads is read off the entity and never materialised.
+    /// Then one pass over the entities computes, per entity, every missing
+    /// cell in slot-table order — inputs first, so their cells are ready —
+    /// and the token-id cells of the slots read as ids.  The new columns,
+    /// intermediates included, are parked in `memo`.
     fn bind<'e, I>(
         &self,
         reads: impl Iterator<Item = (SlotId, bool)>,
@@ -1340,91 +1495,124 @@ impl SlotProgram {
     where
         I: Iterator<Item = &'e Entity> + Clone,
     {
-        let len = entities.clone().count();
-        let mut bound = BoundSide {
-            hashes: self.hashes.clone(),
-            values: vec![None; self.slots.len()],
-            ids: vec![None; self.slots.len()],
-        };
-        let mut read = vec![false; self.slots.len()];
+        let slots = self.slots.len();
+        let (mut read, mut read_ids) = (vec![false; slots], vec![false; slots]);
         for (slot, token_ids) in reads {
             read[slot] = true;
-            let values = self.values_column(slot, &entities, len, memo, &mut bound.values);
-            if token_ids && bound.ids[slot].is_none() {
-                bound.ids[slot] = Some(memoized_column(
-                    memo,
-                    |memo| &mut memo.ids,
-                    self.hashes[slot],
-                    || {
-                        values
-                            .iter()
-                            .map(|values| crate::tokens::sorted_token_ids(values).into())
-                            .collect()
-                    },
-                ));
+            read_ids[slot] |= token_ids;
+        }
+        let len = entities.clone().count();
+        let mut values: Vec<Fill<String>> = (0..slots).map(|_| Fill::Unused).collect();
+        let mut ids: Vec<Fill<u32>> = (0..slots).map(|_| Fill::Unused).collect();
+        let mut computes = false;
+        {
+            let held = memo.map(|(pool, side)| (pool.lock(), side));
+            // the memo and the key a slot's columns are held under
+            let key = |slot| {
+                let (memo, side) = held.as_ref()?;
+                Some((&**memo, (*side, self.hashes[slot])))
+            };
+            let mut needed = read.clone();
+            for slot in (0..slots).rev() {
+                if read_ids[slot] {
+                    ids[slot] = match key(slot).and_then(|(memo, key)| memo.ids.get(&key)) {
+                        Some(column) => Fill::Held(column.clone()),
+                        None => Fill::Flat(FlatColumn::with_capacity(len)),
+                    };
+                }
+                if !needed[slot] {
+                    continue;
+                }
+                let is_property = matches!(self.slots[slot], Slot::Property { .. });
+                values[slot] = if is_property && !read[slot] {
+                    Fill::OffEntity
+                } else if let Some(column) = key(slot).and_then(|(memo, key)| memo.values.get(&key))
+                {
+                    Fill::Held(column.clone())
+                } else if let Slot::Transform { inputs, .. } = &self.slots[slot] {
+                    for &input in inputs {
+                        needed[input] = true;
+                    }
+                    Fill::Flat(FlatColumn::with_capacity(len))
+                } else {
+                    Fill::Shared(Vec::with_capacity(len))
+                };
+                computes |= matches!(values[slot], Fill::Flat(_) | Fill::Shared(_));
+            }
+            computes |= ids.iter().any(|fill| matches!(fill, Fill::Flat(_)));
+        }
+        if computes {
+            let mut empty: Option<Arc<[String]>> = None;
+            let mut spare: Vec<&[String]> = Vec::new();
+            for (position, entity) in entities.enumerate() {
+                for slot in 0..slots {
+                    let (done, rest) = values.split_at_mut(slot);
+                    match (&self.slots[slot], &mut rest[0]) {
+                        (Slot::Property { name, index }, Fill::Shared(cells)) => {
+                            let shared = self
+                                .property_index(name, *index, entity)
+                                .and_then(|index| entity.shared_values_at(index))
+                                .unwrap_or_else(|| empty.get_or_insert_with(|| Arc::from([])));
+                            cells.push(shared.clone());
+                        }
+                        (Slot::Transform { function, inputs }, Fill::Flat(column)) => {
+                            let mut cells = reuse(std::mem::take(&mut spare));
+                            cells.extend(
+                                inputs
+                                    .iter()
+                                    .map(|&input| self.cell(&done[input], input, entity, position)),
+                            );
+                            function.apply_into(&cells, &mut column.items);
+                            column.close_cell();
+                            spare = reuse(cells);
+                        }
+                        _ => {}
+                    }
+                    if let Fill::Flat(column) = &mut ids[slot] {
+                        let cell = self.cell(&values[slot], slot, entity, position);
+                        crate::tokens::sorted_token_ids_into(cell, &mut column.items);
+                        column.close_cell();
+                    }
+                }
             }
         }
-        // intermediate columns have served their outputs
-        for (column, read) in bound.values.iter_mut().zip(read) {
-            if !read {
-                *column = None;
+        let mut bound = BoundSide {
+            hashes: self.hashes.clone(),
+            values: vec![None; slots],
+            ids: vec![None; slots],
+        };
+        let mut memo = memo.map(|(pool, side)| (pool.lock(), side, pool.cell_cap));
+        for (slot, (values, ids)) in values.into_iter().zip(ids).enumerate() {
+            let hash = self.hashes[slot];
+            let values = values.finish(memo.as_mut(), |memo| &mut memo.values, hash);
+            // intermediate columns have served their outputs
+            if read[slot] {
+                bound.values[slot] = values;
             }
+            bound.ids[slot] = ids.finish(memo.as_mut(), |memo| &mut memo.ids, hash);
         }
         bound
     }
 
-    /// The values column of `slot`, from `built` or the memo, or computed
-    /// whole from the columns of its inputs (which are computed first, the
-    /// same way, and parked in `built`).
-    fn values_column<'e, I>(
+    /// The cell of `slot` for the entity at list position `position` during
+    /// a bind's pass, `fill` saying where it is: a property's values read off
+    /// the entity, a held column's cell, or the cell a computed column closed
+    /// last.
+    fn cell<'a>(
         &self,
+        fill: &'a Fill<String>,
         slot: SlotId,
-        entities: &I,
-        len: usize,
-        memo: BindMemo<'_>,
-        built: &mut [Option<Column<String>>],
-    ) -> Column<String>
-    where
-        I: Iterator<Item = &'e Entity> + Clone,
-    {
-        if let Some(column) = &built[slot] {
-            return column.clone();
+        entity: &'a Entity,
+        position: usize,
+    ) -> &'a [String] {
+        match (fill, &self.slots[slot]) {
+            (Fill::Held(column), _) => column.cell(position),
+            (Fill::Flat(column), _) => column.last_cell(),
+            (Fill::OffEntity | Fill::Shared(_), Slot::Property { name, index }) => {
+                self.property_values(name, *index, entity)
+            }
+            _ => unreachable!("a slot is resolved before what reads it"),
         }
-        let column = memoized_column(
-            memo,
-            |memo| &mut memo.values,
-            self.hashes[slot],
-            || match &self.slots[slot] {
-                Slot::Property { name, index } => {
-                    let empty: Arc<[String]> = Arc::from(Vec::new());
-                    entities
-                        .clone()
-                        .map(|entity| {
-                            self.property_index(name, *index, entity)
-                                .and_then(|index| entity.shared_values_at(index))
-                                .unwrap_or(&empty)
-                                .clone()
-                        })
-                        .collect()
-                }
-                Slot::Transform { function, inputs } => {
-                    let inputs: Vec<Column<String>> = inputs
-                        .iter()
-                        .map(|&input| self.values_column(input, entities, len, memo, built))
-                        .collect();
-                    let mut cells: Vec<&[String]> = Vec::with_capacity(inputs.len());
-                    (0..len)
-                        .map(|position| {
-                            cells.clear();
-                            cells.extend(inputs.iter().map(|column| &*column[position]));
-                            function.apply_slices(&cells).into()
-                        })
-                        .collect()
-                }
-            },
-        );
-        built[slot] = Some(column.clone());
-        column
     }
 }
 
@@ -2386,14 +2574,19 @@ mod tests {
         // the bound side keeps only what comparisons read, findable by chain
         let lower = transform(TransformFunction::LowerCase, vec![property("label")]);
         let lowered = source.values_of(value_operator_hash(&lower)).unwrap();
-        assert_eq!(&*lowered[1], ["paris".to_string()]);
-        assert!(lowered[2].len() == 1 && target.values_of(7).is_none());
+        assert_eq!(lowered.cell(1), ["paris".to_string()]);
+        assert!(lowered.cell(2).len() == 1 && target.values_of(7).is_none());
+        assert_eq!(lowered.iter().len(), 3);
         assert!(source
             .values_of(value_operator_hash(&property("label")))
             .is_none());
-        // a pool over the same cross product scores like the bound sides,
-        // and its memo holds the intermediate column too: label,
-        // lowerCase(label) and point, computed once per side
+        // a point column a comparison reads holds the entities' own slices
+        let points = source.values_of(value_operator_hash(&property("point")));
+        assert!(points.unwrap().cell(2).is_empty(), "odd has no point");
+        // a pool over the same cross product scores like the bound sides;
+        // its memo holds lowerCase(label) and point, computed once per side —
+        // label only feeds lowerCase(label), so it is read off the entities
+        // and never materialised
         let pairs = entities
             .iter()
             .flat_map(|a| entities.iter().map(move |b| (a, b)));
@@ -2414,15 +2607,16 @@ mod tests {
             .collect();
         assert_eq!(measured, bound);
         let stats = pool.stats();
-        assert_eq!((stats.values_held, stats.values_computed), (6, 6));
+        assert_eq!((stats.values_held, stats.values_computed), (4, 4));
         assert_eq!((stats.distance_hits, stats.distance_misses), (0, 2));
-        // a second rule over known chains computes no value column, only
-        // its new distance column
+        // a second rule over a known chain computes its new distance column,
+        // and only the one value column no comparison read before: the
+        // target's label, now read directly
         let other: LinkageRule =
             compare(lower, property("label"), DistanceFunction::Equality, 0.5).into();
         pool.distance_columns(&CompiledRule::compile(&other, &schema, &schema));
         let stats = pool.stats();
-        assert_eq!((stats.values_held, stats.values_computed), (6, 6));
+        assert_eq!((stats.values_held, stats.values_computed), (5, 5));
         assert_eq!((stats.distance_misses, stats.drops), (3, 0));
     }
 

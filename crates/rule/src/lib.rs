@@ -37,7 +37,7 @@ pub use aggregation::AggregationFunction;
 pub use builder::{aggregation, compare, property, transform, RuleBuilder};
 pub use compiled::{
     BoundSide, ChainValues, ColumnStats, CompiledChain, CompiledRule, DistanceColumn, DistanceKey,
-    EvalStats, PinnedValueCache, ReferenceColumns, ValueCache,
+    EvalStats, PinnedValueCache, ReferenceColumns, ValueCache, ValueColumn,
 };
 pub use dsl::{parse_rule, print_rule, DslError};
 pub use indexing::{IndexedComparison, IndexingPlan, PlanNode};

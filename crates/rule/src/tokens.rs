@@ -18,8 +18,8 @@
 //!
 //! The interner is only consulted when a value set is first lowered — a
 //! value-cache **miss**, or a bound side's ids column being filled (ids are
-//! kept per `(entity, chain)` next to the values); the per-pair hot path
-//! never takes this lock.
+//! kept per `(entity, chain)` next to the values), once per value set; the
+//! per-pair hot path never takes this lock.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -31,10 +31,9 @@ fn interner() -> &'static Mutex<HashMap<Box<str>, u32>> {
 }
 
 /// The stable process-wide id of a token, assigning the next id on first
-/// sight.  Equal tokens always map to equal ids, distinct tokens to
-/// distinct ids.
-pub(crate) fn intern_token(token: &str) -> u32 {
-    let mut map = interner().lock().expect("token interner poisoned");
+/// sight; `map` is the locked [`interner`].  Equal tokens always map to
+/// equal ids, distinct tokens to distinct ids.
+fn intern(map: &mut HashMap<Box<str>, u32>, token: &str) -> u32 {
     if let Some(&id) = map.get(token) {
         return id;
     }
@@ -48,10 +47,30 @@ pub(crate) fn intern_token(token: &str) -> u32 {
 /// bijective, so deduplication by id equals deduplication by string and the
 /// set sizes match the `HashSet` semantics exactly.
 pub(crate) fn sorted_token_ids(values: &[String]) -> Vec<u32> {
-    let mut ids: Vec<u32> = values.iter().map(|v| intern_token(v)).collect();
-    ids.sort_unstable();
-    ids.dedup();
+    let mut ids = Vec::with_capacity(values.len());
+    sorted_token_ids_into(values, &mut ids);
     ids
+}
+
+/// [`sorted_token_ids`] appended to `ids`, whose existing ids stay
+/// untouched: a bound side's ids column appends every entity's cell to one
+/// buffer.  The interner lock is taken once for the whole value set.
+pub(crate) fn sorted_token_ids_into(values: &[String], ids: &mut Vec<u32>) {
+    let start = ids.len();
+    {
+        let mut map = interner().lock().expect("token interner poisoned");
+        ids.extend(values.iter().map(|value| intern(&mut map, value)));
+    }
+    ids[start..].sort_unstable();
+    // dedup the appended run in place
+    let mut kept = start;
+    for at in start..ids.len() {
+        if kept == start || ids[at] != ids[kept - 1] {
+            ids[kept] = ids[at];
+            kept += 1;
+        }
+    }
+    ids.truncate(kept);
 }
 
 /// Number of distinct tokens interned so far (diagnostics/tests).
@@ -62,6 +81,13 @@ pub fn interned_token_count() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn intern_token(token: &str) -> u32 {
+        intern(
+            &mut interner().lock().expect("token interner poisoned"),
+            token,
+        )
+    }
 
     #[test]
     fn interning_is_stable_and_injective() {
@@ -82,5 +108,12 @@ mod tests {
         let ids = sorted_token_ids(&values);
         assert_eq!(ids.len(), 3, "duplicates collapse");
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
+        // appended after other cells' ids, which stay as they were
+        let mut column = vec![9, 3, 3];
+        sorted_token_ids_into(&values, &mut column);
+        assert_eq!(column[..3], [9, 3, 3]);
+        assert_eq!(column[3..], ids[..]);
+        sorted_token_ids_into(&[], &mut column);
+        assert_eq!(column.len(), 6);
     }
 }

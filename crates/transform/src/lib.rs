@@ -95,25 +95,39 @@ impl TransformFunction {
         self.apply_slices(&slices)
     }
 
-    /// [`TransformFunction::apply`] over borrowed value sets; the compiled
-    /// evaluator feeds memoized `Arc<[String]>` slices through this without
+    /// [`TransformFunction::apply`] over borrowed value sets, without
     /// cloning the inputs first.
     pub fn apply_slices(&self, inputs: &[&[String]]) -> Vec<String> {
+        let mut output = Vec::new();
+        self.apply_into(inputs, &mut output);
+        output
+    }
+
+    /// [`TransformFunction::apply_slices`] appending to `output`, whose
+    /// existing values stay untouched: a bound column's cells are appended
+    /// to one buffer, one transformation output per entity.  Each output
+    /// value costs one allocation.
+    pub fn apply_into(&self, inputs: &[&[String]], output: &mut Vec<String>) {
         match self {
-            TransformFunction::Concatenate => concatenate(inputs),
+            TransformFunction::Concatenate => concatenate(inputs, output),
             _ => {
-                let mut output = Vec::new();
                 for input in inputs {
                     for value in *input {
-                        self.apply_value(value, &mut output);
+                        self.apply_value(value, output);
                     }
                 }
-                output
             }
         }
     }
 
     fn apply_value(&self, value: &str, output: &mut Vec<String>) {
+        /// The characters of `value` that `keep` accepts, sized up front:
+        /// the output is never longer than the input.
+        fn filtered(value: &str, keep: fn(&char) -> bool) -> String {
+            let mut kept = String::with_capacity(value.len());
+            kept.extend(value.chars().filter(keep));
+            kept
+        }
         match self {
             TransformFunction::LowerCase => output.push(value.to_lowercase()),
             TransformFunction::Tokenize => {
@@ -125,21 +139,15 @@ impl TransformFunction {
             }
             TransformFunction::StripUriPrefix => output.push(strip_uri_prefix(value)),
             TransformFunction::Stem => output.push(stem(value)),
-            TransformFunction::StripPunctuation => output.push(
-                value
-                    .chars()
-                    .filter(|c| !c.is_ascii_punctuation())
-                    .collect(),
-            ),
+            TransformFunction::StripPunctuation => {
+                output.push(filtered(value, |c| !c.is_ascii_punctuation()))
+            }
             TransformFunction::RemoveWhitespace => {
-                output.push(value.chars().filter(|c| !c.is_whitespace()).collect())
+                output.push(filtered(value, |c| !c.is_whitespace()))
             }
-            TransformFunction::DigitsOnly => {
-                let digits: String = value.chars().filter(|c| c.is_ascii_digit()).collect();
-                output.push(digits);
-            }
+            TransformFunction::DigitsOnly => output.push(filtered(value, char::is_ascii_digit)),
             TransformFunction::NormalizeSeparators => output.push(value.replace(['-', '_'], " ")),
-            TransformFunction::Concatenate => unreachable!("handled in apply"),
+            TransformFunction::Concatenate => unreachable!("handled in apply_into"),
         }
     }
 }
@@ -184,23 +192,33 @@ fn stem(value: &str) -> String {
 /// The cross product of the input value sets is concatenated, which matches
 /// the FOAF example of the paper: `firstName × lastName → "first last"`.
 /// Empty inputs are skipped so that a missing middle name does not erase the
-/// whole value.
-fn concatenate(inputs: &[&[String]]) -> Vec<String> {
-    let non_empty: Vec<&[String]> = inputs.iter().copied().filter(|i| !i.is_empty()).collect();
-    if non_empty.is_empty() {
-        return Vec::new();
-    }
-    let mut result: Vec<String> = non_empty[0].to_vec();
-    for input in &non_empty[1..] {
-        let mut next = Vec::with_capacity(result.len() * input.len());
-        for prefix in &result {
-            for value in input.iter() {
-                next.push(format!("{prefix} {value}"));
+/// whole value.  Combinations are appended to `output` with the first input
+/// varying slowest, each built in one scratch buffer sized for the longest
+/// and copied out once.
+fn concatenate(inputs: &[&[String]], output: &mut Vec<String>) {
+    /// Appends `joined` extended by every combination of `inputs`' values.
+    fn extend(joined: &mut String, first: bool, inputs: &[&[String]], output: &mut Vec<String>) {
+        let Some(at) = inputs.iter().position(|input| !input.is_empty()) else {
+            if !first {
+                output.push(joined.clone());
             }
+            return;
+        };
+        let kept = joined.len();
+        for value in inputs[at] {
+            if !first {
+                joined.push(' ');
+            }
+            joined.push_str(value);
+            extend(joined, false, &inputs[at + 1..], output);
+            joined.truncate(kept);
         }
-        result = next;
     }
-    result
+    let longest = inputs
+        .iter()
+        .map(|input| input.iter().map(String::len).max().unwrap_or(0) + 1)
+        .sum();
+    extend(&mut String::with_capacity(longest), true, inputs, output);
 }
 
 #[cfg(test)]
@@ -316,6 +334,120 @@ mod tests {
             TransformFunction::Tokenize.apply(&[vs(&["Learning Expressive Linkage-Rules"])]);
         let lowered = TransformFunction::LowerCase.apply(&[tokens]);
         assert_eq!(lowered, vs(&["learning", "expressive", "linkage", "rules"]));
+    }
+
+    /// The body `apply_slices` had before `apply_into` existed, kept as the
+    /// oracle `apply_into` is checked against: one growing `String` per
+    /// filtered value, and `concatenate` through a second `Vec` per input.
+    fn old_apply_slices(function: TransformFunction, inputs: &[&[String]]) -> Vec<String> {
+        if function == TransformFunction::Concatenate {
+            let non_empty: Vec<&[String]> =
+                inputs.iter().copied().filter(|i| !i.is_empty()).collect();
+            if non_empty.is_empty() {
+                return Vec::new();
+            }
+            let mut result: Vec<String> = non_empty[0].to_vec();
+            for input in &non_empty[1..] {
+                let mut next = Vec::with_capacity(result.len() * input.len());
+                for prefix in &result {
+                    for value in input.iter() {
+                        next.push(format!("{prefix} {value}"));
+                    }
+                }
+                result = next;
+            }
+            return result;
+        }
+        let mut output = Vec::new();
+        for value in inputs.iter().flat_map(|input| input.iter()) {
+            match function {
+                TransformFunction::LowerCase => output.push(value.to_lowercase()),
+                TransformFunction::Tokenize => {
+                    for token in value.split(|c: char| !c.is_alphanumeric()) {
+                        if !token.is_empty() {
+                            output.push(token.to_string());
+                        }
+                    }
+                }
+                TransformFunction::StripUriPrefix => output.push(strip_uri_prefix(value)),
+                TransformFunction::Stem => output.push(stem(value)),
+                TransformFunction::StripPunctuation => output.push(
+                    value
+                        .chars()
+                        .filter(|c| !c.is_ascii_punctuation())
+                        .collect(),
+                ),
+                TransformFunction::RemoveWhitespace => {
+                    output.push(value.chars().filter(|c| !c.is_whitespace()).collect())
+                }
+                TransformFunction::DigitsOnly => {
+                    output.push(value.chars().filter(|c| c.is_ascii_digit()).collect())
+                }
+                TransformFunction::NormalizeSeparators => {
+                    output.push(value.replace(['-', '_'], " "))
+                }
+                TransformFunction::Concatenate => unreachable!("handled above"),
+            }
+        }
+        output
+    }
+
+    /// `apply_into` on a buffer already holding `prefix` keeps the prefix and
+    /// appends exactly what the old `apply_slices` body returned.  A value is
+    /// made a URI where `uri` says so, for `stripUriPrefix`.
+    fn assert_apply_into_matches_the_old_body(
+        function: TransformFunction,
+        mut inputs: Vec<Vec<String>>,
+        prefix: Vec<String>,
+        uri: usize,
+    ) {
+        if let Some(value) = inputs.iter_mut().flatten().nth(uri) {
+            *value = format!("http://example.org/a_b#{value}");
+        }
+        let slices: Vec<&[String]> = inputs.iter().map(Vec::as_slice).collect();
+        let mut output = prefix.clone();
+        function.apply_into(&slices, &mut output);
+        assert_eq!(output[..prefix.len()], prefix[..], "{function}: prefix");
+        assert_eq!(
+            output[prefix.len()..],
+            old_apply_slices(function, &slices)[..],
+            "{function} on {inputs:?}"
+        );
+    }
+
+    /// One differential property per transformation: up to three inputs of
+    /// up to three values each (empty inputs and empty values included),
+    /// drawn from printable ASCII and a few non-ASCII letters.
+    macro_rules! apply_into_matches_the_old_body {
+        ($($name:ident: $function:expr,)*) => {
+            proptest! {
+                $(
+                    #[test]
+                    fn $name(
+                        inputs in proptest::collection::vec(
+                            proptest::collection::vec(".{0,10}", 0..4),
+                            0..4,
+                        ),
+                        prefix in proptest::collection::vec("[a-z]{0,4}", 1..3),
+                        uri in 0usize..4,
+                    ) {
+                        assert_apply_into_matches_the_old_body($function, inputs, prefix, uri);
+                    }
+                )*
+            }
+        };
+    }
+
+    apply_into_matches_the_old_body! {
+        apply_into_lower_case: TransformFunction::LowerCase,
+        apply_into_tokenize: TransformFunction::Tokenize,
+        apply_into_strip_uri_prefix: TransformFunction::StripUriPrefix,
+        apply_into_concatenate: TransformFunction::Concatenate,
+        apply_into_stem: TransformFunction::Stem,
+        apply_into_strip_punctuation: TransformFunction::StripPunctuation,
+        apply_into_remove_whitespace: TransformFunction::RemoveWhitespace,
+        apply_into_digits_only: TransformFunction::DigitsOnly,
+        apply_into_normalize_separators: TransformFunction::NormalizeSeparators,
     }
 
     proptest! {

@@ -12,8 +12,8 @@
 //! The compiled plan has one evaluator, so the exhaustive side of every
 //! comparison here is the independent reference: the tree walk
 //! `LinkageRule::evaluate`.  The last property pins the evaluator's second
-//! value provider — bound sides, filled column by column with no cache and
-//! read by position — to its first, the `(entity, ValueCache)` path, bit for
+//! value provider — bound sides, filled in one pass over each side with no
+//! cache and read by position — to its first, the `(entity, ValueCache)` path, bit for
 //! bit and counter for counter.  The tests after it pin the evaluator's
 //! other way of scoring a comparison — one division over a distance column
 //! measured once per distinct `(source chain, target chain, measure, band)`
@@ -331,8 +331,9 @@ fn side(prefix: &str, schema: &Arc<Schema>, values: &[Vec<Vec<String>>]) -> Vec<
 
 /// Nested chains sharing one intermediate slot: `lowerCase(name)` is read as
 /// values, tokenized into a Jaccard slot (ids beside values), punctuation-
-/// stripped, and concatenated with `year` — so the columnar bind computes the
-/// intermediate column once and feeds four outputs from it, on both sides.
+/// stripped, and concatenated with `year` — so the bind computes the
+/// intermediate cell once per entity and feeds four outputs from it, on both
+/// sides.
 fn nested_chain_rule() -> LinkageRule {
     let lower = || transform(TransformFunction::LowerCase, vec![property("name")]);
     let tokens = || transform(TransformFunction::Tokenize, vec![lower()]);
@@ -364,15 +365,64 @@ fn nested_chain_rule() -> LinkageRule {
     .into()
 }
 
+/// The edges of the one-pass bind: a concatenation of a property with one
+/// that is empty on some entities and missing on the foreign one (`tags`),
+/// or missing from the schema; one rule reading both `lowerCase(name)` and
+/// `tokenize(lowerCase(name))`; and one property read directly and through
+/// a transformation, on the same side.
+fn one_pass_edge_rules() -> Vec<LinkageRule> {
+    use TransformFunction::{Concatenate, LowerCase, StripPunctuation, Tokenize};
+    let lower = || transform(LowerCase, vec![property("name")]);
+    let tokens = || transform(Tokenize, vec![lower()]);
+    vec![
+        compare(
+            transform(Concatenate, vec![property("name"), property("tags")]),
+            transform(Concatenate, vec![property("missing"), property("year")]),
+            DistanceFunction::Levenshtein,
+            3.0,
+        )
+        .into(),
+        aggregation(
+            AggregationFunction::Max,
+            vec![
+                compare(lower(), lower(), DistanceFunction::Levenshtein, 1.0),
+                compare(tokens(), tokens(), DistanceFunction::Dice, 0.7),
+            ],
+        )
+        .into(),
+        aggregation(
+            AggregationFunction::WeightedMean,
+            vec![
+                compare(
+                    property("name"),
+                    lower(),
+                    DistanceFunction::Levenshtein,
+                    2.0,
+                ),
+                compare(lower(), property("name"), DistanceFunction::Jaccard, 0.6),
+                compare(
+                    property("tags"),
+                    transform(StripPunctuation, vec![property("tags")]),
+                    DistanceFunction::Equality,
+                    0.5,
+                ),
+            ],
+        )
+        .into(),
+    ]
+}
+
 proptest! {
     /// Bound evaluation *is* `evaluate_bounded_two_stats`: same score bits
     /// and same `EvalStats` for every pair, at the link threshold and at
     /// θ = -∞, over random rules whose comparisons share chains within and
     /// across sides (few properties, up to four comparisons, Jaccard/Dice
-    /// slots next to value slots) plus one rule of nested chains over a
-    /// shared intermediate slot, entities with empty value sets and a
-    /// foreign-schema entity per side.  The bound sides are filled
-    /// columnwise and never see the cache the reference side reads.
+    /// slots next to value slots), one rule of nested chains over a shared
+    /// intermediate slot and the one-pass bind's edge rules, entities with
+    /// empty value sets and a foreign-schema entity per side.  The bound
+    /// sides are filled in one pass and never see the cache the reference
+    /// side reads.  Last, a bind through a partially warm pool memo — the
+    /// intermediate column held, the output column not — scores the same.
     #[test]
     fn bound_evaluation_equals_cached_evaluation(
         sources in proptest::collection::vec(
@@ -420,16 +470,20 @@ proptest! {
         generator.max_comparisons = 4;
         let mut rng = StdRng::seed_from_u64(seed);
         let cache = ValueCache::new();
-        for round in 0..5 {
-            let rule = if round == 4 {
-                nested_chain_rule()
-            } else if round % 2 == 1 {
-                let (a, b) = (generator.generate(&mut rng), generator.generate(&mut rng));
-                CrossoverOperator::SPECIALIZED[round].apply(&a, &b, &mut rng)
-            } else {
-                generator.generate(&mut rng)
-            };
-            let compiled = CompiledRule::compile(&rule, &schema, &schema);
+        let mut rules: Vec<LinkageRule> = (0..4)
+            .map(|round| {
+                if round % 2 == 1 {
+                    let (a, b) = (generator.generate(&mut rng), generator.generate(&mut rng));
+                    CrossoverOperator::SPECIALIZED[round].apply(&a, &b, &mut rng)
+                } else {
+                    generator.generate(&mut rng)
+                }
+            })
+            .collect();
+        rules.push(nested_chain_rule());
+        rules.extend(one_pass_edge_rules());
+        for rule in &rules {
+            let compiled = CompiledRule::compile(rule, &schema, &schema);
             let bound_sources = compiled.bind_source(sources.iter());
             let bound_targets = compiled.bind_target(targets.iter());
             for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
@@ -455,6 +509,37 @@ proptest! {
                         }
                     }
                 }
+            }
+        }
+
+        // a pool over the same cross product, warmed with lowerCase(name)
+        // alone: tokenize(lowerCase(name)) then binds through it from the
+        // held intermediate column, computing only its output's values and ids
+        let pool = ReferenceColumns::new(
+            sources.iter().flat_map(|s| targets.iter().map(move |t| (s, t))),
+            ReferenceColumns::CELLS,
+        );
+        let lower = || transform(TransformFunction::LowerCase, vec![property("name")]);
+        let tokens = || transform(TransformFunction::Tokenize, vec![lower()]);
+        let warm: LinkageRule = compare(lower(), lower(), DistanceFunction::Levenshtein, 2.0).into();
+        pool.distance_columns(&CompiledRule::compile(&warm, &schema, &schema));
+        let partial: LinkageRule = compare(tokens(), tokens(), DistanceFunction::Jaccard, 0.8).into();
+        let compiled = CompiledRule::compile(&partial, &schema, &schema);
+        let columns = pool.distance_columns(&compiled);
+        let stats = pool.stats();
+        prop_assert_eq!((stats.values_held, stats.values_computed), (6, 6), "{:?}", stats);
+        for threshold in [LINK_THRESHOLD, f64::NEG_INFINITY] {
+            for (pair, &(s, t)) in pool.pairs().iter().enumerate() {
+                let (mut cached_stats, mut column_stats) =
+                    (EvalStats::default(), EvalStats::default());
+                let cached = compiled.evaluate_bounded_two_stats(
+                    &sources[s as usize], &targets[t as usize], &cache, &cache, threshold,
+                    &mut cached_stats,
+                );
+                let measured =
+                    compiled.evaluate_columns_stats(&columns, pair, threshold, &mut column_stats);
+                prop_assert_eq!(cached.to_bits(), measured.to_bits(), "pair {} at {}", pair, threshold);
+                prop_assert_eq!(cached_stats, column_stats);
             }
         }
     }

@@ -9,6 +9,9 @@
 //! * scores at most **a fifth** of the candidates that admitting every
 //!   target sharing *any* block key with the probe would, and
 //! * links exactly what the batch engine links.
+//!
+//! The same allocator gates the batch engine's bind: binding a side costs one
+//! allocation per transformed value, and dropping it one free.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,15 +19,20 @@ use std::collections::HashMap;
 
 use linkdisc_datasets::DatasetKind;
 use linkdisc_matching::{CandidateScratch, LinkService, MatchingEngine, ServiceOptions};
-use linkdisc_rule::{compare, property, DistanceFunction, IndexingPlan, LinkageRule};
+use linkdisc_rule::{
+    aggregation, compare, property, transform, AggregationFunction, CompiledChain, CompiledRule,
+    DistanceFunction, IndexingPlan, LinkageRule, TransformFunction,
+};
 use linkdisc_similarity::BlockKey;
 
 struct CountingAllocator;
 
 thread_local! {
-    /// Allocations performed by the current thread (other tests of this
-    /// binary allocate on theirs).
+    /// Allocations (reallocations included) performed by the current thread
+    /// (other tests of this binary allocate on theirs).
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Frees performed by the current thread.
+    static THREAD_FREES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -34,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        THREAD_FREES.with(|tally| tally.set(tally.get() + 1));
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -143,5 +152,78 @@ fn a_name_only_query_probes_a_prefix_without_allocating() {
     assert!(
         candidates as usize >= source.len() / 2,
         "probing found too little"
+    );
+}
+
+/// The benchmark's sparse matching rule: `min(lev(lowerCase name) θ2,
+/// lev(digitsOnly phone) θ1)`.
+fn name_and_phone_rule() -> LinkageRule {
+    let fuzzy = |name: &str, function, threshold| {
+        compare(
+            transform(function, vec![property(name)]),
+            transform(function, vec![property(name)]),
+            DistanceFunction::Levenshtein,
+            threshold,
+        )
+    };
+    aggregation(
+        AggregationFunction::Min,
+        vec![
+            fuzzy("name", TransformFunction::LowerCase, 2.0),
+            fuzzy("phone", TransformFunction::DigitsOnly, 1.0),
+        ],
+    )
+    .into()
+}
+
+#[test]
+fn binding_allocates_once_per_transformed_value() {
+    let data = DatasetKind::Restaurant.generate(4.0, 42);
+    let target = &data.target;
+    let rule = name_and_phone_rule();
+    let compiled = CompiledRule::compile(&rule, data.source.schema(), target.schema());
+    let counted = || {
+        (
+            THREAD_ALLOCATIONS.with(Cell::get),
+            THREAD_FREES.with(Cell::get),
+        )
+    };
+    let (allocations_before, _) = counted();
+    let bound = compiled.bind_target(target.entities().iter());
+    let allocations = counted().0 - allocations_before;
+    // one output value per input value: every name lower-cased, every phone
+    // reduced to its digits
+    let transformed: usize = [
+        ("name", TransformFunction::LowerCase),
+        ("phone", TransformFunction::DigitsOnly),
+    ]
+    .into_iter()
+    .map(|(name, function)| {
+        let chain =
+            CompiledChain::compile(&transform(function, vec![property(name)]), target.schema());
+        let column = bound
+            .values_of(chain.structural_hash())
+            .expect("a read chain");
+        column.iter().map(<[String]>::len).sum::<usize>()
+    })
+    .sum();
+    let (_, frees_before) = counted();
+    drop(bound);
+    let frees = counted().1 - frees_before;
+    println!(
+        "binding {} entities: {transformed} transformed values, {allocations} allocations \
+         ({:.3} per value), {frees} frees on drop",
+        target.len(),
+        allocations as f64 / transformed as f64,
+    );
+    assert!(transformed >= 2 * target.len(), "{transformed} values");
+    let budget = transformed as u64 + 64;
+    assert!(
+        allocations <= budget,
+        "{allocations} allocations for {transformed} transformed values"
+    );
+    assert!(
+        frees <= budget,
+        "{frees} frees for {transformed} transformed values"
     );
 }
