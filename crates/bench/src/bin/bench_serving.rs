@@ -480,7 +480,7 @@ fn sharded_equals_unsharded(dataset: &Dataset, rule: LinkageRule, shards: usize)
         .source
         .entities()
         .iter()
-        .all(|entity| sharded.query(entity) == unsharded.query(entity))
+        .all(|entity| sharded.query(entity) == unsharded.reader().query(entity))
 }
 
 fn main() {
@@ -531,13 +531,13 @@ fn main() {
     .unwrap();
     // warm caches and pools, then measure
     for entity in restaurant.source.entities() {
-        service.query(entity);
+        service.reader().query(entity);
     }
     let mut latencies_us: Vec<f64> = Vec::with_capacity(restaurant.source.len());
     let mut links_found = 0usize;
     for entity in restaurant.source.entities() {
         let start = Instant::now();
-        let links = service.query(entity);
+        let links = service.reader().query(entity);
         latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
         links_found += links.len();
     }
@@ -550,7 +550,7 @@ fn main() {
         "{} queries over {} served entities: mean {mean_us:.1} µs, p50 {p50_us:.1} µs, \
          p99 {p99_us:.1} µs, {links_found} links",
         restaurant.source.len(),
-        service.len()
+        service.writer().len()
     );
     println!();
 
@@ -567,13 +567,17 @@ fn main() {
     // two warm-up passes grow every pooled buffer to its steady-state size
     for _ in 0..2 {
         for entity in restaurant.source.entities() {
-            flat_service.query_with(entity, &mut scratch, &mut hits);
+            flat_service
+                .reader()
+                .query_with(entity, &mut scratch, &mut hits);
         }
     }
     let queries = restaurant.source.len() as u64;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for entity in restaurant.source.entities() {
-        flat_service.query_with(entity, &mut scratch, &mut hits);
+        flat_service
+            .reader()
+            .query_with(entity, &mut scratch, &mut hits);
     }
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let allocations_per_query = allocations as f64 / queries as f64;
@@ -704,9 +708,9 @@ fn main() {
         .expect("snapshot written moments ago restores");
     let restore_ms = restore_start.elapsed().as_secs_f64() * 1e3;
     let restore_speedup = service_build_ms / restore_ms;
-    let mut restore_identical = restored.stats() == cora_service.stats();
+    let mut restore_identical = restored.writer().stats() == cora_service.writer().stats();
     for entity in cora.source.entities() {
-        if restored.query(entity) != cora_service.query(entity) {
+        if restored.reader().query(entity) != cora_service.reader().query(entity) {
             restore_identical = false;
             break;
         }
@@ -772,9 +776,9 @@ fn main() {
     let rebuild_ms = rebuild_start.elapsed().as_secs_f64() * 1e3;
     let recovery_speedup = rebuild_ms / recover_ms;
     let recovered_reader = recovered.reader();
-    let mut recovered_identical = recovered.writer().stats() == rebuilt.stats();
+    let mut recovered_identical = recovered.writer().stats() == rebuilt.writer().stats();
     for entity in cora.source.entities() {
-        if recovered_reader.query(entity) != rebuilt.query(entity) {
+        if recovered_reader.query(entity) != rebuilt.reader().query(entity) {
             recovered_identical = false;
             break;
         }
@@ -935,7 +939,7 @@ fn main() {
     }
     let warm_ms = warm_start.elapsed().as_secs_f64() * 1e3;
     let multi_bytes = BYTES_ALLOCATED.load(Ordering::Relaxed) - multi_bytes_before;
-    let pool = multi.leaf_pool_stats();
+    let pool = multi.writer().leaf_pool_stats();
     let leaf_share = pool.hits as f64 / (pool.hits + pool.misses).max(1) as f64;
     // the alternative: one whole service per rule (the base conjunction
     // included), each building every leaf from scratch
@@ -960,11 +964,11 @@ fn main() {
     let bytes_ratio = multi_bytes as f64 / independent_bytes.max(1) as f64;
     let mut multi_equals_singles = true;
     for entity in restaurant.source.entities() {
-        if multi.query(entity) != singles[0].query(entity) {
+        if multi.reader().query(entity) != singles[0].reader().query(entity) {
             multi_equals_singles = false;
         }
         for ((name, _), single) in registry.iter().zip(&singles[1..]) {
-            if multi.query_rule(name, entity) != Some(single.query(entity)) {
+            if multi.reader().query_rule(name, entity) != Some(single.reader().query(entity)) {
                 multi_equals_singles = false;
             }
         }
@@ -972,7 +976,7 @@ fn main() {
     println!(
         "{} rules over one store: {} pooled leaves serve {} plan slots \
          ({} hits / {} misses, leaf share {:.0}%, gate > 0)",
-        multi.rule_count(),
+        multi.writer().rule_count(),
         pool.entries,
         pool.refs,
         pool.hits,
@@ -1037,7 +1041,7 @@ fn main() {
         dual.peak_chunk_entities,
         dual.source_entities,
         dual.target_entities,
-        multi.rule_count(),
+        multi.writer().rule_count(),
         pool.entries,
         pool.refs,
         pool.hits,

@@ -55,6 +55,18 @@
 //! insert/remove code paths the original writer ran.  Unreadable
 //! acknowledged data is never silently dropped: it surfaces as a typed
 //! [`RecoveryError`] naming the salvageable prefix.
+//!
+//! # Sharding
+//!
+//! `ShardedService<DurableService>` ([`ShardedService::create`],
+//! [`ShardedService::recover`]) runs one independent `DurableService` per
+//! shard, each with its **own** checkpoint/WAL generation chain under
+//! `<dir>/shard-NNN/`.  Shards append, fsync and compact concurrently, and
+//! a crash — or a poisoned write — in one shard's WAL or compaction never
+//! touches another shard's acknowledged epochs.  A cross-shard ingest is
+//! per-shard atomic (one log record per touched shard), not cross-shard
+//! atomic; registry operations reach shard 0 first, and recovery rolls the
+//! other shards' registries forward to shard 0's.
 
 use std::fs::File;
 use std::io;
@@ -63,11 +75,11 @@ use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
 use linkdisc_rule::LinkageRule;
-use linkdisc_util::{fail, parallel_ordered_map, parallel_ordered_map_mut};
+use linkdisc_util::fail;
 
 use crate::persist::SnapshotError;
 use crate::service::{RegistryError, ServiceOptions, ServiceReader, ServiceWriter, DEFAULT_RULE};
-use crate::sharded::{ShardRouter, ShardSlot, ShardedReader};
+use crate::sharded::{ShardRouter, ShardedService};
 use crate::wal::{
     decode_wal, guarded_dir_sync, guarded_rename, guarded_sync, guarded_write, Delta, WalContents,
     WalDamage, WalOp, WalWriter,
@@ -481,7 +493,7 @@ impl DurableService {
         self.poisoned
     }
 
-    fn guard(&self) -> Result<(), DurableError> {
+    pub(crate) fn guard(&self) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
@@ -820,9 +832,6 @@ impl DurableService {
         let wal = match write_generation(dir, &writer, next, seq) {
             Ok(wal) => wal,
             Err(DurableError::Io(err)) => return Err(RecoveryError::Io(err)),
-            Err(DurableError::Snapshot(err)) => {
-                return Err(RecoveryError::Io(io::Error::other(err.to_string())))
-            }
             Err(err) => return Err(RecoveryError::Io(io::Error::other(err.to_string()))),
         };
         retire(dir, checkpoint_generation)?;
@@ -852,27 +861,24 @@ impl DurableService {
         catalog: &[(String, LinkageRule)],
         record: &crate::wal::WalRecord,
     ) -> Result<(), RecoveryError> {
-        let replay_entity = |record: &crate::wal::EntityRecord| -> Result<Entity, RecoveryError> {
-            if record.values.len() != schema.len() {
-                return Err(RecoveryError::Replay {
-                    seq: 0,
-                    detail: format!(
-                        "entity {} has {} value sets for a {}-property schema",
-                        record.id,
-                        record.values.len(),
-                        schema.len()
-                    ),
-                });
-            }
-            Ok(Entity::new(
-                record.id.clone(),
-                schema.clone(),
-                record.values.clone(),
-            ))
-        };
         let fail = |detail: String| RecoveryError::Replay {
             seq: record.seq,
             detail,
+        };
+        let replay_entity = |entity: &crate::wal::EntityRecord| -> Result<Entity, RecoveryError> {
+            if entity.values.len() != schema.len() {
+                return Err(fail(format!(
+                    "entity {} has {} value sets for a {}-property schema",
+                    entity.id,
+                    entity.values.len(),
+                    schema.len()
+                )));
+            }
+            Ok(Entity::new(
+                entity.id.clone(),
+                schema.clone(),
+                entity.values.clone(),
+            ))
         };
         match &record.op {
             WalOp::Insert(entity) => {
@@ -940,19 +946,12 @@ fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
 /// The `shard-NNN` subdirectories present under a sharded root, ascending.
 fn existing_shard_dirs(dir: &Path) -> io::Result<Vec<usize>> {
     let mut shards = Vec::new();
-    if !dir.exists() {
-        return Ok(shards);
-    }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix("shard-") else {
-            continue;
-        };
-        if rest.len() == 3 {
-            if let Ok(index) = rest.parse::<usize>() {
-                shards.push(index);
+    if dir.exists() {
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let index = name.to_str().and_then(|name| name.strip_prefix("shard-"));
+            if let Some(index) = index.filter(|index| index.len() == 3) {
+                shards.extend(index.parse::<usize>().ok());
             }
         }
     }
@@ -960,50 +959,13 @@ fn existing_shard_dirs(dir: &Path) -> io::Result<Vec<usize>> {
     Ok(shards)
 }
 
-/// A crash-safe sharded serving store: one independent [`DurableService`]
-/// per shard, each with its **own** checkpoint/WAL generation chain under
-/// `<dir>/shard-NNN/`, partitioned by the same [`ShardRouter`] the
-/// in-memory [`crate::ShardedService`] uses.
-///
-/// Shard independence is the point: shard writers append and compact their
-/// logs concurrently (no cross-shard lock, no shared fsync queue), and a
-/// crash — or a poisoned write — in one shard's WAL or compaction never
-/// touches another shard's acknowledged epochs: every other shard recovers
-/// exactly as if the failing shard did not exist.
-/// [`ShardedDurableService::recover`] recovers each shard in shard order
-/// and returns one [`RecoveryReport`] per shard.
-///
-/// Durability semantics within a shard are exactly [`DurableService`]'s
-/// (log + fsync before acknowledge, crash-safe compaction, poisoning).  A
-/// cross-shard [`ShardedDurableService::ingest`] is validated up-front and
-/// then applied **per-shard atomically** (one log record, one fsync, one
-/// publication per touched shard) — there is no cross-shard commit record,
-/// so a crash between shard fsyncs can persist some shards' sub-batches
-/// and not others'; each surviving sub-batch is intact.
-pub struct ShardedDurableService {
-    router: ShardRouter,
-    shards: Vec<DurableService>,
-    threads: usize,
-    dir: PathBuf,
-}
-
-impl std::fmt::Debug for ShardedDurableService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedDurableService")
-            .field("dir", &self.dir)
-            .field("shards", &self.router.shards())
-            .field("entities", &self.len())
-            .field("poisoned", &self.is_poisoned())
-            .finish()
-    }
-}
-
-impl ShardedDurableService {
+/// Crash-safe sharding — see the module docs.
+impl ShardedService<DurableService> {
     /// Creates a sharded durable store over a materialised target source:
     /// entities are partitioned by the router and every shard writes its
     /// own checkpoint generation 0 and opens its own log.  Fails with
     /// [`DurableError::AlreadyDurable`] if the directory already holds
-    /// shard state (use [`ShardedDurableService::recover`]).
+    /// shard state (use [`ShardedService::recover`]).
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         dir: impl AsRef<Path>,
@@ -1013,32 +975,13 @@ impl ShardedDurableService {
         shards: usize,
         options: ServiceOptions,
         durability: DurabilityOptions,
-    ) -> Result<ShardedDurableService, DurableError> {
-        let router = ShardRouter::new(shards);
-        let mut parts: Vec<Vec<Entity>> = vec![Vec::new(); shards];
-        for entity in target.entities() {
-            parts[router.route(entity.id())].push(entity.clone());
-        }
-        ShardedDurableService::initialise_shards(
-            dir.as_ref(),
-            router,
-            options,
-            durability,
-            |index| {
-                ServiceWriter::build_from_entities(
-                    rule.clone(),
-                    source_schema,
-                    target.schema(),
-                    &parts[index],
-                    options,
-                )
-                .map_err(DurableError::from)
-            },
-        )
+    ) -> Result<Self, DurableError> {
+        let memory = ShardedService::build(rule, source_schema, target, shards, options)?;
+        ShardedService::initialise_shards(dir.as_ref(), memory, durability)
     }
 
     /// Creates an empty sharded durable store (populate through
-    /// [`ShardedDurableService::ingest`] / [`ShardedDurableService::insert`]).
+    /// [`ShardedService::ingest`] / [`ShardedService::insert`]).
     pub fn create_empty(
         dir: impl AsRef<Path>,
         rule: LinkageRule,
@@ -1047,43 +990,24 @@ impl ShardedDurableService {
         shards: usize,
         options: ServiceOptions,
         durability: DurabilityOptions,
-    ) -> Result<ShardedDurableService, DurableError> {
-        let router = ShardRouter::new(shards);
-        ShardedDurableService::initialise_shards(dir.as_ref(), router, options, durability, |_| {
-            Ok(ServiceWriter::empty(
-                rule.clone(),
-                source_schema,
-                target_schema,
-                options,
-            ))
-        })
+    ) -> Result<Self, DurableError> {
+        let memory = ShardedService::empty(rule, source_schema, target_schema, shards, options);
+        ShardedService::initialise_shards(dir.as_ref(), memory, durability)
     }
 
+    /// Writes every in-memory shard's checkpoint generation 0 and opens its
+    /// log, in shard order, under a root that holds no shard state yet.
     fn initialise_shards(
         dir: &Path,
-        router: ShardRouter,
-        options: ServiceOptions,
+        memory: ShardedService,
         durability: DurabilityOptions,
-        mut build: impl FnMut(usize) -> Result<ServiceWriter, DurableError>,
-    ) -> Result<ShardedDurableService, DurableError> {
+    ) -> Result<Self, DurableError> {
         std::fs::create_dir_all(dir)?;
         if !existing_shard_dirs(dir)?.is_empty() {
             return Err(DurableError::AlreadyDurable(dir.to_path_buf()));
         }
-        let mut shards = Vec::with_capacity(router.shards());
-        for index in 0..router.shards() {
-            let writer = build(index)?;
-            shards.push(DurableService::initialise(
-                &shard_dir(dir, index),
-                writer,
-                durability,
-            )?);
-        }
-        Ok(ShardedDurableService {
-            router,
-            shards,
-            threads: options.threads,
-            dir: dir.to_path_buf(),
+        memory.try_map_shards(|(index, writer)| {
+            DurableService::initialise(&shard_dir(dir, index), writer, durability)
         })
     }
 
@@ -1101,8 +1025,8 @@ impl ShardedDurableService {
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
-    ) -> Result<(ShardedDurableService, Vec<RecoveryReport>), RecoveryError> {
-        ShardedDurableService::recover_with_rules(
+    ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
+        ShardedService::recover_with_rules(
             dir,
             &[(DEFAULT_RULE.to_string(), rule)],
             source_schema,
@@ -1110,20 +1034,20 @@ impl ShardedDurableService {
         )
     }
 
-    /// Multi-rule [`ShardedDurableService::recover`]: each shard's
-    /// checkpoint manifest and logged registry operations are resolved
-    /// against `catalog`.  Registry operations go to shard 0 first, so a
-    /// crash mid-broadcast can leave trailing shards behind shard 0 —
-    /// recovery rolls them forward: shard 0's recovered registry is
-    /// authoritative and every other shard is converged to it (missing
-    /// rules registered, stale rules swapped, extras deregistered) before
-    /// the service is handed back.
+    /// Multi-rule [`ShardedService::recover`]: each shard's checkpoint
+    /// manifest and logged registry operations are resolved against
+    /// `catalog`.  Registry operations go to shard 0 first, so a crash
+    /// mid-broadcast can leave trailing shards behind shard 0 — recovery
+    /// rolls them forward: shard 0's recovered registry is authoritative
+    /// and every other shard is converged to it (missing rules registered,
+    /// stale rules swapped, extras deregistered) before the service is
+    /// handed back.
     pub fn recover_with_rules(
         dir: impl AsRef<Path>,
         catalog: &[(String, LinkageRule)],
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
-    ) -> Result<(ShardedDurableService, Vec<RecoveryReport>), RecoveryError> {
+    ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
         let dir = dir.as_ref();
         let found = existing_shard_dirs(dir)?;
         if found.is_empty() {
@@ -1149,14 +1073,9 @@ impl ShardedDurableService {
             shards.push(service);
             reports.push(report);
         }
-        ShardedDurableService::converge_registries(&mut shards)?;
+        ShardedService::converge_registries(&mut shards)?;
         Ok((
-            ShardedDurableService {
-                router: ShardRouter::new(reports.len()),
-                shards,
-                threads: 0,
-                dir: dir.to_path_buf(),
-            },
+            ShardedService::assemble(ShardRouter::new(reports.len()), shards, 0),
             reports,
         ))
     }
@@ -1213,148 +1132,76 @@ impl ShardedDurableService {
         Ok(())
     }
 
-    /// Registers a rule on every shard durably, shard 0 first (shard 0's
-    /// registry is the authority recovery converges the others to, so a
-    /// crash mid-broadcast rolls forward, never back).  Shards log and
-    /// fsync independently; the rule serves everywhere once this returns.
-    pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        for shard in &mut self.shards {
-            shard.register_rule(name, rule.clone())?;
-        }
-        Ok(())
-    }
-
-    /// Deregisters a rule from every shard durably, shard 0 first.
-    pub fn deregister_rule(&mut self, name: &str) -> Result<(), DurableError> {
-        for shard in &mut self.shards {
-            shard.deregister_rule(name)?;
-        }
-        Ok(())
-    }
-
-    /// Hot-swaps a rule on every shard durably, shard 0 first.
-    pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        for shard in &mut self.shards {
-            shard.replace_rule(name, rule.clone())?;
-        }
-        Ok(())
-    }
-
-    /// The router partitioning entity ids across shards.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// The per-shard durable services, in shard order.
-    pub fn shards(&self) -> &[DurableService] {
-        &self.shards
-    }
-
-    /// One shard's durable service (e.g. to compact or inspect it alone).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut DurableService {
-        &mut self.shards[shard]
-    }
-
-    /// The root directory (shard chains live in `shard-NNN` below it).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Total live target entities across all shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(DurableService::len).sum()
-    }
-
-    /// Returns `true` when no shard serves any entity.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(DurableService::is_empty)
-    }
-
     /// Total mutations acknowledged across all shards.
     pub fn seq(&self) -> u64 {
-        self.shards.iter().map(DurableService::seq).sum()
+        self.shards().iter().map(DurableService::seq).sum()
     }
 
     /// Returns `true` if **any** shard poisoned itself; the others keep
     /// accepting writes (shard independence), but a poisoned shard only
-    /// recovers via [`ShardedDurableService::recover`].
+    /// recovers via [`ShardedService::recover`].
     pub fn is_poisoned(&self) -> bool {
-        self.shards.iter().any(DurableService::is_poisoned)
-    }
-
-    /// A sharded reader over every shard's published epochs.
-    pub fn reader(&self) -> ShardedReader {
-        ShardedReader::from_parts(
-            self.router,
-            self.shards
-                .iter()
-                .map(|shard| shard.writer().reader())
-                .collect(),
-        )
-    }
-
-    /// Adds one target entity durably to its routed shard.  Returns the
-    /// sharded slot; only that shard logs, fsyncs and publishes.
-    pub fn insert(&mut self, entity: &Entity) -> Result<ShardSlot, DurableError> {
-        let shard = self.router.route(entity.id());
-        let position = self.shards[shard].insert(entity)?;
-        Ok(ShardSlot {
-            shard: shard as u32,
-            position,
-        })
-    }
-
-    /// Removes a target entity durably from its routed shard.  Returns
-    /// `Ok(false)` (logging nothing) when the id is not served.
-    pub fn remove(&mut self, id: &str) -> Result<bool, DurableError> {
-        self.shards[self.router.route(id)].remove(id)
-    }
-
-    /// Ingests a batch durably across shards: routed in parallel, validated
-    /// **up-front** (a duplicate anywhere fails the whole call before
-    /// anything is logged), then applied with one worker per shard — each
-    /// touched shard appends one log record, fsyncs and publishes
-    /// independently, which is where the N-way write parallelism comes
-    /// from.  Per-shard atomic, not cross-shard atomic (see the type docs).
-    pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, DurableError> {
-        let router = self.router;
-        let routes =
-            parallel_ordered_map(entities, self.threads, |entity| router.route(entity.id()));
-        let mut batch_ids: std::collections::HashSet<&str> =
-            std::collections::HashSet::with_capacity(entities.len());
-        for (entity, &shard) in entities.iter().zip(&routes) {
-            if self.shards[shard].is_poisoned() {
-                return Err(DurableError::Poisoned);
-            }
-            if !batch_ids.insert(entity.id()) || self.shards[shard].writer().contains(entity.id()) {
-                return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
-            }
-        }
-        let mut per_shard: Vec<Vec<Entity>> = vec![Vec::new(); self.router.shards()];
-        for (entity, &shard) in entities.iter().zip(&routes) {
-            per_shard[shard].push(entity.clone());
-        }
-        let mut jobs: Vec<(&mut DurableService, Vec<Entity>)> =
-            self.shards.iter_mut().zip(per_shard).collect();
-        let results = parallel_ordered_map_mut(&mut jobs, self.threads, |_, (shard, batch)| {
-            if batch.is_empty() {
-                return Ok(0usize);
-            }
-            shard.ingest(batch)
-        });
-        let mut total = 0usize;
-        for result in results {
-            total += result?;
-        }
-        Ok(total)
+        self.shards().iter().any(DurableService::is_poisoned)
     }
 
     /// Compacts every shard's log into a fresh checkpoint generation now
     /// (each shard also self-compacts past its own log budget).
     pub fn compact(&mut self) -> Result<(), DurableError> {
-        for shard in &mut self.shards {
-            shard.compact()?;
+        for shard in 0..self.router().shards() {
+            self.shard_mut(shard).compact()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use linkdisc_entity::DataSourceBuilder;
+    use linkdisc_rule::{compare, property, DistanceFunction};
+
+    #[test]
+    fn a_replay_error_names_the_failing_record() {
+        let target = DataSourceBuilder::new("B", ["name"])
+            .entity("b1", [("name", "berlin")])
+            .unwrap()
+            .entity("b2", [("name", "paris")])
+            .unwrap()
+            .build();
+        let rule: LinkageRule = compare(
+            property("name"),
+            property("name"),
+            DistanceFunction::Levenshtein,
+            1.0,
+        )
+        .into();
+        let dir = std::env::temp_dir().join(format!("linkdisc-replay-seq-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut service = DurableService::create(
+            &dir,
+            rule.clone(),
+            target.schema(),
+            &target,
+            ServiceOptions::default(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        assert!(service.remove("b1").unwrap());
+        assert!(service.remove("b2").unwrap());
+        // a one-property schema, two value sets: decodes, cannot be applied
+        let values = [vec!["rome".to_string()], vec!["extra".to_string()]];
+        service.log(&Delta::Insert("b3", &values)).unwrap();
+        let bad_seq = service.seq();
+        assert_eq!(bad_seq, 3);
+        drop(service);
+
+        let err =
+            DurableService::recover(&dir, rule, target.schema(), DurabilityOptions::default())
+                .unwrap_err();
+        assert!(
+            matches!(err, RecoveryError::Replay { seq, .. } if seq == bad_seq),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -18,21 +18,19 @@
 //!   the target chunk by chunk with a sharded per-chunk index build, of
 //!   which the batch `run` is a zero-copy wrapper; `use_blocking: false`
 //!   falls back to the exhaustive cross product,
-//! * [`LinkService`] / [`ServiceWriter`] / [`ServiceReader`] — the serving
-//!   front-end: a long-lived index over an *owned* entity store
-//!   (insert/remove/ingest) answering single-entity match queries at
-//!   interactive latency on an allocation-free candidate path; the
-//!   writer/reader split publishes copy-on-write epochs so any number of
-//!   reader threads query consistent snapshots while one writer churns.
-//!   The writer serves a whole *registry* of rules over the one store —
-//!   their indexes share leaves through a serving-side pool, registration
-//!   on a warm store builds only the missing leaves, and replacing a rule
-//!   is one epoch publication (a hot swap),
+//! * [`ServiceWriter`] / [`ServiceReader`] — the serving front-end: a
+//!   long-lived index over an *owned* entity store answering single-entity
+//!   match queries on an allocation-free candidate path; the writer
+//!   publishes copy-on-write epochs that any number of readers query while
+//!   it churns, for a whole *registry* of rules sharing leaf indexes (a
+//!   rule swap is one publication).  [`LinkService`] owns one of each
+//!   (mutators on the facade, the rest via `writer()` / `reader()`), and
+//!   [`DurableService`] write-ahead logs a writer,
 //! * [`ShardedService`] / [`ShardedReader`] — the serving layer partitioned
 //!   by an entity-id hash router ([`ShardRouter`]) into N independent
-//!   shards, each with its own index, epoch chain and (durably) WAL
-//!   generation chain: N-way parallel mutation with no cross-shard lock,
-//!   merged losslessly at query time,
+//!   shards of either [`Shard`] kind, in-memory or durable (one WAL chain
+//!   per shard): N-way parallel mutation with no cross-shard lock, merged
+//!   losslessly at query time,
 //! * [`persist`] — versioned binary snapshots of the served state (entity
 //!   store + leaf maps), restoring bit-identically in O(read),
 //! * [`MatchingReport`] — links plus counters and per-comparison block
@@ -47,10 +45,7 @@ pub mod service;
 pub mod sharded;
 mod wal;
 
-pub use durable::{
-    DurabilityOptions, DurableError, DurableService, RecoveryError, RecoveryReport,
-    ShardedDurableService,
-};
+pub use durable::{DurabilityOptions, DurableError, DurableService, RecoveryError, RecoveryReport};
 pub use engine::{
     ComparisonBlockStats, MatchingEngine, MatchingOptions, MatchingReport, ScoredLink,
 };
@@ -60,4 +55,4 @@ pub use service::{
     CommitteeLink, LinkService, RegistryError, RuleServingStats, ServiceOptions, ServiceReader,
     ServiceWriter, DEFAULT_RULE,
 };
-pub use sharded::{ShardRouter, ShardSlot, ShardedReader, ShardedScratch, ShardedService};
+pub use sharded::{Shard, ShardRouter, ShardSlot, ShardedReader, ShardedScratch, ShardedService};

@@ -737,18 +737,24 @@ mod tests {
         service.remove("b1");
         let bytes = snapshot_of(&service);
         let restored = LinkService::restore(rule(), source.schema(), &bytes[..]).unwrap();
-        assert_eq!(restored.len(), service.len());
-        assert_eq!(restored.stats(), service.stats());
-        assert_eq!(restored.store().free_slots(), service.store().free_slots());
+        assert_eq!(restored.writer().len(), service.writer().len());
+        assert_eq!(restored.writer().stats(), service.writer().stats());
+        assert_eq!(
+            restored.writer().store().free_slots(),
+            service.writer().store().free_slots()
+        );
         for entity in source.entities() {
-            assert_eq!(restored.query(entity), service.query(entity));
+            assert_eq!(
+                restored.reader().query(entity),
+                service.reader().query(entity)
+            );
         }
         // subsequent mutations behave identically (same slot recycled)
         let mut restored = restored;
         let a = service.insert(&target.entities()[1]).unwrap();
         let b = restored.insert(&target.entities()[1]).unwrap();
         assert_eq!(a, b);
-        assert_eq!(restored.stats(), service.stats());
+        assert_eq!(restored.writer().stats(), service.writer().stats());
     }
 
     #[test]
@@ -779,16 +785,22 @@ mod tests {
         ];
         let restored =
             LinkService::restore_with_rules(&catalog, source.schema(), &bytes[..]).unwrap();
-        assert_eq!(restored.rule_names(), service.rule_names());
-        let before = service.leaf_pool_stats();
-        let after = restored.leaf_pool_stats();
+        assert_eq!(
+            restored.writer().rule_names(),
+            service.writer().rule_names()
+        );
+        let before = service.writer().leaf_pool_stats();
+        let after = restored.writer().leaf_pool_stats();
         assert_eq!(after.entries, before.entries, "shared leaves pooled once");
         assert_eq!(after.refs, before.refs);
         for entity in source.entities() {
-            assert_eq!(restored.query(entity), service.query(entity));
             assert_eq!(
-                restored.query_rule("other", entity).unwrap(),
-                service.query_rule("other", entity).unwrap()
+                restored.reader().query(entity),
+                service.reader().query(entity)
+            );
+            assert_eq!(
+                restored.reader().query_rule("other", entity).unwrap(),
+                service.reader().query_rule("other", entity).unwrap()
             );
         }
         // catalog order does not matter, and extra catalog entries are
@@ -800,7 +812,7 @@ mod tests {
         ];
         let again =
             LinkService::restore_with_rules(&shuffled, source.schema(), &bytes[..]).unwrap();
-        assert_eq!(again.rule_names(), service.rule_names());
+        assert_eq!(again.writer().rule_names(), service.writer().rule_names());
         // determinism holds across save → restore → save
         assert_eq!(snapshot_of(&restored), bytes);
     }
@@ -897,7 +909,7 @@ mod tests {
         );
         let restored =
             LinkService::restore(rule(), source.schema(), &snapshot_of(&empty)[..]).unwrap();
-        assert!(restored.is_empty());
+        assert!(restored.writer().is_empty());
         // an unprunable rule has no leaves — only the store round-trips
         let jaro: LinkageRule = compare(
             property("name"),
@@ -913,12 +925,15 @@ mod tests {
             ServiceOptions::default(),
         )
         .unwrap();
-        assert!(service.stats().is_empty());
+        assert!(service.writer().stats().is_empty());
         let restored =
             LinkService::restore(jaro, source.schema(), &snapshot_of(&service)[..]).unwrap();
-        assert_eq!(restored.len(), 3);
+        assert_eq!(restored.writer().len(), 3);
         for entity in source.entities() {
-            assert_eq!(restored.query(entity), service.query(entity));
+            assert_eq!(
+                restored.reader().query(entity),
+                service.reader().query(entity)
+            );
         }
     }
 }

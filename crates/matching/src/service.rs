@@ -31,8 +31,10 @@
 //!   and scoring all see one consistent state, no matter how the writer
 //!   churns meanwhile.  The hot path ([`ServiceReader::query_with`]) stays
 //!   **allocation-free** in the steady state.
-//! * [`LinkService`] — the single-threaded facade over a writer/reader pair,
-//!   preserving the original construct-ingest-query API; call
+//! * [`LinkService`] — the single-threaded facade over a writer/reader
+//!   pair: constructors, the mutators (each publishes before it returns,
+//!   so the next query sees it), and [`LinkService::writer`] /
+//!   [`LinkService::reader`] for everything else; call
 //!   [`LinkService::split`] to move to concurrent operation.
 //!
 //! # Multi-rule serving
@@ -348,7 +350,7 @@ impl ServiceWriter {
         target: &DataSource,
         options: ServiceOptions,
     ) -> Result<Self, EntityError> {
-        ServiceWriter::build_from_parts(
+        ServiceWriter::build_from_entities(
             rule,
             source_schema,
             target.schema(),
@@ -361,16 +363,6 @@ impl ServiceWriter {
     /// pre-validation): a duplicate identifier in `target` surfaces as
     /// [`EntityError::DuplicateEntity`] instead of panicking.
     pub fn build_from_entities(
-        rule: LinkageRule,
-        source_schema: &Arc<Schema>,
-        target_schema: &Arc<Schema>,
-        target: &[Entity],
-        options: ServiceOptions,
-    ) -> Result<Self, EntityError> {
-        ServiceWriter::build_from_parts(rule, source_schema, target_schema, target, options)
-    }
-
-    fn build_from_parts(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         target_schema: &Arc<Schema>,
@@ -1174,45 +1166,14 @@ impl LinkService {
         (self.writer, self.reader)
     }
 
-    /// The default rule this service executes (registry slot 0).
-    pub fn rule(&self) -> &LinkageRule {
-        self.writer.rule()
-    }
-
-    /// Number of live target entities.
-    pub fn len(&self) -> usize {
-        self.writer.len()
-    }
-
-    /// Returns `true` when no target entity is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.writer.is_empty()
-    }
-
-    /// Returns `true` if a target with this identifier is currently served.
-    pub fn contains(&self, id: &str) -> bool {
-        self.writer.contains(id)
-    }
-
-    /// The target entity currently served at an index position.
-    pub fn at(&self, position: u32) -> Option<Arc<Entity>> {
-        self.writer.at(position)
-    }
-
-    /// The owned entity store (positions, free list, interning statistics).
-    pub fn store(&self) -> &EntityStore {
-        self.writer.store()
-    }
-
-    /// The writer half, e.g. for saving a snapshot without splitting.
+    /// The writer half: the store, the registry and their statistics.
     pub fn writer(&self) -> &ServiceWriter {
         &self.writer
     }
 
-    /// Build statistics of the default rule's index, one entry per indexed
-    /// comparison — exact at all times, including after inserts and removes.
-    pub fn stats(&self) -> Vec<LeafBuildStats> {
-        self.writer.stats()
+    /// The reader half: every query method.
+    pub fn reader(&self) -> &ServiceReader {
+        &self.reader
     }
 
     /// Registers a new rule under a fresh name — see
@@ -1233,93 +1194,21 @@ impl LinkService {
         self.writer.replace_rule(name, rule)
     }
 
-    /// The registered rule names, in registration order.
-    pub fn rule_names(&self) -> Vec<String> {
-        self.writer.rule_names()
-    }
-
-    /// Returns `true` when a rule with this name is registered.
-    pub fn has_rule(&self, name: &str) -> bool {
-        self.writer.has_rule(name)
-    }
-
-    /// The number of registered rules.
-    pub fn rule_count(&self) -> usize {
-        self.writer.rule_count()
-    }
-
-    /// The published epoch version (each mutation or registry operation
-    /// publishes exactly one).
-    pub fn version(&self) -> u64 {
-        self.writer.version()
-    }
-
-    /// Per-rule serving statistics, in registration order.
-    pub fn rule_stats(&self) -> Vec<RuleServingStats> {
-        self.writer.rule_stats()
-    }
-
-    /// Aggregate statistics of the serving leaf pool.
-    pub fn leaf_pool_stats(&self) -> LeafPoolStats {
-        self.writer.leaf_pool_stats()
-    }
-
-    /// Adds one target entity, indexing it incrementally.  Returns its index
-    /// position; fails on a duplicate identifier.
+    /// Adds one target entity — see [`ServiceWriter::insert`].
     pub fn insert(&mut self, entity: &Entity) -> Result<u32, EntityError> {
         self.writer.insert(entity)
     }
 
-    /// Streamed ingestion: adds a chunk of target entities.  Equivalent to
-    /// inserting them one by one; the resulting index is structurally
-    /// identical to a batch build over the same final entity set.
+    /// Streamed ingestion of a chunk of target entities — see
+    /// [`ServiceWriter::ingest`].
     pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, EntityError> {
         self.writer.ingest(entities)
     }
 
-    /// Removes a target entity by identifier, un-indexing its postings (the
-    /// slot is recycled by later inserts) and evicting its memoized
-    /// transform chains from the shared value cache — a long-lived service
-    /// under entity churn holds cache entries for its live entities only.
+    /// Removes a target entity by identifier — see [`ServiceWriter::remove`].
     /// Returns `false` when the id is not served.
     pub fn remove(&mut self, id: &str) -> bool {
         self.writer.remove(id)
-    }
-
-    /// Number of `(entity, chain)` entries currently memoized in the
-    /// service-lifetime value cache (observability for the eviction-on-
-    /// remove behaviour).
-    pub fn cached_chain_entries(&self) -> usize {
-        self.writer.cached_chain_entries()
-    }
-
-    /// All targets matching one query entity under the default rule (score
-    /// ≥ the link threshold), best first (ties towards the smaller
-    /// identifier).
-    pub fn query(&self, source_entity: &Entity) -> Vec<ScoredLink> {
-        self.reader.query(source_entity)
-    }
-
-    /// All targets matching one query entity under a named rule — see
-    /// [`ServiceReader::query_rule`].
-    pub fn query_rule(&self, name: &str, source_entity: &Entity) -> Option<Vec<ScoredLink>> {
-        self.reader.query_rule(name, source_entity)
-    }
-
-    /// One query fanned across the whole registry — see
-    /// [`ServiceReader::query_committee`].
-    pub fn query_committee(&self, source_entity: &Entity) -> Vec<CommitteeLink> {
-        self.reader.query_committee(source_entity)
-    }
-
-    /// The hot query path — see [`ServiceReader::query_with`].
-    pub fn query_with(
-        &self,
-        source_entity: &Entity,
-        scratch: &mut CandidateScratch,
-        out: &mut Vec<(u32, f64)>,
-    ) -> u64 {
-        self.reader.query_with(source_entity, scratch, out)
     }
 }
 
@@ -1423,7 +1312,7 @@ mod tests {
         let service =
             LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
                 .unwrap();
-        let links = service.query(&source.entities()[0]);
+        let links = service.reader().query(&source.entities()[0]);
         let targets: Vec<&str> = links.iter().map(|l| l.target.as_str()).collect();
         assert_eq!(targets, vec!["b1", "b3"], "berlin exact, berlim fuzzy");
         assert!(links[0].score > links[1].score);
@@ -1440,7 +1329,7 @@ mod tests {
         let mut service_links: Vec<ScoredLink> = source
             .entities()
             .iter()
-            .flat_map(|entity| service.query(entity))
+            .flat_map(|entity| service.reader().query(entity))
             .collect();
         service_links.sort_by(|a, b| {
             a.source
@@ -1460,8 +1349,8 @@ mod tests {
             let target = target();
             LinkService::build(rule(), source.schema(), &target, ServiceOptions::default()).unwrap()
         };
-        assert_eq!(service.len(), 3);
-        assert_eq!(service.query(&source.entities()[0]).len(), 2);
+        assert_eq!(service.writer().len(), 3);
+        assert_eq!(service.reader().query(&source.entities()[0]).len(), 2);
     }
 
     #[test]
@@ -1474,15 +1363,15 @@ mod tests {
             ServiceOptions::default(),
         );
         let a1 = &source.entities()[0];
-        assert!(service.query(a1).is_empty());
+        assert!(service.reader().query(a1).is_empty());
 
         service.ingest(target.entities()).unwrap();
-        assert_eq!(service.len(), 3);
-        assert_eq!(service.query(a1).len(), 2);
+        assert_eq!(service.writer().len(), 3);
+        assert_eq!(service.reader().query(a1).len(), 2);
 
         assert!(service.remove("b1"));
         assert!(!service.remove("b1"), "already gone");
-        let links = service.query(a1);
+        let links = service.reader().query(a1);
         assert_eq!(links.len(), 1);
         assert_eq!(links[0].target, "b3");
 
@@ -1493,7 +1382,12 @@ mod tests {
             .build();
         let position = service.insert(&extra.entities()[0]).unwrap();
         assert_eq!(position, 0, "freed slot is recycled");
-        let targets: Vec<String> = service.query(a1).into_iter().map(|l| l.target).collect();
+        let targets: Vec<String> = service
+            .reader()
+            .query(a1)
+            .into_iter()
+            .map(|l| l.target)
+            .collect();
         assert_eq!(targets, vec!["b3".to_string(), "b9".to_string()]);
     }
 
@@ -1548,10 +1442,10 @@ mod tests {
         incremental.remove("b2");
         incremental.ingest(&target.entities()[2..]).unwrap();
         incremental.insert(&target.entities()[1]).unwrap();
-        assert_eq!(incremental.len(), batch.len());
+        assert_eq!(incremental.writer().len(), batch.writer().len());
         for entity in source.entities() {
-            let batch_links = batch.query(entity);
-            let incremental_links = incremental.query(entity);
+            let batch_links = batch.reader().query(entity);
+            let incremental_links = incremental.reader().query(entity);
             assert_eq!(batch_links, incremental_links, "query {}", entity.id());
         }
     }
@@ -1570,11 +1464,14 @@ mod tests {
         let (source, target) = (source(), target());
         let mut service =
             LinkService::build(jaro, source.schema(), &target, ServiceOptions::default()).unwrap();
-        assert!(service.stats().is_empty(), "no indexable comparison");
-        let before = service.query(&source.entities()[1]);
+        assert!(
+            service.writer().stats().is_empty(),
+            "no indexable comparison"
+        );
+        let before = service.reader().query(&source.entities()[1]);
         assert!(before.iter().any(|l| l.target == "b2"));
         service.remove("b2");
-        let after = service.query(&source.entities()[1]);
+        let after = service.reader().query(&source.entities()[1]);
         assert!(!after.iter().any(|l| l.target == "b2"));
     }
 
@@ -1598,26 +1495,26 @@ mod tests {
         )
         .unwrap();
         for entity in source.entities() {
-            service.query(entity);
+            service.reader().query(entity);
         }
-        let warm = service.cached_chain_entries();
+        let warm = service.writer().cached_chain_entries();
         assert_eq!(warm, 3, "one lowerCase(name) entry per served entity");
         assert!(service.remove("b2"));
         assert_eq!(
-            service.cached_chain_entries(),
+            service.writer().cached_chain_entries(),
             warm - 1,
             "the removed entity's chain memo is evicted"
         );
         // the survivors still serve correct results ("Berlin" is one edit
         // from "berlin" but two from "berlim")
-        let links = service.query(&source.entities()[0]);
+        let links = service.reader().query(&source.entities()[0]);
         assert_eq!(links.len(), 1);
-        assert!(service.query(&source.entities()[1]).is_empty());
+        assert!(service.reader().query(&source.entities()[1]).is_empty());
         // re-inserting recomputes and re-memoizes the evicted chain (the
         // writer warms inserted entities eagerly)
         service.insert(&target.entities()[1]).unwrap();
-        assert_eq!(service.cached_chain_entries(), warm);
-        assert_eq!(service.query(&source.entities()[1]).len(), 1);
+        assert_eq!(service.writer().cached_chain_entries(), warm);
+        assert_eq!(service.reader().query(&source.entities()[1]).len(), 1);
     }
 
     #[test]
@@ -1628,13 +1525,17 @@ mod tests {
                 .unwrap();
         let mut scratch = CandidateScratch::new();
         let mut hits = Vec::new();
-        service.query_with(&source.entities()[1], &mut scratch, &mut hits);
+        service
+            .reader()
+            .query_with(&source.entities()[1], &mut scratch, &mut hits);
         assert_eq!(hits.len(), 1);
         let (position, score) = hits[0];
-        assert_eq!(service.at(position).unwrap().id(), "b2");
+        assert_eq!(service.writer().at(position).unwrap().id(), "b2");
         assert!(score >= 0.5);
         // reusing the buffers clears previous results
-        service.query_with(&source.entities()[0], &mut scratch, &mut hits);
+        service
+            .reader()
+            .query_with(&source.entities()[0], &mut scratch, &mut hits);
         assert_eq!(hits.len(), 2);
     }
 
@@ -1700,7 +1601,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            service.store().interner_hits(),
+            service.writer().store().interner_hits(),
             9,
             "nine of ten equal value sets reuse the first allocation"
         );
@@ -1750,14 +1651,14 @@ mod tests {
         let mut service =
             LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
                 .unwrap();
-        let cold = service.leaf_pool_stats();
+        let cold = service.writer().leaf_pool_stats();
         assert_eq!(cold.misses, 1, "the default rule built its one leaf");
         assert_eq!(cold.entries, 1);
 
         // the Levenshtein arm shares the pooled leaf; only the equality
         // arm builds a leaf of its own
         service.register_rule("tight", tighter_rule()).unwrap();
-        let warm = service.leaf_pool_stats();
+        let warm = service.writer().leaf_pool_stats();
         assert_eq!(warm.hits, cold.hits + 1, "the shared leaf hit the pool");
         assert_eq!(warm.misses, cold.misses + 1, "only the new leaf was built");
         assert_eq!(warm.entries, 2);
@@ -1765,11 +1666,14 @@ mod tests {
 
         // the registered rule answers through its own plan: "berlim" fails
         // the exact-match arm of the min aggregation
-        let links = service.query_rule("tight", &source.entities()[0]).unwrap();
+        let links = service
+            .reader()
+            .query_rule("tight", &source.entities()[0])
+            .unwrap();
         let targets: Vec<&str> = links.iter().map(|l| l.target.as_str()).collect();
         assert_eq!(targets, vec!["b1"]);
         // the default rule is untouched
-        assert_eq!(service.query(&source.entities()[0]).len(), 2);
+        assert_eq!(service.reader().query(&source.entities()[0]).len(), 2);
     }
 
     #[test]
@@ -1788,8 +1692,8 @@ mod tests {
         .unwrap();
         for entity in source.entities() {
             assert_eq!(
-                multi.query_rule("tight", entity).unwrap(),
-                solo.query(entity),
+                multi.reader().query_rule("tight", entity).unwrap(),
+                solo.reader().query(entity),
                 "query {}",
                 entity.id()
             );
@@ -1819,9 +1723,9 @@ mod tests {
         )
         .unwrap();
         for entity in source.entities() {
-            let mut expected = solo.query(entity);
+            let mut expected = solo.reader().query(entity);
             // positions differ (churned slots), but ids and scores must not
-            let mut got = service.query_rule("tight", entity).unwrap();
+            let mut got = service.reader().query_rule("tight", entity).unwrap();
             expected.sort_by(|a, b| a.target.cmp(&b.target));
             got.sort_by(|a, b| a.target.cmp(&b.target));
             assert_eq!(got, expected, "query {}", entity.id());
@@ -1844,23 +1748,23 @@ mod tests {
         )
         .into();
         service.register_rule("other", other).unwrap();
-        assert_eq!(service.leaf_pool_stats().entries, 2);
-        let warm = service.cached_chain_entries();
+        assert_eq!(service.writer().leaf_pool_stats().entries, 2);
+        let warm = service.writer().cached_chain_entries();
         assert!(
             warm >= 3,
             "the new rule warmed its chains on registration? warm={warm}"
         );
 
         service.deregister_rule("other").unwrap();
-        let after = service.leaf_pool_stats();
+        let after = service.writer().leaf_pool_stats();
         assert_eq!(after.entries, 1, "refcount zero drops the leaf");
         assert_eq!(after.refs, 1);
         assert!(
-            service.cached_chain_entries() < warm,
+            service.writer().cached_chain_entries() < warm,
             "orphaned chain memos are evicted"
         );
         // the surviving rule still answers
-        assert_eq!(service.query(&source.entities()[0]).len(), 2);
+        assert_eq!(service.reader().query(&source.entities()[0]).len(), 2);
     }
 
     #[test]
@@ -1893,7 +1797,7 @@ mod tests {
             LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
                 .unwrap();
         service.register_rule("tight", tighter_rule()).unwrap();
-        let links = service.query_committee(&source.entities()[0]);
+        let links = service.reader().query_committee(&source.entities()[0]);
         // b1 ("berlin"): both rules vote.  b3 ("berlim"): only the loose
         // default rule votes.
         assert_eq!(links.len(), 2);
@@ -1912,10 +1816,13 @@ mod tests {
             LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
                 .unwrap();
         service.register_rule("tight", tighter_rule()).unwrap();
-        service.query(&source.entities()[0]);
-        service.query_rule("tight", &source.entities()[0]).unwrap();
-        service.query_committee(&source.entities()[1]);
-        let stats = service.rule_stats();
+        service.reader().query(&source.entities()[0]);
+        service
+            .reader()
+            .query_rule("tight", &source.entities()[0])
+            .unwrap();
+        service.reader().query_committee(&source.entities()[1]);
+        let stats = service.writer().rule_stats();
         assert_eq!(stats.len(), 2);
         assert_eq!(stats[0].rule, DEFAULT_RULE);
         assert_eq!(stats[0].queries, 2, "direct + committee");
@@ -1963,23 +1870,33 @@ mod tests {
         let baseline: Vec<_> = source
             .entities()
             .iter()
-            .map(|entity| service.query(entity))
+            .map(|entity| service.reader().query(entity))
             .collect();
         service.register_rule("tight", tighter_rule()).unwrap();
         let registered: Vec<_> = source
             .entities()
             .iter()
-            .map(|entity| service.query_rule("tight", entity).unwrap())
+            .map(|entity| service.reader().query_rule("tight", entity).unwrap())
             .collect();
         service.deregister_rule("tight").unwrap();
-        assert!(service.query_rule("tight", &source.entities()[0]).is_none());
-        assert_eq!(service.leaf_pool_stats().entries, 1);
+        assert!(service
+            .reader()
+            .query_rule("tight", &source.entities()[0])
+            .is_none());
+        assert_eq!(service.writer().leaf_pool_stats().entries, 1);
         service.register_rule("tight", tighter_rule()).unwrap();
         for (entity, expected) in source.entities().iter().zip(&registered) {
-            assert_eq!(&service.query_rule("tight", entity).unwrap(), expected);
+            assert_eq!(
+                &service.reader().query_rule("tight", entity).unwrap(),
+                expected
+            );
         }
         for (entity, expected) in source.entities().iter().zip(&baseline) {
-            assert_eq!(&service.query(entity), expected, "default rule unaffected");
+            assert_eq!(
+                &service.reader().query(entity),
+                expected,
+                "default rule unaffected"
+            );
         }
     }
 }

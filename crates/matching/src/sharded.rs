@@ -1,14 +1,17 @@
-//! Sharded serving: N independent [`ServiceWriter`] shards behind one
-//! entity-id hash router — parallel mutation with no cross-shard lock.
+//! Sharded serving: N independent shards behind one entity-id hash
+//! router — parallel mutation with no cross-shard lock.
 //!
-//! The single-writer serving layer (`crate::service`) serializes every
-//! mutation through one working index and one epoch cell.  Sharding
-//! partitions the served entity set by a stable hash of the entity id
-//! ([`ShardRouter`]): each shard owns its slots, its interner, its free
-//! list, its [`crate::MultiBlockIndex`] and its own epoch chain, so N
-//! writers mutate N shards concurrently and a reader pins one epoch *per
-//! shard*.  Nothing is shared between shards on the steady-state read or
-//! write path.
+//! A single writer serializes every mutation through one working index and
+//! one epoch cell.  [`ShardedService`] partitions the served entity set by
+//! a stable hash of the entity id ([`ShardRouter`]): each shard owns its
+//! slots, its interner, its free list, its [`crate::MultiBlockIndex`] and
+//! its own epoch chain, so N writers mutate N shards concurrently and a
+//! reader pins one epoch *per shard*.  The front is written once over the
+//! [`Shard`] kind: in-memory [`ServiceWriter`] shards (the default) or
+//! crash-safe [`crate::DurableService`] shards, each with its own WAL
+//! chain under `<dir>/shard-NNN/` (see [`crate::durable`]).  Routing, the
+//! up-front-validated parallel ingest and the shard-0-first registry
+//! broadcast are the same for both.
 //!
 //! # Why merge-at-query is lossless
 //!
@@ -41,6 +44,7 @@ use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
 use linkdisc_rule::LinkageRule;
 use linkdisc_util::{parallel_ordered_map, parallel_ordered_map_mut};
 
+use crate::durable::{DurableError, DurableService};
 use crate::engine::ScoredLink;
 use crate::multiblock::CandidateScratch;
 use crate::persist::Fnv;
@@ -91,25 +95,130 @@ pub struct ShardSlot {
     pub position: u32,
 }
 
-/// A serving store partitioned into independent single-writer shards (see
-/// the module docs).  The facade owns every shard writer plus one sharded
-/// reader; call [`ShardedService::split`] for concurrent operation with
-/// one mutating thread per shard.
-pub struct ShardedService {
-    router: ShardRouter,
-    writers: Vec<ServiceWriter>,
-    reader: ShardedReader,
-    threads: usize,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::ServiceWriter {}
+    impl Sealed for super::DurableService {}
 }
 
-impl std::fmt::Debug for ShardedService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedService")
-            .field("shards", &self.router.shards())
-            .field("entities", &self.len())
-            .field("versions", &self.versions())
-            .finish()
+/// A shard kind a [`ShardedService`] can front: the in-memory
+/// [`ServiceWriter`] or the write-ahead logged [`DurableService`].  Each
+/// implementation calls that type's own inherent methods; the front adds
+/// routing, the up-front batch validation and the registry broadcast.
+pub trait Shard: Send + sealed::Sealed {
+    /// Why an entity mutation failed.
+    type Error: From<EntityError> + Send;
+    /// Why a registry operation failed.
+    type RegistryError;
+    /// The in-memory writer the shard serves from.
+    fn writer(&self) -> &ServiceWriter;
+    /// `Ok` while the shard accepts writes (a poisoned durable shard
+    /// refuses them until recovered).
+    fn guard(&self) -> Result<(), Self::Error> {
+        Ok(())
     }
+    /// Adds one entity; returns its slot position.
+    fn insert(&mut self, entity: &Entity) -> Result<u32, Self::Error>;
+    /// Removes an entity; `Ok(false)` when the id is not served.
+    fn remove(&mut self, id: &str) -> Result<bool, Self::Error>;
+    /// Adds a batch the caller validated (no id repeats, none is served)
+    /// under one publication.
+    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, Self::Error>;
+    /// See [`ServiceWriter::register_rule`].
+    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), Self::RegistryError>;
+    /// See [`ServiceWriter::deregister_rule`].
+    fn deregister_rule(&mut self, name: &str) -> Result<(), Self::RegistryError>;
+    /// See [`ServiceWriter::replace_rule`].
+    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), Self::RegistryError>;
+}
+
+impl Shard for ServiceWriter {
+    type Error = EntityError;
+    type RegistryError = RegistryError;
+
+    fn writer(&self) -> &ServiceWriter {
+        self
+    }
+
+    fn insert(&mut self, entity: &Entity) -> Result<u32, EntityError> {
+        ServiceWriter::insert(self, entity)
+    }
+
+    fn remove(&mut self, id: &str) -> Result<bool, EntityError> {
+        Ok(ServiceWriter::remove(self, id))
+    }
+
+    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, EntityError> {
+        for entity in batch {
+            self.insert_unpublished(entity)
+                .expect("pre-validated batch cannot collide");
+        }
+        self.publish();
+        Ok(batch.len())
+    }
+
+    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
+        ServiceWriter::register_rule(self, name, rule)
+    }
+
+    fn deregister_rule(&mut self, name: &str) -> Result<(), RegistryError> {
+        ServiceWriter::deregister_rule(self, name)
+    }
+
+    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
+        ServiceWriter::replace_rule(self, name, rule)
+    }
+}
+
+impl Shard for DurableService {
+    type Error = DurableError;
+    type RegistryError = DurableError;
+
+    fn writer(&self) -> &ServiceWriter {
+        DurableService::writer(self)
+    }
+
+    fn guard(&self) -> Result<(), DurableError> {
+        DurableService::guard(self)
+    }
+
+    fn insert(&mut self, entity: &Entity) -> Result<u32, DurableError> {
+        DurableService::insert(self, entity)
+    }
+
+    fn remove(&mut self, id: &str) -> Result<bool, DurableError> {
+        DurableService::remove(self, id)
+    }
+
+    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, DurableError> {
+        let batch: Vec<Entity> = batch.iter().map(|&entity| entity.clone()).collect();
+        DurableService::ingest(self, &batch)
+    }
+
+    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
+        DurableService::register_rule(self, name, rule)
+    }
+
+    fn deregister_rule(&mut self, name: &str) -> Result<(), DurableError> {
+        DurableService::deregister_rule(self, name)
+    }
+
+    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
+        DurableService::replace_rule(self, name, rule)
+    }
+}
+
+/// A serving store partitioned into independent single-writer shards (see
+/// the module docs), over in-memory [`ServiceWriter`] shards (the default)
+/// or crash-safe [`DurableService`] shards.  The front owns every shard
+/// plus one sharded reader; call [`ShardedService::split`] for concurrent
+/// operation with one mutating thread per shard.
+#[derive(Debug)]
+pub struct ShardedService<W: Shard = ServiceWriter> {
+    router: ShardRouter,
+    shards: Vec<W>,
+    reader: ShardedReader,
+    threads: usize,
 }
 
 impl ShardedService {
@@ -159,18 +268,32 @@ impl ShardedService {
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedService::assemble(router, writers, options.threads))
     }
+}
 
-    fn assemble(router: ShardRouter, writers: Vec<ServiceWriter>, threads: usize) -> Self {
-        let reader = ShardedReader {
-            router,
-            shards: writers.iter().map(ServiceWriter::reader).collect(),
-        };
+impl<W: Shard> ShardedService<W> {
+    pub(crate) fn assemble(router: ShardRouter, shards: Vec<W>, threads: usize) -> Self {
+        assert_eq!(router.shards(), shards.len(), "one shard per route");
         ShardedService {
             router,
-            writers,
-            reader,
+            reader: ShardedReader::over(&shards),
+            shards,
             threads,
         }
+    }
+
+    /// Converts every shard in shard order, keeping the router and the
+    /// ingest worker count.
+    pub(crate) fn try_map_shards<V: Shard, E>(
+        self,
+        convert: impl FnMut((usize, W)) -> Result<V, E>,
+    ) -> Result<ShardedService<V>, E> {
+        let shards = self
+            .shards
+            .into_iter()
+            .enumerate()
+            .map(convert)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ShardedService::assemble(self.router, shards, self.threads))
     }
 
     /// The router partitioning entity ids across shards.
@@ -178,43 +301,54 @@ impl ShardedService {
         self.router
     }
 
-    /// The shard writers, in shard order (e.g. for per-shard snapshots).
-    pub fn shards(&self) -> &[ServiceWriter] {
-        &self.writers
+    /// The shards, in shard order (e.g. for per-shard snapshots).
+    pub fn shards(&self) -> &[W] {
+        &self.shards
+    }
+
+    /// One shard (e.g. to compact or inspect it alone).
+    pub fn shard_mut(&mut self, shard: usize) -> &mut W {
+        &mut self.shards[shard]
     }
 
     /// Per-shard epoch versions, in shard order.
     pub fn versions(&self) -> Vec<u64> {
-        self.writers.iter().map(ServiceWriter::version).collect()
+        self.shards
+            .iter()
+            .map(|shard| shard.writer().version())
+            .collect()
     }
 
     /// Total live target entities across all shards.
     pub fn len(&self) -> usize {
-        self.writers.iter().map(ServiceWriter::len).sum()
+        self.shards.iter().map(|shard| shard.writer().len()).sum()
     }
 
     /// Returns `true` when no shard serves any entity.
     pub fn is_empty(&self) -> bool {
-        self.writers.iter().all(ServiceWriter::is_empty)
+        self.len() == 0
     }
 
     /// Returns `true` if a target with this identifier is currently served
     /// (only its routed shard can hold it).
     pub fn contains(&self, id: &str) -> bool {
-        self.writers[self.router.route(id)].contains(id)
+        self.shards[self.router.route(id)].writer().contains(id)
     }
 
     /// The target entity currently served at a sharded slot.
     pub fn at(&self, slot: ShardSlot) -> Option<Arc<Entity>> {
-        self.writers.get(slot.shard as usize)?.at(slot.position)
+        self.shards
+            .get(slot.shard as usize)?
+            .writer()
+            .at(slot.position)
     }
 
     /// Adds one target entity to its routed shard, publishing a new epoch
     /// on that shard only.  Returns the sharded slot; fails on a duplicate
     /// identifier.
-    pub fn insert(&mut self, entity: &Entity) -> Result<ShardSlot, EntityError> {
+    pub fn insert(&mut self, entity: &Entity) -> Result<ShardSlot, W::Error> {
         let shard = self.router.route(entity.id());
-        let position = self.writers[shard].insert(entity)?;
+        let position = self.shards[shard].insert(entity)?;
         Ok(ShardSlot {
             shard: shard as u32,
             position,
@@ -222,95 +356,76 @@ impl ShardedService {
     }
 
     /// Removes a target entity from its routed shard (publishing on that
-    /// shard only).  Returns `false` when the id is not served.
-    pub fn remove(&mut self, id: &str) -> bool {
-        self.writers[self.router.route(id)].remove(id)
+    /// shard only).  Returns `Ok(false)` when the id is not served.
+    pub fn remove(&mut self, id: &str) -> Result<bool, W::Error> {
+        self.shards[self.router.route(id)].remove(id)
     }
 
-    /// Batch ingestion across shards: the batch is routed (in parallel),
-    /// validated **up-front** — a duplicate id, within the batch or against
-    /// any shard, fails the whole call before a single entity is applied —
-    /// and then applied with one worker per shard, each shard inserting its
-    /// sub-batch and publishing exactly once.  Shards untouched by the
-    /// batch publish nothing (their epoch version is unchanged).
-    ///
-    /// Note the contrast with the unsharded [`ServiceWriter::ingest`],
-    /// which keeps the prefix before a mid-batch failure: per-shard
-    /// application is concurrent, so "the prefix" is not well defined
-    /// across shards — all-or-nothing validation is the sharded
-    /// equivalent.  Per-shard sub-batches are applied in batch order, so
-    /// with `shards = 1` a *valid* batch produces byte-identical state and
-    /// exactly one publication, same as the unsharded path.
-    pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, EntityError> {
+    /// Batch ingestion across shards, all-or-nothing up front: the batch is
+    /// routed (in parallel) and validated — a duplicate id, within the batch
+    /// or against any shard, or a poisoned routed shard fails the whole call
+    /// before anything is applied (unlike [`ServiceWriter::ingest`], which
+    /// keeps the prefix: with concurrent per-shard application "the prefix"
+    /// is not defined).  Then one worker per touched shard adds its
+    /// sub-batch in batch order under one publication — durably, one log
+    /// record and one fsync; untouched shards publish nothing.  Per-shard,
+    /// not cross-shard, atomic: a crash between durable shards' fsyncs can
+    /// keep some sub-batches and not others.  With `shards = 1` a valid
+    /// batch is byte-identical to the unsharded path, in one publication.
+    pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, W::Error> {
         let router = self.router;
         let routes =
             parallel_ordered_map(entities, self.threads, |entity| router.route(entity.id()));
         let mut batch_ids: HashSet<&str> = HashSet::with_capacity(entities.len());
         for (entity, &shard) in entities.iter().zip(&routes) {
-            if !batch_ids.insert(entity.id()) || self.writers[shard].contains(entity.id()) {
-                return Err(EntityError::DuplicateEntity(entity.id().to_string()));
+            self.shards[shard].guard()?;
+            if !batch_ids.insert(entity.id()) || self.shards[shard].writer().contains(entity.id()) {
+                return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
             }
         }
         let mut per_shard: Vec<Vec<&Entity>> = vec![Vec::new(); self.router.shards()];
         for (entity, &shard) in entities.iter().zip(&routes) {
             per_shard[shard].push(entity);
         }
-        let mut jobs: Vec<(&mut ServiceWriter, Vec<&Entity>)> =
-            self.writers.iter_mut().zip(per_shard).collect();
-        let ingested = parallel_ordered_map_mut(&mut jobs, self.threads, |_, (writer, batch)| {
+        let mut jobs: Vec<(&mut W, Vec<&Entity>)> = self.shards.iter_mut().zip(per_shard).collect();
+        let ingested = parallel_ordered_map_mut(&mut jobs, self.threads, |_, (shard, batch)| {
             if batch.is_empty() {
-                return 0usize;
+                return Ok(0usize);
             }
-            for entity in batch.iter() {
-                writer
-                    .insert_unpublished(entity)
-                    .expect("pre-validated batch cannot collide");
-            }
-            writer.publish();
-            batch.len()
+            shard.ingest_validated(batch)
         });
-        Ok(ingested.into_iter().sum())
+        ingested.into_iter().sum()
     }
 
     /// Registers a rule on every shard, shard 0 first; each shard acquires
     /// its missing pool leaves and publishes once.  Shard registries are
     /// kept identical, so a registry error on any shard (checked on shard 0
-    /// before anything mutates) fails the whole call cleanly.
-    pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        for writer in &mut self.writers {
-            writer.register_rule(name, rule.clone())?;
-        }
-        Ok(())
+    /// before anything mutates) fails the whole call cleanly.  Durably,
+    /// shard 0's registry is the authority recovery converges the others
+    /// to, so a crash mid-broadcast rolls forward, never back.
+    pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), W::RegistryError> {
+        self.broadcast(|shard| shard.register_rule(name, rule.clone()))
     }
 
     /// Deregisters a rule from every shard, shard 0 first — see
     /// [`ServiceWriter::deregister_rule`].
-    pub fn deregister_rule(&mut self, name: &str) -> Result<(), RegistryError> {
-        for writer in &mut self.writers {
-            writer.deregister_rule(name)?;
-        }
-        Ok(())
+    pub fn deregister_rule(&mut self, name: &str) -> Result<(), W::RegistryError> {
+        self.broadcast(|shard| shard.deregister_rule(name))
     }
 
     /// Hot-swaps the rule registered under `name` on every shard, shard 0
     /// first — see [`ServiceWriter::replace_rule`].
-    pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        for writer in &mut self.writers {
-            writer.replace_rule(name, rule.clone())?;
-        }
-        Ok(())
+    pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), W::RegistryError> {
+        self.broadcast(|shard| shard.replace_rule(name, rule.clone()))
     }
 
-    /// The registered rule names, in registration order (identical on
-    /// every shard).
-    pub fn rule_names(&self) -> Vec<String> {
-        self.writers[0].rule_names()
-    }
-
-    /// Per-rule serving statistics aggregated across shards — see
-    /// [`ShardedReader::rule_stats`].
-    pub fn rule_stats(&self) -> Vec<RuleServingStats> {
-        self.reader.rule_stats()
+    /// Runs one registry operation on every shard in shard order, stopping
+    /// at the first failure.
+    fn broadcast(
+        &mut self,
+        op: impl FnMut(&mut W) -> Result<(), W::RegistryError>,
+    ) -> Result<(), W::RegistryError> {
+        self.shards.iter_mut().try_for_each(op)
     }
 
     /// All targets matching one query entity across every shard, best
@@ -319,41 +434,16 @@ impl ShardedService {
         self.reader.query(source_entity)
     }
 
-    /// One named rule's view of the query across every shard — see
-    /// [`ShardedReader::query_rule`].
-    pub fn query_rule(&self, name: &str, source_entity: &Entity) -> Option<Vec<ScoredLink>> {
-        self.reader.query_rule(name, source_entity)
-    }
-
-    /// One query fanned across the whole registry on every shard — see
-    /// [`ShardedReader::query_committee`].
-    pub fn query_committee(&self, source_entity: &Entity) -> Vec<CommitteeLink> {
-        self.reader.query_committee(source_entity)
-    }
-
-    /// The sharded hot query path — see [`ShardedReader::query_with`].
-    pub fn query_with(
-        &self,
-        source_entity: &Entity,
-        scratch: &mut ShardedScratch,
-        out: &mut Vec<(ShardSlot, f64)>,
-    ) {
-        self.reader.query_with(source_entity, scratch, out)
-    }
-
     /// A new sharded reader over every shard's published epochs (one
     /// per querying thread).
     pub fn reader(&self) -> ShardedReader {
-        ShardedReader {
-            router: self.router,
-            shards: self.writers.iter().map(ServiceWriter::reader).collect(),
-        }
+        ShardedReader::over(&self.shards)
     }
 
-    /// Splits the service into its concurrent halves: one writer per shard
-    /// (hand each to its own mutating thread) and a sharded reader.
-    pub fn split(self) -> (Vec<ServiceWriter>, ShardedReader) {
-        (self.writers, self.reader)
+    /// Splits the service into its concurrent halves: the shards (hand each
+    /// to its own mutating thread) and a sharded reader.
+    pub fn split(self) -> (Vec<W>, ShardedReader) {
+        (self.shards, self.reader)
     }
 }
 
@@ -363,46 +453,19 @@ impl ShardedService {
 /// merge by concatenation + re-sort.
 #[derive(Debug, Clone)]
 pub struct ShardedReader {
-    router: ShardRouter,
     shards: Vec<ServiceReader>,
 }
 
 impl ShardedReader {
-    /// Reassembles a reader from per-shard readers in shard order (the
-    /// durable layer's entry point).
-    pub(crate) fn from_parts(router: ShardRouter, shards: Vec<ServiceReader>) -> Self {
-        assert_eq!(router.shards(), shards.len(), "one reader per shard");
-        ShardedReader { router, shards }
-    }
-
-    /// The router partitioning entity ids across shards.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
-    /// Number of shards behind this reader.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn over<W: Shard>(shards: &[W]) -> Self {
+        ShardedReader {
+            shards: shards.iter().map(|shard| shard.writer().reader()).collect(),
+        }
     }
 
     /// The reader of one shard (e.g. for per-shard verification).
     pub fn shard(&self, shard: usize) -> &ServiceReader {
         &self.shards[shard]
-    }
-
-    /// Total live target entities across all shards' current epochs.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(ServiceReader::len).sum()
-    }
-
-    /// Returns `true` when every shard's current epoch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The target entity at a sharded slot in that shard's current epoch.
-    pub fn at(&self, slot: ShardSlot) -> Option<Arc<Entity>> {
-        self.shards.get(slot.shard as usize)?.at(slot.position)
     }
 
     /// All targets matching one query entity across every shard (score ≥
@@ -414,18 +477,8 @@ impl ShardedReader {
         for shard in &self.shards {
             links.extend(shard.query(source_entity));
         }
-        links.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.target.cmp(&b.target))
-        });
+        best_first(&mut links);
         links
-    }
-
-    /// The registered rule names, in registration order (identical on
-    /// every shard).
-    pub fn rule_names(&self) -> Vec<String> {
-        self.shards[0].rule_names()
     }
 
     /// Per-rule serving statistics aggregated across shards: counters are
@@ -436,10 +489,7 @@ impl ShardedReader {
         for shard in &self.shards[1..] {
             for stats in shard.rule_stats() {
                 if let Some(entry) = merged.iter_mut().find(|entry| entry.rule == stats.rule) {
-                    entry.queries += stats.queries;
-                    entry.candidates += stats.candidates;
-                    entry.leaf_hits += stats.leaf_hits;
-                    entry.leaf_misses += stats.leaf_misses;
+                    add_counters(entry, &stats);
                 }
             }
         }
@@ -464,11 +514,7 @@ impl ShardedReader {
         if !served {
             return None;
         }
-        links.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.target.cmp(&b.target))
-        });
+        best_first(&mut links);
         Some(links)
     }
 
@@ -524,6 +570,27 @@ impl ShardedReader {
             }
         }
     }
+}
+
+/// The unsharded reader's link order: score descending, ties towards the
+/// smaller target id.
+fn best_first(links: &mut [ScoredLink]) {
+    links.sort_by(|a, b| {
+        b.score
+            .total_cmp(&a.score)
+            .then_with(|| a.target.cmp(&b.target))
+    });
+}
+
+/// Adds every counter of `from` into `into` (name and epoch stay `into`'s).
+fn add_counters(into: &mut RuleServingStats, from: &RuleServingStats) {
+    into.queries += from.queries;
+    into.candidates += from.candidates;
+    into.pairs_short_circuited += from.pairs_short_circuited;
+    into.comparisons_evaluated += from.comparisons_evaluated;
+    into.comparisons_skipped += from.comparisons_skipped;
+    into.leaf_hits += from.leaf_hits;
+    into.leaf_misses += from.leaf_misses;
 }
 
 /// Reusable buffers for [`ShardedReader::query_with`]: one candidate
@@ -658,7 +725,7 @@ mod tests {
         .unwrap();
         let before = service.versions();
         let routed = service.router().route("b1");
-        assert!(service.remove("b1"));
+        assert!(service.remove("b1").unwrap());
         let after = service.versions();
         for shard in 0..3 {
             if shard == routed {
@@ -730,7 +797,9 @@ mod tests {
         .unwrap();
         let mut scratch = ShardedScratch::new();
         let mut hits = Vec::new();
-        service.query_with(&source.entities()[0], &mut scratch, &mut hits);
+        service
+            .reader()
+            .query_with(&source.entities()[0], &mut scratch, &mut hits);
         assert_eq!(scratch.versions(), &[0, 0, 0]);
         assert_eq!(hits.len(), 2, "berlin exact, berlim fuzzy");
         for &(slot, score) in &hits {
@@ -738,8 +807,10 @@ mod tests {
             assert!(score >= 0.5);
             assert!(entity.id() == "b1" || entity.id() == "b3");
         }
-        service.remove("b3");
-        service.query_with(&source.entities()[0], &mut scratch, &mut hits);
+        service.remove("b3").unwrap();
+        service
+            .reader()
+            .query_with(&source.entities()[0], &mut scratch, &mut hits);
         assert_eq!(hits.len(), 1);
         let bumped = scratch
             .versions()

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use linkdisc_entity::{Entity, Schema};
 use linkdisc_matching::{
     DurabilityOptions, DurableError, DurableService, RecoveryError, ServiceOptions, ServiceWriter,
-    ShardRouter, ShardedDurableService,
+    ShardRouter, ShardedService,
 };
 use linkdisc_rule::{
     compare, property, transform, DistanceFunction, LinkageRule, TransformFunction,
@@ -542,7 +542,7 @@ fn sharded_shadow_snapshots(pool: &[Entity], sub_ops: &[Vec<(usize, Op)>]) -> Ve
 }
 
 fn apply_sharded(
-    service: &mut ShardedDurableService,
+    service: &mut ShardedService<DurableService>,
     pool: &[Entity],
     op: &Op,
 ) -> Result<(), DurableError> {
@@ -581,7 +581,7 @@ fn run_armed_sharded(
     let dir = fresh_dir(tag);
     let ctx = |what: &str| format!("[{tag}] {what}");
 
-    let service = match ShardedDurableService::create_empty(
+    let service = match ShardedService::create_empty(
         &dir,
         rule(),
         &schema(),
@@ -596,7 +596,7 @@ fn run_armed_sharded(
             assert!(fired, "{}", ctx("create may only fail by injection"));
             // creation is per-shard, not atomic across shards: whatever
             // shard directories exist must each recover to an empty shard
-            match ShardedDurableService::recover(&dir, rule(), &schema(), BUDGET) {
+            match ShardedService::recover(&dir, rule(), &schema(), BUDGET) {
                 Ok((partial, reports)) => {
                     assert_eq!(reports.len(), partial.shards().len());
                     for shard in partial.shards() {
@@ -647,7 +647,7 @@ fn run_armed_sharded(
 
     // part 2: the sharded recovery agrees with the solo recoveries and
     // hands back one report per shard
-    let (mut recovered, reports) = ShardedDurableService::recover(&dir, rule(), &schema(), BUDGET)
+    let (mut recovered, reports) = ShardedService::recover(&dir, rule(), &schema(), BUDGET)
         .unwrap_or_else(|err| panic!("{}: {err}", ctx("sharded recovery failed")));
     assert_eq!(reports.len(), SHARDS, "{}", ctx("one report per shard"));
     for shard in 0..SHARDS {
@@ -710,7 +710,7 @@ fn run_armed_sharded(
     }
     drop(recovered);
     let (reopened, reports) =
-        ShardedDurableService::recover(&dir, rule(), &schema(), BUDGET).expect("second recovery");
+        ShardedService::recover(&dir, rule(), &schema(), BUDGET).expect("second recovery");
     assert_eq!(reports.len(), SHARDS);
     for shard in 0..SHARDS {
         assert_eq!(
@@ -746,7 +746,7 @@ fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
     fail::reset();
     let clean = fresh_dir("sharded-clean");
     {
-        let mut service = ShardedDurableService::create_empty(
+        let mut service = ShardedService::create_empty(
             &clean,
             rule(),
             &schema,
@@ -810,7 +810,7 @@ fn sharded_recovery_converges_diverged_shard_registries() {
     let dir = fresh_dir("registry-converge");
 
     {
-        let mut service = ShardedDurableService::create_empty(
+        let mut service = ShardedService::create_empty(
             &dir,
             rule(),
             &schema,
@@ -831,7 +831,7 @@ fn sharded_recovery_converges_diverged_shard_registries() {
     }
 
     let (recovered, reports) =
-        ShardedDurableService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
+        ShardedService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
             .expect("recovery converges the registries");
     assert_eq!(reports.len(), SHARDS);
     for shard in recovered.shards() {
@@ -851,9 +851,8 @@ fn sharded_recovery_converges_diverged_shard_registries() {
     // convergence itself must be durable: reopening without further writes
     // reproduces the converged manifests
     drop(recovered);
-    let (reopened, _) =
-        ShardedDurableService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
-            .expect("second recovery");
+    let (reopened, _) = ShardedService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
+        .expect("second recovery");
     for shard in reopened.shards() {
         assert!(shard.writer().has_rule("tight"));
     }

@@ -13,7 +13,7 @@ use linkdisc_datasets::DatasetKind;
 use linkdisc_entity::ChunkedVecStream;
 use linkdisc_matching::{
     DurabilityOptions, DurableService, LinkService, MatchingEngine, MatchingOptions,
-    ServiceOptions, ShardedDurableService, ShardedService,
+    ServiceOptions, ShardedService,
 };
 use linkdisc_rule::{
     aggregation, compare, property, transform, AggregationFunction, DistanceFunction, LinkageRule,
@@ -96,7 +96,7 @@ fn main() {
         ServiceOptions::default(),
     )
     .unwrap();
-    for stats in service.stats() {
+    for stats in service.writer().stats() {
         println!(
             "indexed [{}]: {} blocks, {} postings, {} entities",
             stats.label, stats.blocks, stats.postings, stats.indexed_entities
@@ -105,7 +105,7 @@ fn main() {
 
     section("single-entity queries at interactive latency");
     for entity in dataset.source.entities().iter().take(3) {
-        let links = service.query(entity);
+        let links = service.reader().query(entity);
         let best = links
             .first()
             .map(|l| format!("{} (score {:.3})", l.target, l.score))
@@ -120,13 +120,13 @@ fn main() {
 
     section("live updates: remove and re-insert a served entity");
     let probe = &dataset.source.entities()[0];
-    let best_target = service.query(probe)[0].target.clone();
+    let best_target = service.reader().query(probe)[0].target.clone();
     println!("best match of {}: {}", probe.id(), best_target);
     service.remove(&best_target);
     println!(
         "after removing {}: {} match(es)",
         best_target,
-        service.query(probe).len()
+        service.reader().query(probe).len()
     );
     let restored = dataset
         .target
@@ -137,17 +137,17 @@ fn main() {
     service.insert(restored).unwrap();
     println!(
         "after re-inserting:  {} match(es) — served immediately",
-        service.query(probe).len()
+        service.reader().query(probe).len()
     );
 
     section("multi-rule serving: one store, shared leaf indexes");
     // warm registration: both new rules re-use leaves the conjunction
     // already built, so each registration is one epoch publish, not an
     // index rebuild
-    let before = service.leaf_pool_stats();
+    let before = service.writer().leaf_pool_stats();
     service.register_rule("name-only", name_only()).unwrap();
     service.register_rule("phone-only", phone_only()).unwrap();
-    let after = service.leaf_pool_stats();
+    let after = service.writer().leaf_pool_stats();
     println!(
         "registered 2 rules warm: {} leaf re-use(s), {} new leaf build(s); \
          {} pooled leaves now serve {} plan slots across {} rules",
@@ -155,20 +155,28 @@ fn main() {
         after.misses - before.misses,
         after.entries,
         after.refs,
-        service.rule_count()
+        service.writer().rule_count()
     );
     for entity in dataset.source.entities().iter().take(2) {
         println!(
             "query {:28} -> conjunction {}, name-only {}, phone-only {} match(es)",
             entity.id(),
-            service.query(entity).len(),
-            service.query_rule("name-only", entity).unwrap().len(),
-            service.query_rule("phone-only", entity).unwrap().len(),
+            service.reader().query(entity).len(),
+            service
+                .reader()
+                .query_rule("name-only", entity)
+                .unwrap()
+                .len(),
+            service
+                .reader()
+                .query_rule("phone-only", entity)
+                .unwrap()
+                .len(),
         );
     }
 
     // query-by-committee: one pinned epoch, every registered rule votes
-    let committee = service.query_committee(probe);
+    let committee = service.reader().query_committee(probe);
     if let Some(best) = committee.first() {
         println!(
             "committee on {}: best {} with {}/{} votes (mean score {:.3})",
@@ -183,17 +191,21 @@ fn main() {
     // hot swap: replace the name rule with a stricter variant — readers
     // switch atomically at the next epoch pin, mid-flight queries finish
     // on the epoch they pinned
-    let version_before = service.version();
+    let version_before = service.writer().version();
     service.replace_rule("name-only", name_strict()).unwrap();
     println!(
         "hot-swapped name-only (edit distance 2 -> 1): one publish \
          (epoch {} -> {}), queries now return {} match(es) for {}",
         version_before,
-        service.version(),
-        service.query_rule("name-only", probe).unwrap().len(),
+        service.writer().version(),
+        service
+            .reader()
+            .query_rule("name-only", probe)
+            .unwrap()
+            .len(),
         probe.id()
     );
-    for stats in service.rule_stats() {
+    for stats in service.writer().rule_stats() {
         println!(
             "rule {:12} queries {:3}, candidates {:4}, leaf hits/misses {}/{}",
             stats.rule, stats.queries, stats.candidates, stats.leaf_hits, stats.leaf_misses
@@ -204,8 +216,8 @@ fn main() {
     service.deregister_rule("phone-only").unwrap();
     println!(
         "deregistered phone-only: {} pooled leaves, {} plan slots remain",
-        service.leaf_pool_stats().entries,
-        service.leaf_pool_stats().refs
+        service.writer().leaf_pool_stats().entries,
+        service.writer().leaf_pool_stats().refs
     );
 
     section("concurrent serving: readers query while the writer churns");
@@ -254,15 +266,16 @@ fn main() {
         ServiceOptions::default(),
     )
     .unwrap();
+    for probe in dataset.source.entities().iter().take(16) {
+        assert_eq!(
+            sharded.query(probe),
+            reader.query(probe),
+            "sharding is lossless"
+        );
+    }
     println!(
-        "4 shards serve {} entities; sharded == unsharded answers: {}",
-        sharded.len(),
-        dataset
-            .source
-            .entities()
-            .iter()
-            .take(16)
-            .all(|probe| sharded.query(probe) == reader.query(probe))
+        "4 shards serve {} entities; sharded == unsharded answers: true",
+        sharded.len()
     );
     let router = sharded.router();
     let (shard_writers, sharded_reader) = sharded.split();
@@ -338,13 +351,13 @@ fn main() {
             .expect("snapshot restores under a catalog naming every registered rule");
     println!(
         "restored {} entities serving {} rules without re-deriving a single block key",
-        restored.len(),
-        restored.rule_count()
+        restored.writer().len(),
+        restored.writer().rule_count()
     );
     println!(
         "query {} -> {} match(es), same as before the restart",
         probe.id(),
-        restored.query(probe).len()
+        restored.reader().query(probe).len()
     );
 
     section("durability: write-ahead logged mutations survive a crash");
@@ -365,6 +378,7 @@ fn main() {
     durable.remove(victim.id()).unwrap();
     durable.insert(&victim).unwrap();
     durable.remove(dataset.target.entities()[1].id()).unwrap();
+    let pre_crash = durable.reader().query(probe);
     println!(
         "acknowledged {} mutations (generation {}, log {} bytes) — crashing now",
         durable.seq(),
@@ -384,10 +398,15 @@ fn main() {
         "recovered from checkpoint generation {} + {} replayed epoch(s)",
         report.checkpoint_generation, report.replayed_epochs
     );
+    let recovered_links = recovered.reader().query(probe);
+    assert_eq!(
+        recovered_links, pre_crash,
+        "recovery must restore the pre-crash state"
+    );
     println!(
         "query {} -> {} match(es) — identical to the pre-crash state",
         probe.id(),
-        recovered.reader().query(probe).len()
+        recovered_links.len()
     );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&durable_dir);
@@ -396,7 +415,7 @@ fn main() {
     let sharded_dir =
         std::env::temp_dir().join(format!("genlink-serving-sharded-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&sharded_dir);
-    let mut sharded_durable = ShardedDurableService::create(
+    let mut sharded_durable = ShardedService::create(
         &sharded_dir,
         rule(),
         dataset.source.schema(),
@@ -412,6 +431,7 @@ fn main() {
         sharded_durable.remove(victim.id()).unwrap();
         sharded_durable.insert(victim).unwrap();
     }
+    let sharded_pre_crash = sharded_durable.query(probe);
     println!(
         "acknowledged {} mutations across 3 shard chains under {} — crashing now",
         sharded_durable.seq(),
@@ -419,7 +439,7 @@ fn main() {
     );
     drop(sharded_durable); // the crash
 
-    let (sharded_recovered, reports) = ShardedDurableService::recover(
+    let (sharded_recovered, reports) = ShardedService::recover(
         &sharded_dir,
         rule(),
         dataset.source.schema(),
@@ -432,10 +452,15 @@ fn main() {
             report.checkpoint_generation, report.replayed_epochs
         );
     }
+    let sharded_links = sharded_recovered.query(probe);
+    assert_eq!(
+        sharded_links, sharded_pre_crash,
+        "sharded recovery must restore the pre-crash state"
+    );
     println!(
         "query {} -> {} match(es) — identical to the pre-crash state",
         probe.id(),
-        sharded_recovered.reader().query(probe).len()
+        sharded_links.len()
     );
     drop(sharded_recovered);
     let _ = std::fs::remove_dir_all(&sharded_dir);
@@ -461,9 +486,12 @@ fn main() {
         "streamed {} chunks, peak {} of {} target entities resident",
         streamed.chunks, streamed.peak_chunk_entities, streamed.target_entities
     );
+    assert_eq!(
+        streamed.links, batch.links,
+        "streaming must find the batch links"
+    );
     println!(
-        "streamed links == batch links: {} ({} links)",
-        streamed.links == batch.links,
+        "streamed links == batch links: true ({} links)",
         streamed.links.len()
     );
 
@@ -506,9 +534,12 @@ fn main() {
         dual.source_entities,
         dual.target_entities
     );
+    assert_eq!(
+        dual.links, batch.links,
+        "dual streaming must find the batch links"
+    );
     println!(
-        "dual-streamed links == batch links: {} ({} links)",
-        dual.links == batch.links,
+        "dual-streamed links == batch links: true ({} links)",
         dual.links.len()
     );
 }

@@ -182,27 +182,29 @@ fn assert_multi_matches_singles(workload: &RuleWorkload, seed: u64) {
     for single in &mut singles {
         apply_churn(single, target, &ops);
     }
-    assert_eq!(multi.len(), target.len());
+    assert_eq!(multi.writer().len(), target.len());
 
     for entity in source.entities() {
-        let per_rule: Vec<Vec<ScoredLink>> =
-            singles.iter().map(|single| single.query(entity)).collect();
+        let per_rule: Vec<Vec<ScoredLink>> = singles
+            .iter()
+            .map(|single| single.reader().query(entity))
+            .collect();
         for (i, name) in names.iter().enumerate() {
             assert_eq!(
-                multi.query_rule(name, entity).as_ref(),
+                multi.reader().query_rule(name, entity).as_ref(),
                 Some(&per_rule[i]),
                 "rule {name} diverges from its single-rule service on query {}",
                 entity.id(),
             );
         }
         assert_eq!(
-            multi.query(entity),
+            multi.reader().query(entity),
             per_rule[0],
             "the default-rule path diverges on query {}",
             entity.id(),
         );
         assert_eq!(
-            multi.query_committee(entity),
+            multi.reader().query_committee(entity),
             expected_committee(entity, &per_rule),
             "the committee merge diverges on query {}",
             entity.id(),
@@ -220,12 +222,12 @@ fn assert_multi_matches_singles(workload: &RuleWorkload, seed: u64) {
         .map(|(name, rule)| (format!("catalog-{name}"), rule.clone()))
         .collect();
     let restored = LinkService::restore_with_rules(&catalog, source.schema(), &bytes[..]).unwrap();
-    assert_eq!(restored.rule_names(), names);
+    assert_eq!(restored.writer().rule_names(), names);
     for entity in source.entities() {
         for name in &names {
             assert_eq!(
-                restored.query_rule(name, entity),
-                multi.query_rule(name, entity),
+                restored.reader().query_rule(name, entity),
+                multi.reader().query_rule(name, entity),
                 "restored service diverges for rule {name} on query {}",
                 entity.id(),
             );
@@ -252,23 +254,26 @@ fn assert_reregistration_is_lossless(workload: &RuleWorkload, seed: u64) {
     );
     apply_churn(&mut service, target, &ops);
     service.register_rule("extra", extra.clone()).unwrap();
-    let footprint = service.leaf_pool_stats();
+    let footprint = service.writer().leaf_pool_stats();
 
     let before: Vec<Vec<ScoredLink>> = source
         .entities()
         .iter()
-        .map(|entity| service.query_rule("extra", entity).unwrap())
+        .map(|entity| service.reader().query_rule("extra", entity).unwrap())
         .collect();
 
     service.deregister_rule("extra").unwrap();
-    assert!(service.query_rule("extra", &source.entities()[0]).is_none());
+    assert!(service
+        .reader()
+        .query_rule("extra", &source.entities()[0])
+        .is_none());
     assert!(
-        service.leaf_pool_stats().refs <= footprint.refs,
+        service.writer().leaf_pool_stats().refs <= footprint.refs,
         "deregistration must release the rule's leaf references"
     );
 
     service.register_rule("extra", extra.clone()).unwrap();
-    let rebuilt = service.leaf_pool_stats();
+    let rebuilt = service.writer().leaf_pool_stats();
     assert_eq!(
         (rebuilt.entries, rebuilt.refs),
         (footprint.entries, footprint.refs),
@@ -276,7 +281,7 @@ fn assert_reregistration_is_lossless(workload: &RuleWorkload, seed: u64) {
     );
     for (entity, expected) in source.entities().iter().zip(&before) {
         assert_eq!(
-            service.query_rule("extra", entity).as_ref(),
+            service.reader().query_rule("extra", entity).as_ref(),
             Some(expected),
             "re-registered rule diverges on query {}",
             entity.id(),
@@ -293,8 +298,8 @@ fn assert_reregistration_is_lossless(workload: &RuleWorkload, seed: u64) {
     .unwrap();
     for entity in source.entities() {
         assert_eq!(
-            service.query_rule("extra", entity).unwrap(),
-            batch.query(entity),
+            service.reader().query_rule("extra", entity).unwrap(),
+            batch.reader().query(entity),
             "re-registered rule diverges from a batch build on query {}",
             entity.id(),
         );

@@ -85,7 +85,7 @@ fn a_name_only_query_probes_a_prefix_without_allocating() {
     let served: Vec<_> = source
         .entities()
         .iter()
-        .flat_map(|entity| service.query(entity))
+        .flat_map(|entity| service.reader().query(entity))
         .collect();
     let sorted = |mut links: Vec<linkdisc_matching::ScoredLink>| {
         links.sort_by(|a, b| (&a.source, &a.target).cmp(&(&b.source, &b.target)));
@@ -99,16 +99,16 @@ fn a_name_only_query_probes_a_prefix_without_allocating() {
     let mut hits: Vec<(u32, f64)> = Vec::new();
     for _ in 0..2 {
         for entity in source.entities() {
-            service.query_with(entity, &mut scratch, &mut hits);
+            service.reader().query_with(entity, &mut scratch, &mut hits);
         }
     }
-    let candidates_before = service.rule_stats()[0].candidates;
+    let candidates_before = service.writer().rule_stats()[0].candidates;
     let allocations_before = THREAD_ALLOCATIONS.with(Cell::get);
     for entity in source.entities() {
-        service.query_with(entity, &mut scratch, &mut hits);
+        service.reader().query_with(entity, &mut scratch, &mut hits);
     }
     let allocations = THREAD_ALLOCATIONS.with(Cell::get) - allocations_before;
-    let candidates = service.rule_stats()[0].candidates - candidates_before;
+    let candidates = service.writer().rule_stats()[0].candidates - candidates_before;
     assert_eq!(
         allocations,
         0,

@@ -412,17 +412,21 @@ fn assert_restore_equals_rebuild(workload: &RuleWorkload, churn_seed: u64) {
         let mut restored =
             LinkService::restore(rule.clone(), dataset.source.schema(), &bytes[..]).unwrap();
         let label = linkdisc_rule::print_rule(rule);
-        assert_eq!(restored.len(), service.len(), "{label}");
-        assert_eq!(restored.stats(), service.stats(), "{label}");
+        assert_eq!(restored.writer().len(), service.writer().len(), "{label}");
         assert_eq!(
-            restored.store().free_slots(),
-            service.store().free_slots(),
+            restored.writer().stats(),
+            service.writer().stats(),
+            "{label}"
+        );
+        assert_eq!(
+            restored.writer().store().free_slots(),
+            service.writer().store().free_slots(),
             "{label}"
         );
         for entity in dataset.source.entities() {
             assert_eq!(
-                restored.query(entity),
-                service.query(entity),
+                restored.reader().query(entity),
+                service.reader().query(entity),
                 "{label} on {}",
                 entity.id()
             );
@@ -441,9 +445,17 @@ fn assert_restore_equals_rebuild(workload: &RuleWorkload, churn_seed: u64) {
             };
             assert_eq!(a, b, "{label}");
         }
-        assert_eq!(restored.stats(), service.stats(), "{label}");
+        assert_eq!(
+            restored.writer().stats(),
+            service.writer().stats(),
+            "{label}"
+        );
         for entity in dataset.source.entities().iter().take(20) {
-            assert_eq!(restored.query(entity), service.query(entity), "{label}");
+            assert_eq!(
+                restored.reader().query(entity),
+                service.reader().query(entity),
+                "{label}"
+            );
         }
     }
 }

@@ -13,7 +13,7 @@
 //!    interleaving of chunked ingestion, removes and re-inserts answers
 //!    every query exactly like a service batch-built from the same final
 //!    entity set, with identical (exact) index statistics,
-//! 3. **Service == engine** — the per-entity `LinkService::query` results,
+//! 3. **Service == engine** — the per-entity `ServiceReader::query` results,
 //!    concatenated over all source entities, are the batch
 //!    `MatchingEngine` link set.
 
@@ -137,17 +137,17 @@ fn assert_incremental_matches_batch_build(workload: &RuleWorkload, seed: u64) {
         for entity in pending_reinserts {
             service.insert(entity).unwrap();
         }
-        assert_eq!(service.len(), target.len());
+        assert_eq!(service.writer().len(), target.len());
         assert_eq!(
-            service.stats(),
-            batch.stats(),
+            service.writer().stats(),
+            batch.writer().stats(),
             "index statistics diverge for rule {}",
             linkdisc_rule::print_rule(rule),
         );
         for entity in source.entities() {
             assert_eq!(
-                service.query(entity),
-                batch.query(entity),
+                service.reader().query(entity),
+                batch.reader().query(entity),
                 "query {} diverges for rule {}",
                 entity.id(),
                 linkdisc_rule::print_rule(rule),
@@ -180,7 +180,7 @@ fn assert_service_matches_engine(workload: &RuleWorkload) {
             source
                 .entities()
                 .iter()
-                .flat_map(|entity| service.query(entity))
+                .flat_map(|entity| service.reader().query(entity))
                 .collect(),
         );
         assert_eq!(

@@ -1,16 +1,18 @@
 //! Parity of the sharded serving store with the unsharded one: the router
 //! sends every id to exactly one stable shard, `shards = 1` is
 //! byte-identical to the unsharded path (snapshots, versions, recovery),
-//! `shards = N` answers every query identically on real datasets, and the
-//! parallel batch ingest is invariant in the worker thread count.
+//! `shards = N` answers every query identically on real datasets, the
+//! parallel batch ingest is invariant in the worker thread count, and one
+//! script — registry operations included — leaves in-memory and durable
+//! shards byte-identical.
 
 use std::path::PathBuf;
 
 use linkdisc_datasets::DatasetKind;
-use linkdisc_entity::Entity;
+use linkdisc_entity::{Entity, EntityError};
 use linkdisc_matching::{
-    DurabilityOptions, DurableService, ServiceOptions, ServiceWriter, ShardRouter,
-    ShardedDurableService, ShardedService,
+    DurabilityOptions, DurableError, DurableService, RegistryError, RuleServingStats,
+    ServiceOptions, ServiceWriter, Shard, ShardRouter, ShardedService,
 };
 use linkdisc_rule::{
     aggregation, compare, property, transform, AggregationFunction, DistanceFunction, LinkageRule,
@@ -79,21 +81,126 @@ fn churn_ops(removes: usize) -> Vec<(u8, usize)> {
     ops
 }
 
-fn apply_sharded(service: &mut ShardedService, target: &[Entity], op: (u8, usize)) {
-    match op {
-        (0, at) => assert!(service.remove(target[at].id())),
-        (1, at) => {
-            service.insert(&target[at]).unwrap();
+/// [`churn_ops`] followed by a duplicate ingest, the three registry
+/// operations (each also once where it must fail) and churn under the
+/// extra rule.
+fn churn_and_registry_ops(removes: usize) -> Vec<(u8, usize)> {
+    let mut ops = churn_ops(removes);
+    ops.extend([
+        (3, 4),
+        (4, 0),
+        (4, 0),
+        (0, removes + 1),
+        (1, removes + 1),
+        (5, 0),
+        (0, removes + 2),
+        (6, 0),
+        (6, 0),
+        (1, removes + 2),
+    ]);
+    ops
+}
+
+const EXTRA_RULE: &str = "phone";
+
+fn phone_rule(bound: f64) -> LinkageRule {
+    compare(
+        transform(TransformFunction::DigitsOnly, vec![property("phone")]),
+        transform(TransformFunction::DigitsOnly, vec![property("phone")]),
+        DistanceFunction::Levenshtein,
+        bound,
+    )
+    .into()
+}
+
+/// The failure behind an error, with the durable wrapper taken off so the
+/// two shard kinds' errors compare equal.
+trait Cause {
+    fn cause(&self) -> String;
+}
+
+impl Cause for EntityError {
+    fn cause(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Cause for RegistryError {
+    fn cause(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl Cause for DurableError {
+    fn cause(&self) -> String {
+        match self {
+            DurableError::Entity(err) => err.to_string(),
+            DurableError::Registry(err) => err.to_string(),
+            other => panic!("unexpected durable failure: {other}"),
         }
-        (_, removes) => {
+    }
+}
+
+/// Applies one scripted op: 0 removes, 1 inserts, 2 batch-ingests the
+/// re-insert leftovers of [`churn_ops`], 3 re-ingests served ids (must fail
+/// and publish nothing), 4/5/6 register / replace / deregister
+/// [`EXTRA_RULE`].
+fn apply_sharded<W: Shard>(
+    service: &mut ShardedService<W>,
+    target: &[Entity],
+    op: (u8, usize),
+) -> Result<(), String>
+where
+    W::Error: Cause,
+    W::RegistryError: Cause,
+{
+    let entity_op = |err: W::Error| err.cause();
+    let registry_op = |err: W::RegistryError| err.cause();
+    match op {
+        (0, at) => {
+            assert!(service.remove(target[at].id()).map_err(entity_op)?);
+        }
+        (1, at) => {
+            service.insert(&target[at]).map_err(entity_op)?;
+        }
+        (2, removes) => {
             let leftovers: Vec<Entity> = (0..removes)
                 .skip(1)
                 .step_by(2)
                 .map(|at| target[at].clone())
                 .collect();
-            assert_eq!(service.ingest(&leftovers).unwrap(), leftovers.len());
+            assert_eq!(
+                service.ingest(&leftovers).map_err(entity_op)?,
+                leftovers.len()
+            );
         }
+        (3, count) => {
+            let versions = service.versions();
+            let len = service.len();
+            let err = service
+                .ingest(&target[..count])
+                .expect_err("re-ingesting served ids must fail");
+            assert_eq!(service.versions(), versions, "no shard may publish");
+            assert_eq!(service.len(), len, "nothing may be applied");
+            return Err(entity_op(err));
+        }
+        (4, _) => service
+            .register_rule(EXTRA_RULE, phone_rule(1.0))
+            .map_err(registry_op)?,
+        (5, _) => service
+            .replace_rule(EXTRA_RULE, phone_rule(0.0))
+            .map_err(registry_op)?,
+        (_, _) => service.deregister_rule(EXTRA_RULE).map_err(registry_op)?,
     }
+    Ok(())
+}
+
+fn shard_snapshots<W: Shard>(service: &ShardedService<W>) -> Vec<Vec<u8>> {
+    service
+        .shards()
+        .iter()
+        .map(|shard| snapshot(shard.writer()))
+        .collect()
 }
 
 fn apply_plain(writer: &mut ServiceWriter, target: &[Entity], op: (u8, usize)) {
@@ -145,7 +252,7 @@ fn routing_is_stable_across_insert_remove_and_recycle() {
 
     for round in 0..3 {
         for (at, entity) in target.iter().enumerate().take(10) {
-            assert!(service.remove(entity.id()), "round {round}");
+            assert!(service.remove(entity.id()).unwrap(), "round {round}");
             // after the remove, no shard serves the id
             assert!(!service.contains(entity.id()));
             let slot = service.insert(entity).unwrap();
@@ -196,7 +303,7 @@ fn one_shard_is_byte_identical_to_the_unsharded_writer() {
         "construction must be identical"
     );
     for &op in &churn_ops(12) {
-        apply_sharded(&mut sharded, &target, op);
+        apply_sharded(&mut sharded, &target, op).unwrap();
         apply_plain(&mut plain, &target, op);
         assert_eq!(
             snapshot(&sharded.shards()[0]),
@@ -247,8 +354,8 @@ fn sharded_queries_equal_unsharded_on_restaurant_and_cora() {
             }
             // …and still equal after identical churn on both
             for &op in &churn_ops(8) {
-                apply_sharded(&mut sharded, &target, op);
-                apply_sharded(&mut unsharded, &target, op);
+                apply_sharded(&mut sharded, &target, op).unwrap();
+                apply_sharded(&mut unsharded, &target, op).unwrap();
             }
             for probe in dataset.source.entities().iter().take(30) {
                 assert_eq!(
@@ -298,7 +405,7 @@ fn sharded_durable_round_trip_recovers_every_shard() {
     let dataset = DatasetKind::Restaurant.generate(0.25, 13);
     let target = dataset.target.entities().to_vec();
     let dir = fresh_dir("roundtrip");
-    let mut durable = ShardedDurableService::create(
+    let mut durable = ShardedService::create(
         &dir,
         restaurant_rule(),
         dataset.source.schema(),
@@ -310,7 +417,7 @@ fn sharded_durable_round_trip_recovers_every_shard() {
     .unwrap();
     assert!(
         matches!(
-            ShardedDurableService::create(
+            ShardedService::create(
                 &dir,
                 restaurant_rule(),
                 dataset.source.schema(),
@@ -335,7 +442,7 @@ fn sharded_durable_round_trip_recovers_every_shard() {
         .collect();
     drop(durable); // crash
 
-    let (recovered, reports) = ShardedDurableService::recover(
+    let (recovered, reports) = ShardedService::recover(
         &dir,
         restaurant_rule(),
         dataset.source.schema(),
@@ -364,7 +471,7 @@ fn sharded_durable_round_trip_recovers_every_shard() {
     )
     .map(|mut service| {
         for entity in target.iter().take(8) {
-            assert!(service.remove(entity.id()));
+            assert!(service.remove(entity.id()).unwrap());
         }
         service.ingest(&reinserts).unwrap();
         service
@@ -383,7 +490,7 @@ fn one_shard_durable_recovery_is_byte_identical_to_unsharded() {
     let sharded_dir = fresh_dir("one-shard");
     let plain_dir = fresh_dir("plain");
 
-    let mut sharded = ShardedDurableService::create(
+    let mut sharded = ShardedService::create(
         &sharded_dir,
         restaurant_rule(),
         dataset.source.schema(),
@@ -409,7 +516,7 @@ fn one_shard_durable_recovery_is_byte_identical_to_unsharded() {
     drop(sharded);
     drop(plain); // crash both
 
-    let (sharded_back, reports) = ShardedDurableService::recover(
+    let (sharded_back, reports) = ShardedService::recover(
         &sharded_dir,
         restaurant_rule(),
         dataset.source.schema(),
@@ -431,4 +538,139 @@ fn one_shard_durable_recovery_is_byte_identical_to_unsharded() {
     );
     let _ = std::fs::remove_dir_all(&sharded_dir);
     let _ = std::fs::remove_dir_all(&plain_dir);
+}
+
+#[test]
+fn one_script_leaves_in_memory_and_durable_shards_identical() {
+    let dataset = DatasetKind::Restaurant.generate(0.25, 23);
+    let target = dataset.target.entities().to_vec();
+    let catalog = vec![
+        ("default".to_string(), restaurant_rule()),
+        ("loose".to_string(), phone_rule(1.0)),
+        ("strict".to_string(), phone_rule(0.0)),
+    ];
+    for shards in [1, 3] {
+        let dir = fresh_dir(&format!("twins-{shards}"));
+        let mut memory = ShardedService::build(
+            restaurant_rule(),
+            dataset.source.schema(),
+            &dataset.target,
+            shards,
+            options(),
+        )
+        .unwrap();
+        let mut durable = ShardedService::create(
+            &dir,
+            restaurant_rule(),
+            dataset.source.schema(),
+            &dataset.target,
+            shards,
+            options(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(shard_snapshots(&memory), shard_snapshots(&durable));
+        let mut failures = 0;
+        for &op in &churn_and_registry_ops(8) {
+            let outcome = apply_sharded(&mut memory, &target, op);
+            assert_eq!(
+                apply_sharded(&mut durable, &target, op),
+                outcome,
+                "shards={shards} op {op:?}: outcomes differ"
+            );
+            failures += usize::from(outcome.is_err());
+            assert_eq!(
+                shard_snapshots(&memory),
+                shard_snapshots(&durable),
+                "shards={shards} op {op:?}: snapshots differ"
+            );
+            assert_eq!(
+                memory.versions(),
+                durable.versions(),
+                "shards={shards} op {op:?}"
+            );
+        }
+        assert_eq!(
+            failures, 3,
+            "the duplicate ingest and two registry misuses fail"
+        );
+        let live = shard_snapshots(&durable);
+        drop(durable); // crash
+
+        let (recovered, reports) = ShardedService::recover_with_rules(
+            &dir,
+            &catalog,
+            dataset.source.schema(),
+            DurabilityOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(reports.len(), shards);
+        assert_eq!(
+            shard_snapshots(&recovered),
+            live,
+            "shards={shards}: recovery"
+        );
+        assert_eq!(shard_snapshots(&recovered), shard_snapshots(&memory));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn sharded_rule_stats_sum_every_counter_across_shards() {
+    let dataset = DatasetKind::Restaurant.generate(0.25, 31);
+    let service = ShardedService::build(
+        restaurant_rule(),
+        dataset.source.schema(),
+        &dataset.target,
+        3,
+        options(),
+    )
+    .unwrap();
+    let reader = service.reader();
+    for probe in dataset.source.entities().iter().take(25) {
+        reader.query(probe);
+    }
+    let merged = reader.rule_stats();
+    assert_eq!(merged.len(), 1);
+    for stats in &merged {
+        let per_shard: Vec<RuleServingStats> = (0..3)
+            .map(|shard| {
+                reader
+                    .shard(shard)
+                    .rule_stats()
+                    .into_iter()
+                    .find(|entry| entry.rule == stats.rule)
+                    .expect("registries are identical across shards")
+            })
+            .collect();
+        let sum = |field: fn(&RuleServingStats) -> u64| per_shard.iter().map(field).sum::<u64>();
+        assert_eq!(stats.queries, sum(|s| s.queries), "queries");
+        assert_eq!(stats.candidates, sum(|s| s.candidates), "candidates");
+        assert_eq!(
+            stats.pairs_short_circuited,
+            sum(|s| s.pairs_short_circuited),
+            "pairs_short_circuited"
+        );
+        assert_eq!(
+            stats.comparisons_evaluated,
+            sum(|s| s.comparisons_evaluated),
+            "comparisons_evaluated"
+        );
+        assert_eq!(
+            stats.comparisons_skipped,
+            sum(|s| s.comparisons_skipped),
+            "comparisons_skipped"
+        );
+        assert_eq!(stats.leaf_hits, sum(|s| s.leaf_hits), "leaf_hits");
+        assert_eq!(stats.leaf_misses, sum(|s| s.leaf_misses), "leaf_misses");
+        assert_eq!(stats.queries, 75, "every query reaches every shard");
+        let evaluating = per_shard
+            .iter()
+            .filter(|s| s.comparisons_evaluated > 0)
+            .count();
+        assert!(
+            evaluating > 1,
+            "the workload must evaluate on several shards"
+        );
+    }
 }

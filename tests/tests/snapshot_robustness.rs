@@ -113,7 +113,10 @@ fn the_pristine_snapshot_restores() {
     let fixture = fixture();
     let restored =
         LinkService::restore(rule(), fixture.dataset.source.schema(), &fixture.bytes[..]).unwrap();
-    assert_eq!(restored.len(), fixture.dataset.target.entities().len());
+    assert_eq!(
+        restored.writer().len(),
+        fixture.dataset.target.entities().len()
+    );
 }
 
 proptest! {
