@@ -157,7 +157,9 @@ pub struct IterationStats {
     /// Mean training F-measure of the population.
     pub mean_f_measure: f64,
     /// Seconds elapsed since the start of the run (cumulative, like the
-    /// "Time in s" column of the paper's tables).
+    /// "Time in s" column of the paper's tables).  Time spent inside the
+    /// run's observer is not counted, so an observer that scores the best
+    /// rule at every checkpoint does not show up as learning time.
     pub elapsed_seconds: f64,
     /// Cumulative cache statistics of the problem's evaluation pipeline
     /// (`None` for problems without caches).  The difference between two
@@ -286,12 +288,17 @@ impl<'a, P: Problem> Evolution<'a, P> {
     where
         F: FnMut(&IterationStats, &Population<P::Genome>),
     {
-        let start = Instant::now();
+        let mut start = Instant::now();
         let mut population = start_population(self.problem, &self.config, rng);
         let mut history = Vec::with_capacity(self.config.max_iterations + 1);
-        let stats = IterationStats::capture(self.problem, 0, &population, &start, None);
-        observer(&stats, &population);
-        history.push(stats);
+        let mut record = |iteration: usize, population: &Population<P::Genome>| {
+            let stats = IterationStats::capture(self.problem, iteration, population, &start, None);
+            let observing = Instant::now();
+            observer(&stats, population);
+            start += observing.elapsed();
+            history.push(stats);
+        };
+        record(0, &population);
 
         let mut iterations = 0;
         let mut stopped_early = false;
@@ -311,9 +318,7 @@ impl<'a, P: Problem> Evolution<'a, P> {
             }
             population = Population::new(next);
             iterations = iteration;
-            let stats = IterationStats::capture(self.problem, iteration, &population, &start, None);
-            observer(&stats, &population);
-            history.push(stats);
+            record(iteration, &population);
         }
         if !stopped_early {
             stopped_early = reached_target(&population, &self.config)
@@ -485,6 +490,27 @@ mod tests {
         for pair in result.history.windows(2) {
             assert!(pair[1].elapsed_seconds >= pair[0].elapsed_seconds);
         }
+    }
+
+    #[test]
+    fn elapsed_time_excludes_the_observer() {
+        let problem = TargetVector { target: vec![1, 2] };
+        let config = GpConfig {
+            population_size: 10,
+            max_iterations: 3,
+            stop_f_measure: 2.0,
+            threads: 1,
+            ..GpConfig::default()
+        };
+        let mut last = f64::NAN;
+        Evolution::new(&problem, config).run_with_observer(&mut rng(1), |stats, _| {
+            last = stats.elapsed_seconds;
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        });
+        assert!(
+            last < 0.1,
+            "{last} s counted after three 100 ms observer calls"
+        );
     }
 
     #[test]

@@ -169,14 +169,16 @@ impl<'a, P: Problem> Pipeline<'a, P> {
         F: FnMut(&IterationStats, &Population<P::Genome>),
     {
         let config = &self.config;
-        let start = Instant::now();
+        let mut start = Instant::now();
         let timers = PhaseAccumulator::new();
         let mut population = start_population(self.problem, config, rng);
         let mut history = Vec::with_capacity(config.max_iterations + 1);
         let mut record = |iteration: usize, population: &Population<P::Genome>| {
             let own = Some(timers.snapshot());
             let stats = IterationStats::capture(self.problem, iteration, population, &start, own);
+            let observing = Instant::now();
             observer(&stats, population);
+            start += observing.elapsed();
             history.push(stats);
         };
         record(0, &population);
@@ -370,6 +372,20 @@ mod tests {
         assert!(final_ > 0.9, "final fitness was {final_}");
         assert_eq!(outcome.result.population.len(), 60);
         assert_eq!(outcome.report.evaluations, 60 * 30);
+    }
+
+    #[test]
+    fn elapsed_time_excludes_the_observer() {
+        let problem = TargetVector { target: vec![1, 2] };
+        let mut last = f64::NAN;
+        Pipeline::new(&problem, config(10, 3)).run_with_observer(&mut rng(1), |stats, _| {
+            last = stats.elapsed_seconds;
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        });
+        assert!(
+            last < 0.1,
+            "{last} s counted after three 100 ms observer calls"
+        );
     }
 
     #[test]

@@ -650,10 +650,10 @@ fn run_armed_sharded(
     let (mut recovered, reports) = ShardedService::recover(&dir, rule(), &schema(), BUDGET)
         .unwrap_or_else(|err| panic!("{}: {err}", ctx("sharded recovery failed")));
     assert_eq!(reports.len(), SHARDS, "{}", ctx("one report per shard"));
-    for shard in 0..SHARDS {
+    for (shard, expected) in solo.iter().enumerate() {
         assert_eq!(
-            snapshot(recovered.shards()[shard].writer()),
-            solo[shard],
+            &snapshot(recovered.shards()[shard].writer()),
+            expected,
             "{}",
             ctx(&format!(
                 "sharded and solo recovery of shard {shard} differ"

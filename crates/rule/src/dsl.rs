@@ -195,9 +195,18 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// Deepest nesting of operators the parser accepts: every `(` of the rule
+/// counts, so a comparison under 126 aggregations (its properties at depth
+/// 128) is the deepest legal rule.  Parsing, printing, hashing and dropping
+/// all recurse once per level, and 128 levels fit a 2 MB thread stack with
+/// room to spare.
+const MAX_NESTING: usize = 128;
+
 struct Parser {
     tokens: Vec<(usize, Token)>,
     index: usize,
+    /// Operators opened and not yet closed.
+    depth: usize,
 }
 
 impl Parser {
@@ -227,15 +236,24 @@ impl Parser {
     }
 
     fn expect_open(&mut self) -> Result<(), DslError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("operators nested deeper than {MAX_NESTING} levels")));
+        }
         match self.next() {
-            Some(Token::Open) => Ok(()),
+            Some(Token::Open) => {
+                self.depth += 1;
+                Ok(())
+            }
             _ => Err(self.error("expected '('")),
         }
     }
 
     fn expect_close(&mut self) -> Result<(), DslError> {
         match self.next() {
-            Some(Token::Close) => Ok(()),
+            Some(Token::Close) => {
+                self.depth -= 1;
+                Ok(())
+            }
             _ => Err(self.error("expected ')'")),
         }
     }
@@ -320,14 +338,20 @@ impl Parser {
     }
 }
 
-/// Parses a rule from its DSL form.
+/// Parses a rule from its DSL form.  Input nested more than 128 operators
+/// deep is rejected with an error at the byte offset of the first `(` past
+/// that depth, rather than recursing until the stack overflows.
 pub fn parse_rule(input: &str) -> Result<LinkageRule, DslError> {
     let trimmed = input.trim();
     if trimmed == "(empty)" {
         return Ok(LinkageRule::empty());
     }
     let tokens = Lexer::new(trimmed).tokenize()?;
-    let mut parser = Parser { tokens, index: 0 };
+    let mut parser = Parser {
+        tokens,
+        index: 0,
+        depth: 0,
+    };
     let root = parser.parse_similarity()?;
     if parser.index != parser.tokens.len() {
         return Err(parser.error("trailing input after rule"));
@@ -445,6 +469,41 @@ mod tests {
             parse_rule("(min (compare nope 1 (property \"a\") (property \"b\")))").unwrap_err();
         assert!(err.position > 0);
         assert!(err.to_string().contains("nope"));
+    }
+
+    #[test]
+    fn unbounded_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse_rule(&"(min ".repeat(100_000)).unwrap_err();
+        // the 129th `(` of "(min (min ..." starts at byte 128 * 5
+        assert_eq!(err.position, MAX_NESTING * 5);
+        assert!(err.message.contains("nested deeper"), "{err}");
+    }
+
+    /// `levels` aggregations around one comparison: `levels + 2` parentheses
+    /// deep, counting the comparison and its properties.
+    fn nested(levels: usize) -> LinkageRule {
+        let mut operator = compare(
+            property("a"),
+            property("b"),
+            DistanceFunction::Equality,
+            1.0,
+        );
+        for _ in 0..levels {
+            operator = aggregation(AggregationFunction::Min, vec![operator]);
+        }
+        operator.into()
+    }
+
+    #[test]
+    fn a_rule_at_the_nesting_cap_round_trips() {
+        let deepest = nested(MAX_NESTING - 2);
+        assert_eq!(parse_rule(&print_rule(&deepest)).unwrap(), deepest);
+        let too_deep = print_rule(&nested(MAX_NESTING - 1));
+        let err = parse_rule(&too_deep).unwrap_err();
+        assert_eq!(
+            err.position,
+            too_deep.match_indices('(').nth(MAX_NESTING).unwrap().0
+        );
     }
 
     #[test]

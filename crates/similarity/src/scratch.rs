@@ -5,8 +5,8 @@
 //! call dominated the kernel cost in the seed implementation; instead each
 //! worker thread owns one [`SimScratch`] that the kernels borrow for the
 //! duration of a single call.  Buffers only ever grow, so a warmed-up worker
-//! performs zero heap allocations per pair evaluation (gated by the
-//! counting-allocator check in `bench_eval`).
+//! performs zero heap allocations per pair evaluation (counted under a
+//! counting allocator by `tests/tests/prefix_probing_serving.rs`).
 //!
 //! The `peq` table is the only buffer with a non-trivial reset discipline:
 //! clearing all 256 entries per call would cost more than a short kernel

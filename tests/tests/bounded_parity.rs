@@ -293,8 +293,10 @@ fn learned_restaurant_rule_short_circuits_without_changing_links() {
     }
     assert!(links > 0, "the learned rule linked nothing");
     // learned rules aggregate several comparisons, so the cross product —
-    // overwhelmingly non-matches — must short-circuit often; the >20%
-    // performance gate lives in bench_eval, this only pins the mechanism
+    // overwhelmingly non-matches — must short-circuit often; how often is
+    // pinned over a whole learning run by prefix_probing_serving's
+    // `a_warm_bounded_sweep_of_a_learned_rule_does_not_allocate`, this only
+    // pins the mechanism
     if compiled.comparison_count() > 1 {
         assert!(
             stats.comparisons_skipped > 0,

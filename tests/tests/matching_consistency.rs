@@ -1,11 +1,13 @@
 //! Consistency between the matching engine and brute-force rule evaluation,
 //! and between the engine's output and the reference links of a dataset.
 
+use genlink::{GenLink, GenLinkConfig};
 use linkdisc_datasets::DatasetKind;
 use linkdisc_entity::EntityPair;
 use linkdisc_matching::{MatchingEngine, MatchingOptions};
 use linkdisc_rule::{
-    compare, property, transform, DistanceFunction, LinkageRule, TransformFunction,
+    aggregation, compare, property, transform, AggregationFunction, DistanceFunction, LinkageRule,
+    SimilarityOperator, TransformFunction,
 };
 use std::collections::HashSet;
 
@@ -127,4 +129,78 @@ fn engine_recovers_most_reference_links_with_a_good_rule() {
         .count();
     let recall = recovered as f64 / dataset.links.positive().len() as f64;
     assert!(recall > 0.8, "recall was {recall}");
+}
+
+fn fuzzy(name: &str, function: TransformFunction, threshold: f64) -> SimilarityOperator {
+    compare(
+        transform(function, vec![property(name)]),
+        transform(function, vec![property(name)]),
+        DistanceFunction::Levenshtein,
+        threshold,
+    )
+}
+
+/// Indexed matching links exactly what the exhaustive run links while
+/// scoring under 5% of the cross product, on three hand-written rules: fuzzy
+/// Cora titles (typos leave no exact token to block on), Restaurant's
+/// name ∧ phone conjunction (the plan intersects two leaves), and phones
+/// through `digitsOnly` (a quarter of the true matches share no raw token, so
+/// only an index over the transformed values keeps them).  A rule the learner
+/// produced on Restaurant must be lossless too; how well it prunes depends on
+/// what the learner converged to, so its fraction is not bounded.
+#[test]
+fn indexed_matching_is_lossless_and_prunes_the_cross_product() {
+    let learned = {
+        let dataset = DatasetKind::Restaurant.generate(0.5, 42);
+        let mut config = GenLinkConfig::fast();
+        config.gp.population_size = 60;
+        config.gp.max_iterations = 10;
+        let outcome =
+            GenLink::new(config).learn(&dataset.source, &dataset.target, &dataset.links, 42);
+        (dataset, outcome.rule, None)
+    };
+    let rows = [
+        (
+            DatasetKind::Cora.generate(0.25, 42),
+            fuzzy("title", TransformFunction::LowerCase, 3.0).into(),
+            Some(0.05),
+        ),
+        (
+            DatasetKind::Restaurant.generate(1.0, 42),
+            aggregation(
+                AggregationFunction::Min,
+                vec![
+                    fuzzy("name", TransformFunction::LowerCase, 2.0),
+                    fuzzy("phone", TransformFunction::DigitsOnly, 1.0),
+                ],
+            )
+            .into(),
+            Some(0.05),
+        ),
+        (
+            DatasetKind::Restaurant.generate(1.0, 7),
+            fuzzy("phone", TransformFunction::DigitsOnly, 1.0).into(),
+            Some(0.05),
+        ),
+        learned,
+    ];
+    for (dataset, rule, max_fraction) in rows {
+        let printed = linkdisc_rule::print_rule(&rule);
+        let exhaustive = MatchingEngine::new(rule.clone())
+            .with_options(MatchingOptions {
+                use_blocking: false,
+                ..MatchingOptions::default()
+            })
+            .run(&dataset.source, &dataset.target);
+        let indexed = MatchingEngine::new(rule).run(&dataset.source, &dataset.target);
+        assert!(!exhaustive.links.is_empty(), "{printed} linked nothing");
+        assert_eq!(indexed.links, exhaustive.links, "{printed}");
+        let fraction = indexed.evaluated_pairs as f64 / indexed.cross_product as f64;
+        if let Some(max_fraction) = max_fraction {
+            assert!(
+                fraction < max_fraction,
+                "{printed} scored {fraction:.3} of the pairs"
+            );
+        }
+    }
 }

@@ -10,18 +10,27 @@
 //!   target sharing *any* block key with the probe would, and
 //! * links exactly what the batch engine links.
 //!
-//! The same allocator gates the batch engine's bind: binding a side costs one
-//! allocation per transformed value, and dropping it one free.
+//! The same allocator gates the batch engine's bind (one allocation per
+//! transformed value, one free each on drop), and counts none at all on
+//! reader threads while writers churn the store, or in a warm bounded sweep
+//! of a learned rule.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Barrier;
 
+use genlink::{GenLink, GenLinkConfig};
 use linkdisc_datasets::DatasetKind;
-use linkdisc_matching::{CandidateScratch, LinkService, MatchingEngine, ServiceOptions};
+use linkdisc_entity::Entity;
+use linkdisc_matching::{
+    CandidateScratch, LinkService, MatchingEngine, ServiceOptions, ShardSlot, ShardedScratch,
+    ShardedService,
+};
 use linkdisc_rule::{
     aggregation, compare, property, transform, AggregationFunction, CompiledChain, CompiledRule,
-    DistanceFunction, IndexingPlan, LinkageRule, TransformFunction,
+    DistanceFunction, EvalStats, IndexingPlan, LinkageRule, TransformFunction, ValueCache,
+    LINK_THRESHOLD,
 };
 use linkdisc_similarity::BlockKey;
 
@@ -55,6 +64,29 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations `query` makes on this thread over one pass of `queries`,
+/// after two uncounted passes have grown every pooled buffer to its
+/// steady-state size.
+fn warm_allocations(queries: &[Entity], mut query: impl FnMut(&Entity)) -> u64 {
+    for _ in 0..2 {
+        queries.iter().for_each(&mut query);
+    }
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    queries.iter().for_each(&mut query);
+    THREAD_ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Transform-free: every phone value is borrowed straight out of the entity.
+fn equality_rule() -> LinkageRule {
+    compare(
+        property("phone"),
+        property("phone"),
+        DistanceFunction::Equality,
+        0.5,
+    )
+    .into()
+}
+
 /// Transform-free, so the query entity's values are borrowed straight out of
 /// the entity: bound 1, edit budget 1, positional 6-grams.
 fn name_only_rule() -> LinkageRule {
@@ -82,11 +114,13 @@ fn a_name_only_query_probes_a_prefix_without_allocating() {
 
     // links == the batch engine's, query by query
     let batch = MatchingEngine::new(rule.clone()).run(source, target);
+    let candidates_before = service.writer().rule_stats()[0].candidates;
     let served: Vec<_> = source
         .entities()
         .iter()
         .flat_map(|entity| service.reader().query(entity))
         .collect();
+    let candidates = service.writer().rule_stats()[0].candidates - candidates_before;
     let sorted = |mut links: Vec<linkdisc_matching::ScoredLink>| {
         links.sort_by(|a, b| (&a.source, &a.target).cmp(&(&b.source, &b.target)));
         links
@@ -94,27 +128,23 @@ fn a_name_only_query_probes_a_prefix_without_allocating() {
     assert!(!batch.links.is_empty());
     assert_eq!(sorted(served), sorted(batch.links));
 
-    // 0 allocations per query on the hot path, after two warm-up passes
-    let mut scratch = CandidateScratch::new();
-    let mut hits: Vec<(u32, f64)> = Vec::new();
-    for _ in 0..2 {
-        for entity in source.entities() {
-            service.reader().query_with(entity, &mut scratch, &mut hits);
-        }
+    // 0 allocations per query on the hot path, here and for the
+    // transform-free equality rule
+    let phone = LinkService::build(
+        equality_rule(),
+        source.schema(),
+        target,
+        ServiceOptions::default(),
+    )
+    .unwrap();
+    for reader in [service.reader(), phone.reader()] {
+        let mut scratch = CandidateScratch::new();
+        let mut hits: Vec<(u32, f64)> = Vec::new();
+        let allocations = warm_allocations(source.entities(), |entity| {
+            reader.query_with(entity, &mut scratch, &mut hits);
+        });
+        assert_eq!(allocations, 0, "{} queries allocated", source.len());
     }
-    let candidates_before = service.writer().rule_stats()[0].candidates;
-    let allocations_before = THREAD_ALLOCATIONS.with(Cell::get);
-    for entity in source.entities() {
-        service.reader().query_with(entity, &mut scratch, &mut hits);
-    }
-    let allocations = THREAD_ALLOCATIONS.with(Cell::get) - allocations_before;
-    let candidates = service.writer().rule_stats()[0].candidates - candidates_before;
-    assert_eq!(
-        allocations,
-        0,
-        "{} queries allocated on the hot path",
-        source.len()
-    );
 
     // what any-shared-key admission would hand the rule: every target one
     // of whose index keys is among the probe's keys, flattened
@@ -226,4 +256,141 @@ fn binding_allocates_once_per_transformed_value() {
         frees <= budget,
         "{frees} frees for {transformed} transformed values"
     );
+}
+
+/// Reader threads query on a warm scratch without allocating while the
+/// writers remove and re-insert served entities, publishing an epoch per op
+/// — unsharded, and merged across four shards' epoch chains.
+#[test]
+fn readers_do_not_allocate_while_writers_churn() {
+    let data = DatasetKind::Restaurant.generate(1.0, 42);
+    let (source, target) = (data.source.entities(), &data.target);
+    let victims = &target.entities()[..64];
+    let (mut writer, reader) = LinkService::build(
+        equality_rule(),
+        data.source.schema(),
+        target,
+        ServiceOptions::default(),
+    )
+    .unwrap()
+    .split();
+    let mut scratch = CandidateScratch::new();
+    let mut hits: Vec<(u32, f64)> = Vec::new();
+    let allocations = allocations_under_churn(
+        source,
+        move |entity| {
+            reader.query_with(entity, &mut scratch, &mut hits);
+        },
+        victims,
+        |victim| {
+            assert!(writer.remove(victim.id()));
+            writer.insert(victim).unwrap();
+        },
+    );
+    assert_eq!(allocations, 0, "unsharded readers allocated under churn");
+
+    let sharded = ShardedService::build(
+        equality_rule(),
+        data.source.schema(),
+        target,
+        4,
+        ServiceOptions::default(),
+    )
+    .unwrap();
+    let router = sharded.router();
+    let (mut writers, reader) = sharded.split();
+    let mut scratch = ShardedScratch::new();
+    let mut hits: Vec<(ShardSlot, f64)> = Vec::new();
+    let allocations = allocations_under_churn(
+        source,
+        move |entity| {
+            reader.query_with(entity, &mut scratch, &mut hits);
+        },
+        victims,
+        |victim| {
+            let writer = &mut writers[router.route(victim.id())];
+            assert!(writer.remove(victim.id()));
+            writer.insert(victim).unwrap();
+        },
+    );
+    assert_eq!(allocations, 0, "sharded readers allocated under churn");
+}
+
+/// Allocations a reader thread makes running `query` over ten passes of
+/// `queries`, after two warm-up passes.  Each counted pass starts together
+/// with a burst of 40 ops in which this thread removes and re-inserts the
+/// next victims, so every pass overlaps a writer publishing epochs.
+fn allocations_under_churn(
+    queries: &[Entity],
+    mut query: impl FnMut(&Entity) + Send,
+    victims: &[Entity],
+    mut churn: impl FnMut(&Entity),
+) -> u64 {
+    let round = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            for _ in 0..2 {
+                queries.iter().for_each(&mut query);
+            }
+            let before = THREAD_ALLOCATIONS.with(Cell::get);
+            for _ in 0..10 {
+                round.wait();
+                queries.iter().for_each(&mut query);
+            }
+            THREAD_ALLOCATIONS.with(Cell::get) - before
+        });
+        let mut victims = victims.iter().cycle();
+        for _ in 0..10 {
+            round.wait();
+            victims.by_ref().take(40).for_each(&mut churn);
+        }
+        reader.join().unwrap()
+    })
+}
+
+/// A bounded sweep of a learned multi-comparison rule over the Restaurant
+/// cross product allocates nothing once its value cache is warm.  The
+/// learning run itself — the random initial population (up to four
+/// comparisons per rule, the multi-comparison shape of the paper's Figure 7),
+/// crossover offspring and converged elites, each scored on every reference
+/// pair — skips more than a fifth of its comparisons.  The run is seeded, so
+/// the rate is exact: 6,348 of 21,164 (30%).
+#[test]
+fn a_warm_bounded_sweep_of_a_learned_rule_does_not_allocate() {
+    let data = DatasetKind::Restaurant.generate(0.2, 3);
+    let mut config = GenLinkConfig::paper();
+    config.gp.population_size = 200;
+    config.gp.max_iterations = 6;
+    config.gp.threads = 1;
+    config.max_initial_comparisons = 4;
+    let outcome = GenLink::new(config).learn(&data.source, &data.target, &data.links, 42);
+    let eval = outcome
+        .history
+        .last()
+        .and_then(|stats| stats.eval)
+        .expect("the GenLink problem reports eval counters");
+    assert!(eval.skip_rate() > 0.20, "{eval:?}");
+    let compiled = CompiledRule::compile(&outcome.rule, data.source.schema(), data.target.schema());
+    let cache = ValueCache::new();
+    let mut stats = EvalStats::default();
+    let mut sweep = || {
+        for source in data.source.entities() {
+            for target in data.target.entities() {
+                compiled.evaluate_bounded_two_stats(
+                    source,
+                    target,
+                    &cache,
+                    &cache,
+                    LINK_THRESHOLD,
+                    &mut stats,
+                );
+            }
+        }
+    };
+    sweep();
+    let before = THREAD_ALLOCATIONS.with(Cell::get);
+    sweep();
+    let allocations = THREAD_ALLOCATIONS.with(Cell::get) - before;
+    assert!(stats.comparisons_skipped > 0, "{stats:?}");
+    assert_eq!(allocations, 0, "the warm sweep allocated");
 }
