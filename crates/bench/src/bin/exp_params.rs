@@ -14,7 +14,7 @@ fn main() {
     println!(
         "{:<28} {:.0}%",
         "Probability of crossover",
-        config.gp.crossover_probability * 100.0
+        (1.0 - config.gp.mutation_probability) * 100.0
     );
     println!(
         "{:<28} {:.0}%",

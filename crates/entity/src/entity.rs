@@ -16,7 +16,7 @@ pub type EntityId = String;
 /// *coverage* statistic of Table 6 of the paper is expressed.
 ///
 /// Value sets are held as shared `Arc<[String]>` slices: entities clone
-/// cheaply (streamed chunks, store snapshots), and an owning
+/// cheaply (store snapshots, entities copied between sources), and an owning
 /// [`crate::EntityStore`] can *intern* equal value sets so repeated values
 /// (years, cities, categorical columns) share one allocation across the
 /// whole store.
@@ -75,25 +75,6 @@ impl Entity {
     /// by the [`crate::EntityStore`] interner to reuse allocations).
     pub fn shared_values_at(&self, index: PropertyIndex) -> Option<&Arc<[String]>> {
         self.values.get(index)
-    }
-
-    /// A cheap estimate of this entity's resident size in bytes: identifier
-    /// and value characters plus per-string and per-slice overheads.  Drives
-    /// byte-budgeted chunk sizing in the streaming engine; it is a proxy
-    /// (UTF-8 lengths, not allocator-rounded capacities), so budgets derived
-    /// from it are approximate by design.
-    pub fn approx_bytes(&self) -> usize {
-        const STRING_OVERHEAD: usize = std::mem::size_of::<String>();
-        const SLICE_OVERHEAD: usize = std::mem::size_of::<Arc<[String]>>() + 16;
-        let mut bytes = std::mem::size_of::<Entity>() + self.id.len();
-        for values in &self.values {
-            bytes += SLICE_OVERHEAD;
-            bytes += values
-                .iter()
-                .map(|v| v.len() + STRING_OVERHEAD)
-                .sum::<usize>();
-        }
-        bytes
     }
 
     /// All values of the named property (empty slice if the property is not

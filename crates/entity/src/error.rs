@@ -23,6 +23,9 @@ pub enum EntityError {
     },
     /// An I/O error while reading a tabular file.
     Io(String),
+    /// Something `tabular::to_string` cannot write so that
+    /// `tabular::parse_str` reads it back unchanged.
+    Unwritable(String),
 }
 
 impl fmt::Display for EntityError {
@@ -36,6 +39,9 @@ impl fmt::Display for EntityError {
                 write!(f, "parse error at line {line}: {message}")
             }
             EntityError::Io(message) => write!(f, "i/o error: {message}"),
+            EntityError::Unwritable(what) => {
+                write!(f, "cannot write {what} as delimited text")
+            }
         }
     }
 }

@@ -15,8 +15,6 @@
 //! * [`DataSource`] — a named collection of entities sharing one schema,
 //! * [`ReferenceLinks`] — positive and negative reference links including the
 //!   negative-link generation scheme used in Section 6.1 of the paper,
-//! * [`StreamingSource`] — chunked access to sources too large to
-//!   materialise, with a zero-copy adapter for in-memory sources,
 //! * [`EntityStore`] — an owned, id-stable slot table with interned values
 //!   and cheap copy-on-write snapshots (the serving layer's entity owner),
 //! * [`tabular`] — a tiny delimited-text loader so real data can be plugged in,
@@ -34,7 +32,6 @@ pub mod pair;
 pub mod schema;
 pub mod source;
 pub mod store;
-pub mod stream;
 pub mod tabular;
 pub mod value;
 
@@ -45,7 +42,4 @@ pub use pair::{EntityPair, ResolvedReferenceLinks};
 pub use schema::{PropertyIndex, Schema};
 pub use source::{DataSource, DataSourceBuilder};
 pub use store::{EntitySnapshot, EntityStore};
-pub use stream::{
-    ChunkedSliceSource, ChunkedVecStream, MaterializedStream, RestreamableSource, StreamingSource,
-};
 pub use value::{normalized_tokens, ValueSet};

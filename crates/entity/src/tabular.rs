@@ -16,65 +16,91 @@ use crate::schema::Schema;
 use crate::source::DataSource;
 use crate::value::ValueSet;
 
-/// Parses a single delimited row honouring double quotes.
-fn parse_row(line: &str, delimiter: char) -> Vec<String> {
+/// Splits delimited text into records of fields, honouring double quotes: a
+/// quoted field may hold the delimiter, doubled quotes and line breaks, so
+/// one record can span several physical lines.  Blank records are skipped;
+/// each record comes with the 1-based line it starts on.
+fn parse_records(text: &str, delimiter: char) -> Result<Vec<(usize, Vec<String>)>, EntityError> {
+    let mut records = Vec::new();
     let mut fields = Vec::new();
     let mut field = String::new();
     let mut in_quotes = false;
-    let mut chars = line.chars().peekable();
+    let mut blank = true;
+    let mut line = 1;
+    let mut start = 1;
+    let mut chars = text.chars().peekable();
     while let Some(c) = chars.next() {
+        if c == '\n' {
+            line += 1;
+        }
         if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    field.push('"');
-                    chars.next();
-                } else {
-                    in_quotes = false;
-                }
-            } else {
+            if c != '"' {
                 field.push(c);
+            } else if chars.peek() == Some(&'"') {
+                field.push('"');
+                chars.next();
+            } else {
+                in_quotes = false;
             }
-        } else if c == '"' {
-            in_quotes = true;
-        } else if c == delimiter {
-            fields.push(std::mem::take(&mut field));
-        } else {
-            field.push(c);
+            continue;
+        }
+        blank &= c.is_whitespace();
+        match c {
+            '"' => in_quotes = true,
+            '\n' => {
+                fields.push(std::mem::take(&mut field));
+                let record = std::mem::take(&mut fields);
+                if !blank {
+                    records.push((start, record));
+                }
+                blank = true;
+                start = line;
+            }
+            '\r' if chars.peek() == Some(&'\n') => {}
+            c if c == delimiter => fields.push(std::mem::take(&mut field)),
+            c => field.push(c),
         }
     }
+    if in_quotes {
+        return Err(EntityError::Parse {
+            line: start,
+            message: "unterminated quoted field".to_string(),
+        });
+    }
     fields.push(field);
-    fields
+    if !blank {
+        records.push((start, fields));
+    }
+    Ok(records)
 }
 
 /// Parses delimited text into a [`DataSource`].
 ///
-/// * The first non-empty line is the header; its first column is ignored as
-///   the identifier column, the remaining columns become schema properties.
-/// * Every following line is one entity; empty cells produce empty value sets
-///   and cells containing `|` produce multi-valued properties.
+/// * The first non-blank record is the header; its first column is ignored
+///   as the identifier column, the remaining columns become schema
+///   properties.
+/// * Every following record is one entity; empty cells produce empty value
+///   sets and cells containing `|` produce multi-valued properties.  Values
+///   and identifiers are trimmed, and empty values are dropped.
+/// * An error names the line the offending record starts on.
 pub fn parse_str(name: &str, text: &str, delimiter: char) -> Result<DataSource, EntityError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header) = lines.next().ok_or(EntityError::Parse {
+    let mut records = parse_records(text, delimiter)?.into_iter();
+    let (header_line, header_fields) = records.next().ok_or(EntityError::Parse {
         line: 1,
         message: "missing header row".to_string(),
     })?;
-    let header_fields = parse_row(header, delimiter);
     if header_fields.len() < 2 {
         return Err(EntityError::Parse {
-            line: 1,
+            line: header_line,
             message: "header must contain an id column and at least one property".to_string(),
         });
     }
     let properties: Vec<String> = header_fields[1..].to_vec();
     let mut source = DataSource::new(name, Schema::new(properties.clone()));
-    for (line_index, line) in lines {
-        let fields = parse_row(line, delimiter);
+    for (line, fields) in records {
         if fields.len() != header_fields.len() {
             return Err(EntityError::Parse {
-                line: line_index + 1,
+                line,
                 message: format!(
                     "expected {} fields but found {}",
                     header_fields.len(),
@@ -85,21 +111,17 @@ pub fn parse_str(name: &str, text: &str, delimiter: char) -> Result<DataSource, 
         let id = fields[0].trim().to_string();
         if id.is_empty() {
             return Err(EntityError::Parse {
-                line: line_index + 1,
+                line,
                 message: "empty entity identifier".to_string(),
             });
         }
         let values: Vec<ValueSet> = fields[1..]
             .iter()
             .map(|cell| {
-                if cell.trim().is_empty() {
-                    ValueSet::new()
-                } else {
-                    cell.split('|')
-                        .map(|v| v.trim().to_string())
-                        .filter(|v| !v.is_empty())
-                        .collect()
-                }
+                cell.split('|')
+                    .map(|v| v.trim().to_string())
+                    .filter(|v| !v.is_empty())
+                    .collect()
             })
             .collect();
         source.add(id, values)?;
@@ -117,10 +139,22 @@ pub fn load_file(
     parse_str(name, &text, delimiter)
 }
 
-/// Serialises a data source back to delimited text (inverse of [`parse_str`]).
-pub fn to_string(source: &DataSource, delimiter: char) -> String {
+/// Serialises a data source to delimited text that [`parse_str`] reads back
+/// with the same identifiers and value sets.
+///
+/// Fails with [`EntityError::Unwritable`] on what the format cannot carry: a
+/// source without properties, an identifier or value that is empty or has
+/// leading or trailing whitespace (`parse_str` trims and drops them), and a
+/// value containing `|`, the multi-value separator.
+pub fn to_string(source: &DataSource, delimiter: char) -> Result<String, EntityError> {
+    if source.schema().is_empty() {
+        return Err(EntityError::Unwritable(
+            "a source without properties".to_string(),
+        ));
+    }
+    let trimmed = |text: &str| !text.is_empty() && text.trim() == text;
     let quote = |cell: &str| -> String {
-        if cell.contains(delimiter) || cell.contains('"') || cell.contains('\n') {
+        if cell.contains([delimiter, '"', '\n', '\r']) {
             format!("\"{}\"", cell.replace('"', "\"\""))
         } else {
             cell.to_string()
@@ -134,14 +168,23 @@ pub fn to_string(source: &DataSource, delimiter: char) -> String {
     }
     out.push('\n');
     for entity in source.entities() {
-        out.push_str(&quote(entity.id()));
+        let id = entity.id();
+        let unwritable = |what: String| EntityError::Unwritable(format!("{what} of entity {id:?}"));
+        if !trimmed(id) {
+            return Err(unwritable("the identifier".to_string()));
+        }
+        out.push_str(&quote(id));
         for (i, _) in source.schema().properties().iter().enumerate() {
+            let values = entity.values_at(i);
+            if let Some(value) = values.iter().find(|v| !trimmed(v) || v.contains('|')) {
+                return Err(unwritable(format!("value {value:?}")));
+            }
             out.push(delimiter);
-            out.push_str(&quote(&entity.values_at(i).join("|")));
+            out.push_str(&quote(&values.join("|")));
         }
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -198,7 +241,7 @@ mod tests {
     #[test]
     fn round_trips_through_to_string() {
         let source = parse_str("cities", SAMPLE, ',').unwrap();
-        let text = to_string(&source, ',');
+        let text = to_string(&source, ',').unwrap();
         let reparsed = parse_str("cities", &text, ',').unwrap();
         assert_eq!(reparsed.len(), source.len());
         assert_eq!(
@@ -208,6 +251,94 @@ mod tests {
         assert_eq!(
             reparsed.get("c2").unwrap().values("label"),
             source.get("c2").unwrap().values("label")
+        );
+    }
+
+    #[test]
+    fn quoted_fields_may_span_lines() {
+        let mut source = DataSource::new("s", Schema::new(["label", "note"]));
+        source
+            .add(
+                "x",
+                vec![vec!["first line\nsecond line".to_string()], vec![]],
+            )
+            .unwrap();
+        let text = to_string(&source, ',').unwrap();
+        let reparsed = parse_str("s", &text, ',').unwrap();
+        assert_eq!(
+            reparsed.get("x").unwrap().values("label"),
+            ["first line\nsecond line"]
+        );
+        // an error names the line its record starts on, after a record
+        // spanning two lines
+        let text = "id,label,point\nc1,\"a\nb\",c\nc2,d\n";
+        let err = parse_str("s", text, ',').unwrap_err();
+        assert!(matches!(err, EntityError::Parse { line: 4, .. }), "{err}");
+        let err = parse_str("s", "id,label\nx,ok\ny,\"open\nstill open\n", ',').unwrap_err();
+        assert!(matches!(err, EntityError::Parse { line: 3, .. }), "{err}");
+    }
+
+    #[test]
+    fn values_the_format_cannot_carry_are_refused() {
+        for (id, value) in [
+            ("x", "AT&T | Bell"),
+            ("x", " padded"),
+            ("x", "padded\n"),
+            ("x", ""),
+            (" x", "fine"),
+        ] {
+            let mut source = DataSource::new("s", Schema::new(["label"]));
+            source.add(id, vec![vec![value.to_string()]]).unwrap();
+            let err = to_string(&source, ',').unwrap_err();
+            assert!(matches!(err, EntityError::Unwritable(_)), "{err}");
+        }
+        let source = DataSource::new("s", Schema::new(Vec::<String>::new()));
+        assert!(matches!(
+            to_string(&source, ','),
+            Err(EntityError::Unwritable(_))
+        ));
+    }
+
+    /// Over an alphabet holding the delimiter, `"`, `\n`, `|` and spaces,
+    /// `to_string` either refuses a source or `parse_str` reads back the
+    /// same identifiers and value sets.
+    #[test]
+    fn to_string_is_inverted_by_parse_str_or_refuses() {
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        const TEXT: &str = "[abcdefghijklmnop,\"\n| ]{0,4}";
+        let rows = vec((TEXT, vec(TEXT, 0..3), vec(TEXT, 0..3)), 0..4);
+        let mut rng = TestRng::for_test("tabular_round_trip");
+        let (mut written, mut refused) = (0, 0);
+        for _ in 0..512 {
+            let mut source = DataSource::new("s", Schema::new(["label", "x,y"]));
+            for (id, label, note) in rows.sample(&mut rng) {
+                // a duplicate identifier is simply not added
+                let _ = source.add(id, vec![label, note]);
+            }
+            let text = match to_string(&source, ',') {
+                Ok(text) => text,
+                Err(EntityError::Unwritable(_)) => {
+                    refused += 1;
+                    continue;
+                }
+                Err(other) => panic!("unexpected error {other}"),
+            };
+            written += 1;
+            let reparsed = parse_str("s", &text, ',').unwrap_or_else(|e| panic!("{e}: {text:?}"));
+            assert_eq!(reparsed.schema().properties(), source.schema().properties());
+            assert_eq!(reparsed.len(), source.len(), "{text:?}");
+            for (back, entity) in reparsed.entities().iter().zip(source.entities()) {
+                assert_eq!(
+                    (back.id(), back.values_at(0), back.values_at(1)),
+                    (entity.id(), entity.values_at(0), entity.values_at(1)),
+                    "{text:?}"
+                );
+            }
+        }
+        assert!(
+            written > 20 && refused > 20,
+            "{written} written, {refused} refused"
         );
     }
 

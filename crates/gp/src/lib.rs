@@ -117,12 +117,11 @@ pub struct GpConfig {
     pub max_iterations: usize,
     /// Tournament size of the selection method (paper: 5).
     pub tournament_size: usize,
-    /// Probability that an offspring is produced by recombining two selected
-    /// individuals (paper: 75%).
-    pub crossover_probability: f64,
     /// Probability that an offspring is produced by crossing a selected
     /// individual with a freshly generated random genome — headless-chicken
-    /// mutation (paper: 25%).
+    /// mutation (paper: 25%).  Every other offspring recombines two selected
+    /// individuals, so the paper's crossover probability (75%) is
+    /// `1 − mutation_probability`.
     pub mutation_probability: f64,
     /// Stop as soon as one individual reaches this F-measure on the training
     /// links (paper: 1.0).
@@ -144,7 +143,6 @@ impl Default for GpConfig {
             population_size: 500,
             max_iterations: 50,
             tournament_size: 5,
-            crossover_probability: 0.75,
             mutation_probability: 0.25,
             stop_f_measure: 1.0,
             elitism: 1,
@@ -170,10 +168,6 @@ impl GpConfig {
     pub fn validate(&self) {
         assert!(self.population_size > 0, "population_size must be positive");
         assert!(self.tournament_size > 0, "tournament_size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.crossover_probability),
-            "crossover_probability must lie in [0, 1]"
-        );
         assert!(
             (0.0..=1.0).contains(&self.mutation_probability),
             "mutation_probability must lie in [0, 1]"
@@ -255,7 +249,6 @@ mod tests {
         assert_eq!(config.population_size, 500);
         assert_eq!(config.max_iterations, 50);
         assert_eq!(config.tournament_size, 5);
-        assert!((config.crossover_probability - 0.75).abs() < 1e-12);
         assert!((config.mutation_probability - 0.25).abs() < 1e-12);
         assert_eq!(config.stop_f_measure, 1.0);
         config.validate();

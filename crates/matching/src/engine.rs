@@ -4,41 +4,33 @@
 //! evaluation, and into an [`IndexingPlan`] (see `linkdisc_rule::indexing`)
 //! that drives lossless MultiBlock candidate generation.
 //!
-//! The engine is built around a **streaming core**
-//! ([`MatchingEngine::run_stream`]): the target arrives in bounded chunks
-//! from a [`StreamingSource`], each chunk gets its own sharded
-//! [`MultiBlockIndex`] (built across `threads` workers), the chunk's
-//! candidates are scored, and the chunk is dropped before the next one is
-//! requested — peak memory is the source plus *one* chunk, never the whole
-//! target.  The source side streams too
-//! ([`MatchingEngine::run_dual_stream`]): with a re-streamable target
-//! ([`RestreamableSource`]) the core visits every (source chunk × target
-//! chunk) pair — one full target pass per resident source chunk — so peak
-//! memory drops to one chunk per *side*.  Chunking is exact **for the
+//! [`MatchingEngine::run`] cuts both sides into slices — the source by
+//! [`MatchingOptions::source_chunk_size`], the target by
+//! [`MatchingOptions::chunk_size`], 0 meaning one chunk — and visits every
+//! (source chunk × target chunk) pair in a block-nested loop.  Each target
+//! chunk gets its own staged [`MultiBlockIndex`] (built across `threads`
+//! workers) and its candidates are scored on scoped threads; only one chunk
+//! per side is bound (transformed) at a time.  Chunking is exact **for the
 //! links**: candidate generation is lossless on every partition of the target
 //! and the rule is the final, exact filter, so links and score bits are
 //! chunking- and thread-invariant.  `evaluated_pairs` is a *cost*, not a
 //! result: where a conjunction stops pruning — at query time, or already at
 //! build time (`MultiBlockIndex::build_staged`) — depends on the chunk's own
 //! posting statistics, so the count is thread-invariant but may differ
-//! between chunkings, within `links ≤ evaluated ≤ cross product`.  The batch
-//! entry point ([`MatchingEngine::run`]) is a thin wrapper that streams the
-//! materialised source as borrowed chunks.
+//! between chunkings, within `links ≤ evaluated ≤ cross product`.
 //!
 //! The engine owns **no value cache**.  The compiled rule **binds** each side
-//! once — the target chunk before its index build, shared by all workers;
-//! each worker's source span before its first probe — in one pass over its
-//! entities into flat per-slot columns (see [`CompiledRule::bind_target`]):
+//! chunk by chunk — the target chunk before its index build, shared by all
+//! workers; each worker's source span before its first probe — in one pass
+//! over its entities into flat per-slot columns (see
+//! [`CompiledRule::bind_target`]):
 //! a transformation runs once per (entity, chain) at one allocation per
 //! output value, and the index build, candidate probes and pair scoring all
 //! read the same columns by position.
 
-use linkdisc_entity::{
-    DataSource, Entity, MaterializedStream, RestreamableSource, StreamingSource,
-};
+use linkdisc_entity::{DataSource, Entity};
 use std::sync::Arc;
 
-use linkdisc_entity::Schema;
 use linkdisc_rule::{
     BoundSide, CompiledRule, EvalStats, IndexingPlan, LinkageRule, LINK_THRESHOLD,
 };
@@ -85,43 +77,18 @@ pub struct MatchingOptions {
     /// of the paper: 0.5).  Respected by both the indexed and the exhaustive
     /// path; the indexing plan derives its distance bounds from it.
     pub link_threshold: f64,
-    /// Maximum target entities processed (and resident) at a time when the
-    /// target is streamed; 0 means unbounded — the whole target in one
-    /// chunk.  Results are identical for every chunk size.  When set, this
-    /// **overrides** [`MatchingOptions::chunk_bytes`].
+    /// Maximum target entities bound and indexed at a time; 0 means the
+    /// whole target in one chunk.  Results are identical for every chunk
+    /// size.
     pub chunk_size: usize,
-    /// Byte budget for the resident target chunk (0 = disabled).  Chunks
-    /// are sized adaptively from [`Entity::approx_bytes`] over the entities
-    /// seen so far — conservatively, by the *largest* record seen, with
-    /// slow-start growth (a chunk at most doubles the entities delivered so
-    /// far) — so skewed record sizes yield predictable peak memory where a
-    /// fixed entity count would not: wide records shrink the cap, narrow
-    /// records grow it.  The budget is approximate by design: caps derive
-    /// from *past* sizes (the first chunk probes at
-    /// [`INITIAL_ADAPTIVE_CHUNK`] entities), so a chunk of records all
-    /// fatter than anything previously observed overshoots by their growth
-    /// factor — on a stream sorted small-to-large the divisor always lags
-    /// one chunk behind, so treat the budget as an order-of-magnitude
-    /// control there, not a ceiling.  Sizing never affects results, only
-    /// residency (observable as [`MatchingReport::peak_chunk_bytes`]).
-    pub chunk_bytes: usize,
-    /// Maximum **source** entities resident at a time; 0 means the whole
-    /// source in one chunk.  Applies to [`MatchingEngine::run`] and
-    /// [`MatchingEngine::run_dual_stream`]: the source is consumed chunk by
-    /// chunk and the target is re-streamed once per source chunk, so peak
-    /// memory is one chunk per side.  Results are identical for every
-    /// source chunk size (best-match merging and the candidate-set algebra
-    /// both compose across source partitions), but the target index is
-    /// rebuilt once per source chunk — the usual streaming time/memory
-    /// trade.  [`MatchingEngine::run_stream`]'s target can only be streamed
-    /// once, so that entry point keeps the source in one chunk regardless.
+    /// Maximum source entities bound at a time; 0 means the whole source in
+    /// one chunk.  Every source chunk visits every target chunk, so results
+    /// are identical for every source chunk size (best-match merging and the
+    /// candidate-set algebra both compose across source partitions), but each
+    /// target chunk's index is rebuilt once per source chunk — the usual
+    /// block-nested-loop time/memory trade.
     pub source_chunk_size: usize,
 }
-
-/// Entities requested for the first chunk of a byte-budgeted run, before
-/// any per-entity size estimate exists (kept small: the probe chunk is the
-/// one chunk sized with no data at all).
-pub const INITIAL_ADAPTIVE_CHUNK: usize = 16;
 
 impl Default for MatchingOptions {
     fn default() -> Self {
@@ -131,7 +98,6 @@ impl Default for MatchingOptions {
             threads: 0,
             link_threshold: LINK_THRESHOLD,
             chunk_size: 0,
-            chunk_bytes: 0,
             source_chunk_size: 0,
         }
     }
@@ -176,30 +142,23 @@ pub struct MatchingReport {
     pub evaluated_pairs: usize,
     /// Size of the full cross product, for comparison.
     pub cross_product: usize,
-    /// Total source entities consumed from the (possibly streamed) source.
+    /// Number of source entities.
     pub source_entities: usize,
-    /// Total target entities consumed from the (possibly streamed) target
-    /// (counted once, on the first pass, when the target is re-streamed).
+    /// Number of target entities.
     pub target_entities: usize,
     /// Number of source chunks processed (1 unless
     /// [`MatchingOptions::source_chunk_size`] bounds the source).
     pub source_chunks: usize,
-    /// Number of non-empty target chunks processed, summed over target
-    /// passes (1 for a batch run; on a dual-streamed run the target is
-    /// re-streamed once per source chunk, so this counts total index-build
-    /// work, not distinct target entities).
+    /// Number of target chunks processed, summed over source chunks (each
+    /// source chunk visits every target chunk, so this counts index builds,
+    /// not distinct target entities): `source_chunks × ⌈target / chunk_size⌉`.
     pub chunks: usize,
-    /// Largest number of source entities resident at once — the
-    /// source-side streaming peak-memory proxy (equals `source_entities`
-    /// unless the source is chunked).
+    /// Largest source chunk bound at once (equals `source_entities` unless
+    /// the source is chunked).
     pub peak_source_chunk_entities: usize,
-    /// Largest number of target entities resident at once — the streaming
-    /// peak-memory proxy (equals `target_entities` for a batch run).
+    /// Largest target chunk bound and indexed at once (equals
+    /// `target_entities` unless the target is chunked).
     pub peak_chunk_entities: usize,
-    /// Largest estimated byte size ([`Entity::approx_bytes`]) of a resident
-    /// chunk — the realized peak for byte-budgeted chunking
-    /// ([`MatchingOptions::chunk_bytes`]); reported for every streamed run.
-    pub peak_chunk_bytes: usize,
     /// Blocking statistics, one entry per indexed comparison (empty when the
     /// run was exhaustive — blocking disabled or the plan cannot prune).
     pub comparison_stats: Vec<ComparisonBlockStats>,
@@ -257,107 +216,34 @@ impl MatchingEngine {
         &self.rule
     }
 
-    /// Generates links between two materialised data sources — a thin
-    /// wrapper over the streaming core that streams both sides as borrowed
-    /// chunks (one whole-source / whole-target chunk unless
-    /// [`MatchingOptions::source_chunk_size`] /
-    /// [`MatchingOptions::chunk_size`] bound them).
+    /// Generates links between two data sources, one (source chunk × target
+    /// chunk) block at a time ([`MatchingOptions::source_chunk_size`] /
+    /// [`MatchingOptions::chunk_size`]; one chunk per side by default).
     pub fn run(&self, source: &DataSource, target: &DataSource) -> MatchingReport {
-        let mut source_stream = MaterializedStream::new(source);
-        let mut target_ref: &DataSource = target;
-        self.run_core(&mut source_stream, &mut target_ref, self.source_cap())
-    }
-
-    /// Generates links between a materialised source and a *streamed*
-    /// target.  The target is consumed chunk by chunk (at most
-    /// [`MatchingOptions::chunk_size`] entities resident at a time); links
-    /// and scores are identical to a batch run over the materialised
-    /// equivalent (evaluated-pair and per-leaf candidate counts are costs
-    /// and may differ between chunkings).
-    ///
-    /// The target can only be streamed once, so the source stays resident
-    /// in one chunk regardless of [`MatchingOptions::source_chunk_size`];
-    /// use [`MatchingEngine::run_dual_stream`] with a
-    /// [`RestreamableSource`] target to bound both sides.
-    pub fn run_stream(
-        &self,
-        source: &DataSource,
-        target: &mut dyn StreamingSource,
-    ) -> MatchingReport {
-        let mut wrapper = OneShotTarget {
-            name: target.name().to_string(),
-            schema: target.schema().clone(),
-            inner: Some(target),
-        };
-        let mut source_stream = MaterializedStream::new(source);
-        // one whole-source chunk => exactly one target pass => the
-        // single-use wrapper is opened at most once
-        self.run_core(&mut source_stream, &mut wrapper, usize::MAX)
-    }
-
-    /// Generates links with **both** sides streamed: the source arrives in
-    /// bounded chunks ([`MatchingOptions::source_chunk_size`]) and the
-    /// target is re-streamed once per resident source chunk, itself in
-    /// bounded chunks ([`MatchingOptions::chunk_size`] /
-    /// [`MatchingOptions::chunk_bytes`]) — peak memory is one source chunk
-    /// plus one target chunk.  Links are identical to the batch run over
-    /// the materialised equivalents: each source entity is delivered in
-    /// exactly one chunk (the [`StreamingSource`] contract), so per-chunk
-    /// best-match winners and candidate sets compose losslessly.
-    pub fn run_dual_stream(
-        &self,
-        source: &mut dyn StreamingSource,
-        target: &mut dyn RestreamableSource,
-    ) -> MatchingReport {
-        self.run_core(source, target, self.source_cap())
-    }
-
-    /// The per-chunk entity cap for the streamed source side.
-    fn source_cap(&self) -> usize {
-        if self.options.source_chunk_size == 0 {
-            usize::MAX
-        } else {
-            self.options.source_chunk_size
-        }
-    }
-
-    /// The streaming core behind every entry point: chunk × chunk over a
-    /// streamed source and a re-streamable target.
-    fn run_core(
-        &self,
-        source: &mut dyn StreamingSource,
-        target: &mut dyn RestreamableSource,
-        source_cap: usize,
-    ) -> MatchingReport {
-        let source_cap = source_cap.max(1);
-        let source_schema = source.schema().clone();
-        let target_schema = target.schema().clone();
+        let (source_entities, target_entities) = (source.entities(), target.entities());
         let plan = self.options.use_blocking.then(|| {
             IndexingPlan::lower(
                 &self.rule,
-                &source_schema,
-                &target_schema,
+                source.schema(),
+                target.schema(),
                 self.options.link_threshold,
             )
             .canonicalized()
         });
         if self.rule.root().is_none() || plan.as_ref().is_some_and(IndexingPlan::is_empty_result) {
-            // no pair can reach the link threshold: count both sides (the
+            // no pair can reach the link threshold: report both sides (the
             // cross-product denominator) and skip evaluation
-            let source_entities = drain_counting(source, source_cap);
-            let mut sizer = ChunkSizer::new(self.options.chunk_size, self.options.chunk_bytes);
-            let target_entities = drain(&mut *target.open(), &mut sizer);
             return MatchingReport {
-                cross_product: source_entities * target_entities,
-                source_entities,
-                target_entities,
+                cross_product: source_entities.len() * target_entities.len(),
+                source_entities: source_entities.len(),
+                target_entities: target_entities.len(),
                 ..MatchingReport::default()
             };
         }
         // an exhaustive plan cannot prune — run with no index
         let indexed_plan = plan.filter(|plan| !plan.is_exhaustive()).map(Arc::new);
 
-        let compiled = CompiledRule::compile(&self.rule, &source_schema, &target_schema);
+        let compiled = CompiledRule::compile(&self.rule, source.schema(), target.schema());
         let threads = resolve_threads(self.options.threads).max(1);
         let kernels_before = KernelCounters::snapshot();
         let mut links: Vec<ScoredLink> = Vec::new();
@@ -372,21 +258,12 @@ impl MatchingEngine {
             })
             .collect();
         let leaf_count = comparison_stats.len();
-        let mut source_entities = 0usize;
         let mut source_chunks = 0usize;
         let mut peak_source_chunk_entities = 0usize;
-        let mut target_entities = 0usize;
         let mut chunks = 0usize;
         let mut peak_chunk_entities = 0usize;
-        let mut peak_chunk_bytes = 0usize;
-        let mut first_pass = true;
 
-        while let Some(source_chunk) = source.next_chunk(source_cap) {
-            let source_chunk: &[Entity] = &source_chunk;
-            source_entities += source_chunk.len();
-            if source_chunk.is_empty() {
-                continue;
-            }
+        for source_chunk in source_entities.chunks(chunk_len(self.options.source_chunk_size)) {
             source_chunks += 1;
             peak_source_chunk_entities = peak_source_chunk_entities.max(source_chunk.len());
 
@@ -403,21 +280,9 @@ impl MatchingEngine {
             let worker_span = source_chunk.len().div_ceil(threads).max(1);
             let mut bound_spans: Vec<Option<BoundSide>> =
                 vec![None; source_chunk.len().div_ceil(worker_span)];
-            // a fresh sizer per pass reproduces identical chunk boundaries
-            // on every target pass (same slow-start, same divisors)
-            let mut sizer = ChunkSizer::new(self.options.chunk_size, self.options.chunk_bytes);
-            let mut pass = target.open();
-            while let Some(chunk) = pass.next_chunk(sizer.next_cap()) {
-                let chunk: &[Entity] = &chunk;
-                if first_pass {
-                    target_entities += chunk.len();
-                }
-                if chunk.is_empty() {
-                    continue;
-                }
+            for chunk in target_entities.chunks(chunk_len(self.options.chunk_size)) {
                 chunks += 1;
                 peak_chunk_entities = peak_chunk_entities.max(chunk.len());
-                peak_chunk_bytes = peak_chunk_bytes.max(sizer.observe(chunk));
 
                 // bind first: the build, the probes and the scoring all
                 // read the chunk's transformed values from these columns
@@ -496,18 +361,9 @@ impl MatchingEngine {
                     }
                 }
             }
-            drop(pass);
-            first_pass = false;
             if self.options.best_match_only {
                 links.extend(bests.into_iter().flatten());
             }
-        }
-
-        if first_pass {
-            // no non-empty source chunk ever opened the target — still
-            // report the target size for the cross-product denominator
-            let mut sizer = ChunkSizer::new(self.options.chunk_size, self.options.chunk_bytes);
-            target_entities = drain(&mut *target.open(), &mut sizer);
         }
 
         links.sort_by(|a, b| {
@@ -519,14 +375,13 @@ impl MatchingEngine {
         MatchingReport {
             links,
             evaluated_pairs,
-            cross_product: source_entities * target_entities,
-            source_entities,
-            target_entities,
+            cross_product: source_entities.len() * target_entities.len(),
+            source_entities: source_entities.len(),
+            target_entities: target_entities.len(),
             source_chunks,
             chunks,
             peak_source_chunk_entities,
             peak_chunk_entities,
-            peak_chunk_bytes,
             comparison_stats,
             eval_stats,
             kernels: KernelCounters::snapshot().since(&kernels_before),
@@ -534,108 +389,12 @@ impl MatchingEngine {
     }
 }
 
-/// Adapts a single-use [`StreamingSource`] target to the re-streamable
-/// interface [`MatchingEngine::run_core`] wants.  Sound only when the core
-/// opens the target once, i.e. when the source fits in one chunk — which
-/// [`MatchingEngine::run_stream`] guarantees by forcing an unbounded source
-/// cap.
-struct OneShotTarget<'a> {
-    name: String,
-    schema: Arc<Schema>,
-    inner: Option<&'a mut dyn StreamingSource>,
-}
-
-impl RestreamableSource for OneShotTarget<'_> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Box<dyn StreamingSource + '_> {
-        let inner = self
-            .inner
-            .take()
-            .expect("single-use target stream opened twice");
-        Box::new(inner)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        self.inner.as_ref().and_then(|inner| inner.size_hint())
-    }
-}
-
-/// Consumes a stream with a fixed request cap, returning its entity count
-/// (degenerate-path source drain).
-fn drain_counting(stream: &mut dyn StreamingSource, cap: usize) -> usize {
-    let mut total = 0;
-    while let Some(chunk) = stream.next_chunk(cap) {
-        total += chunk.len();
-    }
-    total
-}
-
-/// Derives per-chunk entity caps for `run_stream`: a fixed entity count
-/// when [`MatchingOptions::chunk_size`] is set, otherwise a byte budget
-/// ([`MatchingOptions::chunk_bytes`]) divided by the **largest** entity
-/// estimate seen so far (worst-case sizing, with slow-start growth),
-/// otherwise unbounded.  Also tracks the realized per-chunk byte sizes
-/// for [`MatchingReport::peak_chunk_bytes`].
-struct ChunkSizer {
-    fixed_entities: usize,
-    byte_budget: usize,
-    seen_entities: usize,
-    /// Largest single-entity estimate seen — the conservative divisor: a
-    /// chunk of `budget / max` entities stays within budget even if every
-    /// one of them is as fat as the fattest record so far.
-    max_entity_bytes: usize,
-}
-
-impl ChunkSizer {
-    fn new(fixed_entities: usize, byte_budget: usize) -> Self {
-        ChunkSizer {
-            fixed_entities,
-            byte_budget,
-            seen_entities: 0,
-            max_entity_bytes: 0,
-        }
-    }
-
-    /// `true` when caps derive from observed entity sizes (a byte budget is
-    /// set and no fixed entity count overrides it).
-    fn is_adaptive(&self) -> bool {
-        self.fixed_entities == 0 && self.byte_budget > 0
-    }
-
-    /// The entity cap to request for the next chunk.
-    fn next_cap(&self) -> usize {
-        if self.fixed_entities > 0 {
-            return self.fixed_entities;
-        }
-        if self.byte_budget == 0 {
-            return usize::MAX;
-        }
-        if self.seen_entities == 0 {
-            return INITIAL_ADAPTIVE_CHUNK;
-        }
-        let by_budget = self.byte_budget / self.max_entity_bytes.max(1);
-        // slow start: at most double the entities delivered so far, so one
-        // unrepresentative early chunk cannot license a huge follow-up
-        by_budget.min(2 * self.seen_entities).max(1)
-    }
-
-    /// Records a delivered chunk, returning its estimated byte size.
-    fn observe(&mut self, chunk: &[Entity]) -> usize {
-        let mut bytes = 0usize;
-        for entity in chunk {
-            let estimate = entity.approx_bytes();
-            bytes += estimate;
-            self.max_entity_bytes = self.max_entity_bytes.max(estimate);
-        }
-        self.seen_entities += chunk.len();
-        bytes
+/// The `slice::chunks` length for a chunk-size option (0 = one chunk).
+fn chunk_len(chunk_size: usize) -> usize {
+    if chunk_size == 0 {
+        usize::MAX
+    } else {
+        chunk_size
     }
 }
 
@@ -748,25 +507,10 @@ fn score_span(
     outcome
 }
 
-/// Consumes the rest of a stream, returning how many entities it held (used
-/// by degenerate paths that still report the cross-product size).  The
-/// sizer keeps observing delivered chunks so a byte-budgeted drain adapts
-/// past its probe cap instead of requesting 16 entities forever.
-fn drain(target: &mut dyn StreamingSource, sizer: &mut ChunkSizer) -> usize {
-    let mut total = 0;
-    while let Some(chunk) = target.next_chunk(sizer.next_cap()) {
-        total += chunk.len();
-        if sizer.is_adaptive() {
-            sizer.observe(&chunk);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkdisc_entity::{ChunkedSliceSource, ChunkedVecStream, DataSourceBuilder};
+    use linkdisc_entity::DataSourceBuilder;
     use linkdisc_rule::{compare, property, transform, DistanceFunction, TransformFunction};
 
     fn sources() -> (DataSource, DataSource) {
@@ -863,23 +607,6 @@ mod tests {
                 assert!(chunked.peak_chunk_entities <= chunk_size);
             }
         }
-    }
-
-    #[test]
-    fn streamed_target_never_needs_the_whole_source() {
-        let (source, target) = sources();
-        let batch = MatchingEngine::new(rule()).run(&source, &target);
-        // owned chunks, as a lazily-parsing source would produce them
-        let chunks = vec![
-            vec![target.entities()[0].clone()],
-            vec![target.entities()[1].clone(), target.entities()[2].clone()],
-        ];
-        let mut stream = ChunkedVecStream::new("B", target.schema().clone(), chunks);
-        let streamed = MatchingEngine::new(rule()).run_stream(&source, &mut stream);
-        assert_eq!(streamed.links, batch.links);
-        assert_cost_within_bounds(&streamed);
-        assert_eq!(streamed.chunks, 2);
-        assert_eq!(streamed.peak_chunk_entities, 2);
     }
 
     #[test]
@@ -1037,82 +764,22 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_adapts_chunks_to_record_sizes() {
-        // skewed record sizes: a fixed entity count would make fat-heavy
-        // chunks ~30x heavier than thin ones; a byte budget keeps residency
-        // steady by shrinking the entity cap instead
-        let mut builder = DataSourceBuilder::new("B", ["name"]);
-        let fat = "x".repeat(4096);
-        for i in 0..64 {
-            let value = if i % 2 == 0 { "thin" } else { fat.as_str() };
-            builder = builder
-                .entity(format!("b{i:02}"), [("name", value)])
-                .unwrap();
-        }
-        let target = builder.build();
-        let source = DataSourceBuilder::new("A", ["label"])
-            .entity("a1", [("label", "thin")])
-            .unwrap()
-            .build();
-        let rule: LinkageRule = compare(
-            property("label"),
-            property("name"),
-            DistanceFunction::Equality,
-            0.5,
-        )
-        .into();
-        let batch = MatchingEngine::new(rule.clone()).run(&source, &target);
-        let budget = 64 * 1024;
-        let budgeted = MatchingEngine::new(rule.clone())
-            .with_options(MatchingOptions {
-                chunk_bytes: budget,
-                ..MatchingOptions::default()
-            })
-            .run(&source, &target);
-        assert_eq!(
-            budgeted.links, batch.links,
-            "chunking never changes results"
-        );
-        assert!(budgeted.chunks > 1, "the budget forces multiple chunks");
-        assert!(
-            budgeted.peak_chunk_entities < target.len(),
-            "never the whole target resident"
-        );
-        // this fixture interleaves fat and thin records, so every chunk's
-        // worst-case divisor has already seen a fat record and the peak
-        // stays within one record of the budget (a size-sorted stream
-        // would not enjoy this bound — see the chunk_bytes docs)
-        let fattest = target
-            .entities()
-            .iter()
-            .map(Entity::approx_bytes)
-            .max()
-            .unwrap();
-        assert!(
-            budgeted.peak_chunk_bytes <= budget + fattest,
-            "peak {} exceeds budget {budget} by more than one record ({fattest})",
-            budgeted.peak_chunk_bytes
-        );
-        // an explicit chunk_size overrides the byte budget
-        let overridden = MatchingEngine::new(rule)
-            .with_options(MatchingOptions {
-                chunk_bytes: budget,
-                chunk_size: 64,
-                ..MatchingOptions::default()
-            })
-            .run(&source, &target);
-        assert_eq!(overridden.chunks, 1, "chunk_size wins over chunk_bytes");
-        assert_eq!(overridden.peak_chunk_entities, 64);
-        assert!(overridden.peak_chunk_bytes > budget);
-    }
-
-    #[test]
     fn empty_rule_produces_no_links() {
         let (source, target) = sources();
-        let report = MatchingEngine::new(LinkageRule::empty()).run(&source, &target);
-        assert!(report.links.is_empty());
-        assert_eq!(report.evaluated_pairs, 0);
-        assert_eq!(report.cross_product, 9);
+        for chunk_size in [0, 2] {
+            let report = MatchingEngine::new(LinkageRule::empty())
+                .with_options(MatchingOptions {
+                    source_chunk_size: chunk_size,
+                    chunk_size,
+                    ..MatchingOptions::default()
+                })
+                .run(&source, &target);
+            assert!(report.links.is_empty());
+            assert_eq!(report.evaluated_pairs, 0);
+            assert_eq!(report.cross_product, 9, "chunk_size={chunk_size}");
+            assert_eq!(report.source_entities, 3);
+            assert_eq!(report.target_entities, 3);
+        }
     }
 
     #[test]
@@ -1150,54 +817,15 @@ mod tests {
                         source.len().div_ceil(source_chunk_size)
                     );
                     assert!(chunked.peak_source_chunk_entities <= source_chunk_size);
+                    let cap = chunk_len(chunk_size);
+                    assert_eq!(
+                        chunked.chunks,
+                        chunked.source_chunks * target.len().div_ceil(cap)
+                    );
+                    assert!(chunked.peak_chunk_entities <= cap);
                 }
             }
         }
-    }
-
-    #[test]
-    fn dual_stream_bounds_both_sides_and_matches_batch() {
-        let (source, target) = sources();
-        let batch = MatchingEngine::new(rule()).run(&source, &target);
-        let source_chunks = vec![
-            vec![source.entities()[0].clone()],
-            vec![source.entities()[1].clone(), source.entities()[2].clone()],
-        ];
-        let target_chunks = vec![
-            vec![target.entities()[0].clone(), target.entities()[1].clone()],
-            vec![target.entities()[2].clone()],
-        ];
-        let mut stream = ChunkedVecStream::new("A", source.schema().clone(), source_chunks);
-        let mut restream = ChunkedSliceSource::new("B", target.schema().clone(), target_chunks);
-        let report = MatchingEngine::new(rule()).run_dual_stream(&mut stream, &mut restream);
-        assert_eq!(report.links, batch.links);
-        assert_cost_within_bounds(&report);
-        assert_eq!(report.source_entities, 3);
-        assert_eq!(report.target_entities, 3, "counted on the first pass only");
-        assert_eq!(report.source_chunks, 2);
-        assert_eq!(report.chunks, 4, "two target chunks per source chunk");
-        assert_eq!(report.peak_source_chunk_entities, 2);
-        assert_eq!(report.peak_chunk_entities, 2);
-        assert_eq!(report.cross_product, batch.cross_product);
-    }
-
-    #[test]
-    fn dual_stream_empty_rule_still_counts_both_sides() {
-        let (source, target) = sources();
-        let mut stream = ChunkedVecStream::new(
-            "A",
-            source.schema().clone(),
-            vec![source.entities().to_vec()],
-        );
-        let mut restream = ChunkedSliceSource::new(
-            "B",
-            target.schema().clone(),
-            vec![target.entities().to_vec()],
-        );
-        let report =
-            MatchingEngine::new(LinkageRule::empty()).run_dual_stream(&mut stream, &mut restream);
-        assert!(report.links.is_empty());
-        assert_eq!(report.cross_product, 9);
     }
 
     /// 40 restaurants per side; `shared_city` is what every entity's `city`

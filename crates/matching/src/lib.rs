@@ -14,10 +14,9 @@
 //!   per-child bounds),
 //! * [`MatchingEngine`] — evaluates the compiled rule on each candidate pair
 //!   (in parallel) and returns the scored links above the configurable link
-//!   threshold; built around a streaming core (`run_stream`) that consumes
-//!   the target chunk by chunk with a sharded per-chunk index build, of
-//!   which the batch `run` is a zero-copy wrapper; `use_blocking: false`
-//!   falls back to the exhaustive cross product,
+//!   threshold; `run` cuts both sources into slices (one chunk per side by
+//!   default) and builds a sharded index per target chunk;
+//!   `use_blocking: false` falls back to the exhaustive cross product,
 //! * [`ServiceWriter`] / [`ServiceReader`] — the serving front-end: a
 //!   long-lived index over an *owned* entity store answering single-entity
 //!   match queries on an allocation-free candidate path; the writer

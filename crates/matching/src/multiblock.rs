@@ -281,7 +281,7 @@ pub(crate) const STAGE_FLOOR: f64 = 16.0;
 
 impl MultiBlockIndex {
     /// Creates an empty index for a plan; entities arrive through
-    /// [`MultiBlockIndex::insert`] (the streaming-ingestion entry point).
+    /// [`MultiBlockIndex::insert`] (the incremental-ingestion entry point).
     pub fn empty(plan: impl Into<Arc<IndexingPlan>>) -> MultiBlockIndex {
         let plan = plan.into();
         let leaves = plan

@@ -13,8 +13,8 @@
 //!   source/target schemas up front (with a by-name fallback for entities
 //!   carrying a different schema),
 //! * transformation chains are deduplicated by structural hash; their
-//!   outputs are memoized **per entity** in a shared [`ValueCache`], interned
-//!   as `Arc<[String]>` slices so repeated pair evaluations read borrowed
+//!   outputs are memoized **per entity** in a shared [`ValueCache`] as
+//!   `Arc<[String]>` slices so repeated pair evaluations read borrowed
 //!   slices with zero per-pair allocation,
 //! * distance functions get threshold-aware fast paths: Levenshtein runs the
 //!   bit-parallel kernel bounded by the comparison threshold, and
@@ -51,7 +51,7 @@
 //! — one division.  One evaluator body either way: same bounded walk, same
 //! score bits, same [`EvalStats`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1884,7 +1884,6 @@ pub struct ValueCache<'e> {
     // an inline array (not a Vec) so `ValueCache::new` performs no heap
     // allocation: the serving path builds one short-lived cache per query
     shards: [Mutex<HashMap<(usize, u64), CachedSlot>>; VALUE_CACHE_SHARDS],
-    interner: Mutex<HashSet<Arc<[String]>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     _entities: PhantomData<fn(&'e Entity)>,
@@ -1912,7 +1911,6 @@ impl<'e> ValueCache<'e> {
     pub fn new() -> Self {
         ValueCache {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            interner: Mutex::new(HashSet::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             _entities: PhantomData,
@@ -1922,22 +1920,6 @@ impl<'e> ValueCache<'e> {
     fn shard(&self, key: &(usize, u64)) -> &Mutex<HashMap<(usize, u64), CachedSlot>> {
         let index = (key.0 ^ key.1 as usize) % self.shards.len();
         &self.shards[index]
-    }
-
-    /// Interns a freshly computed value set, deduplicating identical contents
-    /// across entities (transformations frequently collapse distinct inputs
-    /// to the same output, e.g. lower-cased years).
-    fn intern_values(&self, values: Vec<String>) -> Arc<[String]> {
-        let mut interner = self.interner.lock().expect("interner poisoned");
-        if let Some(existing) = interner.get(values.as_slice()) {
-            return existing.clone();
-        }
-        if interner.len() >= VALUE_CACHE_SHARD_CAPACITY * VALUE_CACHE_SHARDS {
-            interner.clear();
-        }
-        let interned: Arc<[String]> = values.into();
-        interner.insert(interned.clone());
-        interned
     }
 
     /// The memoized values of `(entity, chain)`, computing them on first use.
@@ -1960,15 +1942,12 @@ impl<'e> ValueCache<'e> {
         // computed outside the lock: `compute` may itself read the cache for
         // nested chains, and holding the shard lock could deadlock
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let values = self.intern_values(compute());
+        let values: Arc<[String]> = compute().into();
         let mut shard = self.shard(&key).lock().expect("value cache poisoned");
         if shard.len() >= VALUE_CACHE_SHARD_CAPACITY {
             shard.clear();
         }
-        let slot = shard.entry(key).or_insert(CachedSlot {
-            values: values.clone(),
-            ids: None,
-        });
+        let slot = shard.entry(key).or_insert(CachedSlot { values, ids: None });
         slot.values.clone()
     }
 
@@ -2062,7 +2041,6 @@ impl<'e> ValueCache<'e> {
         for shard in &self.shards {
             shard.lock().expect("value cache poisoned").clear();
         }
-        self.interner.lock().expect("interner poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -2657,7 +2635,10 @@ mod tests {
         assert_eq!(keys.len(), 5);
         assert_eq!(keys[0], keys[1]);
         assert_eq!((keys[0].band, keys[2].band), (Some(10), None));
-        assert_eq!(keys.iter().collect::<HashSet<_>>().len(), 4);
+        assert_eq!(
+            keys.iter().collect::<std::collections::HashSet<_>>().len(),
+            4
+        );
         // a column holds the distance the kernel path scores from: exact
         // within the band, ∞ past it or where a side has no value
         let entities = [
@@ -2740,38 +2721,5 @@ mod tests {
         let pair = EntityPair::new(&c, &d);
         assert_eq!(compiled.evaluate(&pair, &ValueCache::new()), 0.0);
         assert_eq!(rule.evaluate(&pair), 0.0);
-    }
-
-    #[test]
-    fn value_cache_interns_identical_outputs() {
-        let schema = city_schema();
-        let rule: LinkageRule = compare(
-            transform(TransformFunction::LowerCase, vec![property("label")]),
-            transform(TransformFunction::LowerCase, vec![property("label")]),
-            DistanceFunction::Equality,
-            0.5,
-        )
-        .into();
-        let compiled = CompiledRule::compile(&rule, &schema, &schema);
-        // two distinct entities with the same label: outputs are interned to
-        // one shared allocation
-        let a = EntityBuilder::new("a")
-            .value("label", "Berlin")
-            .build(schema.clone());
-        let b = EntityBuilder::new("b")
-            .value("label", "BERLIN")
-            .build(schema.clone());
-        let cache = ValueCache::new();
-        compiled.evaluate(&EntityPair::new(&a, &b), &cache);
-        assert_eq!(cache.len(), 2, "one entry per entity");
-        let va = cache.values(&a, compiled.source.hashes[1], || unreachable!("memoized"));
-        let vb = cache.values(&b, compiled.target.hashes[1], || unreachable!("memoized"));
-        assert!(
-            Arc::ptr_eq(&va, &vb),
-            "equal outputs share one interned slice"
-        );
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
     }
 }

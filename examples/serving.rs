@@ -3,14 +3,13 @@
 //! writer churn, a sharded store with one writer thread per shard,
 //! snapshot persistence (save → restart → restore → query), per-shard
 //! crash safety (write-ahead logged mutations → crash → recover → query),
-//! plus the engine's streaming modes for inputs that never fit in memory
-//! at once — target-side only, or both sides.
+//! plus the engine's chunked matching, which binds and indexes one slice of
+//! each side at a time.
 //!
 //! Run with `cargo run --release -p genlink-examples --example serving`.
 
 use genlink_examples::section;
 use linkdisc_datasets::DatasetKind;
-use linkdisc_entity::ChunkedVecStream;
 use linkdisc_matching::{
     DurabilityOptions, DurableService, LinkService, MatchingEngine, MatchingOptions,
     ServiceOptions, ShardedService,
@@ -465,81 +464,33 @@ fn main() {
     drop(sharded_recovered);
     let _ = std::fs::remove_dir_all(&sharded_dir);
 
-    section("streaming: match a target that never sits in memory at once");
+    section("chunked matching: one slice of each side bound at a time");
     let batch = MatchingEngine::new(rule()).run(&dataset.source, &dataset.target);
-    // a streaming source delivering owned chunks, as a lazy parser would;
-    // MatchingOptions::chunk_size does the same for materialised sources
-    let chunks: Vec<Vec<_>> = dataset
-        .target
-        .entities()
-        .chunks(64)
-        .map(|c| c.to_vec())
-        .collect();
-    let mut stream = ChunkedVecStream::new("restaurants", dataset.target.schema().clone(), chunks);
-    let streamed = MatchingEngine::new(rule())
-        .with_options(MatchingOptions {
-            chunk_size: 64,
-            ..MatchingOptions::default()
-        })
-        .run_stream(&dataset.source, &mut stream);
-    println!(
-        "streamed {} chunks, peak {} of {} target entities resident",
-        streamed.chunks, streamed.peak_chunk_entities, streamed.target_entities
-    );
-    assert_eq!(
-        streamed.links, batch.links,
-        "streaming must find the batch links"
-    );
-    println!(
-        "streamed links == batch links: true ({} links)",
-        streamed.links.len()
-    );
-
-    section("dual streaming: neither side sits in memory at once");
-    // the source also arrives in chunks; the target is re-streamed once per
-    // source chunk (block-nested-loop), so peak residency is one chunk of
-    // each side
-    let source_chunks: Vec<Vec<_>> = dataset
-        .source
-        .entities()
-        .chunks(48)
-        .map(|c| c.to_vec())
-        .collect();
-    let mut source_stream =
-        ChunkedVecStream::new("queries", dataset.source.schema().clone(), source_chunks);
-    let target_chunks: Vec<Vec<_>> = dataset
-        .target
-        .entities()
-        .chunks(64)
-        .map(|c| c.to_vec())
-        .collect();
-    let mut target_passes = linkdisc_entity::ChunkedSliceSource::new(
-        "restaurants",
-        dataset.target.schema().clone(),
-        target_chunks,
-    );
-    let dual = MatchingEngine::new(rule())
+    // the source is cut into chunks of 48, the target into chunks of 64;
+    // every source chunk visits every target chunk (block-nested loop), so
+    // only one chunk of each side is bound and indexed at a time
+    let chunked = MatchingEngine::new(rule())
         .with_options(MatchingOptions {
             chunk_size: 64,
             source_chunk_size: 48,
             ..MatchingOptions::default()
         })
-        .run_dual_stream(&mut source_stream, &mut target_passes);
+        .run(&dataset.source, &dataset.target);
     println!(
-        "{} source chunks x {} target passes; peak resident {} + {} of {} + {} entities",
-        dual.source_chunks,
-        dual.source_chunks,
-        dual.peak_source_chunk_entities,
-        dual.peak_chunk_entities,
-        dual.source_entities,
-        dual.target_entities
+        "{} source chunks x {} target chunks; peak bound {} + {} of {} + {} entities",
+        chunked.source_chunks,
+        chunked.chunks / chunked.source_chunks,
+        chunked.peak_source_chunk_entities,
+        chunked.peak_chunk_entities,
+        chunked.source_entities,
+        chunked.target_entities
     );
     assert_eq!(
-        dual.links, batch.links,
-        "dual streaming must find the batch links"
+        chunked.links, batch.links,
+        "chunked matching must find the batch links"
     );
     println!(
-        "dual-streamed links == batch links: true ({} links)",
-        dual.links.len()
+        "chunked links == batch links: true ({} links)",
+        chunked.links.len()
     );
 }

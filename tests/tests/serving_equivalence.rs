@@ -3,10 +3,10 @@
 //! For random rules (drawn from the same generator the GP learner uses)
 //! over noisy datasets, three layers of equivalence must hold:
 //!
-//! 1. **Chunked streaming == batch** — the engine's streamed runs produce
-//!    exactly the batch links (ids and score bits) at every chunk size:
-//!    candidate generation is lossless on every partition of the target and
-//!    the rule is the final filter.  `evaluated_pairs` is a cost, not a
+//! 1. **Chunked == batch** — the engine's chunked runs produce exactly the
+//!    batch links (ids and score bits) at every target and source chunk
+//!    size: candidate generation is lossless on every partition of the
+//!    target and the rule is the final filter.  `evaluated_pairs` is a cost, not a
 //!    result — a conjunction stops where its chunk's posting statistics say
 //!    scoring is cheaper than pruning — so it is only bounded, not equal,
 //! 2. **Incremental == batch build** — a `LinkService` populated by any
@@ -56,13 +56,13 @@ fn sort_links(mut links: Vec<ScoredLink>) -> Vec<ScoredLink> {
     links
 }
 
-/// Streamed (chunked) engine runs must link exactly what the batch run
-/// links.  The contract: links and scores are chunking- and thread-invariant;
+/// Chunked engine runs — the target alone, or both sides — must link
+/// exactly what the batch run links.  The contract: links and scores are chunking- and thread-invariant;
 /// `evaluated_pairs` is a cost and is only thread-invariant (posting
 /// statistics, and with them the point where a conjunction stops pruning,
 /// are per chunk) — across chunkings it stays within `links ≤ evaluated
 /// pairs ≤ cross product`.
-fn assert_streaming_matches_batch(workload: &RuleWorkload) {
+fn assert_chunked_matches_batch(workload: &RuleWorkload) {
     for rule in &workload.rules {
         let batch = MatchingEngine::new(rule.clone())
             .with_options(MatchingOptions {
@@ -70,27 +70,39 @@ fn assert_streaming_matches_batch(workload: &RuleWorkload) {
                 ..MatchingOptions::default()
             })
             .run(&workload.dataset.source, &workload.dataset.target);
-        for chunk_size in [1, 7, 64] {
+        // (source chunk size, target chunk size); 0 = the whole source
+        for (source_chunk_size, chunk_size) in [(0, 1), (0, 7), (0, 64), (1, 7), (7, 7)] {
             let chunked = MatchingEngine::new(rule.clone())
                 .with_options(MatchingOptions {
                     threads: 2,
                     chunk_size,
+                    source_chunk_size,
                     ..MatchingOptions::default()
                 })
                 .run(&workload.dataset.source, &workload.dataset.target);
-            assert_eq!(
-                chunked.links,
-                batch.links,
-                "links diverge at chunk size {chunk_size} for rule {}",
+            let at = format!(
+                "source chunk size {source_chunk_size}, chunk size {chunk_size}, rule {}",
                 linkdisc_rule::print_rule(rule),
             );
+            assert_eq!(chunked.links, batch.links, "links diverge at {at}");
             assert!(
                 chunked.links.len() <= chunked.evaluated_pairs
                     && chunked.evaluated_pairs <= chunked.cross_product,
-                "evaluated pairs out of bounds at chunk size {chunk_size} for rule {}",
-                linkdisc_rule::print_rule(rule),
+                "evaluated pairs out of bounds at {at}"
             );
-            assert!(chunked.peak_chunk_entities <= chunk_size);
+            assert_eq!(
+                chunked.chunks,
+                chunked.source_chunks * workload.dataset.target.len().div_ceil(chunk_size),
+                "every source chunk visits every target chunk at {at}"
+            );
+            assert!(chunked.peak_chunk_entities <= chunk_size, "{at}");
+            if source_chunk_size > 0 {
+                assert!(
+                    chunked.peak_source_chunk_entities <= source_chunk_size,
+                    "{at}"
+                );
+            }
+            assert_eq!(chunked.source_entities, workload.dataset.source.len());
             assert_eq!(chunked.target_entities, workload.dataset.target.len());
         }
     }
@@ -193,13 +205,13 @@ fn assert_service_matches_engine(workload: &RuleWorkload) {
 }
 
 #[test]
-fn streamed_runs_are_equivalent_to_batch_runs() {
+fn chunked_runs_are_equivalent_to_batch_runs() {
     for seed in 0..3 {
         let workload = random_rules(DatasetKind::Restaurant, 0.08, seed, 5);
-        assert_streaming_matches_batch(&workload);
+        assert_chunked_matches_batch(&workload);
     }
     let workload = random_rules(DatasetKind::Cora, 0.04, 1, 4);
-    assert_streaming_matches_batch(&workload);
+    assert_chunked_matches_batch(&workload);
 }
 
 #[test]
