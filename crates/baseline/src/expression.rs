@@ -150,7 +150,7 @@ impl Expression {
     }
 
     /// Replaces the `index`-th node (pre-order) with `replacement`.
-    pub fn replace_node(&mut self, index: usize, replacement: Expression) -> bool {
+    fn replace_node(&mut self, index: usize, replacement: Expression) -> bool {
         fn walk(
             node: &mut Expression,
             remaining: &mut usize,

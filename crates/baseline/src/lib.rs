@@ -10,6 +10,8 @@
 //! * [`static_rules`] — simple hand-written rules (exact match on a key
 //!   property) used as sanity baselines in the examples and experiments.
 
+#![warn(unreachable_pub)]
+
 pub mod carvalho;
 pub mod expression;
 pub mod static_rules;

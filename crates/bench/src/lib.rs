@@ -10,10 +10,12 @@
 //! * [`learning_curve`] — the repeated 2-fold cross-validation protocol that
 //!   produces the per-iteration "Time / Train F1 / Val F1" rows of Tables
 //!   7–12,
-//! * [`run_carvalho_baseline`] — the same protocol for the Carvalho-style GP
+//! * `run_carvalho_baseline` — the same protocol for the Carvalho-style GP
 //!   baseline,
 //! * small table-printing helpers so every binary reports in the paper's
 //!   "mean (σ)" format.
+
+#![warn(unreachable_pub)]
 
 use std::collections::BTreeMap;
 
@@ -334,7 +336,7 @@ pub fn learning_curve(
 /// The train/validation F1 of the Carvalho-style baseline under the same
 /// protocol (only the final values are reported, matching the "Ref." rows of
 /// Tables 7 and 8).
-pub fn run_carvalho_baseline(
+fn run_carvalho_baseline(
     dataset: &Dataset,
     config: &CarvalhoConfig,
     settings: &ExperimentSettings,
@@ -373,7 +375,7 @@ pub fn run_carvalho_baseline(
 
 /// Prints a learning-curve table in the shape of Tables 7–12, extended with
 /// the cumulative per-phase cost split (compile / bind / score seconds).
-pub fn print_curve_table(title: &str, result: &CurveResult) {
+fn print_curve_table(title: &str, result: &CurveResult) {
     println!("{title}");
     println!(
         "{:<6} {:>16} {:>16} {:>16} {:>12} {:>9} {:>10} {:>8} {:>8} {:>8} {:>8}",
@@ -409,7 +411,7 @@ pub fn print_curve_table(title: &str, result: &CurveResult) {
 }
 
 /// Prints a reference row (an external system's published F1).
-pub fn print_reference_row(system: &str, f1: f64) {
+fn print_reference_row(system: &str, f1: f64) {
     println!("{:<20} F1 = {:.3} (published reference value)", system, f1);
 }
 

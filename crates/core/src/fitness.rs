@@ -51,7 +51,7 @@ impl Default for ParsimonyModel {
 
 impl ParsimonyModel {
     /// The operator count entering the penalty for the given rule.
-    pub fn counted_operators(&self, rule: &LinkageRule) -> usize {
+    fn counted_operators(&self, rule: &LinkageRule) -> usize {
         let stats = rule.stats();
         let without_properties = stats.comparisons + stats.aggregations + stats.transformations;
         if self.count_properties {
@@ -62,7 +62,7 @@ impl ParsimonyModel {
     }
 
     /// The penalty subtracted from the MCC.
-    pub fn penalty_for(&self, rule: &LinkageRule) -> f64 {
+    fn penalty_for(&self, rule: &LinkageRule) -> f64 {
         self.penalty * self.counted_operators(rule) as f64
     }
 }
@@ -404,7 +404,7 @@ mod tests {
     use linkdisc_entity::{DataSource, DataSourceBuilder, Link, ReferenceLinks};
     use linkdisc_rule::{
         aggregation, compare, property, transform, AggregationFunction, DistanceFunction,
-        RuleBuilder, TransformFunction,
+        TransformFunction,
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -441,9 +441,13 @@ mod tests {
             0.5,
         )
         .into();
-        let bad = RuleBuilder::new()
-            .compare_property("label", DistanceFunction::Equality, 0.5)
-            .build();
+        let bad: linkdisc_rule::LinkageRule = compare(
+            property("label"),
+            property("label"),
+            DistanceFunction::Equality,
+            0.5,
+        )
+        .into();
         let good_eval = fitness.evaluate(&good);
         let bad_eval = fitness.evaluate(&bad);
         assert!(good_eval.fitness > bad_eval.fitness);
@@ -481,9 +485,13 @@ mod tests {
         let fitness = FitnessFunction::new(&resolved, ParsimonyModel::default());
         let empty_eval = fitness.evaluate(&linkdisc_rule::LinkageRule::empty());
         assert_eq!(empty_eval.fitness, -2.0);
-        let bad = RuleBuilder::new()
-            .compare_property("label", DistanceFunction::Equality, 0.5)
-            .build();
+        let bad: linkdisc_rule::LinkageRule = compare(
+            property("label"),
+            property("label"),
+            DistanceFunction::Equality,
+            0.5,
+        )
+        .into();
         assert!(fitness.evaluate(&bad).fitness > empty_eval.fitness);
     }
 

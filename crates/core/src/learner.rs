@@ -55,11 +55,6 @@ impl GenLink {
         GenLink { config }
     }
 
-    /// Creates a learner with the paper's default parameters (Table 4).
-    pub fn with_paper_defaults() -> Self {
-        GenLink::new(GenLinkConfig::paper())
-    }
-
     /// The configuration of this learner.
     pub fn config(&self) -> &GenLinkConfig {
         &self.config

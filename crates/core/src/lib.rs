@@ -44,7 +44,8 @@
 //! assert!(outcome.training.f_measure() > 0.9);
 //! ```
 
-pub mod active;
+#![warn(unreachable_pub)]
+
 pub mod config;
 pub mod fitness;
 pub mod learner;
@@ -55,7 +56,6 @@ pub mod representation;
 pub mod seeding;
 pub mod simplify;
 
-pub use active::{candidate_pool, indexed_candidate_pool, select_queries, Query};
 pub use config::{GenLinkConfig, LearningMode, SeedingStrategy};
 pub use fitness::{FitnessFunction, ParsimonyModel, PreparedRule};
 pub use learner::{GenLink, LearnOutcome};

@@ -57,11 +57,6 @@ impl<'a> GenLinkProblem<'a> {
     pub fn generator(&self) -> &RandomRuleGenerator {
         &self.generator
     }
-
-    /// The cross-generation fitness cache.
-    pub fn fitness_cache(&self) -> &FitnessCache<LinkageRule> {
-        &self.cache
-    }
 }
 
 impl Problem for GenLinkProblem<'_> {

@@ -12,8 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use linkdisc_rule::{
-    AggregationFunction, DistanceFunction, LinkageRule, SimilarityOperator, TransformFunction,
-    ValueOperator,
+    DistanceFunction, LinkageRule, SimilarityOperator, TransformFunction, ValueOperator,
 };
 
 use crate::representation::RepresentationMode;
@@ -86,7 +85,7 @@ impl RandomRuleGenerator {
     /// Wide data sets produce many weakly supported filler pairs; favouring
     /// well-supported pairs keeps the initial population focused without
     /// excluding anything.
-    pub fn random_comparison(&self, rng: &mut StdRng) -> SimilarityOperator {
+    fn random_comparison(&self, rng: &mut StdRng) -> SimilarityOperator {
         let pair = self
             .pairs
             .choose_weighted(rng, |p| p.support + 0.05)
@@ -112,7 +111,7 @@ impl RandomRuleGenerator {
     }
 
     /// Draws a random threshold for the given measure, centred on its default.
-    pub fn random_threshold(&self, function: DistanceFunction, rng: &mut StdRng) -> f64 {
+    fn random_threshold(&self, function: DistanceFunction, rng: &mut StdRng) -> f64 {
         let default = function.default_threshold();
         let max = function.max_threshold();
         let factor: f64 = rng.gen_range(0.25..=2.0);
@@ -121,7 +120,7 @@ impl RandomRuleGenerator {
 
     /// A random value operator over the given property, optionally wrapped in
     /// a random transformation.
-    pub fn random_value_operator(&self, property: &str, rng: &mut StdRng) -> ValueOperator {
+    fn random_value_operator(&self, property: &str, rng: &mut StdRng) -> ValueOperator {
         let base = ValueOperator::property(property);
         if self.representation.allows_transformations()
             && !self.transform_functions.is_empty()
@@ -141,15 +140,6 @@ impl RandomRuleGenerator {
         } else {
             base
         }
-    }
-
-    /// A random aggregation function allowed by the representation.
-    pub fn random_aggregation_function(&self, rng: &mut StdRng) -> AggregationFunction {
-        *self
-            .representation
-            .allowed_aggregations()
-            .choose(rng)
-            .expect("at least one aggregation function")
     }
 }
 

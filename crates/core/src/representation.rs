@@ -61,7 +61,7 @@ impl RepresentationMode {
     }
 
     /// Whether aggregations may be nested.
-    pub fn allows_nested_aggregations(&self) -> bool {
+    fn allows_nested_aggregations(&self) -> bool {
         matches!(
             self,
             RepresentationMode::NonLinear | RepresentationMode::Full

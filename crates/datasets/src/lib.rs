@@ -19,6 +19,8 @@
 //! Every generator is deterministic in its seed and accepts a `scale` factor
 //! so experiments can run at paper size (`scale = 1.0`) or faster.
 
+#![warn(unreachable_pub)]
+
 pub mod cora;
 pub mod dbpedia_drugbank;
 pub mod linkedmdb;
@@ -126,7 +128,7 @@ impl DatasetKind {
 
     /// The number of positive reference links of the original data set
     /// (Table 5); used as the default size at `scale = 1.0`.
-    pub fn paper_positive_links(&self) -> usize {
+    fn paper_positive_links(&self) -> usize {
         match self {
             DatasetKind::Cora => 1617,
             DatasetKind::Restaurant => 112,
@@ -148,11 +150,6 @@ impl DatasetKind {
             DatasetKind::LinkedMdb => linkedmdb::generate(links, seed),
             DatasetKind::DbpediaDrugBank => dbpedia_drugbank::generate(links, seed),
         }
-    }
-
-    /// Generates the dataset at paper scale.
-    pub fn generate_paper_size(&self, seed: u64) -> Dataset {
-        self.generate(1.0, seed)
     }
 }
 
@@ -214,11 +211,7 @@ mod tests {
         let large = DatasetKind::Cora.generate(0.2, 1);
         assert!(large.links.positive().len() > 2 * small.links.positive().len());
         assert_eq!(
-            DatasetKind::Cora
-                .generate_paper_size(1)
-                .links
-                .positive()
-                .len(),
+            DatasetKind::Cora.generate(1.0, 1).links.positive().len(),
             1617
         );
     }

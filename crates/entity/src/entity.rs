@@ -91,14 +91,6 @@ impl Entity {
         self.values(property).first().map(|s| s.as_str())
     }
 
-    /// Number of properties that have at least one non-empty value.
-    pub fn set_property_count(&self) -> usize {
-        self.values
-            .iter()
-            .filter(|v| v.iter().any(|s| !s.trim().is_empty()))
-            .count()
-    }
-
     /// Iterates over `(property name, value set)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
         self.schema
@@ -208,7 +200,6 @@ mod tests {
             .value("label", "Potsdam")
             .build(city_schema());
         assert_eq!(entity.values("point"), &[] as &[String]);
-        assert_eq!(entity.set_property_count(), 1);
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub enum EntityError {
         /// Human-readable description.
         message: String,
     },
-    /// An I/O error while reading a tabular file.
-    Io(String),
     /// Something `tabular::to_string` cannot write so that
     /// `tabular::parse_str` reads it back unchanged.
     Unwritable(String),
@@ -38,7 +36,6 @@ impl fmt::Display for EntityError {
             EntityError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
             }
-            EntityError::Io(message) => write!(f, "i/o error: {message}"),
             EntityError::Unwritable(what) => {
                 write!(f, "cannot write {what} as delimited text")
             }
@@ -47,12 +44,6 @@ impl fmt::Display for EntityError {
 }
 
 impl std::error::Error for EntityError {}
-
-impl From<std::io::Error> for EntityError {
-    fn from(err: std::io::Error) -> Self {
-        EntityError::Io(err.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -78,12 +69,5 @@ mod tests {
         }
         .to_string()
         .contains("line 3"));
-    }
-
-    #[test]
-    fn io_errors_convert() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let err: EntityError = io.into();
-        assert!(matches!(err, EntityError::Io(_)));
     }
 }

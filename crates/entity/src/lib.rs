@@ -25,6 +25,8 @@
 //! record-linkage datasets (Cora, Restaurant) and the Linked Data datasets of
 //! the paper.
 
+#![warn(unreachable_pub)]
+
 pub mod entity;
 pub mod error;
 pub mod links;

@@ -55,11 +55,6 @@ impl<'a> ResolvedReferenceLinks<'a> {
         ResolvedReferenceLinks { positive, negative }
     }
 
-    /// Creates resolved links directly from entity pairs (useful in tests).
-    pub fn from_pairs(positive: Vec<EntityPair<'a>>, negative: Vec<EntityPair<'a>>) -> Self {
-        ResolvedReferenceLinks { positive, negative }
-    }
-
     /// The resolved positive pairs.
     pub fn positive(&self) -> &[EntityPair<'a>] {
         &self.positive

@@ -61,11 +61,6 @@ impl Schema {
         self.index.get(property).copied()
     }
 
-    /// Returns the name of the property at `index`.
-    pub fn name_of(&self, index: PropertyIndex) -> Option<&str> {
-        self.properties.get(index).map(|s| s.as_str())
-    }
-
     /// Returns `true` if the schema contains the given property.
     pub fn contains(&self, property: &str) -> bool {
         self.index.contains_key(property)
@@ -89,8 +84,7 @@ mod tests {
         assert_eq!(schema.index_of("title"), Some(0));
         assert_eq!(schema.index_of("date"), Some(3));
         assert_eq!(schema.index_of("missing"), None);
-        assert_eq!(schema.name_of(1), Some("author"));
-        assert_eq!(schema.name_of(9), None);
+        assert_eq!(schema.properties()[1], "author");
         assert!(schema.contains("venue"));
     }
 

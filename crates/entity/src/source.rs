@@ -161,23 +161,6 @@ impl DataSource {
             .sum();
         total / self.schema.len() as f64
     }
-
-    /// Per-property coverage, in schema order.
-    pub fn per_property_coverage(&self) -> Vec<f64> {
-        if self.entities.is_empty() {
-            return vec![0.0; self.schema.len()];
-        }
-        (0..self.schema.len())
-            .map(|i| {
-                let set = self
-                    .entities
-                    .iter()
-                    .filter(|e| e.values_at(i).iter().any(|v| !v.trim().is_empty()))
-                    .count();
-                set as f64 / self.entities.len() as f64
-            })
-            .collect()
-    }
 }
 
 /// Builder that collects [`crate::entity::EntityBuilder`]-style rows and
@@ -270,10 +253,6 @@ mod tests {
         // label: 3/3, point: 2/3, country: 1/3  => mean = 2/3
         let coverage = source.property_coverage();
         assert!((coverage - 2.0 / 3.0).abs() < 1e-9);
-        let per = source.per_property_coverage();
-        assert!((per[0] - 1.0).abs() < 1e-9);
-        assert!((per[1] - 2.0 / 3.0).abs() < 1e-9);
-        assert!((per[2] - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

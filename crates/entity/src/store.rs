@@ -134,20 +134,10 @@ impl EntityStore {
         self.by_id.contains_key(id)
     }
 
-    /// The position of an entity by identifier.
-    pub fn position_of(&self, id: &str) -> Option<u32> {
-        self.by_id.get(id).copied()
-    }
-
     /// The entity at a position (`None` for tombstoned or out-of-range
     /// slots).
     pub fn get(&self, position: u32) -> Option<&Arc<Entity>> {
         slot_get(&self.chunks, position)
-    }
-
-    /// The entity with the given identifier.
-    pub fn get_by_id(&self, id: &str) -> Option<&Arc<Entity>> {
-        self.get(self.position_of(id)?)
     }
 
     /// Iterates `(position, entity)` over live slots in position order.
@@ -165,11 +155,6 @@ impl EntityStore {
     /// shared slice (a saved allocation each).
     pub fn interner_hits(&self) -> u64 {
         self.interner_hits
-    }
-
-    /// Number of distinct value sets currently interned.
-    pub fn interned_value_sets(&self) -> usize {
-        self.interner.len()
     }
 
     /// Adds an entity (re-aligned to the store schema, values interned),
@@ -359,7 +344,7 @@ mod tests {
             EntityStore::from_entities(entities[0].schema().clone(), &entities).unwrap();
         assert_eq!(store.len(), 3);
         assert_eq!(store.slot_len(), 3);
-        assert_eq!(store.position_of("b1"), Some(1));
+        assert_eq!(store.get(1).unwrap().id(), "b1");
         let (position, removed) = store.remove("b1").unwrap();
         assert_eq!(position, 1);
         assert_eq!(removed.id(), "b1");
@@ -390,7 +375,7 @@ mod tests {
             "equal value sets share one allocation"
         );
         // stored entities still compare equal to their inputs
-        assert_eq!(store.get_by_id("b0").unwrap().as_ref(), &entities[0]);
+        assert_eq!(store.get(0).unwrap().as_ref(), &entities[0]);
     }
 
     #[test]

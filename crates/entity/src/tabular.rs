@@ -129,16 +129,6 @@ pub fn parse_str(name: &str, text: &str, delimiter: char) -> Result<DataSource, 
     Ok(source)
 }
 
-/// Loads a delimited file from disk (comma-separated by default).
-pub fn load_file(
-    name: &str,
-    path: &std::path::Path,
-    delimiter: char,
-) -> Result<DataSource, EntityError> {
-    let text = std::fs::read_to_string(path)?;
-    parse_str(name, &text, delimiter)
-}
-
 /// Serialises a data source to delimited text that [`parse_str`] reads back
 /// with the same identifiers and value sets.
 ///

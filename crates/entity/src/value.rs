@@ -35,11 +35,6 @@ pub fn normalized_tokens(values: &[String]) -> Vec<String> {
     tokens
 }
 
-/// Returns `true` if the value set contains no non-empty value.
-pub fn is_effectively_empty(values: &[String]) -> bool {
-    values.iter().all(|v| v.trim().is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,12 +67,5 @@ mod tests {
     fn numbers_are_kept_as_tokens() {
         let values = vs(&["VLDB 2012"]);
         assert_eq!(normalized_tokens(&values), vec!["vldb", "2012"]);
-    }
-
-    #[test]
-    fn effectively_empty_detects_whitespace_only() {
-        assert!(is_effectively_empty(&vs(&["", "  "])));
-        assert!(!is_effectively_empty(&vs(&["x"])));
-        assert!(is_effectively_empty(&[]));
     }
 }

@@ -82,16 +82,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Accuracy `(tp + tn) / total`.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            (self.true_positives + self.true_negatives) as f64 / total as f64
-        }
-    }
-
     /// Matthews correlation coefficient (Section 5.2 of the paper):
     ///
     /// ```text
@@ -153,7 +143,6 @@ mod tests {
         assert_eq!(m.recall(), 1.0);
         assert_eq!(m.f_measure(), 1.0);
         assert_eq!(m.mcc(), 1.0);
-        assert_eq!(m.accuracy(), 1.0);
     }
 
     #[test]
@@ -186,7 +175,6 @@ mod tests {
     fn degenerate_matrices_do_not_divide_by_zero() {
         assert_eq!(ConfusionMatrix::default().f_measure(), 0.0);
         assert_eq!(ConfusionMatrix::default().mcc(), 0.0);
-        assert_eq!(ConfusionMatrix::default().accuracy(), 0.0);
         assert_eq!(ConfusionMatrix::new(0, 10, 0, 0).mcc(), 0.0);
         assert_eq!(ConfusionMatrix::new(10, 0, 0, 0).mcc(), 0.0);
     }
@@ -220,7 +208,6 @@ mod tests {
             prop_assert!((0.0..=1.0).contains(&m.f_measure()));
             prop_assert!((0.0..=1.0).contains(&m.precision()));
             prop_assert!((0.0..=1.0).contains(&m.recall()));
-            prop_assert!((0.0..=1.0).contains(&m.accuracy()));
         }
 
         #[test]

@@ -6,6 +6,8 @@
 //! 10 runs) and uses the Matthews correlation coefficient (MCC) as the fitness
 //! measure of the genetic search (Section 5.2).
 
+#![warn(unreachable_pub)]
+
 pub mod confusion;
 pub mod protocol;
 pub mod summary;

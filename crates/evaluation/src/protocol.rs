@@ -188,11 +188,6 @@ impl CrossValidationResult {
         Summary::of(self.folds.iter().map(|f| f.validation.f_measure()))
     }
 
-    /// Mean and standard deviation of the validation MCC.
-    pub fn validation_mcc(&self) -> Summary {
-        Summary::of(self.folds.iter().map(|f| f.validation.mcc()))
-    }
-
     /// Mean and standard deviation of the learning time in seconds.
     pub fn seconds(&self) -> Summary {
         Summary::of(self.folds.iter().map(|f| f.seconds))
@@ -203,7 +198,7 @@ impl CrossValidationResult {
 mod tests {
     use super::*;
     use linkdisc_entity::{DataSourceBuilder, Link, ReferenceLinks};
-    use linkdisc_rule::{compare, property, DistanceFunction, RuleBuilder};
+    use linkdisc_rule::{compare, property, DistanceFunction};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -226,9 +221,13 @@ mod tests {
     }
 
     fn exact_label_rule() -> LinkageRule {
-        RuleBuilder::new()
-            .compare_property("label", DistanceFunction::Equality, 0.5)
-            .build()
+        compare(
+            property("label"),
+            property("label"),
+            DistanceFunction::Equality,
+            0.5,
+        )
+        .into()
     }
 
     #[test]
@@ -286,6 +285,5 @@ mod tests {
         assert_eq!(result.training_f1().mean, 1.0);
         assert_eq!(result.validation_f1().mean, 1.0);
         assert!(result.seconds().mean >= 0.0);
-        assert!(result.validation_mcc().std_dev.abs() < 1e-12);
     }
 }

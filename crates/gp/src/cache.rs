@@ -141,18 +141,6 @@ impl<G> FitnessCache<G> {
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
-
-    /// Drops every memoized evaluation and resets the counters.  Call this
-    /// when the fitness landscape changes (e.g. the training links are
-    /// extended by an active-learning query): memoized scores would
-    /// otherwise go stale.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("fitness cache poisoned").clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
 impl<G: Clone + PartialEq> FitnessCache<G> {
@@ -241,26 +229,6 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(1, &a).unwrap().fitness, 0.1);
         assert_eq!(cache.get(1, &b).unwrap().fitness, 0.9);
-    }
-
-    #[test]
-    fn clear_invalidates_every_entry() {
-        let cache: FitnessCache<u32> = FitnessCache::new();
-        for genome in 0..10u32 {
-            cache.get_or_insert_with(genome as u64, &genome, || evaluated(0.2));
-        }
-        assert_eq!(cache.len(), 10);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
-        // a fresh lookup recomputes instead of serving a stale value
-        let mut recomputed = false;
-        cache.get_or_insert_with(3, &3u32, || {
-            recomputed = true;
-            evaluated(0.8)
-        });
-        assert!(recomputed);
     }
 
     /// The steady-state evaluator pool hammers one shared cache from many

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::population::{Individual, Population};
-use crate::selection::tournament_select_slice;
+use crate::selection::tournament_select;
 use crate::{parallel_ordered_map, GpConfig, Problem};
 
 /// Cumulative per-phase wall time of the evaluation pipeline, in seconds.
@@ -415,8 +415,8 @@ pub fn breed_offspring<P: Problem>(
     mutation_probability: f64,
     rng: &mut StdRng,
 ) -> P::Genome {
-    let first = tournament_select_slice(window, tournament_size, rng);
-    let second = tournament_select_slice(window, tournament_size, rng);
+    let first = tournament_select(window, tournament_size, rng);
+    let second = tournament_select(window, tournament_size, rng);
     let p: f64 = rng.gen();
     if p < mutation_probability {
         let random = problem.random_genome(rng);

@@ -22,6 +22,8 @@
 //! * [`IterationStats`] — per-iteration statistics used by the experiment
 //!   harness to regenerate the learning-curve tables (Tables 7–12).
 
+#![warn(unreachable_pub)]
+
 pub mod cache;
 pub mod evolution;
 pub mod pipeline;
@@ -34,7 +36,7 @@ pub use evolution::{
 };
 pub use pipeline::{Pipeline, PipelineOutcome, PipelineReport};
 pub use population::{Evaluated, Individual, Population};
-pub use selection::{reverse_tournament_select, tournament_select, tournament_select_slice};
+pub use selection::{reverse_tournament_select, tournament_select};
 
 use rand::rngs::StdRng;
 
@@ -189,8 +191,8 @@ pub(crate) mod testing {
 
     /// Genomes are integer vectors, fitness is one minus the normalised
     /// distance to a target vector, crossover is uniform recombination.
-    pub struct TargetVector {
-        pub target: Vec<i32>,
+    pub(crate) struct TargetVector {
+        pub(crate) target: Vec<i32>,
     }
 
     impl Problem for TargetVector {
@@ -224,12 +226,12 @@ pub(crate) mod testing {
         }
     }
 
-    pub fn rng(seed: u64) -> StdRng {
+    pub(crate) fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
     }
 
     /// The final population's genomes, in population order.
-    pub fn genomes(result: &EvolutionResult<Vec<i32>>) -> Vec<Vec<i32>> {
+    pub(crate) fn genomes(result: &EvolutionResult<Vec<i32>>) -> Vec<Vec<i32>> {
         result
             .population
             .individuals()

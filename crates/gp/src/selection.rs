@@ -6,22 +6,11 @@
 
 use rand::Rng;
 
-use crate::population::{Individual, Population};
+use crate::population::Individual;
 
 /// Selects one individual by tournament: `tournament_size` individuals are
-/// drawn uniformly with replacement and the fittest of them wins.
-///
-/// Panics if the population is empty.
-pub fn tournament_select<'a, G, R: Rng>(
-    population: &'a Population<G>,
-    tournament_size: usize,
-    rng: &mut R,
-) -> &'a Individual<G> {
-    tournament_select_slice(population.individuals(), tournament_size, rng)
-}
-
-/// Tournament selection over a bare slice of individuals — the **windowed**
-/// form the steady-state pipeline breeds from.
+/// drawn uniformly with replacement from the slice and the fittest of them
+/// wins.
 ///
 /// A generational tournament always sees a whole, barrier-synchronised
 /// population.  The steady-state breeder instead tournaments over whatever
@@ -32,7 +21,7 @@ pub fn tournament_select<'a, G, R: Rng>(
 /// implementation.
 ///
 /// Panics if the slice is empty.
-pub fn tournament_select_slice<'a, G, R: Rng>(
+pub fn tournament_select<'a, G, R: Rng>(
     individuals: &'a [Individual<G>],
     tournament_size: usize,
     rng: &mut R,
@@ -54,7 +43,7 @@ pub fn tournament_select_slice<'a, G, R: Rng>(
 /// Selects the **victim** of a replacement tournament: `tournament_size`
 /// individuals are drawn uniformly with replacement and the *least* fit of
 /// them loses, returning its index into the slice.  This is the replacement
-/// counterpart of [`tournament_select_slice`] — the steady-state collector
+/// counterpart of [`tournament_select`] — the steady-state collector
 /// uses it to decide which member an incoming offspring displaces.
 ///
 /// Panics if the slice is empty.
@@ -80,7 +69,7 @@ pub fn reverse_tournament_select<G, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::population::Evaluated;
+    use crate::population::{Evaluated, Population};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -107,7 +96,10 @@ mod tests {
         let population = population(&[0.3]);
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..10 {
-            assert_eq!(tournament_select(&population, 5, &mut rng).genome, 0);
+            assert_eq!(
+                tournament_select(population.individuals(), 5, &mut rng).genome,
+                0
+            );
         }
     }
 
@@ -117,7 +109,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut wins = [0usize; 6];
         for _ in 0..2000 {
-            wins[tournament_select(&population, 5, &mut rng).genome] += 1;
+            wins[tournament_select(population.individuals(), 5, &mut rng).genome] += 1;
         }
         // the fittest individual (index 3) must win by far the most tournaments
         let best_wins = wins[3];
@@ -136,7 +128,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut low = 0;
         for _ in 0..1000 {
-            if tournament_select(&population, 1, &mut rng).genome == 0 {
+            if tournament_select(population.individuals(), 1, &mut rng).genome == 0 {
                 low += 1;
             }
         }
@@ -149,7 +141,7 @@ mod tests {
     fn empty_population_panics() {
         let population: Population<usize> = Population::new(vec![]);
         let mut rng = StdRng::seed_from_u64(0);
-        tournament_select(&population, 5, &mut rng);
+        tournament_select(population.individuals(), 5, &mut rng);
     }
 
     #[test]
@@ -159,7 +151,7 @@ mod tests {
         // a window excluding the fittest individual can never select it
         let window = &population.individuals()[..3];
         for _ in 0..200 {
-            let selected = tournament_select_slice(window, 4, &mut rng);
+            let selected = tournament_select(window, 4, &mut rng);
             assert!(selected.genome < 3, "selected outside the window");
         }
     }

@@ -487,12 +487,6 @@ impl DurableService {
         &self.dir
     }
 
-    /// Returns `true` after a failed durable write: the in-memory state no
-    /// longer provably matches the log, and only recovery may continue.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
     pub(crate) fn guard(&self) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
@@ -1135,13 +1129,6 @@ impl ShardedService<DurableService> {
     /// Total mutations acknowledged across all shards.
     pub fn seq(&self) -> u64 {
         self.shards().iter().map(DurableService::seq).sum()
-    }
-
-    /// Returns `true` if **any** shard poisoned itself; the others keep
-    /// accepting writes (shard independence), but a poisoned shard only
-    /// recovers via [`ShardedService::recover`].
-    pub fn is_poisoned(&self) -> bool {
-        self.shards().iter().any(DurableService::is_poisoned)
     }
 
     /// Compacts every shard's log into a fresh checkpoint generation now

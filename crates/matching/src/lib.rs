@@ -35,6 +35,8 @@
 //! * [`MatchingReport`] — links plus counters and per-comparison block
 //!   statistics so pruning effectiveness can be inspected.
 
+#![warn(unreachable_pub)]
+
 pub mod durable;
 pub mod engine;
 pub mod multiblock;

@@ -54,7 +54,7 @@ use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use linkdisc_entity::{DataSource, Entity};
+use linkdisc_entity::Entity;
 use linkdisc_rule::{
     BoundSide, ChainValues, CompiledChain, IndexedComparison, IndexingPlan, PlanNode, ValueCache,
     ValueColumn,
@@ -102,8 +102,8 @@ impl LeafIndex {
     /// pairs in one pass — the bulk path behind every batch build: the
     /// engine's staged chunks (values from a bound side's column) and, with
     /// values read [`through_cache`], [`MultiBlockIndex::build_refs`] and a
-    /// [`LeafPool`] — an active-learning committee's, or a serving
-    /// registration over a store with tombstone holes.
+    /// serving registration's [`LeafPool`] over a store with tombstone
+    /// holes.
     ///
     /// All `(key, position)` pairs are gathered and sorted once, then each
     /// run of equal keys becomes one exact-capacity posting list: structurally
@@ -220,8 +220,8 @@ impl LeafIndex {
 /// A rule-derived multidimensional blocking index over a target data source.
 ///
 /// Leaves are held behind `Arc` so structurally identical leaf indexes can
-/// be **shared across the indexes of different rules** (see
-/// [`MultiBlockIndex::build_all`]); mutation goes through copy-on-write
+/// be **shared across the indexes of different rules** (the serving
+/// registry's leaf pool); mutation goes through copy-on-write
 /// (`Arc::make_mut`), which is free while a leaf is unshared.
 #[derive(Debug, Clone)]
 pub struct MultiBlockIndex {
@@ -290,17 +290,6 @@ impl MultiBlockIndex {
             .map(|_| Arc::new(LeafIndex::default()))
             .collect();
         MultiBlockIndex::from_parts(plan, leaves, 0)
-    }
-
-    /// Builds the per-comparison inverted indexes over the target source,
-    /// sharded across all available cores.  Transform outputs computed here
-    /// are memoized in `cache`.
-    pub fn build<'e>(
-        plan: impl Into<Arc<IndexingPlan>>,
-        target: &'e DataSource,
-        cache: &ValueCache<'e>,
-    ) -> MultiBlockIndex {
-        MultiBlockIndex::build_slice(plan, target.entities(), cache, 0)
     }
 
     /// Builds the index over an entity slice (positions are slice indices),
@@ -447,28 +436,6 @@ impl MultiBlockIndex {
             leaves,
             target_len,
         }
-    }
-
-    /// Builds one index per plan over the same targets (positions are
-    /// indices into `targets`) through one leaf pool: each distinct leaf
-    /// reuse key is built once and `Arc`-shared by every plan that needs it.
-    /// This is active learning's entry point: the rules of a query committee
-    /// index one target pool and — having evolved from one population — their
-    /// plans overwhelmingly share comparisons.
-    pub fn build_all<'e>(
-        plans: impl IntoIterator<Item = Arc<IndexingPlan>>,
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-    ) -> Vec<MultiBlockIndex> {
-        let entries: Vec<(u32, &'e Entity)> = (0..).zip(targets.iter().copied()).collect();
-        let mut pool = LeafPool::new();
-        plans
-            .into_iter()
-            .map(|plan| {
-                let (leaves, _, _) = pool.acquire_plan(&plan, &entries, cache, 1);
-                MultiBlockIndex::from_parts(plan, leaves, targets.len())
-            })
-            .collect()
     }
 
     /// Adds one entity at a target position.  The position must be fresh (or
@@ -950,14 +917,6 @@ pub struct LeafPoolStats {
     pub refs: usize,
 }
 
-impl LeafPoolStats {
-    /// Fraction of leaf acquisitions answered without building a leaf —
-    /// the serving leaf-share ratio.
-    pub fn share_rate(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-}
-
 /// One pooled serving leaf with its refcount bookkeeping.
 #[derive(Debug, Clone)]
 struct PooledLeaf {
@@ -972,8 +931,7 @@ struct PooledLeaf {
 }
 
 /// The leaf pool: one leaf index per distinct reuse key, Arc-shared by every
-/// plan's [`MultiBlockIndex`] — a serving registry's rules, or an
-/// active-learning committee ([`MultiBlockIndex::build_all`]).
+/// plan's [`MultiBlockIndex`] of a serving registry's rules.
 ///
 /// A serving pool is maintained **once** per entity insert/remove instead
 /// of once per rule slot: [`LeafPool::insert_entity`] and
@@ -1247,7 +1205,7 @@ impl CandidateScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkdisc_entity::DataSourceBuilder;
+    use linkdisc_entity::{DataSource, DataSourceBuilder};
     use linkdisc_rule::{
         aggregation, compare, property, transform, AggregationFunction, DistanceFunction,
         LinkageRule, TransformFunction,
@@ -1269,6 +1227,15 @@ mod tests {
             .entity("a0", [("name", "Berlin"), ("year", "1237")])
             .unwrap()
             .build()
+    }
+
+    /// One index over every entity of `target`, on all cores.
+    fn build<'e>(
+        plan: impl Into<Arc<IndexingPlan>>,
+        target: &'e DataSource,
+        cache: &ValueCache<'e>,
+    ) -> MultiBlockIndex {
+        MultiBlockIndex::build_slice(plan, target.entities(), cache, 0)
     }
 
     fn plan(rule: &LinkageRule, source: &DataSource, target: &DataSource) -> IndexingPlan {
@@ -1309,7 +1276,7 @@ mod tests {
         .into();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let index = build(plan(&rule, &source, &target), &target, &cache);
         let candidates = index.candidate_positions(&source.entities()[0], &cache);
         assert!(candidates.contains(&0));
         assert!(candidates.contains(&1), "fuzzy match must be a candidate");
@@ -1336,9 +1303,8 @@ mod tests {
             aggregation(AggregationFunction::Max, vec![name, year]).into();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let intersected =
-            MultiBlockIndex::build(plan(&conjunction, &source, &target), &target, &cache);
-        let unioned = MultiBlockIndex::build(plan(&disjunction, &source, &target), &target, &cache);
+        let intersected = build(plan(&conjunction, &source, &target), &target, &cache);
+        let unioned = build(plan(&disjunction, &source, &target), &target, &cache);
         let a0 = &source.entities()[0];
         let from_intersection = intersected.candidate_positions(a0, &cache);
         let from_union = unioned.candidate_positions(a0, &cache);
@@ -1359,7 +1325,7 @@ mod tests {
         .into();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let index = build(plan(&rule, &source, &target), &target, &cache);
         let stats = index.build_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].indexed_entities, 3);
@@ -1373,7 +1339,7 @@ mod tests {
         let rule = name_year_rule();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let index = build(plan(&rule, &source, &target), &target, &cache);
         let mut scratch = CandidateScratch::new();
         let mut leaf_counts = vec![0usize; index.plan().comparisons().len()];
         let buf = index.candidates(
@@ -1402,14 +1368,14 @@ mod tests {
         )
         .into();
         let all = IndexingPlan::lower(&rule, source.schema(), target.schema(), 0.0);
-        let index = MultiBlockIndex::build(all, &target, &cache);
+        let index = build(all, &target, &cache);
         assert_eq!(
             index.candidate_positions(&source.entities()[0], &cache),
             vec![0, 1, 2]
         );
         let nothing =
             IndexingPlan::lower(&LinkageRule::empty(), source.schema(), target.schema(), 0.5);
-        let index = MultiBlockIndex::build(nothing, &target, &cache);
+        let index = build(nothing, &target, &cache);
         assert!(index
             .candidate_positions(&source.entities()[0], &cache)
             .is_empty());
@@ -1447,9 +1413,8 @@ mod tests {
     }
 
     /// The bulk constructor at every batch call site — public slices, the
-    /// engine's bound columns, an active-learning committee's
-    /// [`MultiBlockIndex::build_all`], and a serving [`LeafPool`] over a
-    /// store with tombstone holes — sharded at
+    /// engine's bound columns, and a serving [`LeafPool`] over a store with
+    /// tombstone holes — sharded at
     /// 1/2/4 threads, against inserting the same entities one by one: maps,
     /// [`LeafBuildStats`] and `postings_sq`, whichever provider the values
     /// came from.
@@ -1466,7 +1431,6 @@ mod tests {
         }
         assert!(one_by_one.build_stats()[1].indexed_entities < target.len());
 
-        let targets: Vec<&Entity> = target.entities().iter().collect();
         for threads in [1, 2, 4] {
             let sliced =
                 MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
@@ -1480,9 +1444,6 @@ mod tests {
             let columnar =
                 MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), threads, -1.0);
             assert_same_index(&columnar, &one_by_one);
-        }
-        for committee in MultiBlockIndex::build_all([p.clone(), p.clone()], &targets, &cache) {
-            assert_same_index(&committee, &one_by_one);
         }
 
         // serving: every third slot (but not the last) is a tombstone hole
@@ -1573,7 +1534,7 @@ mod tests {
         .into();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let mut index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let mut index = build(plan(&rule, &source, &target), &target, &cache);
         let before = index.build_stats()[0].blocks;
         index.remove(2, &target.entities()[2], &cache);
         let after = index.build_stats();
@@ -1596,7 +1557,7 @@ mod tests {
         let rule = name_year_rule();
         let source = source();
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let index = build(plan(&rule, &source, &target), &target, &cache);
         let mut scratch = CandidateScratch::new();
         let mut leaf_counts = vec![0usize; index.plan().comparisons().len()];
         let buf = index.candidates(
@@ -1618,7 +1579,7 @@ mod tests {
     fn a_committee_shares_the_leaves_of_one_bound_bucket() {
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let targets: Vec<&Entity> = target.entities().iter().collect();
+        let entries: Vec<(u32, &Entity)> = (0..).zip(target.entities()).collect();
         let name = |threshold: f64| -> LinkageRule {
             compare(
                 property("name"),
@@ -1634,7 +1595,14 @@ mod tests {
             .iter()
             .map(|rule| Arc::new(plan(rule, &source, &target)))
             .collect();
-        let committee = MultiBlockIndex::build_all(plans.iter().cloned(), &targets, &cache);
+        let mut pool = LeafPool::new();
+        let committee: Vec<MultiBlockIndex> = plans
+            .iter()
+            .map(|plan| {
+                let (leaves, _, _) = pool.acquire_plan(plan, &entries, &cache, 1);
+                MultiBlockIndex::from_parts(plan.clone(), leaves, target.len())
+            })
+            .collect();
         let leaf = |index: usize| &committee[index].leaves[0];
         assert!(Arc::ptr_eq(leaf(0), leaf(1)), "one bucket, one leaf");
         assert!(
@@ -1679,7 +1647,7 @@ mod tests {
             .unwrap()
             .build();
         let cache = ValueCache::new();
-        let mut index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let mut index = build(plan(&rule, &source, &target), &target, &cache);
         assert!(
             3.0 * PAIR_COST_IN_SCANS < index.estimate(&PlanNode::Leaf(0)),
             "fixture must actually reach the stop"
@@ -2060,7 +2028,7 @@ mod tests {
         let rule = name_year_rule();
         let (source, target) = (source(), target());
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan(&rule, &source, &target), &target, &cache);
+        let index = build(plan(&rule, &source, &target), &target, &cache);
         // the year leaf has one 2-entity bucket family and one 1-entity
         // family: its probe-weighted estimate is strictly above 1
         let year = index.estimate(&PlanNode::Leaf(1));

@@ -42,10 +42,9 @@
 //! The registry serves many rules from **one** store, one interner and one
 //! epoch stream.  Per-comparison leaf indexes live in a
 //! [`crate::multiblock::LeafPool`] keyed by `(target chain hash, measure,
-//! bound bucket)` — the pool active learning's committees build through
-//! ([`MultiBlockIndex::build_all`]) — so a leaf is built once,
-//! `Arc`-shared by every rule whose plan contains the key, and maintained
-//! **once** per entity mutation instead of once per rule.
+//! bound bucket)`, so a leaf is built once, `Arc`-shared by every rule whose
+//! plan contains the key, and maintained **once** per entity mutation
+//! instead of once per rule.
 //! [`ServiceWriter::register_rule`] on a warm store builds only the
 //! registering plan's *missing* leaves (no re-ingest, no interner rebuild);
 //! [`ServiceWriter::deregister_rule`] drops leaves whose refcount reaches
@@ -80,9 +79,8 @@
 //! Entries a lagging reader re-memoized for a since-removed entity are
 //! orphaned until the allocator reuses that address for a stored entity
 //! (insert-time eviction) or the cache's per-shard capacity valve clears
-//! the shard — so under concurrent churn
-//! [`ServiceWriter::cached_chain_entries`] tracks the live set plus a
-//! *bounded* number of orphans, rather than the exact live set the old
+//! the shard — so under concurrent churn the cache holds the live set plus
+//! a *bounded* number of orphans, rather than the exact live set the old
 //! single-threaded service maintained (and the single-writer facade still
 //! maintains).
 //!
@@ -624,7 +622,8 @@ impl ServiceWriter {
     /// Number of `(entity, chain)` entries currently memoized in the
     /// service-lifetime value cache (observability for the eviction-on-
     /// remove behaviour).
-    pub fn cached_chain_entries(&self) -> usize {
+    #[cfg(test)]
+    fn cached_chain_entries(&self) -> usize {
         self.shared.cache.scoped().len()
     }
 

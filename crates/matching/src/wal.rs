@@ -62,7 +62,7 @@ use linkdisc_util::fail;
 use crate::persist::Fnv;
 
 /// Current log format version (see the module docs).
-pub const WAL_VERSION: u32 = 2;
+pub(crate) const WAL_VERSION: u32 = 2;
 
 const WAL_MAGIC: &[u8; 8] = b"LINKDWAL";
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;

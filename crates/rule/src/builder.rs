@@ -28,7 +28,6 @@ use linkdisc_transform::TransformFunction;
 
 use crate::aggregation::AggregationFunction;
 use crate::operators::{SimilarityOperator, ValueOperator};
-use crate::rule::LinkageRule;
 
 /// Creates a property operator.
 pub fn property(name: impl Into<String>) -> ValueOperator {
@@ -58,119 +57,10 @@ pub fn aggregation(
     SimilarityOperator::aggregation(function, operators)
 }
 
-/// A fluent builder for the common "one aggregation of several comparisons"
-/// rule shape.
-#[derive(Debug, Default)]
-pub struct RuleBuilder {
-    function: Option<AggregationFunction>,
-    comparisons: Vec<SimilarityOperator>,
-}
-
-impl RuleBuilder {
-    /// Starts a new builder (defaults to weighted-mean aggregation).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the aggregation function.
-    pub fn aggregate_with(mut self, function: AggregationFunction) -> Self {
-        self.function = Some(function);
-        self
-    }
-
-    /// Adds a comparison of the same property on both sides.
-    pub fn compare_property(
-        self,
-        property_name: &str,
-        function: DistanceFunction,
-        threshold: f64,
-    ) -> Self {
-        self.compare_properties(property_name, property_name, function, threshold)
-    }
-
-    /// Adds a comparison of a source property against a target property.
-    pub fn compare_properties(
-        mut self,
-        source_property: &str,
-        target_property: &str,
-        function: DistanceFunction,
-        threshold: f64,
-    ) -> Self {
-        self.comparisons.push(compare(
-            property(source_property),
-            property(target_property),
-            function,
-            threshold,
-        ));
-        self
-    }
-
-    /// Adds an arbitrary similarity operator.
-    pub fn operator(mut self, operator: SimilarityOperator) -> Self {
-        self.comparisons.push(operator);
-        self
-    }
-
-    /// Builds the rule.  A single comparison becomes the root directly; zero
-    /// comparisons produce the empty rule.
-    pub fn build(self) -> LinkageRule {
-        match self.comparisons.len() {
-            0 => LinkageRule::empty(),
-            1 if self.function.is_none() => {
-                LinkageRule::new(self.comparisons.into_iter().next().expect("one comparison"))
-            }
-            _ => LinkageRule::new(aggregation(
-                self.function.unwrap_or(AggregationFunction::WeightedMean),
-                self.comparisons,
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linkdisc_entity::{EntityBuilder, EntityPair};
-
-    #[test]
-    fn builder_produces_single_comparison_rules() {
-        let rule = RuleBuilder::new()
-            .compare_property("label", DistanceFunction::Levenshtein, 1.0)
-            .build();
-        assert_eq!(rule.operator_count(), 3);
-        assert_eq!(rule.stats().aggregations, 0);
-    }
-
-    #[test]
-    fn builder_produces_aggregated_rules() {
-        let rule = RuleBuilder::new()
-            .aggregate_with(AggregationFunction::Min)
-            .compare_property("label", DistanceFunction::Levenshtein, 1.0)
-            .compare_properties("date", "released", DistanceFunction::Date, 31.0)
-            .build();
-        assert_eq!(rule.stats().comparisons, 2);
-        assert_eq!(rule.stats().aggregations, 1);
-    }
-
-    #[test]
-    fn empty_builder_gives_empty_rule() {
-        assert!(RuleBuilder::new().build().is_empty());
-    }
-
-    #[test]
-    fn built_rule_evaluates() {
-        let rule = RuleBuilder::new()
-            .aggregate_with(AggregationFunction::Min)
-            .compare_property("label", DistanceFunction::Levenshtein, 2.0)
-            .build();
-        let a = EntityBuilder::new("a")
-            .value("label", "Casablanca")
-            .build_with_own_schema();
-        let b = EntityBuilder::new("b")
-            .value("label", "casablanca")
-            .build_with_own_schema();
-        assert!(rule.is_link(&EntityPair::new(&a, &b)));
-    }
+    use crate::rule::LinkageRule;
 
     #[test]
     fn free_function_builders_compose() {

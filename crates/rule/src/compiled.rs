@@ -355,13 +355,6 @@ impl CompiledChain {
     pub fn structural_hash(&self) -> u64 {
         self.program.hashes[self.root]
     }
-
-    /// The structural hashes of *every* slot of the chain (the root plus all
-    /// nested transformation inputs) — the full set of [`ValueCache`] keys
-    /// this chain can create for one entity.
-    pub fn slot_hashes(&self) -> &[u64] {
-        &self.program.hashes
-    }
 }
 
 /// Borrowed-or-interned output of a [`CompiledChain`]; dereferences to the
@@ -443,12 +436,6 @@ impl CompiledRule {
     /// the fitness cache memoizes evaluations under).
     pub fn rule_hash(&self) -> u64 {
         self.rule_hash
-    }
-
-    /// Number of nodes (comparisons and aggregations) in the plan (0 for the
-    /// empty rule).
-    pub fn instruction_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The structural hashes of every *target-side* value slot of the plan —
@@ -1955,7 +1942,7 @@ impl<'e> ValueCache<'e> {
     /// measures.  The process-wide token interner (see [`crate::tokens`]) is
     /// only consulted on the miss path here — per-pair evaluation reads the
     /// cached slice lock-free once it is built.
-    pub fn token_ids(
+    fn token_ids(
         &self,
         entity: &'e Entity,
         chain_hash: u64,
@@ -2033,16 +2020,6 @@ impl<'e> ValueCache<'e> {
             }
         }
         dropped
-    }
-
-    /// Drops all memoized entries and statistics (e.g. when the underlying
-    /// entity collections change).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("value cache poisoned").clear();
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -2170,7 +2147,7 @@ mod tests {
     fn empty_rule_compiles_to_an_empty_plan() {
         let schema = city_schema();
         let compiled = CompiledRule::compile(&LinkageRule::empty(), &schema, &schema);
-        assert_eq!(compiled.instruction_count(), 0);
+        assert!(compiled.nodes.is_empty());
         let a = berlin(&schema);
         let pair = EntityPair::new(&a, &a);
         assert_eq!(compiled.evaluate(&pair, &ValueCache::new()), 0.0);
@@ -2326,7 +2303,8 @@ mod tests {
             "the chain hash is the root's structural hash"
         );
         assert!(compiled_chain
-            .slot_hashes()
+            .program
+            .hashes
             .contains(&compiled_chain.structural_hash()));
         // the same chain compiled twice (or inside a rule) hashes equally
         let again = CompiledChain::compile(&chain, &schema);

@@ -269,8 +269,15 @@ impl Parser {
         if matches!(self.peek(), Some(Token::Symbol(s)) if s == ":w") {
             self.next();
             match self.next() {
-                Some(Token::Number(n)) if n >= 1.0 => Ok(n as u32),
-                _ => Err(self.error("expected a weight after :w")),
+                Some(Token::Number(n))
+                    if n >= 1.0 && n <= f64::from(u32::MAX) && n.fract() == 0.0 =>
+                {
+                    Ok(n as u32)
+                }
+                _ => Err(self.error(format!(
+                    "expected an integral weight in 1..={} after :w",
+                    u32::MAX
+                ))),
             }
         } else {
             Ok(1)
@@ -461,6 +468,13 @@ mod tests {
         assert!(parse_rule("(min (tokenize (property \"a\")))").is_err());
         assert!(parse_rule("(compare levenshtein 1 (tokenize) (property \"b\"))").is_err());
         assert!(parse_rule("(compare levenshtein -1 (property \"a\") (property \"b\"))").is_err());
+        // weights are integers in 1..=u32::MAX, never truncated or saturated
+        for weight in ["2.5", "1.9999", "4294967296", "1e20", "inf"] {
+            let text =
+                format!("(compare levenshtein 1 :w {weight} (property \"a\") (property \"b\"))");
+            let err = parse_rule(&text).unwrap_err();
+            assert!(err.message.contains("integral weight"), "{weight}: {err}");
+        }
     }
 
     #[test]

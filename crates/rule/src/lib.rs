@@ -21,6 +21,8 @@
 //! ([`dsl`]), an ASCII tree renderer used to regenerate the paper's rule
 //! figures ([`render`]), and structural statistics ([`stats`]).
 
+#![warn(unreachable_pub)]
+
 pub mod aggregation;
 pub mod builder;
 pub mod compiled;
@@ -34,7 +36,7 @@ pub mod stats;
 pub mod tokens;
 
 pub use aggregation::AggregationFunction;
-pub use builder::{aggregation, compare, property, transform, RuleBuilder};
+pub use builder::{aggregation, compare, property, transform};
 pub use compiled::{
     BoundSide, ChainValues, ColumnStats, CompiledChain, CompiledRule, DistanceColumn, DistanceKey,
     EvalStats, PinnedValueCache, ReferenceColumns, ValueCache, ValueColumn,

@@ -84,7 +84,8 @@ impl SimilarityOperator {
     }
 
     /// Returns the `index`-th comparison (pre-order).
-    pub fn comparison_at(&self, index: usize) -> Option<&Comparison> {
+    #[cfg(test)]
+    fn comparison_at(&self, index: usize) -> Option<&Comparison> {
         self.comparisons().into_iter().nth(index)
     }
 
@@ -142,7 +143,8 @@ impl SimilarityOperator {
     }
 
     /// Returns the `index`-th aggregation (pre-order).
-    pub fn aggregation_node(&self, index: usize) -> Option<&Aggregation> {
+    #[cfg(test)]
+    fn aggregation_node(&self, index: usize) -> Option<&Aggregation> {
         self.aggregations().into_iter().nth(index)
     }
 

@@ -45,11 +45,6 @@ impl LinkageRule {
         self.root.replace(root)
     }
 
-    /// Consumes the rule and returns its root operator.
-    pub fn into_root(self) -> Option<SimilarityOperator> {
-        self.root
-    }
-
     /// Returns `true` if the rule has no operators.
     pub fn is_empty(&self) -> bool {
         self.root.is_none()
@@ -158,7 +153,7 @@ mod tests {
     fn replace_root_swaps_the_tree() {
         let mut rule = LinkageRule::empty();
         assert!(rule
-            .replace_root(label_rule().into_root().unwrap())
+            .replace_root(label_rule().root().unwrap().clone())
             .is_none());
         assert_eq!(rule.operator_count(), 3);
         let previous = rule.replace_root(SimilarityOperator::aggregation(

@@ -42,45 +42,6 @@ impl RuleStats {
             },
         }
     }
-
-    /// Averages a collection of statistics (used to report population-level
-    /// rule sizes per iteration).
-    pub fn mean<'a, I: IntoIterator<Item = &'a RuleStats>>(stats: I) -> MeanRuleStats {
-        let mut count = 0usize;
-        let mut sums = MeanRuleStats::default();
-        for s in stats {
-            count += 1;
-            sums.operators += s.operators as f64;
-            sums.comparisons += s.comparisons as f64;
-            sums.aggregations += s.aggregations as f64;
-            sums.transformations += s.transformations as f64;
-            sums.depth += s.depth as f64;
-        }
-        if count > 0 {
-            let n = count as f64;
-            sums.operators /= n;
-            sums.comparisons /= n;
-            sums.aggregations /= n;
-            sums.transformations /= n;
-            sums.depth /= n;
-        }
-        sums
-    }
-}
-
-/// Mean structural statistics over a set of rules.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MeanRuleStats {
-    /// Mean operator count.
-    pub operators: f64,
-    /// Mean number of comparisons.
-    pub comparisons: f64,
-    /// Mean number of aggregations.
-    pub aggregations: f64,
-    /// Mean number of transformations.
-    pub transformations: f64,
-    /// Mean tree depth.
-    pub depth: f64,
 }
 
 #[cfg(test)]
@@ -133,20 +94,5 @@ mod tests {
     fn stats_of_empty_rule_are_zero() {
         let stats = LinkageRule::empty().stats();
         assert_eq!(stats, RuleStats::default());
-    }
-
-    #[test]
-    fn mean_aggregates_multiple_rules() {
-        let a = sample_rule().stats();
-        let b = LinkageRule::empty().stats();
-        let mean = RuleStats::mean([&a, &b]);
-        assert!((mean.comparisons - 1.0).abs() < 1e-12);
-        assert!((mean.operators - a.operators as f64 / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_of_nothing_is_zero() {
-        let mean = RuleStats::mean(std::iter::empty());
-        assert_eq!(mean.operators, 0.0);
     }
 }

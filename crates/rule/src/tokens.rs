@@ -73,11 +73,6 @@ pub(crate) fn sorted_token_ids_into(values: &[String], ids: &mut Vec<u32>) {
     ids.truncate(kept);
 }
 
-/// Number of distinct tokens interned so far (diagnostics/tests).
-pub fn interned_token_count() -> usize {
-    interner().lock().expect("token interner poisoned").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,7 +91,6 @@ mod tests {
         let a2 = intern_token("tokens-test-alpha");
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
-        assert!(interned_token_count() >= 2);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn validate(lat: f64, lon: f64) -> Option<(f64, f64)> {
 }
 
 /// Haversine great-circle distance in kilometres between two coordinate pairs.
-pub fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
+fn haversine_km(a: (f64, f64), b: (f64, f64)) -> f64 {
     let (lat1, lon1) = (a.0.to_radians(), a.1.to_radians());
     let (lat2, lon2) = (b.0.to_radians(), b.1.to_radians());
     let dlat = lat2 - lat1;

@@ -14,6 +14,8 @@
 //! involving an empty value set is unmeasurable (`f64::INFINITY`), which makes
 //! the comparison yield similarity `0`.
 
+#![warn(unreachable_pub)]
+
 pub mod blocking;
 pub mod date;
 pub mod geo;
@@ -32,10 +34,7 @@ pub use string::{
     jaro_similarity, jaro_winkler_similarity, levenshtein, levenshtein_bounded,
     levenshtein_bounded_reference,
 };
-pub use token::{
-    dice_distance, dice_distance_sets, dice_ids, jaccard_distance, jaccard_distance_sets,
-    jaccard_ids,
-};
+pub use token::{dice_distance, dice_ids, jaccard_distance, jaccard_ids};
 
 /// The distance functions available to linkage rules.
 ///

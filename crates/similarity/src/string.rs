@@ -23,7 +23,7 @@ use crate::stats;
 
 /// Levenshtein edit distance between two strings, computed over Unicode
 /// scalar values.  ASCII inputs run the Myers bit-parallel kernel; anything
-/// else falls back to [`levenshtein_reference`].
+/// else falls back to `levenshtein_reference`.
 pub fn levenshtein(a: &str, b: &str) -> usize {
     if a.is_ascii() && b.is_ascii() {
         levenshtein_bytes(a.as_bytes(), b.as_bytes(), usize::MAX)
@@ -64,15 +64,6 @@ pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
         stats::count_levenshtein_fallback();
         levenshtein_bounded_reference(a, b, bound)
     }
-}
-
-/// Levenshtein distance normalised to `[0, 1]` by the longer string length.
-pub fn normalized_levenshtein(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 0.0;
-    }
-    levenshtein(a, b) as f64 / max_len as f64
 }
 
 /// ASCII dispatch: pick the shorter side as the Myers pattern (fewer words)
@@ -225,7 +216,7 @@ fn myers_blocked(pattern: &[u8], text: &[u8], scratch: &mut SimScratch) -> usize
 /// The classic two-row character dynamic program — the seed implementation,
 /// kept as the correctness oracle for the bit-parallel kernels and the
 /// fallback for non-ASCII inputs.
-pub fn levenshtein_reference(a: &str, b: &str) -> usize {
+fn levenshtein_reference(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() {
@@ -301,7 +292,7 @@ pub fn levenshtein_bounded_reference(a: &str, b: &str, bound: usize) -> Option<u
 
 /// Jaro similarity in `[0, 1]` (1 = identical).  Early-exits on empty and
 /// identical inputs; ASCII inputs run on bytes with scratch match flags,
-/// anything else falls back to [`jaro_similarity_reference`].  All paths
+/// anything else falls back to `jaro_similarity_reference`.  All paths
 /// agree bit-for-bit.
 pub fn jaro_similarity(a: &str, b: &str) -> f64 {
     if a.is_empty() && b.is_empty() {
@@ -371,7 +362,7 @@ fn jaro_ascii(a: &[u8], b: &[u8], scratch: &mut SimScratch) -> f64 {
 
 /// The seed character-level Jaro implementation, kept as the oracle and the
 /// non-ASCII fallback.
-pub fn jaro_similarity_reference(a: &str, b: &str) -> f64 {
+fn jaro_similarity_reference(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     if a.is_empty() && b.is_empty() {
@@ -466,14 +457,6 @@ mod tests {
         let c = "abcdefghij".repeat(13); // 130 chars
         let d = "abcdefghij".repeat(13).replace("ghij", "gxij");
         assert_eq!(levenshtein(&c, &d), levenshtein_reference(&c, &d));
-    }
-
-    #[test]
-    fn normalized_levenshtein_bounds() {
-        assert_eq!(normalized_levenshtein("", ""), 0.0);
-        assert_eq!(normalized_levenshtein("abc", "abc"), 0.0);
-        assert_eq!(normalized_levenshtein("abc", "xyz"), 1.0);
-        assert!((normalized_levenshtein("abcd", "abce") - 0.25).abs() < 1e-12);
     }
 
     #[test]

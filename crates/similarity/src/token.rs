@@ -6,16 +6,14 @@
 //!
 //! All variants bottom out in one core: the intersection/union counts of two
 //! **sorted, deduplicated slices**, computed by a linear merge
-//! ([`sorted_overlap`]).  The compiled evaluator lowers each entity's token
+//! (`sorted_overlap`).  The compiled evaluator lowers each entity's token
 //! set once to sorted interned `u32` ids and calls [`jaccard_ids`] /
 //! [`dice_ids`] — a branch-light merge with zero per-pair allocation.  The
 //! string-slice entry points (`jaccard_distance`, `dice_distance`, the
 //! `_values` tokenising variants) are thin wrappers that sort-dedup their
-//! inputs and reuse the same core, and the `HashSet` variants are retained
-//! for pre-built sets; every variant computes identical counts and evaluates
-//! the same final expression, so they agree bit-for-bit.
-
-use std::collections::HashSet;
+//! inputs and reuse the same core; every variant computes identical counts
+//! and evaluates the same final expression, so they agree bit-for-bit with
+//! each other and with the `HashSet` oracles of the tests.
 
 use crate::stats;
 
@@ -25,7 +23,7 @@ use crate::stats;
 /// Returns `(intersection, union)`.  With both inputs strictly increasing
 /// the counts equal the set-theoretic sizes, so every distance built on top
 /// matches its hash-set counterpart exactly.
-pub fn sorted_overlap<T: Ord>(a: &[T], b: &[T]) -> (usize, usize) {
+fn sorted_overlap<T: Ord>(a: &[T], b: &[T]) -> (usize, usize) {
     let mut intersection = 0usize;
     let mut i = 0usize;
     let mut j = 0usize;
@@ -113,38 +111,6 @@ pub fn dice_distance(a: &[String], b: &[String]) -> f64 {
     1.0 - 2.0 * intersection as f64 / (ta.len() + tb.len()) as f64
 }
 
-/// Jaccard distance between two pre-built value sets.
-///
-/// Retained for callers that already hold `HashSet`s; the counts (and
-/// therefore the result) are exactly those of [`jaccard_distance`] on the
-/// underlying value slices and of [`jaccard_ids`] on the interned ids.
-pub fn jaccard_distance_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 1.0;
-    }
-    stats::count_token_fallback();
-    let intersection = a.iter().filter(|v| b.contains(*v)).count();
-    let union = a.len() + b.len() - intersection;
-    1.0 - intersection as f64 / union as f64
-}
-
-/// Dice distance between two pre-built value sets (see
-/// [`jaccard_distance_sets`]).
-pub fn dice_distance_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    if a.is_empty() || b.is_empty() {
-        return 1.0;
-    }
-    stats::count_token_fallback();
-    let intersection = a.iter().filter(|v| b.contains(*v)).count();
-    1.0 - 2.0 * intersection as f64 / (a.len() + b.len()) as f64
-}
-
 /// Jaccard distance between two *single* values interpreted as whitespace
 /// separated token bags (used when the measure is applied without a previous
 /// `tokenize` transformation).
@@ -181,6 +147,34 @@ pub fn dice_distance_values(a: &str, b: &str) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// Jaccard distance between two value sets by hash lookups: the oracle
+    /// the sorted-merge kernels are checked against.
+    fn jaccard_distance_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 1.0;
+        }
+        let intersection = a.iter().filter(|v| b.contains(*v)).count();
+        let union = a.len() + b.len() - intersection;
+        1.0 - intersection as f64 / union as f64
+    }
+
+    /// Dice distance between two value sets by hash lookups (see
+    /// [`jaccard_distance_sets`]).
+    fn dice_distance_sets(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
+        if a.is_empty() && b.is_empty() {
+            return 0.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 1.0;
+        }
+        let intersection = a.iter().filter(|v| b.contains(*v)).count();
+        1.0 - 2.0 * intersection as f64 / (a.len() + b.len()) as f64
+    }
 
     fn vs(values: &[&str]) -> Vec<String> {
         values.iter().map(|s| s.to_string()).collect()

@@ -11,6 +11,8 @@
 //! `concatenate`; Figure 6 additionally uses `stem` and Section 6.2 mentions
 //! string-replacement transformations.  All of those are provided here.
 
+#![warn(unreachable_pub)]
+
 /// The transformation functions available to linkage rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransformFunction {

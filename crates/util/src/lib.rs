@@ -2,6 +2,8 @@
 //! the matching engine does not have to depend on the GP crate to reuse a
 //! thread-count resolver.
 
+#![warn(unreachable_pub)]
+
 pub mod channel;
 pub mod epoch;
 pub mod fail;

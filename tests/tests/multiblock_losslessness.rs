@@ -75,7 +75,8 @@ fn assert_candidates_cover_links(workload: &RuleWorkload, link_threshold: f64) {
             link_threshold,
         );
         let cache = ValueCache::new();
-        let index = MultiBlockIndex::build(plan, &workload.dataset.target, &cache);
+        let index =
+            MultiBlockIndex::build_slice(plan, workload.dataset.target.entities(), &cache, 0);
         for source_entity in workload.dataset.source.entities() {
             let candidates = index.candidate_positions(source_entity, &cache);
             for (position, target_entity) in workload.dataset.target.entities().iter().enumerate() {
@@ -230,7 +231,7 @@ proptest! {
             // targets within each comparison's bound
             let plan = IndexingPlan::lower(rule, source.schema(), target.schema(), 0.5);
             let cache = ValueCache::new();
-            let index = MultiBlockIndex::build(plan.clone(), target, &cache);
+            let index = MultiBlockIndex::build_slice(plan.clone(), target.entities(), &cache, 0);
             for entity in source.entities() {
                 let reference = full_algebra(&plan, plan.root(), entity, target.entities(), &cache);
                 let stopped: BTreeSet<usize> =
