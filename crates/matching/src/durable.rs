@@ -21,6 +21,13 @@
 //! ahead of or behind the log, and only [`DurableService::recover`] can
 //! re-establish the invariant.
 //!
+//! This is the one module that touches the file system.  The snapshot and
+//! log codecs ([`crate::persist`], `crate::wal`) encode into and decode
+//! from memory; the files, their fsyncs and renames, and the
+//! fault-injection points guarding each of them (`linkdisc_util::fail`,
+//! feature `failpoints`, so the recovery harness can kill the writer at
+//! every one) live here.
+//!
 //! # Checkpoints and compaction
 //!
 //! The snapshot codec ([`crate::persist`]) is the checkpoint format.  When
@@ -68,8 +75,8 @@
 //! atomic; registry operations reach shard 0 first, and recovery rolls the
 //! other shards' registries forward to shard 0's.
 
-use std::fs::File;
-use std::io;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -80,10 +87,7 @@ use linkdisc_util::fail;
 use crate::persist::SnapshotError;
 use crate::service::{RegistryError, ServiceOptions, ServiceReader, ServiceWriter, DEFAULT_RULE};
 use crate::sharded::{ShardRouter, ShardedService};
-use crate::wal::{
-    decode_wal, guarded_dir_sync, guarded_rename, guarded_sync, guarded_write, Delta, WalContents,
-    WalDamage, WalOp, WalWriter,
-};
+use crate::wal::{decode_wal, Delta, WalContents, WalDamage, WalOp, WalWriter};
 
 /// Tuning of the durability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +111,6 @@ pub enum DurableError {
     /// Invalid input data (e.g. a duplicate entity id) — the service state
     /// and the log are untouched.
     Entity(EntityError),
-    /// The checkpoint codec failed.
-    Snapshot(SnapshotError),
     /// A log or filesystem operation failed; if it happened mid-mutation
     /// the service is now poisoned.
     Io(io::Error),
@@ -127,7 +129,6 @@ impl std::fmt::Display for DurableError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DurableError::Entity(err) => write!(f, "invalid entity: {err}"),
-            DurableError::Snapshot(err) => write!(f, "checkpoint error: {err}"),
             DurableError::Io(err) => write!(f, "durability i/o error: {err}"),
             DurableError::AlreadyDurable(dir) => {
                 write!(f, "directory {} already holds durable state", dir.display())
@@ -145,12 +146,6 @@ impl std::error::Error for DurableError {}
 impl From<EntityError> for DurableError {
     fn from(err: EntityError) -> Self {
         DurableError::Entity(err)
-    }
-}
-
-impl From<SnapshotError> for DurableError {
-    fn from(err: SnapshotError) -> Self {
-        DurableError::Snapshot(err)
     }
 }
 
@@ -247,7 +242,7 @@ pub struct RecoveryReport {
 /// recoverable (see the module docs).
 pub struct DurableService {
     writer: ServiceWriter,
-    wal: WalWriter,
+    wal: Log,
     dir: PathBuf,
     generation: u64,
     /// Oldest generation retained on disk (the fallback checkpoint).
@@ -268,6 +263,55 @@ impl std::fmt::Debug for DurableService {
             .field("poisoned", &self.poisoned)
             .finish()
     }
+}
+
+/// The open log of the current generation: its file, the bytes written to
+/// it, and the record encoder whose string table spans it.
+struct Log {
+    file: File,
+    bytes: u64,
+    encoder: WalWriter,
+}
+
+/// Writes `bytes` through an injection point: an armed failpoint either
+/// fails before writing or performs a deliberately torn (prefix-only)
+/// write, the state a crash mid-`write` leaves on disk.
+fn guarded_write(point: &str, file: &mut File, bytes: &[u8]) -> io::Result<()> {
+    match fail::check(point) {
+        None => file.write_all(bytes),
+        Some(fail::FailAction::Error) => Err(fail::injected(point)),
+        Some(fail::FailAction::TornWrite(n)) => {
+            file.write_all(&bytes[..n.min(bytes.len())])?;
+            Err(fail::injected(point))
+        }
+    }
+}
+
+/// `fsync` through an injection point (any armed action aborts before the
+/// sync: the data may or may not be on disk — recovery must cope with
+/// both, which is exactly what the harness exercises).
+fn guarded_sync(point: &str, file: &File) -> io::Result<()> {
+    if fail::check(point).is_some() {
+        return Err(fail::injected(point));
+    }
+    file.sync_data()
+}
+
+/// `rename` through an injection point.
+fn guarded_rename(point: &str, from: &Path, to: &Path) -> io::Result<()> {
+    if fail::check(point).is_some() {
+        return Err(fail::injected(point));
+    }
+    std::fs::rename(from, to)
+}
+
+/// Opens a directory handle and fsyncs it, making a preceding create or
+/// rename durable; `point` is the injection point guarding it.
+fn guarded_dir_sync(point: &str, dir: &Path) -> io::Result<()> {
+    if fail::check(point).is_some() {
+        return Err(fail::injected(point));
+    }
+    File::open(dir)?.sync_all()
 }
 
 fn checkpoint_path(dir: &Path, generation: u64) -> PathBuf {
@@ -332,20 +376,26 @@ fn write_generation(
     writer: &ServiceWriter,
     generation: u64,
     seq: u64,
-) -> Result<WalWriter, DurableError> {
+) -> Result<Log, DurableError> {
     let tmp = dir.join(format!("checkpoint-{generation:08}.snap.tmp"));
-    let mut bytes = Vec::new();
-    writer.save_snapshot(&mut bytes)?;
     let mut file = File::create(&tmp)?;
-    guarded_write("checkpoint.write", &mut file, &bytes)?;
+    guarded_write("checkpoint.write", &mut file, &writer.encode_snapshot())?;
     guarded_sync("checkpoint.sync", &file)?;
     drop(file);
-    let wal = WalWriter::create(
-        &wal_path(dir, generation),
-        writer.registry_hash(),
-        generation,
-        seq,
-    )?;
+    // a fresh log file (never an existing one), its header written and
+    // fsynced; the directory sync below makes the file itself durable
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(wal_path(dir, generation))?;
+    let header = WalWriter::header(writer.registry_hash(), generation, seq);
+    guarded_write("wal.create.write", &mut file, &header)?;
+    guarded_sync("wal.create.sync", &file)?;
+    let wal = Log {
+        file,
+        bytes: header.len() as u64,
+        encoder: WalWriter::default(),
+    };
     guarded_dir_sync("dir.sync", dir)?;
     guarded_rename("checkpoint.rename", &tmp, &checkpoint_path(dir, generation))?;
     guarded_dir_sync("dir.sync", dir)?;
@@ -479,7 +529,7 @@ impl DurableService {
 
     /// Bytes in the current log (compaction triggers past the budget).
     pub fn log_bytes(&self) -> u64 {
-        self.wal.bytes()
+        self.wal.bytes
     }
 
     /// The directory holding checkpoints and logs.
@@ -494,14 +544,15 @@ impl DurableService {
         Ok(())
     }
 
-    /// Logs one delta durably (append + fsync); poisons the service on
-    /// failure.
+    /// Logs one delta durably (append, then fsync — the publish barrier);
+    /// poisons the service on failure.
     fn log(&mut self, delta: &Delta<'_>) -> Result<(), DurableError> {
         self.seq += 1;
-        let outcome = self
-            .wal
-            .append(self.seq, delta)
-            .and_then(|()| self.wal.sync());
+        let wal = &mut self.wal;
+        let record = wal.encoder.encode(self.seq, delta);
+        wal.bytes += record.len() as u64;
+        let outcome = guarded_write("wal.append.write", &mut wal.file, record)
+            .and_then(|()| guarded_sync("wal.append.sync", &wal.file));
         if let Err(err) = outcome {
             self.poisoned = true;
             return Err(DurableError::Io(err));
@@ -629,7 +680,7 @@ impl DurableService {
     }
 
     fn maybe_compact(&mut self) -> Result<(), DurableError> {
-        if self.wal.bytes() <= self.durability.log_budget_bytes {
+        if self.wal.bytes <= self.durability.log_budget_bytes {
             return Ok(());
         }
         self.compact()
@@ -773,13 +824,12 @@ impl DurableService {
                 Err(WalDamage::Mismatch(why)) => return Err(RecoveryError::Mismatch(why)),
                 Err(WalDamage::Corrupt {
                     valid_records,
-                    offset,
-                    detail,
+                    error,
                 }) => {
                     return Err(RecoveryError::CorruptLog {
                         generation,
                         valid_epochs: replayed_epochs + valid_records,
-                        detail: format!("{detail} (at byte {offset})"),
+                        detail: error.to_string(),
                     })
                 }
             };

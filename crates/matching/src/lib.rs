@@ -37,6 +37,7 @@
 
 #![warn(unreachable_pub)]
 
+mod codec;
 pub mod durable;
 pub mod engine;
 pub mod multiblock;
@@ -46,6 +47,7 @@ pub mod service;
 pub mod sharded;
 mod wal;
 
+pub use codec::DecodeError;
 pub use durable::{DurabilityOptions, DurableError, DurableService, RecoveryError, RecoveryReport};
 pub use engine::{
     ComparisonBlockStats, MatchingEngine, MatchingOptions, MatchingReport, ScoredLink,

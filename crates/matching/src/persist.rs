@@ -1,7 +1,7 @@
 //! Snapshot persistence for the serving layer: dump a [`ServiceWriter`]'s
-//! rule manifest, entity store and pooled leaf maps to a versioned binary
-//! stream and restore them without re-deriving a single block key — restart
-//! becomes O(read) instead of O(build).
+//! rule manifest, entity store and pooled leaf maps to versioned bytes and
+//! restore them without re-deriving a single block key — restart becomes
+//! O(read) instead of O(build).
 //!
 //! # Format (version 3, little-endian)
 //!
@@ -36,12 +36,25 @@
 //!
 //! The **string table** interns values on disk the way the
 //! [`linkdisc_entity::EntityStore`] interns them in memory: a column value
-//! repeated across ten thousand entities is written once.  Restore feeds
+//! repeated across ten thousand entities is written once.  It is the same
+//! interner, table shape and value-set shape (`[count, index*]`) the
+//! write-ahead log uses per record (`crate::codec`).  Restore feeds
 //! entities back through the store, so the in-memory interning is
 //! re-established too.  The **leaf pool** plays the same trick one level
 //! up: a leaf index shared by five registered rules appears once, under its
 //! `(chain hash, measure, bound bucket)` reuse key; restore re-attaches
 //! each rule's plan to the pooled leaves by key.
+//!
+//! # Decoding
+//!
+//! Restore decodes a byte slice already in memory; the codec never touches
+//! a file.  It checks the magic and the version first, then the checksum
+//! over the whole payload, and only then decodes — so damage from a torn
+//! write or bit rot stops at the checksum.  Decoding still validates every
+//! field, because a checksum catches accidents, not forgery: a count or
+//! length is refused unless the bytes it claims remain, every position and
+//! index is range-checked, and any failure is a [`SnapshotError::Corrupt`]
+//! carrying the [`DecodeError`]'s byte offset.
 //!
 //! # What restore guarantees
 //!
@@ -67,19 +80,20 @@
 //! snapshot is portable across runs of the same build but not across
 //! versions that change the key schemes — which is exactly what the format
 //! version guards.  Restored keys enter the leaf maps under their own value
-//! as the hash (`linkdisc_similarity::BlockKeyMap`): the checksum catches
-//! accidents, not forgery, and a forged file whose keys share their low bits
-//! restores slowly — still within the memory its length fields allow, and
-//! still to a typed error or a service that answers from what the file said.
+//! as the hash (`linkdisc_similarity::BlockKeyMap`): a forged file whose
+//! keys share their low bits restores slowly — still within memory linear
+//! in its length, and still to a typed error or a service that answers from
+//! what the file said.
 
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::collections::{HashMap, HashSet};
+use std::io::{self, Write};
 use std::sync::Arc;
 
-use linkdisc_entity::{Entity, EntityStore, Schema, ValueSet};
+use linkdisc_entity::{Entity, EntityStore, Schema};
 use linkdisc_rule::{CompiledRule, IndexingPlan, LinkageRule};
 use linkdisc_similarity::{BlockKey, DistanceFunction};
 
+use crate::codec::{DecodeError, Decoder, Encoder, Fnv, Interner};
 use crate::multiblock::{LeafIndex, LeafKey, LeafPool};
 use crate::service::{
     LinkService, RegisteredRule, RuleCounters, ServiceOptions, ServiceWriter, DEFAULT_RULE,
@@ -90,27 +104,17 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"LINKDSNP";
 
-/// Caps guarding the reader against nonsense lengths in corrupt input.
-const MAX_STRING_BYTES: usize = 1 << 24;
-const MAX_COUNT: usize = 1 << 28;
-
-/// Caps a `Vec::with_capacity` request from an untrusted element count so a
-/// few corrupt length bytes cannot demand gigabytes up front; genuine large
-/// payloads just grow past the cap as elements actually parse (truncated
-/// input fails with "truncated payload" long before that).
-fn bounded_capacity<T>(count: usize) -> usize {
-    const MAX_PREALLOC_BYTES: usize = 1 << 20;
-    count.min(MAX_PREALLOC_BYTES / std::mem::size_of::<T>().max(1))
-}
+/// Magic and version: the bytes in front of the checksummed payload.
+const HEADER_LEN: usize = 12;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The underlying stream failed.
+    /// Writing the snapshot to its destination failed.
     Io(io::Error),
     /// The bytes are not a well-formed snapshot (bad magic, truncated
-    /// payload, checksum mismatch, implausible length).
-    Corrupt(String),
+    /// payload, checksum mismatch, implausible length, broken invariant).
+    Corrupt(DecodeError),
     /// The snapshot is well-formed but does not belong to the given rule
     /// catalog / schema / format version.
     Mismatch(String),
@@ -120,7 +124,7 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::Io(err) => write!(f, "snapshot i/o error: {err}"),
-            SnapshotError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
+            SnapshotError::Corrupt(err) => write!(f, "corrupt snapshot: {err}"),
             SnapshotError::Mismatch(why) => write!(f, "snapshot mismatch: {why}"),
         }
     }
@@ -134,140 +138,9 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a, the payload checksum (fast, dependency-free, catches the
-/// truncation and bit-rot cases a restart must not silently absorb).
-/// Shared with the write-ahead log codec (`crate::wal`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(pub(crate) u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// One-shot digest of a byte slice.
-    pub(crate) fn digest(bytes: &[u8]) -> u64 {
-        let mut crc = Fnv::new();
-        crc.update(bytes);
-        crc.0
-    }
-}
-
-/// A writer that checksums everything passing through it.
-struct Sink<W: Write> {
-    out: W,
-    crc: Fnv,
-}
-
-impl<W: Write> Sink<W> {
-    fn new(out: W) -> Self {
-        Sink {
-            out,
-            crc: Fnv::new(),
-        }
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.crc.update(bytes);
-        self.out.write_all(bytes)
-    }
-
-    fn u32(&mut self, value: u32) -> io::Result<()> {
-        self.bytes(&value.to_le_bytes())
-    }
-
-    fn u64(&mut self, value: u64) -> io::Result<()> {
-        self.bytes(&value.to_le_bytes())
-    }
-
-    fn f64(&mut self, value: f64) -> io::Result<()> {
-        self.bytes(&value.to_le_bytes())
-    }
-
-    fn string(&mut self, value: &str) -> io::Result<()> {
-        self.u32(value.len() as u32)?;
-        self.bytes(value.as_bytes())
-    }
-}
-
-/// A reader that checksums everything passing through it.
-struct Tap<R: Read> {
-    input: R,
-    crc: Fnv,
-}
-
-impl<R: Read> Tap<R> {
-    fn new(input: R) -> Self {
-        Tap {
-            input,
-            crc: Fnv::new(),
-        }
-    }
-
-    fn bytes(&mut self, buf: &mut [u8]) -> Result<(), SnapshotError> {
-        self.input
-            .read_exact(buf)
-            .map_err(|_| SnapshotError::Corrupt("truncated payload".into()))?;
-        self.crc.update(buf);
-        Ok(())
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let mut buf = [0u8; 4];
-        self.bytes(&mut buf)?;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let mut buf = [0u8; 8];
-        self.bytes(&mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        let mut buf = [0u8; 8];
-        self.bytes(&mut buf)?;
-        Ok(f64::from_le_bytes(buf))
-    }
-
-    fn count(&mut self) -> Result<usize, SnapshotError> {
-        let count = self.u32()? as usize;
-        if count > MAX_COUNT {
-            return Err(SnapshotError::Corrupt(format!(
-                "implausible element count {count}"
-            )));
-        }
-        Ok(count)
-    }
-
-    fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u32()? as usize;
-        if len > MAX_STRING_BYTES {
-            return Err(SnapshotError::Corrupt(format!(
-                "implausible string length {len}"
-            )));
-        }
-        // fill in bounded chunks: a corrupt length field then costs at most
-        // one chunk of allocation before the truncated input refuses to
-        // deliver the promised bytes
-        const CHUNK: usize = 64 << 10;
-        let mut buf: Vec<u8> = Vec::with_capacity(len.min(CHUNK));
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK);
-            let start = buf.len();
-            buf.resize(start + take, 0);
-            self.bytes(&mut buf[start..])?;
-            remaining -= take;
-        }
-        String::from_utf8(buf).map_err(|_| SnapshotError::Corrupt("non-utf8 string".into()))
+impl From<DecodeError> for SnapshotError {
+    fn from(err: DecodeError) -> Self {
+        SnapshotError::Corrupt(err)
     }
 }
 
@@ -275,104 +148,103 @@ impl ServiceWriter {
     /// Writes a versioned snapshot of the served state (rule manifest +
     /// entity store + pooled leaf maps, each shared leaf once) to `out`.
     /// The writer is untouched; readers keep serving.
-    pub fn save_snapshot<W: Write>(&self, out: W) -> Result<(), SnapshotError> {
-        let mut sink = Sink::new(out);
-        sink.out.write_all(MAGIC)?;
-        sink.out.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+    pub fn save_snapshot<W: Write>(&self, mut out: W) -> Result<(), SnapshotError> {
+        out.write_all(&self.encode_snapshot())?;
+        out.flush()?;
+        Ok(())
+    }
+
+    /// The snapshot's bytes (see the module docs for the layout).
+    pub(crate) fn encode_snapshot(&self) -> Vec<u8> {
+        let mut out = Encoder::default();
+        out.raw(MAGIC);
+        out.u32(SNAPSHOT_VERSION);
 
         let store = self.store();
         let schema = store.schema();
 
         // rule manifest, registration order
         let rules = self.registered_rules();
-        sink.u32(rules.len() as u32)?;
+        out.count(rules.len());
         for rule in rules {
-            sink.string(&rule.name)?;
-            sink.u64(rule.rule.canonical_hash())?;
+            out.str(&rule.name);
+            out.u64(rule.rule.canonical_hash());
         }
 
-        sink.f64(self.link_threshold())?;
-        sink.u32(schema.len() as u32)?;
+        out.f64(self.link_threshold());
+        out.count(schema.len());
         for property in schema.properties() {
-            sink.string(property)?;
+            out.str(property);
         }
 
-        // entity store: a first pass assigns string-table slots in
-        // deterministic (position, property, value) order, a second writes
-        // the entities as table references
-        sink.u32(store.slot_len() as u32)?;
-        let mut table: Vec<&str> = Vec::new();
-        let mut slot_of: HashMap<&str, u32> = HashMap::new();
+        // entity store: a first pass interns every value in deterministic
+        // (position, property, value) order so the table precedes the
+        // entities that reference it
+        out.count(store.slot_len());
+        let mut interner = Interner::<&str>::default();
         for (_, entity) in store.iter() {
             for property_index in 0..schema.len() {
                 for value in entity.values_at(property_index) {
-                    slot_of.entry(value.as_str()).or_insert_with(|| {
-                        table.push(value);
-                        (table.len() - 1) as u32
-                    });
+                    interner.intern(value);
                 }
             }
         }
-        sink.u32(table.len() as u32)?;
-        for value in &table {
-            sink.string(value)?;
-        }
-        sink.u32(store.len() as u32)?;
+        interner.write_fresh(&mut out);
+        out.count(store.len());
         for (position, entity) in store.iter() {
-            sink.u32(position)?;
-            sink.string(entity.id())?;
+            out.u32(position);
+            out.str(entity.id());
             for property_index in 0..schema.len() {
-                let values = entity.values_at(property_index);
-                sink.u32(values.len() as u32)?;
-                for value in values {
-                    sink.u32(slot_of[value.as_str()])?;
-                }
+                interner.value_set(entity.values_at(property_index), &mut out);
             }
         }
-        sink.u32(store.free_slots().len() as u32)?;
+        out.count(store.free_slots().len());
         for &position in store.free_slots() {
-            sink.u32(position)?;
+            out.u32(position);
         }
 
         // the leaf pool: every distinct leaf once, under its reuse key, in
         // deterministic key order; blocks sorted by raw key
         let pooled = self.pool().sorted_entries();
-        sink.u32(pooled.len() as u32)?;
+        out.count(pooled.len());
         for ((chain_hash, function, bucket), leaf) in pooled {
-            sink.u64(chain_hash)?;
-            sink.string(function.name())?;
-            sink.u64(bucket)?;
-            sink.u32(leaf.indexed_entities as u32)?;
+            out.u64(chain_hash);
+            out.str(function.name());
+            out.u64(bucket);
+            out.count(leaf.indexed_entities);
             let mut blocks: Vec<(&BlockKey, &Vec<u32>)> = leaf.by_key.iter().collect();
             blocks.sort_unstable_by_key(|(key, _)| key.raw());
-            sink.u32(blocks.len() as u32)?;
+            out.count(blocks.len());
             for (key, postings) in blocks {
-                sink.u64(key.raw())?;
-                sink.u32(postings.len() as u32)?;
+                out.u64(key.raw());
+                out.count(postings.len());
                 for &position in postings {
-                    sink.u32(position)?;
+                    out.u32(position);
                 }
             }
         }
 
-        let checksum = sink.crc.0;
-        sink.out.write_all(&checksum.to_le_bytes())?;
-        sink.out.flush()?;
-        Ok(())
+        let checksum = Fnv::digest(&out.bytes[HEADER_LEN..]);
+        out.u64(checksum);
+        out.bytes
     }
 
     /// Restores a single-rule writer from a snapshot — sugar for
     /// [`ServiceWriter::restore_with_rules`] with a one-entry catalog under
     /// the default name.
-    pub fn restore<R: Read>(
+    pub fn restore(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
-        input: R,
+        snapshot: &[u8],
     ) -> Result<ServiceWriter, SnapshotError> {
-        ServiceWriter::restore_with_rules(&[(DEFAULT_RULE.to_string(), rule)], source_schema, input)
+        ServiceWriter::restore_with_rules(
+            &[(DEFAULT_RULE.to_string(), rule)],
+            source_schema,
+            snapshot,
+        )
     }
 
-    /// Restores a writer from a snapshot previously written by
+    /// Restores a writer from the bytes of a snapshot previously written by
     /// [`ServiceWriter::save_snapshot`], resolving the saved rule manifest
     /// against a caller-provided `catalog` of `(name, rule)` pairs: every
     /// manifest entry must resolve to a catalog rule with an equal
@@ -383,45 +255,49 @@ impl ServiceWriter {
     /// [`ServiceOptions::threads`] is irrelevant because nothing is
     /// rebuilt.  The restored state is bit-identical to a fresh build over
     /// the saved entities and registrations (see the module docs).
-    pub fn restore_with_rules<R: Read>(
+    pub fn restore_with_rules(
         catalog: &[(String, LinkageRule)],
         source_schema: &Arc<Schema>,
-        input: R,
+        snapshot: &[u8],
     ) -> Result<ServiceWriter, SnapshotError> {
-        let mut tap = Tap::new(input);
-
-        let mut magic = [0u8; 8];
-        tap.input
-            .read_exact(&mut magic)
-            .map_err(|_| SnapshotError::Corrupt("missing magic".into()))?;
-        if &magic != MAGIC {
-            return Err(SnapshotError::Corrupt("bad magic".into()));
+        let mut outer = Decoder::new(snapshot);
+        if outer.take(MAGIC.len())? != MAGIC {
+            return Err(DecodeError {
+                offset: 0,
+                what: "bad magic".into(),
+            }
+            .into());
         }
-        let mut version = [0u8; 4];
-        tap.input
-            .read_exact(&mut version)
-            .map_err(|_| SnapshotError::Corrupt("missing version".into()))?;
-        let version = u32::from_le_bytes(version);
+        let version = outer.u32()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot version {version}, this build reads {SNAPSHOT_VERSION}"
             )));
         }
+        let payload_len = outer.remaining().saturating_sub(8);
+        let mut input = outer.sub(payload_len)?;
+        let checksum_at = outer.offset();
+        if Fnv::digest(input.rest()) != outer.u64()? {
+            return Err(DecodeError {
+                offset: checksum_at,
+                what: "checksum mismatch".into(),
+            }
+            .into());
+        }
 
         // rule manifest, resolved against the catalog
-        let rule_count = tap.count()?;
+        let rule_count = input.count()?;
         if rule_count == 0 {
-            return Err(SnapshotError::Corrupt("empty rule manifest".into()));
+            return Err(input.error("empty rule manifest").into());
         }
-        let mut manifest: Vec<(String, &LinkageRule)> =
-            Vec::with_capacity(bounded_capacity::<(String, &LinkageRule)>(rule_count));
+        let mut manifest: Vec<(&str, &LinkageRule)> = Vec::new();
         for _ in 0..rule_count {
-            let name = tap.string()?;
-            let saved_hash = tap.u64()?;
+            let name = input.str()?;
+            let saved_hash = input.u64()?;
             if manifest.iter().any(|(seen, _)| *seen == name) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "rule {name:?} appears twice in the manifest"
-                )));
+                return Err(input
+                    .error(format!("rule {name:?} appears twice in the manifest"))
+                    .into());
             }
             // resolve by canonical hash, not by catalog name: a replaced
             // registry name legitimately binds to a different rule than an
@@ -438,104 +314,87 @@ impl ServiceWriter {
             manifest.push((name, rule));
         }
 
-        let link_threshold = tap.f64()?;
-        let property_count = tap.count()?;
-        let mut properties = Vec::with_capacity(bounded_capacity::<String>(property_count));
-        for _ in 0..property_count {
-            properties.push(tap.string()?);
-        }
+        let link_threshold = input.f64()?;
+        let mut properties = Vec::new();
+        input.strings_into(&mut properties)?;
         let target_schema = Arc::new(Schema::new(properties));
 
         // entity store.  Every structural claim of the (untrusted) payload
         // is validated *here*, with a SnapshotError — the EntityStore's own
         // occupancy/free-list assertions guard programmer misuse and must
-        // never be reachable from corrupt bytes.
-        let slot_len = tap.count()?;
-        let table_len = tap.count()?;
-        let mut table = Vec::with_capacity(bounded_capacity::<String>(table_len));
-        for _ in 0..table_len {
-            table.push(tap.string()?);
-        }
+        // never be reachable from forged bytes.
+        let slot_len = input.count()?;
+        let mut table = Vec::new();
+        input.strings_into(&mut table)?;
         let mut store = EntityStore::new(target_schema.clone());
-        let mut occupied = std::collections::HashSet::new();
-        let live = tap.count()?;
-        for _ in 0..live {
-            let position = tap.u32()?;
+        let mut occupied = HashSet::new();
+        for _ in 0..input.count()? {
+            let position = input.u32()?;
             if position as usize >= slot_len {
-                return Err(SnapshotError::Corrupt(format!(
-                    "entity position {position} beyond slot table"
-                )));
+                return Err(input
+                    .error(format!("entity position {position} beyond slot table"))
+                    .into());
             }
             if !occupied.insert(position) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "slot {position} holds two entities"
-                )));
+                return Err(input
+                    .error(format!("slot {position} holds two entities"))
+                    .into());
             }
-            let id = tap.string()?;
-            let mut values: Vec<ValueSet> = Vec::with_capacity(target_schema.len());
-            for _ in 0..target_schema.len() {
-                let count = tap.count()?;
-                let mut set = Vec::with_capacity(bounded_capacity::<String>(count));
-                for _ in 0..count {
-                    let slot = tap.u32()? as usize;
-                    let value = table.get(slot).ok_or_else(|| {
-                        SnapshotError::Corrupt(format!("string table index {slot} out of range"))
-                    })?;
-                    set.push(value.clone());
-                }
-                values.push(set);
-            }
+            let id = input.str()?;
+            let values = (0..target_schema.len())
+                .map(|_| input.value_set(&table))
+                .collect::<Result<_, _>>()?;
             let entity = Entity::new(id, target_schema.clone(), values);
             store
                 .insert_at(position, &entity)
-                .map_err(|err| SnapshotError::Corrupt(format!("duplicate entity: {err}")))?;
+                .map_err(|err| input.error(format!("duplicate entity: {err}")))?;
         }
-        let free_len = tap.count()?;
-        let mut free = Vec::with_capacity(bounded_capacity::<u32>(free_len));
+        let free_len = input.count_of(4)?;
+        let mut free = Vec::with_capacity(free_len);
         for _ in 0..free_len {
-            let position = tap.u32()?;
+            let position = input.u32()?;
             if position as usize >= slot_len || !occupied.insert(position) {
-                return Err(SnapshotError::Corrupt(format!(
-                    "free slot {position} is out of range, occupied, or listed twice"
-                )));
+                let what =
+                    format!("free slot {position} is out of range, occupied, or listed twice");
+                return Err(input.error(what).into());
             }
             free.push(position);
         }
         if store.len() + free.len() != slot_len {
-            return Err(SnapshotError::Corrupt(
-                "live entities and free slots do not cover the slot table".into(),
-            ));
+            let what = "live entities and free slots do not cover the slot table";
+            return Err(input.error(what).into());
         }
         store.set_free_slots(free);
 
         // the leaf pool: each shared leaf once, under its reuse key
-        let pooled_count = tap.count()?;
         let mut pooled: HashMap<LeafKey, Arc<LeafIndex>> = HashMap::new();
-        for _ in 0..pooled_count {
-            let chain_hash = tap.u64()?;
-            let function_name = tap.string()?;
-            let function = DistanceFunction::from_name(&function_name).ok_or_else(|| {
-                SnapshotError::Corrupt(format!("unknown distance function {function_name:?}"))
+        for _ in 0..input.count()? {
+            let chain_hash = input.u64()?;
+            let function_name = input.str()?;
+            let function = DistanceFunction::from_name(function_name).ok_or_else(|| {
+                input.error(format!("unknown distance function {function_name:?}"))
             })?;
-            let bucket = tap.u64()?;
+            let bucket = input.u64()?;
             let mut leaf = LeafIndex {
-                indexed_entities: tap.count()?,
+                indexed_entities: input.u32()? as usize,
                 ..LeafIndex::default()
             };
-            let blocks = tap.count()?;
-            for _ in 0..blocks {
-                let key = BlockKey::from_raw(tap.u64()?);
-                let postings_len = tap.count()?;
-                let mut postings = Vec::with_capacity(bounded_capacity::<u32>(postings_len));
-                let mut previous: Option<u32> = None;
+            if leaf.indexed_entities > slot_len {
+                return Err(input
+                    .error("a leaf indexes more entities than the slot table holds")
+                    .into());
+            }
+            for _ in 0..input.count()? {
+                let key = BlockKey::from_raw(input.u64()?);
+                let postings_len = input.count_of(4)?;
+                let mut postings = Vec::with_capacity(postings_len);
                 for _ in 0..postings_len {
-                    let position = tap.u32()?;
-                    if position as usize >= slot_len || previous.is_some_and(|p| p >= position) {
-                        return Err(SnapshotError::Corrupt(
-                            "posting list not strictly ascending within the slot table".into(),
-                        ));
+                    let position = input.u32()?;
+                    if position as usize >= slot_len || postings.last() >= Some(&position) {
+                        return Err(input
+                            .error("posting list not strictly ascending within the slot table")
+                            .into());
                     }
-                    previous = Some(position);
                     postings.push(position);
                 }
                 leaf.by_key.insert(key, postings);
@@ -545,27 +404,16 @@ impl ServiceWriter {
                 .insert((chain_hash, function, bucket), Arc::new(leaf))
                 .is_some()
             {
-                return Err(SnapshotError::Corrupt(
-                    "two pooled leaves share one reuse key".into(),
-                ));
+                return Err(input.error("two pooled leaves share one reuse key").into());
             }
         }
-
-        let computed = tap.crc.0;
-        let mut stored = [0u8; 8];
-        tap.input
-            .read_exact(&mut stored)
-            .map_err(|_| SnapshotError::Corrupt("missing checksum".into()))?;
-        if u64::from_le_bytes(stored) != computed {
-            return Err(SnapshotError::Corrupt("checksum mismatch".into()));
-        }
+        input.finish()?;
 
         // attach every manifest rule's plan to the pooled leaves by reuse
         // key, re-deriving the hit/miss accounting registration would have
         // produced
         let mut pool = LeafPool::new();
-        let mut referenced: std::collections::HashSet<LeafKey> = std::collections::HashSet::new();
-        let mut adopted: std::collections::HashSet<LeafKey> = std::collections::HashSet::new();
+        let mut adopted: HashSet<LeafKey> = HashSet::new();
         let mut rules: Vec<RegisteredRule> = Vec::with_capacity(manifest.len());
         for (name, rule) in manifest {
             let plan = Arc::new(
@@ -577,12 +425,11 @@ impl ServiceWriter {
             for comparison in plan.comparisons() {
                 let key = comparison.leaf_reuse_key();
                 let leaf = pooled.get(&key).ok_or_else(|| {
-                    SnapshotError::Corrupt(format!(
+                    input.error(format!(
                         "snapshot is missing a pooled leaf rule {name:?} requires"
                     ))
                 })?;
                 pool.adopt(comparison, leaf.clone());
-                referenced.insert(key);
                 if adopted.insert(key) {
                     leaf_misses += 1;
                 } else {
@@ -592,7 +439,7 @@ impl ServiceWriter {
             pool.attach_plan(&plan)
                 .expect("every key was adopted just above");
             rules.push(RegisteredRule {
-                name: Arc::from(name.as_str()),
+                name: Arc::from(name),
                 rule: Arc::new(rule.clone()),
                 compiled,
                 plan,
@@ -602,10 +449,10 @@ impl ServiceWriter {
                 registered_epoch: 0,
             });
         }
-        if referenced.len() != pooled.len() {
-            return Err(SnapshotError::Corrupt(
-                "snapshot pools a leaf no registered rule references".into(),
-            ));
+        if adopted.len() != pooled.len() {
+            return Err(input
+                .error("snapshot pools a leaf no registered rule references")
+                .into());
         }
 
         Ok(ServiceWriter::from_restored(
@@ -630,22 +477,22 @@ impl LinkService {
 
     /// Restores a single-rule service from a snapshot — see
     /// [`ServiceWriter::restore`].
-    pub fn restore<R: Read>(
+    pub fn restore(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
-        input: R,
+        snapshot: &[u8],
     ) -> Result<LinkService, SnapshotError> {
-        Ok(ServiceWriter::restore(rule, source_schema, input)?.into_service())
+        Ok(ServiceWriter::restore(rule, source_schema, snapshot)?.into_service())
     }
 
     /// Restores a multi-rule service, resolving the saved manifest against
     /// a rule catalog — see [`ServiceWriter::restore_with_rules`].
-    pub fn restore_with_rules<R: Read>(
+    pub fn restore_with_rules(
         catalog: &[(String, LinkageRule)],
         source_schema: &Arc<Schema>,
-        input: R,
+        snapshot: &[u8],
     ) -> Result<LinkService, SnapshotError> {
-        Ok(ServiceWriter::restore_with_rules(catalog, source_schema, input)?.into_service())
+        Ok(ServiceWriter::restore_with_rules(catalog, source_schema, snapshot)?.into_service())
     }
 }
 

@@ -571,7 +571,7 @@ impl ServiceWriter {
     /// hashes in registration order.  Durable logs stamp their header with
     /// it so recovery replays against the exact rule set that was serving.
     pub(crate) fn registry_hash(&self) -> u64 {
-        let mut crc = crate::persist::Fnv::new();
+        let mut crc = crate::codec::Fnv::new();
         for rule in &self.rules {
             crc.update(rule.name.as_bytes());
             crc.update(&[0xff]);

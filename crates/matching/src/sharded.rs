@@ -44,10 +44,10 @@ use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
 use linkdisc_rule::LinkageRule;
 use linkdisc_util::{parallel_ordered_map, parallel_ordered_map_mut};
 
+use crate::codec::Fnv;
 use crate::durable::{DurableError, DurableService};
 use crate::engine::ScoredLink;
 use crate::multiblock::CandidateScratch;
-use crate::persist::Fnv;
 use crate::service::{
     CommitteeLink, RegistryError, RuleServingStats, ServiceOptions, ServiceReader, ServiceWriter,
 };

@@ -3,6 +3,12 @@
 //! published, so a crash at any instant loses at most the single mutation
 //! that was never acknowledged.
 //!
+//! This module is the log's byte codec only: [`WalWriter`] encodes the
+//! header and each record into memory, and [`decode_wal`] decodes a whole
+//! log already read into memory.  The log file itself — creating, appending,
+//! syncing, and the fault-injection points guarding each of those — belongs
+//! to `crate::durable`.
+//!
 //! # Format (version 2, little-endian)
 //!
 //! ```text
@@ -18,7 +24,7 @@
 //!   len check   u32             FNV-1a of the len bytes — distinguishes a
 //!                               *torn* record (true header, short payload)
 //!                               from a *bit-flipped* length field
-//!   payload                     seq u64, op u8, string-table delta, body
+//!   payload                     seq u64, string-table delta, op u8, body
 //!   crc         u64             FNV-1a over the payload
 //! ```
 //!
@@ -30,12 +36,14 @@
 //! log creation; a manifest record *changes* the expected fingerprint of
 //! every later log, which recovery tracks as it replays.
 //!
-//! **String interning, the persist codec's trick applied per log:** each
-//! record carries only the strings the log has not seen yet; values are
-//! written as indices into the table that grows record by record.  The
-//! reader maintains the same table during replay, so a column value
-//! repeated across ten thousand inserts is logged once per generation
-//! (compaction starts a fresh log, and a fresh table).
+//! **String interning, the snapshot's interner applied per log**
+//! (`crate::codec::Interner`): each record carries only the strings the log
+//! has not seen yet, as a table delta `[count, (len, bytes)*]`; ids, names
+//! and values are written as indices into the table that grows record by
+//! record, value sets as `[count, index*]`.  The reader maintains the same
+//! table during replay, so a column value repeated across ten thousand
+//! inserts is logged once per generation (compaction starts a fresh log,
+//! and a fresh table).
 //!
 //! # Damage model
 //!
@@ -46,20 +54,11 @@
 //! payload, out-of-order sequence numbers) is **corruption** — some
 //! acknowledged record may be unreadable — and surfaces as
 //! [`WalDamage::Corrupt`] naming the salvageable prefix, never as a panic
-//! or a silently shortened log.
-//!
-//! Fault-injection points (`linkdisc_util::fail`, feature `failpoints`)
-//! guard every write and fsync so the recovery property test can kill the
-//! writer at each of them.
+//! or a silently shortened log.  Each record's checksum is checked before
+//! its payload is decoded; the decoder still validates every field, since a
+//! checksum catches accidents, not forgery.
 
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::Path;
-
-use linkdisc_util::fail;
-
-use crate::persist::Fnv;
+use crate::codec::{fnv32, DecodeError, Decoder, Encoder, Fnv, Interner};
 
 /// Current log format version (see the module docs).
 pub(crate) const WAL_VERSION: u32 = 2;
@@ -69,53 +68,6 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 /// Upper bound on one record's payload — far above any real mutation, low
 /// enough that a corrupt length field cannot demand gigabytes.
 const MAX_RECORD_BYTES: u32 = 1 << 30;
-
-/// FNV-1a folded to 32 bits, the length-field check.
-fn fnv32(bytes: &[u8]) -> u32 {
-    let digest = Fnv::digest(bytes);
-    (digest ^ (digest >> 32)) as u32
-}
-
-/// Writes `bytes` through an injection point: an armed failpoint either
-/// fails before writing or performs a deliberately torn (prefix-only)
-/// write, the state a crash mid-`write` leaves on disk.
-pub(crate) fn guarded_write(point: &str, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    match fail::check(point) {
-        None => file.write_all(bytes),
-        Some(fail::FailAction::Error) => Err(fail::injected(point)),
-        Some(fail::FailAction::TornWrite(n)) => {
-            file.write_all(&bytes[..n.min(bytes.len())])?;
-            Err(fail::injected(point))
-        }
-    }
-}
-
-/// `fsync` through an injection point (any armed action aborts before the
-/// sync: the data may or may not be on disk — recovery must cope with
-/// both, which is exactly what the harness exercises).
-pub(crate) fn guarded_sync(point: &str, file: &File) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    file.sync_data()
-}
-
-/// `rename` through an injection point.
-pub(crate) fn guarded_rename(point: &str, from: &Path, to: &Path) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    std::fs::rename(from, to)
-}
-
-/// Opens a directory handle and fsyncs it, making a preceding create or
-/// rename durable; `point` is the injection point guarding it.
-pub(crate) fn guarded_dir_sync(point: &str, dir: &Path) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    File::open(dir)?.sync_all()
-}
 
 /// One logged mutation, borrowed from the caller at append time.
 pub(crate) enum Delta<'a> {
@@ -133,149 +85,86 @@ pub(crate) enum Delta<'a> {
     Replace(&'a str, u64),
 }
 
-/// The append half of the log (see the module docs).
+/// The encoding half of one log: its header, and its records against the
+/// log's growing string table (see the module docs).
+#[derive(Default)]
 pub(crate) struct WalWriter {
-    file: File,
-    interned: HashMap<String, u32>,
-    bytes: u64,
-    buf: Vec<u8>,
+    interner: Interner,
+    body: Encoder,
+    record: Encoder,
 }
 
 impl WalWriter {
-    /// Creates a fresh log file (failing if one already exists), writes and
-    /// fsyncs its header.  The caller must fsync the directory to make the
-    /// file itself durable.
-    pub(crate) fn create(
-        path: &Path,
-        registry_hash: u64,
-        generation: u64,
-        base_seq: u64,
-    ) -> io::Result<WalWriter> {
-        let mut file = OpenOptions::new().write(true).create_new(true).open(path)?;
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
-        header.extend_from_slice(&registry_hash.to_le_bytes());
-        header.extend_from_slice(&generation.to_le_bytes());
-        header.extend_from_slice(&base_seq.to_le_bytes());
-        let crc = Fnv::digest(&header[8..]);
-        header.extend_from_slice(&crc.to_le_bytes());
-        guarded_write("wal.create.write", &mut file, &header)?;
-        guarded_sync("wal.create.sync", &file)?;
-        Ok(WalWriter {
-            file,
-            interned: HashMap::new(),
-            bytes: HEADER_LEN as u64,
-            buf: Vec::new(),
-        })
+    /// The header of a log created for `registry_hash`, pairing it with
+    /// checkpoint `generation`, which holds `base_seq` mutations.
+    pub(crate) fn header(registry_hash: u64, generation: u64, base_seq: u64) -> Vec<u8> {
+        let mut header = Encoder::default();
+        header.raw(WAL_MAGIC);
+        header.u32(WAL_VERSION);
+        header.u64(registry_hash);
+        header.u64(generation);
+        header.u64(base_seq);
+        header.u64(Fnv::digest(&header.bytes[WAL_MAGIC.len()..]));
+        header.bytes
     }
 
-    /// Bytes written so far, header included (the compaction trigger).
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Appends one delta record.  **Not yet durable** — call
-    /// [`WalWriter::sync`] before acknowledging; one sync may cover a
-    /// whole ingest batch (fsync-on-publish batching).
-    pub(crate) fn append(&mut self, seq: u64, delta: &Delta<'_>) -> io::Result<()> {
-        // encode the payload: strings the table has not seen yet are
-        // collected first, then the body references table indices
-        let mut news: Vec<String> = Vec::new();
-        let mut body: Vec<u8> = Vec::new();
+    /// Encodes one delta record, ready to append to the log.
+    pub(crate) fn encode(&mut self, seq: u64, delta: &Delta<'_>) -> &[u8] {
+        // the body goes first: it interns the strings the record's table
+        // delta must carry
+        let (interner, body) = (&mut self.interner, &mut self.body);
+        body.bytes.clear();
+        let mut entity = |id: &str, values: &[Vec<String>], body: &mut Encoder| {
+            body.u32(interner.intern(id));
+            body.count(values.len());
+            for set in values {
+                interner.value_set(set, body);
+            }
+        };
         match delta {
             Delta::Insert(id, values) => {
-                body.push(0);
-                encode_entity(&mut self.interned, &mut news, id, values, &mut body);
+                body.u8(0);
+                entity(id, values, body);
             }
             Delta::Remove(id) => {
-                body.push(1);
-                refer(&mut self.interned, &mut news, id, &mut body);
+                body.u8(1);
+                body.u32(interner.intern(id));
             }
             Delta::Ingest(batch) => {
-                body.push(2);
-                body.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+                body.u8(2);
+                body.count(batch.len());
                 for (id, values) in batch.iter() {
-                    encode_entity(&mut self.interned, &mut news, id, values, &mut body);
+                    entity(id, values, body);
                 }
             }
             Delta::Register(name, rule_hash) => {
-                body.push(3);
-                refer(&mut self.interned, &mut news, name, &mut body);
-                body.extend_from_slice(&rule_hash.to_le_bytes());
+                body.u8(3);
+                body.u32(interner.intern(name));
+                body.u64(*rule_hash);
             }
             Delta::Deregister(name) => {
-                body.push(4);
-                refer(&mut self.interned, &mut news, name, &mut body);
+                body.u8(4);
+                body.u32(interner.intern(name));
             }
             Delta::Replace(name, rule_hash) => {
-                body.push(5);
-                refer(&mut self.interned, &mut news, name, &mut body);
-                body.extend_from_slice(&rule_hash.to_le_bytes());
+                body.u8(5);
+                body.u32(interner.intern(name));
+                body.u64(*rule_hash);
             }
         }
 
-        self.buf.clear();
-        let payload_start = 8;
-        self.buf.extend_from_slice(&[0; 8]); // len + len_check, patched below
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf
-            .extend_from_slice(&(news.len() as u32).to_le_bytes());
-        for s in &news {
-            self.buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            self.buf.extend_from_slice(s.as_bytes());
-        }
-        self.buf.extend_from_slice(&body);
-        let payload_len = (self.buf.len() - payload_start) as u32;
-        let len_bytes = payload_len.to_le_bytes();
-        self.buf[0..4].copy_from_slice(&len_bytes);
-        self.buf[4..8].copy_from_slice(&fnv32(&len_bytes).to_le_bytes());
-        let crc = Fnv::digest(&self.buf[payload_start..]);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-
-        let buf = std::mem::take(&mut self.buf);
-        let outcome = guarded_write("wal.append.write", &mut self.file, &buf);
-        self.bytes += buf.len() as u64;
-        self.buf = buf;
-        outcome
-    }
-
-    /// Makes every appended record durable (`fsync`); the publish barrier.
-    pub(crate) fn sync(&self) -> io::Result<()> {
-        guarded_sync("wal.append.sync", &self.file)
-    }
-}
-
-/// Writes the table index of `s` to `body`, interning it (and queueing it
-/// for this record's string-table delta) on first use.
-fn refer(interned: &mut HashMap<String, u32>, news: &mut Vec<String>, s: &str, body: &mut Vec<u8>) {
-    let index = match interned.get(s) {
-        Some(&index) => index,
-        None => {
-            let index = interned.len() as u32;
-            interned.insert(s.to_string(), index);
-            news.push(s.to_string());
-            index
-        }
-    };
-    body.extend_from_slice(&index.to_le_bytes());
-}
-
-/// Encodes one entity (id + schema-aligned value sets) as table references.
-fn encode_entity(
-    interned: &mut HashMap<String, u32>,
-    news: &mut Vec<String>,
-    id: &str,
-    values: &[Vec<String>],
-    body: &mut Vec<u8>,
-) {
-    refer(interned, news, id, body);
-    body.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for set in values {
-        body.extend_from_slice(&(set.len() as u32).to_le_bytes());
-        for value in set {
-            refer(interned, news, value, body);
-        }
+        let record = &mut self.record;
+        record.bytes.clear();
+        record.raw(&[0; 8]); // len + len check, patched below
+        record.u64(seq);
+        self.interner.write_fresh(record);
+        record.raw(&self.body.bytes);
+        let len = (record.bytes.len() - 8) as u32;
+        record.bytes[0..4].copy_from_slice(&len.to_le_bytes());
+        record.bytes[4..8].copy_from_slice(&fnv32(&len.to_le_bytes()).to_le_bytes());
+        let crc = Fnv::digest(&record.bytes[8..]);
+        record.u64(crc);
+        &record.bytes
     }
 }
 
@@ -326,11 +215,11 @@ pub(crate) enum WalDamage {
     Mismatch(String),
     /// An acknowledged record may be unreadable: checksum or length-check
     /// mismatch, undecodable payload, or a sequence discontinuity.
-    /// `valid_records` names the salvageable prefix.
+    /// `valid_records` names the salvageable prefix; the error's offset is
+    /// a byte offset into the log file.
     Corrupt {
         valid_records: u64,
-        offset: u64,
-        detail: String,
+        error: DecodeError,
     },
 }
 
@@ -342,258 +231,168 @@ pub(crate) fn decode_wal(
     bytes: &[u8],
     expected_registry_hash: u64,
 ) -> Result<WalContents, WalDamage> {
-    if bytes.len() < HEADER_LEN {
+    let mut input = Decoder::new(bytes);
+    // a header read can only fail by running out of bytes
+    let (Ok(magic), Ok(version), Ok(registry_hash), Ok(generation), Ok(base_seq), Ok(crc)) = (
+        input.take(WAL_MAGIC.len()),
+        input.u32(),
+        input.u64(),
+        input.u64(),
+        input.u64(),
+        input.u64(),
+    ) else {
         return Err(WalDamage::TornHeader);
-    }
-    if &bytes[..8] != WAL_MAGIC {
+    };
+    if magic != WAL_MAGIC {
         return Err(WalDamage::Mismatch("bad log magic".into()));
     }
-    let stored_crc = u64::from_le_bytes(bytes[HEADER_LEN - 8..HEADER_LEN].try_into().unwrap());
-    if Fnv::digest(&bytes[8..HEADER_LEN - 8]) != stored_crc {
-        return Err(WalDamage::Corrupt {
-            valid_records: 0,
-            offset: 0,
-            detail: "log header checksum mismatch".into(),
-        });
+    let corrupt = |valid_records: usize, offset: usize, what: String| WalDamage::Corrupt {
+        valid_records: valid_records as u64,
+        error: DecodeError { offset, what },
+    };
+    if Fnv::digest(&bytes[WAL_MAGIC.len()..HEADER_LEN - 8]) != crc {
+        return Err(corrupt(0, 0, "log header checksum mismatch".into()));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != WAL_VERSION {
         return Err(WalDamage::Mismatch(format!(
             "log version {version}, this build reads {WAL_VERSION}"
         )));
     }
-    let registry_hash = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
     if registry_hash != expected_registry_hash {
         return Err(WalDamage::Mismatch(
             "log was written for a different rule registry".into(),
         ));
     }
-    let generation = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let base_seq = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
 
-    let mut table: Vec<String> = Vec::new();
+    let mut table: Vec<&str> = Vec::new();
     let mut records: Vec<WalRecord> = Vec::new();
-    let mut offset = HEADER_LEN;
-    let mut next_seq = base_seq + 1;
-    loop {
-        let remaining = bytes.len() - offset;
+    let torn_tail_bytes = loop {
+        let (offset, remaining) = (input.offset(), input.remaining());
         if remaining == 0 {
-            return Ok(WalContents {
-                generation,
-                base_seq,
-                records,
-                torn_tail_bytes: 0,
-            });
+            break 0;
         }
-        let torn = |records: &Vec<WalRecord>| {
-            Ok(WalContents {
-                generation,
-                base_seq,
-                records: records.clone(),
-                torn_tail_bytes: remaining as u64,
-            })
+        let (Ok(len), Ok(len_check)) = (input.u32(), input.u32()) else {
+            break remaining;
         };
-        let corrupt = |detail: String, records: &Vec<WalRecord>| {
-            Err(WalDamage::Corrupt {
-                valid_records: records.len() as u64,
-                offset: offset as u64,
-                detail,
-            })
-        };
-        if remaining < 8 {
-            return torn(&records);
-        }
-        let len_bytes: [u8; 4] = bytes[offset..offset + 4].try_into().unwrap();
-        let len = u32::from_le_bytes(len_bytes);
-        let len_check = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
-        if fnv32(&len_bytes) != len_check {
-            return corrupt("record length check mismatch".into(), &records);
+        if fnv32(&len.to_le_bytes()) != len_check {
+            let what = "record length check mismatch".into();
+            return Err(corrupt(records.len(), offset, what));
         }
         if len > MAX_RECORD_BYTES {
-            return corrupt(format!("implausible record length {len}"), &records);
+            let what = format!("implausible record length {len}");
+            return Err(corrupt(records.len(), offset, what));
         }
-        let len = len as usize;
-        if remaining - 8 < len + 8 {
-            // a proper prefix of a checksummed record: torn mid-write
-            return torn(&records);
+        // a proper prefix of a checksummed record: torn mid-write
+        let (Ok(payload), Ok(crc)) = (input.sub(len as usize), input.u64()) else {
+            break remaining;
+        };
+        if Fnv::digest(payload.rest()) != crc {
+            let what = "record checksum mismatch".into();
+            return Err(corrupt(records.len(), offset, what));
         }
-        let payload = &bytes[offset + 8..offset + 8 + len];
-        let stored = u64::from_le_bytes(
-            bytes[offset + 8 + len..offset + 16 + len]
-                .try_into()
-                .unwrap(),
-        );
-        if Fnv::digest(payload) != stored {
-            return corrupt("record checksum mismatch".into(), &records);
+        let record = decode_record(payload, &mut table).map_err(|error| WalDamage::Corrupt {
+            valid_records: records.len() as u64,
+            error,
+        })?;
+        let next_seq = base_seq + 1 + records.len() as u64;
+        if record.seq != next_seq {
+            let what = format!("sequence {} where {next_seq} was expected", record.seq);
+            return Err(corrupt(records.len(), offset, what));
         }
-        match decode_record(payload, &mut table) {
-            Ok(record) => {
-                if record.seq != next_seq {
-                    return corrupt(
-                        format!("sequence {} where {next_seq} was expected", record.seq),
-                        &records,
-                    );
-                }
-                next_seq += 1;
-                records.push(record);
-            }
-            Err(detail) => return corrupt(detail, &records),
-        }
-        offset += 16 + len;
-    }
+        records.push(record);
+    };
+    Ok(WalContents {
+        generation,
+        base_seq,
+        records,
+        torn_tail_bytes: torn_tail_bytes as u64,
+    })
 }
 
 /// Decodes one record payload, growing the replay string table.
-fn decode_record(payload: &[u8], table: &mut Vec<String>) -> Result<WalRecord, String> {
-    let mut cursor = Cursor {
-        bytes: payload,
-        at: 0,
-    };
-    let seq = cursor.u64()?;
-    let news = cursor.u32()? as usize;
-    if news > payload.len() {
-        return Err(format!("implausible string-table delta {news}"));
-    }
-    for _ in 0..news {
-        let len = cursor.u32()? as usize;
-        if len > cursor.remaining() {
-            return Err(format!("string length {len} beyond record"));
-        }
-        let raw = cursor.take(len)?;
-        let value =
-            std::str::from_utf8(raw).map_err(|_| "non-utf8 string in record".to_string())?;
-        table.push(value.to_string());
-    }
-    let refer = |cursor: &mut Cursor<'_>| -> Result<String, String> {
-        let index = cursor.u32()? as usize;
-        table
-            .get(index)
-            .cloned()
-            .ok_or_else(|| format!("string reference {index} out of table"))
-    };
-    let entity = |cursor: &mut Cursor<'_>| -> Result<EntityRecord, String> {
-        let id = refer(cursor)?;
-        let properties = cursor.u32()? as usize;
-        if properties > cursor.remaining() {
-            return Err(format!("implausible property count {properties}"));
-        }
-        let mut values = Vec::with_capacity(properties);
-        for _ in 0..properties {
-            let count = cursor.u32()? as usize;
-            if count > cursor.remaining() {
-                return Err(format!("implausible value count {count}"));
-            }
-            let mut set = Vec::with_capacity(count);
-            for _ in 0..count {
-                set.push(refer(cursor)?);
-            }
-            values.push(set);
-        }
+fn decode_record<'a>(
+    mut payload: Decoder<'a>,
+    table: &mut Vec<&'a str>,
+) -> Result<WalRecord, DecodeError> {
+    let seq = payload.u64()?;
+    payload.strings_into(table)?;
+    let table: &[&'a str] = table;
+    let entity = |payload: &mut Decoder<'a>| -> Result<EntityRecord, DecodeError> {
+        let id = payload.reference(table)?.to_string();
+        let values = (0..payload.count()?)
+            .map(|_| payload.value_set(table))
+            .collect::<Result<_, _>>()?;
         Ok(EntityRecord { id, values })
     };
-    let op = match cursor.u8()? {
-        0 => WalOp::Insert(entity(&mut cursor)?),
-        1 => WalOp::Remove(refer(&mut cursor)?),
-        2 => {
-            let count = cursor.u32()? as usize;
-            if count > cursor.remaining() {
-                return Err(format!("implausible batch size {count}"));
-            }
-            let mut batch = Vec::with_capacity(count);
-            for _ in 0..count {
-                batch.push(entity(&mut cursor)?);
-            }
-            WalOp::Ingest(batch)
-        }
+    let name = |payload: &mut Decoder<'a>| payload.reference(table).map(str::to_string);
+    let op = match payload.u8()? {
+        0 => WalOp::Insert(entity(&mut payload)?),
+        1 => WalOp::Remove(name(&mut payload)?),
+        2 => WalOp::Ingest(
+            (0..payload.count()?)
+                .map(|_| entity(&mut payload))
+                .collect::<Result<_, _>>()?,
+        ),
         3 => WalOp::Register {
-            name: refer(&mut cursor)?,
-            rule_hash: cursor.u64()?,
+            name: name(&mut payload)?,
+            rule_hash: payload.u64()?,
         },
-        4 => WalOp::Deregister(refer(&mut cursor)?),
+        4 => WalOp::Deregister(name(&mut payload)?),
         5 => WalOp::Replace {
-            name: refer(&mut cursor)?,
-            rule_hash: cursor.u64()?,
+            name: name(&mut payload)?,
+            rule_hash: payload.u64()?,
         },
-        other => return Err(format!("unknown op tag {other}")),
+        other => return Err(payload.error(format!("unknown op tag {other}"))),
     };
-    if cursor.remaining() != 0 {
-        return Err(format!("{} trailing bytes in record", cursor.remaining()));
-    }
+    payload.finish()?;
     Ok(WalRecord { seq, op })
-}
-
-/// Bounds-checked little-endian reads over a record payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.at
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.remaining() < n {
-            return Err("record payload ends early".into());
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
-    fn temp_path(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("linkdisc-wal-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("wal-00000000.log")
+    /// A log built in memory: its header, then every appended record —
+    /// the bytes `DurableService` writes to the log file.
+    struct LogBytes {
+        encoder: WalWriter,
+        bytes: Vec<u8>,
     }
 
-    fn sample_log(tag: &str) -> (PathBuf, Vec<u8>) {
-        let path = temp_path(tag);
-        let mut writer = WalWriter::create(&path, 77, 0, 0).unwrap();
-        writer
-            .append(
-                1,
-                &Delta::Insert("b9", &[vec!["berlin".into()], vec!["1237".into()]]),
-            )
-            .unwrap();
-        writer.append(2, &Delta::Remove("b9")).unwrap();
-        writer
-            .append(
-                3,
-                &Delta::Ingest(&[
-                    ("b9".to_string(), vec![vec!["berlin".into()], vec![]]),
-                    ("c1".to_string(), vec![vec!["berlin".into()], vec![]]),
-                ]),
-            )
-            .unwrap();
-        writer.sync().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        (path, bytes)
+    impl LogBytes {
+        fn create(registry_hash: u64) -> LogBytes {
+            LogBytes {
+                encoder: WalWriter::default(),
+                bytes: WalWriter::header(registry_hash, 0, 0),
+            }
+        }
+
+        fn append(&mut self, seq: u64, delta: &Delta<'_>) {
+            let record = self.encoder.encode(seq, delta);
+            self.bytes.extend_from_slice(record);
+        }
+    }
+
+    fn sample_log() -> Vec<u8> {
+        let mut writer = LogBytes::create(77);
+        writer.append(
+            1,
+            &Delta::Insert("b9", &[vec!["berlin".into()], vec!["1237".into()]]),
+        );
+        writer.append(2, &Delta::Remove("b9"));
+        writer.append(
+            3,
+            &Delta::Ingest(&[
+                ("b9".to_string(), vec![vec!["berlin".into()], vec![]]),
+                ("c1".to_string(), vec![vec!["berlin".into()], vec![]]),
+            ]),
+        );
+        writer.bytes
     }
 
     #[test]
     fn round_trips_and_interns_repeated_strings() {
-        let (_, bytes) = sample_log("roundtrip");
+        let bytes = sample_log();
         let contents = decode_wal(&bytes, 77).unwrap();
         assert_eq!(contents.base_seq, 0);
         assert_eq!(contents.torn_tail_bytes, 0);
@@ -622,20 +421,12 @@ mod tests {
 
     #[test]
     fn registry_records_round_trip_and_share_the_string_table() {
-        let path = temp_path("registry");
-        let mut writer = WalWriter::create(&path, 77, 0, 0).unwrap();
-        writer
-            .append(1, &Delta::Register("ensemble", 0xabcd))
-            .unwrap();
-        writer
-            .append(2, &Delta::Insert("b9", &[vec!["berlin".into()], vec![]]))
-            .unwrap();
-        writer
-            .append(3, &Delta::Replace("ensemble", 0xef01))
-            .unwrap();
-        writer.append(4, &Delta::Deregister("ensemble")).unwrap();
-        writer.sync().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+        let mut writer = LogBytes::create(77);
+        writer.append(1, &Delta::Register("ensemble", 0xabcd));
+        writer.append(2, &Delta::Insert("b9", &[vec!["berlin".into()], vec![]]));
+        writer.append(3, &Delta::Replace("ensemble", 0xef01));
+        writer.append(4, &Delta::Deregister("ensemble"));
+        let bytes = writer.bytes;
         let contents = decode_wal(&bytes, 77).unwrap();
         assert_eq!(contents.records.len(), 4);
         assert_eq!(
@@ -660,7 +451,7 @@ mod tests {
 
     #[test]
     fn torn_tails_are_tolerated_at_every_cut() {
-        let (_, bytes) = sample_log("torn");
+        let bytes = sample_log();
         let contents = decode_wal(&bytes, 77).unwrap();
         let full = contents.records.len();
         // cutting anywhere strictly inside the final record must yield the
@@ -685,7 +476,7 @@ mod tests {
 
     #[test]
     fn bit_flips_never_panic_and_never_pass_silently() {
-        let (_, bytes) = sample_log("flip");
+        let bytes = sample_log();
         let clean = decode_wal(&bytes, 77).unwrap();
         for at in 0..bytes.len() {
             for bit in [0x01u8, 0x80] {
@@ -708,7 +499,7 @@ mod tests {
 
     #[test]
     fn wrong_rule_or_magic_is_a_mismatch() {
-        let (_, bytes) = sample_log("mismatch");
+        let bytes = sample_log();
         assert!(matches!(
             decode_wal(&bytes, 78),
             Err(WalDamage::Mismatch(_))
@@ -723,27 +514,80 @@ mod tests {
 
     #[test]
     fn mid_log_corruption_names_the_salvageable_prefix() {
-        let (_, bytes) = sample_log("midlog");
+        let bytes = sample_log();
         let clean = decode_wal(&bytes, 77).unwrap();
         assert_eq!(clean.records.len(), 3);
         // flip a payload byte of the second record: the first must stay
         // salvageable, the damage typed
-        let record_starts: Vec<usize> = {
-            let mut starts = Vec::new();
-            let mut offset = HEADER_LEN;
-            while offset < bytes.len() {
-                starts.push(offset);
-                let len =
-                    u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-                offset += 16 + len;
-            }
-            starts
-        };
+        let record_starts = record_starts(&bytes);
         let mut flipped = bytes.clone();
         flipped[record_starts[1] + 12] ^= 0x40;
         match decode_wal(&flipped, 77) {
             Err(WalDamage::Corrupt { valid_records, .. }) => assert_eq!(valid_records, 1),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// The offset of every record in a clean log.
+    fn record_starts(bytes: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut input = Decoder::new(bytes);
+        input.take(HEADER_LEN).unwrap();
+        while input.remaining() > 0 {
+            starts.push(input.offset());
+            let len = input.u32().unwrap() as usize;
+            input.take(12 + len).unwrap();
+        }
+        starts
+    }
+
+    /// Checksums catch accidents, not forgery: a record whose payload is
+    /// mutated, or inflated by a byte, and then re-sealed (length check
+    /// and crc recomputed) reaches the payload decoder, which must answer
+    /// with records or typed damage that keeps every earlier record —
+    /// never a panic.
+    #[test]
+    fn forged_records_decode_or_fail_typed() {
+        let bytes = sample_log();
+        let starts = record_starts(&bytes);
+        for (index, &start) in starts.iter().enumerate() {
+            let len = Decoder::new(&bytes[start..]).u32().unwrap() as usize;
+            let payload = start + 8..start + 8 + len;
+            let mut forgeries: Vec<Vec<u8>> = Vec::new();
+            for at in payload.clone() {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut payload_bytes = bytes[payload.clone()].to_vec();
+                    payload_bytes[at - payload.start] ^= mask;
+                    forgeries.push(payload_bytes);
+                }
+                if at + 4 <= payload.end {
+                    let mut payload_bytes = bytes[payload.clone()].to_vec();
+                    let at = at - payload.start;
+                    payload_bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+                    forgeries.push(payload_bytes);
+                }
+                let mut payload_bytes = bytes[payload.clone()].to_vec();
+                payload_bytes.insert(at - payload.start, 0);
+                forgeries.push(payload_bytes);
+            }
+            for forged in forgeries {
+                // re-seal: length, length check and crc all match the forgery
+                let mut record = Encoder::default();
+                record.count(forged.len());
+                record.u32(fnv32(&(forged.len() as u32).to_le_bytes()));
+                record.raw(&forged);
+                record.u64(Fnv::digest(&forged));
+                let mut log = bytes[..start].to_vec();
+                log.extend_from_slice(&record.bytes);
+                log.extend_from_slice(&bytes[payload.end + 8..]);
+                match decode_wal(&log, 77) {
+                    Ok(_) => {}
+                    Err(WalDamage::Corrupt { valid_records, .. }) => {
+                        assert!(valid_records >= index as u64, "record {index}")
+                    }
+                    Err(other) => panic!("record {index}: unexpected damage {other:?}"),
+                }
+            }
         }
     }
 }

@@ -138,50 +138,51 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// The character at the current position, if any.
+    fn peek(&self) -> Option<char> {
+        self.input[self.position..].chars().next()
+    }
+
+    /// Consumes and returns the character at the current position.
+    fn bump(&mut self) -> Option<char> {
+        let c = self.peek()?;
+        self.position += c.len_utf8();
+        Some(c)
+    }
+
     fn tokenize(mut self) -> Result<Vec<(usize, Token)>, DslError> {
         let mut tokens = Vec::new();
-        let bytes = self.input.as_bytes();
-        while self.position < bytes.len() {
-            let c = bytes[self.position] as char;
+        while let Some(c) = self.peek() {
+            let start = self.position;
             if c.is_whitespace() {
-                self.position += 1;
+                self.bump();
             } else if c == '(' {
-                tokens.push((self.position, Token::Open));
-                self.position += 1;
+                tokens.push((start, Token::Open));
+                self.bump();
             } else if c == ')' {
-                tokens.push((self.position, Token::Close));
-                self.position += 1;
+                tokens.push((start, Token::Close));
+                self.bump();
             } else if c == '"' {
-                let start = self.position;
-                self.position += 1;
+                self.bump();
                 let mut value = String::new();
                 loop {
-                    if self.position >= bytes.len() {
-                        return Err(self.error("unterminated string"));
-                    }
-                    let c = bytes[self.position] as char;
-                    self.position += 1;
-                    if c == '\\' {
-                        if self.position >= bytes.len() {
-                            return Err(self.error("dangling escape"));
+                    match self.bump() {
+                        None => return Err(self.error("unterminated string")),
+                        Some('\\') => {
+                            let escaped = self.bump();
+                            value.push(escaped.ok_or_else(|| self.error("dangling escape"))?);
                         }
-                        value.push(bytes[self.position] as char);
-                        self.position += 1;
-                    } else if c == '"' {
-                        break;
-                    } else {
-                        value.push(c);
+                        Some('"') => break,
+                        Some(c) => value.push(c),
                     }
                 }
                 tokens.push((start, Token::Str(value)));
             } else {
-                let start = self.position;
-                while self.position < bytes.len() {
-                    let c = bytes[self.position] as char;
+                while let Some(c) = self.peek() {
                     if c.is_whitespace() || c == '(' || c == ')' || c == '"' {
                         break;
                     }
-                    self.position += 1;
+                    self.bump();
                 }
                 let text = &self.input[start..self.position];
                 if let Ok(number) = text.parse::<f64>() {
@@ -292,8 +293,8 @@ impl Parser {
             let function = DistanceFunction::from_name(&function_name)
                 .ok_or_else(|| self.error(format!("unknown distance function {function_name}")))?;
             let threshold = match self.next() {
-                Some(Token::Number(n)) if n >= 0.0 => n,
-                _ => return Err(self.error("expected a non-negative threshold")),
+                Some(Token::Number(n)) if n.is_finite() && n >= 0.0 => n,
+                _ => return Err(self.error("expected a finite non-negative threshold")),
             };
             let weight = self.parse_optional_weight()?;
             let source = self.parse_value()?;
@@ -474,6 +475,27 @@ mod tests {
                 format!("(compare levenshtein 1 :w {weight} (property \"a\") (property \"b\"))");
             let err = parse_rule(&text).unwrap_err();
             assert!(err.message.contains("integral weight"), "{weight}: {err}");
+        }
+    }
+
+    /// A symbol holding a character whose UTF-8 bytes include one that,
+    /// read alone as a `char`, is whitespace (`à` ends in 0xA0, NBSP) is
+    /// an unknown name, not a panic on a split character.
+    #[test]
+    fn non_ascii_symbols_are_errors() {
+        let err =
+            parse_rule("(compare levenshteinà 1 (property \"a\") (property \"b\"))").unwrap_err();
+        assert!(err.message.contains("levenshteinà"), "{err}");
+        let err = parse_rule("(minà)").unwrap_err();
+        assert!(err.message.contains("minà"), "{err}");
+    }
+
+    #[test]
+    fn thresholds_must_be_finite() {
+        for threshold in ["inf", "1e400", "NaN"] {
+            let text = format!("(compare numeric {threshold} (property \"a\") (property \"b\"))");
+            let err = parse_rule(&text).unwrap_err();
+            assert!(err.message.contains("finite"), "{threshold}: {err}");
         }
     }
 

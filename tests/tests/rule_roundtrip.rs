@@ -56,7 +56,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The DSL grammar accepts what the printer produces for a variety of
-    /// hand-built rules (weights, nesting, every function name).
+    /// hand-built rules (weights, nesting, every function name, a non-ASCII
+    /// property name).
     #[test]
     fn printed_rules_parse_back(
         threshold in 0.0f64..10.0,
@@ -72,7 +73,7 @@ proptest! {
         let aggregation_function = AggregationFunction::ALL[aggregation_index];
         let mut comparison = compare(
             transform(transformation, vec![property("source property")]),
-            property("target:property"),
+            property("ziel:straße café"),
             distance,
             threshold,
         );

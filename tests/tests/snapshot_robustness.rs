@@ -1,8 +1,12 @@
 //! Hostile-input robustness of the snapshot codec: `LinkService::restore`
 //! fed truncated, bit-flipped and length-field-inflated snapshots must
 //! always return a `SnapshotError` — never panic, and never allocate
-//! unboundedly on the say-so of a corrupt length prefix (the reader caps
-//! preallocation and fills strings in bounded chunks).
+//! unboundedly on the say-so of a corrupt length prefix.  Restore decodes
+//! the bytes in memory and checks the payload checksum before decoding, so
+//! such damage stops at the checksum; the forged cases re-seal the checksum
+//! after mutating the payload, so they reach the decoder's own validation
+//! (a count or length is refused unless the bytes it claims remain, every
+//! position and table index is range-checked).
 //!
 //! The allocation claim is enforced for real: this test binary installs a
 //! counting global allocator and asserts the high-water mark of every
@@ -108,6 +112,32 @@ fn assert_rejected(bytes: &[u8], what: &str) {
     );
 }
 
+/// FNV-1a 64, the snapshot's payload checksum.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Restores forged bytes (checksum intact), asserting a typed error or a
+/// service that answers queries, and a bounded allocation high-water mark.
+fn assert_restores_or_errors(bytes: &[u8], what: &str) {
+    let fixture = fixture();
+    let baseline = CURRENT.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let outcome = LinkService::restore(rule(), fixture.dataset.source.schema(), bytes);
+    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
+    if let Ok(service) = outcome {
+        for entity in fixture.dataset.source.entities().iter().take(8) {
+            service.reader().query(entity);
+        }
+    }
+    assert!(
+        peak < ALLOC_CEILING,
+        "{what}: restore allocated {peak} bytes on forged input"
+    );
+}
+
 #[test]
 fn the_pristine_snapshot_restores() {
     let fixture = fixture();
@@ -173,5 +203,26 @@ proptest! {
         let at = cut - 4;
         hostile[at..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_rejected(&hostile, &format!("cut {cut} with inflated tail"));
+    }
+
+    /// Forged snapshots: one payload byte mutated, or a u32 field inflated,
+    /// and the FNV-64 trailer re-sealed over the forged payload.
+    #[test]
+    fn forged_snapshots_restore_or_error_cleanly(fraction in 0usize..10_000, forge in 0usize..6) {
+        const HEADER: usize = 12;
+        let bytes = &fixture().bytes;
+        let trailer = bytes.len() - 8;
+        let at = HEADER + fraction * (trailer - HEADER - 4) / 10_000;
+        let mut hostile = bytes.clone();
+        match forge {
+            0..=2 => hostile[at] ^= [0x01, 0x80, 0xff][forge],
+            _ => {
+                let huge: u32 = [u32::MAX, 1 << 24, 0xdead_beef][forge - 3];
+                hostile[at..at + 4].copy_from_slice(&huge.to_le_bytes());
+            }
+        }
+        let checksum = fnv64(&hostile[HEADER..trailer]);
+        hostile[trailer..].copy_from_slice(&checksum.to_le_bytes());
+        assert_restores_or_errors(&hostile, &format!("forgery {forge} at {at}"));
     }
 }
