@@ -82,6 +82,7 @@ fn parse_records(text: &str, delimiter: char) -> Result<Vec<(usize, Vec<String>)
 /// * Every following record is one entity; empty cells produce empty value
 ///   sets and cells containing `|` produce multi-valued properties.  Values
 ///   and identifiers are trimmed, and empty values are dropped.
+/// * Cells are positional, so a header naming a property twice is an error.
 /// * An error names the line the offending record starts on.
 pub fn parse_str(name: &str, text: &str, delimiter: char) -> Result<DataSource, EntityError> {
     let mut records = parse_records(text, delimiter)?.into_iter();
@@ -96,6 +97,17 @@ pub fn parse_str(name: &str, text: &str, delimiter: char) -> Result<DataSource, 
         });
     }
     let properties: Vec<String> = header_fields[1..].to_vec();
+    if let Some(repeated) =
+        (1..properties.len()).find(|&i| properties[..i].contains(&properties[i]))
+    {
+        return Err(EntityError::Parse {
+            line: header_line,
+            message: format!(
+                "property {:?} is named twice in the header",
+                properties[repeated]
+            ),
+        });
+    }
     let mut source = DataSource::new(name, Schema::new(properties.clone()));
     for (line, fields) in records {
         if fields.len() != header_fields.len() {
@@ -220,6 +232,16 @@ mod tests {
     fn missing_header_is_an_error() {
         assert!(parse_str("s", "\n\n", ',').is_err());
         assert!(parse_str("s", "id\nx\n", ',').is_err());
+    }
+
+    /// Cells are positional, so a repeated header name would shift every
+    /// later column onto the wrong property.
+    #[test]
+    fn repeated_header_names_are_an_error() {
+        let err = parse_str("s", "id,a,a,b\nx,1,2,3\n", ',').unwrap_err();
+        assert!(matches!(err, EntityError::Parse { line: 1, .. }), "{err}");
+        let err = parse_str("s", "\nid\ta\tb\ta\n", '\t').unwrap_err();
+        assert!(matches!(err, EntityError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //! ahead of or behind the log, and only [`DurableService::recover`] can
 //! re-establish the invariant.
 //!
-//! This is the one module that touches the file system.  The snapshot and
-//! log codecs ([`crate::persist`], `crate::wal`) encode into and decode
-//! from memory; the files, their fsyncs and renames, and the
-//! fault-injection points guarding each of them (`linkdisc_util::fail`,
-//! feature `failpoints`, so the recovery harness can kill the writer at
-//! every one) live here.
+//! This is the one module that decides which files exist.  The snapshot
+//! and log codecs ([`crate::persist`], `crate::wal`) encode into and decode
+//! from memory; the files, their fsyncs and renames live here, and reach
+//! the file system only through the directory's
+//! [`Storage`](crate::storage::Storage).  A plain path means
+//! [`Disk`](crate::storage::Disk); the fault harness passes an in-memory
+//! storage that fails or tears a scheduled operation and, at a crash,
+//! drops every byte and directory entry that was not fsynced.
 //!
 //! # Checkpoints and compaction
 //!
@@ -75,18 +77,17 @@
 //! atomic; registry operations reach shard 0 first, and recovery rolls the
 //! other shards' registries forward to shard 0's.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
 use linkdisc_rule::LinkageRule;
-use linkdisc_util::fail;
 
 use crate::persist::SnapshotError;
 use crate::service::{RegistryError, ServiceOptions, ServiceReader, ServiceWriter, DEFAULT_RULE};
 use crate::sharded::{ShardRouter, ShardedService};
+use crate::storage::Dir;
 use crate::wal::{decode_wal, Delta, WalContents, WalDamage, WalOp, WalWriter};
 
 /// Tuning of the durability layer.
@@ -243,7 +244,7 @@ pub struct RecoveryReport {
 pub struct DurableService {
     writer: ServiceWriter,
     wal: Log,
-    dir: PathBuf,
+    dir: Dir,
     generation: u64,
     /// Oldest generation retained on disk (the fallback checkpoint).
     keep_from: u64,
@@ -265,53 +266,12 @@ impl std::fmt::Debug for DurableService {
     }
 }
 
-/// The open log of the current generation: its file, the bytes written to
+/// The open log of the current generation: its path, the bytes written to
 /// it, and the record encoder whose string table spans it.
 struct Log {
-    file: File,
+    path: PathBuf,
     bytes: u64,
     encoder: WalWriter,
-}
-
-/// Writes `bytes` through an injection point: an armed failpoint either
-/// fails before writing or performs a deliberately torn (prefix-only)
-/// write, the state a crash mid-`write` leaves on disk.
-fn guarded_write(point: &str, file: &mut File, bytes: &[u8]) -> io::Result<()> {
-    match fail::check(point) {
-        None => file.write_all(bytes),
-        Some(fail::FailAction::Error) => Err(fail::injected(point)),
-        Some(fail::FailAction::TornWrite(n)) => {
-            file.write_all(&bytes[..n.min(bytes.len())])?;
-            Err(fail::injected(point))
-        }
-    }
-}
-
-/// `fsync` through an injection point (any armed action aborts before the
-/// sync: the data may or may not be on disk — recovery must cope with
-/// both, which is exactly what the harness exercises).
-fn guarded_sync(point: &str, file: &File) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    file.sync_data()
-}
-
-/// `rename` through an injection point.
-fn guarded_rename(point: &str, from: &Path, to: &Path) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    std::fs::rename(from, to)
-}
-
-/// Opens a directory handle and fsyncs it, making a preceding create or
-/// rename durable; `point` is the injection point guarding it.
-fn guarded_dir_sync(point: &str, dir: &Path) -> io::Result<()> {
-    if fail::check(point).is_some() {
-        return Err(fail::injected(point));
-    }
-    File::open(dir)?.sync_all()
 }
 
 fn checkpoint_path(dir: &Path, generation: u64) -> PathBuf {
@@ -346,21 +306,35 @@ fn parse_generation(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
     (rest.len() == 8).then(|| rest.parse().ok())?
 }
 
-fn scan_dir(dir: &Path) -> io::Result<DirScan> {
+/// The names in a directory; a missing directory has none.
+fn list(dir: &Dir) -> io::Result<Vec<String>> {
+    match dir.storage().list(dir.path()) {
+        Err(err) if err.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        names => names,
+    }
+}
+
+/// Creates a directory and fsyncs its parent, so that the new entry
+/// survives a crash, and with it the files made durable inside.
+fn create_dir(dir: &Dir) -> io::Result<()> {
+    let (disk, path) = (dir.storage(), dir.path());
+    disk.create_dir(path)?;
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    disk.sync_dir(parent.unwrap_or(Path::new(".")))
+}
+
+fn scan_dir(dir: &Dir) -> io::Result<DirScan> {
     let mut scan = DirScan {
         checkpoints: Vec::new(),
         wals: Vec::new(),
         stray_tmp: Vec::new(),
     };
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
+    for name in list(dir)? {
         if name.ends_with(".tmp") {
-            scan.stray_tmp.push(entry.path());
-        } else if let Some(generation) = parse_generation(name, "checkpoint-", ".snap") {
+            scan.stray_tmp.push(dir.path().join(name));
+        } else if let Some(generation) = parse_generation(&name, "checkpoint-", ".snap") {
             scan.checkpoints.push(generation);
-        } else if let Some(generation) = parse_generation(name, "wal-", ".log") {
+        } else if let Some(generation) = parse_generation(&name, "wal-", ".log") {
             scan.wals.push(generation);
         }
     }
@@ -370,57 +344,54 @@ fn scan_dir(dir: &Path) -> io::Result<DirScan> {
 }
 
 /// Writes checkpoint + fresh log for `generation` in crash-safe order (see
-/// the module docs) and returns the open log.
+/// the module docs) and returns the open log.  A stray `.tmp` of this
+/// generation, left by a killed write, is replaced.
 fn write_generation(
-    dir: &Path,
+    dir: &Dir,
     writer: &ServiceWriter,
     generation: u64,
     seq: u64,
 ) -> Result<Log, DurableError> {
-    let tmp = dir.join(format!("checkpoint-{generation:08}.snap.tmp"));
-    let mut file = File::create(&tmp)?;
-    guarded_write("checkpoint.write", &mut file, &writer.encode_snapshot())?;
-    guarded_sync("checkpoint.sync", &file)?;
-    drop(file);
+    let (disk, path) = (dir.storage(), dir.path());
+    let tmp = path.join(format!("checkpoint-{generation:08}.snap.tmp"));
+    let _ = disk.remove(&tmp);
+    disk.create_new(&tmp)?;
+    disk.append(&tmp, &writer.encode_snapshot())?;
+    disk.sync(&tmp)?;
     // a fresh log file (never an existing one), its header written and
     // fsynced; the directory sync below makes the file itself durable
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(wal_path(dir, generation))?;
+    let wal = wal_path(path, generation);
+    disk.create_new(&wal)?;
     let header = WalWriter::header(writer.registry_hash(), generation, seq);
-    guarded_write("wal.create.write", &mut file, &header)?;
-    guarded_sync("wal.create.sync", &file)?;
-    let wal = Log {
-        file,
+    disk.append(&wal, &header)?;
+    disk.sync(&wal)?;
+    disk.sync_dir(path)?;
+    disk.rename(&tmp, &checkpoint_path(path, generation))?;
+    disk.sync_dir(path)?;
+    Ok(Log {
+        path: wal,
         bytes: header.len() as u64,
         encoder: WalWriter::default(),
-    };
-    guarded_dir_sync("dir.sync", dir)?;
-    guarded_rename("checkpoint.rename", &tmp, &checkpoint_path(dir, generation))?;
-    guarded_dir_sync("dir.sync", dir)?;
-    Ok(wal)
+    })
 }
 
 /// Deletes every generation file below `keep_from` (and stray tmp files).
-/// Purely an act of hygiene: a crash part-way through leaves extra files
-/// recovery simply ignores or falls back over.
-fn retire(dir: &Path, keep_from: u64) -> io::Result<()> {
-    if fail::check("retire.remove").is_some() {
-        return Err(fail::injected("retire.remove"));
-    }
+/// Purely an act of hygiene: a crash part-way through, or a failed remove,
+/// leaves extra files recovery simply ignores or falls back over.
+fn retire(dir: &Dir, keep_from: u64) -> io::Result<()> {
     let scan = scan_dir(dir)?;
-    for path in scan.stray_tmp {
-        let _ = std::fs::remove_file(path);
+    let (disk, path) = (dir.storage(), dir.path());
+    for tmp in scan.stray_tmp {
+        let _ = disk.remove(&tmp);
     }
     for generation in scan.checkpoints {
         if generation < keep_from {
-            let _ = std::fs::remove_file(checkpoint_path(dir, generation));
+            let _ = disk.remove(&checkpoint_path(path, generation));
         }
     }
     for generation in scan.wals {
         if generation < keep_from {
-            let _ = std::fs::remove_file(wal_path(dir, generation));
+            let _ = disk.remove(&wal_path(path, generation));
         }
     }
     Ok(())
@@ -446,9 +417,11 @@ impl DurableService {
     /// Creates a durable service over a materialised target source: builds
     /// the index, writes checkpoint generation 0 and opens its log.  Fails
     /// with [`DurableError::AlreadyDurable`] if the directory already
-    /// holds durable state (use [`DurableService::recover`]).
+    /// holds durable state (use [`DurableService::recover`]).  `dir` is a
+    /// path on [`Disk`](crate::storage::Disk) or a [`Dir`] on another
+    /// storage.
     pub fn create(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         target: &DataSource,
@@ -456,13 +429,13 @@ impl DurableService {
         durability: DurabilityOptions,
     ) -> Result<DurableService, DurableError> {
         let writer = ServiceWriter::build(rule, source_schema, target, options)?;
-        DurableService::initialise(dir.as_ref(), writer, durability)
+        DurableService::initialise(dir.into(), writer, durability)
     }
 
     /// Creates an empty durable service (populate through
     /// [`DurableService::ingest`] / [`DurableService::insert`]).
     pub fn create_empty(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         target_schema: &Arc<Schema>,
@@ -470,24 +443,24 @@ impl DurableService {
         durability: DurabilityOptions,
     ) -> Result<DurableService, DurableError> {
         let writer = ServiceWriter::empty(rule, source_schema, target_schema, options);
-        DurableService::initialise(dir.as_ref(), writer, durability)
+        DurableService::initialise(dir.into(), writer, durability)
     }
 
     fn initialise(
-        dir: &Path,
+        dir: Dir,
         writer: ServiceWriter,
         durability: DurabilityOptions,
     ) -> Result<DurableService, DurableError> {
-        std::fs::create_dir_all(dir)?;
-        let scan = scan_dir(dir)?;
+        create_dir(&dir)?;
+        let scan = scan_dir(&dir)?;
         if !scan.checkpoints.is_empty() || !scan.wals.is_empty() {
-            return Err(DurableError::AlreadyDurable(dir.to_path_buf()));
+            return Err(DurableError::AlreadyDurable(dir.path().to_path_buf()));
         }
-        let wal = write_generation(dir, &writer, 0, 0)?;
+        let wal = write_generation(&dir, &writer, 0, 0)?;
         Ok(DurableService {
             writer,
             wal,
-            dir: dir.to_path_buf(),
+            dir,
             generation: 0,
             keep_from: 0,
             seq: 0,
@@ -534,7 +507,7 @@ impl DurableService {
 
     /// The directory holding checkpoints and logs.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.dir.path()
     }
 
     pub(crate) fn guard(&self) -> Result<(), DurableError> {
@@ -548,11 +521,12 @@ impl DurableService {
     /// poisons the service on failure.
     fn log(&mut self, delta: &Delta<'_>) -> Result<(), DurableError> {
         self.seq += 1;
-        let wal = &mut self.wal;
+        let (wal, disk) = (&mut self.wal, self.dir.storage());
         let record = wal.encoder.encode(self.seq, delta);
         wal.bytes += record.len() as u64;
-        let outcome = guarded_write("wal.append.write", &mut wal.file, record)
-            .and_then(|()| guarded_sync("wal.append.sync", &wal.file));
+        let outcome = disk
+            .append(&wal.path, record)
+            .and_then(|()| disk.sync(&wal.path));
         if let Err(err) = outcome {
             self.poisoned = true;
             return Err(DurableError::Io(err));
@@ -718,7 +692,7 @@ impl DurableService {
     /// [`DurableService::recover_with_rules`] with a one-entry catalog
     /// under the default name.
     pub fn recover(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
@@ -739,20 +713,20 @@ impl DurableService {
     /// replay of every acknowledged epoch — registry operations included —
     /// re-checkpointed into a fresh generation.
     pub fn recover_with_rules(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         catalog: &[(String, LinkageRule)],
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
     ) -> Result<(DurableService, RecoveryReport), RecoveryError> {
-        let dir = dir.as_ref();
-        let scan = scan_dir(dir)?;
+        let dir = dir.into();
+        let scan = scan_dir(&dir)?;
         if scan.checkpoints.is_empty() {
-            return Err(RecoveryError::NoCheckpoint(dir.to_path_buf()));
+            return Err(RecoveryError::NoCheckpoint(dir.path().to_path_buf()));
         }
         let mut fallback_generations = 0u64;
         let mut newest_failure: Option<(u64, String)> = None;
         for &generation in scan.checkpoints.iter().rev() {
-            let snapshot = match std::fs::read(checkpoint_path(dir, generation)) {
+            let snapshot = match dir.storage().read(&checkpoint_path(dir.path(), generation)) {
                 Ok(bytes) => bytes,
                 Err(err) => {
                     newest_failure.get_or_insert((generation, err.to_string()));
@@ -788,7 +762,7 @@ impl DurableService {
     /// Replays every log generation `>= checkpoint_generation` onto a
     /// restored writer, then re-checkpoints into a fresh generation.
     fn replay_and_reopen(
-        dir: &Path,
+        dir: Dir,
         mut writer: ServiceWriter,
         checkpoint_generation: u64,
         catalog: &[(String, LinkageRule)],
@@ -812,7 +786,7 @@ impl DurableService {
         let mut replayed_epochs = 0u64;
         let mut torn_tail_bytes = 0u64;
         for &generation in &tail {
-            let bytes = std::fs::read(wal_path(dir, generation))?;
+            let bytes = dir.storage().read(&wal_path(dir.path(), generation))?;
             // each log generation is stamped with the registry fingerprint
             // at creation time; replayed manifest records change it, so the
             // expectation is recomputed from the writer per generation
@@ -873,17 +847,17 @@ impl DurableService {
             .max_generation()
             .expect("recover found at least one checkpoint")
             + 1;
-        let wal = match write_generation(dir, &writer, next, seq) {
+        let wal = match write_generation(&dir, &writer, next, seq) {
             Ok(wal) => wal,
             Err(DurableError::Io(err)) => return Err(RecoveryError::Io(err)),
             Err(err) => return Err(RecoveryError::Io(io::Error::other(err.to_string()))),
         };
-        retire(dir, checkpoint_generation)?;
+        retire(&dir, checkpoint_generation)?;
         Ok((
             DurableService {
                 writer,
                 wal,
-                dir: dir.to_path_buf(),
+                dir,
                 generation: next,
                 keep_from: checkpoint_generation,
                 seq,
@@ -983,20 +957,17 @@ fn lookup_rule<'a>(
 }
 
 /// The subdirectory holding one shard's checkpoint/log generation chain.
-fn shard_dir(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard:03}"))
+fn shard_dir(dir: &Dir, shard: usize) -> Dir {
+    dir.child(&format!("shard-{shard:03}"))
 }
 
 /// The `shard-NNN` subdirectories present under a sharded root, ascending.
-fn existing_shard_dirs(dir: &Path) -> io::Result<Vec<usize>> {
+fn existing_shard_dirs(dir: &Dir) -> io::Result<Vec<usize>> {
     let mut shards = Vec::new();
-    if dir.exists() {
-        for entry in std::fs::read_dir(dir)? {
-            let name = entry?.file_name();
-            let index = name.to_str().and_then(|name| name.strip_prefix("shard-"));
-            if let Some(index) = index.filter(|index| index.len() == 3) {
-                shards.extend(index.parse::<usize>().ok());
-            }
+    for name in list(dir)? {
+        let index = name.strip_prefix("shard-");
+        if let Some(index) = index.filter(|index| index.len() == 3) {
+            shards.extend(index.parse::<usize>().ok());
         }
     }
     shards.sort_unstable();
@@ -1012,7 +983,7 @@ impl ShardedService<DurableService> {
     /// shard state (use [`ShardedService::recover`]).
     #[allow(clippy::too_many_arguments)]
     pub fn create(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         target: &DataSource,
@@ -1021,13 +992,13 @@ impl ShardedService<DurableService> {
         durability: DurabilityOptions,
     ) -> Result<Self, DurableError> {
         let memory = ShardedService::build(rule, source_schema, target, shards, options)?;
-        ShardedService::initialise_shards(dir.as_ref(), memory, durability)
+        ShardedService::initialise_shards(dir.into(), memory, durability)
     }
 
     /// Creates an empty sharded durable store (populate through
     /// [`ShardedService::ingest`] / [`ShardedService::insert`]).
     pub fn create_empty(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         target_schema: &Arc<Schema>,
@@ -1036,22 +1007,22 @@ impl ShardedService<DurableService> {
         durability: DurabilityOptions,
     ) -> Result<Self, DurableError> {
         let memory = ShardedService::empty(rule, source_schema, target_schema, shards, options);
-        ShardedService::initialise_shards(dir.as_ref(), memory, durability)
+        ShardedService::initialise_shards(dir.into(), memory, durability)
     }
 
     /// Writes every in-memory shard's checkpoint generation 0 and opens its
     /// log, in shard order, under a root that holds no shard state yet.
     fn initialise_shards(
-        dir: &Path,
+        dir: Dir,
         memory: ShardedService,
         durability: DurabilityOptions,
     ) -> Result<Self, DurableError> {
-        std::fs::create_dir_all(dir)?;
-        if !existing_shard_dirs(dir)?.is_empty() {
-            return Err(DurableError::AlreadyDurable(dir.to_path_buf()));
+        create_dir(&dir)?;
+        if !existing_shard_dirs(&dir)?.is_empty() {
+            return Err(DurableError::AlreadyDurable(dir.path().to_path_buf()));
         }
         memory.try_map_shards(|(index, writer)| {
-            DurableService::initialise(&shard_dir(dir, index), writer, durability)
+            DurableService::initialise(shard_dir(&dir, index), writer, durability)
         })
     }
 
@@ -1065,7 +1036,7 @@ impl ShardedService<DurableService> {
     /// remain individually recoverable via [`DurableService::recover`] on
     /// their subdirectory.
     pub fn recover(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
@@ -1087,15 +1058,15 @@ impl ShardedService<DurableService> {
     /// stale rules swapped, extras deregistered) before the service is
     /// handed back.
     pub fn recover_with_rules(
-        dir: impl AsRef<Path>,
+        dir: impl Into<Dir>,
         catalog: &[(String, LinkageRule)],
         source_schema: &Arc<Schema>,
         durability: DurabilityOptions,
     ) -> Result<(Self, Vec<RecoveryReport>), RecoveryError> {
-        let dir = dir.as_ref();
-        let found = existing_shard_dirs(dir)?;
+        let dir = dir.into();
+        let found = existing_shard_dirs(&dir)?;
         if found.is_empty() {
-            return Err(RecoveryError::NoCheckpoint(dir.to_path_buf()));
+            return Err(RecoveryError::NoCheckpoint(dir.path().to_path_buf()));
         }
         for (expected, &actual) in found.iter().enumerate() {
             if actual != expected {
@@ -1109,7 +1080,7 @@ impl ShardedService<DurableService> {
         let mut reports = Vec::with_capacity(found.len());
         for index in 0..found.len() {
             let (service, report) = DurableService::recover_with_rules(
-                shard_dir(dir, index),
+                shard_dir(&dir, index),
                 catalog,
                 source_schema,
                 durability,

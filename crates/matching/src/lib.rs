@@ -45,6 +45,7 @@ pub mod persist;
 mod scratch;
 pub mod service;
 pub mod sharded;
+pub mod storage;
 mod wal;
 
 pub use codec::DecodeError;
@@ -59,3 +60,4 @@ pub use service::{
     ServiceWriter, DEFAULT_RULE,
 };
 pub use sharded::{Shard, ShardRouter, ShardSlot, ShardedReader, ShardedScratch, ShardedService};
+pub use storage::{Dir, Disk, Storage};

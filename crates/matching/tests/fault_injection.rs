@@ -1,42 +1,41 @@
-//! The deterministic fault-injection harness (ISSUE: kill the writer at
-//! *every* failpoint): enumerates each injection point hit by a scripted
-//! durable workload, re-runs the workload once per `(point, occurrence)`
-//! with that hit armed to fail — including torn (prefix-only) writes — and
-//! asserts that recovery never panics and never loses an acknowledged
-//! epoch.
+//! The deterministic fault harness: runs scripted durable workloads on
+//! `Sim` (`sim/mod.rs`, an in-memory storage), enumerates every storage
+//! operation a clean run performs, by kind, and re-runs the workload once
+//! per schedule — fail the n-th operation of a kind, or tear the n-th
+//! append after 3 or 21 bytes — crashing at that instant under both crash
+//! outcomes: unsynced bytes and directory entries lost, or kept.  Recovery
+//! must never panic and never lose an acknowledged epoch.
 //!
 //! The oracle is bit-identical snapshot equality: after a kill at op `m`,
 //! the recovered state must equal the sequential replay of either the
 //! `m-1` acknowledged ops or (when the log record survived the crash) all
 //! `m` — both are supersets of everything acknowledged.  The run then
-//! finishes the script on the recovered service and must land on the same
-//! final state as an undisturbed run.
+//! finishes the script on the recovered service, must land on the same
+//! final state as an undisturbed run, and must recover that state again
+//! after a second crash.
 //!
 //! A second harness does the same to a **sharded** durable store and
 //! additionally asserts shard isolation: a kill inside one shard's WAL or
-//! compaction leaves every other shard's chain individually recoverable,
-//! and the sharded recovery returns one `RecoveryReport` per shard.
+//! compaction leaves every shard's chain individually recoverable, and
+//! the sharded recovery returns one `RecoveryReport` per shard.  A third
+//! crashes a recovery itself at each of its storage operations.
 //!
-//! Requires `--features failpoints`; the failpoint registry is
-//! process-global, so the harnesses serialize on [`FAIL_REGISTRY`].
-#![cfg(feature = "failpoints")]
+//! Every run owns its `Sim`, so the tests share no state and run in
+//! parallel.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+mod sim;
+
+use std::sync::Arc;
 
 use linkdisc_entity::{Entity, Schema};
 use linkdisc_matching::{
-    DurabilityOptions, DurableError, DurableService, RecoveryError, ServiceOptions, ServiceWriter,
-    ShardRouter, ShardedService,
+    Dir, DurabilityOptions, DurableError, DurableService, RecoveryError, ServiceOptions,
+    ServiceWriter, ShardRouter, ShardedService,
 };
 use linkdisc_rule::{
     compare, property, transform, DistanceFunction, LinkageRule, TransformFunction,
 };
-use linkdisc_util::fail;
-
-/// The failpoint registry is one per process: tests that arm it must not
-/// overlap.  Every `#[test]` in this file takes this lock first.
-static FAIL_REGISTRY: Mutex<()> = Mutex::new(());
+use sim::{Crash, Fault, Kind, Sim, CRASHES};
 
 fn rule() -> LinkageRule {
     compare(
@@ -192,97 +191,101 @@ fn shadow_snapshots(pool: &[Entity], ops: &[Op]) -> Vec<Vec<u8>> {
     snapshots
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("linkdisc-faults-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The directory every workload runs in, on its `Sim`.
+fn dir(sim: &Arc<Sim>) -> Dir {
+    Dir::new("/db", sim.clone())
 }
 
 const BUDGET: DurabilityOptions = DurabilityOptions {
     // tiny on purpose: the 12-op script then compacts several times, so
-    // checkpoint/rename/retire points are hit mid-workload, not just at
+    // checkpoint/rename/retire operations run mid-workload, not just at
     // creation
     log_budget_bytes: 256,
 };
 
-/// One armed run: create, apply the script until the armed failpoint
-/// fires (if it ever does), recover, check the no-lost-epoch oracle,
-/// finish the script, check the final state.  Returns whether the armed
-/// point actually fired.
-fn run_armed(tag: &str, pool: &[Entity], ops: &[Op], oracle: &[Vec<u8>]) -> bool {
-    let dir = fresh_dir(tag);
-    let ctx = |what: &str| format!("[{tag}] {what}");
+fn recover(sim: &Arc<Sim>) -> Result<DurableService, RecoveryError> {
+    DurableService::recover_with_rules(dir(sim), &catalog(), &schema(), BUDGET)
+        .map(|(service, _)| service)
+}
 
-    let mut service = match DurableService::create_empty(
-        &dir,
+/// Every schedule over the operations a clean run performed: fail each
+/// one, and with `tear`, also cut each append after 3 bytes (inside the
+/// 8-byte record header) and after 21 (inside the payload).
+fn schedules(counts: &[(Kind, usize)], tear: bool) -> Vec<(Kind, usize, Fault)> {
+    let mut schedules = Vec::new();
+    for &(kind, count) in counts {
+        for nth in 0..count {
+            schedules.push((kind, nth, Fault::Fail));
+            if tear && kind == Kind::Append {
+                schedules.push((kind, nth, Fault::Tear(3)));
+                schedules.push((kind, nth, Fault::Tear(21)));
+            }
+        }
+    }
+    schedules
+}
+
+/// Creates a service on `sim` and applies `ops` until one fails; returns
+/// how many were acknowledged.  Only the scheduled fault may fail them.
+fn acknowledged(sim: &Arc<Sim>, pool: &[Entity], ops: &[Op], tag: &str) -> usize {
+    let created = DurableService::create_empty(
+        dir(sim),
         rule(),
         &schema(),
         &schema(),
         ServiceOptions::default(),
         BUDGET,
-    ) {
-        Ok(service) => Some(service),
+    );
+    let mut service = match created {
+        Ok(service) => service,
         Err(err) => {
-            // creation was killed: nothing was ever acknowledged, so both
-            // "no durable state" and "an empty generation 0" are sound
-            let fired = format!("{err}").contains("failpoint fired");
-            assert!(fired, "{}", ctx("create may only fail by injection"));
-            None
+            assert!(
+                sim.fired(),
+                "[{tag}] create may only fail by the fault: {err}"
+            );
+            return 0;
         }
     };
-
-    // apply ops until the armed failpoint fires (acked = ops that returned Ok)
-    let mut acked = 0usize;
-    let mut killed = service.is_none();
-    if let Some(service) = service.as_mut() {
-        for op in ops {
-            match apply_durable(service, pool, op) {
-                Ok(()) => acked += 1,
-                Err(err) => {
-                    assert!(
-                        format!("{err}").contains("failpoint fired"),
-                        "{}: {err}",
-                        ctx("ops may only fail by injection")
-                    );
-                    killed = true;
-                    break;
-                }
-            }
+    for (acked, op) in ops.iter().enumerate() {
+        if let Err(err) = apply_durable(&mut service, pool, op) {
+            assert!(sim.fired(), "[{tag}] ops may only fail by the fault: {err}");
+            return acked;
         }
     }
-    drop(service); // the "crash": only fsynced bytes count from here on
+    ops.len()
+}
 
-    if !killed {
-        // the armed occurrence was never reached (occurrence counts shift a
-        // little between clean and armed runs); still verify the clean end
-        // state round-trips
-        let (recovered, _) =
-            DurableService::recover_with_rules(&dir, &catalog(), &schema(), BUDGET)
-                .expect("clean recovery");
-        assert_eq!(
-            snapshot(recovered.writer()),
-            oracle[ops.len()],
-            "{}",
-            ctx("clean run must recover to the final sequential state")
-        );
-        return false;
-    }
+/// One scheduled run: apply the script until the fault, crash, recover,
+/// check the no-lost-epoch oracle, finish the script, check the final
+/// state, crash again and recover it.
+fn run_scheduled(
+    tag: &str,
+    pool: &[Entity],
+    ops: &[Op],
+    oracle: &[Vec<u8>],
+    (kind, nth, fault): (Kind, usize, Fault),
+    crash: Crash,
+) {
+    let ctx = |what: &str| format!("[{tag}] {what}");
+    let sim = Arc::new(Sim::new());
+    sim.schedule(kind, nth, fault);
+    let acked = acknowledged(&sim, pool, ops, tag);
+    assert!(sim.fired(), "{}", ctx("the clean run reached this op"));
+    sim.crash(crash);
 
-    // recover after the kill
-    let mut recovered =
-        match DurableService::recover_with_rules(&dir, &catalog(), &schema(), BUDGET) {
-            Ok((service, _report)) => service,
-            Err(RecoveryError::NoCheckpoint(_)) => {
-                assert_eq!(
-                    acked,
-                    0,
-                    "{}",
-                    ctx("no-durable-state is only sound when nothing was acknowledged")
-                );
-                return true;
-            }
-            Err(err) => panic!("{}: {err}", ctx("recovery failed")),
-        };
+    let mut recovered = match recover(&sim) {
+        Ok(service) => service,
+        Err(RecoveryError::NoCheckpoint(_)) => {
+            assert_eq!(
+                acked,
+                0,
+                "{}",
+                ctx("no-durable-state is only sound when nothing was acknowledged")
+            );
+            return;
+        }
+        Err(err) => panic!("{}: {err}", ctx("recovery failed")),
+    };
 
     // the oracle: recovered state is the sequential replay of all acked
     // ops, or of acked + the one in-flight op whose log record survived
@@ -313,10 +316,11 @@ fn run_armed(tag: &str, pool: &[Entity], ops: &[Op], oracle: &[Vec<u8>]) -> bool
         ctx("finished run must land on the sequential final state")
     );
 
-    // ... and the finished state itself recovers (the second crash)
+    // ... and the finished state itself survives a second crash
     drop(recovered);
+    sim.crash(crash);
     let (reopened, report) =
-        DurableService::recover_with_rules(&dir, &catalog(), &schema(), BUDGET)
+        DurableService::recover_with_rules(dir(&sim), &catalog(), &schema(), BUDGET)
             .expect("second recovery");
     assert_eq!(
         snapshot(reopened.writer()),
@@ -325,73 +329,33 @@ fn run_armed(tag: &str, pool: &[Entity], ops: &[Op], oracle: &[Vec<u8>]) -> bool
         ctx("second recovery must reproduce the final state")
     );
     assert_eq!(report.fallback_generations, 0, "{}", ctx("no fallback"));
-    let _ = std::fs::remove_dir_all(&dir);
-    true
+}
+
+/// Runs `ops` clean to count its storage operations, then once per
+/// schedule and crash outcome.
+fn kill_at_every_op(name: &str, ops: &[Op]) {
+    let schema = schema();
+    let pool = entities(&schema);
+    let oracle = shadow_snapshots(&pool, ops);
+
+    let sim = Arc::new(Sim::new());
+    assert_eq!(acknowledged(&sim, &pool, ops, name), ops.len());
+    let counts = sim.counts();
+    assert!(
+        counts.len() >= 8,
+        "the workload must run every kind of write, saw {counts:?}"
+    );
+    for schedule in schedules(&counts, true) {
+        for crash in CRASHES {
+            let tag = format!("{name}-{schedule:?}-{crash:?}");
+            run_scheduled(&tag, &pool, ops, &oracle, schedule, crash);
+        }
+    }
 }
 
 #[test]
-fn killing_the_writer_at_every_failpoint_loses_no_acknowledged_epoch() {
-    let _registry = FAIL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    let schema = schema();
-    let pool = entities(&schema);
-    let ops = script();
-    let oracle = shadow_snapshots(&pool, &ops);
-
-    // pass 1 — clean run with the registry live but unarmed, to enumerate
-    // every (point, occurrence) the workload hits
-    fail::reset();
-    let clean = fresh_dir("clean");
-    {
-        let mut service = DurableService::create_empty(
-            &clean,
-            rule(),
-            &schema,
-            &schema,
-            ServiceOptions::default(),
-            BUDGET,
-        )
-        .expect("unarmed creation succeeds");
-        for op in &ops {
-            apply_durable(&mut service, &pool, op).expect("unarmed ops succeed");
-        }
-        assert_eq!(snapshot(service.writer()), oracle[ops.len()]);
-    }
-    let _ = std::fs::remove_dir_all(&clean);
-    let hits = fail::hit_counts();
-    assert!(
-        hits.len() >= 8,
-        "the workload must cross every injection point class, saw {hits:?}"
-    );
-
-    // pass 2 — one armed run per (point, occurrence, action)
-    let mut fired_runs = 0usize;
-    let mut armed_runs = 0usize;
-    for (point, count) in &hits {
-        let torn = point.ends_with(".write");
-        for occurrence in 0..*count {
-            let mut actions = vec![fail::FailAction::Error];
-            if torn {
-                // a prefix shorter than the 8-byte record header and one
-                // cutting into the payload
-                actions.push(fail::FailAction::TornWrite(3));
-                actions.push(fail::FailAction::TornWrite(21));
-            }
-            for (variant, action) in actions.into_iter().enumerate() {
-                fail::reset();
-                fail::configure(point, occurrence, action);
-                let tag = format!("{point}-{occurrence}-{variant}");
-                armed_runs += 1;
-                if run_armed(&tag, &pool, &ops, &oracle) {
-                    fired_runs += 1;
-                }
-                fail::reset();
-            }
-        }
-    }
-    assert!(
-        fired_runs * 2 >= armed_runs,
-        "most armed occurrences must actually fire ({fired_runs}/{armed_runs})"
-    );
+fn killing_the_writer_at_every_storage_op_loses_no_acknowledged_epoch() {
+    kill_at_every_op("script", &script());
 }
 
 /// The registry workload: interleaves entity churn with rule-manifest log
@@ -417,71 +381,62 @@ fn registry_script() -> Vec<Op> {
     ]
 }
 
-/// Satellite: crash-consistency of the rule manifest.  A kill anywhere in
-/// the registration path (validate → log+fsync → apply → publish) must
+/// Crash-consistency of the rule manifest.  A kill anywhere in the
+/// registration path (validate → log+fsync → apply → publish) must
 /// recover to the pre- or post-registration rule set, never a torn one —
-/// `run_armed`'s bit-identical snapshot oracle covers the manifest because
-/// snapshots serialize it alongside the entity store.
+/// `run_scheduled`'s bit-identical snapshot oracle covers the manifest
+/// because snapshots serialize it alongside the entity store.
 #[test]
 fn killing_the_writer_during_registry_churn_never_tears_the_manifest() {
-    let _registry = FAIL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    kill_at_every_op("registry", &registry_script());
+}
+
+/// A kill in the middle of a compaction, then a crash of the recovery
+/// itself at each of its storage operations, under both crash outcomes:
+/// the next recovery must reach the state an uninterrupted one reaches.
+#[test]
+fn crashing_a_recovery_at_every_storage_op_recovers_the_same_state() {
     let schema = schema();
     let pool = entities(&schema);
-    let ops = registry_script();
+    let ops = script();
     let oracle = shadow_snapshots(&pool, &ops);
+    for first in CRASHES {
+        let sim = Arc::new(Sim::new());
+        // rename 0 commits creation's generation 0; rename 3 the third
+        // compaction's, mid-script
+        sim.schedule(Kind::Rename, 3, Fault::Fail);
+        let acked = acknowledged(&sim, &pool, &ops, "compaction");
+        assert!(sim.fired() && 0 < acked && acked < ops.len());
+        sim.crash(first);
 
-    // pass 1 — unarmed enumeration of every (point, occurrence)
-    fail::reset();
-    let clean = fresh_dir("registry-clean");
-    {
-        let mut service = DurableService::create_empty(
-            &clean,
-            rule(),
-            &schema,
-            &schema,
-            ServiceOptions::default(),
-            BUDGET,
-        )
-        .expect("unarmed creation succeeds");
-        for op in &ops {
-            apply_durable(&mut service, &pool, op).expect("unarmed ops succeed");
-        }
-        assert_eq!(snapshot(service.writer()), oracle[ops.len()]);
-    }
-    let _ = std::fs::remove_dir_all(&clean);
-    let hits = fail::hit_counts();
-    assert!(
-        hits.len() >= 8,
-        "the registry workload must cross every injection point class, saw {hits:?}"
-    );
-
-    // pass 2 — one armed run per (point, occurrence, action)
-    let mut fired_runs = 0usize;
-    let mut armed_runs = 0usize;
-    for (point, count) in &hits {
-        let torn = point.ends_with(".write");
-        for occurrence in 0..*count {
-            let mut actions = vec![fail::FailAction::Error];
-            if torn {
-                actions.push(fail::FailAction::TornWrite(3));
-                actions.push(fail::FailAction::TornWrite(21));
-            }
-            for (variant, action) in actions.into_iter().enumerate() {
-                fail::reset();
-                fail::configure(point, occurrence, action);
-                let tag = format!("registry-{point}-{occurrence}-{variant}");
-                armed_runs += 1;
-                if run_armed(&tag, &pool, &ops, &oracle) {
-                    fired_runs += 1;
+        let clean = Arc::new(sim.fork());
+        let expected = snapshot(recover(&clean).expect("uninterrupted recovery").writer());
+        assert!(expected == oracle[acked] || expected == oracle[acked + 1]);
+        let counts = clean.counts();
+        assert!(
+            counts.iter().any(|&(kind, _)| kind == Kind::Rename),
+            "recovery re-checkpoints, saw {counts:?}"
+        );
+        for schedule in schedules(&counts, true) {
+            for second in CRASHES {
+                let tag = format!("{first:?}-{schedule:?}-{second:?}");
+                let sim = Arc::new(sim.fork());
+                sim.schedule(schedule.0, schedule.1, schedule.2);
+                if let Err(err) = recover(&sim) {
+                    assert!(sim.fired(), "[{tag}] recovery failed on its own: {err}");
                 }
-                fail::reset();
+                assert!(sim.fired(), "[{tag}] the clean recovery reached this op");
+                sim.crash(second);
+                let recovered = recover(&sim)
+                    .unwrap_or_else(|err| panic!("[{tag}] recovery after a crashed one: {err}"));
+                assert_eq!(
+                    snapshot(recovered.writer()),
+                    expected,
+                    "[{tag}] a crashed recovery changed the recovered state"
+                );
             }
         }
     }
-    assert!(
-        fired_runs * 2 >= armed_runs,
-        "most armed occurrences must actually fire ({fired_runs}/{armed_runs})"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -561,8 +516,8 @@ fn apply_sharded(
     }
 }
 
-/// Deterministic single-worker options: the armed occurrence index must
-/// land on the same hit in every run, so nothing may race.
+/// Deterministic single-worker options: the scheduled op must be the same
+/// op in every run, so nothing may race.
 fn sharded_options() -> ServiceOptions {
     ServiceOptions {
         threads: 1,
@@ -570,19 +525,22 @@ fn sharded_options() -> ServiceOptions {
     }
 }
 
-/// One armed sharded run.  Returns whether the armed point fired.
-fn run_armed_sharded(
+/// One scheduled sharded run.
+fn run_scheduled_sharded(
     tag: &str,
     pool: &[Entity],
     ops: &[Op],
     sub_ops: &[Vec<(usize, Op)>],
     oracle: &[Vec<Vec<u8>>],
-) -> bool {
-    let dir = fresh_dir(tag);
+    (kind, nth, fault): (Kind, usize, Fault),
+    crash: Crash,
+) {
     let ctx = |what: &str| format!("[{tag}] {what}");
+    let sim = Arc::new(Sim::new());
+    sim.schedule(kind, nth, fault);
 
     let service = match ShardedService::create_empty(
-        &dir,
+        dir(&sim),
         rule(),
         &schema(),
         &schema(),
@@ -592,11 +550,15 @@ fn run_armed_sharded(
     ) {
         Ok(service) => Some(service),
         Err(err) => {
-            let fired = format!("{err}").contains("failpoint fired");
-            assert!(fired, "{}", ctx("create may only fail by injection"));
+            assert!(
+                sim.fired(),
+                "{}: {err}",
+                ctx("create may only fail by the fault")
+            );
+            sim.crash(crash);
             // creation is per-shard, not atomic across shards: whatever
             // shard directories exist must each recover to an empty shard
-            match ShardedService::recover(&dir, rule(), &schema(), BUDGET) {
+            match ShardedService::recover(dir(&sim), rule(), &schema(), BUDGET) {
                 Ok((partial, reports)) => {
                     assert_eq!(reports.len(), partial.shards().len());
                     for shard in partial.shards() {
@@ -606,8 +568,7 @@ fn run_armed_sharded(
                 Err(RecoveryError::NoCheckpoint(_)) => {}
                 Err(err) => panic!("{}: {err}", ctx("post-create-kill recovery failed")),
             }
-            let _ = std::fs::remove_dir_all(&dir);
-            return true;
+            return;
         }
     };
     let mut service = service.unwrap();
@@ -619,23 +580,25 @@ fn run_armed_sharded(
             Ok(()) => acked += 1,
             Err(err) => {
                 assert!(
-                    format!("{err}").contains("failpoint fired"),
+                    sim.fired(),
                     "{}: {err}",
-                    ctx("ops may only fail by injection")
+                    ctx("ops may only fail by the fault")
                 );
                 killed = true;
                 break;
             }
         }
     }
-    drop(service); // the crash
+    drop(service);
+    assert!(sim.fired(), "{}", ctx("the clean run reached this op"));
+    sim.crash(crash);
 
     // isolation oracle, part 1: every shard's chain recovers on its own,
     // whichever shard the kill landed in
     let mut solo: Vec<Vec<u8>> = Vec::with_capacity(SHARDS);
     for shard in 0..SHARDS {
-        let shard_path = dir.join(format!("shard-{shard:03}"));
-        let (recovered, _) = DurableService::recover(&shard_path, rule(), &schema(), BUDGET)
+        let shard_dir = Dir::new(format!("/db/shard-{shard:03}"), sim.clone());
+        let (recovered, _) = DurableService::recover(shard_dir, rule(), &schema(), BUDGET)
             .unwrap_or_else(|err| {
                 panic!(
                     "{}: {err}",
@@ -647,7 +610,7 @@ fn run_armed_sharded(
 
     // part 2: the sharded recovery agrees with the solo recoveries and
     // hands back one report per shard
-    let (mut recovered, reports) = ShardedService::recover(&dir, rule(), &schema(), BUDGET)
+    let (mut recovered, reports) = ShardedService::recover(dir(&sim), rule(), &schema(), BUDGET)
         .unwrap_or_else(|err| panic!("{}: {err}", ctx("sharded recovery failed")));
     assert_eq!(reports.len(), SHARDS, "{}", ctx("one report per shard"));
     for (shard, expected) in solo.iter().enumerate() {
@@ -709,8 +672,9 @@ fn run_armed_sharded(
         );
     }
     drop(recovered);
+    sim.crash(crash);
     let (reopened, reports) =
-        ShardedService::recover(&dir, rule(), &schema(), BUDGET).expect("second recovery");
+        ShardedService::recover(dir(&sim), rule(), &schema(), BUDGET).expect("second recovery");
     assert_eq!(reports.len(), SHARDS);
     for shard in 0..SHARDS {
         assert_eq!(
@@ -720,13 +684,10 @@ fn run_armed_sharded(
             ctx(&format!("second recovery of shard {shard} diverged"))
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    killed
 }
 
 #[test]
-fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
-    let _registry = FAIL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+fn killing_one_shard_at_every_storage_op_leaves_every_shard_recoverable() {
     let schema = schema();
     let pool = entities(&schema);
     let ops = script();
@@ -740,14 +701,13 @@ fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
     }
     let oracle = sharded_shadow_snapshots(&pool, &sub_ops);
 
-    // pass 1 — unarmed, to enumerate every (point, occurrence).  With one
-    // worker thread the application order is deterministic, so occurrence
-    // indices are reproducible across runs.
-    fail::reset();
-    let clean = fresh_dir("sharded-clean");
+    // a clean run, to count every storage op.  With one worker thread the
+    // application order is deterministic, so the n-th op of a kind is the
+    // same op in every run.
+    let sim = Arc::new(Sim::new());
     {
         let mut service = ShardedService::create_empty(
-            &clean,
+            dir(&sim),
             rule(),
             &schema,
             &schema,
@@ -755,9 +715,9 @@ fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
             sharded_options(),
             BUDGET,
         )
-        .expect("unarmed creation succeeds");
+        .expect("clean creation succeeds");
         for op in &ops {
-            apply_sharded(&mut service, &pool, op).expect("unarmed ops succeed");
+            apply_sharded(&mut service, &pool, op).expect("clean ops succeed");
         }
         for shard in 0..SHARDS {
             assert_eq!(
@@ -766,35 +726,22 @@ fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
             );
         }
     }
-    let _ = std::fs::remove_dir_all(&clean);
-    let hits = fail::hit_counts();
+    let counts = sim.counts();
     assert!(
-        hits.len() >= 8,
-        "the sharded workload must cross every injection point class, saw {hits:?}"
+        counts.len() >= 8,
+        "the sharded workload must run every kind of write, saw {counts:?}"
     );
 
-    // pass 2 — one armed Error run per (point, occurrence).  Torn-write
-    // actions are covered by the unsharded harness above: a shard's chain
-    // is byte-for-byte a `DurableService` chain, so the torn-tail recovery
-    // path is identical; what is new here is the cross-shard blast radius.
-    let mut fired_runs = 0usize;
-    let mut armed_runs = 0usize;
-    for (point, count) in &hits {
-        for occurrence in 0..*count {
-            fail::reset();
-            fail::configure(point, occurrence, fail::FailAction::Error);
-            let tag = format!("sharded-{point}-{occurrence}");
-            armed_runs += 1;
-            if run_armed_sharded(&tag, &pool, &ops, &sub_ops, &oracle) {
-                fired_runs += 1;
-            }
-            fail::reset();
+    // one failing run per op and crash outcome.  Torn appends are covered
+    // by the unsharded harness above: a shard's chain is byte-for-byte a
+    // `DurableService` chain, so the torn-tail recovery path is identical;
+    // what is new here is the cross-shard blast radius.
+    for schedule in schedules(&counts, false) {
+        for crash in CRASHES {
+            let tag = format!("sharded-{schedule:?}-{crash:?}");
+            run_scheduled_sharded(&tag, &pool, &ops, &sub_ops, &oracle, schedule, crash);
         }
     }
-    assert!(
-        fired_runs * 2 >= armed_runs,
-        "most armed occurrences must actually fire ({fired_runs}/{armed_runs})"
-    );
 }
 
 /// A crash between per-shard registry broadcasts leaves shards with
@@ -803,15 +750,13 @@ fn killing_one_shard_at_every_failpoint_leaves_every_shard_recoverable() {
 /// recovered store serves one coherent rule set.
 #[test]
 fn sharded_recovery_converges_diverged_shard_registries() {
-    let _registry = FAIL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
-    fail::reset();
     let schema = schema();
     let pool = entities(&schema);
-    let dir = fresh_dir("registry-converge");
+    let sim = Arc::new(Sim::new());
 
     {
         let mut service = ShardedService::create_empty(
-            &dir,
+            dir(&sim),
             rule(),
             &schema,
             &schema,
@@ -829,9 +774,10 @@ fn sharded_recovery_converges_diverged_shard_registries() {
             .expect("shard-0 registration succeeds");
         assert!(!service.shards()[1].writer().has_rule("tight"));
     }
+    sim.crash(Crash::LoseUnsynced);
 
     let (recovered, reports) =
-        ShardedService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
+        ShardedService::recover_with_rules(dir(&sim), &catalog(), &schema, BUDGET)
             .expect("recovery converges the registries");
     assert_eq!(reports.len(), SHARDS);
     for shard in recovered.shards() {
@@ -851,10 +797,10 @@ fn sharded_recovery_converges_diverged_shard_registries() {
     // convergence itself must be durable: reopening without further writes
     // reproduces the converged manifests
     drop(recovered);
-    let (reopened, _) = ShardedService::recover_with_rules(&dir, &catalog(), &schema, BUDGET)
+    sim.crash(Crash::LoseUnsynced);
+    let (reopened, _) = ShardedService::recover_with_rules(dir(&sim), &catalog(), &schema, BUDGET)
         .expect("second recovery");
     for shard in reopened.shards() {
         assert!(shard.writer().has_rule("tight"));
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }

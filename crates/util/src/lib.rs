@@ -6,7 +6,6 @@
 
 pub mod channel;
 pub mod epoch;
-pub mod fail;
 
 pub use epoch::{EpochCell, EpochReader};
 

@@ -5,8 +5,9 @@
 //! salvageable prefix, a corrupt checkpoint falls back one generation, and
 //! a clean recovery is bit-identical to a sequential rebuild.
 //!
-//! (The kill-at-every-failpoint harness lives in the matching crate's
-//! `fault_injection` test, behind the `failpoints` feature.)
+//! (The crash harness, which kills the writer at every storage operation
+//! of an in-memory file system and drops what was not fsynced, is the
+//! matching crate's `fault_injection` test.)
 
 use std::path::{Path, PathBuf};
 

@@ -17,16 +17,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// `file stem::name` of each public function kept without a caller, and why.
-const ALLOWED: &[(&str, &str)] = &[
-    (
-        "simplify::simplify_rule",
-        "the rule simplifier that distilling learned rules builds on",
-    ),
-    (
-        "tabular::parse_str",
-        "the intake for real datasets in the tabular format",
-    ),
-];
+const ALLOWED: &[(&str, &str)] = &[(
+    "simplify::simplify_rule",
+    "the rule simplifier that distilling learned rules builds on",
+)];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = fs::read_dir(dir) else {
