@@ -8,8 +8,8 @@
 //! [`MatchingOptions::source_chunk_size`], the target by
 //! [`MatchingOptions::chunk_size`], 0 meaning one chunk — and visits every
 //! (source chunk × target chunk) pair in a block-nested loop.  Each target
-//! chunk gets its own staged [`MultiBlockIndex`] (built across `threads`
-//! workers) and its candidates are scored on scoped threads; only one chunk
+//! chunk gets its own staged [`MultiBlockIndex`] (built on the calling
+//! thread) and its candidates are scored on scoped threads; only one chunk
 //! per side is bound (transformed) at a time.  Chunking is exact **for the
 //! links**: candidate generation is lossless on every partition of the target
 //! and the rule is the final, exact filter, so links and score bits are
@@ -70,8 +70,8 @@ pub struct MatchingOptions {
     pub use_blocking: bool,
     /// Keep only the best-scoring link per source entity.
     pub best_match_only: bool,
-    /// Number of worker threads (0 = all cores); applies to both the sharded
-    /// index build and candidate scoring.
+    /// Number of worker threads for candidate scoring (0 = all cores); the
+    /// staged index build runs on the calling thread.
     pub threads: usize,
     /// Similarity a pair must reach to be reported as a link (Definition 3
     /// of the paper: 0.5).  Respected by both the indexed and the exhaustive
@@ -292,7 +292,6 @@ impl MatchingEngine {
                         plan.clone(),
                         &bound_chunk,
                         chunk.len(),
-                        self.options.threads,
                         STAGE_FLOOR,
                     )
                 });

@@ -28,10 +28,9 @@
 //!
 //! * [`MultiBlockIndex::build_slice`] builds the per-leaf indexes in **bulk**
 //!   (gather every `(key, position)` pair of a leaf, sort once, fill
-//!   exact-capacity posting lists) and **sharded** across worker threads
-//!   (contiguous entity ranges whose per-key posting lists merge by
-//!   concatenation in range order, so the sharded result is bit-identical to
-//!   the sequential one),
+//!   exact-capacity posting lists) through the same `LeafPool::acquire_plan`
+//!   a serving registration uses: workers split the plan's distinct leaves
+//!   and each builds whole leaves, so nothing is ever merged,
 //! * [`MultiBlockIndex::insert`] and [`MultiBlockIndex::remove`] maintain it
 //!   **incrementally** per entity: posting lists stay sorted, emptied blocks
 //!   are dropped, and [`LeafBuildStats`] stay exact — an index reached
@@ -44,14 +43,16 @@
 //! engine, which binds each side once and then indexes, probes and scores
 //! from the same columns.  One body each, two providers.
 //!
-//! The public builders and the serving [`LeafPool`] build **every** leaf of a
-//! plan (their indexes are mutable or shared; another plan may need the
-//! leaf); the one-shot engine builds a chunk's index in **stages**
-//! ([`MultiBlockIndex::build_staged`]): under a conjunction, cheapest leaf
-//! first, and no further once those leave a handful of candidates per probe.
+//! Every complete build — [`MultiBlockIndex::build_slice`], a service's
+//! construction and its rule registrations — goes through the serving
+//! [`LeafPool`] and builds **every** leaf of a plan (the indexes are mutable
+//! or shared; another plan may need the leaf); the one-shot engine builds a
+//! chunk's index in **stages** ([`MultiBlockIndex::build_staged`]): under a
+//! conjunction, cheapest leaf first, and no further once those leave a
+//! handful of candidates per probe.
 
 use std::collections::{HashMap, HashSet};
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use linkdisc_entity::Entity;
@@ -60,7 +61,6 @@ use linkdisc_rule::{
     ValueColumn,
 };
 use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction, ProbeGroup, ProbeKeys};
-use linkdisc_util::resolve_threads;
 
 use crate::scratch::EpochMarks;
 
@@ -69,7 +69,7 @@ use crate::scratch::EpochMarks;
 pub struct LeafBuildStats {
     /// Human-readable comparison description (from the plan).
     pub label: String,
-    /// Whether the leaf was built.  Always `true` for the public builders;
+    /// Whether the leaf was built.  Always `true` for a complete build;
     /// the engine's staged build leaves a conjunction's costlier siblings out
     /// (all counts below are 0 then).
     pub built: bool,
@@ -101,9 +101,8 @@ impl LeafIndex {
     /// Builds one comparison's leaf over `(position, target-chain values)`
     /// pairs in one pass — the bulk path behind every batch build: the
     /// engine's staged chunks (values from a bound side's column) and, with
-    /// values read [`through_cache`], [`MultiBlockIndex::build_refs`] and a
-    /// serving registration's [`LeafPool`] over a store with tombstone
-    /// holes.
+    /// values read through a [`ValueCache`], [`LeafPool::acquire_plan`] (every
+    /// complete build, a store with tombstone holes included).
     ///
     /// All `(key, position)` pairs are gathered and sorted once, then each
     /// run of equal keys becomes one exact-capacity posting list: structurally
@@ -205,8 +204,8 @@ impl LeafIndex {
         self.postings_sq / self.postings as f64
     }
 
-    /// Recomputes the incremental statistics from the map (after a sharded
-    /// merge or a snapshot restore).
+    /// Recomputes the incremental statistics from the map (after a snapshot
+    /// restore, which carries posting lists only).
     pub(crate) fn refresh_estimates(&mut self) {
         self.postings = self.by_key.values().map(Vec::len).sum();
         self.postings_sq = self
@@ -292,77 +291,41 @@ impl MultiBlockIndex {
         MultiBlockIndex::from_parts(plan, leaves, 0)
     }
 
-    /// Builds the index over an entity slice (positions are slice indices),
-    /// sharded across `threads` workers (0 = all cores) — a thin wrapper
-    /// collecting references into [`MultiBlockIndex::build_refs`].
+    /// Builds the index over an entity slice (positions are slice indices)
+    /// through a fresh `LeafPool`: each distinct leaf is bulk-built once —
+    /// whole leaves split across `threads` workers (0 = all cores) — and
+    /// shared by every slot that maps to it.  The result is **identical** at
+    /// any thread count — same blocks, same posting lists, same
+    /// [`LeafBuildStats`] — and to inserting the entities one by one at their
+    /// positions.
     pub fn build_slice<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         entities: &'e [Entity],
         cache: &ValueCache<'e>,
         threads: usize,
     ) -> MultiBlockIndex {
-        let refs: Vec<&'e Entity> = entities.iter().collect();
-        MultiBlockIndex::build_refs(plan, &refs, cache, threads)
-    }
-
-    /// Builds the index over borrowed entity *references* (positions are
-    /// indices into `targets`), every leaf sharded across `threads` workers
-    /// ([`sharded_leaf`]) — the common core behind
-    /// [`MultiBlockIndex::build_slice`] and owners that keep entities behind
-    /// `Arc` slots (the serving `EntityStore`).  The result is **identical**
-    /// to a sequential build — same blocks, same posting lists, same
-    /// [`LeafBuildStats`] — and to inserting the entities one by one at their
-    /// positions.
-    pub fn build_refs<'e>(
-        plan: impl Into<Arc<IndexingPlan>>,
-        targets: &[&'e Entity],
-        cache: &ValueCache<'e>,
-        threads: usize,
-    ) -> MultiBlockIndex {
         let plan = plan.into();
-        // Comparisons sharing a leaf reuse key index the targets
-        // identically, so each distinct key is built once and the result is
-        // Arc-shared by every slot that maps to it.  Duplicate slots stay
-        // safe under later insert/remove: `Arc::make_mut` un-shares the leaf
-        // on first mutation and each *distinct* leaf is mutated exactly once.
-        let mut built: HashMap<LeafKey, Arc<LeafIndex>> = HashMap::new();
-        let leaves = plan
-            .comparisons()
-            .iter()
-            .map(|comparison| {
-                let build = || {
-                    Arc::new(sharded_leaf(targets.len(), threads, |range| {
-                        let entries = (range.start as u32..).zip(targets[range].iter().copied());
-                        LeafIndex::bulk(comparison, through_cache(comparison, entries, cache))
-                    }))
-                };
-                built
-                    .entry(comparison.leaf_reuse_key())
-                    .or_insert_with(build)
-                    .clone()
-            })
-            .collect();
-        MultiBlockIndex::from_parts(plan, leaves, targets.len())
+        let entries: Vec<(u32, &'e Entity)> = (0..).zip(entities).collect();
+        let (leaves, _, _) = LeafPool::new().acquire_plan(&plan, &entries, cache, threads);
+        MultiBlockIndex::from_parts(plan, leaves, entities.len())
     }
 
     /// The one-shot engine's builder: the index of one bound target chunk
     /// (positions are `targets`' list positions, `len` of them), built **in
     /// stages**.  Under an `Intersect`, children are built in ascending order
     /// of index-side keys per entity (mean over the chunk's first ≤ 64
-    /// entities — what a stage costs to build and to consult), each stage the
-    /// sharded [`LeafIndex::bulk`]; once the built prefix leaves at most
+    /// entities — what a stage costs to build and to consult), each stage one
+    /// [`LeafIndex::bulk`] over the chunk; once the built prefix leaves at most
     /// `floor` ([`STAGE_FLOOR`]; negative builds every leaf) expected
     /// candidates per probe, the remaining siblings are not built and are
     /// absent from the executed plan.  `Union` children are always all built.
     /// Lossless for the same reason a query-time stop is: dropping a conjunct
     /// only admits extra candidates.  The decision is a pure function of
-    /// (plan, chunk posting statistics) — identical at any thread count, but
-    /// free to differ between chunks.
+    /// (plan, chunk posting statistics), free to differ between chunks.
     pub(crate) fn build_staged(
         plan: Arc<IndexingPlan>,
         targets: &BoundSide,
         len: usize,
-        threads: usize,
         floor: f64,
     ) -> MultiBlockIndex {
         let mut index = MultiBlockIndex::empty(plan.clone());
@@ -371,7 +334,6 @@ impl MultiBlockIndex {
             plan: &plan,
             columns: chain_columns(&plan, targets, |comparison| &comparison.target),
             len,
-            threads,
             floor,
             built: HashMap::new(),
         };
@@ -800,7 +762,6 @@ struct Staging<'a> {
     plan: &'a IndexingPlan,
     columns: ChainColumns<'a>,
     len: usize,
-    threads: usize,
     floor: f64,
     /// Leaves built so far, by reuse key: comparisons sharing a key index the
     /// chunk identically, whichever stage asks first.
@@ -808,18 +769,16 @@ struct Staging<'a> {
 }
 
 impl Staging<'_> {
-    /// The leaf of plan comparison `slot`, bulk-built (sharded) on first use.
+    /// The leaf of plan comparison `slot`, bulk-built on first use.
     fn leaf(&mut self, slot: usize) -> Arc<LeafIndex> {
         let plan = self.plan;
         let comparison = &plan.comparisons()[slot];
-        let (column, len, threads) = (self.columns[slot], self.len, self.threads);
+        let (column, len) = (self.columns[slot], self.len);
         self.built
             .entry(comparison.leaf_reuse_key())
             .or_insert_with(|| {
-                Arc::new(sharded_leaf(len, threads, |range| {
-                    let cells = range.clone().map(|position| column.cell(position));
-                    LeafIndex::bulk(comparison, (range.start as u32..).zip(cells))
-                }))
+                let cells = (0..len).map(|position| column.cell(position));
+                Arc::new(LeafIndex::bulk(comparison, (0u32..).zip(cells)))
             })
             .clone()
     }
@@ -846,56 +805,6 @@ impl Staging<'_> {
             }
         }
     }
-}
-
-/// Pairs each entity with its target-chain values read through `cache` — the
-/// per-entity provider of [`LeafIndex::bulk`].
-fn through_cache<'a, 'e: 'a>(
-    comparison: &'a IndexedComparison,
-    entries: impl Iterator<Item = (u32, &'e Entity)> + 'a,
-    cache: &'a ValueCache<'e>,
-) -> impl Iterator<Item = (u32, ChainValues<'e>)> + 'a {
-    entries.map(move |(position, entity)| (position, comparison.target.values(entity, cache)))
-}
-
-/// Builds one leaf over positions `0..len`, sharded across `threads` workers
-/// (0 = all cores): `over` bulk-builds one contiguous position range into a
-/// private leaf, and the per-key posting lists of consecutive ranges
-/// concatenate into ascending order — so the merged leaf is **identical** to
-/// `over(0..len)`, maps and statistics, at any thread count.
-fn sharded_leaf(
-    len: usize,
-    threads: usize,
-    over: impl Fn(Range<usize>) -> LeafIndex + Sync,
-) -> LeafIndex {
-    let threads = resolve_threads(threads).min(len).max(1);
-    if threads <= 1 {
-        return over(0..len);
-    }
-    let shard_size = len.div_ceil(threads);
-    let shards: Vec<LeafIndex> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..len)
-            .step_by(shard_size)
-            .map(|start| {
-                let over = &over;
-                scope.spawn(move || over(start..(start + shard_size).min(len)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("index build thread panicked"))
-            .collect()
-    });
-    let mut shards = shards.into_iter();
-    let mut merged = shards.next().expect("at least one shard");
-    for partial in shards {
-        merged.indexed_entities += partial.indexed_entities;
-        for (key, list) in partial.by_key {
-            merged.by_key.entry(key).or_default().extend(list);
-        }
-    }
-    merged.refresh_estimates();
-    merged
 }
 
 /// The leaf sharing key: [`IndexedComparison::leaf_reuse_key`].
@@ -952,10 +861,12 @@ impl LeafPool {
     }
 
     /// Acquires one plan's leaves, building the *missing* ones over the live
-    /// `(position, entity)` entries (sharded across `threads` workers) and
-    /// bumping refcounts.  Returns the per-slot leaves plus this
-    /// acquisition's `(hits, misses)` — a duplicate key within the plan
-    /// counts as a hit from its second slot on.
+    /// `(position, entity)` entries — whole leaves split across `threads`
+    /// workers (0 = all cores) by [`linkdisc_util::parallel_ordered_map`] —
+    /// and bumping refcounts.  Every complete build goes through here.
+    /// Returns the per-slot leaves plus this acquisition's `(hits, misses)` —
+    /// a duplicate key within the plan counts as a hit from its second slot
+    /// on.
     pub(crate) fn acquire_plan<'e>(
         &mut self,
         plan: &IndexingPlan,
@@ -978,10 +889,10 @@ impl LeafPool {
         }
         if !pending.is_empty() {
             let built = linkdisc_util::parallel_ordered_map(&pending, threads, |comparison| {
-                Arc::new(LeafIndex::bulk(
-                    comparison,
-                    through_cache(comparison, entries.iter().copied(), cache),
-                ))
+                let values = entries
+                    .iter()
+                    .map(|&(position, entity)| (position, comparison.target.values(entity, cache)));
+                Arc::new(LeafIndex::bulk(comparison, values))
             });
             for (&comparison, leaf) in pending.iter().zip(built) {
                 self.adopt(comparison, leaf);
@@ -1007,36 +918,6 @@ impl LeafPool {
                 refs: 0,
                 comparison: comparison.clone(),
             });
-    }
-
-    /// Seeds a **fresh** pool from a just-built index (the construction
-    /// path: the build itself stays sharded across entity ranges, which
-    /// `acquire_plan`'s per-leaf parallelism cannot match for few-leaf
-    /// plans).  Adopts each slot's leaf under its reuse key with a
-    /// refcount of one per referencing slot and returns the adoption's
-    /// `(hits, misses)` — a within-plan duplicate key counts as a hit from
-    /// its second slot on, exactly like `acquire_plan` accounts it.
-    pub(crate) fn adopt_index(&mut self, index: &MultiBlockIndex) -> (u64, u64) {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for (comparison, leaf) in index.plan.comparisons().iter().zip(&index.leaves) {
-            match self.entries.entry(comparison.leaf_reuse_key()) {
-                std::collections::hash_map::Entry::Occupied(mut entry) => {
-                    hits += 1;
-                    entry.get_mut().refs += 1;
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    misses += 1;
-                    slot.insert(PooledLeaf {
-                        leaf: leaf.clone(),
-                        refs: 1,
-                        comparison: comparison.clone(),
-                    });
-                }
-            }
-        }
-        self.hits += hits;
-        self.misses += misses;
-        (hits, misses)
     }
 
     /// Resolves one plan's leaves from already-pooled entries, bumping
@@ -1414,10 +1295,11 @@ mod tests {
 
     /// The bulk constructor at every batch call site — public slices, the
     /// engine's bound columns, and a serving [`LeafPool`] over a store with
-    /// tombstone holes — sharded at
-    /// 1/2/4 threads, against inserting the same entities one by one: maps,
-    /// [`LeafBuildStats`] and `postings_sq`, whichever provider the values
-    /// came from.
+    /// tombstone holes — against inserting the same entities one by one:
+    /// maps, [`LeafBuildStats`] and `postings_sq`, whichever provider the
+    /// values came from.  Thread counts are varied where a plan is wide
+    /// enough to spawn workers
+    /// (`leaf_parallel_builds_are_identical_to_one_by_one_inserts`).
     #[test]
     fn bulk_builds_are_structurally_identical_to_one_by_one_inserts() {
         let (source, target) = (source(), varied_target());
@@ -1431,20 +1313,14 @@ mod tests {
         }
         assert!(one_by_one.build_stats()[1].indexed_entities < target.len());
 
-        for threads in [1, 2, 4] {
-            let sliced =
-                MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
-            assert_same_index(&sliced, &one_by_one);
-        }
+        let sliced = MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, 1);
+        assert_same_index(&sliced, &one_by_one);
         // the column provider: every leaf (negative floor) from a bound side
         let compiled =
             linkdisc_rule::CompiledRule::compile(&rule, source.schema(), target.schema());
         let bound = compiled.bind_target(target.entities().iter());
-        for threads in [1, 2, 4] {
-            let columnar =
-                MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), threads, -1.0);
-            assert_same_index(&columnar, &one_by_one);
-        }
+        let columnar = MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), -1.0);
+        assert_same_index(&columnar, &one_by_one);
 
         // serving: every third slot (but not the last) is a tombstone hole
         let mut store = linkdisc_entity::EntityStore::new(target.schema().clone());
@@ -1464,26 +1340,90 @@ mod tests {
         for &(position, entity) in entries.iter().rev() {
             holes.insert(position, entity, &store_cache);
         }
-        for threads in [1, 2, 4] {
-            let (leaves, _, misses) =
-                LeafPool::new().acquire_plan(&p, &entries, &store_cache, threads);
-            assert_eq!(misses, 2);
-            let pooled = MultiBlockIndex::from_parts(p.clone(), leaves, store.slot_len());
-            assert_same_index(&pooled, &holes);
-        }
+        let (leaves, _, misses) = LeafPool::new().acquire_plan(&p, &entries, &store_cache, 1);
+        assert_eq!(misses, 2);
+        let pooled = MultiBlockIndex::from_parts(p.clone(), leaves, store.slot_len());
+        assert_same_index(&pooled, &holes);
     }
 
+    /// A disjunction of four comparisons with four distinct leaf reuse keys,
+    /// so a complete build at 2 threads really hands whole leaves to two
+    /// workers ([`linkdisc_util::parallel_ordered_map`] maps inline below two
+    /// items per worker): [`MultiBlockIndex::build_slice`] and
+    /// [`LeafPool::acquire_plan`] over a store with tombstone holes, at 1, 2,
+    /// 3 and 8 threads, against one-by-one inserts.
     #[test]
-    fn sharded_build_is_identical_to_sequential() {
-        let rule = name_year_rule();
-        let (source, target) = (source(), target());
-        let p = plan(&rule, &source, &target);
+    fn leaf_parallel_builds_are_identical_to_one_by_one_inserts() {
+        let (source, target) = (source(), varied_target());
+        let name = |function, measure, threshold| {
+            compare(
+                transform(function, vec![property("name")]),
+                transform(function, vec![property("name")]),
+                measure,
+                threshold,
+            )
+        };
+        let rule: LinkageRule = aggregation(
+            AggregationFunction::Max,
+            vec![
+                name(
+                    TransformFunction::LowerCase,
+                    DistanceFunction::Levenshtein,
+                    2.0,
+                ),
+                name(TransformFunction::Tokenize, DistanceFunction::Jaccard, 0.5),
+                name(
+                    TransformFunction::LowerCase,
+                    DistanceFunction::Equality,
+                    0.5,
+                ),
+                compare(
+                    property("year"),
+                    property("year"),
+                    DistanceFunction::Numeric,
+                    2.0,
+                ),
+            ],
+        )
+        .into();
+        let p = Arc::new(plan(&rule, &source, &target));
+        let distinct: HashSet<LeafKey> = p
+            .comparisons()
+            .iter()
+            .map(IndexedComparison::leaf_reuse_key)
+            .collect();
+        assert!(distinct.len() >= 4, "{} distinct leaves", distinct.len());
+
         let cache = ValueCache::new();
-        let sequential = MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, 1);
-        for threads in [2, 3, 8] {
-            let sharded =
+        let mut one_by_one = MultiBlockIndex::empty(p.clone());
+        for (position, entity) in target.entities().iter().enumerate().rev() {
+            one_by_one.insert(position as u32, entity, &cache);
+        }
+        let mut store = linkdisc_entity::EntityStore::new(target.schema().clone());
+        for entity in target.entities() {
+            store.insert(entity).unwrap();
+        }
+        for entity in target.entities().iter().step_by(4) {
+            store.remove(entity.id()).unwrap();
+        }
+        let entries: Vec<(u32, &Entity)> = store
+            .iter()
+            .map(|(position, entity)| (position, entity.as_ref()))
+            .collect();
+        let store_cache = ValueCache::new();
+        let mut holes = MultiBlockIndex::empty(p.clone());
+        for &(position, entity) in entries.iter().rev() {
+            holes.insert(position, entity, &store_cache);
+        }
+        for threads in [1, 2, 3, 8] {
+            let sliced =
                 MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, threads);
-            assert_same_index(&sequential, &sharded);
+            assert_same_index(&sliced, &one_by_one);
+            let (leaves, _, misses) =
+                LeafPool::new().acquire_plan(&p, &entries, &store_cache, threads);
+            assert_eq!(misses, distinct.len() as u64);
+            let pooled = MultiBlockIndex::from_parts(p.clone(), leaves, store.slot_len());
+            assert_same_index(&pooled, &holes);
         }
     }
 
@@ -1732,8 +1672,7 @@ mod tests {
     /// Candidates of a query-time-stopped index (every leaf built) and of the
     /// engine's staged index (bound columns, leaves left out) are supersets
     /// of the full, unstopped set algebra — per source entity, over rule
-    /// shapes × Restaurant and Cora — and the staged build decides the same
-    /// at every thread count.
+    /// shapes × Restaurant and Cora.
     #[test]
     fn stopped_and_staged_candidates_cover_the_full_intersection() {
         use linkdisc_datasets::DatasetKind;
@@ -1788,20 +1727,8 @@ mod tests {
                         p.clone(),
                         &bound_target,
                         target.len(),
-                        1,
                         STAGE_FLOOR,
                     );
-                    for threads in [2, 4] {
-                        let again = MultiBlockIndex::build_staged(
-                            p.clone(),
-                            &bound_target,
-                            target.len(),
-                            threads,
-                            STAGE_FLOOR,
-                        );
-                        assert_eq!(again.root, staged.root);
-                        assert_same_index(&again, &staged);
-                    }
                     skipped_leaves += staged.build_stats().iter().filter(|s| !s.built).count();
                     let columns = chain_columns(&p, &bound_source, |c| &c.source);
                     let mut scratch = CandidateScratch::new();
@@ -1891,8 +1818,7 @@ mod tests {
             let bound_target = compiled.bind_target(target.entities().iter());
             let bound_source = compiled.bind_source(source.entities().iter());
             let build_start = Instant::now();
-            let index =
-                MultiBlockIndex::build_staged(p.clone(), &bound_target, target.len(), 1, -1.0);
+            let index = MultiBlockIndex::build_staged(p.clone(), &bound_target, target.len(), -1.0);
             println!(
                 "{}: {} x {} entities, all {} leaves built in {:.1} ms",
                 kind.name(),

@@ -117,7 +117,8 @@ pub const DEFAULT_RULE: &str = "default";
 pub struct ServiceOptions {
     /// Similarity a target must reach to be reported (Definition 3: 0.5).
     pub link_threshold: f64,
-    /// Worker threads for the initial sharded index build (0 = all cores).
+    /// Worker threads for complete leaf builds — at construction and at rule
+    /// registration, whole leaves split across workers (0 = all cores).
     pub threads: usize,
 }
 
@@ -336,8 +337,8 @@ impl ServiceWriter {
     }
 
     /// Builds a writer over a materialised target source: entities are
-    /// copied into the owned store (values interned) and the index is built
-    /// sharded across [`ServiceOptions::threads`] workers.
+    /// copied into the owned store (values interned) and the rule's distinct
+    /// leaves are built across [`ServiceOptions::threads`] workers.
     ///
     /// A [`DataSource`] enforces id uniqueness on insertion, so building
     /// from one cannot fail — the `Result` exists for callers feeding raw
@@ -379,10 +380,9 @@ impl ServiceWriter {
         ))
     }
 
-    /// The common construction core: builds the default rule's index over
-    /// the store — sharded across entity ranges, exactly like the
-    /// single-rule service did — and seeds the leaf pool with its distinct
-    /// leaves.
+    /// The common construction core: seeds a fresh leaf pool with the
+    /// default rule's distinct leaves over the store, through the same
+    /// [`LeafPool::acquire_plan`] a later registration uses.
     fn assemble(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
@@ -397,16 +397,12 @@ impl ServiceWriter {
         );
         let compiled = Arc::new(CompiledRule::compile(&rule, source_schema, target_schema));
         let mut pool = LeafPool::new();
-        let (leaf_hits, leaf_misses) = {
-            let targets: Vec<&Entity> = store.iter().map(|(_, entity)| entity.as_ref()).collect();
-            let index = MultiBlockIndex::build_refs(
-                plan.clone(),
-                &targets,
-                cache.scoped(),
-                options.threads,
-            );
-            pool.adopt_index(&index)
-        };
+        let (_, leaf_hits, leaf_misses) = pool.acquire_plan(
+            &plan,
+            &live_entries(&store),
+            cache.scoped(),
+            options.threads,
+        );
         let default = RegisteredRule {
             name: Arc::from(DEFAULT_RULE),
             rule: Arc::new(rule),
@@ -799,11 +795,7 @@ impl ServiceWriter {
     /// ones over the live store entries; returns the acquisition's
     /// `(hits, misses)`.
     fn acquire_missing(&mut self, plan: &IndexingPlan) -> (u64, u64) {
-        let entries: Vec<(u32, &Entity)> = self
-            .store
-            .iter()
-            .map(|(position, entity)| (position, entity.as_ref()))
-            .collect();
+        let entries = live_entries(&self.store);
         let (_leaves, hits, misses) =
             self.pool
                 .acquire_plan(plan, &entries, self.shared.cache.scoped(), self.threads);
@@ -1146,9 +1138,10 @@ impl LinkService {
 
     /// Builds a service over a materialised target source, copying the
     /// entities into an owned store (the source may be dropped afterwards)
-    /// and sharding the index build across [`ServiceOptions::threads`]
-    /// workers.  Fails on a duplicate target identifier (reachable when the
-    /// entities bypassed [`DataSource`]'s own uniqueness check).
+    /// and building the rule's distinct leaves across
+    /// [`ServiceOptions::threads`] workers.  Fails on a duplicate target
+    /// identifier (reachable when the entities bypassed [`DataSource`]'s own
+    /// uniqueness check).
     pub fn build(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
@@ -1225,6 +1218,15 @@ impl ServiceWriter {
     pub fn link_threshold(&self) -> f64 {
         self.shared.link_threshold
     }
+}
+
+/// The store's live `(position, entity)` entries, tombstone holes skipped:
+/// what a complete leaf build indexes.
+fn live_entries(store: &EntityStore) -> Vec<(u32, &Entity)> {
+    store
+        .iter()
+        .map(|(position, entity)| (position, entity.as_ref()))
+        .collect()
 }
 
 /// The set of chain hashes whose `(entity, hash)` cache entries a removed

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
 use linkdisc_rule::LinkageRule;
-use linkdisc_util::{parallel_ordered_map, parallel_ordered_map_mut};
+use linkdisc_util::parallel_ordered_map_mut;
 
 use crate::codec::Fnv;
 use crate::durable::{DurableError, DurableService};
@@ -362,9 +362,9 @@ impl<W: Shard> ShardedService<W> {
     }
 
     /// Batch ingestion across shards, all-or-nothing up front: the batch is
-    /// routed (in parallel) and validated — a duplicate id, within the batch
-    /// or against any shard, or a poisoned routed shard fails the whole call
-    /// before anything is applied (unlike [`ServiceWriter::ingest`], which
+    /// routed and validated — a duplicate id, within the batch or against
+    /// any shard, or a poisoned routed shard fails the whole call before
+    /// anything is applied (unlike [`ServiceWriter::ingest`], which
     /// keeps the prefix: with concurrent per-shard application "the prefix"
     /// is not defined).  Then one worker per touched shard adds its
     /// sub-batch in batch order under one publication — durably, one log
@@ -373,18 +373,16 @@ impl<W: Shard> ShardedService<W> {
     /// keep some sub-batches and not others.  With `shards = 1` a valid
     /// batch is byte-identical to the unsharded path, in one publication.
     pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, W::Error> {
-        let router = self.router;
-        let routes =
-            parallel_ordered_map(entities, self.threads, |entity| router.route(entity.id()));
+        // routing is one hash per id: cheaper inline than a thread spawn
+        // until batches reach ~10^4 ids
         let mut batch_ids: HashSet<&str> = HashSet::with_capacity(entities.len());
-        for (entity, &shard) in entities.iter().zip(&routes) {
+        let mut per_shard: Vec<Vec<&Entity>> = vec![Vec::new(); self.router.shards()];
+        for entity in entities {
+            let shard = self.router.route(entity.id());
             self.shards[shard].guard()?;
             if !batch_ids.insert(entity.id()) || self.shards[shard].writer().contains(entity.id()) {
                 return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
             }
-        }
-        let mut per_shard: Vec<Vec<&Entity>> = vec![Vec::new(); self.router.shards()];
-        for (entity, &shard) in entities.iter().zip(&routes) {
             per_shard[shard].push(entity);
         }
         let mut jobs: Vec<(&mut W, Vec<&Entity>)> = self.shards.iter_mut().zip(per_shard).collect();

@@ -87,7 +87,7 @@ fn main() {
         dataset.target.len()
     );
 
-    section("build a serving index (sharded across all cores)");
+    section("build a serving index (its leaves split across all cores)");
     let mut service = LinkService::build(
         rule(),
         dataset.source.schema(),

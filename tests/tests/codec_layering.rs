@@ -11,6 +11,12 @@
 //! * Faults are injected through a storage value, not a build flag: no
 //!   file under `crates`, `tests` or `examples` names the process-global
 //!   fault registry or its cargo feature, comments included.
+//! * Fan-outs go through `linkdisc_util`'s ordered maps: outside `mod
+//!   tests`, no code line of `crates/matching/src` other than `engine.rs`
+//!   (whose scoring workers keep per-span state across target chunks) may
+//!   name `thread::scope` or `thread::spawn`. This keeps a hand-rolled
+//!   parallel path, like the deleted range-sharded index build, from
+//!   growing back.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -42,6 +48,15 @@ fn root() -> &'static Path {
         .expect("workspace root")
 }
 
+/// The non-comment lines of a source file outside its `#[cfg(test)] mod
+/// tests`, numbered from 1.
+fn code_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let code = text.split("#[cfg(test)]\nmod tests").next().unwrap();
+    (1..)
+        .zip(code.lines())
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
+}
+
 fn files_under(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).unwrap().flatten() {
         let path = entry.path();
@@ -65,20 +80,15 @@ fn the_codecs_never_name_the_file_system() {
             continue;
         }
         let text = fs::read_to_string(path).unwrap();
-        let code = text.split("#[cfg(test)]\nmod tests").next().unwrap();
         if CODECS.contains(&&*file) {
-            assert!(code.contains("Decoder"), "{file} no longer decodes");
+            assert!(
+                code_lines(&text).any(|(_, line)| line.contains("Decoder")),
+                "{file} no longer decodes"
+            );
         }
-        for (number, line) in code.lines().enumerate() {
-            if line.trim_start().starts_with("//") {
-                continue;
-            }
+        for (number, line) in code_lines(&text) {
             for word in FILE_SYSTEM.iter().filter(|word| names(line, word)) {
-                offenders.push(format!(
-                    "{file}:{}: `{word}` in {}",
-                    number + 1,
-                    line.trim()
-                ));
+                offenders.push(format!("{file}:{number}: `{word}` in {}", line.trim()));
             }
         }
     }
@@ -114,6 +124,33 @@ fn no_file_names_the_fault_registry_or_its_feature() {
     assert!(
         offenders.is_empty(),
         "faults come from a `Storage` value, not a registry or a cargo feature:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn only_the_engine_spawns_threads_in_the_matching_crate() {
+    let mut sources = Vec::new();
+    files_under(&root().join("crates/matching/src"), &mut sources);
+    let mut offenders = Vec::new();
+    for path in &sources {
+        let file = path.file_name().unwrap().to_string_lossy();
+        if file == "engine.rs" {
+            continue;
+        }
+        let text = fs::read_to_string(path).unwrap();
+        for (number, line) in code_lines(&text) {
+            for word in ["thread::scope", "thread::spawn"] {
+                if names(line, word) {
+                    offenders.push(format!("{file}:{number}: {}", line.trim()));
+                }
+            }
+        }
+    }
+    assert!(sources.len() > 2, "the scan found no sources");
+    assert!(
+        offenders.is_empty(),
+        "fan out through linkdisc_util's ordered maps, not raw threads:\n{}",
         offenders.join("\n")
     );
 }
