@@ -17,7 +17,9 @@ use crate::seeding::{all_property_pairs, find_compatible_properties, CompatibleP
 /// The result of one GenLink learning run.
 #[derive(Debug, Clone)]
 pub struct LearnOutcome {
-    /// The best linkage rule of the final population (by fitness).
+    /// The best linkage rule of the final population by fitness — after an
+    /// early stop, the fittest of the rules that reached the target
+    /// F-measure.
     pub rule: LinkageRule,
     /// Per-iteration statistics, starting with the initial population
     /// (iteration 0).  These drive the learning-curve tables of the paper.

@@ -221,7 +221,9 @@ impl IterationStats {
 /// The result of an evolution run.
 #[derive(Debug, Clone)]
 pub struct EvolutionResult<G> {
-    /// The best individual (by fitness) of the final population.
+    /// The individual the run returns: the fittest of the final population
+    /// or, when the run stopped early, the fittest of those whose F-measure
+    /// met the target — so the stop condition and the answer agree.
     pub best: Individual<G>,
     /// The final population.
     pub population: Population<G>,
@@ -240,11 +242,15 @@ impl<G: Clone> EvolutionResult<G> {
         history: Vec<IterationStats>,
         iterations: usize,
         stopped_early: bool,
+        stop_f_measure: f64,
     ) -> Self {
         let best = population
-            .best()
+            .individuals()
+            .iter()
+            .filter(|i| !stopped_early || i.evaluation.f_measure >= stop_f_measure)
+            .max_by(|a, b| a.fitness().total_cmp(&b.fitness()))
             .cloned()
-            .expect("population is never empty");
+            .expect("population is never empty, and an early stop met the target");
         EvolutionResult {
             best,
             population,
@@ -324,7 +330,13 @@ impl<'a, P: Problem> Evolution<'a, P> {
             stopped_early = reached_target(&population, &self.config)
                 && iterations < self.config.max_iterations;
         }
-        EvolutionResult::new(population, history, iterations, stopped_early)
+        EvolutionResult::new(
+            population,
+            history,
+            iterations,
+            stopped_early,
+            self.config.stop_f_measure,
+        )
     }
 
     /// Breeds a full new generation (the inner `while` of Algorithm 1) in
@@ -430,6 +442,7 @@ pub fn breed_offspring<P: Problem>(
 mod tests {
     use super::*;
     use crate::testing::{genomes, rng, TargetVector};
+    use crate::{Evaluated, Pipeline};
 
     #[test]
     fn evolution_improves_fitness() {
@@ -463,6 +476,51 @@ mod tests {
         assert!(result.stopped_early);
         assert!(result.iterations < 200);
         assert_eq!(result.best.evaluation.f_measure, 1.0);
+    }
+
+    /// Three genomes whose fitness and F-measure disagree: the fittest
+    /// (0) misses the F-measure target that a less fit one (1) meets.
+    struct Disagreeing;
+
+    impl Problem for Disagreeing {
+        type Genome = usize;
+
+        fn random_genome(&self, rng: &mut StdRng) -> usize {
+            rng.gen_range(0..3)
+        }
+
+        fn crossover(&self, first: &usize, _: &usize, _: &mut StdRng) -> usize {
+            *first
+        }
+
+        fn evaluate(&self, genome: &usize) -> Evaluated {
+            let (fitness, f_measure) = [(0.9, 0.8), (0.7, 1.0), (0.3, 0.5)][*genome];
+            Evaluated { fitness, f_measure }
+        }
+    }
+
+    /// A run that stops because some individual met `stop_f_measure`
+    /// returns an individual that met it — the fittest of those — in both
+    /// schedules, not the population's fittest.
+    #[test]
+    fn an_early_stop_returns_an_individual_that_met_the_target() {
+        let config = GpConfig {
+            population_size: 20,
+            max_iterations: 5,
+            threads: 1,
+            ..GpConfig::default()
+        };
+        let start = start_population(&Disagreeing, &config, &mut rng(7));
+        let genomes: Vec<usize> = start.individuals().iter().map(|i| i.genome).collect();
+        assert!(genomes.contains(&0) && genomes.contains(&1), "{genomes:?}");
+        let generational = Evolution::new(&Disagreeing, config).run(&mut rng(7));
+        let steady = Pipeline::new(&Disagreeing, config).run(&mut rng(7)).result;
+        for result in [generational, steady] {
+            assert!(result.stopped_early);
+            assert_eq!(result.population.best().unwrap().genome, 0);
+            assert!(result.best.evaluation.f_measure >= config.stop_f_measure);
+            assert_eq!(result.best.genome, 1);
+        }
     }
 
     #[test]

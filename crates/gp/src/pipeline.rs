@@ -275,7 +275,13 @@ impl<'a, P: Problem> Pipeline<'a, P> {
         let wall_s = steady_start.elapsed().as_secs_f64();
         let own = timers.snapshot();
         PipelineOutcome {
-            result: EvolutionResult::new(population, history, windows, stopped),
+            result: EvolutionResult::new(
+                population,
+                history,
+                windows,
+                stopped,
+                config.stop_f_measure,
+            ),
             report: PipelineReport {
                 evaluations: bred,
                 wall_s,

@@ -27,10 +27,11 @@
 //! The index is a *serving* structure, not a one-shot artifact:
 //!
 //! * [`MultiBlockIndex::build_slice`] builds the per-leaf indexes in **bulk**
-//!   (gather every `(key, position)` pair of a leaf, sort once, fill
-//!   exact-capacity posting lists) through the same `LeafPool::acquire_plan`
-//!   a serving registration uses: workers split the plan's distinct leaves
-//!   and each builds whole leaves, so nothing is ever merged,
+//!   (one pass over the entities in position order, appending each position
+//!   to its keys' posting lists, which so stay sorted with no sort) through
+//!   the same `LeafPool::acquire_plan` a serving registration uses: workers
+//!   split the plan's distinct leaves and each builds whole leaves, so
+//!   nothing is ever merged,
 //! * [`MultiBlockIndex::insert`] and [`MultiBlockIndex::remove`] maintain it
 //!   **incrementally** per entity: posting lists stay sorted, emptied blocks
 //!   are dropped, and [`LeafBuildStats`] stay exact — an index reached
@@ -104,41 +105,32 @@ impl LeafIndex {
     /// values read through a [`ValueCache`], [`LeafPool::acquire_plan`] (every
     /// complete build, a store with tombstone holes included).
     ///
-    /// All `(key, position)` pairs are gathered and sorted once, then each
-    /// run of equal keys becomes one exact-capacity posting list: structurally
-    /// identical to [`LeafIndex::add`]ing the same postings one by one in any
-    /// order, without that path's map probe, binary search and mid-vector
-    /// insert per posting.  Positions must be distinct.
+    /// Positions must ascend (every caller walks its entities in position
+    /// order), so appending each position to its keys' lists leaves them
+    /// sorted with no sort; a key the entity emits twice finds its position
+    /// already last and is skipped.  The result is structurally identical to
+    /// [`LeafIndex::add`]ing the same postings one by one in any order,
+    /// without that path's binary search and mid-vector insert per posting.
     pub(crate) fn bulk<V: Deref<Target = [String]>>(
         comparison: &IndexedComparison,
         entries: impl Iterator<Item = (u32, V)>,
     ) -> LeafIndex {
         let mut leaf = LeafIndex::default();
         let mut keys: Vec<BlockKey> = Vec::new();
-        let mut pairs: Vec<(BlockKey, u32)> = Vec::new();
+        let mut previous = None;
         for (position, values) in entries {
+            debug_assert!(previous < Some(position), "positions must ascend");
+            previous = Some(position);
             comparison.index_keys_into(&values, &mut keys);
-            if keys.is_empty() {
-                continue;
+            leaf.indexed_entities += usize::from(!keys.is_empty());
+            for &key in &keys {
+                let list = leaf.by_key.entry(key).or_default();
+                if list.last() != Some(&position) {
+                    list.push(position);
+                }
             }
-            leaf.indexed_entities += 1;
-            pairs.extend(keys.iter().map(|&key| (key, position)));
         }
-        pairs.sort_unstable();
-        let same_key = |a: &(BlockKey, u32), b: &(BlockKey, u32)| a.0 == b.0;
-        leaf.by_key.reserve(pairs.chunk_by(same_key).count());
-        for block in pairs.chunk_by(same_key) {
-            debug_assert!(
-                block.windows(2).all(|pair| pair[0].1 < pair[1].1),
-                "a position was indexed twice"
-            );
-            leaf.postings_sq += (block.len() * block.len()) as f64;
-            leaf.by_key.insert(
-                block[0].0,
-                block.iter().map(|&(_, position)| position).collect(),
-            );
-        }
-        leaf.postings = pairs.len();
+        leaf.refresh_estimates();
         leaf
     }
 
@@ -204,8 +196,9 @@ impl LeafIndex {
         self.postings_sq / self.postings as f64
     }
 
-    /// Recomputes the incremental statistics from the map (after a snapshot
-    /// restore, which carries posting lists only).
+    /// Recomputes the incremental statistics from the map (after a bulk
+    /// build, and after a snapshot restore, which carries posting lists
+    /// only).
     pub(crate) fn refresh_estimates(&mut self) {
         self.postings = self.by_key.values().map(Vec::len).sum();
         self.postings_sq = self
@@ -238,11 +231,11 @@ pub struct MultiBlockIndex {
 /// price of not consulting a conjunction's next child.  The
 /// `planner_cost_calibration` test (`cargo test -p linkdisc-matching --release
 /// -- --ignored planner_cost --nocapture`) reads `evaluate_bound_stats` at
-/// 113–177 ns per pair (Restaurant name ∧ phone 113–170, Cora titles 114–177)
-/// and a posting scan (sequential read plus epoch-mark store) at 2.6–3.5 ns
+/// 109–125 ns per pair (Restaurant name ∧ phone 109–111, Cora titles 114–125)
+/// and a posting scan (sequential read plus epoch-mark store) at 2.4–2.7 ns
 /// where lists are long (the 28 k postings under a Restaurant name probe's
-/// keys; 7–9 ns over Cora titles' short lists, where the map lookup
-/// dominates): a pair is worth 44–49 scans of the long lists a stop is about
+/// keys; 7–8 ns over Cora titles' short lists, where the map lookup
+/// dominates): a pair is worth 42–46 scans of the long lists a stop is about
 /// (50–75 when the constant was set).
 ///
 /// A conjunction stops once `|running| · RATIO < estimate(next child)`.  The
@@ -251,14 +244,16 @@ pub struct MultiBlockIndex {
 /// names, 163 on Cora titles — the 19–21 of the chosen units twice) and scans
 /// every list of a group without a miss budget, but only the `may_miss + 1`
 /// rarest units of one with: 213 of the 28,391 postings under a name probe's
-/// keys, 14 of the 1,114 under a title's.  That is 0.13–0.17 µs for the exact
-/// phone key and a flat 2.2–3.6 µs (19–23 pair evaluations, nearly all hash
-/// lookups) for a q-gram leaf.  So the rule stops where scoring every survivor
-/// is cheaper than scanning a single expected list: a lower bound of a
-/// consult that scans them all; for a q-gram leaf it is off by at most the
-/// flat lookup cost either way — it may consult at 6–23 survivors where
-/// scoring them was a microsecond cheaper, and where it stops the survivors
-/// number under `estimate / RATIO`.  A performance decision only (a stopped
+/// keys, 14 of the 1,114 under a title's.  That is 0.07–0.08 µs for the exact
+/// phone key and a flat 2.3–4.1 µs (20–38 pair evaluations, nearly all hash
+/// lookups) for a q-gram leaf; with the leaf's bulk build (1.3–1.5 µs per
+/// Restaurant name, 2.7–2.8 µs per Cora title) a built and consulted q-gram
+/// leaf costs 34–51 pair evaluations per entity.  So the rule stops where
+/// scoring every survivor is cheaper than scanning a single expected list: a
+/// lower bound of a consult that scans them all; for a q-gram leaf it is off
+/// by at most the flat lookup cost either way — it may consult at 6–23
+/// survivors where scoring them was a microsecond cheaper, and where it stops
+/// the survivors number under `estimate / RATIO`.  A performance decision only (a stopped
 /// conjunction yields a superset, the rule rejects the extras); linkbench's
 /// evaluated pairs, built leaves and candidates per source are identical at
 /// 32, 64 and 128 (DESIGN.md).
@@ -267,15 +262,16 @@ pub(crate) const PAIR_COST_IN_SCANS: f64 = 64.0;
 /// Expected candidates per probe (`Σ len² / Σ len`, min over the built
 /// prefix) at or below which a staged build leaves a conjunction's remaining
 /// siblings unbuilt.  `planner_cost_calibration` reads the per-entity cost of
-/// bulk-building a leaf plus consulting it once, in pair evaluations: 37–75
-/// for a q-gram leaf (Restaurant ×20 names 5.6–8.4 µs, Cora titles 7.3–11.6
-/// µs, of which the consult is 2.2–3.6 µs, against 113–177 ns per pair), 1–3
-/// for a single-key leaf (0.23–0.31 µs).  The siblings still unbuilt are the
-/// costlier ones, so the floor sits below the q-gram break-even — building
-/// one to cut 16 candidates costs two to five times what scoring them does —
-/// and a few evaluations above the single-key one, where a wrong call costs
-/// about a microsecond per entity either way.  linkbench's evaluated pairs
-/// and built leaves are identical at 8, 16 and 32 (DESIGN.md).
+/// bulk-building a leaf plus consulting it once, in pair evaluations: 34–51
+/// for a q-gram leaf (Restaurant ×20 names 3.7–5.6 µs, Cora titles 5.0–5.6
+/// µs, of which the build is 1.3–1.5 and 2.7–2.8 µs, against 109–125 ns per
+/// pair), 2 for a single-key leaf (0.19–0.21 µs).  The siblings still
+/// unbuilt are the costlier ones, so the floor sits below the q-gram
+/// break-even — building one to cut 16 candidates costs two to three times
+/// what scoring them does — and a few evaluations above the single-key one,
+/// where a wrong call costs about a microsecond per entity either way.
+/// linkbench's evaluated pairs and built leaves are identical at 8, 16 and
+/// 32 (DESIGN.md).
 pub(crate) const STAGE_FLOOR: f64 = 16.0;
 
 impl MultiBlockIndex {
@@ -293,11 +289,13 @@ impl MultiBlockIndex {
 
     /// Builds the index over an entity slice (positions are slice indices)
     /// through a fresh `LeafPool`: each distinct leaf is bulk-built once —
-    /// whole leaves split across `threads` workers (0 = all cores) — and
-    /// shared by every slot that maps to it.  The result is **identical** at
-    /// any thread count — same blocks, same posting lists, same
-    /// [`LeafBuildStats`] — and to inserting the entities one by one at their
-    /// positions.
+    /// whole leaves split across `threads` workers (0 = all cores), which
+    /// [`linkdisc_util::parallel_ordered_map`] spawns only with at least two
+    /// distinct leaves per thread (so at 2 threads, none below 4 leaves) —
+    /// and shared by every slot that maps to it.  The result is
+    /// **identical** at any thread count — same blocks, same posting lists,
+    /// same [`LeafBuildStats`] — and to inserting the entities one by one at
+    /// their positions.
     pub fn build_slice<'e>(
         plan: impl Into<Arc<IndexingPlan>>,
         entities: &'e [Entity],
@@ -796,6 +794,8 @@ impl Staging<'_> {
                 let mut total = 0usize;
                 for values in self.columns[*leaf].iter().take(sample) {
                     comparison.index_keys_into(values, &mut keys);
+                    keys.sort_unstable();
+                    keys.dedup();
                     total += keys.len();
                 }
                 total as f64 / sample.max(1) as f64
@@ -1029,7 +1029,8 @@ impl LeafPool {
 }
 
 /// The block keys one target entity is stored under for one indexed
-/// comparison.
+/// comparison, sorted and deduplicated: the incremental path adds one
+/// posting per key and would take a repeat for a position indexed twice.
 fn entity_keys<'e>(
     comparison: &IndexedComparison,
     entity: &'e Entity,
@@ -1038,6 +1039,8 @@ fn entity_keys<'e>(
 ) {
     let values = comparison.target.values(entity, cache);
     comparison.index_keys_into(&values, keys);
+    keys.sort_unstable();
+    keys.dedup();
 }
 
 /// Reusable per-worker state for candidate generation: the probe and its
@@ -1344,6 +1347,85 @@ mod tests {
         assert_eq!(misses, 2);
         let pooled = MultiBlockIndex::from_parts(p.clone(), leaves, store.slot_len());
         assert_same_index(&pooled, &holes);
+    }
+
+    /// Entities whose raw index-key stream repeats a key — a run of one
+    /// letter repeats a q-gram inside one position bucket, a tag set holds a
+    /// duplicate element, two years sit in overlapping ±1 buckets — are
+    /// indexed once per key by the bulk build: each provider matches
+    /// one-by-one inserts of the deduplicated key sets.
+    #[test]
+    fn bulk_builds_drop_a_key_an_entity_emits_twice() {
+        let mut builder = DataSourceBuilder::new("B", ["name", "tag", "year"]);
+        for i in 0..60usize {
+            let name = format!("{} {}", "a".repeat(8 + i % 5), i % 7);
+            let (tag, year) = (format!("t{}", i % 4), 1900 + i % 9);
+            let (twin_tag, twin_year) = if i % 3 == 0 {
+                (tag.clone(), year + 1)
+            } else {
+                (format!("u{i}"), year + 40)
+            };
+            let values = [
+                ("name", name),
+                ("tag", tag),
+                ("tag", twin_tag),
+                ("year", year.to_string()),
+                ("year", twin_year.to_string()),
+            ];
+            let values = values.iter().map(|(p, v)| (*p, v.as_str()));
+            builder = builder.entity(format!("b{i}"), values).unwrap();
+        }
+        let target = builder.build();
+        let rule: LinkageRule = aggregation(
+            AggregationFunction::Max,
+            vec![
+                compare(
+                    property("name"),
+                    property("name"),
+                    DistanceFunction::Levenshtein,
+                    2.0,
+                ),
+                compare(
+                    property("tag"),
+                    property("tag"),
+                    DistanceFunction::Jaccard,
+                    0.5,
+                ),
+                compare(
+                    property("year"),
+                    property("year"),
+                    DistanceFunction::Numeric,
+                    2.0,
+                ),
+            ],
+        )
+        .into();
+        let p = Arc::new(plan(&rule, &target, &target));
+        assert_eq!(p.comparisons().len(), 3);
+        let cache = ValueCache::new();
+        let mut keys: Vec<BlockKey> = Vec::new();
+        for comparison in p.comparisons() {
+            let repeats = target.entities().iter().any(|entity| {
+                comparison.index_keys_into(&comparison.target.values(entity, &cache), &mut keys);
+                let raw = keys.len();
+                keys.sort_unstable();
+                keys.dedup();
+                keys.len() < raw
+            });
+            assert!(repeats, "{} emits no repeated key", comparison.label);
+        }
+
+        let mut one_by_one = MultiBlockIndex::empty(p.clone());
+        for (position, entity) in target.entities().iter().enumerate().rev() {
+            one_by_one.insert(position as u32, entity, &cache);
+        }
+        let sliced = MultiBlockIndex::build_slice(p.clone(), target.entities(), &cache, 1);
+        assert_same_index(&sliced, &one_by_one);
+        let compiled =
+            linkdisc_rule::CompiledRule::compile(&rule, target.schema(), target.schema());
+        let bound = compiled.bind_target(target.entities().iter());
+        let columnar = MultiBlockIndex::build_staged(p.clone(), &bound, target.len(), -1.0);
+        assert_same_index(&columnar, &one_by_one);
     }
 
     /// A disjunction of four comparisons with four distinct leaf reuse keys,

@@ -118,7 +118,11 @@ pub struct ServiceOptions {
     /// Similarity a target must reach to be reported (Definition 3: 0.5).
     pub link_threshold: f64,
     /// Worker threads for complete leaf builds — at construction and at rule
-    /// registration, whole leaves split across workers (0 = all cores).
+    /// registration, whole leaves split across workers (0 = all cores).  A
+    /// build spawns workers only with at least two missing leaves per
+    /// thread ([`linkdisc_util::parallel_ordered_map`] maps smaller inputs
+    /// inline): at 2 threads, a plan with fewer than 4 distinct missing
+    /// leaves is built on the calling thread.
     pub threads: usize,
 }
 

@@ -66,7 +66,8 @@ pub struct IndexedComparison {
 
 impl IndexedComparison {
     /// The block keys a target with these (transformed) values is stored
-    /// under, at this comparison's measure and bound.
+    /// under, at this comparison's measure and bound — in emission order, a
+    /// key possibly repeated (see [`DistanceFunction::index_keys_into`]).
     pub fn index_keys_into(&self, values: &[String], keys: &mut Vec<BlockKey>) {
         self.function.index_keys_into(values, self.bound, keys);
     }

@@ -15,14 +15,15 @@
 //!
 //! Keys come in two sides.  The **index** side
 //! ([`DistanceFunction::index_keys_into`]) is what an inverted index stores
-//! per target entity: a flat key set.  The **probe** side ([`ProbeKeys`]) is
-//! what a source entity looks up: **groups of units**, a unit being the 1–3
-//! keys that stand for one part of the value (one positional q-gram, one
-//! token), each group with a **miss budget** `may_miss`.  The guarantee is
-//! counted, not just existential: a match hits *all but* `may_miss` units of
-//! its group, so by pigeonhole **any** `may_miss + 1` units of a group
-//! contain one the match hits — a prober may scan just those (whichever are
-//! cheapest) and skip the rest.  Schemes that can only promise *one* shared
+//! per target entity: a flat key list, in emission order and possibly
+//! with repeats (a set once deduplicated).  The **probe** side
+//! ([`ProbeKeys`]) is what a source entity looks up: **groups of units**, a
+//! unit being the 1–3 keys that stand for one part of the value (one
+//! positional q-gram, one token), each group with a **miss budget**
+//! `may_miss`.  The guarantee is counted, not just existential: a match
+//! hits *all but* `may_miss` units of its group, so by pigeonhole **any**
+//! `may_miss + 1` units of a group contain one the match hits — a prober may
+//! scan just those (whichever are cheapest) and skip the rest.  Schemes that can only promise *one* shared
 //! key put each key in a unit of its own and let all but one miss, which is
 //! plain any-shared-key blocking.
 //!
@@ -353,7 +354,12 @@ impl DistanceFunction {
 
     /// Computes the **index-side** block keys of a value set at a distance
     /// bound — what an inverted index stores the entity under — replacing
-    /// the contents of `keys` (sorted, deduplicated).
+    /// the contents of `keys` in emission order.  A key may repeat (a gram
+    /// twice in one position bucket, a duplicate set element, overlapping
+    /// numeric neighbour buckets): a bulk build appending positions in
+    /// ascending order drops a repeat by looking at the list's last posting,
+    /// and a caller that needs a set sorts and dedups itself, as
+    /// [`DistanceFunction::index_keys`] does.
     ///
     /// Must only be called when [`DistanceFunction::can_prune`] holds for the
     /// bound.  An empty result means no value of the set can be within the
@@ -364,15 +370,15 @@ impl DistanceFunction {
     pub fn index_keys_into(&self, values: &[String], bound: f64, keys: &mut Vec<BlockKey>) {
         keys.clear();
         self.push_keys::<Mixer>(values, bound, keys);
-        keys.sort_unstable();
-        keys.dedup();
     }
 
-    /// Allocating convenience wrapper around
-    /// [`DistanceFunction::index_keys_into`].
+    /// The index-side key *set* of [`DistanceFunction::index_keys_into`]:
+    /// sorted and deduplicated.
     pub fn index_keys(&self, values: &[String], bound: f64) -> Vec<BlockKey> {
         let mut keys = Vec::new();
         self.index_keys_into(values, bound, &mut keys);
+        keys.sort_unstable();
+        keys.dedup();
         keys
     }
 
