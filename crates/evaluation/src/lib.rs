@@ -1,10 +1,12 @@
 //! Evaluation of linkage rules: confusion matrices, F-measure, Matthews
-//! correlation coefficient, train/validation protocols and run summaries.
+//! correlation coefficient, scoring a rule against reference links, and run
+//! summaries.
 //!
 //! The paper evaluates learned rules with the F-measure on the reference links
 //! (training and validation folds of a 2-fold cross validation, averaged over
-//! 10 runs) and uses the Matthews correlation coefficient (MCC) as the fitness
-//! measure of the genetic search (Section 5.2).
+//! 10 runs; the fold loop lives in the `exp` experiment binary) and uses the
+//! Matthews correlation coefficient (MCC) as the fitness measure of the
+//! genetic search (Section 5.2).
 
 #![warn(unreachable_pub)]
 
@@ -15,6 +17,5 @@ pub mod summary;
 pub use confusion::ConfusionMatrix;
 pub use protocol::{
     evaluate_compiled, evaluate_compiled_stats, evaluate_rule, evaluate_rule_on_links,
-    CrossValidation, FoldResult,
 };
 pub use summary::Summary;

@@ -1,13 +1,10 @@
-//! Evaluation protocols: scoring rules against reference links and the
-//! repeated 2-fold cross validation of Section 6.1.
+//! Scoring rules against reference links: the tree walk, the compiled plan,
+//! and links given as identifiers.
 
 use linkdisc_entity::{DataSource, ReferenceLinks, ResolvedReferenceLinks};
 use linkdisc_rule::{CompiledRule, EvalStats, LinkageRule, ValueCache, LINK_THRESHOLD};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::confusion::ConfusionMatrix;
-use crate::summary::Summary;
 
 /// Scores a rule against already-resolved reference links by walking the
 /// operator tree per pair.  This is the reference oracle; the learning loop
@@ -86,114 +83,6 @@ pub fn evaluate_rule_on_links(
     evaluate_rule(rule, &resolved)
 }
 
-/// The result of evaluating one learned rule on one fold.
-#[derive(Debug, Clone)]
-pub struct FoldResult {
-    /// Quality on the training links.
-    pub training: ConfusionMatrix,
-    /// Quality on the held-out validation links.
-    pub validation: ConfusionMatrix,
-    /// Wall-clock seconds spent learning.
-    pub seconds: f64,
-    /// The rule that was learned on this fold.
-    pub rule: LinkageRule,
-}
-
-/// Repeated k-fold cross validation (the paper uses 10 runs of 2 folds).
-///
-/// The learner is abstracted as a closure so the same protocol drives GenLink,
-/// its ablated variants and the Carvalho-style baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct CrossValidation {
-    /// Number of folds (2 in the paper).
-    pub folds: usize,
-    /// Number of repetitions (10 in the paper).
-    pub runs: usize,
-    /// Base random seed; run `i` uses `seed + i`.
-    pub seed: u64,
-}
-
-impl Default for CrossValidation {
-    fn default() -> Self {
-        CrossValidation {
-            folds: 2,
-            runs: 10,
-            seed: 42,
-        }
-    }
-}
-
-impl CrossValidation {
-    /// Runs the protocol.  For every run the reference links are shuffled and
-    /// split into `folds` folds; each fold is held out once while the learner
-    /// is trained on the remaining folds.
-    ///
-    /// `learn(train_links, run_seed)` must return the learned rule.
-    pub fn run<F>(
-        &self,
-        source: &DataSource,
-        target: &DataSource,
-        links: &ReferenceLinks,
-        mut learn: F,
-    ) -> CrossValidationResult
-    where
-        F: FnMut(&ReferenceLinks, u64) -> LinkageRule,
-    {
-        let mut fold_results = Vec::new();
-        for run in 0..self.runs {
-            let run_seed = self.seed + run as u64;
-            let mut rng = StdRng::seed_from_u64(run_seed);
-            let folds = links.split_folds(self.folds, &mut rng);
-            for held_out in 0..folds.len() {
-                let train = ReferenceLinks::merge(
-                    folds
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != held_out)
-                        .map(|(_, f)| f),
-                );
-                let validation = &folds[held_out];
-                let start = std::time::Instant::now();
-                let rule = learn(&train, run_seed);
-                let seconds = start.elapsed().as_secs_f64();
-                fold_results.push(FoldResult {
-                    training: evaluate_rule_on_links(&rule, &train, source, target),
-                    validation: evaluate_rule_on_links(&rule, validation, source, target),
-                    seconds,
-                    rule,
-                });
-            }
-        }
-        CrossValidationResult {
-            folds: fold_results,
-        }
-    }
-}
-
-/// All fold results of a cross-validation run plus aggregate summaries.
-#[derive(Debug, Clone)]
-pub struct CrossValidationResult {
-    /// One entry per (run, fold) combination.
-    pub folds: Vec<FoldResult>,
-}
-
-impl CrossValidationResult {
-    /// Mean and standard deviation of the training F1.
-    pub fn training_f1(&self) -> Summary {
-        Summary::of(self.folds.iter().map(|f| f.training.f_measure()))
-    }
-
-    /// Mean and standard deviation of the validation F1.
-    pub fn validation_f1(&self) -> Summary {
-        Summary::of(self.folds.iter().map(|f| f.validation.f_measure()))
-    }
-
-    /// Mean and standard deviation of the learning time in seconds.
-    pub fn seconds(&self) -> Summary {
-        Summary::of(self.folds.iter().map(|f| f.seconds))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,28 +151,5 @@ mod tests {
         assert_eq!(matrix.recall(), 1.0);
         assert!(matrix.false_positives > 0);
         assert_eq!(matrix.mcc(), 0.0);
-    }
-
-    #[test]
-    fn cross_validation_aggregates_runs_and_folds() {
-        let (a, b, links) = paired_sources(16);
-        let cv = CrossValidation {
-            folds: 2,
-            runs: 3,
-            seed: 1,
-        };
-        let mut calls = 0;
-        let result = cv.run(&a, &b, &links, |train, _seed| {
-            calls += 1;
-            // the training fold never holds all links
-            assert!(train.len() < links.len());
-            assert!(!train.positive().is_empty());
-            exact_label_rule()
-        });
-        assert_eq!(calls, 6);
-        assert_eq!(result.folds.len(), 6);
-        assert_eq!(result.training_f1().mean, 1.0);
-        assert_eq!(result.validation_f1().mean, 1.0);
-        assert!(result.seconds().mean >= 0.0);
     }
 }

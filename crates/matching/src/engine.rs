@@ -9,8 +9,9 @@
 //! [`MatchingOptions::chunk_size`], 0 meaning one chunk — and visits every
 //! (source chunk × target chunk) pair in a block-nested loop.  Each target
 //! chunk gets its own staged [`MultiBlockIndex`] (built on the calling
-//! thread) and its candidates are scored on scoped threads; only one chunk
-//! per side is bound (transformed) at a time.  Chunking is exact **for the
+//! thread) and its candidates are scored one source span per worker through
+//! `linkdisc_util::parallel_ordered_map_mut` (on the caller at one thread);
+//! only one chunk per side is bound (transformed) at a time.  Chunking is exact **for the
 //! links**: candidate generation is lossless on every partition of the target
 //! and the rule is the final, exact filter, so links and score bits are
 //! chunking- and thread-invariant.  `evaluated_pairs` is a *cost*, not a
@@ -35,7 +36,7 @@ use linkdisc_rule::{
     BoundSide, CompiledRule, EvalStats, IndexingPlan, LinkageRule, LINK_THRESHOLD,
 };
 use linkdisc_similarity::KernelCounters;
-use linkdisc_util::resolve_threads;
+use linkdisc_util::{parallel_ordered_map_mut, resolve_threads};
 
 use crate::multiblock::{
     chain_columns, BoundProbe, CandidateScratch, MultiBlockIndex, STAGE_FLOOR,
@@ -304,43 +305,30 @@ impl MatchingEngine {
                     }
                 }
 
-                let mut per_worker: Vec<ChunkOutcome> = Vec::with_capacity(threads);
                 #[cfg(test)]
                 let costliest_units = crate::multiblock::COSTLIEST_UNITS.get();
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = source_chunk
-                        .chunks(worker_span)
-                        .zip(&mut bound_spans)
-                        .enumerate()
-                        .map(|(worker, (span, bound_span))| {
-                            let base = worker * worker_span;
-                            let index = index.as_ref();
-                            let compiled = &compiled;
-                            let bound_chunk = &bound_chunk;
-                            let options = self.options;
-                            scope.spawn(move || {
-                                #[cfg(test)]
-                                crate::multiblock::COSTLIEST_UNITS.set(costliest_units);
-                                let bound_span = bound_span
-                                    .get_or_insert_with(|| compiled.bind_source(span.iter()));
-                                score_span(
-                                    span,
-                                    base,
-                                    chunk,
-                                    index,
-                                    compiled,
-                                    bound_span,
-                                    bound_chunk,
-                                    &options,
-                                    leaf_count,
-                                )
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        per_worker.push(handle.join().expect("matching thread panicked"));
-                    }
-                });
+                let mut spans: Vec<(&[Entity], &mut Option<BoundSide>)> = source_chunk
+                    .chunks(worker_span)
+                    .zip(&mut bound_spans)
+                    .collect();
+                let per_worker =
+                    parallel_ordered_map_mut(&mut spans, threads, |worker, (span, bound_span)| {
+                        #[cfg(test)]
+                        crate::multiblock::COSTLIEST_UNITS.set(costliest_units);
+                        let bound_span =
+                            bound_span.get_or_insert_with(|| compiled.bind_source(span.iter()));
+                        score_span(
+                            span,
+                            worker * worker_span,
+                            chunk,
+                            index.as_ref(),
+                            &compiled,
+                            bound_span,
+                            &bound_chunk,
+                            &self.options,
+                            leaf_count,
+                        )
+                    });
 
                 for outcome in per_worker {
                     evaluated_pairs += outcome.evaluated;
