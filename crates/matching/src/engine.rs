@@ -7,11 +7,15 @@
 //! [`MatchingEngine::run`] cuts both sides into slices — the source by
 //! [`MatchingOptions::source_chunk_size`], the target by
 //! [`MatchingOptions::chunk_size`], 0 meaning one chunk — and visits every
-//! (source chunk × target chunk) pair in a block-nested loop.  Each target
-//! chunk gets its own staged [`MultiBlockIndex`] (built on the calling
-//! thread) and its candidates are scored one source span per worker through
+//! (target chunk × source chunk) pair in a block-nested loop, target chunks
+//! outside.  Each target chunk is bound and gets its own staged
+//! [`MultiBlockIndex`] **once** (built on the calling thread), and every
+//! source chunk is scored against it, one source span per worker through
 //! `linkdisc_util::parallel_ordered_map_mut` (on the caller at one thread);
-//! only one chunk per side is bound (transformed) at a time.  Chunking is exact **for the
+//! only one chunk per side is bound (transformed) at a time.  Best-match
+//! slots span the whole source and merge across target chunks by
+//! `ScoredLink::beats`; the final sort makes the link order independent of
+//! the loop order.  Chunking is exact **for the
 //! links**: candidate generation is lossless on every partition of the target
 //! and the rule is the final, exact filter, so links and score bits are
 //! chunking- and thread-invariant.  `evaluated_pairs` is a *cost*, not a
@@ -22,9 +26,10 @@
 //!
 //! The engine owns **no value cache**.  The compiled rule **binds** each side
 //! chunk by chunk — the target chunk before its index build, shared by all
-//! workers; each worker's source span before its first probe — in one pass
-//! over its entities into flat per-slot columns (see
-//! [`CompiledRule::bind_target`]):
+//! workers; each worker's source span before its first probe, once per run
+//! when the source is one chunk and once per target chunk when it is
+//! chunked — in one pass over its entities into flat per-slot columns
+//! (see [`CompiledRule::bind_target`]):
 //! a transformation runs once per (entity, chain) at one allocation per
 //! output value, and the index build, candidate probes and pair scoring all
 //! read the same columns by position.
@@ -83,11 +88,13 @@ pub struct MatchingOptions {
     /// size.
     pub chunk_size: usize,
     /// Maximum source entities bound at a time; 0 means the whole source in
-    /// one chunk.  Every source chunk visits every target chunk, so results
-    /// are identical for every source chunk size (best-match merging and the
-    /// candidate-set algebra both compose across source partitions), but each
-    /// target chunk's index is rebuilt once per source chunk — the usual
-    /// block-nested-loop time/memory trade.
+    /// one chunk.  Every source chunk is scored against every target chunk's
+    /// index, so results are identical for every source chunk size
+    /// (best-match merging and the candidate-set algebra both compose across
+    /// source partitions).  Each target chunk is still indexed once, but a
+    /// chunked source is bound again for every target chunk: the source's
+    /// transformations run `⌈target / chunk_size⌉` times, against once when
+    /// the source is one chunk (0 or at least the source's size).
     pub source_chunk_size: usize,
 }
 
@@ -106,7 +113,8 @@ impl Default for MatchingOptions {
 
 /// Per-comparison blocking statistics of a matching run.  On a chunked run
 /// the build-side numbers (blocks, postings, indexed entities) are summed
-/// over the per-chunk indexes.
+/// over the per-chunk indexes, one per target chunk whatever the source
+/// chunking.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComparisonBlockStats {
     /// Human-readable comparison description (measure, value chains, bound).
@@ -150,9 +158,9 @@ pub struct MatchingReport {
     /// Number of source chunks processed (1 unless
     /// [`MatchingOptions::source_chunk_size`] bounds the source).
     pub source_chunks: usize,
-    /// Number of target chunks processed, summed over source chunks (each
-    /// source chunk visits every target chunk, so this counts index builds,
-    /// not distinct target entities): `source_chunks × ⌈target / chunk_size⌉`.
+    /// Number of target chunks processed, each bound and indexed once: the
+    /// index builds of the run, `⌈target / chunk_size⌉` whatever the source
+    /// chunking.
     pub chunks: usize,
     /// Largest source chunk bound at once (equals `source_entities` unless
     /// the source is chunked).
@@ -217,7 +225,7 @@ impl MatchingEngine {
         &self.rule
     }
 
-    /// Generates links between two data sources, one (source chunk × target
+    /// Generates links between two data sources, one (target chunk × source
     /// chunk) block at a time ([`MatchingOptions::source_chunk_size`] /
     /// [`MatchingOptions::chunk_size`]; one chunk per side by default).
     pub fn run(&self, source: &DataSource, target: &DataSource) -> MatchingReport {
@@ -259,52 +267,47 @@ impl MatchingEngine {
             })
             .collect();
         let leaf_count = comparison_stats.len();
-        let mut source_chunks = 0usize;
-        let mut peak_source_chunk_entities = 0usize;
+        let source_len = chunk_len(self.options.source_chunk_size);
         let mut chunks = 0usize;
         let mut peak_chunk_entities = 0usize;
+        // best-match slots span the whole source, merged by `beats` across
+        // target chunks
+        let mut bests: Vec<Option<ScoredLink>> = if self.options.best_match_only {
+            vec![None; source_entities.len()]
+        } else {
+            Vec::new()
+        };
 
-        for source_chunk in source_entities.chunks(chunk_len(self.options.source_chunk_size)) {
-            source_chunks += 1;
-            peak_source_chunk_entities = peak_source_chunk_entities.max(source_chunk.len());
+        // a source chunk is cut into one span per worker, each bound by the
+        // worker that first scores it.  A source that is one chunk keeps its
+        // bound spans across target chunks; a chunked one binds each chunk
+        // again per target chunk, so one source chunk is held bound at a time
+        let keep_bound = source_entities.len() <= source_len;
+        let mut bound_spans: Vec<Option<BoundSide>> = Vec::new();
+        for chunk in target_entities.chunks(chunk_len(self.options.chunk_size)) {
+            chunks += 1;
+            peak_chunk_entities = peak_chunk_entities.max(chunk.len());
 
-            // best-match slots are local to the source chunk: every source
-            // entity lives in exactly one chunk, so per-chunk winners are
-            // already global winners
-            let mut bests: Vec<Option<ScoredLink>> = if self.options.best_match_only {
-                vec![None; source_chunk.len()]
-            } else {
-                Vec::new()
-            };
-            // every target chunk cuts the source chunk into the same worker
-            // spans; a span is bound by the worker that first scores it
-            let worker_span = source_chunk.len().div_ceil(threads).max(1);
-            let mut bound_spans: Vec<Option<BoundSide>> =
-                vec![None; source_chunk.len().div_ceil(worker_span)];
-            for chunk in target_entities.chunks(chunk_len(self.options.chunk_size)) {
-                chunks += 1;
-                peak_chunk_entities = peak_chunk_entities.max(chunk.len());
-
-                // bind first: the build, the probes and the scoring all
-                // read the chunk's transformed values from these columns
-                let bound_chunk = compiled.bind_target(chunk.iter());
-                let index = indexed_plan.as_ref().map(|plan| {
-                    MultiBlockIndex::build_staged(
-                        plan.clone(),
-                        &bound_chunk,
-                        chunk.len(),
-                        STAGE_FLOOR,
-                    )
-                });
-                if let Some(index) = &index {
-                    for (total, stats) in comparison_stats.iter_mut().zip(index.build_stats()) {
-                        total.built |= stats.built;
-                        total.blocks += stats.blocks;
-                        total.postings += stats.postings;
-                        total.indexed_entities += stats.indexed_entities;
-                    }
+            // bind and index each target chunk once: the build, the probes
+            // and the scoring all read the chunk's transformed values from
+            // these columns, for every source chunk
+            let bound_chunk = compiled.bind_target(chunk.iter());
+            let index = indexed_plan.as_ref().map(|plan| {
+                MultiBlockIndex::build_staged(plan.clone(), &bound_chunk, chunk.len(), STAGE_FLOOR)
+            });
+            if let Some(index) = &index {
+                for (total, stats) in comparison_stats.iter_mut().zip(index.build_stats()) {
+                    total.built |= stats.built;
+                    total.blocks += stats.blocks;
+                    total.postings += stats.postings;
+                    total.indexed_entities += stats.indexed_entities;
                 }
+            }
 
+            let mut first = 0usize;
+            for source_chunk in source_entities.chunks(source_len) {
+                let worker_span = source_chunk.len().div_ceil(threads).max(1);
+                bound_spans.resize_with(source_chunk.len().div_ceil(worker_span), || None);
                 #[cfg(test)]
                 let costliest_units = crate::multiblock::COSTLIEST_UNITS.get();
                 let mut spans: Vec<(&[Entity], &mut Option<BoundSide>)> = source_chunk
@@ -319,7 +322,7 @@ impl MatchingEngine {
                             bound_span.get_or_insert_with(|| compiled.bind_source(span.iter()));
                         score_span(
                             span,
-                            worker * worker_span,
+                            first + worker * worker_span,
                             chunk,
                             index.as_ref(),
                             &compiled,
@@ -329,6 +332,10 @@ impl MatchingEngine {
                             leaf_count,
                         )
                     });
+                if !keep_bound {
+                    bound_spans.clear();
+                }
+                first += source_chunk.len();
 
                 for outcome in per_worker {
                     evaluated_pairs += outcome.evaluated;
@@ -336,22 +343,17 @@ impl MatchingEngine {
                     for (total, count) in comparison_stats.iter_mut().zip(outcome.leaf_candidates) {
                         total.candidates += count;
                     }
-                    if self.options.best_match_only {
-                        for (source_index, link) in outcome.bests {
-                            let slot = &mut bests[source_index];
-                            if slot.as_ref().is_none_or(|held| link.beats(held)) {
-                                *slot = Some(link);
-                            }
+                    for (source_index, link) in outcome.bests {
+                        let slot = &mut bests[source_index];
+                        if slot.as_ref().is_none_or(|held| link.beats(held)) {
+                            *slot = Some(link);
                         }
-                    } else {
-                        links.extend(outcome.links);
                     }
+                    links.extend(outcome.links);
                 }
             }
-            if self.options.best_match_only {
-                links.extend(bests.into_iter().flatten());
-            }
         }
+        links.extend(bests.into_iter().flatten());
 
         links.sort_by(|a, b| {
             a.source
@@ -365,9 +367,9 @@ impl MatchingEngine {
             cross_product: source_entities.len() * target_entities.len(),
             source_entities: source_entities.len(),
             target_entities: target_entities.len(),
-            source_chunks,
+            source_chunks: source_entities.chunks(source_len).count(),
             chunks,
-            peak_source_chunk_entities,
+            peak_source_chunk_entities: source_entities.len().min(source_len),
             peak_chunk_entities,
             comparison_stats,
             eval_stats,
@@ -805,14 +807,94 @@ mod tests {
                     );
                     assert!(chunked.peak_source_chunk_entities <= source_chunk_size);
                     let cap = chunk_len(chunk_size);
-                    assert_eq!(
-                        chunked.chunks,
-                        chunked.source_chunks * target.len().div_ceil(cap)
-                    );
+                    assert_eq!(chunked.chunks, target.len().div_ceil(cap));
                     assert!(chunked.peak_chunk_entities <= cap);
                 }
             }
         }
+    }
+
+    /// Target chunks outside: each target chunk is indexed once whatever the
+    /// source chunking, so every leaf of a disjunction (always built) indexes
+    /// each target entity exactly once, and links and score bits equal the
+    /// batch run at every chunking.
+    #[test]
+    fn each_target_chunk_is_indexed_once_per_run() {
+        let (source, target) = restaurants(None);
+        let name = compare(
+            property("name"),
+            property("name"),
+            DistanceFunction::Levenshtein,
+            2.0,
+        );
+        let city = compare(
+            property("city"),
+            property("city"),
+            DistanceFunction::Equality,
+            0.5,
+        );
+        let rule: LinkageRule =
+            linkdisc_rule::aggregation(linkdisc_rule::AggregationFunction::Max, vec![name, city])
+                .into();
+        let bits = |report: &MatchingReport| -> Vec<(String, String, u64)> {
+            let links = report.links.iter();
+            links
+                .map(|l| (l.source.clone(), l.target.clone(), l.score.to_bits()))
+                .collect()
+        };
+        for best_match_only in [false, true] {
+            let options = MatchingOptions {
+                best_match_only,
+                threads: 2,
+                ..MatchingOptions::default()
+            };
+            let batch = MatchingEngine::new(rule.clone())
+                .with_options(options)
+                .run(&source, &target);
+            assert!(!batch.links.is_empty());
+            for source_chunk_size in [0, 1, 7, 40, 100] {
+                for chunk_size in [0, 9] {
+                    let chunked = MatchingEngine::new(rule.clone())
+                        .with_options(MatchingOptions {
+                            source_chunk_size,
+                            chunk_size,
+                            ..options
+                        })
+                        .run(&source, &target);
+                    let at =
+                        format!("source_chunk_size={source_chunk_size} chunk_size={chunk_size}");
+                    assert_eq!(bits(&chunked), bits(&batch), "{at}");
+                    assert_eq!(chunked.chunks, target.len().div_ceil(chunk_len(chunk_size)));
+                    assert_eq!(chunked.comparison_stats.len(), 2);
+                    for stats in &chunked.comparison_stats {
+                        assert!(stats.built, "{at}: {}", stats.label);
+                        assert_eq!(
+                            stats.indexed_entities,
+                            target.len(),
+                            "{at}: {}",
+                            stats.label
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// An empty target: no target chunk is indexed, and the source chunks
+    /// are still counted.
+    #[test]
+    fn an_empty_target_still_counts_the_source_chunks() {
+        let (source, _) = sources();
+        let target = DataSourceBuilder::new("B", ["name"]).build();
+        let report = MatchingEngine::new(rule())
+            .with_options(MatchingOptions {
+                source_chunk_size: 2,
+                ..MatchingOptions::default()
+            })
+            .run(&source, &target);
+        assert!(report.links.is_empty());
+        assert_eq!((report.source_chunks, report.chunks), (2, 0));
+        assert_eq!(report.peak_source_chunk_entities, 2);
     }
 
     /// 40 restaurants per side; `shared_city` is what every entity's `city`

@@ -24,19 +24,30 @@
 //! per-query hash sets, and a pool of position buffers — candidate generation
 //! performs no per-entity allocation once the scratch is warm.
 //!
-//! The index is a *serving* structure, not a one-shot artifact:
+//! The index is a *serving* structure, not a one-shot artifact.  Each leaf
+//! is an immutable, `Arc`-shared **base** — one postings array, each key's
+//! list a contiguous ascending range of it behind a key → `(start, len)`
+//! directory — plus a small **delta** of the writes since (added postings
+//! per key, tombstoned base positions, per-key live-count corrections):
 //!
-//! * [`MultiBlockIndex::build_slice`] builds the per-leaf indexes in **bulk**
-//!   (one pass over the entities in position order, appending each position
-//!   to its keys' posting lists, which so stay sorted with no sort) through
-//!   the same `LeafPool::acquire_plan` a serving registration uses: workers
-//!   split the plan's distinct leaves and each builds whole leaves, so
-//!   nothing is ever merged,
+//! * [`MultiBlockIndex::build_slice`] builds the per-leaf bases in **bulk**
+//!   (two passes over the entities in position order: count per key, then
+//!   place each position at its key's cursor — no per-key allocation, no
+//!   sort) through the same `LeafPool::acquire_plan` a serving registration
+//!   uses: workers split the plan's distinct leaves and each builds whole
+//!   leaves, so nothing is ever merged.  Every bulk-built leaf — the engine's
+//!   too, and a restored snapshot's — has an empty delta, which a probe's
+//!   per-key delta lookup answers from the empty map's length alone,
 //! * [`MultiBlockIndex::insert`] and [`MultiBlockIndex::remove`] maintain it
-//!   **incrementally** per entity: posting lists stay sorted, emptied blocks
-//!   are dropped, and [`LeafBuildStats`] stay exact — an index reached
-//!   through any interleaving of builds, inserts and removes is structurally
-//!   identical to one built from the final entity set in one shot.
+//!   **incrementally** per entity by writing the delta only, so the
+//!   copy-on-write of a leaf an epoch still shares clones the delta and never
+//!   the base; a serving leaf's delta is folded into a fresh base in one
+//!   merge pass at the publication that finds it past √(base postings) (a
+//!   private index's, once it outgrows the base).  [`LeafBuildStats`] stay
+//!   exact,
+//!   and an index reached through any interleaving of builds, inserts and
+//!   removes has the same canonical view (live `(key, postings)` lists) and
+//!   statistics as one built from the final entity set in one shot.
 //!
 //! Building and probing are generic over **where a comparison's values come
 //! from**: `(entity, &ValueCache)` — the public API, service queries,
@@ -87,102 +98,415 @@ pub struct LeafBuildStats {
 /// source, in ascending order.  The keys are the targets' index-side keys
 /// ([`IndexedComparison::index_keys_into`]); queries look up their probe
 /// ([`IndexedComparison::probe_keys_into`]).
-/// `postings` and `postings_sq` (Σ len and Σ len² over posting lists) are
-/// maintained incrementally; they drive the selectivity estimates that order
-/// intersection children and decide where a conjunction stops.
+///
+/// A leaf is an immutable, `Arc`-shared **base** — one postings array, each
+/// key's list a contiguous ascending range of it, found through a key →
+/// `(start, len)` directory — plus a small **delta** of what incremental
+/// maintenance changed since.  Every bulk build (the engine, a complete
+/// build, a snapshot restore) yields a base with an empty delta; a write
+/// touches only the delta, so the copy-on-write of an epoch-shared leaf
+/// clones the delta and never the base.  A delta past its limit is folded
+/// into a fresh base in one merge pass, O(P) for P base postings, and the
+/// limit follows from who clones it (see [`LeafIndex::past_fold_limit`]):
+/// a serving leaf checks at each publication ([`LeafPool::fold_past_limit`],
+/// so an ingest batch folds each leaf at most once), a private index after
+/// each [`MultiBlockIndex::insert`]/[`MultiBlockIndex::remove`].
+///
+/// The statistics describe the live view (base minus hidden postings plus
+/// added ones) and are maintained exactly: `blocks` (keys with a live
+/// posting), `postings` and `postings_sq` (Σ len and Σ len² over the live
+/// lists) drive the selectivity estimates that order intersection children
+/// and decide where a conjunction stops.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LeafIndex {
-    pub(crate) by_key: BlockKeyMap<Vec<u32>>,
+    base: Arc<LeafBase>,
+    delta: LeafDelta,
     pub(crate) indexed_entities: usize,
-    pub(crate) postings: usize,
-    pub(crate) postings_sq: f64,
+    pub(crate) blocks: usize,
+    postings: usize,
+    postings_sq: u64,
+}
+
+/// The immutable part of a leaf.
+#[derive(Debug, Default)]
+struct LeafBase {
+    /// Block key → `(start, len)` of its list in `postings`; no list is
+    /// empty.
+    directory: BlockKeyMap<(u32, u32)>,
+    postings: Box<[u32]>,
+}
+
+impl LeafBase {
+    fn list(&self, key: &BlockKey) -> &[u32] {
+        self.directory
+            .get(key)
+            .map_or(&[], |&range| self.list_at(range))
+    }
+
+    fn list_at(&self, (start, len): (u32, u32)) -> &[u32] {
+        &self.postings[start as usize..][..len as usize]
+    }
+}
+
+/// What a leaf's writes changed since its base was built.
+#[derive(Debug, Clone, Default)]
+struct LeafDelta {
+    /// Per key with a change: the postings added (ascending) and the live
+    /// count's correction against the base list (added minus hidden).  A
+    /// key hides base postings exactly when `added.len() > correction`, so
+    /// a key without an entry reads its base list unfiltered.
+    keys: BlockKeyMap<DeltaList>,
+    /// Base positions whose entity was removed (ascending): their base
+    /// postings are hidden.  A slot the store recycles is indexed again in
+    /// `keys`, which the tombstone does not hide.
+    removed: Vec<u32>,
+    /// Added plus hidden postings: the delta's size against the fold limit.
+    size: usize,
+}
+
+#[derive(Debug, Clone, Default)]
+struct DeltaList {
+    added: Vec<u32>,
+    correction: i64,
+}
+
+impl DeltaList {
+    fn hides_base_postings(&self) -> bool {
+        self.added.len() as i64 > self.correction
+    }
+}
+
+impl LeafDelta {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.size == 0
+    }
+
+    fn is_removed(&self, position: u32) -> bool {
+        self.removed.binary_search(&position).is_ok()
+    }
+
+    /// Appends the live list of `key` over its base list `base` to `out`,
+    /// ascending: the base postings not hidden, merged with the added ones.
+    fn live_into(&self, key: &BlockKey, base: &[u32], out: &mut Vec<u32>) {
+        let Some(change) = self.keys.get(key) else {
+            out.extend_from_slice(base);
+            return;
+        };
+        let mut added = change.added.iter().copied().peekable();
+        for &position in base {
+            if self.is_removed(position) {
+                continue;
+            }
+            while let Some(next) = added.next_if(|&next| next < position) {
+                out.push(next);
+            }
+            out.push(position);
+        }
+        out.extend(added);
+    }
 }
 
 impl LeafIndex {
     /// Builds one comparison's leaf over `(position, target-chain values)`
-    /// pairs in one pass — the bulk path behind every batch build: the
-    /// engine's staged chunks (values from a bound side's column) and, with
-    /// values read through a [`ValueCache`], [`LeafPool::acquire_plan`] (every
-    /// complete build, a store with tombstone holes included).
+    /// pairs — the bulk path behind every batch build: the engine's staged
+    /// chunks (values from a bound side's column) and, with values read
+    /// through a [`ValueCache`], [`LeafPool::acquire_plan`] (every complete
+    /// build, a store with tombstone holes included).
     ///
-    /// Positions must ascend (every caller walks its entities in position
-    /// order), so appending each position to its keys' lists leaves them
-    /// sorted with no sort; a key the entity emits twice finds its position
-    /// already last and is skipped.  The result is structurally identical to
-    /// [`LeafIndex::add`]ing the same postings one by one in any order,
-    /// without that path's binary search and mid-vector insert per posting.
+    /// Two passes and no per-key allocation or sort.  Pass 1 gives each key
+    /// a block id in the directory map, counts its postings and records the
+    /// block id of every posting (a key the entity already emitted is
+    /// skipped).  Pass 2 places each position at its block's cursor: the
+    /// positions ascend (every caller walks its entities in position order),
+    /// so every list comes out ascending.  The map's values then become
+    /// `(start, len)`.  The result has the canonical view of
+    /// [`LeafIndex::add_entity`]ing the same entities one by one in any
+    /// order.
     pub(crate) fn bulk<V: Deref<Target = [String]>>(
         comparison: &IndexedComparison,
         entries: impl Iterator<Item = (u32, V)>,
     ) -> LeafIndex {
-        let mut leaf = LeafIndex::default();
+        // pass 1: directory values are (block id, 1 + index of the last
+        // entity that emitted the key)
+        let mut directory: BlockKeyMap<(u32, u32)> = BlockKeyMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut blocks_of_postings: Vec<u32> = Vec::new();
+        let mut entities: Vec<(u32, usize)> = Vec::new();
         let mut keys: Vec<BlockKey> = Vec::new();
-        let mut previous = None;
         for (position, values) in entries {
-            debug_assert!(previous < Some(position), "positions must ascend");
-            previous = Some(position);
+            debug_assert!(entities.last().is_none_or(|&(last, _)| last < position));
             comparison.index_keys_into(&values, &mut keys);
-            leaf.indexed_entities += usize::from(!keys.is_empty());
+            if keys.is_empty() {
+                continue;
+            }
+            let stamp = entities.len() as u32 + 1;
             for &key in &keys {
-                let list = leaf.by_key.entry(key).or_default();
-                if list.last() != Some(&position) {
-                    list.push(position);
+                let fresh = counts.len() as u32;
+                let (block, last) = directory.entry(key).or_insert((fresh, 0));
+                if *block == fresh {
+                    counts.push(0);
+                }
+                if *last != stamp {
+                    *last = stamp;
+                    counts[*block as usize] += 1;
+                    blocks_of_postings.push(*block);
+                }
+            }
+            entities.push((position, blocks_of_postings.len()));
+        }
+        // pass 2: block starts, then every position at its block's cursor
+        let total = u32::try_from(blocks_of_postings.len()).expect("under 2^32 postings a leaf");
+        let mut cursors: Vec<u32> = counts
+            .iter()
+            .scan(0u32, |start, &count| {
+                let at = *start;
+                *start += count;
+                Some(at)
+            })
+            .collect();
+        let mut postings = vec![0u32; total as usize].into_boxed_slice();
+        let mut begin = 0;
+        for &(position, end) in &entities {
+            for &block in &blocks_of_postings[begin..end] {
+                let cursor = &mut cursors[block as usize];
+                postings[*cursor as usize] = position;
+                *cursor += 1;
+            }
+            begin = end;
+        }
+        for (block, last) in directory.values_mut() {
+            let (end, count) = (cursors[*block as usize], counts[*block as usize]);
+            (*block, *last) = (end - count, count);
+        }
+        LeafIndex::from_base(directory, postings, entities.len())
+    }
+
+    /// A leaf with an empty delta over a base — the bulk build's, or a
+    /// snapshot's as decoded (lists already validated non-empty and
+    /// ascending) — with its statistics derived from the directory.
+    pub(crate) fn from_base(
+        directory: BlockKeyMap<(u32, u32)>,
+        postings: Box<[u32]>,
+        indexed_entities: usize,
+    ) -> LeafIndex {
+        let postings_sq = directory
+            .values()
+            .map(|&(_, len)| u64::from(len) * u64::from(len))
+            .sum();
+        LeafIndex {
+            blocks: directory.len(),
+            postings: postings.len(),
+            postings_sq,
+            base: Arc::new(LeafBase {
+                directory,
+                postings,
+            }),
+            delta: LeafDelta::default(),
+            indexed_entities,
+        }
+    }
+
+    /// Indexes one entity, given its (deduplicated) index-side keys, at
+    /// `position` — the incremental path ([`MultiBlockIndex::insert`],
+    /// [`LeafPool`] maintenance).  Writes the delta only.
+    fn add_entity(&mut self, keys: &[BlockKey], position: u32) {
+        self.indexed_entities += usize::from(!keys.is_empty());
+        for key in keys {
+            let live = self.len(key);
+            debug_assert!(
+                self.base.list(key).binary_search(&position).is_err()
+                    || self.delta.is_removed(position),
+                "position {position} indexed twice"
+            );
+            let change = self.delta.keys.entry(*key).or_default();
+            let Err(at) = change.added.binary_search(&position) else {
+                debug_assert!(false, "position {position} indexed twice");
+                continue;
+            };
+            change.added.insert(at, position);
+            change.correction += 1;
+            self.delta.size += 1;
+            self.count_posting(live, live + 1);
+        }
+    }
+
+    /// Un-indexes the entity [`LeafIndex::add_entity`] (or a bulk build)
+    /// indexed at `position` under the same keys: an added posting leaves
+    /// the delta, a base posting is hidden behind a tombstone.
+    fn drop_entity(&mut self, keys: &[BlockKey], position: u32) {
+        self.indexed_entities -= usize::from(!keys.is_empty());
+        let mut hidden = false;
+        for key in keys {
+            let live = self.len(key);
+            let in_base = self.base.list(key).binary_search(&position).is_ok()
+                && !self.delta.is_removed(position);
+            let change = self.delta.keys.entry(*key).or_default();
+            match change.added.binary_search(&position) {
+                Ok(at) => {
+                    change.added.remove(at);
+                    self.delta.size -= 1;
+                }
+                Err(_) if in_base => {
+                    hidden = true;
+                    self.delta.size += 1;
+                }
+                Err(_) => {
+                    debug_assert!(false, "removing a position that was never indexed");
+                    continue;
+                }
+            }
+            change.correction -= 1;
+            if change.added.is_empty() && change.correction == 0 {
+                self.delta.keys.remove(key);
+            }
+            self.count_posting(live, live - 1);
+        }
+        if hidden {
+            let at = self.delta.removed.partition_point(|&p| p < position);
+            self.delta.removed.insert(at, position);
+        }
+    }
+
+    /// Keeps the statistics exact as one key's live list goes from `before`
+    /// to `after` postings (one more or one fewer).
+    fn count_posting(&mut self, before: usize, after: usize) {
+        let (before, after) = (before as u64, after as u64);
+        self.postings = self.postings + after as usize - before as usize;
+        self.postings_sq = self.postings_sq + after * after - before * before;
+        self.blocks = self.blocks + usize::from(after > 0) - usize::from(before > 0);
+    }
+
+    /// Whether the delta outgrew its limit.  A `published` leaf is shared
+    /// with readers, so the next write clones its delta: past √(base
+    /// postings) that clone costs more than the fold it would save, and
+    /// folding there makes a write cost O(√P) for the clone plus O(√P)
+    /// amortised for the folds.  A private index is never cloned, so its
+    /// delta may grow to the base's size, which amortises each fold to O(1)
+    /// per posting — an index built by inserts from empty folds O(log P)
+    /// times, where the √ limit would fold O(√P) times.
+    fn past_fold_limit(&self, published: bool) -> bool {
+        let (delta, base) = (self.delta.size, self.base.postings.len());
+        if published {
+            delta * delta > base
+        } else {
+            delta > base
+        }
+    }
+
+    /// Replaces the base by the live view, in one merge pass over the old
+    /// base's directory (no rehash of the keys it keeps), and empties the
+    /// delta.  Clones holding the old base keep it.
+    fn fold(&mut self) {
+        assert!(
+            self.postings <= u32::MAX as usize,
+            "under 2^32 postings a leaf"
+        );
+        let delta = std::mem::take(&mut self.delta);
+        let base = &*self.base;
+        let mut postings: Vec<u32> = Vec::with_capacity(self.postings);
+        let mut directory = base.directory.clone();
+        for (key, range) in directory.iter_mut() {
+            let begin = postings.len();
+            delta.live_into(key, base.list_at(*range), &mut postings);
+            *range = (begin as u32, (postings.len() - begin) as u32);
+        }
+        for (key, change) in &delta.keys {
+            if !change.added.is_empty() && !base.directory.contains_key(key) {
+                directory.insert(*key, (postings.len() as u32, change.added.len() as u32));
+                postings.extend_from_slice(&change.added);
+            }
+        }
+        directory.retain(|_, &mut (_, len)| len > 0);
+        debug_assert_eq!(
+            (directory.len(), postings.len()),
+            (self.blocks, self.postings)
+        );
+        self.base = Arc::new(LeafBase {
+            directory,
+            postings: postings.into_boxed_slice(),
+        });
+    }
+
+    /// Visits every live list in ascending raw-key order — the snapshot
+    /// encoding and the canonical view two leaves are compared by.
+    pub(crate) fn for_each_list(&self, mut visit: impl FnMut(BlockKey, &[u32])) {
+        let mut keys: Vec<BlockKey> = self.base.directory.keys().copied().collect();
+        let added = self.delta.keys.keys();
+        keys.extend(added.filter(|key| !self.base.directory.contains_key(key)));
+        // `BlockKey` orders by its raw value
+        keys.sort_unstable();
+        let mut live: Vec<u32> = Vec::new();
+        for key in keys {
+            live.clear();
+            self.delta.live_into(&key, self.base.list(&key), &mut live);
+            if !live.is_empty() {
+                visit(key, &live);
+            }
+        }
+    }
+
+    /// The live length of `key`'s list.
+    fn len(&self, key: &BlockKey) -> usize {
+        let base = self
+            .base
+            .directory
+            .get(key)
+            .map_or(0, |&(_, len)| len as usize);
+        match self.delta.keys.get(key) {
+            Some(change) => (base as i64 + change.correction) as usize,
+            None => base,
+        }
+    }
+
+    /// Visits the live postings of `key`: the base list (less its hidden
+    /// postings), then the added ones.
+    fn scan(&self, key: &BlockKey, mut visit: impl FnMut(u32)) {
+        let list = self.base.list(key);
+        match self.delta.keys.get(key) {
+            None => list.iter().copied().for_each(visit),
+            Some(change) => {
+                if change.hides_base_postings() {
+                    let live = list.iter().filter(|&&p| !self.delta.is_removed(p));
+                    live.copied().for_each(&mut visit);
+                } else {
+                    list.iter().copied().for_each(&mut visit);
+                }
+                change.added.iter().copied().for_each(visit);
+            }
+        }
+    }
+
+    /// Unions the live postings of the probe's units into `visit`: every
+    /// key of a group without a miss budget, the `may_miss + 1` cheapest
+    /// units of one with.
+    fn consult(
+        &self,
+        probe: &ProbeKeys,
+        unit_costs: &mut Vec<(usize, u32)>,
+        mut visit: impl FnMut(u32),
+    ) {
+        for group in probe.groups() {
+            if group.may_miss() + 1 < group.units() {
+                // a match hits all but `may_miss` units: whichever
+                // `may_miss + 1` are scanned, one of them is hit
+                for &(_, unit) in cheapest_units(self, &group, unit_costs) {
+                    for key in group.unit(unit as usize) {
+                        self.scan(key, &mut visit);
+                    }
+                }
+            } else {
+                for key in group.keys() {
+                    self.scan(key, &mut visit);
                 }
             }
         }
-        leaf.refresh_estimates();
-        leaf
     }
 
-    /// Indexes one entity, given its index-side keys, at `position` — the
-    /// incremental path ([`MultiBlockIndex::insert`], [`LeafPool`]
-    /// maintenance).
-    fn add_entity(&mut self, keys: &[BlockKey], position: u32) {
-        self.indexed_entities += usize::from(!keys.is_empty());
-        for &key in keys {
-            self.add(key, position);
-        }
-    }
-
-    /// Un-indexes the entity [`LeafIndex::add_entity`] indexed at `position`
-    /// under the same keys.
-    fn drop_entity(&mut self, keys: &[BlockKey], position: u32) {
-        self.indexed_entities -= usize::from(!keys.is_empty());
-        for &key in keys {
-            self.drop_posting(key, position);
-        }
-    }
-
-    /// Adds `position` to the posting list of `key`, keeping it sorted.
-    fn add(&mut self, key: BlockKey, position: u32) {
-        let list = self.by_key.entry(key).or_default();
-        match list.binary_search(&position) {
-            Err(at) => {
-                self.postings += 1;
-                self.postings_sq += 2.0 * list.len() as f64 + 1.0;
-                list.insert(at, position);
-            }
-            Ok(_) => debug_assert!(false, "position {position} indexed twice"),
-        }
-    }
-
-    /// Removes `position` from the posting list of `key`, dropping the block
-    /// when it empties (keeps the `blocks` statistic exact).
-    fn drop_posting(&mut self, key: BlockKey, position: u32) {
-        let Some(list) = self.by_key.get_mut(&key) else {
-            debug_assert!(false, "removing from a missing block");
-            return;
-        };
-        let Ok(at) = list.binary_search(&position) else {
-            debug_assert!(false, "removing a position that was never indexed");
-            return;
-        };
-        list.remove(at);
-        self.postings -= 1;
-        self.postings_sq -= 2.0 * list.len() as f64 + 1.0;
-        if list.is_empty() {
-            self.by_key.remove(&key);
-        }
+    /// Whether the leaf is a bare base, as every bulk build leaves it.
+    #[cfg(test)]
+    pub(crate) fn is_bulk(&self) -> bool {
+        self.delta.is_empty()
     }
 
     /// Expected posting-list length seen by a random probe: `Σ len² / Σ len`.
@@ -193,19 +517,7 @@ impl LeafIndex {
         if self.postings == 0 {
             return 0.0;
         }
-        self.postings_sq / self.postings as f64
-    }
-
-    /// Recomputes the incremental statistics from the map (after a bulk
-    /// build, and after a snapshot restore, which carries posting lists
-    /// only).
-    pub(crate) fn refresh_estimates(&mut self) {
-        self.postings = self.by_key.values().map(Vec::len).sum();
-        self.postings_sq = self
-            .by_key
-            .values()
-            .map(|list| (list.len() * list.len()) as f64)
-            .sum();
+        self.postings_sq as f64 / self.postings as f64
     }
 }
 
@@ -214,7 +526,8 @@ impl LeafIndex {
 /// Leaves are held behind `Arc` so structurally identical leaf indexes can
 /// be **shared across the indexes of different rules** (the serving
 /// registry's leaf pool); mutation goes through copy-on-write
-/// (`Arc::make_mut`), which is free while a leaf is unshared.
+/// (`Arc::make_mut`), which is free while a leaf is unshared and clones only
+/// its delta while it is shared.
 #[derive(Debug, Clone)]
 pub struct MultiBlockIndex {
     /// Shared, immutable plan: chunked runs build one index per chunk from
@@ -230,30 +543,32 @@ pub struct MultiBlockIndex {
 /// Measured cost of **evaluating one surviving pair**, in posting scans — the
 /// price of not consulting a conjunction's next child.  The
 /// `planner_cost_calibration` test (`cargo test -p linkdisc-matching --release
-/// -- --ignored planner_cost --nocapture`) reads `evaluate_bound_stats` at
-/// 109–125 ns per pair (Restaurant name ∧ phone 109–111, Cora titles 114–125)
-/// and a posting scan (sequential read plus epoch-mark store) at 2.4–2.7 ns
-/// where lists are long (the 28 k postings under a Restaurant name probe's
-/// keys; 7–8 ns over Cora titles' short lists, where the map lookup
-/// dominates): a pair is worth 42–46 scans of the long lists a stop is about
-/// (50–75 when the constant was set).
+/// --lib -- --ignored planner_cost_calibration --nocapture`, a CI step) reads
+/// `evaluate_bound_stats` at 112–189 ns per pair (Restaurant name ∧ phone
+/// 115–189, Cora titles 112–179, on a shared 2-core host) and a posting scan
+/// (sequential read plus epoch-mark store) at 3.6–4.2 ns where lists are long
+/// (the 28 k postings under a Restaurant name probe's keys; 6.5–10.6 ns over
+/// Cora titles' short lists, where the directory lookup dominates): a pair is
+/// worth 27–47 scans of the long lists a stop is about (42–46 on a quieter
+/// host before the flat leaf base, 50–75 when the constant was set).
 ///
 /// A conjunction stops once `|running| · RATIO < estimate(next child)`.  The
-/// estimate is the expected length of *one* posting list.  A consult looks up
-/// every probe key for its list length (1 key on Restaurant phones, 119 on
-/// names, 163 on Cora titles — the 19–21 of the chosen units twice) and scans
-/// every list of a group without a miss budget, but only the `may_miss + 1`
-/// rarest units of one with: 213 of the 28,391 postings under a name probe's
-/// keys, 14 of the 1,114 under a title's.  That is 0.07–0.08 µs for the exact
-/// phone key and a flat 2.3–4.1 µs (20–38 pair evaluations, nearly all hash
-/// lookups) for a q-gram leaf; with the leaf's bulk build (1.3–1.5 µs per
-/// Restaurant name, 2.7–2.8 µs per Cora title) a built and consulted q-gram
-/// leaf costs 34–51 pair evaluations per entity.  So the rule stops where
-/// scoring every survivor is cheaper than scanning a single expected list: a
-/// lower bound of a consult that scans them all; for a q-gram leaf it is off
-/// by at most the flat lookup cost either way — it may consult at 6–23
-/// survivors where scoring them was a microsecond cheaper, and where it stops
-/// the survivors number under `estimate / RATIO`.  A performance decision only (a stopped
+/// estimate is the expected length of *one* posting list.  A consult reads
+/// every probe key's list length from the leaf's directory (1 key on
+/// Restaurant phones, 119 on names, 163 on Cora titles — the 19–21 of the
+/// chosen units twice) and scans every list of a group without a miss
+/// budget, but only the `may_miss + 1` rarest units of one with: 213 of the
+/// 28,391 postings under a name probe's keys, 14 of the 1,114 under a
+/// title's.  That is 0.05–0.08 µs for the exact phone key and a flat
+/// 2.2–4.1 µs (18–23 pair evaluations, nearly all directory lookups) for a
+/// q-gram leaf; with the leaf's bulk build (1.2–1.8 µs per Restaurant name,
+/// 1.9–3.2 µs per Cora title) a built and consulted q-gram leaf costs 25–41
+/// pair evaluations per entity.  So the rule stops where scoring every
+/// survivor is cheaper than scanning a single expected list: a lower bound
+/// of a consult that scans them all; for a q-gram leaf it is off by at most
+/// the flat lookup cost either way — it may consult at 6–23 survivors where
+/// scoring them was a microsecond cheaper, and where it stops the survivors
+/// number under `estimate / RATIO`.  A performance decision only (a stopped
 /// conjunction yields a superset, the rule rejects the extras); linkbench's
 /// evaluated pairs, built leaves and candidates per source are identical at
 /// 32, 64 and 128 (DESIGN.md).
@@ -262,13 +577,13 @@ pub(crate) const PAIR_COST_IN_SCANS: f64 = 64.0;
 /// Expected candidates per probe (`Σ len² / Σ len`, min over the built
 /// prefix) at or below which a staged build leaves a conjunction's remaining
 /// siblings unbuilt.  `planner_cost_calibration` reads the per-entity cost of
-/// bulk-building a leaf plus consulting it once, in pair evaluations: 34–51
-/// for a q-gram leaf (Restaurant ×20 names 3.7–5.6 µs, Cora titles 5.0–5.6
-/// µs, of which the build is 1.3–1.5 and 2.7–2.8 µs, against 109–125 ns per
-/// pair), 2 for a single-key leaf (0.19–0.21 µs).  The siblings still
+/// bulk-building a leaf plus consulting it once, in pair evaluations: 25–41
+/// for a q-gram leaf (Restaurant ×20 names 3.6–5.1 µs, Cora titles 4.1–7.3
+/// µs, of which the build is 1.2–1.8 and 1.9–3.2 µs, against 112–189 ns per
+/// pair), 1–2 for a single-key leaf (0.17–0.24 µs).  The siblings still
 /// unbuilt are the costlier ones, so the floor sits below the q-gram
-/// break-even — building one to cut 16 candidates costs two to three times
-/// what scoring them does — and a few evaluations above the single-key one,
+/// break-even — building one to cut 16 candidates costs about twice what
+/// scoring them does — and a few evaluations above the single-key one,
 /// where a wrong call costs about a microsecond per entity either way.
 /// linkbench's evaluated pairs and built leaves are identical at 8, 16 and
 /// 32 (DESIGN.md).
@@ -405,7 +720,11 @@ impl MultiBlockIndex {
         let mut keys: Vec<BlockKey> = Vec::new();
         for (comparison, leaf) in self.plan.comparisons().iter().zip(&mut self.leaves) {
             entity_keys(comparison, entity, cache, &mut keys);
-            Arc::make_mut(leaf).add_entity(&keys, position);
+            let leaf = Arc::make_mut(leaf);
+            leaf.add_entity(&keys, position);
+            if leaf.past_fold_limit(false) {
+                leaf.fold();
+            }
         }
     }
 
@@ -416,7 +735,11 @@ impl MultiBlockIndex {
         let mut keys: Vec<BlockKey> = Vec::new();
         for (comparison, leaf) in self.plan.comparisons().iter().zip(&mut self.leaves) {
             entity_keys(comparison, entity, cache, &mut keys);
-            Arc::make_mut(leaf).drop_entity(&keys, position);
+            let leaf = Arc::make_mut(leaf);
+            leaf.drop_entity(&keys, position);
+            if leaf.past_fold_limit(false) {
+                leaf.fold();
+            }
         }
     }
 
@@ -444,7 +767,7 @@ impl MultiBlockIndex {
             .map(|((leaf, index), built)| LeafBuildStats {
                 label: leaf.label.clone(),
                 built,
-                blocks: index.by_key.len(),
+                blocks: index.blocks,
                 postings: index.postings,
                 indexed_entities: index.indexed_entities,
             })
@@ -545,29 +868,11 @@ impl MultiBlockIndex {
                     ..
                 } = scratch;
                 comparison.probe_keys_into(&values, keys);
-                let index = &self.leaves[*leaf];
-                let mut scan = |keys: &[BlockKey]| {
-                    for key in keys {
-                        if let Some(positions) = index.by_key.get(key) {
-                            for &position in positions {
-                                if marks.mark_first(position as usize, epoch) {
-                                    out.push(position);
-                                }
-                            }
-                        }
+                self.leaves[*leaf].consult(keys, unit_costs, |position| {
+                    if marks.mark_first(position as usize, epoch) {
+                        out.push(position);
                     }
-                };
-                for group in keys.groups() {
-                    if group.may_miss() + 1 < group.units() {
-                        // a match hits all but `may_miss` units: whichever
-                        // `may_miss + 1` are scanned, one of them is hit
-                        for &(_, unit) in cheapest_units(index, &group, unit_costs) {
-                            scan(group.unit(unit as usize));
-                        }
-                    } else {
-                        scan(group.keys());
-                    }
-                }
+                });
                 if let Some(count) = leaf_candidates.get_mut(*leaf) {
                     *count += out.len();
                 }
@@ -642,24 +947,19 @@ impl MultiBlockIndex {
 }
 
 /// The `may_miss + 1` units of a probe group that hold the fewest postings
-/// in `index`, as `(postings, unit)`: every unit's posting-list lengths are
-/// looked up (nothing is scanned) and ranked under the total order
-/// `(postings, unit)`.  Which units are picked is a cost decision only — a
-/// match hits at least one of *any* `may_miss + 1` — and a pure function of
-/// the index contents, so it is the same at every thread count.
+/// in `lists`, as `(postings, unit)`: every unit's live list lengths are
+/// read from the directory (nothing is scanned) and ranked under the total
+/// order `(postings, unit)`.  Which units are picked is a cost decision only
+/// — a match hits at least one of *any* `may_miss + 1` — and a pure function
+/// of the index contents, so it is the same at every thread count.
 fn cheapest_units<'c>(
-    index: &LeafIndex,
+    lists: &LeafIndex,
     group: &ProbeGroup<'_>,
     costs: &'c mut Vec<(usize, u32)>,
 ) -> &'c [(usize, u32)] {
     costs.clear();
     costs.extend((0..group.units()).map(|unit| {
-        let postings = group
-            .unit(unit)
-            .iter()
-            .filter_map(|key| index.by_key.get(key))
-            .map(Vec::len)
-            .sum::<usize>();
+        let postings = group.unit(unit).iter().map(|key| lists.len(key)).sum();
         (postings, unit as u32)
     }));
     #[cfg(test)]
@@ -844,10 +1144,12 @@ struct PooledLeaf {
 ///
 /// A serving pool is maintained **once** per entity insert/remove instead
 /// of once per rule slot: [`LeafPool::insert_entity`] and
-/// [`LeafPool::remove_entity`] mutate each distinct leaf exactly once
-/// through `Arc::make_mut` (copy-on-write against pinned reader epochs),
-/// and the rules' per-slot views are reassembled from the pool's current
-/// leaves afterwards.
+/// [`LeafPool::remove_entity`] write each distinct leaf's delta exactly once
+/// through `Arc::make_mut` (copy-on-write against pinned reader epochs: the
+/// delta is cloned, the base stays shared), [`LeafPool::fold_past_limit`]
+/// folds the deltas that outgrew their limit before a publication, and the
+/// rules' per-slot views are reassembled from the pool's current leaves
+/// afterwards.
 #[derive(Debug, Default)]
 pub(crate) struct LeafPool {
     entries: HashMap<LeafKey, PooledLeaf>,
@@ -988,6 +1290,18 @@ impl LeafPool {
         for entry in self.entries.values_mut() {
             entity_keys(&entry.comparison, entity, cache, &mut keys);
             Arc::make_mut(&mut entry.leaf).drop_entity(&keys, position);
+        }
+    }
+
+    /// Folds every leaf whose delta the writes since the last call grew past
+    /// √(base postings) — once per publication, so an ingest batch folds
+    /// each leaf at most once.  A leaf past the limit was written since, so
+    /// it is not shared yet and folds in place.
+    pub(crate) fn fold_past_limit(&mut self) {
+        for entry in self.entries.values_mut() {
+            if entry.leaf.past_fold_limit(true) {
+                Arc::make_mut(&mut entry.leaf).fold();
+            }
         }
     }
 
@@ -1265,15 +1579,28 @@ mod tests {
             .is_empty());
     }
 
+    /// A leaf's canonical view: its live `(key, postings)` lists in key
+    /// order — what two leaves reached by different writes are compared by.
+    fn canonical(leaf: &LeafIndex) -> Vec<(BlockKey, Vec<u32>)> {
+        let mut lists = Vec::new();
+        leaf.for_each_list(|key, postings| lists.push((key, postings.to_vec())));
+        lists
+    }
+
+    /// Equality of two leaves: canonical views and every statistic.
+    fn assert_same_leaf(a: &LeafIndex, b: &LeafIndex) {
+        assert_eq!(canonical(a), canonical(b));
+        let stats = |l: &LeafIndex| (l.indexed_entities, l.blocks, l.postings, l.postings_sq);
+        assert_eq!(stats(a), stats(b));
+    }
+
     /// Structural equality of two indexes: same plan shape is assumed, the
-    /// leaf maps and statistics must match entry for entry.
+    /// leaves' canonical views and statistics must match entry for entry.
     fn assert_same_index(a: &MultiBlockIndex, b: &MultiBlockIndex) {
         assert_eq!(a.target_len(), b.target_len());
         assert_eq!(a.build_stats(), b.build_stats());
         for (la, lb) in a.leaves.iter().zip(&b.leaves) {
-            assert_eq!(la.by_key, lb.by_key);
-            assert_eq!(la.postings, lb.postings);
-            assert_eq!(la.postings_sq, lb.postings_sq);
+            assert_same_leaf(la, lb);
         }
     }
 
@@ -1543,6 +1870,118 @@ mod tests {
         index.insert(0, b0, &cache);
         assert_same_index(&reference, &index);
         assert_eq!(index.candidate_positions(a0, &cache), vec![0]);
+    }
+
+    /// A serving write beside a pinned epoch: the pool's copy-on-write
+    /// clones each leaf's delta and shares its base, and the pinned leaves
+    /// read exactly as before.
+    #[test]
+    fn a_pool_write_beside_a_pinned_epoch_shares_the_base() {
+        let (source, target) = (source(), varied_target());
+        let p = Arc::new(plan(&name_year_rule(), &source, &target));
+        let cache = ValueCache::new();
+        let entities = target.entities();
+        let entries: Vec<(u32, &Entity)> = (0..).zip(&entities[..250]).collect();
+        let mut pool = LeafPool::new();
+        let (pinned, _, _) = pool.acquire_plan(&p, &entries, &cache, 1);
+        let before: Vec<_> = pinned.iter().map(|leaf| canonical(leaf)).collect();
+        pool.remove_entity(3, &entities[3], &cache);
+        pool.insert_entity(250, &entities[250], &cache);
+        let written = pool.leaves_for(&p);
+        for (old, new) in pinned.iter().zip(&written) {
+            assert!(!Arc::ptr_eq(old, new), "the write must copy a shared leaf");
+            assert!(
+                Arc::ptr_eq(&old.base, &new.base),
+                "the base must stay shared"
+            );
+            assert!(old.delta.is_empty() && !new.delta.is_empty());
+        }
+        let after: Vec<_> = pinned.iter().map(|leaf| canonical(leaf)).collect();
+        assert_eq!(before, after, "the pinned epoch's view changed");
+        // and the written leaves are those of a bulk build of the new set
+        let mut final_entries = entries.clone();
+        final_entries.remove(3);
+        final_entries.push((250, &entities[250]));
+        let (bulk, _, _) = LeafPool::new().acquire_plan(&p, &final_entries, &cache, 1);
+        for (written, bulk) in written.iter().zip(&bulk) {
+            assert_same_leaf(written, bulk);
+        }
+    }
+
+    /// An entity removed from the base and a different entity inserted at
+    /// its recycled position: the tombstone hides only the old entity's base
+    /// postings, and probes and statistics equal a bulk build of the final
+    /// set.
+    #[test]
+    fn a_recycled_base_position_serves_only_its_new_entity() {
+        let (source, target) = (source(), varied_target());
+        let p = Arc::new(plan(&name_year_rule(), &source, &target));
+        let entities = target.entities();
+        let mut final_set = entities[..200].to_vec();
+        final_set[7] = entities[250].clone();
+        let cache = ValueCache::new();
+        let mut index = MultiBlockIndex::build_slice(p.clone(), &entities[..200], &cache, 1);
+        index.remove(7, &entities[7], &cache);
+        index.insert(7, &entities[250], &cache);
+        assert!(index.leaves.iter().all(|leaf| !leaf.delta.is_empty()));
+        assert!(index.leaves[0].delta.is_removed(7));
+        let bulk = MultiBlockIndex::build_slice(p, &final_set, &cache, 1);
+        assert_same_index(&index, &bulk);
+        for probe in source.entities().iter().chain(entities) {
+            assert_eq!(
+                index.candidate_positions(probe, &cache),
+                bulk.candidate_positions(probe, &cache),
+                "probe {}",
+                probe.id()
+            );
+        }
+    }
+
+    /// Writes past the fold limits fold the delta into a fresh base, and the
+    /// leaves equal a bulk build of the final `(position, entity)` set: a
+    /// serving pool folding at each publication never keeps a delta past
+    /// √(base postings), a private index never one past its base.
+    #[test]
+    fn writes_past_the_fold_limit_fold_into_a_bulk_equal_base() {
+        let (source, target) = (source(), varied_target());
+        let p = Arc::new(plan(&name_year_rule(), &source, &target));
+        let cache = ValueCache::new();
+        let entities = target.entities();
+        let first: Vec<(u32, &Entity)> = (0..).zip(&entities[..100]).collect();
+        let mut pool = LeafPool::new();
+        let (built, _, _) = pool.acquire_plan(&p, &first, &cache, 1);
+        let mut private = MultiBlockIndex::from_parts(p.clone(), built.clone(), 100);
+        let inserts = (100u32..)
+            .zip(&entities[100..])
+            .map(|(at, e)| (true, at, e));
+        let removes = (0u32..).zip(&entities[..100]).step_by(3);
+        let writes = inserts.chain(removes.map(|(at, e)| (false, at, e)));
+        let within = |leaves: &[Arc<LeafIndex>], published| {
+            leaves.iter().all(|leaf| !leaf.past_fold_limit(published))
+        };
+        for (insert, position, entity) in writes {
+            if insert {
+                pool.insert_entity(position, entity, &cache);
+                private.insert(position, entity, &cache);
+            } else {
+                pool.remove_entity(position, entity, &cache);
+                private.remove(position, entity, &cache);
+            }
+            pool.fold_past_limit();
+            assert!(within(&pool.leaves_for(&p), true));
+            assert!(within(&private.leaves, false));
+        }
+        let entries: Vec<(u32, &Entity)> = (0u32..)
+            .zip(entities)
+            .filter(|&(position, _)| position >= 100 || position % 3 != 0)
+            .collect();
+        let (bulk, _, _) = LeafPool::new().acquire_plan(&p, &entries, &cache, 1);
+        for leaves in [pool.leaves_for(&p), private.leaves] {
+            for ((built, leaf), bulk) in built.iter().zip(&leaves).zip(&bulk) {
+                assert!(!Arc::ptr_eq(&built.base, &leaf.base), "no write folded");
+                assert_same_leaf(leaf, bulk);
+            }
+        }
     }
 
     #[test]
@@ -1858,11 +2297,14 @@ mod tests {
     /// posting costs (over every list under the probe's keys), and (b) the
     /// per-entity cost of bulk-building plus consulting the q-gram leaf,
     /// expressed in pair evaluations.  Run with `cargo test -p
-    /// linkdisc-matching --release -- --ignored planner_cost --nocapture` and
+    /// linkdisc-matching --release --lib -- --ignored planner_cost_calibration
+    /// --nocapture` (a CI step, so every commit's log prints the figures) and
     /// transplant the printed ranges into the two constants' docs when key
-    /// schemes, kernels or data structures change materially.
+    /// schemes, kernels or data structures change materially.  Fails when a
+    /// consulted leaf scanned no postings: a calibration over empty lists
+    /// measures nothing.
     #[test]
-    #[ignore = "one-off calibration; run explicitly in release mode"]
+    #[ignore = "calibration; run in release mode (a CI step)"]
     fn planner_cost_calibration() {
         use linkdisc_datasets::DatasetKind;
         use std::time::Instant;
@@ -1950,12 +2392,9 @@ mod tests {
                 // chosen units' keys once more to scan them
                 let node = PlanNode::Leaf(leaf);
                 let (mut scanned, mut looked_up, mut any_key) = (0usize, 0usize, 0usize);
-                let postings = |keys: &[BlockKey]| {
-                    let lists = keys
-                        .iter()
-                        .filter_map(|key| index.leaves[leaf].by_key.get(key));
-                    lists.map(Vec::len).sum::<usize>()
-                };
+                let lists = &*index.leaves[leaf];
+                let postings =
+                    |keys: &[BlockKey]| keys.iter().map(|key| lists.len(key)).sum::<usize>();
                 let mut keys = ProbeKeys::new();
                 let mut costs = Vec::new();
                 for values in columns[leaf].iter() {
@@ -1964,9 +2403,7 @@ mod tests {
                     any_key += postings(keys.keys());
                     for group in keys.groups() {
                         if group.may_miss() + 1 < group.units() {
-                            for &(cost, unit) in
-                                cheapest_units(&index.leaves[leaf], &group, &mut costs)
-                            {
+                            for &(cost, unit) in cheapest_units(lists, &group, &mut costs) {
                                 looked_up += group.unit(unit as usize).len();
                                 scanned += cost;
                             }
@@ -1992,16 +2429,20 @@ mod tests {
                 for values in columns[leaf].iter() {
                     comparison.probe_keys_into(values, &mut keys);
                     let epoch = scratch.marks.next_epoch();
-                    let lists = keys.keys().iter();
-                    for &position in lists
-                        .filter_map(|key| index.leaves[leaf].by_key.get(key))
-                        .flatten()
-                    {
-                        marked += usize::from(scratch.marks.mark_first(position as usize, epoch));
+                    for key in keys.keys() {
+                        lists.scan(key, |position| {
+                            marked +=
+                                usize::from(scratch.marks.mark_first(position as usize, epoch));
+                        });
                     }
                 }
                 let scan_ns = scan_start.elapsed().as_nanos() as f64 / any_key.max(1) as f64;
                 assert!(marked <= any_key);
+                assert!(
+                    scanned > 0 && any_key > 0,
+                    "{}: a consult scanned no postings",
+                    comparison.label
+                );
                 // (b) bulk-building the leaf from the column
                 let bulk_start = Instant::now();
                 let rebuilt = LeafIndex::bulk(comparison, (0u32..).zip(targets[leaf].iter()));

@@ -20,9 +20,11 @@
 //!   leaf pool
 //!     leaves        [(chain hash u64, measure name string, bound bucket u64,
 //!                     indexed_entities u32, blocks [(key u64, postings [u32])])]
-//!                                entries sorted by reuse key, blocks sorted by
-//!                                raw key (deterministic file); each leaf is
-//!                                written ONCE no matter how many rules share it
+//!                                entries sorted by reuse key, blocks strictly
+//!                                ascending by raw key, every posting list
+//!                                non-empty and strictly ascending (the
+//!                                leaf's live view); each leaf is written
+//!                                ONCE no matter how many rules share it
 //! checksum  u64                  FNV-1a over the payload
 //! ```
 //!
@@ -53,13 +55,16 @@
 //! write or bit rot stops at the checksum.  Decoding still validates every
 //! field, because a checksum catches accidents, not forgery: a count or
 //! length is refused unless the bytes it claims remain, every position and
-//! index is range-checked, and any failure is a [`SnapshotError::Corrupt`]
-//! carrying the [`DecodeError`]'s byte offset.
+//! index is range-checked, block keys must ascend strictly (a repeated key
+//! would otherwise replace the earlier list), and any failure is a
+//! [`SnapshotError::Corrupt`] carrying the [`DecodeError`]'s byte offset.
+//! A leaf's lists are decoded straight into its base — one postings array
+//! and a key → range directory — with no list allocated per key.
 //!
 //! # What restore guarantees
 //!
 //! A restored service is **bit-identical to a fresh build** over the same
-//! entity set and registrations: same leaf maps (block keys, posting lists,
+//! entity set and registrations: same leaves (block keys, posting lists,
 //! statistics — the `Σlen`/`Σlen²` selectivity sums are recomputed
 //! deterministically from the posting lists), same slot
 //! positions and free list (so subsequent inserts recycle the same slots),
@@ -91,7 +96,7 @@ use std::sync::Arc;
 
 use linkdisc_entity::{Entity, EntityStore, Schema};
 use linkdisc_rule::{CompiledRule, IndexingPlan, LinkageRule};
-use linkdisc_similarity::{BlockKey, DistanceFunction};
+use linkdisc_similarity::{BlockKey, BlockKeyMap, DistanceFunction};
 
 use crate::codec::{DecodeError, Decoder, Encoder, Fnv, Interner};
 use crate::multiblock::{LeafIndex, LeafKey, LeafPool};
@@ -204,7 +209,9 @@ impl ServiceWriter {
         }
 
         // the leaf pool: every distinct leaf once, under its reuse key, in
-        // deterministic key order; blocks sorted by raw key
+        // deterministic key order; each leaf's live lists (base and delta
+        // merged) by raw key, so a churned leaf writes the bytes a bulk
+        // build of its entities would
         let pooled = self.pool().sorted_entries();
         out.count(pooled.len());
         for ((chain_hash, function, bucket), leaf) in pooled {
@@ -212,16 +219,14 @@ impl ServiceWriter {
             out.str(function.name());
             out.u64(bucket);
             out.count(leaf.indexed_entities);
-            let mut blocks: Vec<(&BlockKey, &Vec<u32>)> = leaf.by_key.iter().collect();
-            blocks.sort_unstable_by_key(|(key, _)| key.raw());
-            out.count(blocks.len());
-            for (key, postings) in blocks {
+            out.count(leaf.blocks);
+            leaf.for_each_list(|key, postings| {
                 out.u64(key.raw());
                 out.count(postings.len());
                 for &position in postings {
                     out.u32(position);
                 }
-            }
+            });
         }
 
         let checksum = Fnv::digest(&out.bytes[HEADER_LEN..]);
@@ -375,31 +380,45 @@ impl ServiceWriter {
                 input.error(format!("unknown distance function {function_name:?}"))
             })?;
             let bucket = input.u64()?;
-            let mut leaf = LeafIndex {
-                indexed_entities: input.u32()? as usize,
-                ..LeafIndex::default()
-            };
-            if leaf.indexed_entities > slot_len {
+            let indexed_entities = input.u32()? as usize;
+            if indexed_entities > slot_len {
                 return Err(input
                     .error("a leaf indexes more entities than the slot table holds")
                     .into());
             }
-            for _ in 0..input.count()? {
+            // the base arrays are filled directly: blocks arrive in strictly
+            // ascending key order, each list non-empty and strictly
+            // ascending within the slot table
+            let blocks = input.count_of(16)?;
+            let mut directory = BlockKeyMap::with_capacity_and_hasher(blocks, Default::default());
+            let mut postings: Vec<u32> = Vec::new();
+            let mut previous_key = None;
+            for _ in 0..blocks {
                 let key = BlockKey::from_raw(input.u64()?);
+                if previous_key >= Some(key) {
+                    return Err(input.error("block keys not strictly ascending").into());
+                }
+                previous_key = Some(key);
                 let postings_len = input.count_of(4)?;
-                let mut postings = Vec::with_capacity(postings_len);
+                if postings_len == 0 {
+                    return Err(input.error("a block without postings").into());
+                }
+                let start = u32::try_from(postings.len())
+                    .map_err(|_| input.error("a leaf holds 2^32 postings or more"))?;
                 for _ in 0..postings_len {
                     let position = input.u32()?;
-                    if position as usize >= slot_len || postings.last() >= Some(&position) {
+                    let list = &postings[start as usize..];
+                    if position as usize >= slot_len || list.last() >= Some(&position) {
                         return Err(input
                             .error("posting list not strictly ascending within the slot table")
                             .into());
                     }
                     postings.push(position);
                 }
-                leaf.by_key.insert(key, postings);
+                directory.insert(key, (start, postings_len as u32));
             }
-            leaf.refresh_estimates();
+            let leaf =
+                LeafIndex::from_base(directory, postings.into_boxed_slice(), indexed_entities);
             if pooled
                 .insert((chain_hash, function, bucket), Arc::new(leaf))
                 .is_some()
@@ -615,6 +634,57 @@ mod tests {
         let again = LinkService::build(rule(), source.schema(), &target, ServiceOptions::default())
             .unwrap();
         assert_eq!(snapshot_of(&service), snapshot_of(&again));
+    }
+
+    /// A churned store — one entity removed and re-inserted at its recycled
+    /// slot, another replaced by a different entity there — writes the bytes
+    /// of a fresh build over the same `(position, entity)` set, though its
+    /// leaves still hold the writes in their deltas.
+    #[test]
+    fn a_churned_store_writes_the_bytes_of_a_fresh_build() {
+        let fuzzy = |name: &str, function, threshold| {
+            compare(
+                transform(function, vec![property(name)]),
+                transform(function, vec![property(name)]),
+                DistanceFunction::Levenshtein,
+                threshold,
+            )
+        };
+        let rule: LinkageRule = aggregation(
+            AggregationFunction::Min,
+            vec![
+                fuzzy("name", TransformFunction::LowerCase, 2.0),
+                fuzzy("phone", TransformFunction::DigitsOnly, 1.0),
+            ],
+        )
+        .into();
+        let dataset = linkdisc_datasets::DatasetKind::Restaurant.generate(5.0, 3);
+        let (source, target) = (&dataset.source, &dataset.target);
+        let schema = target.schema();
+        let options = ServiceOptions::default();
+        let mut churned =
+            LinkService::build(rule.clone(), source.schema(), target, options).unwrap();
+        let entities = target.entities();
+        let (kept, replaced) = (&entities[17], &entities[40]);
+        let values = (0..schema.len()).map(|at| entities[41].values_at(at).to_vec());
+        let newcomer = Entity::new("newcomer", schema.clone(), values.collect());
+        assert!(churned.remove(kept.id()));
+        assert_eq!(churned.insert(kept).unwrap(), 17);
+        assert!(churned.remove(replaced.id()));
+        assert_eq!(churned.insert(&newcomer).unwrap(), 40);
+        let pooled = churned.writer().pool().sorted_entries();
+        assert!(
+            pooled.iter().all(|(_, leaf)| !leaf.is_bulk()),
+            "a leaf folded"
+        );
+
+        let mut fresh_target = linkdisc_entity::DataSource::new("B", (**schema).clone());
+        for (at, entity) in entities.iter().enumerate() {
+            let entity = if at == 40 { &newcomer } else { entity };
+            fresh_target.add_entity(entity.clone()).unwrap();
+        }
+        let fresh = LinkService::build(rule, source.schema(), &fresh_target, options).unwrap();
+        assert_eq!(snapshot_of(&churned), snapshot_of(&fresh));
     }
 
     #[test]

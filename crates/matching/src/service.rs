@@ -14,16 +14,18 @@
 //!   `remove` / `ingest` mutates the working state and **publishes a new
 //!   epoch**: an immutable `(rules, indexes, entity snapshot)` tuple behind
 //!   an [`EpochCell`] swap.  Publication is copy-on-write at two
-//!   granularities — index leaves are `Arc`ed (a mutation deep-copies only
-//!   the leaves it touches, and only while an epoch still shares them) and
-//!   the entity slot table is chunked (a mutation copies one chunk, a
-//!   snapshot clones the chunk spine).  Note the cost model this implies:
-//!   after *any* publication every leaf is epoch-shared, so the next
-//!   mutation's copy-on-write pays O(size of each leaf the entity's keys
-//!   touch) — per `insert`/`remove` when publishing per op, once per batch
-//!   under [`ServiceWriter::ingest`], which is the write-heavy path to
-//!   prefer on large served sets (coalescing single ops is a ROADMAP
-//!   follow-on).
+//!   granularities — index leaves are `Arc`ed and the entity slot table is
+//!   chunked (a mutation copies one chunk, a snapshot clones the chunk
+//!   spine).  The cost model: after any publication every leaf is
+//!   epoch-shared, but a leaf is an immutable base plus a small delta, and
+//!   a mutation writes only the delta — so its copy-on-write clones each
+//!   touched leaf's delta, O(√(leaf postings)) at most, never the base.  A
+//!   publication first folds every delta its writes grew past √(base
+//!   postings) into a fresh base (one merge pass, O(leaf postings),
+//!   amortised over the √P postings of writes that grew it), so a single-op
+//!   write on Restaurant ×50 (21,280 targets) costs ~0.15 ms where copying
+//!   whole leaves cost ~4 ms.  [`ServiceWriter::ingest`] publishes, and
+//!   folds, once per batch.
 //! * [`ServiceReader`] — a cheaply cloneable query handle (one per thread).
 //!   Each query pins the current epoch (one atomic version check; a short
 //!   lock + `Arc` clone only when the writer actually published) and runs
@@ -852,8 +854,11 @@ impl ServiceWriter {
         Ok(position)
     }
 
-    /// Publishes the current working state as a new immutable epoch.
+    /// Publishes the current working state as a new immutable epoch,
+    /// first folding the leaf deltas this publication's writes grew past
+    /// their limit.
     pub(crate) fn publish(&mut self) {
+        self.pool.fold_past_limit();
         self.shared.epochs.publish(Arc::new(self.current_epoch()));
     }
 }

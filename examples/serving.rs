@@ -467,8 +467,8 @@ fn main() {
     section("chunked matching: one slice of each side bound at a time");
     let batch = MatchingEngine::new(rule()).run(&dataset.source, &dataset.target);
     // the source is cut into chunks of 48, the target into chunks of 64;
-    // every source chunk visits every target chunk (block-nested loop), so
-    // only one chunk of each side is bound and indexed at a time
+    // each target chunk is bound and indexed once and every source chunk is
+    // scored against it, so only one chunk of each side is bound at a time
     let chunked = MatchingEngine::new(rule())
         .with_options(MatchingOptions {
             chunk_size: 64,
@@ -479,7 +479,7 @@ fn main() {
     println!(
         "{} source chunks x {} target chunks; peak bound {} + {} of {} + {} entities",
         chunked.source_chunks,
-        chunked.chunks / chunked.source_chunks,
+        chunked.chunks,
         chunked.peak_source_chunk_entities,
         chunked.peak_chunk_entities,
         chunked.source_entities,

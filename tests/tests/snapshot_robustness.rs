@@ -149,6 +149,123 @@ fn the_pristine_snapshot_restores() {
     );
 }
 
+/// A little-endian reader over the documented snapshot layout, enough to
+/// find the block records of the leaf pool.
+struct Walk<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Walk<'_> {
+    fn u32(&mut self) -> usize {
+        let value = u32::from_le_bytes(self.bytes[self.at..self.at + 4].try_into().unwrap());
+        self.at += 4;
+        value as usize
+    }
+
+    fn skip(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    fn str(&mut self) {
+        let len = self.u32();
+        self.skip(len);
+    }
+
+    /// The byte ranges of every leaf's block records, leaf by leaf.
+    fn block_records(mut self) -> Vec<Vec<std::ops::Range<usize>>> {
+        self.skip(12); // magic, version
+        for _ in 0..self.u32() {
+            self.str(); // rule name
+            self.skip(8); // canonical hash
+        }
+        self.skip(8); // link threshold
+        let properties = self.u32();
+        for _ in 0..properties {
+            self.str();
+        }
+        self.skip(4); // slot_len
+        for _ in 0..self.u32() {
+            self.str(); // string table
+        }
+        for _ in 0..self.u32() {
+            self.skip(4); // position
+            self.str(); // id
+            for _ in 0..properties {
+                let values = self.u32();
+                self.skip(4 * values);
+            }
+        }
+        let free = self.u32();
+        self.skip(4 * free);
+        let mut leaves = Vec::new();
+        for _ in 0..self.u32() {
+            self.skip(8); // chain hash
+            self.str(); // measure
+            self.skip(8 + 4); // bound bucket, indexed entities
+            let blocks = (0..self.u32())
+                .map(|_| {
+                    let start = self.at;
+                    self.skip(8);
+                    let postings = self.u32();
+                    self.skip(4 * postings);
+                    start..self.at
+                })
+                .collect();
+            leaves.push(blocks);
+        }
+        assert_eq!(
+            self.at,
+            self.bytes.len() - 8,
+            "the walk ends at the checksum"
+        );
+        leaves
+    }
+}
+
+/// Re-seals the FNV-64 trailer over a forged payload.
+fn reseal(bytes: &mut [u8]) {
+    const HEADER: usize = 12;
+    let trailer = bytes.len() - 8;
+    let checksum = fnv64(&bytes[HEADER..trailer]);
+    bytes[trailer..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// A leaf's block records must list their keys strictly ascending: two
+/// records swapped, or one record repeated in place of its neighbour (which
+/// would otherwise overwrite the earlier list silently), are rejected with a
+/// typed error, checksum intact.
+#[test]
+fn block_records_out_of_key_order_are_rejected() {
+    let bytes = &fixture().bytes;
+    let leaves = Walk { bytes, at: 0 }.block_records();
+    assert_eq!(leaves.len(), 2);
+    for blocks in &leaves {
+        assert!(blocks.len() >= 2);
+        for pair in [0, blocks.len() / 2, blocks.len() - 2] {
+            let (a, b) = (blocks[pair].clone(), blocks[pair + 1].clone());
+            let mut swapped = bytes[..a.start].to_vec();
+            swapped.extend_from_slice(&bytes[b.clone()]);
+            swapped.extend_from_slice(&bytes[a.clone()]);
+            swapped.extend_from_slice(&bytes[b.end..]);
+            reseal(&mut swapped);
+            assert_rejected(
+                &swapped,
+                &format!("block records {pair} and {} swapped", pair + 1),
+            );
+            let mut repeated = bytes[..b.start].to_vec();
+            repeated.extend_from_slice(&bytes[a.clone()]);
+            repeated.extend_from_slice(&bytes[b.end..]);
+            reseal(&mut repeated);
+            assert_rejected(&repeated, &format!("block record {pair} repeated"));
+        }
+    }
+    // the walk itself is sound: re-sealing the untouched bytes restores
+    let mut pristine = bytes.clone();
+    reseal(&mut pristine);
+    assert_eq!(&pristine, bytes);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
