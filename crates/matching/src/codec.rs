@@ -295,6 +295,20 @@ impl<K: Borrow<str> + Hash + Eq> Interner<K> {
         }
     }
 
+    /// Number of strings interned so far.
+    pub(crate) fn len(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// Forgets every string interned at index `len` or later, and the
+    /// queued table entries: the strings of a record that was encoded but
+    /// will never be written.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.indices.retain(|_, index| (*index as usize) < len);
+        self.fresh.bytes.clear();
+        self.fresh_count = 0;
+    }
+
     /// Writes the strings interned since the last call as
     /// `[count, (len, bytes)*]`.
     pub(crate) fn write_fresh(&mut self, out: &mut Encoder) {

@@ -4,22 +4,25 @@
 //!
 //! # Write path
 //!
-//! Each `insert` / `remove` / `ingest` call:
+//! Every mutation, entity or registry, is one `Delta` through one commit:
 //!
-//! 1. validates (duplicate ids fail *before* anything is logged),
-//! 2. appends one delta record to the write-ahead log
-//!    ([`crate::wal`]) and `fsync`s it — one sync per epoch, so an ingest
-//!    batch pays a single sync (fsync-on-publish batching),
-//! 3. applies the mutation to the in-memory writer and publishes the
-//!    epoch readers see,
-//! 4. acknowledges.
+//! 1. **check** — the writer's `check` refuses a duplicate id, a taken or
+//!    unknown rule name or the last rule, or finds nothing to do (an absent
+//!    id, an empty batch), before anything is logged or changed;
+//! 2. **log** — one record is appended to the write-ahead log
+//!    ([`crate::wal`]) and `fsync`ed, one sync per epoch (a record over the
+//!    log's 1 GiB bound is refused here, unlogged);
+//! 3. **apply** the delta to the in-memory writer, and **publish** the epoch
+//!    readers see.
 //!
-//! A crash before step 2 completes loses only the unacknowledged call; a
-//! crash after it loses nothing — recovery replays the record.  If a log
-//! write itself fails, the service **poisons** itself (every later call
-//! errors with [`DurableError::Poisoned`]): the in-memory state may be
-//! ahead of or behind the log, and only [`DurableService::recover`] can
-//! re-establish the invariant.
+//! [`ServiceWriter`] runs the same check, apply and publish without the
+//! log; recovery turns each record back into the same delta and runs the
+//! same check and apply.  A crash before step 2 completes loses only the
+//! unacknowledged call; a crash after it loses nothing.  If a log write
+//! fails, the service **poisons** itself (every later call errors with
+//! [`DurableError::Poisoned`]): the in-memory state may be ahead of or
+//! behind the log, and only [`DurableService::recover`] can re-establish
+//! the invariant.
 //!
 //! This is the one module that decides which files exist.  The snapshot
 //! and log codecs ([`crate::persist`], `crate::wal`) encode into and decode
@@ -60,8 +63,8 @@
 //! fresh generation.  The recovered state is **bit-identical** to a
 //! sequential replay of the acknowledged epochs — same slots, free list,
 //! leaf maps and statistics — because checkpoint restore is bit-identical
-//! (PR 5's restore == rebuild property) and replay drives the exact same
-//! insert/remove code paths the original writer ran.  Unreadable
+//! to a rebuild and replay runs the very check and apply the original
+//! writer ran.  Unreadable
 //! acknowledged data is never silently dropped: it surfaces as a typed
 //! [`RecoveryError`] naming the salvageable prefix.
 //!
@@ -88,7 +91,7 @@ use crate::persist::SnapshotError;
 use crate::service::{RegistryError, ServiceOptions, ServiceReader, ServiceWriter, DEFAULT_RULE};
 use crate::sharded::{ShardRouter, ShardedService};
 use crate::storage::Dir;
-use crate::wal::{decode_wal, Delta, WalContents, WalDamage, WalOp, WalWriter};
+use crate::wal::{decode_wal, Delta, Refused, WalContents, WalDamage, WalOp, WalRecord, WalWriter};
 
 /// Tuning of the durability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +127,9 @@ pub enum DurableError {
     /// A previous durable write failed, so the in-memory state can no
     /// longer be trusted to match the log; recover from disk.
     Poisoned,
+    /// The mutation's log record, `bytes` of payload, exceeds the log's
+    /// 1 GiB record bound — the service state and the log are untouched.
+    RecordTooLarge { bytes: u64 },
 }
 
 impl std::fmt::Display for DurableError {
@@ -137,6 +143,9 @@ impl std::fmt::Display for DurableError {
             DurableError::Registry(err) => write!(f, "invalid registry operation: {err}"),
             DurableError::Poisoned => {
                 write!(f, "a durable write failed earlier; recover from disk")
+            }
+            DurableError::RecordTooLarge { bytes } => {
+                write!(f, "a {bytes}-byte log record exceeds the 1 GiB bound")
             }
         }
     }
@@ -159,6 +168,15 @@ impl From<io::Error> for DurableError {
 impl From<RegistryError> for DurableError {
     fn from(err: RegistryError) -> Self {
         DurableError::Registry(err)
+    }
+}
+
+impl From<Refused> for DurableError {
+    fn from(refused: Refused) -> Self {
+        match refused {
+            Refused::Entity(err) => DurableError::Entity(err),
+            Refused::Registry(err) => DurableError::Registry(err),
+        }
     }
 }
 
@@ -351,7 +369,7 @@ fn write_generation(
     writer: &ServiceWriter,
     generation: u64,
     seq: u64,
-) -> Result<Log, DurableError> {
+) -> io::Result<Log> {
     let (disk, path) = (dir.storage(), dir.path());
     let tmp = path.join(format!("checkpoint-{generation:08}.snap.tmp"));
     let _ = disk.remove(&tmp);
@@ -395,22 +413,6 @@ fn retire(dir: &Dir, keep_from: u64) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// The entity's value sets aligned to the target schema — exactly what the
-/// store will hold for it, so replaying the record reproduces the stored
-/// entity bit-identically.
-fn aligned_values(entity: &Entity, schema: &Schema) -> Vec<Vec<String>> {
-    let same = entity.schema().as_ref() == schema;
-    (0..schema.len())
-        .map(|index| {
-            if same {
-                entity.values_at(index).to_vec()
-            } else {
-                entity.values(&schema.properties()[index]).to_vec()
-            }
-        })
-        .collect()
 }
 
 impl DurableService {
@@ -517,12 +519,34 @@ impl DurableService {
         Ok(())
     }
 
-    /// Logs one delta durably (append, then fsync — the publish barrier);
-    /// poisons the service on failure.
+    /// The durable write path (see the module docs): check, log and fsync,
+    /// apply, publish, then compact past the log budget.  `Ok(None)` when
+    /// the delta has nothing to do, which logs nothing.
+    pub(crate) fn commit(&mut self, delta: Delta<'_>) -> Result<Option<u32>, DurableError> {
+        self.guard()?;
+        if !self.writer.check(&delta)? {
+            return Ok(None);
+        }
+        self.log(&delta)?;
+        let position = self.writer.apply(delta);
+        self.writer.publish();
+        self.maybe_compact()?;
+        Ok(Some(position))
+    }
+
+    /// Appends one delta's record to the log and fsyncs it — the one
+    /// function that writes a record.  A record over the log's bound is
+    /// refused unwritten; a failed append or fsync poisons the service.
     fn log(&mut self, delta: &Delta<'_>) -> Result<(), DurableError> {
-        self.seq += 1;
+        let schema = self.writer.store().schema().clone();
         let (wal, disk) = (&mut self.wal, self.dir.storage());
-        let record = wal.encoder.encode(self.seq, delta);
+        let record = wal
+            .encoder
+            .encode(self.seq + 1, delta, &schema)
+            .map_err(|bytes| DurableError::RecordTooLarge {
+                bytes: bytes as u64,
+            })?;
+        self.seq += 1;
         wal.bytes += record.len() as u64;
         let outcome = disk
             .append(&wal.path, record)
@@ -537,64 +561,21 @@ impl DurableService {
     /// Adds one target entity durably: logged and fsynced before the epoch
     /// publishes and the position is acknowledged.
     pub fn insert(&mut self, entity: &Entity) -> Result<u32, DurableError> {
-        self.guard()?;
-        if self.writer.contains(entity.id()) {
-            return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
-        }
-        let values = aligned_values(entity, self.writer.store().schema());
-        self.log(&Delta::Insert(entity.id(), &values))?;
-        let position = self
-            .writer
-            .insert_unpublished(entity)
-            .expect("id uniqueness was validated before logging");
-        self.writer.publish();
-        self.maybe_compact()?;
-        Ok(position)
+        Ok(self.commit(Delta::Insert(entity))?.unwrap_or_default())
     }
 
     /// Removes a target entity durably.  Returns `Ok(false)` (logging
     /// nothing) when the id is not served.
     pub fn remove(&mut self, id: &str) -> Result<bool, DurableError> {
-        self.guard()?;
-        if !self.writer.contains(id) {
-            return Ok(false);
-        }
-        self.log(&Delta::Remove(id))?;
-        assert!(
-            self.writer.remove_unpublished(id),
-            "presence was validated before logging"
-        );
-        self.writer.publish();
-        self.maybe_compact()?;
-        Ok(true)
+        Ok(self.commit(Delta::Remove(id))?.is_some())
     }
 
     /// Ingests a batch durably as **one atomic epoch**: one log record, one
-    /// fsync, one publication.  Unlike [`ServiceWriter::ingest`] (which
-    /// keeps the prefix of a failing batch), a duplicate id anywhere fails
-    /// the whole batch up front — nothing is logged, nothing applied:
-    /// atomicity is what makes a single log record sufficient.
+    /// fsync, one publication — or, on a duplicate id anywhere, nothing
+    /// logged and nothing applied (an empty batch logs nothing either).
     pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, DurableError> {
-        self.guard()?;
-        let mut batch_ids = std::collections::HashSet::new();
-        for entity in entities {
-            if self.writer.contains(entity.id()) || !batch_ids.insert(entity.id()) {
-                return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
-            }
-        }
-        let schema = self.writer.store().schema().clone();
-        let batch: Vec<(String, Vec<Vec<String>>)> = entities
-            .iter()
-            .map(|entity| (entity.id().to_string(), aligned_values(entity, &schema)))
-            .collect();
-        self.log(&Delta::Ingest(&batch))?;
-        for entity in entities {
-            self.writer
-                .insert_unpublished(entity)
-                .expect("batch uniqueness was validated before logging");
-        }
-        self.writer.publish();
-        self.maybe_compact()?;
+        let batch: Vec<&Entity> = entities.iter().collect();
+        self.commit(Delta::Ingest(&batch))?;
         Ok(entities.len())
     }
 
@@ -605,52 +586,19 @@ impl DurableService {
     /// [`ServiceWriter::register_rule`] for the in-memory semantics (warm
     /// registration builds only the missing pool leaves).
     pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        self.guard()?;
-        if self.writer.has_rule(name) {
-            return Err(RegistryError::DuplicateRule(name.to_string()).into());
-        }
-        self.log(&Delta::Register(name, rule.canonical_hash()))?;
-        self.writer
-            .register_rule_unpublished(name, rule)
-            .expect("name uniqueness was validated before logging");
-        self.writer.publish();
-        self.maybe_compact()?;
-        Ok(())
+        self.commit(Delta::Register(name, &rule)).map(drop)
     }
 
     /// Deregisters a rule durably (logged and fsynced before the registry
     /// changes) — see [`ServiceWriter::deregister_rule`].
     pub fn deregister_rule(&mut self, name: &str) -> Result<(), DurableError> {
-        self.guard()?;
-        if !self.writer.has_rule(name) {
-            return Err(RegistryError::UnknownRule(name.to_string()).into());
-        }
-        if self.writer.rule_count() == 1 {
-            return Err(RegistryError::LastRule.into());
-        }
-        self.log(&Delta::Deregister(name))?;
-        self.writer
-            .deregister_rule_unpublished(name)
-            .expect("presence and registry size were validated before logging");
-        self.writer.publish();
-        self.maybe_compact()?;
-        Ok(())
+        self.commit(Delta::Deregister(name)).map(drop)
     }
 
     /// Hot-swaps a rule durably (logged and fsynced before the swap) — see
     /// [`ServiceWriter::replace_rule`].
     pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        self.guard()?;
-        if !self.writer.has_rule(name) {
-            return Err(RegistryError::UnknownRule(name.to_string()).into());
-        }
-        self.log(&Delta::Replace(name, rule.canonical_hash()))?;
-        self.writer
-            .replace_rule_unpublished(name, rule)
-            .expect("presence was validated before logging");
-        self.writer.publish();
-        self.maybe_compact()?;
-        Ok(())
+        self.commit(Delta::Replace(name, &rule)).map(drop)
     }
 
     fn maybe_compact(&mut self) -> Result<(), DurableError> {
@@ -673,7 +621,7 @@ impl DurableService {
                 // generation, but this handle may have half-written files
                 // on disk — require recovery rather than guessing
                 self.poisoned = true;
-                return Err(err);
+                return Err(DurableError::Io(err));
             }
         };
         let previous = self.generation;
@@ -832,11 +780,10 @@ impl DurableService {
             } else {
                 seq = Some(contents.base_seq);
             }
-            let schema = writer.store().schema().clone();
-            for record in &contents.records {
-                DurableService::apply_record(&mut writer, &schema, catalog, record)?;
-                replayed_epochs += 1;
+            for record in contents.records {
                 seq = Some(record.seq);
+                replay(&mut writer, catalog, record)?;
+                replayed_epochs += 1;
             }
             torn_tail_bytes += contents.torn_tail_bytes;
         }
@@ -847,11 +794,7 @@ impl DurableService {
             .max_generation()
             .expect("recover found at least one checkpoint")
             + 1;
-        let wal = match write_generation(&dir, &writer, next, seq) {
-            Ok(wal) => wal,
-            Err(DurableError::Io(err)) => return Err(RecoveryError::Io(err)),
-            Err(err) => return Err(RecoveryError::Io(io::Error::other(err.to_string()))),
-        };
+        let wal = write_generation(&dir, &writer, next, seq)?;
         retire(&dir, checkpoint_generation)?;
         Ok((
             DurableService {
@@ -872,88 +815,67 @@ impl DurableService {
             },
         ))
     }
-
-    fn apply_record(
-        writer: &mut ServiceWriter,
-        schema: &Arc<Schema>,
-        catalog: &[(String, LinkageRule)],
-        record: &crate::wal::WalRecord,
-    ) -> Result<(), RecoveryError> {
-        let fail = |detail: String| RecoveryError::Replay {
-            seq: record.seq,
-            detail,
-        };
-        let replay_entity = |entity: &crate::wal::EntityRecord| -> Result<Entity, RecoveryError> {
-            if entity.values.len() != schema.len() {
-                return Err(fail(format!(
-                    "entity {} has {} value sets for a {}-property schema",
-                    entity.id,
-                    entity.values.len(),
-                    schema.len()
-                )));
-            }
-            Ok(Entity::new(
-                entity.id.clone(),
-                schema.clone(),
-                entity.values.clone(),
-            ))
-        };
-        match &record.op {
-            WalOp::Insert(entity) => {
-                let entity = replay_entity(entity)?;
-                writer
-                    .insert_unpublished(&entity)
-                    .map_err(|err| fail(err.to_string()))?;
-            }
-            WalOp::Remove(id) => {
-                if !writer.remove_unpublished(id) {
-                    return Err(fail(format!("entity {id} is not in the store")));
-                }
-            }
-            WalOp::Ingest(batch) => {
-                for entity in batch {
-                    let entity = replay_entity(entity)?;
-                    writer
-                        .insert_unpublished(&entity)
-                        .map_err(|err| fail(err.to_string()))?;
-                }
-            }
-            WalOp::Register { name, rule_hash } => {
-                let rule = lookup_rule(catalog, name, *rule_hash).map_err(&fail)?;
-                writer
-                    .register_rule_unpublished(name, rule.clone())
-                    .map_err(|err| fail(err.to_string()))?;
-            }
-            WalOp::Deregister(name) => {
-                writer
-                    .deregister_rule_unpublished(name)
-                    .map_err(|err| fail(err.to_string()))?;
-            }
-            WalOp::Replace { name, rule_hash } => {
-                let rule = lookup_rule(catalog, name, *rule_hash).map_err(&fail)?;
-                writer
-                    .replace_rule_unpublished(name, rule.clone())
-                    .map_err(|err| fail(err.to_string()))?;
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Resolves a logged registry operation against the recovery catalog.
-/// Resolution is by **canonical hash**, not by catalog name: a `Replace`
-/// re-binds a registry name to a different rule, so the same name can
-/// legitimately refer to different rules at different points of the log.
-fn lookup_rule<'a>(
-    catalog: &'a [(String, LinkageRule)],
-    name: &str,
-    rule_hash: u64,
-) -> Result<&'a LinkageRule, String> {
-    catalog
-        .iter()
-        .find(|(_, rule)| rule.canonical_hash() == rule_hash)
-        .map(|(_, rule)| rule)
-        .ok_or_else(|| format!("no catalog rule matches the hash the log recorded for \"{name}\""))
+/// Replays one decoded record: rebuilds the [`Delta`] it logged and runs
+/// the live write path's check and apply on it (the caller publishes once
+/// after the last record).  Anything that cannot be applied is
+/// [`RecoveryError::Replay`]; an empty batch, which older builds logged,
+/// replays as a no-op.
+fn replay(
+    writer: &mut ServiceWriter,
+    catalog: &[(String, LinkageRule)],
+    record: WalRecord,
+) -> Result<(), RecoveryError> {
+    let WalRecord { seq, mut op } = record;
+    let fail = |detail: String| RecoveryError::Replay { seq, detail };
+    let schema = writer.store().schema().clone();
+    let entity = |entity: crate::wal::EntityRecord| {
+        if entity.values.len() != schema.len() {
+            return Err(fail(format!(
+                "entity {} has {} value sets for a {}-property schema",
+                entity.id,
+                entity.values.len(),
+                schema.len()
+            )));
+        }
+        Ok(Entity::new(entity.id, schema.clone(), entity.values))
+    };
+    let entities: Vec<Entity> = match &mut op {
+        WalOp::Insert(one) => vec![entity(std::mem::take(one))?],
+        WalOp::Ingest(batch) => std::mem::take(batch)
+            .into_iter()
+            .map(entity)
+            .collect::<Result<_, _>>()?,
+        _ => Vec::new(),
+    };
+    let batch: Vec<&Entity> = entities.iter().collect();
+    // a logged rule is resolved by canonical hash, not by name: a `Replace`
+    // re-binds a name, so one name can mean different rules along the log
+    let rule = |name: &str, hash: u64| {
+        let mut rules = catalog.iter().map(|(_, rule)| rule);
+        let found = rules.find(|rule| rule.canonical_hash() == hash);
+        found.ok_or_else(|| fail(format!("no catalog rule has the hash logged for {name:?}")))
+    };
+    let delta = match &op {
+        WalOp::Insert(_) => Delta::Insert(batch[0]),
+        WalOp::Remove(id) => Delta::Remove(id),
+        WalOp::Ingest(_) => Delta::Ingest(&batch),
+        WalOp::Register { name, rule_hash } => Delta::Register(name, rule(name, *rule_hash)?),
+        WalOp::Deregister(name) => Delta::Deregister(name),
+        WalOp::Replace { name, rule_hash } => Delta::Replace(name, rule(name, *rule_hash)?),
+    };
+    match writer.check(&delta) {
+        Ok(true) => {
+            writer.apply(delta);
+            Ok(())
+        }
+        Ok(false) if matches!(delta, Delta::Ingest(_)) => Ok(()),
+        Ok(false) => Err(fail(
+            "the record removes an entity that is not served".into(),
+        )),
+        Err(refused) => Err(fail(DurableError::from(refused).to_string())),
+    }
 }
 
 /// The subdirectory holding one shard's checkpoint/log generation chain.
@@ -1103,45 +1025,31 @@ impl ShardedService<DurableService> {
         let Some((leader, rest)) = shards.split_first_mut() else {
             return Ok(());
         };
-        let target: Vec<(String, LinkageRule)> = leader
-            .writer()
-            .rule_names()
-            .into_iter()
-            .map(|name| {
-                let rule = leader
-                    .writer()
-                    .named_rule(&name)
-                    .expect("rule_names lists registered rules")
-                    .clone();
-                (name, rule)
-            })
-            .collect();
+        let target = leader.writer().registered_rules();
         let durable = |err: DurableError| RecoveryError::Replay {
             seq: 0,
             detail: format!("converging a lagging shard registry failed: {err}"),
         };
         for shard in rest {
-            for (name, rule) in &target {
-                if !shard.writer().has_rule(name) {
-                    shard.register_rule(name, rule.clone()).map_err(durable)?;
-                } else if shard
-                    .writer()
-                    .named_rule(name)
-                    .expect("presence was just checked")
-                    .canonical_hash()
-                    != rule.canonical_hash()
-                {
-                    shard.replace_rule(name, rule.clone()).map_err(durable)?;
-                }
+            for registered in target {
+                let (name, rule) = (registered.name.as_ref(), registered.rule.as_ref());
+                let delta = match shard.writer().named_rule(name) {
+                    None => Delta::Register(name, rule),
+                    Some(held) if held.canonical_hash() != rule.canonical_hash() => {
+                        Delta::Replace(name, rule)
+                    }
+                    Some(_) => continue,
+                };
+                shard.commit(delta).map_err(durable)?;
             }
             let extras: Vec<String> = shard
                 .writer()
                 .rule_names()
                 .into_iter()
-                .filter(|name| !target.iter().any(|(kept, _)| kept == name))
+                .filter(|name| !target.iter().any(|kept| kept.name.as_ref() == name))
                 .collect();
             for name in extras {
-                shard.deregister_rule(&name).map_err(durable)?;
+                shard.commit(Delta::Deregister(&name)).map_err(durable)?;
             }
         }
         Ok(())
@@ -1165,51 +1073,283 @@ impl ShardedService<DurableService> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LinkService;
     use linkdisc_entity::DataSourceBuilder;
     use linkdisc_rule::{compare, property, DistanceFunction};
 
-    #[test]
-    fn a_replay_error_names_the_failing_record() {
-        let target = DataSourceBuilder::new("B", ["name"])
+    fn target() -> DataSource {
+        DataSourceBuilder::new("B", ["name"])
             .entity("b1", [("name", "berlin")])
             .unwrap()
             .entity("b2", [("name", "paris")])
             .unwrap()
-            .build();
-        let rule: LinkageRule = compare(
+            .entity("b3", [("name", "rome")])
+            .unwrap()
+            .build()
+    }
+
+    fn rule(bound: f64) -> LinkageRule {
+        compare(
             property("name"),
             property("name"),
             DistanceFunction::Levenshtein,
-            1.0,
+            bound,
         )
-        .into();
-        let dir = std::env::temp_dir().join(format!("linkdisc-replay-seq-{}", std::process::id()));
+        .into()
+    }
+
+    /// A fresh scratch directory for one test case.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("linkdisc-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Appends `delta`'s record with values aligned to `schema`, skipping
+    /// the check: a record that decodes but need not apply.
+    fn forge(service: &mut DurableService, delta: &Delta<'_>, schema: &Schema) -> u64 {
+        service.seq += 1;
+        let record = service.wal.encoder.encode(service.seq, delta, schema);
+        let storage = service.dir.storage();
+        storage.append(&service.wal.path, record.unwrap()).unwrap();
+        storage.sync(&service.wal.path).unwrap();
+        service.seq
+    }
+
+    /// Records that decode but cannot be applied, one per op, each after a
+    /// valid one: recovery fails as `Replay` naming that record, never
+    /// panics.  An empty `Ingest` record, which older builds logged,
+    /// replays as a no-op.
+    #[test]
+    fn a_replay_error_names_the_failing_record() {
+        let target = target();
+        let schema = target.schema().clone();
+        let wide = Arc::new(Schema::new(["name", "extra"]));
+        let served = target.entities()[0].clone();
+        let fresh = Entity::new("b4", schema.clone(), vec![vec!["oslo".into()]]);
+        let widened = Entity::new(
+            "b4",
+            wide.clone(),
+            vec![vec!["oslo".into()], vec!["x".into()]],
+        );
+        let (known, unknown) = (rule(1.0), rule(3.0));
+        let cases: [(&str, Delta<'_>, &Schema); 10] = [
+            ("served insert", Delta::Insert(&served), &schema),
+            ("wrong value-set count", Delta::Insert(&widened), &wide),
+            (
+                "repeat in a batch",
+                Delta::Ingest(&[&fresh, &fresh]),
+                &schema,
+            ),
+            (
+                "served in a batch",
+                Delta::Ingest(&[&fresh, &served]),
+                &schema,
+            ),
+            ("absent remove", Delta::Remove("b9"), &schema),
+            ("taken name", Delta::Register(DEFAULT_RULE, &known), &schema),
+            (
+                "hash not in catalog",
+                Delta::Register("extra", &unknown),
+                &schema,
+            ),
+            ("unknown deregister", Delta::Deregister("extra"), &schema),
+            ("last rule", Delta::Deregister(DEFAULT_RULE), &schema),
+            ("unknown replace", Delta::Replace("extra", &known), &schema),
+        ];
+        let dir = scratch_dir("replay-seq");
+        for (case, delta, aligned_to) in cases {
+            let mut service = DurableService::create(
+                &dir,
+                known.clone(),
+                &schema,
+                &target,
+                ServiceOptions::default(),
+                DurabilityOptions::default(),
+            )
+            .unwrap();
+            assert!(service.remove("b2").unwrap());
+            let bad_seq = forge(&mut service, &delta, aligned_to);
+            assert_eq!(bad_seq, 2, "{case}");
+            drop(service);
+            let recovered = std::panic::catch_unwind(|| {
+                DurableService::recover(&dir, known.clone(), &schema, DurabilityOptions::default())
+            });
+            match recovered {
+                Ok(Err(RecoveryError::Replay { seq, .. })) => assert_eq!(seq, bad_seq, "{case}"),
+                Ok(Err(err)) => panic!("{case}: expected Replay, got {err}"),
+                Ok(Ok(_)) => panic!("{case}: recovered a record that cannot apply"),
+                Err(_) => panic!("{case}: replay panicked"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        // a parent-style empty batch record recovers, as a no-op
         let mut service = DurableService::create(
             &dir,
-            rule.clone(),
-            target.schema(),
+            known.clone(),
+            &schema,
             &target,
             ServiceOptions::default(),
             DurabilityOptions::default(),
         )
         .unwrap();
-        assert!(service.remove("b1").unwrap());
+        forge(&mut service, &Delta::Ingest(&[]), &schema);
         assert!(service.remove("b2").unwrap());
-        // a one-property schema, two value sets: decodes, cannot be applied
-        let values = [vec!["rome".to_string()], vec!["extra".to_string()]];
-        service.log(&Delta::Insert("b3", &values)).unwrap();
-        let bad_seq = service.seq();
-        assert_eq!(bad_seq, 3);
+        let expected = service.writer().encode_snapshot();
         drop(service);
+        let (recovered, report) =
+            DurableService::recover(&dir, known, &schema, DurabilityOptions::default()).unwrap();
+        assert_eq!(report.replayed_epochs, 2);
+        assert_eq!(recovered.seq(), 2);
+        assert_eq!(recovered.writer().encode_snapshot(), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        let err =
-            DurableService::recover(&dir, rule, target.schema(), DurabilityOptions::default())
-                .unwrap_err();
-        assert!(
-            matches!(err, RecoveryError::Replay { seq, .. } if seq == bad_seq),
-            "{err}"
-        );
+    /// One serving front under test, and what an ingest may change.
+    enum Front {
+        Memory(LinkService),
+        Durable(DurableService),
+        Sharded(ShardedService),
+        ShardedDurable(ShardedService<DurableService>),
+    }
+
+    /// `(len, versions, seq, log bytes, snapshot bytes)`, per shard where a
+    /// front has shards.
+    type Observed = (usize, Vec<u64>, u64, Vec<u64>, Vec<Vec<u8>>);
+
+    impl Front {
+        fn ingest(&mut self, batch: &[Entity]) -> Result<usize, EntityError> {
+            let entity = |err: DurableError| match err {
+                DurableError::Entity(err) => err,
+                other => panic!("unexpected durable failure: {other}"),
+            };
+            match self {
+                Front::Memory(service) => service.ingest(batch),
+                Front::Durable(service) => service.ingest(batch).map_err(entity),
+                Front::Sharded(service) => service.ingest(batch),
+                Front::ShardedDurable(service) => service.ingest(batch).map_err(entity),
+            }
+        }
+
+        fn observe(&self) -> Observed {
+            let writers: Vec<&ServiceWriter> = match self {
+                Front::Memory(service) => vec![service.writer()],
+                Front::Durable(service) => vec![service.writer()],
+                Front::Sharded(service) => service.shards().iter().collect(),
+                Front::ShardedDurable(service) => service
+                    .shards()
+                    .iter()
+                    .map(DurableService::writer)
+                    .collect(),
+            };
+            let logs: Vec<&DurableService> = match self {
+                Front::Durable(service) => vec![service],
+                Front::ShardedDurable(service) => service.shards().iter().collect(),
+                Front::Memory(_) | Front::Sharded(_) => Vec::new(),
+            };
+            (
+                writers.iter().map(|writer| writer.len()).sum(),
+                writers.iter().map(|writer| writer.version()).collect(),
+                logs.iter().map(|log| log.seq()).sum(),
+                logs.iter().map(|log| log.log_bytes()).collect(),
+                writers
+                    .iter()
+                    .map(|writer| writer.encode_snapshot())
+                    .collect(),
+            )
+        }
+    }
+
+    /// `ingest` is all or nothing, and an empty batch a no-op, on every
+    /// front: a batch that repeats an id or holds a served one fails with
+    /// the same `DuplicateEntity` id everywhere and changes nothing — not
+    /// the entity count, the versions, the log's sequence number or bytes,
+    /// nor the snapshot bytes.
+    #[test]
+    fn every_front_refuses_a_failing_ingest_whole() {
+        let target = target();
+        let schema = target.schema();
+        let more = |ids: &[&str]| -> Vec<Entity> {
+            let set = |id: &str| vec![vec![format!("{id}-city")]];
+            ids.iter()
+                .map(|&id| Entity::new(id, schema.clone(), set(id)))
+                .collect()
+        };
+        let dir = scratch_dir("ingest-parity");
+        let options = ServiceOptions::default();
+        let durability = DurabilityOptions::default();
+        let fronts = vec![
+            Front::Memory(LinkService::build(rule(1.0), schema, &target, options).unwrap()),
+            Front::Durable(
+                DurableService::create(
+                    dir.join("one"),
+                    rule(1.0),
+                    schema,
+                    &target,
+                    options,
+                    durability,
+                )
+                .unwrap(),
+            ),
+            Front::Sharded(ShardedService::build(rule(1.0), schema, &target, 1, options).unwrap()),
+            Front::Sharded(ShardedService::build(rule(1.0), schema, &target, 3, options).unwrap()),
+            Front::ShardedDurable(
+                ShardedService::create(
+                    dir.join("sharded-1"),
+                    rule(1.0),
+                    schema,
+                    &target,
+                    1,
+                    options,
+                    durability,
+                )
+                .unwrap(),
+            ),
+            Front::ShardedDurable(
+                ShardedService::create(
+                    dir.join("sharded-3"),
+                    rule(1.0),
+                    schema,
+                    &target,
+                    3,
+                    options,
+                    durability,
+                )
+                .unwrap(),
+            ),
+        ];
+        let mut served = more(&["b5", "b1"]);
+        served.insert(0, target.entities()[1].clone());
+        let failing = [
+            (more(&["b4", "b5", "b4"]), "b4"),
+            (more(&["b4", "b1"]), "b1"),
+            (served, "b2"),
+        ];
+        for (at, mut front) in fronts.into_iter().enumerate() {
+            let before = front.observe();
+            for (batch, id) in &failing {
+                let err = front.ingest(batch).unwrap_err();
+                assert_eq!(
+                    err,
+                    EntityError::DuplicateEntity(id.to_string()),
+                    "front {at}"
+                );
+                assert_eq!(
+                    front.observe(),
+                    before,
+                    "front {at}: a failed ingest changed state"
+                );
+            }
+            assert_eq!(front.ingest(&[]).unwrap(), 0, "front {at}");
+            assert_eq!(
+                front.observe(),
+                before,
+                "front {at}: an empty ingest changed state"
+            );
+            assert_eq!(front.ingest(&more(&["b4", "b5"])).unwrap(), 2, "front {at}");
+            assert_eq!(front.observe().0, 5, "front {at}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -94,7 +94,7 @@
 //! key — restart is O(read) instead of O(build), and the restored service
 //! is bit-identical to a fresh build (links, stats, query results).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -109,6 +109,7 @@ use crate::engine::ScoredLink;
 use crate::multiblock::{
     CandidateScratch, LeafBuildStats, LeafPool, LeafPoolStats, MultiBlockIndex,
 };
+use crate::wal::{Delta, Refused};
 
 /// The name under which constructors register their rule; single-rule
 /// callers never need another.
@@ -339,7 +340,7 @@ impl ServiceWriter {
         options: ServiceOptions,
     ) -> Self {
         let store = EntityStore::new(target_schema.clone());
-        ServiceWriter::assemble(rule, source_schema, target_schema, options, store)
+        ServiceWriter::assemble(rule, source_schema, options, store)
     }
 
     /// Builds a writer over a materialised target source: entities are
@@ -375,58 +376,27 @@ impl ServiceWriter {
         options: ServiceOptions,
     ) -> Result<Self, EntityError> {
         let store = EntityStore::from_entities(target_schema.clone(), target)?;
-        // the construction-time epoch (version 0) already carries the fully
-        // built state — no extra publication needed
-        Ok(ServiceWriter::assemble(
-            rule,
-            source_schema,
-            target_schema,
-            options,
-            store,
-        ))
+        Ok(ServiceWriter::assemble(rule, source_schema, options, store))
     }
 
-    /// The common construction core: seeds a fresh leaf pool with the
-    /// default rule's distinct leaves over the store, through the same
-    /// [`LeafPool::acquire_plan`] a later registration uses.
+    /// The common construction core: registers the default rule on an
+    /// empty registry through [`ServiceWriter::apply`], which builds its
+    /// distinct leaves over the store, and makes that the construction-time
+    /// epoch (version 0).
     fn assemble(
         rule: LinkageRule,
         source_schema: &Arc<Schema>,
-        target_schema: &Arc<Schema>,
         options: ServiceOptions,
         store: EntityStore,
     ) -> Self {
-        let cache = PinnedValueCache::new();
-        let plan = Arc::new(
-            IndexingPlan::lower(&rule, source_schema, target_schema, options.link_threshold)
-                .canonicalized(),
-        );
-        let compiled = Arc::new(CompiledRule::compile(&rule, source_schema, target_schema));
-        let mut pool = LeafPool::new();
-        let (_, leaf_hits, leaf_misses) = pool.acquire_plan(
-            &plan,
-            &live_entries(&store),
-            cache.scoped(),
-            options.threads,
-        );
-        let default = RegisteredRule {
-            name: Arc::from(DEFAULT_RULE),
-            rule: Arc::new(rule),
-            compiled,
-            plan,
-            counters: Arc::new(RuleCounters::default()),
-            leaf_hits,
-            leaf_misses,
-            registered_epoch: 0,
-        };
-        ServiceWriter::from_parts_with_cache(
-            source_schema,
-            options,
-            store,
-            pool,
-            vec![default],
-            cache,
-        )
+        let pool = LeafPool::new();
+        let mut writer =
+            ServiceWriter::from_restored(source_schema, options, store, pool, Vec::new());
+        writer.apply(Delta::Register(DEFAULT_RULE, &rule));
+        writer.rules[0].registered_epoch = 0;
+        let epoch = Arc::new(writer.current_epoch());
+        writer.shared.epochs.replace_current(epoch);
+        writer
     }
 
     /// Restores a writer from already-reconstructed parts (the snapshot
@@ -439,28 +409,10 @@ impl ServiceWriter {
         pool: LeafPool,
         rules: Vec<RegisteredRule>,
     ) -> Self {
-        ServiceWriter::from_parts_with_cache(
-            source_schema,
-            options,
-            store,
-            pool,
-            rules,
-            PinnedValueCache::new(),
-        )
-    }
-
-    fn from_parts_with_cache(
-        source_schema: &Arc<Schema>,
-        options: ServiceOptions,
-        store: EntityStore,
-        pool: LeafPool,
-        rules: Vec<RegisteredRule>,
-        cache: PinnedValueCache,
-    ) -> Self {
         let target_chain_hashes = evictable_hashes(&rules);
         let writer = ServiceWriter {
             shared: Arc::new(ServiceShared {
-                cache,
+                cache: PinnedValueCache::new(),
                 link_threshold: options.link_threshold,
                 epochs: Arc::new(EpochCell::new(Arc::new(ServiceEpoch {
                     rules: Vec::new(),
@@ -642,26 +594,18 @@ impl ServiceWriter {
     /// new epoch.  Returns the entity's index position; fails on a
     /// duplicate identifier.
     pub fn insert(&mut self, entity: &Entity) -> Result<u32, EntityError> {
-        let position = self.insert_unpublished(entity)?;
-        self.publish();
-        Ok(position)
+        let position = self.write(Delta::Insert(entity)).map_err(Refused::entity)?;
+        Ok(position.unwrap_or_default())
     }
 
     /// Streamed ingestion: adds a chunk of target entities and publishes
-    /// **once**.  Equivalent to inserting them one by one — including on
-    /// failure: entities before the failing one stay served (and are
-    /// published before the error returns, so the working state never
-    /// diverges silently from what readers see).  Batching the publication
-    /// amortises the copy-on-write of touched index leaves over the whole
-    /// chunk.
+    /// **once**, all or nothing — an id the store serves, or one the batch
+    /// repeats, fails the whole call before anything changes, and an empty
+    /// batch publishes nothing.  Batching the publication amortises the
+    /// copy-on-write of touched index leaves over the whole chunk.
     pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, EntityError> {
-        for entity in entities {
-            if let Err(err) = self.insert_unpublished(entity) {
-                self.publish();
-                return Err(err);
-            }
-        }
-        self.publish();
+        let batch: Vec<&Entity> = entities.iter().collect();
+        self.write(Delta::Ingest(&batch)).map_err(Refused::entity)?;
         Ok(entities.len())
     }
 
@@ -671,11 +615,7 @@ impl ServiceWriter {
     /// not served.  Readers still pinning an older epoch keep scoring the
     /// entity until they refresh — its `Arc` stays alive in those epochs.
     pub fn remove(&mut self, id: &str) -> bool {
-        if !self.remove_unpublished(id) {
-            return false;
-        }
-        self.publish();
-        true
+        matches!(self.write(Delta::Remove(id)), Ok(Some(_)))
     }
 
     /// Registers a new rule under a fresh name and publishes: a warm
@@ -683,9 +623,8 @@ impl ServiceWriter {
     /// pool — no re-ingest, no interner rebuild — and readers see the
     /// extended registry from the next query on.
     pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        self.register_rule_unpublished(name, rule)?;
-        self.publish();
-        Ok(())
+        let registered = self.write(Delta::Register(name, &rule));
+        registered.map(drop).map_err(Refused::registry)
     }
 
     /// Deregisters a rule by name and publishes; pool leaves only it
@@ -693,9 +632,8 @@ impl ServiceWriter {
     /// form could own are evicted.  The last remaining rule cannot be
     /// deregistered.
     pub fn deregister_rule(&mut self, name: &str) -> Result<(), RegistryError> {
-        self.deregister_rule_unpublished(name)?;
-        self.publish();
-        Ok(())
+        let deregistered = self.write(Delta::Deregister(name));
+        deregistered.map(drop).map_err(Refused::registry)
     }
 
     /// Replaces the rule registered under `name` in one publication — the
@@ -703,109 +641,124 @@ impl ServiceWriter {
     /// rule's are released, so leaves shared between the two survive, and
     /// readers switch from old to new atomically at their next epoch pin.
     pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        self.replace_rule_unpublished(name, rule)?;
-        self.publish();
-        Ok(())
+        let replaced = self.write(Delta::Replace(name, &rule));
+        replaced.map(drop).map_err(Refused::registry)
     }
 
-    pub(crate) fn register_rule_unpublished(
-        &mut self,
-        name: &str,
-        rule: LinkageRule,
-    ) -> Result<(), RegistryError> {
-        if self.has_rule(name) {
-            return Err(RegistryError::DuplicateRule(name.to_string()));
+    /// The in-memory write path: check, apply, publish.  `Ok(None)` when
+    /// the delta has nothing to do, else what [`ServiceWriter::apply`] returned.
+    pub(crate) fn write(&mut self, delta: Delta<'_>) -> Result<Option<u32>, Refused> {
+        if !self.check(&delta)? {
+            return Ok(None);
         }
-        let (plan, compiled) = self.lower(&rule);
-        let (leaf_hits, leaf_misses) = self.acquire_missing(&plan);
-        self.rules.push(RegisteredRule {
-            name: Arc::from(name),
-            rule: Arc::new(rule),
-            compiled,
-            plan,
-            counters: Arc::new(RuleCounters::default()),
-            leaf_hits,
-            leaf_misses,
-            registered_epoch: self.shared.epochs.version() + 1,
-        });
-        self.refresh_chain_hashes();
-        Ok(())
+        let position = self.apply(delta);
+        self.publish();
+        Ok(Some(position))
     }
 
-    pub(crate) fn deregister_rule_unpublished(&mut self, name: &str) -> Result<(), RegistryError> {
-        let at = self
-            .rules
+    /// Whether `delta` can be applied to the current state, changing
+    /// nothing: `Ok(true)` when it can, `Ok(false)` when it has nothing to
+    /// do (removing an id that is not served, an empty batch), and the
+    /// refusal otherwise.  Every write — live, durable or replayed — runs
+    /// this before it logs or applies anything.
+    pub(crate) fn check(&self, delta: &Delta<'_>) -> Result<bool, Refused> {
+        let duplicate = |entity: &Entity| {
+            Refused::Entity(EntityError::DuplicateEntity(entity.id().to_string()))
+        };
+        let registry = |err: RegistryError| Err(Refused::Registry(err));
+        match *delta {
+            Delta::Insert(entity) if self.contains(entity.id()) => Err(duplicate(entity)),
+            Delta::Ingest(batch) => {
+                match first_duplicate(batch.iter().copied(), |id| self.contains(id)) {
+                    Some(entity) => Err(duplicate(entity)),
+                    None => Ok(!batch.is_empty()),
+                }
+            }
+            Delta::Remove(id) => Ok(self.contains(id)),
+            Delta::Register(name, _) if self.has_rule(name) => {
+                registry(RegistryError::DuplicateRule(name.to_string()))
+            }
+            Delta::Deregister(name) | Delta::Replace(name, _) if !self.has_rule(name) => {
+                registry(RegistryError::UnknownRule(name.to_string()))
+            }
+            Delta::Deregister(_) if self.rules.len() == 1 => registry(RegistryError::LastRule),
+            _ => Ok(true),
+        }
+    }
+
+    /// Applies a delta [`ServiceWriter::check`] accepted, without
+    /// publishing.  Returns the slot of an inserted entity, 0 for any
+    /// other delta.
+    pub(crate) fn apply(&mut self, delta: Delta<'_>) -> u32 {
+        match delta {
+            Delta::Insert(entity) => return self.insert_entity(entity),
+            Delta::Ingest(batch) => {
+                for entity in batch {
+                    self.insert_entity(entity);
+                }
+            }
+            Delta::Remove(id) => {
+                let (position, entity) = self.store.remove(id).expect("check found the id served");
+                let cache = self.shared.cache.scoped();
+                // un-index first: locating the postings recomputes the
+                // entity's block keys through the cache entries about to be
+                // evicted
+                self.pool.remove_entity(position, &entity, cache);
+                cache.evict(&entity, &self.target_chain_hashes);
+            }
+            Delta::Register(name, rule) => {
+                let registered = self.registered(Arc::from(name), rule);
+                self.rules.push(registered);
+                self.refresh_chain_hashes();
+            }
+            Delta::Deregister(name) => {
+                let removed = self.rules.remove(self.slot_of(name));
+                self.pool.release_plan(&removed.plan);
+                self.refresh_chain_hashes();
+            }
+            Delta::Replace(name, rule) => {
+                let at = self.slot_of(name);
+                // acquire before release: leaves shared between the outgoing
+                // and incoming rule keep a positive refcount throughout
+                let replacement = self.registered(self.rules[at].name.clone(), rule);
+                let old = std::mem::replace(&mut self.rules[at], replacement);
+                self.pool.release_plan(&old.plan);
+                self.refresh_chain_hashes();
+            }
+        }
+        0
+    }
+
+    /// The registry slot of a rule `check` found registered.
+    fn slot_of(&self, name: &str) -> usize {
+        self.rules
             .iter()
             .position(|rule| rule.name.as_ref() == name)
-            .ok_or_else(|| RegistryError::UnknownRule(name.to_string()))?;
-        if self.rules.len() == 1 {
-            return Err(RegistryError::LastRule);
-        }
-        let removed = self.rules.remove(at);
-        self.pool.release_plan(&removed.plan);
-        self.refresh_chain_hashes();
-        Ok(())
+            .expect("check found the rule registered")
     }
 
-    pub(crate) fn replace_rule_unpublished(
-        &mut self,
-        name: &str,
-        rule: LinkageRule,
-    ) -> Result<(), RegistryError> {
-        let at = self
-            .rules
-            .iter()
-            .position(|registered| registered.name.as_ref() == name)
-            .ok_or_else(|| RegistryError::UnknownRule(name.to_string()))?;
-        let (plan, compiled) = self.lower(&rule);
-        // acquire before release: leaves shared between the outgoing and
-        // incoming rule keep a positive refcount throughout the swap
-        let (leaf_hits, leaf_misses) = self.acquire_missing(&plan);
-        let replacement = RegisteredRule {
-            name: self.rules[at].name.clone(),
-            rule: Arc::new(rule),
+    /// A registry entry for `rule`: lowered and compiled against the store's
+    /// target schema, its plan's leaves acquired from the pool (only the
+    /// missing ones built, over the live store entries).
+    fn registered(&mut self, name: Arc<str>, rule: &LinkageRule) -> RegisteredRule {
+        let (source, target) = (&self.source_schema, self.store.schema());
+        let threshold = self.shared.link_threshold;
+        let plan = Arc::new(IndexingPlan::lower(rule, source, target, threshold).canonicalized());
+        let compiled = Arc::new(CompiledRule::compile(rule, source, target));
+        let entries = live_entries(&self.store);
+        let (_leaves, leaf_hits, leaf_misses) =
+            self.pool
+                .acquire_plan(&plan, &entries, self.shared.cache.scoped(), self.threads);
+        RegisteredRule {
+            name,
+            rule: Arc::new(rule.clone()),
             compiled,
             plan,
             counters: Arc::new(RuleCounters::default()),
             leaf_hits,
             leaf_misses,
             registered_epoch: self.shared.epochs.version() + 1,
-        };
-        let old = std::mem::replace(&mut self.rules[at], replacement);
-        self.pool.release_plan(&old.plan);
-        self.refresh_chain_hashes();
-        Ok(())
-    }
-
-    /// Lowers and compiles a rule against the store's target schema.
-    fn lower(&self, rule: &LinkageRule) -> (Arc<IndexingPlan>, Arc<CompiledRule>) {
-        let target_schema = self.store.schema();
-        let plan = Arc::new(
-            IndexingPlan::lower(
-                rule,
-                &self.source_schema,
-                target_schema,
-                self.shared.link_threshold,
-            )
-            .canonicalized(),
-        );
-        let compiled = Arc::new(CompiledRule::compile(
-            rule,
-            &self.source_schema,
-            target_schema,
-        ));
-        (plan, compiled)
-    }
-
-    /// Acquires a plan's leaves from the pool, building only the missing
-    /// ones over the live store entries; returns the acquisition's
-    /// `(hits, misses)`.
-    fn acquire_missing(&mut self, plan: &IndexingPlan) -> (u64, u64) {
-        let entries = live_entries(&self.store);
-        let (_leaves, hits, misses) =
-            self.pool
-                .acquire_plan(plan, &entries, self.shared.cache.scoped(), self.threads);
-        (hits, misses)
+        }
     }
 
     /// Recomputes the registry-wide evictable hash union and evicts the
@@ -826,20 +779,11 @@ impl ServiceWriter {
         }
     }
 
-    pub(crate) fn remove_unpublished(&mut self, id: &str) -> bool {
-        let Some((position, entity)) = self.store.remove(id) else {
-            return false;
-        };
-        let cache = self.shared.cache.scoped();
-        // un-index first: locating the postings recomputes the entity's
-        // block keys through the cache entries about to be evicted
-        self.pool.remove_entity(position, &entity, cache);
-        cache.evict(&entity, &self.target_chain_hashes);
-        true
-    }
-
-    pub(crate) fn insert_unpublished(&mut self, entity: &Entity) -> Result<u32, EntityError> {
-        let (position, stored) = self.store.insert(entity)?;
+    fn insert_entity(&mut self, entity: &Entity) -> u32 {
+        let (position, stored) = self
+            .store
+            .insert(entity)
+            .expect("check refused served and repeated ids");
         let cache = self.shared.cache.scoped();
         // defensive eviction: if a reader repopulated entries for a
         // *previous* tenant of this address after its remove-time eviction,
@@ -851,7 +795,7 @@ impl ServiceWriter {
             rule.compiled.warm_target(&stored, cache);
         }
         self.pool.insert_entity(position, &stored, cache);
-        Ok(position)
+        position
     }
 
     /// Publishes the current working state as a new immutable epoch,
@@ -1238,6 +1182,19 @@ fn live_entries(store: &EntityStore) -> Vec<(u32, &Entity)> {
         .collect()
 }
 
+/// The first entity of `batch` whose id `served` holds or an earlier entity
+/// of the batch carries: the rule by which every front refuses an ingest,
+/// whole, naming that id.
+pub(crate) fn first_duplicate<'e>(
+    batch: impl IntoIterator<Item = &'e Entity>,
+    served: impl Fn(&str) -> bool,
+) -> Option<&'e Entity> {
+    let mut ids = HashSet::new();
+    batch
+        .into_iter()
+        .find(|entity| served(entity.id()) || !ids.insert(entity.id()))
+}
+
 /// The set of chain hashes whose `(entity, hash)` cache entries a removed
 /// target entity may own: every target-side slot of every registered
 /// rule's compiled form, as a sorted deduplicated union.  The indexing
@@ -1399,31 +1356,6 @@ mod tests {
             .map(|l| l.target)
             .collect();
         assert_eq!(targets, vec!["b3".to_string(), "b9".to_string()]);
-    }
-
-    #[test]
-    fn failed_ingest_publishes_the_partial_batch() {
-        let (source, target) = (source(), target());
-        let (mut writer, reader) = LinkService::empty(
-            rule(),
-            source.schema(),
-            target.schema(),
-            ServiceOptions::default(),
-        )
-        .split();
-        // b2 duplicated mid-batch: b1 and b2 land, the error surfaces, and
-        // the partial state is published (one-by-one semantics)
-        let batch = vec![
-            target.entities()[0].clone(),
-            target.entities()[1].clone(),
-            target.entities()[1].clone(),
-            target.entities()[2].clone(),
-        ];
-        let err = writer.ingest(&batch).unwrap_err();
-        assert!(matches!(err, EntityError::DuplicateEntity(id) if id == "b2"));
-        assert_eq!(writer.len(), 2, "entities before the failure stay served");
-        assert_eq!(reader.len(), 2, "readers see the published partial batch");
-        assert_eq!(reader.query(&source.entities()[0]).len(), 1);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! reader pins one epoch *per shard*.  The front is written once over the
 //! [`Shard`] kind: in-memory [`ServiceWriter`] shards (the default) or
 //! crash-safe [`crate::DurableService`] shards, each with its own WAL
-//! chain under `<dir>/shard-NNN/` (see [`crate::durable`]).  Routing, the
-//! up-front-validated parallel ingest and the shard-0-first registry
-//! broadcast are the same for both.
+//! chain under `<dir>/shard-NNN/` (see [`crate::durable`]).  A shard kind
+//! only runs a delta through its own write path; routing, the up-front
+//! batch check of the parallel ingest and the shard-0-first registry
+//! broadcast are the front's, the same for both.
 //!
 //! # Why merge-at-query is lossless
 //!
@@ -29,7 +30,7 @@
 //! form a single global snapshot, but within a shard every query observes
 //! a fully published epoch and mutations become visible in acknowledgement
 //! order (the single-writer property holds per shard).  A batch
-//! [`ShardedService::ingest`] spanning shards is validated up-front and
+//! [`ShardedService::ingest`] spanning shards is checked up-front and
 //! then applied per shard — each shard publishes its sub-batch atomically,
 //! but a reader may observe shard A's sub-batch before shard B's.
 //!
@@ -37,7 +38,6 @@
 //! results and the epoch versions are bit-identical to the unsharded
 //! [`ServiceWriter`] — sharding is strictly additive.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use linkdisc_entity::{DataSource, Entity, EntityError, Schema};
@@ -49,8 +49,10 @@ use crate::durable::{DurableError, DurableService};
 use crate::engine::ScoredLink;
 use crate::multiblock::CandidateScratch;
 use crate::service::{
-    CommitteeLink, RegistryError, RuleServingStats, ServiceOptions, ServiceReader, ServiceWriter,
+    first_duplicate, CommitteeLink, RegistryError, RuleServingStats, ServiceOptions, ServiceReader,
+    ServiceWriter,
 };
+use crate::wal::{Delta, Refused};
 
 /// Routes entity ids to shards: a pure function of the id and the shard
 /// count, stable across inserts, removes and slot recycling (it never
@@ -103,8 +105,8 @@ mod sealed {
 
 /// A shard kind a [`ShardedService`] can front: the in-memory
 /// [`ServiceWriter`] or the write-ahead logged [`DurableService`].  Each
-/// implementation calls that type's own inherent methods; the front adds
-/// routing, the up-front batch validation and the registry broadcast.
+/// runs a delta through that type's own write path; the front adds
+/// routing, the up-front batch check and the registry broadcast.
 pub trait Shard: Send + sealed::Sealed {
     /// Why an entity mutation failed.
     type Error: From<EntityError> + Send;
@@ -117,19 +119,13 @@ pub trait Shard: Send + sealed::Sealed {
     fn guard(&self) -> Result<(), Self::Error> {
         Ok(())
     }
-    /// Adds one entity; returns its slot position.
-    fn insert(&mut self, entity: &Entity) -> Result<u32, Self::Error>;
-    /// Removes an entity; `Ok(false)` when the id is not served.
-    fn remove(&mut self, id: &str) -> Result<bool, Self::Error>;
-    /// Adds a batch the caller validated (no id repeats, none is served)
-    /// under one publication.
-    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, Self::Error>;
-    /// See [`ServiceWriter::register_rule`].
-    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), Self::RegistryError>;
-    /// See [`ServiceWriter::deregister_rule`].
-    fn deregister_rule(&mut self, name: &str) -> Result<(), Self::RegistryError>;
-    /// See [`ServiceWriter::replace_rule`].
-    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), Self::RegistryError>;
+    /// Runs one delta through the shard's write path: check, log (durable
+    /// shards), apply, publish.  `Ok(None)` when the delta has nothing to
+    /// do; `Ok(Some(slot))` names an inserted entity's slot.
+    fn commit(
+        &mut self,
+        delta: Delta<'_>,
+    ) -> Result<Option<u32>, Refused<Self::Error, Self::RegistryError>>;
 }
 
 impl Shard for ServiceWriter {
@@ -140,33 +136,8 @@ impl Shard for ServiceWriter {
         self
     }
 
-    fn insert(&mut self, entity: &Entity) -> Result<u32, EntityError> {
-        ServiceWriter::insert(self, entity)
-    }
-
-    fn remove(&mut self, id: &str) -> Result<bool, EntityError> {
-        Ok(ServiceWriter::remove(self, id))
-    }
-
-    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, EntityError> {
-        for entity in batch {
-            self.insert_unpublished(entity)
-                .expect("pre-validated batch cannot collide");
-        }
-        self.publish();
-        Ok(batch.len())
-    }
-
-    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        ServiceWriter::register_rule(self, name, rule)
-    }
-
-    fn deregister_rule(&mut self, name: &str) -> Result<(), RegistryError> {
-        ServiceWriter::deregister_rule(self, name)
-    }
-
-    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), RegistryError> {
-        ServiceWriter::replace_rule(self, name, rule)
+    fn commit(&mut self, delta: Delta<'_>) -> Result<Option<u32>, Refused> {
+        self.write(delta)
     }
 }
 
@@ -182,29 +153,18 @@ impl Shard for DurableService {
         DurableService::guard(self)
     }
 
-    fn insert(&mut self, entity: &Entity) -> Result<u32, DurableError> {
-        DurableService::insert(self, entity)
-    }
-
-    fn remove(&mut self, id: &str) -> Result<bool, DurableError> {
-        DurableService::remove(self, id)
-    }
-
-    fn ingest_validated(&mut self, batch: &[&Entity]) -> Result<usize, DurableError> {
-        let batch: Vec<Entity> = batch.iter().map(|&entity| entity.clone()).collect();
-        DurableService::ingest(self, &batch)
-    }
-
-    fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        DurableService::register_rule(self, name, rule)
-    }
-
-    fn deregister_rule(&mut self, name: &str) -> Result<(), DurableError> {
-        DurableService::deregister_rule(self, name)
-    }
-
-    fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), DurableError> {
-        DurableService::replace_rule(self, name, rule)
+    fn commit(
+        &mut self,
+        delta: Delta<'_>,
+    ) -> Result<Option<u32>, Refused<DurableError, DurableError>> {
+        let registry = matches!(
+            delta,
+            Delta::Register(..) | Delta::Deregister(_) | Delta::Replace(..)
+        );
+        DurableService::commit(self, delta).map_err(|err| match registry {
+            true => Refused::Registry(err),
+            false => Refused::Entity(err),
+        })
     }
 }
 
@@ -348,51 +308,50 @@ impl<W: Shard> ShardedService<W> {
     /// identifier.
     pub fn insert(&mut self, entity: &Entity) -> Result<ShardSlot, W::Error> {
         let shard = self.router.route(entity.id());
-        let position = self.shards[shard].insert(entity)?;
+        let position = self.shards[shard].commit(Delta::Insert(entity));
         Ok(ShardSlot {
             shard: shard as u32,
-            position,
+            position: position.map_err(Refused::entity)?.unwrap_or_default(),
         })
     }
 
     /// Removes a target entity from its routed shard (publishing on that
     /// shard only).  Returns `Ok(false)` when the id is not served.
     pub fn remove(&mut self, id: &str) -> Result<bool, W::Error> {
-        self.shards[self.router.route(id)].remove(id)
+        let removed = self.shards[self.router.route(id)].commit(Delta::Remove(id));
+        Ok(removed.map_err(Refused::entity)?.is_some())
     }
 
-    /// Batch ingestion across shards, all-or-nothing up front: the batch is
-    /// routed and validated — a duplicate id, within the batch or against
-    /// any shard, or a poisoned routed shard fails the whole call before
-    /// anything is applied (unlike [`ServiceWriter::ingest`], which
-    /// keeps the prefix: with concurrent per-shard application "the prefix"
-    /// is not defined).  Then one worker per touched shard adds its
-    /// sub-batch in batch order under one publication — durably, one log
-    /// record and one fsync; untouched shards publish nothing.  Per-shard,
-    /// not cross-shard, atomic: a crash between durable shards' fsyncs can
-    /// keep some sub-batches and not others.  With `shards = 1` a valid
-    /// batch is byte-identical to the unsharded path, in one publication.
+    /// Batch ingestion across shards, all or nothing as on every front: a
+    /// poisoned routed shard, or a duplicate id — within the batch or
+    /// against any shard, named as the unsharded writer names it — fails
+    /// the whole call before anything is applied.  Then one worker per
+    /// touched shard commits its sub-batch in batch order under one
+    /// publication — durably, one log record and one fsync; untouched
+    /// shards publish nothing.  Per-shard, not cross-shard, atomic: a crash
+    /// between durable shards' fsyncs can keep some sub-batches and not
+    /// others.  With `shards = 1` a valid batch is byte-identical to the
+    /// unsharded path, in one publication.
     pub fn ingest(&mut self, entities: &[Entity]) -> Result<usize, W::Error> {
         // routing is one hash per id: cheaper inline than a thread spawn
         // until batches reach ~10^4 ids
-        let mut batch_ids: HashSet<&str> = HashSet::with_capacity(entities.len());
         let mut per_shard: Vec<Vec<&Entity>> = vec![Vec::new(); self.router.shards()];
         for entity in entities {
             let shard = self.router.route(entity.id());
             self.shards[shard].guard()?;
-            if !batch_ids.insert(entity.id()) || self.shards[shard].writer().contains(entity.id()) {
-                return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
-            }
             per_shard[shard].push(entity);
         }
+        if let Some(entity) = first_duplicate(entities, |id| self.contains(id)) {
+            return Err(EntityError::DuplicateEntity(entity.id().to_string()).into());
+        }
         let mut jobs: Vec<(&mut W, Vec<&Entity>)> = self.shards.iter_mut().zip(per_shard).collect();
-        let ingested = parallel_ordered_map_mut(&mut jobs, self.threads, |_, (shard, batch)| {
-            if batch.is_empty() {
-                return Ok(0usize);
-            }
-            shard.ingest_validated(batch)
+        let committed = parallel_ordered_map_mut(&mut jobs, self.threads, |_, (shard, batch)| {
+            shard.commit(Delta::Ingest(batch)).map_err(Refused::entity)
         });
-        ingested.into_iter().sum()
+        for outcome in committed {
+            outcome?;
+        }
+        Ok(entities.len())
     }
 
     /// Registers a rule on every shard, shard 0 first; each shard acquires
@@ -402,28 +361,28 @@ impl<W: Shard> ShardedService<W> {
     /// shard 0's registry is the authority recovery converges the others
     /// to, so a crash mid-broadcast rolls forward, never back.
     pub fn register_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), W::RegistryError> {
-        self.broadcast(|shard| shard.register_rule(name, rule.clone()))
+        self.broadcast(Delta::Register(name, &rule))
     }
 
     /// Deregisters a rule from every shard, shard 0 first — see
     /// [`ServiceWriter::deregister_rule`].
     pub fn deregister_rule(&mut self, name: &str) -> Result<(), W::RegistryError> {
-        self.broadcast(|shard| shard.deregister_rule(name))
+        self.broadcast(Delta::Deregister(name))
     }
 
     /// Hot-swaps the rule registered under `name` on every shard, shard 0
     /// first — see [`ServiceWriter::replace_rule`].
     pub fn replace_rule(&mut self, name: &str, rule: LinkageRule) -> Result<(), W::RegistryError> {
-        self.broadcast(|shard| shard.replace_rule(name, rule.clone()))
+        self.broadcast(Delta::Replace(name, &rule))
     }
 
-    /// Runs one registry operation on every shard in shard order, stopping
+    /// Commits one registry delta on every shard in shard order, stopping
     /// at the first failure.
-    fn broadcast(
-        &mut self,
-        op: impl FnMut(&mut W) -> Result<(), W::RegistryError>,
-    ) -> Result<(), W::RegistryError> {
-        self.shards.iter_mut().try_for_each(op)
+    fn broadcast(&mut self, delta: Delta<'_>) -> Result<(), W::RegistryError> {
+        self.shards.iter_mut().try_for_each(|shard| {
+            let committed = shard.commit(delta);
+            committed.map(drop).map_err(Refused::registry)
+        })
     }
 
     /// All targets matching one query entity across every shard, best

@@ -3,11 +3,12 @@
 //! published, so a crash at any instant loses at most the single mutation
 //! that was never acknowledged.
 //!
-//! This module is the log's byte codec only: [`WalWriter`] encodes the
-//! header and each record into memory, and [`decode_wal`] decodes a whole
-//! log already read into memory.  The log file itself — creating, appending,
-//! syncing, and the fault-injection points guarding each of those — belongs
-//! to `crate::durable`.
+//! This module holds [`Delta`], the one mutation value every write path
+//! shares (a live write, a durable commit, a replayed record), and the
+//! log's byte codec: [`WalWriter`] encodes the header and each record into
+//! memory, and [`decode_wal`] decodes a whole log already read into memory.
+//! The log file itself — creating, appending, syncing — belongs to
+//! `crate::durable`.
 //!
 //! # Format (version 2, little-endian)
 //!
@@ -20,7 +21,7 @@
 //!   base seq    u64             mutations already folded into the checkpoint
 //!   header crc  u64             FNV-1a over version..base seq
 //! record*
-//!   len         u32             payload bytes
+//!   len         u32             payload bytes, at most 1 GiB
 //!   len check   u32             FNV-1a of the len bytes — distinguishes a
 //!                               *torn* record (true header, short payload)
 //!                               from a *bit-flipped* length field
@@ -56,9 +57,15 @@
 //! [`WalDamage::Corrupt`] naming the salvageable prefix, never as a panic
 //! or a silently shortened log.  Each record's checksum is checked before
 //! its payload is decoded; the decoder still validates every field, since a
-//! checksum catches accidents, not forgery.
+//! checksum catches accidents, not forgery.  A payload over the record
+//! bound is refused by the encoder, before anything is logged, and read as
+//! corruption by the decoder: both ask [`record_len`].
+
+use linkdisc_entity::{Entity, EntityError, Schema};
+use linkdisc_rule::LinkageRule;
 
 use crate::codec::{fnv32, DecodeError, Decoder, Encoder, Fnv, Interner};
+use crate::service::RegistryError;
 
 /// Current log format version (see the module docs).
 pub(crate) const WAL_VERSION: u32 = 2;
@@ -69,20 +76,63 @@ const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8 + 8;
 /// enough that a corrupt length field cannot demand gigabytes.
 const MAX_RECORD_BYTES: u32 = 1 << 30;
 
-/// One logged mutation, borrowed from the caller at append time.
-pub(crate) enum Delta<'a> {
-    /// Insert one entity: `(id, values aligned to the target schema)`.
-    Insert(&'a str, &'a [Vec<String>]),
+/// The record bound, the one place the encoder and the decoder consult: a
+/// payload of `bytes` is written and read as its `u32` length field only
+/// when it is at most [`MAX_RECORD_BYTES`].
+pub(crate) fn record_len(bytes: usize) -> Option<u32> {
+    u32::try_from(bytes)
+        .ok()
+        .filter(|&len| len <= MAX_RECORD_BYTES)
+}
+
+/// One service mutation, borrowing the caller's entities and rules.  A
+/// live write, a durable commit and a replayed log record all build one and
+/// run it through `ServiceWriter::check` and `ServiceWriter::apply`; the
+/// log records it as `(id, values aligned to the store schema)` for an
+/// entity and `(name, canonical rule hash)` for a rule.
+#[derive(Debug, Clone, Copy)]
+pub enum Delta<'a> {
+    /// Insert one entity.
+    Insert(&'a Entity),
     /// Remove one entity by identifier.
     Remove(&'a str),
-    /// Ingest a batch in one epoch: `[(id, aligned values)]`.
-    Ingest(&'a [(String, Vec<Vec<String>>)]),
-    /// Register a rule: `(name, canonical rule hash)`.
-    Register(&'a str, u64),
-    /// Deregister a rule by name.
+    /// Insert a batch in one epoch, all or nothing.
+    Ingest(&'a [&'a Entity]),
+    /// Register a rule under a fresh name.
+    Register(&'a str, &'a LinkageRule),
+    /// Deregister the rule under a name.
     Deregister(&'a str),
-    /// Hot-swap the rule under a name: `(name, new canonical rule hash)`.
-    Replace(&'a str, u64),
+    /// Hot-swap the rule under a name.
+    Replace(&'a str, &'a LinkageRule),
+}
+
+/// Why `ServiceWriter::check` refused a [`Delta`], in the error type of the
+/// delta's kind: an entity delta is only refused as [`Refused::Entity`], a
+/// registry delta only as [`Refused::Registry`].
+#[derive(Debug)]
+pub enum Refused<E = EntityError, R = RegistryError> {
+    /// An entity delta was refused (a duplicate id).
+    Entity(E),
+    /// A registry delta was refused (a taken or unknown name, the last rule).
+    Registry(R),
+}
+
+impl<E, R> Refused<E, R> {
+    /// The refusal of an entity delta.
+    pub(crate) fn entity(self) -> E {
+        match self {
+            Refused::Entity(err) => err,
+            Refused::Registry(_) => unreachable!("an entity delta is refused as one"),
+        }
+    }
+
+    /// The refusal of a registry delta.
+    pub(crate) fn registry(self) -> R {
+        match self {
+            Refused::Registry(err) => err,
+            Refused::Entity(_) => unreachable!("a registry delta is refused as one"),
+        }
+    }
 }
 
 /// The encoding half of one log: its header, and its records against the
@@ -108,23 +158,40 @@ impl WalWriter {
         header.bytes
     }
 
-    /// Encodes one delta record, ready to append to the log.
-    pub(crate) fn encode(&mut self, seq: u64, delta: &Delta<'_>) -> &[u8] {
+    /// Encodes one delta record, ready to append to the log, with each
+    /// entity's values aligned to `schema` — what the store will hold for
+    /// it, so replaying the record reproduces the stored entity exactly.
+    /// A payload over [`MAX_RECORD_BYTES`] is refused as `Err(payload
+    /// bytes)`, and the strings it interned are forgotten, so the log's
+    /// string table stays that of the records actually written.
+    pub(crate) fn encode(
+        &mut self,
+        seq: u64,
+        delta: &Delta<'_>,
+        schema: &Schema,
+    ) -> Result<&[u8], usize> {
         // the body goes first: it interns the strings the record's table
         // delta must carry
+        let table_len = self.interner.len();
         let (interner, body) = (&mut self.interner, &mut self.body);
         body.bytes.clear();
-        let mut entity = |id: &str, values: &[Vec<String>], body: &mut Encoder| {
-            body.u32(interner.intern(id));
-            body.count(values.len());
-            for set in values {
+        let mut entity = |entity: &Entity, body: &mut Encoder| {
+            body.u32(interner.intern(entity.id()));
+            body.count(schema.len());
+            let same = entity.schema().as_ref() == schema;
+            for (index, property) in schema.properties().iter().enumerate() {
+                let set = if same {
+                    entity.values_at(index)
+                } else {
+                    entity.values(property)
+                };
                 interner.value_set(set, body);
             }
         };
-        match delta {
-            Delta::Insert(id, values) => {
+        match *delta {
+            Delta::Insert(insert) => {
                 body.u8(0);
-                entity(id, values, body);
+                entity(insert, body);
             }
             Delta::Remove(id) => {
                 body.u8(1);
@@ -133,23 +200,23 @@ impl WalWriter {
             Delta::Ingest(batch) => {
                 body.u8(2);
                 body.count(batch.len());
-                for (id, values) in batch.iter() {
-                    entity(id, values, body);
+                for &insert in batch {
+                    entity(insert, body);
                 }
             }
-            Delta::Register(name, rule_hash) => {
+            Delta::Register(name, rule) => {
                 body.u8(3);
                 body.u32(interner.intern(name));
-                body.u64(*rule_hash);
+                body.u64(rule.canonical_hash());
             }
             Delta::Deregister(name) => {
                 body.u8(4);
                 body.u32(interner.intern(name));
             }
-            Delta::Replace(name, rule_hash) => {
+            Delta::Replace(name, rule) => {
                 body.u8(5);
                 body.u32(interner.intern(name));
-                body.u64(*rule_hash);
+                body.u64(rule.canonical_hash());
             }
         }
 
@@ -159,12 +226,15 @@ impl WalWriter {
         record.u64(seq);
         self.interner.write_fresh(record);
         record.raw(&self.body.bytes);
-        let len = (record.bytes.len() - 8) as u32;
+        let Some(len) = record_len(record.bytes.len() - 8) else {
+            self.interner.truncate(table_len);
+            return Err(record.bytes.len() - 8);
+        };
         record.bytes[0..4].copy_from_slice(&len.to_le_bytes());
         record.bytes[4..8].copy_from_slice(&fnv32(&len.to_le_bytes()).to_le_bytes());
         let crc = Fnv::digest(&record.bytes[8..]);
         record.u64(crc);
-        &record.bytes
+        Ok(&record.bytes)
     }
 }
 
@@ -188,7 +258,7 @@ pub(crate) enum WalOp {
 
 /// An entity as the log stores it: identifier plus values aligned to the
 /// checkpoint's target schema.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct EntityRecord {
     pub(crate) id: String,
     pub(crate) values: Vec<Vec<String>>,
@@ -278,7 +348,7 @@ pub(crate) fn decode_wal(
             let what = "record length check mismatch".into();
             return Err(corrupt(records.len(), offset, what));
         }
-        if len > MAX_RECORD_BYTES {
+        if record_len(len as usize).is_none() {
             let what = format!("implausible record length {len}");
             return Err(corrupt(records.len(), offset, what));
         }
@@ -351,11 +421,14 @@ fn decode_record<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linkdisc_rule::{compare, property, DistanceFunction};
+    use std::sync::Arc;
 
     /// A log built in memory: its header, then every appended record —
     /// the bytes `DurableService` writes to the log file.
     struct LogBytes {
         encoder: WalWriter,
+        schema: Arc<Schema>,
         bytes: Vec<u8>,
     }
 
@@ -363,31 +436,43 @@ mod tests {
         fn create(registry_hash: u64) -> LogBytes {
             LogBytes {
                 encoder: WalWriter::default(),
+                schema: Arc::new(Schema::new(["name", "phone"])),
                 bytes: WalWriter::header(registry_hash, 0, 0),
             }
         }
 
+        fn entity(&self, id: &str, name: &[&str], phone: &[&str]) -> Entity {
+            let set = |values: &[&str]| values.iter().map(|v| v.to_string()).collect();
+            Entity::new(id, self.schema.clone(), vec![set(name), set(phone)])
+        }
+
         fn append(&mut self, seq: u64, delta: &Delta<'_>) {
-            let record = self.encoder.encode(seq, delta);
+            let record = self.encoder.encode(seq, delta, &self.schema).unwrap();
             self.bytes.extend_from_slice(record);
         }
     }
 
     fn sample_log() -> Vec<u8> {
         let mut writer = LogBytes::create(77);
-        writer.append(
-            1,
-            &Delta::Insert("b9", &[vec!["berlin".into()], vec!["1237".into()]]),
-        );
+        let b9 = writer.entity("b9", &["berlin"], &["1237"]);
+        writer.append(1, &Delta::Insert(&b9));
         writer.append(2, &Delta::Remove("b9"));
-        writer.append(
-            3,
-            &Delta::Ingest(&[
-                ("b9".to_string(), vec![vec!["berlin".into()], vec![]]),
-                ("c1".to_string(), vec![vec!["berlin".into()], vec![]]),
-            ]),
-        );
+        let batch = [
+            writer.entity("b9", &["berlin"], &[]),
+            writer.entity("c1", &["berlin"], &[]),
+        ];
+        writer.append(3, &Delta::Ingest(&[&batch[0], &batch[1]]));
         writer.bytes
+    }
+
+    fn rule(bound: f64) -> LinkageRule {
+        compare(
+            property("name"),
+            property("name"),
+            DistanceFunction::Levenshtein,
+            bound,
+        )
+        .into()
     }
 
     #[test]
@@ -422,9 +507,11 @@ mod tests {
     #[test]
     fn registry_records_round_trip_and_share_the_string_table() {
         let mut writer = LogBytes::create(77);
-        writer.append(1, &Delta::Register("ensemble", 0xabcd));
-        writer.append(2, &Delta::Insert("b9", &[vec!["berlin".into()], vec![]]));
-        writer.append(3, &Delta::Replace("ensemble", 0xef01));
+        let (registered, replacement) = (rule(1.0), rule(2.0));
+        writer.append(1, &Delta::Register("ensemble", &registered));
+        let b9 = writer.entity("b9", &["berlin"], &[]);
+        writer.append(2, &Delta::Insert(&b9));
+        writer.append(3, &Delta::Replace("ensemble", &replacement));
         writer.append(4, &Delta::Deregister("ensemble"));
         let bytes = writer.bytes;
         let contents = decode_wal(&bytes, 77).unwrap();
@@ -433,14 +520,14 @@ mod tests {
             contents.records[0].op,
             WalOp::Register {
                 name: "ensemble".into(),
-                rule_hash: 0xabcd
+                rule_hash: registered.canonical_hash()
             }
         );
         assert_eq!(
             contents.records[2].op,
             WalOp::Replace {
                 name: "ensemble".into(),
-                rule_hash: 0xef01
+                rule_hash: replacement.canonical_hash()
             }
         );
         assert_eq!(contents.records[3].op, WalOp::Deregister("ensemble".into()));
@@ -589,5 +676,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The record bound is one function, so the encoder's refusal and the
+    /// decoder's verdict agree on both sides of it; the decoder is driven
+    /// with forged length fields, the bound itself is never allocated.
+    #[test]
+    fn the_record_bound_is_one_function_for_both_sides() {
+        let max = MAX_RECORD_BYTES as usize;
+        assert_eq!(record_len(max), Some(MAX_RECORD_BYTES));
+        assert_eq!(record_len(max + 1), None);
+        // a length past u32 is refused, not wrapped
+        assert_eq!(record_len((u32::MAX as usize) + 2), None);
+
+        let header = WalWriter::header(77, 0, 0);
+        let forged = |len: u32| {
+            let mut log = header.clone();
+            log.extend_from_slice(&len.to_le_bytes());
+            log.extend_from_slice(&fnv32(&len.to_le_bytes()).to_le_bytes());
+            log.extend_from_slice(&[0; 16]);
+            decode_wal(&log, 77)
+        };
+        // at the bound the length is plausible: the short payload is a
+        // torn tail, tolerated
+        let at_bound = forged(MAX_RECORD_BYTES).unwrap();
+        assert!(at_bound.records.is_empty());
+        assert_eq!(at_bound.torn_tail_bytes, 24);
+        // one past it is corruption
+        match forged(MAX_RECORD_BYTES + 1) {
+            Err(WalDamage::Corrupt { valid_records, .. }) => assert_eq!(valid_records, 0),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A record the encoder refuses leaves the log's string table as the
+    /// written records left it: a string only the refused record interned
+    /// is carried again by the next record that uses it.
+    #[test]
+    fn a_refused_record_forgets_the_strings_it_interned() {
+        let mut writer = LogBytes::create(77);
+        writer.append(1, &Delta::Remove("b1"));
+        // what encode does with a refused record's strings
+        let table = writer.encoder.interner.len();
+        writer.encoder.interner.intern("b2");
+        writer.encoder.interner.truncate(table);
+        assert_eq!(writer.encoder.interner.len(), table);
+        writer.append(2, &Delta::Remove("b2"));
+        let contents = decode_wal(&writer.bytes, 77).unwrap();
+        assert_eq!(contents.records[1].op, WalOp::Remove("b2".into()));
     }
 }
